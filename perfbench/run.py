@@ -39,6 +39,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 BUILD = ROOT / ".bench_build"
 SETUP_REPEATS = 7
+MIN_PASSES = 5          # so each op's median latency rests on >= 5 samples
 CLI_COMMANDS = ("eval-kernel", "eval-density", "verify-product", "translate",
                 "hankel-check", "legendre-check", "tv-sweep")
 
@@ -183,7 +184,6 @@ def end_to_end(workload: str, seed: int, seconds: float):
     if workload == "cli":
         runner = Runner(workload, ops, env=pure_env())
         backend = "python"
-        min_passes = 2          # the byte-identity check needs a repeat
     else:
         gf = wl.load(str(SRC))
         backend = gf.gfkernel.backend_name()
@@ -191,7 +191,6 @@ def end_to_end(workload: str, seed: int, seconds: float):
         for op in wl.warmup_ops(ops):
             runner.one(ops.index(op))
         runner.failures.clear()
-        min_passes = 1
     # The machine's speed drifts by tens of percent over tens of seconds, so
     # set-up samples are spread over the run and each op's latency is its
     # median over the passes: the figures describe the typical state.
@@ -201,7 +200,7 @@ def end_to_end(workload: str, seed: int, seconds: float):
     records = []
     passes = 0
     measured = 0.0
-    while passes < min_passes or measured < seconds:
+    while passes < MIN_PASSES or measured < seconds:
         setup.append(setup_sample(workload, seed))
         t_pass = time.perf_counter()
         done = runner.run_pass()
