@@ -7,7 +7,8 @@
 Run from the root of a source checkout.  The last line of standard output is
 one JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
 With ``--trace 0`` the metrics are the end-to-end ones, measured over whole
-passes of the seed's op list until ``--seconds`` have gone by.  With
+passes of the seed's op list until ``--seconds`` have gone by, with every
+time scaled to a nominal host speed (see speed.py).  With
 ``--trace 1`` they are the per-layer ones: one untraced and one traced pass,
 plus probes of the scalar kernels, the compiled core, the CLI start-up and
 the acceptance criteria.  See perfbench/README.md for what each number means.
@@ -31,6 +32,7 @@ import sysconfig
 import time
 from pathlib import Path
 
+import speed
 import workloads as wl
 from workloads import Op
 
@@ -39,7 +41,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 BUILD = ROOT / ".bench_build"
 SETUP_REPEATS = 7
-MIN_PASSES = 5          # so each op's median latency rests on >= 5 samples
+MIN_PASSES = 4          # so each op's median latency rests on >= 4 samples
 CLI_COMMANDS = ("eval-kernel", "eval-density", "verify-product", "translate",
                 "hankel-check", "legendre-check", "tv-sweep")
 
@@ -88,6 +90,11 @@ class Runner:
         self.deadline = workload != "cli"
         self.reference: dict[int, str] = {}     # first CLI output of each op
         self.failures: list[tuple[int, str, str]] = []
+        self.factors: list[float] = []          # speed factors of paced ops
+
+    def speed_reference(self) -> float:
+        """Seconds of one run of the reference work of this runner's ops."""
+        return speed.spawn_s(self.env, str(ROOT)) if self.env is not None else speed.loop_s()
 
     def one(self, i: int, call=None):
         """Returns (seconds, failure kind or None, value)."""
@@ -120,13 +127,26 @@ class Runner:
             self.failures.append((i, kind, detail))
         return dt, kind, value
 
-    def run_pass(self, skip=frozenset(), call=None) -> list[tuple[int, float, str | None]]:
+    def run_pass(self, skip=frozenset(), call=None,
+                 paced: bool = False) -> list[tuple[int, float, str | None]]:
+        """One pass; records are (op index, seconds, failure kind or None).
+
+        paced: bracket each op with runs of the speed reference (speed.py)
+        and record its time at the reference's nominal speed.
+        """
         records = []
         values = {}
+        nominal = speed.SPAWN_NOMINAL_S if self.env is not None else speed.LOOP_NOMINAL_S
+        before = self.speed_reference() if paced else 0.0
         for i in range(len(self.ops)):
             if i in skip:
                 continue
             dt, kind, value = self.one(i, call)
+            if paced:
+                after = self.speed_reference()
+                self.factors.append(speed.factor(nominal, before, after))
+                dt *= self.factors[-1]
+                before = after
             records.append([i, dt, kind])
             if kind is None:
                 values[i] = value
@@ -170,13 +190,18 @@ def machine(backend: str) -> dict:
 
 
 def setup_sample(workload: str, seed: int) -> float:
-    """One fresh process's set-up time (see README.md)."""
+    """One fresh process's set-up time (see README.md), bracketed by runs of
+    the process speed reference and given at its nominal speed."""
+    env = pure_env()
+    before = speed.spawn_s(env, str(ROOT))
     if workload == "cli":
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import gfkernel"], env=pure_env(), cwd=ROOT,
+        subprocess.run([sys.executable, "-c", "import gfkernel"], env=env, cwd=ROOT,
                        check=True, timeout=60)
-        return time.perf_counter() - t0
-    return _probe(["setup", workload, str(seed)], pure_env())["setup_s"]
+        setup = time.perf_counter() - t0
+    else:
+        setup = _probe(["setup", workload, str(seed)], env)["setup_s"]
+    return setup * speed.factor(speed.SPAWN_NOMINAL_S, before, speed.spawn_s(env, str(ROOT)))
 
 
 def end_to_end(workload: str, seed: int, seconds: float):
@@ -191,9 +216,11 @@ def end_to_end(workload: str, seed: int, seconds: float):
         for op in wl.warmup_ops(ops):
             runner.one(ops.index(op))
         runner.failures.clear()
-    # The machine's speed drifts by tens of percent over tens of seconds, so
+        for _ in range(20):
+            speed.loop_s()
+    # Every time is scaled to the speed reference's nominal speed (speed.py);
     # set-up samples are spread over the run and each op's latency is its
-    # median over the passes: the figures describe the typical state.
+    # median over the passes, which damps what the scaling leaves.
     setup = []
     times: dict[int, list[float]] = {i: [] for i in range(len(ops))}
     ranked: dict[int, list[float]] = {i: [] for i in range(len(ops))}
@@ -203,7 +230,7 @@ def end_to_end(workload: str, seed: int, seconds: float):
     while passes < MIN_PASSES or measured < seconds:
         setup.append(setup_sample(workload, seed))
         t_pass = time.perf_counter()
-        done = runner.run_pass()
+        done = runner.run_pass(paced=True)
         measured += time.perf_counter() - t_pass
         for i, dt, kind in done:
             times[i].append(dt)
@@ -224,6 +251,9 @@ def end_to_end(workload: str, seed: int, seconds: float):
     print("# machine: " + json.dumps(machine(backend)))
     print(f"# {workload}: {passes} passes of {len(ops)} ops ({attempted} ops); latencies are "
           f"per-op medians over the passes, {len(per_op)} samples; failures {counts}")
+    print(f"# speed factor (nominal / measured reference time): median "
+          f"{statistics.median(runner.factors):.3f}, quartiles "
+          f"{' '.join(f'{q:.3f}' for q in statistics.quantiles(runner.factors, n=4)[::2])}")
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
         "ops_per_s": ((attempted - failed) / passes / pass_s, "1/s"),
