@@ -1,13 +1,16 @@
 """Build script: compiles the optional C accelerator for the scalar kernels.
 
-The extension is an accelerator only.  If Cython or a C compiler is missing
-the build falls through to the pure-Python core (gfkernel._corepy); the two
-implementations expose identical functions and are selected at import time.
+The extension is an accelerator only.  It is compiled from the committed
+``src/gfkernel/_core.c`` (generated from ``_core.pyx`` by Cython, with
+boundscheck=False and cdivision=True; regenerate and commit it after editing
+``_core.pyx``).  Without a C compiler the build falls through to the
+pure-Python core (gfkernel._corepy).  The two implementations expose
+identical functions and are selected at import time.
 """
 
 import sys
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -35,29 +38,15 @@ class optional_build_ext(build_ext):
         )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("WARNING: Cython not available; building pure-Python only.", file=sys.stderr)
-        return []
-    from setuptools import Extension
-
-    ext = Extension(
-        "gfkernel._core",
-        ["src/gfkernel/_core.pyx"],
-        # the double-double primitives require exact IEEE rounding: no FMA
-        # contraction, no fast-math
-        extra_compile_args=["-ffp-contract=off"],
-    )
-    return cythonize(
-        [ext],
-        language_level=3,
-        compiler_directives={"boundscheck": False, "cdivision": True},
-    )
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[
+        Extension(
+            "gfkernel._core",
+            ["src/gfkernel/_core.c"],
+            # the double-double primitives require exact IEEE rounding: no FMA
+            # contraction, no fast-math
+            extra_compile_args=["-ffp-contract=off"],
+        )
+    ],
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -12,7 +12,12 @@ Numerical notes
 * The normalized-Bessel power series is accumulated in double-double
   arithmetic: the series alternates and loses up to ~11 digits to
   cancellation near the series/asymptotic crossover, which plain (even
-  Kahan-compensated) double summation cannot recover.
+  Kahan-compensated) double summation cannot recover.  Its error-free
+  transformations (Dekker's two_sum, two_prod, fast_two_sum, as in the
+  ``dd_*`` helpers of ``_core.pyx``) are written out inline, and the bit pins
+  in ``tests/test_specfn.py`` guard their operation sequence.  ``_core.pyx``
+  adds the low-order parts in another order, so the cores can return
+  different doubles where the series cancels past double-double precision.
 * Band and outer values of the triple-Bessel kernel are evaluated in fused
   form: the algebraic prefactors of the Legendre functions cancel against
   the sin/sinh powers analytically, so no (1-t^2) or (u^2-1) power is ever
@@ -33,7 +38,6 @@ from .errors import (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (pi^3 / 2)^(1/2), the outer-branch normalization
 _SQRT_HALF_PI3 = math.sqrt(0.5 * math.pi ** 3)
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
 _LOG_MAX = 709.0
 
 # ---------------------------------------------------------------------------
@@ -115,55 +119,6 @@ def digamma(x):
 
 
 # ---------------------------------------------------------------------------
-# double-double primitives (error-free transformations)
-# ---------------------------------------------------------------------------
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl):
-    sh, sl = _two_sum(xh, yh)
-    sl += xl + yl
-    return _fast_two_sum(sh, sl)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    ph, pl = _two_prod(xh, yh)
-    pl += xh * yl + xl * yh
-    return _fast_two_sum(ph, pl)
-
-
-def _dd_div(xh, xl, yh, yl):
-    q1 = xh / yh
-    th, tl = _two_prod(q1, yh)
-    tl += q1 * yl
-    rh, rl = _dd_add(xh, xl, -th, -tl)
-    q2 = (rh + rl) / yh
-    return _fast_two_sum(q1, q2)
-
-
-# ---------------------------------------------------------------------------
 # Bessel J and its normalized variant
 # ---------------------------------------------------------------------------
 
@@ -178,24 +133,68 @@ def normalized_bessel_series(nu, x):
 
     Valid for any nu > -1; intended for x below the asymptotic crossover.
     """
+    splitter = 134217729.0  # 2^27 + 1, Dekker split constant
+    # q = -two_prod(half, half), the sign building in the alternation, and
+    # the split of qh that every two_prod(th, qh) below reuses
     half = 0.5 * x
-    qh, ql = _two_prod(half, half)
-    qh, ql = -qh, -ql  # builds the alternation into the term recurrence
-    th, tl = 1.0, 0.0
-    sh, sl = 1.0, 0.0
-    n = 1
-    while n <= 600:
-        fn = float(n)
-        # denominator n*(nu+n), exactly represented as a double-double
-        ah, al = _two_sum(nu, fn)
-        dh, dl = _two_prod(ah, fn)
+    t = splitter * half
+    hh = t - (t - half)
+    hl = half - hh
+    qh = half * half
+    ql = ((hh * hh - qh) + hh * hl + hl * hh) + hl * hl
+    qh, ql = -qh, -ql
+    t = splitter * qh
+    qhh = t - (t - qh)
+    qhl = qh - qhh
+    th, tl, sh, sl = 1.0, 0.0, 1.0, 0.0
+    # n <= 600 splits exactly into (n, 0.0): two_prod(ah, n) drops its zeros
+    fn = 0.0
+    for _ in range(600):
+        fn += 1.0
+        ah = nu + fn  # d = n*(nu+n) exactly: two_sum(nu, n), two_prod(ah, n)
+        bb = ah - nu
+        al = (nu - (ah - bb)) + (fn - bb)
+        dh = ah * fn
+        t = splitter * ah
+        ahh = t - (t - ah)
+        ahl = ah - ahh
+        dl = (ahh * fn - dh) + ahl * fn
         dl += al * fn
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div(th, tl, dh, dl)
-        sh, sl = _dd_add(sh, sl, th, tl)
+        p = th * qh  # term *= q: two_prod(th, qh), cross terms, fast_two_sum
+        t = splitter * th
+        uh = t - (t - th)
+        ul = th - uh
+        pl = ((uh * qhh - p) + uh * qhl + ul * qhh) + ul * qhl
+        pl += th * ql + tl * qh
+        th = p + pl
+        tl = pl - (th - p)
+        q1 = th / dh  # term /= d: r = term - q1*d, fast_two_sum(q1, r/dh)
+        p = q1 * dh
+        t = splitter * q1
+        uh = t - (t - q1)
+        ul = q1 - uh
+        t = splitter * dh
+        vh = t - (t - dh)
+        vl = dh - vh
+        pl = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl
+        pl += q1 * dl
+        rh = th + -p
+        bb = rh - th
+        rl = (th - (rh - bb)) + (-p - bb)
+        rl += tl + -pl
+        r = rh + rl
+        rl = rl - (r - rh)
+        q2 = (r + rl) / dh
+        th = q1 + q2
+        tl = q2 - (th - q1)
+        rh = sh + th  # sum += term: two_sum(sh, th), low parts, fast_two_sum
+        bb = rh - sh
+        rl = (sh - (rh - bb)) + (th - bb)
+        rl += sl + tl
+        sh = rh + rl
+        sl = rl - (sh - rh)
         if abs(th) <= 1e-35 * abs(sh) + 1e-305:
             return sh + sl
-        n += 1
     raise ConvergenceError(
         f"normalized Bessel series did not converge (nu={nu!r}, x={x!r})")
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from gfkernel import specfn
+from gfkernel import _corepy, specfn
 from gfkernel._backend import core
 from gfkernel.errors import (
     DegenerateParameterError,
@@ -88,6 +88,38 @@ class TestNormalizedBessel:
         nb = specfn.normalized_bessel_j(nu, x)
         recon = math.exp(math.lgamma(nu + 1.0) - nu * math.log(0.5 * x)) * specfn.bessel_j(nu, x)
         assert abs(nb - recon) <= 1e-12 * abs(nb)
+
+
+# Bit pins of the pure-Python double-double series: its inlined error-free
+# transformations must keep their IEEE operation sequence, and a reordering
+# shows up as a changed last bit at some of these points.  They cover nu in
+# (-1, 6] and x from 1e-3 up to the crossover, including the cancelling range
+# x ~ 15-25; they pin the series' bits, not its accuracy (that is
+# tests/test_oracle_mpmath.py's job).
+_SERIES_PINS = [
+    (-0.9, 0.001, "0x1.ffffac1d2a7c6p-1"),
+    (-0.9, 0.7, "-0x1.43cb893cfb889p-3"),
+    (-0.9, 24.5, "0x1.d404120d8a06dp+3"),
+    (-0.4, 0.05, "0x1.ff777e4af40bdp-1"),
+    (-0.4, 17.3, "-0x1.7eb428f6a466ep-4"),
+    (0.0, 2.404825557695773, "-0x1.19b7921f03c8ep-54"),
+    (0.0, 25.0, "0x1.8a4f09ddc8214p-4"),
+    (0.5, 3.14159, "0x1.c579d0d27ee95p-21"),
+    (0.5, 19.75, "0x1.4506cd4cc3ea6p-5"),
+    (1.7, 8.6, "0x1.414324c3a3ca8p-6"),
+    (1.7, 15.2, "0x1.ea2bee14f0082p-8"),
+    (3.5, 0.4, "0x1.fb7724bf82ed9p-1"),
+    (3.5, 22.1, "-0x1.af2f67df58136p-12"),
+    (6.0, 0.001, "0x1.fffffecd3774dp-1"),
+    (6.0, 11.0, "-0x1.57a189f931f4ap-8"),
+    (6.0, 36.0, "0x1.33ab29813bf63p-20"),
+]
+
+
+@pytest.mark.parametrize("nu, x, expected", _SERIES_PINS)
+def test_pure_series_bit_pins(nu, x, expected):
+    # _corepy directly, so the pins hold whichever backend is selected
+    assert _corepy.normalized_bessel_series(nu, x).hex() == expected
 
 
 class TestHyp2f1:
