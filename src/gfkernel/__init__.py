@@ -5,7 +5,7 @@ Layers
 ------
 specfn      real special functions (gamma, Bessel, 2F1, Legendre, Gegenbauer)
 macdonald   triple-Bessel kernel R_{mu,nu} and its region geometry
-genkernel   the deformed kernel B, the density Delta, measures gamma/sigma
+genkernel   the deformed kernel B and the product-formula density Delta
 quadrature  singular-interval, power-tail and Bessel-oscillatory engines
 harness     residual checks: product formula, TV norms, Hankel and Legendre
             identities, generalized translation and its L^p probe
@@ -16,7 +16,7 @@ The scalar hot path has a compiled core with a pure-Python fallback; see
 """
 
 from ._backend import backend_name
-from .genkernel import Params, b_kernel, delta_density, gamma_measure, m_const, sigma_measure
+from .genkernel import Params, b_kernel, delta_density, m_const
 from .macdonald import MacdonaldOrders, Region, TripleGeometry, classify, r_kernel, r_kernel_gegenbauer
 from .quadrature import (
     IntegralResult,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "backend_name",
-    "Params", "m_const", "b_kernel", "delta_density", "gamma_measure", "sigma_measure",
+    "Params", "m_const", "b_kernel", "delta_density",
     "MacdonaldOrders", "Region", "TripleGeometry", "classify",
     "r_kernel", "r_kernel_gegenbauer",
     "QuadratureSpec", "IntegralResult",

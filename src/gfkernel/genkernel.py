@@ -1,5 +1,4 @@
-"""The deformed one-dimensional kernel, its product-formula density, and the
-two measures built from it.
+"""The deformed one-dimensional kernel and its product-formula density.
 
 Parameter conventions: multiplicity k >= 0 and deformation a > 0, with the
 derived quantities
@@ -21,19 +20,14 @@ as (cos, -sin) pairs and no polar decomposition ever happens.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ._backend import core
-from .errors import BoundaryTripleError, DomainError
-from .macdonald import DEFAULT_BOUNDARY_EPS, MacdonaldOrders, Region, classify
+from .errors import DomainError
+from .macdonald import DEFAULT_BOUNDARY_EPS, MacdonaldOrders, r_kernel
 
-__all__ = [
-    "Params", "MeasureKind", "MeasureDescriptor",
-    "m_const", "b_kernel", "delta_density", "gamma_measure", "sigma_measure",
-]
+__all__ = ["Params", "m_const", "b_kernel", "delta_density"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +83,13 @@ class Params:
         return abs(d - round(d)) <= 1e-12
 
 
+def _require_finite(**args: float) -> None:
+    """DomainError naming the first non-finite argument."""
+    for name, v in args.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name}={v!r} must be finite")
+
+
 def m_const(p: Params) -> complex:
     """e^(-i pi/a) Gamma((2k+a-1)/a) / (a^(2/a) Gamma((2k+a+1)/a)).
 
@@ -105,6 +106,7 @@ def b_kernel(p: Params, lam: float, x: float) -> complex:
     """B(lambda, x): the even normalized-Bessel term plus m * lambda x times
     the odd one, both at argument (2/a)|lambda x|^(a/2).  Equals 1 at
     lambda x = 0 and depends on (lambda, x) only through their product."""
+    _require_finite(lam=lam, x=x)
     lx = lam * x
     if lx == 0.0:
         return complex(1.0, 0.0)
@@ -124,20 +126,6 @@ def _phase_e2a(p: Params) -> complex:
     return complex(math.cos(ph), -math.sin(ph))
 
 
-def _r_dispatch(mu: float, nu: float, xa: float, ya: float, za: float,
-                boundary_eps: float) -> float:
-    geo = classify(xa, ya, za, boundary_eps)
-    if geo.region is Region.BOUNDARY:
-        raise BoundaryTripleError(
-            f"density evaluated on a Macdonald region boundary: "
-            f"triple ({xa!r}, {ya!r}, {za!r})")
-    if geo.region is Region.INNER:
-        return 0.0
-    if geo.region is Region.OUTER:
-        return core.r_outer(mu, nu, xa, ya, za)
-    return core.r_band(mu, nu, xa, ya, za)
-
-
 def delta_density(p: Params, x: float, y: float, z: float,
                   boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> complex:
     """The four-term product-formula density Delta(x, y, z) (without the
@@ -148,75 +136,21 @@ def delta_density(p: Params, x: float, y: float, z: float,
         [ R_{mu,mu}(X,Y,Z) + e^(-2 i pi/a) sgn(xy) R_{mu,nu}(X,Y,Z)
           + sgn(xz) R_{mu,nu}(X,Z,Y) + sgn(yz) R_{mu,nu}(Y,Z,X) ] / |xyz|^(k-1/2)
     """
-    p.require_macdonald()
+    orders = p.orders()
+    _require_finite(x=x, y=y, z=z)
     if x == 0.0 or y == 0.0 or z == 0.0:
         raise DomainError("delta_density requires nonzero x, y, z "
                           "(degenerate base points carry Dirac measures)")
-    mu, nu = p.mu_m, p.nu_m
+    even_orders = MacdonaldOrders(p.mu_m, p.mu_m)
     ha = 0.5 * p.a
     xa, ya, za = math.pow(abs(x), ha), math.pow(abs(y), ha), math.pow(abs(z), ha)
-    t1 = _r_dispatch(mu, mu, xa, ya, za, boundary_eps)
-    t2 = _r_dispatch(mu, nu, xa, ya, za, boundary_eps)
-    t3 = _r_dispatch(mu, nu, xa, za, ya, boundary_eps)
-    t4 = _r_dispatch(mu, nu, ya, za, xa, boundary_eps)
+    t1 = r_kernel(even_orders, xa, ya, za, boundary_eps)
+    t2 = r_kernel(orders, xa, ya, za, boundary_eps)
+    t3 = r_kernel(orders, xa, za, ya, boundary_eps)
+    t4 = r_kernel(orders, ya, za, xa, boundary_eps)
     sxy = math.copysign(1.0, x) * math.copysign(1.0, y)
     sxz = math.copysign(1.0, x) * math.copysign(1.0, z)
     syz = math.copysign(1.0, y) * math.copysign(1.0, z)
     total = (t1 + _phase_e2a(p) * (sxy * t2)) + complex(sxz * t3 + syz * t4)
     scale = _delta_prefactor(p) * math.pow(abs(x * y * z), 0.5 - p.k)
     return scale * total
-
-
-class MeasureKind(enum.Enum):
-    DENSITY = "density"
-    DIRAC_AT_X = "dirac-at-x"
-    DIRAC_AT_Y = "dirac-at-y"
-
-
-@dataclass(frozen=True)
-class MeasureDescriptor:
-    """Either a density against |z|^w dz or a Dirac mass at a base point."""
-
-    kind: MeasureKind
-    params: Params
-    x: float
-    y: float
-    density: Callable[[float], complex] | None = None
-
-    @property
-    def dirac_point(self) -> float:
-        if self.kind is MeasureKind.DIRAC_AT_X:
-            return self.x
-        if self.kind is MeasureKind.DIRAC_AT_Y:
-            return self.y
-        raise DomainError("density measure has no Dirac point")
-
-
-def gamma_measure(p: Params, x: float, y: float) -> MeasureDescriptor:
-    """Product-formula measure: Delta(x, y, z)|z|^w dz for xy != 0, the
-    Dirac mass at x when y = 0, at y when x = 0."""
-    if y == 0.0:
-        return MeasureDescriptor(MeasureKind.DIRAC_AT_X, p, x, y)
-    if x == 0.0:
-        return MeasureDescriptor(MeasureKind.DIRAC_AT_Y, p, x, y)
-    p.require_macdonald()
-
-    def dens(z: float) -> complex:
-        return delta_density(p, x, y, z) * math.pow(abs(z), p.w)
-
-    return MeasureDescriptor(MeasureKind.DENSITY, p, x, y, dens)
-
-
-def sigma_measure(p: Params, x: float, y: float) -> MeasureDescriptor:
-    """Translation-side measure: density z -> Delta(x, z, y)|z|^w, same
-    Dirac degenerate cases as the product-formula measure."""
-    if y == 0.0:
-        return MeasureDescriptor(MeasureKind.DIRAC_AT_X, p, x, y)
-    if x == 0.0:
-        return MeasureDescriptor(MeasureKind.DIRAC_AT_Y, p, x, y)
-    p.require_macdonald()
-
-    def dens(z: float) -> complex:
-        return delta_density(p, x, z, y) * math.pow(abs(z), p.w)
-
-    return MeasureDescriptor(MeasureKind.DENSITY, p, x, y, dens)

@@ -13,6 +13,13 @@ algebraic and its complements exactly computable:
   acceleration (oscillatory case) or the power-tail rule (modulus case,
   where the z-line decay exponent is exactly -3).
 
+The triple geometry has one source: _complements (1 -+ cos(theta) from the
+exact excesses of a band triple), _r_outer (R off the band from the exact
+gap) and _band_four (the four band terms, for the gamma side Delta(x, y, .)
+and the sigma side Delta(y, ., z) alike).  _gamma_integral is the one band /
+gap / near-outer / tail plan of the gamma side: the product, mass and TV
+checks are weight callbacks on it.
+
 All residual reports carry rel_residual = abs_residual / (1 + |lhs|).
 """
 
@@ -26,7 +33,7 @@ from typing import Callable, Iterator
 
 from ._backend import core
 from .errors import DomainError
-from .genkernel import Params, _delta_prefactor, _phase_e2a, b_kernel, m_const
+from .genkernel import Params, _delta_prefactor, _phase_e2a, _require_finite, b_kernel, m_const
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -121,8 +128,37 @@ class SweepGrid:
 
 
 # ---------------------------------------------------------------------------
-# geometry shared by the density integrals
+# triple geometry shared by the density integrals
 # ---------------------------------------------------------------------------
+
+
+def _complements(a: float, b: float, ea: float, eb: float, ec: float,
+                 s: float) -> tuple[float, float]:
+    """(1 - cos(theta), 1 + cos(theta)) of the angle between sides a and b of
+    a band triple (a, b, c), from its exact excesses ea = b + c - a,
+    eb = a + c - b, ec = a + b - c and its perimeter s."""
+    ab2 = 2.0 * a * b
+    return ea * eb / ab2, ec * s / ab2
+
+
+def _r_outer(mu: float, nu: float, a: float, b: float, c: float,
+             gap: float, s: float) -> float:
+    """R_{mu,nu}(a, b, c) off the band (c > a + b), from the exact gap
+    c - (a + b) and the perimeter s; u - 1 = cosh(theta) - 1 never cancels."""
+    um1 = gap * s / (2.0 * a * b)
+    return core.r_outer_core(mu, nu, a, b, c, 1.0 + um1, um1)
+
+
+def _band_four(mu: float, nu: float, a: float, b: float, c: float,
+               c_ab: tuple[float, float], c_ac: tuple[float, float],
+               c_bc: tuple[float, float]):
+    """R_{mu,mu}(a,b,c), R_{mu,nu}(a,b,c), R_{mu,nu}(a,c,b), R_{mu,nu}(b,c,a):
+    the four band terms of the density, each from the complements of the
+    angle between the named pair of sides."""
+    return (core.r_band_core(mu, mu, a, b, c, *c_ab),
+            core.r_band_core(mu, nu, a, b, c, *c_ab),
+            core.r_band_core(mu, nu, a, c, b, *c_ac),
+            core.r_band_core(mu, nu, b, c, a, *c_bc))
 
 
 class _DensityGeometry:
@@ -130,25 +166,24 @@ class _DensityGeometry:
 
     def __init__(self, p: Params, x: float, y: float):
         p.require_macdonald()
+        _require_finite(x=x, y=y)
         if x == 0.0 or y == 0.0:
             raise DomainError("density integrals need nonzero base points")
-        self.p = p
         self.mu = p.mu_m
         self.nu = p.nu_m
-        ha = 0.5 * p.a
-        self.X = math.pow(abs(x), ha)
-        self.Y = math.pow(abs(y), ha)
+        self.ha = 0.5 * p.a
+        self.X = math.pow(abs(x), self.ha)
+        self.Y = math.pow(abs(y), self.ha)
         self.sx = math.copysign(1.0, x)
         self.sy = math.copysign(1.0, y)
         self.sxy = self.sx * self.sy
         self.Z1 = abs(self.X - self.Y)
         self.Z2 = self.X + self.Y
-        self.pref = _delta_prefactor(p)
         self.e2a = _phase_e2a(p)
         self.two_over_a = 2.0 / p.a
         # z-exponent of the shared factor z^w / (xyz)^(k-1/2)
         self.zexp = p.w - p.k + 0.5
-        self.coef = self.pref * math.pow(abs(x * y), 0.5 - p.k)
+        self.coef = _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k)
         # outer branches vanish identically when nu - mu = 2/a is an integer
         self.has_tail = not p.band_offset_integer
 
@@ -161,60 +196,116 @@ class _DensityGeometry:
     def dz_dZ(self, Z: float) -> float:
         return self.two_over_a * math.pow(Z, self.two_over_a - 1.0)
 
+    def dz_dt(self, Z: float) -> float:
+        """|dz/dt| for t = cos(theta) on the band or cosh(theta) outside it."""
+        return self.two_over_a * math.pow(Z, self.two_over_a - 2.0) * self.X * self.Y
+
 
 def _band_terms(g: _DensityGeometry, omt: float, opt: float):
     """All four density terms on the band, at cos(theta) complements
-    (omt, opt) of the (X, Y, Z) triple; returns (even_sum, odd_sum)."""
+    (omt, opt) of the (X, Y, Z) triple; returns (Z, even_sum, odd_sum)."""
     X, Y = g.X, g.Y
     twoxy = 2.0 * X * Y
     Z = math.sqrt((X - Y) * (X - Y) + twoxy * omt)
-    sumz = X + Y + Z
-    s_minus_z = twoxy * opt / sumz            # (X+Y) - Z
+    s = X + Y + Z
+    ez = twoxy * opt / s                    # X + Y - Z
     dm = abs(X - Y)
-    z_minus_d = twoxy * omt / (Z + dm)        # Z - |X-Y|
-    if Y >= X:
-        ymxpz = (Y - X) + Z                   # Y - X + Z
-        xpz_my = z_minus_d                    # X + Z - Y
-    else:
-        ymxpz = z_minus_d
-        xpz_my = (X - Y) + Z
-    if X >= Y:
-        xmypz = (X - Y) + Z                   # X - Y + Z
-        ypz_mx = z_minus_d                    # Y + Z - X
-    else:
-        xmypz = z_minus_d
-        ypz_mx = (Y - X) + Z
-    t1 = core.r_band_core(g.mu, g.mu, X, Y, Z, omt, opt)
-    t2 = core.r_band_core(g.mu, g.nu, X, Y, Z, omt, opt)
-    omt3 = ymxpz * s_minus_z / (2.0 * X * Z)
-    opt3 = xpz_my * sumz / (2.0 * X * Z)
-    t3 = core.r_band_core(g.mu, g.nu, X, Z, Y, omt3, opt3)
-    omt4 = xmypz * s_minus_z / (2.0 * Y * Z)
-    opt4 = ypz_mx * sumz / (2.0 * Y * Z)
-    t4 = core.r_band_core(g.mu, g.nu, Y, Z, X, omt4, opt4)
+    lo = twoxy * omt / (Z + dm)             # Z - |X - Y|
+    # excesses of X and Y: the larger side's is lo, the smaller's dm + Z; at
+    # X = Y, where the two round differently, each permuted term gives its
+    # own first side dm + Z
+    ex3, ey3 = (dm + Z, lo) if Y >= X else (lo, dm + Z)
+    ey4, ex4 = (dm + Z, lo) if X >= Y else (lo, dm + Z)
+    t1, t2, t3, t4 = _band_four(g.mu, g.nu, X, Y, Z, (omt, opt),
+                                _complements(X, Z, ex3, ez, ey3, s),
+                                _complements(Y, Z, ey4, ez, ex4, s))
     even = t1 + g.e2a * (g.sxy * t2)
     odd = g.sx * t3 + g.sy * t4
     return Z, even, odd
 
 
-def _near_outer_t2(g: _DensityGeometry, u: float, um1: float):
-    """Term (ii) on the near-outer piece, from its cosh(theta) complements."""
-    X, Y = g.X, g.Y
-    Z = math.sqrt((X + Y) * (X + Y) + 2.0 * X * Y * um1)
-    return Z, core.r_outer_core(g.mu, g.nu, X, Y, Z, u, um1)
+def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
+                    osc: float | None):
+    """The pieces of ∫ w(z) Delta(x, y, z) |z|^w dz over z > 0.
 
+    band(Z, z, even, odd) weights the even and odd sums of the band terms
+    (integrated in t = cos(theta)); gap(Z, z, t) and outer(Z, z, t) weight
+    the single term that survives below the band (in Z, skipped when gap
+    is None) and above it (in u = cosh(theta) up to _COSH_SPLIT, then a
+    tail).  With osc = c the outer weight is J~_mu(c Z) and its tail is
+    summed between Bessel zeros; with osc None the tail is a z^-3 power
+    tail.  Returns the (band, gap, near-outer, tail) values, 0.0 for an
+    absent piece, the summed error estimate and the tail's truncation bound.
+    """
+    X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
 
-def _inner_gap_term(g: _DensityGeometry, Z: float, dhi: float):
-    """The single surviving term on (0, Z1): term (iii) when Y > X (outer of
-    the (X, Z, Y) triple), term (iv) when X > Y.  dhi is Z1 - Z, exact."""
-    X, Y = g.X, g.Y
-    if g.Y > g.X:
-        um1 = dhi * (X + Y + Z) / (2.0 * X * Z)
-        t = core.r_outer_core(g.mu, g.nu, X, Z, Y, 1.0 + um1, um1)
-        return g.sx * t
-    um1 = dhi * (X + Y + Z) / (2.0 * Y * Z)
-    t = core.r_outer_core(g.mu, g.nu, Y, Z, X, 1.0 + um1, um1)
-    return g.sy * t
+    def f_band(t, dlo, dhi):
+        Z, even, odd = _band_terms(g, dhi, dlo)
+        z = g.z_of(Z)
+        return band(Z, z, even, odd) * g.common(z) * g.dz_dt(Z)
+
+    res = integrate_singular_band2(f_band, -1.0, 1.0, spec)
+    pieces = [res.value, 0.0, 0.0, 0.0]
+    qerr = res.est_error
+    trunc = 0.0
+
+    # inner gap (0, Z1): term (iii) when Y > X (outer of the (X, Z, Y)
+    # triple), term (iv) when X > Y; dhi is Z1 - Z, exact
+    if gap is not None and g.Z1 > 0.0 and g.has_tail:
+        def f_gap(Z, dlo, dhi):
+            if Y > X:
+                t = g.sx * _r_outer(mu, nu, X, Z, Y, dhi, X + Y + Z)
+            else:
+                t = g.sy * _r_outer(mu, nu, Y, Z, X, dhi, X + Y + Z)
+            if t == 0.0:
+                return 0.0
+            z = g.z_of(Z)
+            return gap(Z, z, t) * g.common(z) * g.dz_dZ(Z)
+
+        res = integrate_singular_band2(f_gap, 0.0, g.Z1, spec)
+        pieces[1] = res.value
+        qerr += res.est_error
+
+    # outer (Z2, inf): term (ii) only
+    if g.has_tail:
+        def f_near(u, dlo, dhi):
+            Z = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * dlo)
+            t2 = core.r_outer_core(mu, nu, X, Y, Z, u, dlo)
+            if t2 == 0.0:
+                return 0.0
+            z = g.z_of(Z)
+            return outer(Z, z, t2) * g.common(z) * g.dz_dt(Z)
+
+        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec)
+        pieces[2] = res.value
+        qerr += res.est_error
+        z_split = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * (_COSH_SPLIT - 1.0))
+        if osc is not None:
+            gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
+
+            def g_osc(Z):
+                t2 = core.r_outer(mu, nu, X, Y, Z)
+                if t2 == 0.0:
+                    return 0.0
+                z = g.z_of(Z)
+                return gj * math.pow(Z, -mu) * t2 * g.common(z) * g.dz_dZ(Z)
+
+            res = integrate_bessel_oscillatory(g_osc, mu, osc, z_split, spec)
+        else:
+            def f_tail(z):
+                Z = math.pow(z, g.ha)
+                t2 = core.r_outer(mu, nu, X, Y, Z)
+                if t2 == 0.0:
+                    return 0.0
+                return outer(Z, z, t2) * g.common(z)
+
+            # the z-line density tail decays like z^-3 for every valid (k, a)
+            res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
+            trunc = res.truncation_bound
+        pieces[3] = res.value
+        qerr += res.est_error
+
+    return pieces, qerr, trunc
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +318,7 @@ def _product_rhs(p: Params, lam: float, x: float, y: float,
     """∫ B(lambda, z) Delta(x, y, z) |z|^w dz over the real line.
 
     Folded onto z > 0: twice the integral of B_even * (even terms) +
-    B_odd * (odd terms); segments (0, Z1), (Z1, Z2), (Z2, inf) in the
-    Z = z^(a/2) coordinate.
+    B_odd * (odd terms).
     """
     g = _DensityGeometry(p, x, y)
     mu, nu = g.mu, g.nu
@@ -239,80 +329,25 @@ def _product_rhs(p: Params, lam: float, x: float, y: float,
         return core.normalized_bessel_j(mu, c * Z) if c != 0.0 else 1.0
 
     def b_odd(z: float, Z: float) -> complex:
-        if lam == 0.0:
-            return 0.0j
         return m * (lam * z) * core.normalized_bessel_j(nu, c * Z)
 
-    total = 0.0j
-    qerr = 0.0
-
-    # band segment, t = cos(theta) of the (X, Y, Z) triple
-    def f_band(t, dlo, dhi):
-        Z, even, odd = _band_terms(g, dhi, dlo)
-        z = g.z_of(Z)
-        jac = g.two_over_a * math.pow(Z, g.two_over_a - 2.0) * g.X * g.Y
+    def band(Z, z, even, odd):
         val = b_even(Z) * even
         if lam != 0.0:
             val += b_odd(z, Z) * odd
-        return val * g.common(z) * jac
+        return val
 
-    res = integrate_singular_band2(f_band, -1.0, 1.0, spec)
-    total += res.value
-    qerr += res.est_error
+    def gap(Z, z, t):
+        return b_odd(z, Z) * t
 
-    # inner gap (0, Z1): a single odd term, zero unless the tail exists
-    if g.Z1 > 0.0 and g.has_tail and lam != 0.0:
-        def f_gap(Z, dlo, dhi):
-            t = _inner_gap_term(g, Z, dhi)
-            if t == 0.0:
-                return 0.0j
-            z = g.z_of(Z)
-            return b_odd(z, Z) * t * g.common(z) * g.dz_dZ(Z)
+    def outer(Z, z, t):
+        return b_even(Z) * t
 
-        res = integrate_singular_band2(f_gap, 0.0, g.Z1, spec)
-        total += res.value
-        qerr += res.est_error
-
-    # outer tail (Z2, inf): term (ii) only, weighted by the constant phase
-    if g.has_tail:
-        def f_near(u, dlo, dhi):
-            Z, t2 = _near_outer_t2(g, u, dlo)
-            if t2 == 0.0:
-                return 0.0
-            z = g.z_of(Z)
-            jac = g.two_over_a * math.pow(Z, g.two_over_a - 2.0) * g.X * g.Y
-            return b_even(Z) * t2 * g.common(z) * jac
-
-        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec)
-        near = res.value
-        qerr += res.est_error
-        z_split = math.sqrt(g.Z2 * g.Z2 + 2.0 * g.X * g.Y * (_COSH_SPLIT - 1.0))
-        if lam != 0.0:
-            gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * c, -mu)
-
-            def g_osc(Z):
-                t2 = core.r_outer(mu, nu, g.X, g.Y, Z)
-                if t2 == 0.0:
-                    return 0.0
-                z = g.z_of(Z)
-                return gj * math.pow(Z, -mu) * t2 * g.common(z) * g.dz_dZ(Z)
-
-            res = integrate_bessel_oscillatory(g_osc, mu, c, z_split, spec)
-        else:
-            ha = 0.5 * p.a
-
-            def f_tail(z):
-                t2 = core.r_outer(mu, nu, g.X, g.Y, math.pow(z, ha))
-                if t2 == 0.0:
-                    return 0.0
-                return t2 * g.common(z)
-
-            # the z-line density tail decays like z^-3 for every valid (k, a)
-            res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
-        total += g.e2a * (g.sxy * (near + res.value))
-        qerr += res.est_error
-
-    return 2.0 * total, qerr
+    odd_weight = lam != 0.0
+    (b, gp, near, tail), qerr, _ = _gamma_integral(
+        g, spec, band, gap if odd_weight else None, outer, c if odd_weight else None)
+    # the outer term carries the constant phase
+    return 2.0 * (b + gp + g.e2a * (g.sxy * (near + tail))), qerr
 
 
 def product_residual(p: Params, lam: float, x: float, y: float,
@@ -350,7 +385,9 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
 
     When 2/a is an integer the density is real-valued and its modulus has
     kinks at sign changes, which the tanh-sinh rule cannot see; the band is
-    split there.  Zeros are located by a uniform scan plus bisection.
+    split there.  Zeros are located by a uniform scan plus bisection; a zero
+    on a scan node is a break itself, and a zero shared by both densities
+    is one break.
     """
     def s_pair(t):
         d_hi = 1.0 - t
@@ -362,9 +399,10 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
     ts = [-1.0 + 2.0 * (i + 0.5) / scan for i in range(scan)]
     vals = [s_pair(t) for t in ts]
     for comp in (0, 1):
+        breaks += [t for t, v in zip(ts, vals) if v[comp] == 0.0]
         for i in range(scan - 1):
             va, vb = vals[i][comp], vals[i + 1][comp]
-            if va == 0.0 or va * vb >= 0.0:
+            if va * vb >= 0.0:
                 continue
             a, b = ts[i], ts[i + 1]
             fa = va
@@ -378,7 +416,7 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
                 else:
                     a, fa = m, fm
             breaks.append(0.5 * (a + b))
-    return sorted(breaks)
+    return sorted(set(breaks))
 
 
 def tv_norm_report(p: Params, x: float, y: float,
@@ -387,80 +425,31 @@ def tv_norm_report(p: Params, x: float, y: float,
     complex density (no term-by-term bound)."""
     t0 = time.perf_counter()
     g = _DensityGeometry(p, x, y)
-    total = 0.0
-    qerr = 0.0
-    trunc = 0.0
-
-    def f_band(t, dlo, dhi):
-        Z, even, odd = _band_terms(g, dhi, dlo)
-        z = g.z_of(Z)
-        jac = g.two_over_a * math.pow(Z, g.two_over_a - 2.0) * g.X * g.Y
-        return (abs(even + odd) + abs(even - odd)) * g.common(z) * jac
-
     if p.band_offset_integer:
-        # real density: integrate the signed pair per sign-constant piece
-        def f_pair(t, dlo, dhi):
-            Z, even, odd = _band_terms(g, dhi, dlo)
-            z = g.z_of(Z)
-            jac = g.two_over_a * math.pow(Z, g.two_over_a - 2.0) * g.X * g.Y
-            c = g.common(z) * jac
-            return complex((even + odd).real * c, (even - odd).real * c)
-
+        # real density on the band only: integrate the signed pair per
+        # sign-constant piece, with distances to t = -1 and t = 1 exact
+        total = 0.0
+        qerr = 0.0
         edges = [-1.0] + _band_sign_breaks(g) + [1.0]
         for a_i, b_i in zip(edges, edges[1:]):
-            off_lo = a_i + 1.0
-            off_hi = 1.0 - b_i
-
-            def f_piece(t, dlo, dhi, _ol=off_lo, _oh=off_hi):
-                return f_pair(t, dlo + _ol, dhi + _oh)
+            def f_piece(t, dlo, dhi, _ol=a_i + 1.0, _oh=1.0 - b_i):
+                Z, even, odd = _band_terms(g, dhi + _oh, dlo + _ol)
+                c = g.common(g.z_of(Z)) * g.dz_dt(Z)
+                return complex((even + odd).real * c, (even - odd).real * c)
 
             res = integrate_singular_band2(f_piece, a_i, b_i, spec)
             total += abs(res.value.real) + abs(res.value.imag)
             qerr += res.est_error
-    else:
-        res = integrate_singular_band2(f_band, -1.0, 1.0, spec)
-        total += res.value
-        qerr += res.est_error
+        return TvReport(total, qerr, 0.0, time.perf_counter() - t0)
 
-    if g.Z1 > 0.0 and g.has_tail:
-        def f_gap(Z, dlo, dhi):
-            t = _inner_gap_term(g, Z, dhi)
-            if t == 0.0:
-                return 0.0
-            z = g.z_of(Z)
-            return 2.0 * abs(t) * g.common(z) * g.dz_dZ(Z)
+    def band(Z, z, even, odd):
+        return abs(even + odd) + abs(even - odd)
 
-        res = integrate_singular_band2(f_gap, 0.0, g.Z1, spec)
-        total += res.value
-        qerr += res.est_error
+    def modulus(Z, z, t):
+        return 2.0 * abs(t)
 
-    if g.has_tail:
-        def f_near(u, dlo, dhi):
-            Z, t2 = _near_outer_t2(g, u, dlo)
-            if t2 == 0.0:
-                return 0.0
-            z = g.z_of(Z)
-            jac = g.two_over_a * math.pow(Z, g.two_over_a - 2.0) * g.X * g.Y
-            return 2.0 * abs(t2) * g.common(z) * jac
-
-        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec)
-        total += res.value
-        qerr += res.est_error
-        z_split = math.sqrt(g.Z2 * g.Z2 + 2.0 * g.X * g.Y * (_COSH_SPLIT - 1.0))
-        ha = 0.5 * p.a
-
-        def f_tail(z):
-            t2 = core.r_outer(g.mu, g.nu, g.X, g.Y, math.pow(z, ha))
-            if t2 == 0.0:
-                return 0.0
-            return 2.0 * abs(t2) * g.common(z)
-
-        res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
-        total += res.value
-        qerr += res.est_error
-        trunc = res.truncation_bound
-
-    return TvReport(total, qerr, trunc, time.perf_counter() - t0)
+    (b, gp, near, tail), qerr, trunc = _gamma_integral(g, spec, band, modulus, modulus, None)
+    return TvReport(b + gp + near + tail, qerr, trunc, time.perf_counter() - t0)
 
 
 def tv_norm(p: Params, x: float, y: float,
@@ -472,29 +461,6 @@ def tv_norm(p: Params, x: float, y: float,
 # ---------------------------------------------------------------------------
 # Hankel-transform identities
 # ---------------------------------------------------------------------------
-
-
-def _outer_pieces_xyz(mu: float, nu: float, x: float, y: float,
-                      weight: Callable[[float], float],
-                      spec: QuadratureSpec) -> tuple[float, float]:
-    """∫_{x+y}^inf R_outer(x, y, z) * weight(z) dz split at cosh(theta)=2.
-
-    weight must be smooth and non-oscillatory; the oscillatory case goes
-    through _outer_tail_oscillatory instead.
-    """
-    d = nu - mu
-    if abs(d - round(d)) <= 1e-12:
-        return 0.0, 0.0
-
-    def f_near(u, dlo, dhi):
-        Z = math.sqrt((x + y) * (x + y) + 2.0 * x * y * dlo)
-        val = core.r_outer_core(mu, nu, x, y, Z, u, dlo)
-        if val == 0.0:
-            return 0.0
-        return val * weight(Z) * (x * y / Z)
-
-    res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec)
-    return res.value, res.est_error
 
 
 def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
@@ -525,12 +491,19 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
 
     d = nu - mu
     if abs(d - round(d)) > 1e-12:
-        def w_near(Z):
-            return core.normalized_bessel_j(mu, Z * t) * math.pow(Z, mu + 1.0)
+        # outer piece in u = cosh(theta) up to _COSH_SPLIT, then the
+        # oscillatory tail
+        def f_near(u, dlo, dhi):
+            Z = math.sqrt((x + y) * (x + y) + 2.0 * x * y * dlo)
+            val = core.r_outer_core(mu, nu, x, y, Z, u, dlo)
+            if val == 0.0:
+                return 0.0
+            w = core.normalized_bessel_j(mu, Z * t) * math.pow(Z, mu + 1.0)
+            return val * w * (x * y / Z)
 
-        near, err = _outer_pieces_xyz(mu, nu, x, y, w_near, spec)
-        rhs += near
-        qerr += err
+        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec)
+        rhs += res.value
+        qerr += res.est_error
         z_split = math.sqrt(x * x + y * y + 2.0 * x * y * _COSH_SPLIT)
         gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * t, -mu)
 
@@ -566,8 +539,7 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
     d = nu - mu
     if y > x and abs(d - round(d)) > 1e-12:
         def f_out(Z, dlo, dhi):
-            um1 = dhi * (x + y + Z) / (2.0 * x * Z)
-            val = core.r_outer_core(mu, nu, x, Z, y, 1.0 + um1, um1)
+            val = _r_outer(mu, nu, x, Z, y, dhi, x + y + Z)
             if val == 0.0:
                 return 0.0
             return val * core.normalized_bessel_j(nu, Z * t) * math.pow(Z, nu + 1.0)
@@ -579,18 +551,9 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
     dm = abs(x - y)
 
     def f_band(Z, dlo, dhi):
-        # triple (x, Z, y): complements of cos(theta) from the exact
-        # distances to the band endpoints |x-y| and x+y
-        ypx_mz = dhi                       # (x+y) - Z
-        if y >= x:
-            ymxpz = (y - x) + Z
-            xpz_my = dlo                   # Z - (y-x)
-        else:
-            ymxpz = dlo
-            xpz_my = (x - y) + Z
-        omt = ymxpz * ypx_mz / (2.0 * x * Z)
-        opt = xpz_my * (x + Z + y) / (2.0 * x * Z)
-        val = core.r_band_core(mu, nu, x, Z, y, omt, opt)
+        # triple (x, Z, y); dlo = Z - |x-y| and dhi = (x+y) - Z are exact
+        ex, ey = (dm + Z, dlo) if y >= x else (dlo, dm + Z)
+        val = core.r_band_core(mu, nu, x, Z, y, *_complements(x, Z, ex, dhi, ey, x + Z + y))
         return val * core.normalized_bessel_j(nu, Z * t) * math.pow(Z, nu + 1.0)
 
     res = integrate_singular_band2(f_band, dm, x + y, spec)
@@ -726,6 +689,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
     """
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
+    _require_finite(y=y, z=z)
     if y == 0.0:
         return complex(f(z))
     if z == 0.0:
@@ -765,22 +729,14 @@ def translate(p: Params, y: float, f: Profile, z: float,
             if fe == 0.0 and fo == 0.0:
                 return 0.0j
             d2 = dhi + off_hi              # X2 - Xi, exact composition
-            d1 = dlo                       # Xi - X1
-            q_p = Xi + X1
-            sum3 = X2 + Xi
-            # e1 = Zc - Yh + Xi, e2 = Yh - Zc + Xi (one of them is Xi - X1)
-            if Yh >= Zc:
-                e1, e2 = d1, q_p
-            else:
-                e1, e2 = q_p, d1
-            r1 = core.r_band_core(mu, mu, Yh, Xi, Zc,
-                                  e1 * d2 / (2.0 * Yh * Xi), e2 * sum3 / (2.0 * Yh * Xi))
-            r2 = core.r_band_core(mu, nu, Yh, Xi, Zc,
-                                  e1 * d2 / (2.0 * Yh * Xi), e2 * sum3 / (2.0 * Yh * Xi))
-            r3 = core.r_band_core(mu, nu, Yh, Zc, Xi,
-                                  d1 * q_p / (2.0 * Yh * Zc), d2 * sum3 / (2.0 * Yh * Zc))
-            r4 = core.r_band_core(mu, nu, Xi, Zc, Yh,
-                                  e2 * d2 / (2.0 * Xi * Zc), e1 * sum3 / (2.0 * Xi * Zc))
+            s = X2 + Xi
+            # excesses of the (Yh, Xi, Zc) triple: Xi's is d2, and of Zc and
+            # Yh the larger has dlo = Xi - X1
+            ez, ey = (X1 + Xi, dlo) if Yh >= Zc else (dlo, X1 + Xi)
+            r1, r2, r3, r4 = _band_four(mu, nu, Yh, Xi, Zc,
+                                        _complements(Yh, Xi, ey, d2, ez, s),
+                                        _complements(Yh, Zc, ey, ez, d2, s),
+                                        _complements(Xi, Zc, d2, ez, ey, s))
             even = r1 + syz * r3
             odd = e2a * (sy * r2) + complex(sz * r4)
             jac = two_over_a * math.pow(Xi, two_over_a - 1.0)
@@ -799,13 +755,9 @@ def translate(p: Params, y: float, f: Profile, z: float,
                 return 0.0j
             dd = dhi + off_hi1             # X1 - Xi, exact composition
             if Zc > Yh:
-                um1 = dd * (X2 + Xi) / (2.0 * Yh * Xi)
-                r2o = core.r_outer_core(mu, nu, Yh, Xi, Zc, 1.0 + um1, um1)
-                odd = e2a * (sy * r2o)
+                odd = e2a * (sy * _r_outer(mu, nu, Yh, Xi, Zc, dd, X2 + Xi))
             else:
-                um1 = dd * (X2 + Xi) / (2.0 * Xi * Zc)
-                r4o = core.r_outer_core(mu, nu, Xi, Zc, Yh, 1.0 + um1, um1)
-                odd = complex(sz * r4o)
+                odd = complex(sz * _r_outer(mu, nu, Xi, Zc, Yh, dd, X2 + Xi))
             jac = two_over_a * math.pow(Xi, two_over_a - 1.0)
             return odd * fo * coef * math.pow(xi, zexp) * jac
 
@@ -817,8 +769,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
             fe, fo = fe_fo(xi)
             if fe == 0.0:
                 return 0.0
-            um1 = dlo * (Xi + X2) / (2.0 * Yh * Zc)
-            r3o = core.r_outer_core(mu, nu, Yh, Zc, Xi, 1.0 + um1, um1)
+            r3o = _r_outer(mu, nu, Yh, Zc, Xi, dlo, Xi + X2)
             if r3o == 0.0:
                 return 0.0
             jac = two_over_a * math.pow(Xi, two_over_a - 1.0)

@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from gfkernel.cli import main
 
 
@@ -35,6 +37,17 @@ class TestEvalKernel:
     def test_missing_option(self, capsys):
         code, _ = run_cli(["eval-kernel", "--k", "1", "--a", "2", "--x", "5"], capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["eval-kernel", "--k", "1", "--a", "1", "--lambda", "1", "--x", "nan"],
+    ["eval-density", "--k", "1", "--a", "1", "--x", "1", "--y", "inf", "--z", "1"],
+    ["verify-product", "--k", "1", "--a", "1", "--lambda", "nan", "--x", "1", "--y", "1"],
+    ["translate", "--k", "0.5", "--a", "2", "--y", "1", "--z", "nan", "--profile", "gaussian"],
+])
+def test_non_finite_input_is_invalid(args, capsys):
+    assert main(args) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 class TestVerifyProduct:

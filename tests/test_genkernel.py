@@ -1,4 +1,4 @@
-"""Kernel, density, and measure layer."""
+"""Kernel and density layer."""
 
 import cmath
 import math
@@ -7,8 +7,7 @@ import random
 import pytest
 from numpy.testing import assert_allclose
 
-from gfkernel import Params, b_kernel, delta_density, gamma_measure, m_const, sigma_measure
-from gfkernel.genkernel import MeasureKind
+from gfkernel import Params, b_kernel, delta_density, m_const
 from gfkernel.errors import DomainError
 
 
@@ -78,6 +77,11 @@ class TestBKernel:
         assert b_kernel(Params(1.0, 2.0), 0.0, 5.0) == 1.0
         assert b_kernel(Params(0.6, 1.3), 2.0, 0.0) == 1.0
 
+    @pytest.mark.parametrize("lam,x", [(1.0, math.nan), (math.inf, 0.0), (-math.inf, 1.0)])
+    def test_non_finite_arguments_rejected(self, lam, x):
+        with pytest.raises(DomainError, match="must be finite"):
+            b_kernel(Params(1.0, 1.0), lam, x)
+
     def test_symmetry_in_lambda_x(self):
         p = Params(0.7, 1.7)
         for lam, x in [(0.9, 1.4), (2.0, 0.3), (-1.2, 0.8)]:
@@ -134,40 +138,8 @@ class TestDeltaDensity:
         with pytest.raises(DomainError):
             delta_density(Params(0.0, 2.0), 1.0, 1.0, 0.5)
 
-
-class TestMeasures:
-    def test_gamma_dirac_cases(self):
-        p = Params(0.5, 2.0)
-        assert gamma_measure(p, 1.5, 0.0).kind is MeasureKind.DIRAC_AT_X
-        assert gamma_measure(p, 1.5, 0.0).dirac_point == 1.5
-        assert gamma_measure(p, 0.0, 2.0).kind is MeasureKind.DIRAC_AT_Y
-        assert gamma_measure(p, 0.0, 2.0).dirac_point == 2.0
-
-    def test_gamma_density_case(self):
-        p = Params(0.5, 2.0)
-        meas = gamma_measure(p, 1.0, 1.0)
-        assert meas.kind is MeasureKind.DENSITY
-        z = 1.3
-        want = delta_density(p, 1.0, 1.0, z) * abs(z) ** p.w
-        assert meas.density(z) == want
-
-    def test_sigma_swaps_arguments(self):
-        p = Params(0.5, 2.0)
-        x, y, z = 0.9, 1.4, 1.1
-        sig = sigma_measure(p, x, y)
-        want = delta_density(p, x, z, y) * abs(z) ** p.w
-        assert sig.density(z) == want
-
-    def test_sigma_dirac_cases(self):
-        p = Params(0.5, 2.0)
-        assert sigma_measure(p, 1.5, 0.0).kind is MeasureKind.DIRAC_AT_X
-        assert sigma_measure(p, 0.0, 0.7).kind is MeasureKind.DIRAC_AT_Y
-
-    def test_gamma_sigma_consistency(self):
-        # the sigma density at z equals the gamma density of (x, z) at y,
-        # rescaled by the weight swap
-        p = Params(0.75, 4.0 / 3.0)
-        x, y, z = 0.9, 1.4, 1.1
-        lhs = sigma_measure(p, x, y).density(z) / abs(z) ** p.w
-        rhs = gamma_measure(p, x, z).density(y) / abs(y) ** p.w
-        assert_allclose(lhs, rhs, rtol=1e-13)
+    @pytest.mark.parametrize("x,y,z", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                       (1.0, 1.0, -math.inf)])
+    def test_non_finite_arguments_rejected(self, x, y, z):
+        with pytest.raises(DomainError, match="must be finite"):
+            delta_density(Params(0.75, 4.0 / 3.0), x, y, z)

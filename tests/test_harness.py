@@ -88,6 +88,14 @@ class TestProductResidual:
         with pytest.raises(DomainError):
             product_residual(Params(0.0, 2.0), 1.0, 0.5, 0.5, SPEC)
 
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_base_points_rejected(self, x, y):
+        for check in (gamma_mass, tv_norm):
+            with pytest.raises(DomainError, match="must be finite"):
+                check(P_FRAC, x, y, SPEC)
+        with pytest.raises(DomainError, match="must be finite"):
+            translate(P_FRAC, x, gaussian_profile(1.0), y, SPEC)
+
     def test_mass_on_grid(self):
         for p in (P_DUNKL, P_FRAC):
             for (x, y) in [(0.4, 0.4), (1.2, 2.5)]:
@@ -120,24 +128,35 @@ class TestTvNorm:
         assert rep.truncation_bound == 0.0
 
     def test_against_bruteforce_quadrature(self):
-        # cosine-stretched trapezoid over the compact support, nothing shared
-        # with the package quadrature
+        # trapezoid over the compact band in Z = |z|^(a/2), stretched by a
+        # smoothstep of sin^2 so the endpoint singularities fade; nothing
+        # shared with the package quadrature
         import numpy as np
         from gfkernel import delta_density
-        p = Params(1.0, 2.0)
-        x, y = 0.9, 1.4
-        z1, z2 = abs(x - y), x + y
+        from gfkernel.errors import BoundaryTripleError
+        cases = [(Params(1.0, 2.0), 0.9, 1.4),
+                 # 2/a = 2: the band is split where the real density changes sign
+                 (Params(0.5, 1.0), 0.316227766016838, 1.0),
+                 (Params(0.5, 1.0), 1.0, 1.0)]
         n = 2001
         u = np.linspace(0.0, 1.0, n)
-        z = z1 + (z2 - z1) * np.sin(0.5 * np.pi * u) ** 2
-        dz = (z2 - z1) * 0.5 * np.pi * np.sin(np.pi * u)
-        vals = np.zeros(n)
-        for i in range(1, n - 1):
-            zp = float(z[i])
-            vals[i] = ((abs(delta_density(p, x, y, zp))
-                        + abs(delta_density(p, x, y, -zp))) * zp ** p.w * dz[i])
-        brute = float(np.trapezoid(vals, u))
-        assert abs(brute - tv_norm(p, x, y, SPEC)) <= 1e-5 * brute
+        s = np.sin(0.5 * np.pi * u) ** 2
+        stretch = s * s * (3.0 - 2.0 * s)
+        dstretch = 6.0 * s * (1.0 - s) * 0.5 * np.pi * np.sin(np.pi * u)
+        for p, x, y in cases:
+            ha = 0.5 * p.a
+            z1, z2 = abs(x ** ha - y ** ha), x ** ha + y ** ha
+            vals = np.zeros(n)
+            for i in range(1, n - 1):
+                zb = z1 + (z2 - z1) * float(stretch[i])
+                zp = zb ** (1.0 / ha)
+                try:
+                    dens = abs(delta_density(p, x, y, zp)) + abs(delta_density(p, x, y, -zp))
+                except BoundaryTripleError:
+                    continue
+                vals[i] = dens * zp ** p.w * (zp / zb / ha) * (z2 - z1) * dstretch[i]
+            brute = float(np.trapezoid(vals, u))
+            assert abs(brute - tv_norm(p, x, y, SPEC)) <= 1e-5 * brute, (p, x, y)
 
 
 class TestHankelIdentities:

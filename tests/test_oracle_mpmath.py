@@ -1,6 +1,12 @@
 """Independent high-precision oracle: mpmath at 40 digits.
 
-A seeded sweep of the normalized Bessel function
+Triple geometry: a seeded sweep of 300 triples, a fifth of them with c
+within 1e-10 relative of |a-b| and a fifth within it of a+b, checks the
+harness complements 1 -+ cos(theta) on the band and cosh(theta) - 1 off it
+to 1e-15 relative, from excesses computed in mpmath and rounded to double
+as the callers supply them.
+
+Bessel: a seeded sweep of the normalized Bessel function
 Gamma(nu+1) (x/2)^(-nu) J_nu(x) against ``mpmath.besselj``, over
 nu in (-1, 3.5] and x log-uniform on [1e-3, 25], the region the power series
 serves.  The tolerance is |err| <= 1e-14 |ref| + 1e-20.
@@ -13,10 +19,11 @@ test with its fix.
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from gfkernel import specfn
+from gfkernel import harness, specfn
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -51,3 +58,58 @@ def test_normalized_bessel_j_against_mpmath():
         if err > _RTOL * abs(ref) + _ATOL:
             bad.append((nu, x, got, ref, err))
     assert not bad, f"{len(bad)} of {_POINTS} points outside tolerance, e.g. {bad[:3]}"
+
+
+_TRIPLES = 300
+_GEOM_RTOL = 1e-15
+
+
+def _triples():
+    """(a, b, c) with c on the band (|a-b|, a+b) or above it, near its
+    edges for two kinds in five."""
+    rng = random.Random(20233)
+    out = []
+    for i in range(_TRIPLES):
+        a, b = (math.exp(rng.uniform(-3.0, 3.0)) for _ in range(2))
+        near = 1e-10 * rng.random() + 1e-14
+        kind = i % 5
+        if kind == 0:
+            c = abs(a - b) + (a + b - abs(a - b)) * rng.uniform(0.01, 0.99)
+        elif kind == 1:
+            c = abs(a - b) * (1.0 + near) if a != b else near * a
+        elif kind == 2:
+            c = (a + b) * (1.0 - near)
+        elif kind == 3:
+            c = (a + b) * rng.uniform(1.01, 30.0)
+        else:
+            c = (a + b) * (1.0 + near)
+        out.append((a, b, c))
+    return out
+
+
+def _rel(got, ref):
+    return abs(got - ref) / abs(ref)
+
+
+def test_triple_complements_against_mpmath(monkeypatch):
+    # the recorder returns the (u, u - 1) that _r_outer hands to the core
+    monkeypatch.setattr(harness, "core", SimpleNamespace(r_outer_core=lambda *args: args[5:]))
+    bad = []
+    with mpmath.workdps(40):
+        for a, b, c in _triples():
+            am, bm, cm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+            s = float(am + bm + cm)
+            two_ab = 2 * am * bm
+            if c < a + b:
+                ea, eb, ec = float(bm + cm - am), float(am + cm - bm), float(am + bm - cm)
+                omt, opt = harness._complements(a, b, ea, eb, ec, s)
+                ref_omt = (cm * cm - (am - bm) ** 2) / two_ab
+                ref_opt = ((am + bm) ** 2 - cm * cm) / two_ab
+                err = max(_rel(omt, ref_omt), _rel(opt, ref_opt))
+            else:
+                u, um1 = harness._r_outer(0.3, 0.8, a, b, c, float(cm - am - bm), s)
+                ref_um1 = (cm * cm - (am + bm) ** 2) / two_ab
+                err = max(_rel(um1, ref_um1), _rel(u, ref_um1 + 1))
+            if err > _GEOM_RTOL:
+                bad.append((a, b, c, float(err)))
+    assert not bad, f"{len(bad)} of {_TRIPLES} triples outside tolerance, e.g. {bad[:3]}"
