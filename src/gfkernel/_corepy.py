@@ -1,11 +1,10 @@
 """Pure-Python scalar kernels: the reference implementation of the hot path.
 
-Everything here is a plain function of floats returning floats (or a
-(value, err) pair), with no shared state, so the compiled twin in
-``_core.pyx`` can mirror it one-to-one.  Public argument validation lives in
-the wrapper modules; this layer only guards against the failure modes that
-appear mid-computation (poles, nonconvergence, degenerate connection
-formulas).
+Everything here is a pure function of floats returning floats (or a
+(value, err) pair), so the compiled twin in ``_core.pyx`` can mirror it
+one-to-one.  Public argument validation lives in the wrapper modules; this
+layer only guards against the failure modes that appear mid-computation
+(poles, nonconvergence, degenerate connection formulas).
 
 Numerical notes
 ---------------
@@ -18,6 +17,23 @@ Numerical notes
   in ``tests/test_specfn.py`` guard their operation sequence.  ``_core.pyx``
   adds the low-order parts in another order, so the cores can return
   different doubles where the series cancels past double-double precision.
+* Per-order tables.  Within one harness check the orders are fixed, so the
+  series kernels read the work that depends only on them from tables kept
+  per parameter set: ``normalized_bessel_series`` the exact denominators
+  n(nu+n) and their Dekker splits (keyed on nu), ``gauss_series`` its term
+  ratios (a+n)(b+n)/((c+n)(1+n)) (keyed on (a, b, c)), and the connection
+  formula its gamma ratios (memoized per argument pair).  An entry is the
+  double the loop would compute, by the same operations, so a kernel returns
+  the same double or raises the same error whether its table is cold, warm
+  or just emptied: the functions stay pure functions of their arguments.
+  Keys are typed, so 1 and 1.0 do not share a table; +0.0 and -0.0 share
+  one, which is harmless, since every entry comes out the same from either
+  (nu + n and a + n round a zero of either sign alike, and a zero gamma
+  argument is a pole either way); a NaN key hits only for the same float
+  object, whose entries are the same NaNs.  Tables are tuples grown in
+  chunks and replaced whole, and the stores are bounded (``_Rows``), so
+  threads share them safely and memory stays under 0.5 MB.  The compiled
+  twin keeps no tables: there the same work is a few cycles per term.
 * Band and outer values of the triple-Bessel kernel are evaluated in fused
   form: the algebraic prefactors of the Legendre functions cancel against
   the sin/sinh powers analytically, so no (1-t^2) or (u^2-1) power is ever
@@ -26,6 +42,7 @@ Numerical notes
 """
 
 import math
+import threading
 
 from .errors import (
     ConvergenceError,
@@ -39,6 +56,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (pi^3 / 2)^(1/2), the outer-branch normalization
 _SQRT_HALF_PI3 = math.sqrt(0.5 * math.pi ** 3)
 _LOG_MAX = 709.0
+_SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
 
 # ---------------------------------------------------------------------------
 # gamma-family helpers
@@ -119,6 +137,58 @@ def digamma(x):
 
 
 # ---------------------------------------------------------------------------
+# Per-order tables of the series kernels
+# ---------------------------------------------------------------------------
+
+
+_CHUNK = 32  # rows added to a table at a time
+_STORE_LOCK = threading.Lock()
+
+
+def _keep(store, key, value, cap, budget=None):
+    """store[key] = value, emptying the store first when a new key would
+    take it past cap keys, or (given a budget) when its tables would hold
+    more than budget rows in all."""
+    with _STORE_LOCK:
+        if (key not in store and len(store) >= cap) or (
+                budget is not None and sum(map(len, store.values())) + len(value) > budget):
+            store.clear()
+        store[key] = value
+
+
+class _Rows:
+    """Tables of row(*params, i), i = 0, 1, ..., one per parameter key.
+
+    A table is an immutable tuple, grown a chunk at a time and replaced
+    whole, so a caller sees it complete or not at all.  A row that raises
+    ends the chunk; the error reaches the caller only when it asks for that
+    row, which is where the series would raise without a table, and it is
+    never stored.  The store holds at most `cap` tables of at most `budget`
+    rows in all (a longer table is used but not kept).
+    """
+
+    def __init__(self, row, cap, budget):
+        self.row = row
+        self.cap = cap
+        self.budget = budget
+        self.store = {}
+
+    def grown(self, key, params, rows, n):
+        """rows, the table of key, extended to hold row n."""
+        new = list(rows)
+        try:
+            for i in range(len(new), n + _CHUNK):
+                new.append(self.row(*params, i))
+        except ArithmeticError:
+            if len(new) <= n:
+                raise
+        rows = tuple(new)
+        if len(rows) <= self.budget:
+            _keep(self.store, key, rows, self.cap, self.budget)
+        return rows
+
+
+# ---------------------------------------------------------------------------
 # Bessel J and its normalized variant
 # ---------------------------------------------------------------------------
 
@@ -128,12 +198,34 @@ def bessel_crossover(nu):
     return max(25.0, 2.0 * nu * nu)
 
 
+def _bessel_row(nu, i):
+    """(dh, dl, vh, vl) of term n = i+1: the denominator d = n*(nu+n) exactly,
+    as two_sum(nu, n) then two_prod(ah, n), and the Dekker split of dh."""
+    fn = i + 1.0  # n <= 600 splits exactly into (n, 0.0): two_prod drops its zeros
+    ah = nu + fn
+    bb = ah - nu
+    al = (nu - (ah - bb)) + (fn - bb)
+    dh = ah * fn
+    t = _SPLITTER * ah
+    ahh = t - (t - ah)
+    ahl = ah - ahh
+    dl = (ahh * fn - dh) + ahl * fn
+    dl += al * fn
+    t = _SPLITTER * dh
+    vh = t - (t - dh)
+    return dh, dl, vh, dh - vh
+
+
+_BESSEL_TERMS = 600
+_BESSEL_ROWS = _Rows(_bessel_row, cap=16, budget=1536)
+
+
 def normalized_bessel_series(nu, x):
     """sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n) in double-double arithmetic.
 
     Valid for any nu > -1; intended for x below the asymptotic crossover.
     """
-    splitter = 134217729.0  # 2^27 + 1, Dekker split constant
+    splitter = _SPLITTER
     # q = -two_prod(half, half), the sign building in the alternation, and
     # the split of qh that every two_prod(th, qh) below reuses
     half = 0.5 * x
@@ -147,54 +239,46 @@ def normalized_bessel_series(nu, x):
     qhh = t - (t - qh)
     qhl = qh - qhh
     th, tl, sh, sl = 1.0, 0.0, 1.0, 0.0
-    # n <= 600 splits exactly into (n, 0.0): two_prod(ah, n) drops its zeros
-    fn = 0.0
-    for _ in range(600):
-        fn += 1.0
-        ah = nu + fn  # d = n*(nu+n) exactly: two_sum(nu, n), two_prod(ah, n)
-        bb = ah - nu
-        al = (nu - (ah - bb)) + (fn - bb)
-        dh = ah * fn
-        t = splitter * ah
-        ahh = t - (t - ah)
-        ahl = ah - ahh
-        dl = (ahh * fn - dh) + ahl * fn
-        dl += al * fn
-        p = th * qh  # term *= q: two_prod(th, qh), cross terms, fast_two_sum
-        t = splitter * th
-        uh = t - (t - th)
-        ul = th - uh
-        pl = ((uh * qhh - p) + uh * qhl + ul * qhh) + ul * qhl
-        pl += th * ql + tl * qh
-        th = p + pl
-        tl = pl - (th - p)
-        q1 = th / dh  # term /= d: r = term - q1*d, fast_two_sum(q1, r/dh)
-        p = q1 * dh
-        t = splitter * q1
-        uh = t - (t - q1)
-        ul = q1 - uh
-        t = splitter * dh
-        vh = t - (t - dh)
-        vl = dh - vh
-        pl = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl
-        pl += q1 * dl
-        rh = th + -p
-        bb = rh - th
-        rl = (th - (rh - bb)) + (-p - bb)
-        rl += tl + -pl
-        r = rh + rl
-        rl = rl - (r - rh)
-        q2 = (r + rl) / dh
-        th = q1 + q2
-        tl = q2 - (th - q1)
-        rh = sh + th  # sum += term: two_sum(sh, th), low parts, fast_two_sum
-        bb = rh - sh
-        rl = (sh - (rh - bb)) + (th - bb)
-        rl += sl + tl
-        sh = rh + rl
-        sl = rl - (sh - rh)
-        if abs(th) <= 1e-35 * abs(sh) + 1e-305:
-            return sh + sl
+    key = (type(nu), nu)
+    rows = _BESSEL_ROWS.store.get(key, ())
+    n = 0
+    while n < _BESSEL_TERMS:
+        if n == len(rows):
+            rows = _BESSEL_ROWS.grown(key, (nu,), rows, n)
+        for dh, dl, vh, vl in rows[n:_BESSEL_TERMS]:
+            n += 1
+            p = th * qh  # term *= q: two_prod(th, qh), cross terms, fast_two_sum
+            t = splitter * th
+            uh = t - (t - th)
+            ul = th - uh
+            pl = ((uh * qhh - p) + uh * qhl + ul * qhh) + ul * qhl
+            pl += th * ql + tl * qh
+            th = p + pl
+            tl = pl - (th - p)
+            q1 = th / dh  # term /= d: r = term - q1*d, fast_two_sum(q1, r/dh)
+            p = q1 * dh
+            t = splitter * q1
+            uh = t - (t - q1)
+            ul = q1 - uh
+            pl = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl
+            pl += q1 * dl
+            rh = th + -p
+            bb = rh - th
+            rl = (th - (rh - bb)) + (-p - bb)
+            rl += tl + -pl
+            r = rh + rl
+            rl = rl - (r - rh)
+            q2 = (r + rl) / dh
+            th = q1 + q2
+            tl = q2 - (th - q1)
+            rh = sh + th  # sum += term: two_sum(sh, th), low parts, fast_two_sum
+            bb = rh - sh
+            rl = (sh - (rh - bb)) + (th - bb)
+            rl += sl + tl
+            sh = rh + rl
+            sl = rl - (sh - rh)
+            if abs(th) <= 1e-35 * abs(sh) + 1e-305:
+                return sh + sl
     raise ConvergenceError(
         f"normalized Bessel series did not converge (nu={nu!r}, x={x!r})")
 
@@ -256,28 +340,43 @@ def normalized_bessel_j(nu, x):
 # ---------------------------------------------------------------------------
 
 
+def _gauss_ratio(a, b, c, n):
+    """Term ratio of the Gauss series at z = 1 (DLMF 15.2.1)."""
+    return (a + n) * (b + n) / ((c + n) * (1.0 + n))
+
+
+_GAUSS_RATIOS = _Rows(_gauss_ratio, cap=64, budget=4096)
+
+
 def gauss_series(a, b, c, z, nmax=4000):
     """Plain Gauss series with Kahan compensation; returns (value, err)."""
+    key = (type(a), a, type(b), b, type(c), c)
+    ratios = _GAUSS_RATIOS.store.get(key, ())
     term = 1.0
     s = 1.0
     comp = 0.0
     abssum = 1.0
     n = 0
     while n < nmax:
-        r = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        term *= r
-        if term == 0.0:
-            return s + comp, 1e-16 * abssum
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        abssum += abs(term)
-        n += 1
-        if abs(term) <= 1e-17 * abs(s) and n > 4:
-            rho = abs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
-            tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else abs(term) * 10.0
-            return s, tail + 1e-16 * abssum
+        if n == len(ratios):
+            ratios = _GAUSS_RATIOS.grown(key, (a, b, c), ratios, n)
+        for ratio in ratios[n:nmax]:
+            term *= ratio * z
+            if term == 0.0:
+                return s + comp, 1e-16 * abssum
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            at = abs(term)
+            abssum += at
+            n += 1
+            if at <= 1e-17 * abs(s) and n > 4:
+                if n == len(ratios):
+                    ratios = _GAUSS_RATIOS.grown(key, (a, b, c), ratios, n)
+                rho = abs(ratios[n] * z)
+                tail = at * rho / (1.0 - rho) if rho < 1.0 else at * 10.0
+                return s, tail + 1e-16 * abssum
     raise ConvergenceError(
         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")
 
@@ -297,8 +396,24 @@ def _terminating_series(a, b, c, z, nterms):
     return s, 1e-16 * abssum
 
 
+_GAMMA_RATIOS = {}
+_GAMMA_RATIO_CAP = 64
+
+
 def _gamma_ratio(num, den):
-    """prod Gamma(num_i) / prod Gamma(den_j), 0.0 when a denominator poles."""
+    """prod Gamma(num_i) / prod Gamma(den_j), 0.0 when a denominator poles.
+
+    Memoized per argument pair; an error is raised afresh on every call.
+    """
+    key = (num, den, *map(type, num + den))
+    ratio = _GAMMA_RATIOS.get(key)
+    if ratio is None:
+        ratio = _gamma_ratio_value(num, den)
+        _keep(_GAMMA_RATIOS, key, ratio, _GAMMA_RATIO_CAP)
+    return ratio
+
+
+def _gamma_ratio_value(num, den):
     ln = 0.0
     sign = 1.0
     for v in num:

@@ -1,5 +1,7 @@
 """Exception types shared by every layer of the package."""
 
+import math
+
 
 class GfkError(Exception):
     """Base class for all package errors."""
@@ -37,3 +39,10 @@ class ConvergenceError(GfkError, ArithmeticError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+def require_finite(**args: float) -> None:
+    """DomainError naming the first non-finite argument."""
+    for name, v in args.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name}={v!r} must be finite")

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._backend import core
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .macdonald import DEFAULT_BOUNDARY_EPS, MacdonaldOrders, r_kernel
 
 __all__ = ["Params", "m_const", "b_kernel", "delta_density"]
@@ -83,13 +83,6 @@ class Params:
         return abs(d - round(d)) <= 1e-12
 
 
-def _require_finite(**args: float) -> None:
-    """DomainError naming the first non-finite argument."""
-    for name, v in args.items():
-        if not math.isfinite(v):
-            raise DomainError(f"{name}={v!r} must be finite")
-
-
 def m_const(p: Params) -> complex:
     """e^(-i pi/a) Gamma((2k+a-1)/a) / (a^(2/a) Gamma((2k+a+1)/a)).
 
@@ -106,7 +99,7 @@ def b_kernel(p: Params, lam: float, x: float) -> complex:
     """B(lambda, x): the even normalized-Bessel term plus m * lambda x times
     the odd one, both at argument (2/a)|lambda x|^(a/2).  Equals 1 at
     lambda x = 0 and depends on (lambda, x) only through their product."""
-    _require_finite(lam=lam, x=x)
+    require_finite(lam=lam, x=x)
     lx = lam * x
     if lx == 0.0:
         return complex(1.0, 0.0)
@@ -137,7 +130,7 @@ def delta_density(p: Params, x: float, y: float, z: float,
           + sgn(xz) R_{mu,nu}(X,Z,Y) + sgn(yz) R_{mu,nu}(Y,Z,X) ] / |xyz|^(k-1/2)
     """
     orders = p.orders()
-    _require_finite(x=x, y=y, z=z)
+    require_finite(x=x, y=y, z=z)
     if x == 0.0 or y == 0.0 or z == 0.0:
         raise DomainError("delta_density requires nonzero x, y, z "
                           "(degenerate base points carry Dirac measures)")

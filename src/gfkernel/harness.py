@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ._backend import core
-from .errors import DomainError
-from .genkernel import Params, _delta_prefactor, _phase_e2a, _require_finite, b_kernel, m_const
+from .errors import DomainError, require_finite
+from .genkernel import Params, _delta_prefactor, _phase_e2a, b_kernel, m_const
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -166,7 +166,7 @@ class _DensityGeometry:
 
     def __init__(self, p: Params, x: float, y: float):
         p.require_macdonald()
-        _require_finite(x=x, y=y)
+        require_finite(x=x, y=y)
         if x == 0.0 or y == 0.0:
             raise DomainError("density integrals need nonzero base points")
         self.mu = p.mu_m
@@ -468,6 +468,7 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
     """(xy)^nu t^(2(nu-mu)) J~_nu(xt) J~_nu(yt) against the weighted integral
     of R_{mu,nu}(x, y, .) with kernel J~_mu(zt) z^(mu+1)."""
     t0 = time.perf_counter()
+    require_finite(mu=mu, nu=nu, x=x, y=y, t=t)
     if not (mu > -0.5 and nu > -0.5):
         raise DomainError("orders must exceed -1/2")
     if not (x > 0.0 and y > 0.0 and t > 0.0):
@@ -526,6 +527,7 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
     R_{mu,nu}(x, ., y) with kernel J~_nu(zt) z^(nu+1); the z-support is
     compact here (no oscillatory tail)."""
     t0 = time.perf_counter()
+    require_finite(mu=mu, nu=nu, x=x, y=y, t=t)
     if not (mu > -0.5 and nu > -0.5):
         raise DomainError("orders must exceed -1/2")
     if not (x > 0.0 and y > 0.0 and t > 0.0):
@@ -689,7 +691,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
     """
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
-    _require_finite(y=y, z=z)
+    require_finite(y=y, z=z)
     if y == 0.0:
         return complex(f(z))
     if z == 0.0:

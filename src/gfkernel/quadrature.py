@@ -251,11 +251,12 @@ _GL_X = tuple(float(v) for v in _GL_X)
 _GL_W = tuple(float(v) for v in _GL_W)
 
 
-def bessel_zeros(order: float, count: int) -> list[float]:
-    """First `count` positive zeros of J_order: McMahon + Newton polish."""
+def bessel_zeros(order: float, count: int, first: int = 1) -> list[float]:
+    """`count` positive zeros of J_order from the `first`-th on: McMahon +
+    Newton polish."""
     mu4 = 4.0 * order * order
     zeros: list[float] = []
-    for k in range(1, count + 1):
+    for k in range(first, first + count):
         beta = (k + 0.5 * order - 0.25) * math.pi
         e = 8.0 * beta
         x = beta - (mu4 - 1.0) / e - 4.0 * (mu4 - 1.0) * (7.0 * mu4 - 31.0) / (3.0 * e ** 3)
@@ -296,7 +297,14 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     if lo < 0.0:
         raise DomainError("oscillatory lower limit must be nonnegative")
     nzeros = spec.osc_max_zeros
-    zeros = bessel_zeros(order, 32)
+    # start the ladder a few zeros below lo*freq (McMahon: j_k ~ (k + order/2
+    # - 1/4) pi), so that zeros below the first cell are neither computed
+    # nor counted against osc_max_zeros
+    k0 = max(1, int(lo * freq / math.pi - 0.5 * order + 0.25) - 3)
+    zeros = bessel_zeros(order, 32, k0)
+    while k0 > 1 and zeros[0] >= lo * freq:
+        k0 = max(1, k0 - 8)
+        zeros = bessel_zeros(order, 32, k0)
     evals = 2 * 32
 
     def cell(a, b):
@@ -328,7 +336,8 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     first = True
     while idx < nzeros:
         if idx >= len(zeros):
-            zeros.extend(bessel_zeros(order, min(2 * len(zeros), nzeros + 1))[len(zeros):])
+            zeros.extend(bessel_zeros(order, min(len(zeros), nzeros + 1 - len(zeros)),
+                                      k0 + len(zeros)))
             evals += 2 * (len(zeros) - idx)
         hi = zeros[idx] / freq
         idx += 1

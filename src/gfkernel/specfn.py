@@ -2,7 +2,9 @@
 
 Thin validated wrappers over the scalar backend.  All functions are pure;
 admissible ranges are stated per operation (Bessel order > -1, etc.) and
-violations raise :class:`~gfkernel.errors.DomainError` subclasses.
+violations raise :class:`~gfkernel.errors.DomainError` subclasses, as does a
+non-finite argument.  The harness calls the backend directly and validates
+its own inputs, so these checks cost its integrands nothing.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._backend import core
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "Order", "EvalResult", "LogGamma",
@@ -37,6 +39,7 @@ class LogGamma(NamedTuple):
 
 def log_gamma(x: float) -> LogGamma:
     """log|Gamma(x)| with the sign of Gamma(x); pole error at 0, -1, -2, ..."""
+    require_finite(x=x)
     ln, s = core.log_abs_gamma(x)
     return LogGamma(ln, int(s))
 
@@ -47,6 +50,7 @@ def bessel_j(nu: float, x: float) -> float:
     Power series (double-double accumulated) below the crossover
     max(25, 2 nu^2), Hankel asymptotic expansion beyond it.
     """
+    require_finite(nu=nu, x=x)
     if not nu > -1.0:
         raise DomainError(f"bessel_j order nu={nu!r} must exceed -1")
     if x < 0.0:
@@ -56,6 +60,7 @@ def bessel_j(nu: float, x: float) -> float:
 
 def normalized_bessel_j(nu: float, x: float) -> float:
     """Gamma(nu+1) (x/2)^(-nu) J_nu(x), regular at x = 0 where it equals 1."""
+    require_finite(nu=nu, x=x)
     if not nu > -1.0:
         raise DomainError(f"normalized_bessel_j order nu={nu!r} must exceed -1")
     if x < 0.0:
@@ -69,6 +74,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> EvalResult:
     Series for z <= 1/2; the linear connection formula for z > 1/2, where
     c-a-b within 1e-8 of an integer raises DegenerateParameterError.
     """
+    require_finite(a=a, b=b, c=c, z=z)
     val, err = core.hyp2f1(a, b, c, z)
     return EvalResult(val, err)
 
@@ -79,6 +85,7 @@ def legendre_p(mu: float, nu_deg: float, t: float) -> float:
     At t = 1 the value is the limit: 1 for mu = 0, 0 for mu < 0; for mu > 0
     the prefactor diverges and a range error is raised.
     """
+    require_finite(mu=mu, nu_deg=nu_deg, t=t)
     return core.legendre_p(mu, nu_deg, t)
 
 
@@ -89,11 +96,13 @@ def legendre_q_phase_free(mu: float, nu_deg: float, t: float) -> float:
     its companion in the triple-Bessel outer branch, so only this real
     combination is ever needed; it decays like t^(-nu-1) as t grows.
     """
+    require_finite(mu=mu, nu_deg=nu_deg, t=t)
     return core.legendre_q_phase_free(mu, nu_deg, t)
 
 
 def gegenbauer(n: int, mu: float, t: float) -> float:
     """Gegenbauer polynomial C_n^mu(t), mu > -1/2 and mu != 0."""
+    require_finite(n=n, mu=mu, t=t)
     if n < 0 or n != int(n):
         raise DomainError(f"gegenbauer degree n={n!r} must be a nonnegative integer")
     if not mu > -0.5 or mu == 0.0:
@@ -103,9 +112,11 @@ def gegenbauer(n: int, mu: float, t: float) -> float:
 
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x)."""
+    require_finite(x=x)
     return core.digamma(x)
 
 
 def gamma(x: float) -> float:
     """Gamma(x) via log_gamma (signed, overflow saturates)."""
+    require_finite(x=x)
     return core.gammafn(x)

@@ -44,6 +44,8 @@ class TestEvalKernel:
     ["eval-density", "--k", "1", "--a", "1", "--x", "1", "--y", "inf", "--z", "1"],
     ["verify-product", "--k", "1", "--a", "1", "--lambda", "nan", "--x", "1", "--y", "1"],
     ["translate", "--k", "0.5", "--a", "2", "--y", "1", "--z", "nan", "--profile", "gaussian"],
+    ["hankel-check", "--eq", "1", "--mu", "0.4", "--nu", "0.9", "--x", "inf", "--y", "1", "--t", "1"],
+    ["hankel-check", "--eq", "2", "--mu", "0.4", "--nu", "0.9", "--x", "1", "--y", "1", "--t", "inf"],
 ])
 def test_non_finite_input_is_invalid(args, capsys):
     assert main(args) == 2

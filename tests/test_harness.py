@@ -88,6 +88,11 @@ class TestProductResidual:
         with pytest.raises(DomainError):
             product_residual(Params(0.0, 2.0), 1.0, 0.5, 0.5, SPEC)
 
+    def test_oscillatory_tail_far_from_origin(self):
+        # lambda * (start of the tail) lies past a hundred Bessel zeros: the
+        # zero ladder must start there, not spend its budget below it
+        assert product_residual(Params(1.0, 5.0), 20.0, 1.0, 1.2, SPEC).rel_residual <= 1e-5
+
     @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.inf)])
     def test_non_finite_base_points_rejected(self, x, y):
         for check in (gamma_mass, tv_norm):
@@ -183,6 +188,16 @@ class TestHankelIdentities:
             hankel_identity_eq1(-0.7, 0.5, 1.0, 1.0, 1.0, SPEC)
         with pytest.raises(DomainError):
             hankel_identity_eq2(0.5, 0.5, -1.0, 1.0, 1.0, SPEC)
+
+    @pytest.mark.parametrize("args", [
+        (0.4, 0.9, math.inf, 1.0, 1.0), (0.4, 0.9, 1.0, math.nan, 1.0),
+        (0.4, 0.9, 1.0, 1.0, math.inf), (math.inf, 0.9, 1.0, 1.0, 1.0),
+        (0.4, math.inf, 1.0, 1.0, 1.0),
+    ])
+    def test_non_finite_input_rejected(self, args):
+        for check in (hankel_identity_eq1, hankel_identity_eq2):
+            with pytest.raises(DomainError, match="must be finite"):
+                check(*args, SPEC)
 
 
 class TestLegendreIdentityChecks:

@@ -188,6 +188,10 @@ class TestBesselZeros:
         for z in zs:
             assert abs(core.bessel_j(order, z)) < 1e-9
 
+    @pytest.mark.parametrize("order", [-0.45, 0.0, 1.875])
+    def test_ladder_from_a_later_zero(self, order):
+        assert bessel_zeros(order, 20, 37) == bessel_zeros(order, 56)[36:]
+
     def test_known_j0_zeros(self):
         zs = bessel_zeros(0.0, 3)
         assert_allclose(zs, [2.404825557695773, 5.520078110286311, 8.653727912911013],

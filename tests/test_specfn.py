@@ -122,6 +122,24 @@ def test_pure_series_bit_pins(nu, x, expected):
     assert _corepy.normalized_bessel_series(nu, x).hex() == expected
 
 
+@pytest.mark.parametrize("fn, args", [
+    (specfn.log_gamma, (math.nan,)),
+    (specfn.bessel_j, (0.5, math.nan)),
+    (specfn.bessel_j, (0.5, math.inf)),
+    (specfn.normalized_bessel_j, (0.5, math.nan)),
+    (specfn.hyp2f1, (1.0, 1.0, 2.0, math.nan)),
+    (specfn.hyp2f1, (math.nan, 1.0, 2.0, 0.3)),
+    (specfn.legendre_p, (0.2, math.inf, 0.5)),
+    (specfn.legendre_q_phase_free, (0.2, 0.5, math.inf)),
+    (specfn.gegenbauer, (3, 0.5, math.nan)),
+    (specfn.digamma, (math.inf,)),
+    (specfn.gamma, (math.nan,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_non_finite_argument_rejected(fn, args):
+    with pytest.raises(DomainError, match="must be finite"):
+        fn(*args)
+
+
 class TestHyp2f1:
     def test_empty_sum(self):
         assert specfn.hyp2f1(0.7, 1.3, 2.1, 0.0).value == 1.0
