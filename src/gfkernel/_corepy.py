@@ -20,12 +20,12 @@ Numerical notes
 * Per-order tables.  Within one harness check the orders are fixed, so the
   series kernels read the work that depends only on them from tables kept
   per parameter set: ``normalized_bessel_series`` the exact denominators
-  n(nu+n) and their Dekker splits (keyed on nu), ``gauss_series`` its term
-  ratios (a+n)(b+n)/((c+n)(1+n)) (keyed on (a, b, c)), and the connection
-  formula its gamma ratios (memoized per argument pair).  An entry is the
-  double the loop would compute, by the same operations, so a kernel returns
-  the same double or raises the same error whether its table is cold, warm
-  or just emptied: the functions stay pure functions of their arguments.
+  n(nu+n) and their Dekker splits (keyed on nu), and the Gauss series loop
+  its term ratios (a+n)(b+n)/((c+n)(1+n)) (keyed on (a, b, c)).  An entry
+  is the double the loop would compute, by the same operations, so a kernel
+  returns the same double or raises the same error whether its table is
+  cold, warm or just emptied: the functions stay pure functions of their
+  arguments.
   Keys are typed, so 1 and 1.0 do not share a table; +0.0 and -0.0 share
   one, which is harmless, since every entry comes out the same from either
   (nu + n and a + n round a zero of either sign alike, and a zero gamma
@@ -34,6 +34,17 @@ Numerical notes
   chunks and replaced whole, and the stores are bounded (``_Rows``), so
   threads share them safely and memory stays under 0.5 MB.  The compiled
   twin keeps no tables: there the same work is a few cycles per term.
+* Per-parameter plans.  ``hyp2f1``, ``r_band_core`` and ``r_outer_core``
+  look up a plan keyed on (a, b, c) or (mu, nu) that holds every decision
+  and constant that does not depend on z: the pole, terminating and
+  degenerate checks, the connection parameters with their table keys, the
+  connection gamma ratios, and the order-only factors of the two kernels.
+  A plan builds each of its stages at the point where the kernel meets it
+  and keeps it only once it succeeds, so an error is raised where it would
+  be without plans, and on every call.  The three functions share one flow
+  (``_hyp2f1``) and one Gauss series loop (``_gauss``).  The plan stores
+  (``_Plans``, typed keys, emptied whole like the tables) hold at most 64
+  2F1 plans and 16 of each kernel's, a few tens of kB.
 * Band and outer values of the triple-Bessel kernel are evaluated in fused
   form: the algebraic prefactors of the Legendre functions cancel against
   the sin/sinh powers analytically, so no (1-t^2) or (u^2-1) power is ever
@@ -52,6 +63,7 @@ from .errors import (
     RangeOverflowError,
 )
 
+_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (pi^3 / 2)^(1/2), the outer-branch normalization
 _SQRT_HALF_PI3 = math.sqrt(0.5 * math.pi ** 3)
@@ -348,9 +360,13 @@ def _gauss_ratio(a, b, c, n):
 _GAUSS_RATIOS = _Rows(_gauss_ratio, cap=64, budget=4096)
 
 
-def gauss_series(a, b, c, z, nmax=4000):
-    """Plain Gauss series with Kahan compensation; returns (value, err)."""
-    key = (type(a), a, type(b), b, type(c), c)
+def _key(a, b, c):
+    """Typed store key of a parameter triple."""
+    return type(a), a, type(b), b, type(c), c
+
+
+def _gauss(key, abc, z, nmax=4000):
+    """Gauss series of the triple abc, key its _key; returns (value, err)."""
     ratios = _GAUSS_RATIOS.store.get(key, ())
     term = 1.0
     s = 1.0
@@ -359,7 +375,7 @@ def gauss_series(a, b, c, z, nmax=4000):
     n = 0
     while n < nmax:
         if n == len(ratios):
-            ratios = _GAUSS_RATIOS.grown(key, (a, b, c), ratios, n)
+            ratios = _GAUSS_RATIOS.grown(key, abc, ratios, n)
         for ratio in ratios[n:nmax]:
             term *= ratio * z
             if term == 0.0:
@@ -373,12 +389,18 @@ def gauss_series(a, b, c, z, nmax=4000):
             n += 1
             if at <= 1e-17 * abs(s) and n > 4:
                 if n == len(ratios):
-                    ratios = _GAUSS_RATIOS.grown(key, (a, b, c), ratios, n)
+                    ratios = _GAUSS_RATIOS.grown(key, abc, ratios, n)
                 rho = abs(ratios[n] * z)
                 tail = at * rho / (1.0 - rho) if rho < 1.0 else at * 10.0
                 return s, tail + 1e-16 * abssum
+    a, b, c = abc
     raise ConvergenceError(
         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")
+
+
+def gauss_series(a, b, c, z, nmax=4000):
+    """Plain Gauss series with Kahan compensation; returns (value, err)."""
+    return _gauss(_key(a, b, c), (a, b, c), z, nmax)
 
 
 def _terminating_series(a, b, c, z, nterms):
@@ -396,24 +418,8 @@ def _terminating_series(a, b, c, z, nterms):
     return s, 1e-16 * abssum
 
 
-_GAMMA_RATIOS = {}
-_GAMMA_RATIO_CAP = 64
-
-
 def _gamma_ratio(num, den):
-    """prod Gamma(num_i) / prod Gamma(den_j), 0.0 when a denominator poles.
-
-    Memoized per argument pair; an error is raised afresh on every call.
-    """
-    key = (num, den, *map(type, num + den))
-    ratio = _GAMMA_RATIOS.get(key)
-    if ratio is None:
-        ratio = _gamma_ratio_value(num, den)
-        _keep(_GAMMA_RATIOS, key, ratio, _GAMMA_RATIO_CAP)
-    return ratio
-
-
-def _gamma_ratio_value(num, den):
+    """prod Gamma(num_i) / prod Gamma(den_j), 0.0 when a denominator poles."""
     ln = 0.0
     sign = 1.0
     for v in num:
@@ -433,6 +439,109 @@ def _gamma_ratio_value(num, den):
     return sign * math.exp(ln)
 
 
+class _Plans:
+    """Plans build(*params), one per typed parameter key, at most cap kept."""
+
+    def __init__(self, build, cap):
+        self.build = build
+        self.cap = cap
+        self.store = {}
+
+    def get(self, key, *params):
+        """The plan of params, kept under key.  A build that raises keeps
+        nothing, so the error comes again on the next call."""
+        plan = self.store.get(key)
+        if plan is None:
+            plan = self.build(*params)
+            _keep(self.store, key, plan, self.cap)
+        return plan
+
+
+class _Hyp2f1Plan:
+    """The z-independent part of 2F1(a, b; c; z), in the order hyp2f1 takes it.
+
+    The pole check on c is the first thing hyp2f1 does, so it is made here.
+    The later stages are built on the call that first reaches them and kept
+    once they succeed: nterms (-1 for a series that does not terminate) after
+    the range checks on z, the connection parameters on the first z > 1/2,
+    and the connection gamma ratios after its two series.
+    """
+
+    __slots__ = ("abc", "key", "nterms", "conn", "ratios")
+
+    def __init__(self, a, b, c):
+        if is_nonpositive_integer(c):
+            raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
+        self.abc = a, b, c
+        self.key = _key(a, b, c)
+        self.nterms = self.conn = self.ratios = None
+
+    def terminating(self):
+        """n when a or b is the nonpositive integer -n, else -1."""
+        for par in self.abc[:2]:
+            r = round(par)
+            if r <= 0 and abs(par - r) <= 1e-12:
+                return int(-r)
+        return -1
+
+    def connection(self):
+        """c-a-b and the (key, triple) of the two series in w = 1-z."""
+        a, b, c = self.abc
+        d = c - a - b
+        if abs(d - round(d)) < 1e-8:
+            raise DegenerateParameterError(
+                f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
+        abc1 = (a, b, a + b - c + 1.0)
+        abc2 = (c - a, c - b, d + 1.0)
+        return d, _key(*abc1), abc1, _key(*abc2), abc2
+
+    def gamma_ratios(self, d):
+        a, b, c = self.abc
+        return _gamma_ratio((c, d), (c - a, c - b)), _gamma_ratio((c, -d), (a, b))
+
+
+_HYP2F1_PLANS = _Plans(_Hyp2f1Plan, cap=64)
+
+
+def _hyp2f1(plan, z, zc):
+    """hyp2f1 at z through the plan of its parameters."""
+    if z == 0.0:
+        return 1.0, 0.0
+    if z < 0.0:
+        # tolerate roundoff from complement arithmetic at region edges
+        if z > -1e-12:
+            return 1.0, 1e-12
+        raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
+    if z >= 1.0 and not (zc is not None and zc > 0.0):
+        raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
+    n = plan.nterms
+    if n is None:
+        n = plan.nterms = plan.terminating()
+    if n >= 0:
+        return _terminating_series(*plan.abc, z, n)
+    if z <= 0.5:
+        return _gauss(plan.key, plan.abc, z)
+    w = zc if zc is not None else 1.0 - z
+    conn = plan.conn
+    if conn is None:
+        conn = plan.conn = plan.connection()
+    d, key1, abc1, key2, abc2 = conn
+    f1, e1 = _gauss(key1, abc1, w)
+    f2, e2 = _gauss(key2, abc2, w)
+    ratios = plan.ratios
+    if ratios is None:
+        ratios = plan.ratios = plan.gamma_ratios(d)
+    c1, g2 = ratios
+    try:
+        c2 = g2 * math.pow(w, d)
+    except OverflowError:
+        raise RangeOverflowError(f"(1-z)^(c-a-b) overflow in 2F1 connection formula "
+                                 f"(1-z={w!r}, c-a-b={d!r})") from None
+    val = c1 * f1 + c2 * f2
+    err = abs(c1) * e1 + abs(c2) * e2 + 2e-16 * (abs(c1 * f1) + abs(c2 * f2))
+    return val, err
+
+
 def hyp2f1(a, b, c, z, zc=None):
     """2F1(a, b; c; z) for z in [0, 1); returns (value, est_error).
 
@@ -445,35 +554,9 @@ def hyp2f1(a, b, c, z, zc=None):
     connection formula handles z > 1/2; when c-a-b is within 1e-8 of an
     integer that path is degenerate and an explicit error is raised.
     """
-    if is_nonpositive_integer(c):
-        raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
-    if z == 0.0:
-        return 1.0, 0.0
-    if z < 0.0:
-        # tolerate roundoff from complement arithmetic at region edges
-        if z > -1e-12:
-            return 1.0, 1e-12
-        raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
-    if z >= 1.0 and not (zc is not None and zc > 0.0):
-        raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
-    for par in (a, b):
-        r = round(par)
-        if r <= 0 and abs(par - r) <= 1e-12:
-            return _terminating_series(a, b, c, z, int(-r))
-    if z <= 0.5:
-        return gauss_series(a, b, c, z)
-    w = zc if zc is not None else 1.0 - z
-    d = c - a - b
-    if abs(d - round(d)) < 1e-8:
-        raise DegenerateParameterError(
-            f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
-    f1, e1 = gauss_series(a, b, a + b - c + 1.0, w)
-    f2, e2 = gauss_series(c - a, c - b, d + 1.0, w)
-    c1 = _gamma_ratio((c, d), (c - a, c - b))
-    c2 = _gamma_ratio((c, -d), (a, b)) * math.pow(w, d)
-    val = c1 * f1 + c2 * f2
-    err = abs(c1) * e1 + abs(c2) * e2 + 2e-16 * (abs(c1 * f1) + abs(c2 * f2))
-    return val, err
+    key = _key(a, b, c)
+    plan = _HYP2F1_PLANS.get(key, a, b, c)
+    return _hyp2f1(plan, z, zc)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +693,64 @@ def gegenbauer(n, mu, t):
 # cancellation is exact, which is also what makes the outer value real.
 
 
+class _BandPlan:
+    """The order-only part of r_band_core: its 2F1 plan, mu-1, mu-1/2 and
+    Gamma(mu+1/2), the last built after the first call's powers."""
+
+    __slots__ = ("hyp", "mu1", "muh", "gm")
+
+    def __init__(self, mu, nu):
+        a, b, c = nu + 0.5, 0.5 - nu, mu + 0.5
+        self.hyp = _HYP2F1_PLANS.get(_key(a, b, c), a, b, c)
+        self.mu1 = mu - 1.0
+        self.muh = mu - 0.5
+        self.gm = None
+
+
+_BAND_PLANS = _Plans(_BandPlan, cap=16)
+
+
 def r_band_core(mu, nu, xa, ya, za, omt, opt):
     """Band value of R_{mu,nu}(xa, ya, za) given omt = 1-cos(theta), opt = 1+cos(theta)."""
-    f, _ = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, zc=0.5 * opt)
-    return (math.pow(xa * ya, mu - 1.0) * math.pow(omt, mu - 0.5) * f
-            / (_SQRT_2PI * math.pow(za, mu) * math.exp(math.lgamma(mu + 0.5))))
+    key = (type(mu), mu, type(nu), nu)
+    plan = _BAND_PLANS.get(key, mu, nu)
+    f, _ = _hyp2f1(plan.hyp, 0.5 * omt, 0.5 * opt)
+    num = math.pow(xa * ya, plan.mu1) * math.pow(omt, plan.muh) * f
+    den = _SQRT_2PI * math.pow(za, mu)
+    gm = plan.gm
+    if gm is None:
+        gm = plan.gm = math.exp(math.lgamma(mu + 0.5))
+    return num / (den * gm)
+
+
+class _OuterPlan:
+    """The order-only part of r_outer_core, in the order it is taken: whether
+    nu-mu is an integer (the value is then 0), sin((mu-nu) pi), delta+1,
+    mu-1 and (nu+1/2) log 2; the 2F1 plan after the first u that does not
+    underflow the value, and then (sign Gamma(delta+1), log|Gamma(delta+1)|
+    - log Gamma(nu+1))."""
+
+    __slots__ = ("zero", "delta", "sd", "dp1", "mu1", "l2", "abc", "hyp", "gammas")
+
+    def __init__(self, mu, nu):
+        delta = nu - mu
+        self.zero = abs(delta - round(delta)) <= 1e-12
+        if self.zero:
+            return
+        self.delta = delta
+        self.sd = sinpi(mu - nu)
+        self.dp1 = delta + 1.0
+        self.mu1 = mu - 1.0
+        self.l2 = (nu + 0.5) * math.log(2.0)
+        self.abc = (0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0)
+        self.hyp = self.gammas = None
+
+    def gamma_terms(self, nu):
+        lgd, sgd = log_abs_gamma(self.delta + 1.0)
+        return sgd, lgd - math.lgamma(nu + 1.0)
+
+
+_OUTER_PLANS = _Plans(_OuterPlan, cap=16)
 
 
 def r_outer_core(mu, nu, xa, ya, za, u, um1):
@@ -625,19 +761,25 @@ def r_outer_core(mu, nu, xa, ya, za, u, um1):
     opposite sign, which fails that comparison and breaks the mass
     normalization of the product density).
     """
-    delta = nu - mu
-    if abs(delta - round(delta)) <= 1e-12:
+    key = (type(mu), mu, type(nu), nu)
+    plan = _OUTER_PLANS.get(key, mu, nu)
+    if plan.zero:
         return 0.0
-    sd = sinpi(mu - nu)
-    ln_u = (delta + 1.0) * math.log(u)
+    ln_u = plan.dp1 * math.log(u)
     if ln_u > _LOG_MAX:
         return 0.0  # value underflows: u^-(nu-mu+1) below double range
     z = 1.0 / (u * u)
     zc = um1 * (u + 1.0) * z
-    f, _ = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, zc=zc)
-    lgd, sgd = log_abs_gamma(delta + 1.0)
-    coef = sgd * math.exp(lgd - math.lgamma(nu + 1.0) - ln_u - (nu + 0.5) * math.log(2.0))
-    return (sd * math.pow(xa * ya, mu - 1.0) * math.sqrt(math.pi) * coef * f
+    hyp = plan.hyp
+    if hyp is None:
+        hyp = plan.hyp = _HYP2F1_PLANS.get(_key(*plan.abc), *plan.abc)
+    f, _ = _hyp2f1(hyp, z, zc)
+    gammas = plan.gammas
+    if gammas is None:
+        gammas = plan.gammas = plan.gamma_terms(nu)
+    sgd, lg = gammas
+    coef = sgd * math.exp(lg - ln_u - plan.l2)
+    return (plan.sd * math.pow(xa * ya, plan.mu1) * _SQRT_PI * coef * f
             / (_SQRT_HALF_PI3 * math.pow(za, mu)))
 
 

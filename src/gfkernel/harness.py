@@ -25,6 +25,7 @@ All residual reports carry rel_residual = abs_residual / (1 + |lhs|).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -37,6 +38,7 @@ from .genkernel import Params, _delta_prefactor, _phase_e2a, b_kernel, m_const
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    _recent,
     integrate_bessel_oscillatory,
     integrate_power_tail,
     integrate_singular_band2,
@@ -324,12 +326,14 @@ def _product_rhs(p: Params, lam: float, x: float, y: float,
     mu, nu = g.mu, g.nu
     c = (2.0 / p.a) * math.pow(abs(lam), 0.5 * p.a) if lam != 0.0 else 0.0
     m = m_const(p)
+    j_mu = _recent(functools.partial(core.normalized_bessel_j, mu))
+    j_nu = _recent(functools.partial(core.normalized_bessel_j, nu))
 
     def b_even(Z: float) -> float:
-        return core.normalized_bessel_j(mu, c * Z) if c != 0.0 else 1.0
+        return j_mu(c * Z) if c != 0.0 else 1.0
 
     def b_odd(z: float, Z: float) -> complex:
-        return m * (lam * z) * core.normalized_bessel_j(nu, c * Z)
+        return m * (lam * z) * j_nu(c * Z)
 
     def band(Z, z, even, odd):
         val = b_even(Z) * even

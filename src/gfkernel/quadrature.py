@@ -13,6 +13,7 @@ and spec produce bit-identical results.  Integrands may return complex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -283,6 +284,14 @@ def _euler_average(sums):
     return arr[0]
 
 
+def _recent(f):
+    """f of one argument with its last four values kept.  Tanh-sinh nodes
+    crowd an endpoint until the argument rounds onto the same double while
+    the node still moves, so a costly integrand is worth memoizing there;
+    the few entries keep the memory flat however many nodes a rule takes."""
+    return functools.lru_cache(maxsize=4)(f)
+
+
 def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, freq: float,
                                  lo: float, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
     """∫_lo^∞ g(t) J_order(freq t) dt for smooth g of moderate variation.
@@ -322,8 +331,8 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
         # the stretch up to the first zero can span many widths of g when
         # the frequency is small; the adaptive rule handles the decay there
         nonlocal evals
-        res = integrate_singular_band2(
-            lambda t, dl, dh: g(t) * core.bessel_j(order, freq * t), a, b, spec)
+        f = _recent(lambda t: g(t) * core.bessel_j(order, freq * t))
+        res = integrate_singular_band2(lambda t, dl, dh: f(t), a, b, spec)
         evals += res.evaluations
         return res.value
 

@@ -1,8 +1,11 @@
 """Compiled core vs pure-Python core: one implementation, two builds."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +79,34 @@ class TestBackendAgreement:
                 mod.log_abs_gamma(-1.0)
             with pytest.raises(DegenerateParameterError):
                 mod.hyp2f1(0.9, 0.35, 1.25, 0.7)
+
+
+def _compiled_defs():
+    """(name, positional parameter count) of each Python-visible def and
+    cpdef in _core.pyx, read from the source, so no build is needed."""
+    src = (Path(__file__).resolve().parents[1] / "src" / "gfkernel" / "_core.pyx").read_text()
+    for m in re.finditer(r"^(?:cp)?def\s+(?:\w+\s+)*?(\w+)\(", src, re.M):
+        depth, i = 1, m.end()
+        while depth:
+            depth += {"(": 1, ")": -1}.get(src[i], 0)
+            i += 1
+        params = src[m.end():i - 1]
+        depth, count = 0, 1 if params.strip() else 0
+        for ch in params:
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            count += ch == "," and depth == 0
+        yield m.group(1), count
+
+
+def test_pure_core_mirrors_every_compiled_def():
+    defs = dict(_compiled_defs())
+    assert len(defs) >= 20
+    for name, count in defs.items():
+        fn = getattr(py_core, name, None)
+        assert callable(fn), f"_corepy has no {name}"
+        positional = [p for p in inspect.signature(fn).parameters.values()
+                      if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        assert len(positional) == count, f"{name}: {len(positional)} != {count}"
 
 
 def test_backend_env_override():

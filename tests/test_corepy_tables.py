@@ -58,10 +58,14 @@ def _call(pin):
     return _hex(getattr(_corepy, name)(*args, **kwargs))
 
 
+_PLANS = (_corepy._HYP2F1_PLANS, _corepy._BAND_PLANS, _corepy._OUTER_PLANS)
+
+
 def _clear_tables():
     _corepy._BESSEL_ROWS.store.clear()
     _corepy._GAUSS_RATIOS.store.clear()
-    _corepy._GAMMA_RATIOS.clear()
+    for plans in _PLANS:
+        plans.store.clear()
 
 
 def _churn(rng, n):
@@ -73,12 +77,15 @@ def _churn(rng, n):
         if abs(c - a - b - round(c - a - b)) > 1e-3:
             _corepy.hyp2f1(a, b, c, rng.uniform(0.55, 0.95))
         _corepy.gauss_series(a, b, c, rng.uniform(0.0, 0.5))
+        mu, nu = rng.uniform(-0.4, 3.0), rng.uniform(-0.4, 3.0)
+        _corepy.r_band_core(mu, nu, 1.0, 1.2, 0.9, 0.7, 1.3)
+        _corepy.r_outer_core(mu, nu, 1.0, 1.2, 2.9, 1.7, 0.7)
 
 
 def _stores():
     return ((_corepy._BESSEL_ROWS.store, _corepy._BESSEL_ROWS.cap, _corepy._BESSEL_ROWS.budget),
             (_corepy._GAUSS_RATIOS.store, _corepy._GAUSS_RATIOS.cap, _corepy._GAUSS_RATIOS.budget),
-            (_corepy._GAMMA_RATIOS, _corepy._GAMMA_RATIO_CAP, None))
+            *((plans.store, plans.cap, None) for plans in _PLANS))
 
 
 @pytest.mark.parametrize("pin", _PINS, ids=lambda p: f"{p[0]}{p[1]}")
@@ -103,6 +110,21 @@ def test_tables_never_change_a_value():
     assert got == want
 
 
+def _in_threads(worker):
+    """worker(seed) on 4 threads that switch as often as they can."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_threads_on_interleaved_parameters():
     want = {i: pin[3] for i, pin in enumerate(_PINS)}
     errors, mismatches = [], []
@@ -121,17 +143,7 @@ def test_threads_on_interleaved_parameters():
             errors.append(exc)
 
     _clear_tables()
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    _in_threads(worker)
     assert errors == [] and mismatches == []
 
 
@@ -194,3 +206,120 @@ def test_failing_row_is_reached_only_where_the_series_reaches_it():
     with pytest.raises(ZeroDivisionError):
         _corepy.gauss_series(1.5, 1.0, -2.0, 0.1)
     assert _corepy.gauss_series(1.5, 1.0, -2.0, 0.0) == (1.0, 1e-16)
+
+
+# Every branch of the per-parameter plans of hyp2f1, r_band_core and
+# r_outer_core: (function, args, kwargs, outcome), the outcome the float.hex
+# of the value (of each (value, err) part) or "Type: message" of the error,
+# recorded before the plans existed.  A plan must keep each one, including
+# where an error is raised relative to the other checks.
+_PLAN_CASES = [
+    # terminating b: nu = 1/2 makes b = 1/2 - nu = 0
+    ("r_band_core", (0.6, 0.5, 1.0, 1.2, 0.9, 0.7, 1.3), {}, "0x1.9a5b39253d48dp-2"),
+    ("r_band_core", (0.6, 0.5, 1.0, 1.2, 2.1, 1.6, 0.4), {}, "0x1.0c1682fd7271bp-2"),
+    ("hyp2f1", (1.0, 0.0, 1.1, 0.7), {}, ("0x1.0000000000000p+0", "0x1.cd2b297d889bcp-54")),
+    ("hyp2f1", (2.5, -3.0, 1.5, 0.95), {}, ("-0x1.2f1a9fbe76e00p-8", "0x1.a5f55dc4ca52cp-50")),
+    # c at a pole: raised before any check on z in hyp2f1 and r_band_core,
+    # after the u checks in r_outer_core
+    ("hyp2f1", (0.5, 0.5, -2.0, 0.0), {}, "PoleError: 2F1 parameter c=-2.0 is a nonpositive integer"),
+    ("r_band_core", (-1.5, 0.7, 1.0, 1.2, 0.9, 0.7, 1.3), {},
+     "PoleError: 2F1 parameter c=-1.0 is a nonpositive integer"),
+    ("r_outer_core", (0.3, -2.0, 1.0, 1.2, 2.9, 1.7, 0.7), {},
+     "PoleError: 2F1 parameter c=-1.0 is a nonpositive integer"),
+    ("r_outer_core", (0.3, -2.0, 1.0, 1.2, 2.9, -1.0, -2.0), {}, "ValueError: math domain error"),
+    ("r_outer_core", (-3.3, -2.0, 1.0, 1.2, 1e150, 1e300, 1e300), {}, "0x0.0p+0"),
+    # degenerate connection: mu = 3/2 gives c - a - b = mu - 1/2 = 1, which
+    # only the z > 1/2 path (omt > 1) meets
+    ("r_band_core", (1.5, 0.7, 1.0, 1.2, 2.1, 1.6, 0.4), {},
+     "DegenerateParameterError: 2F1 connection formula degenerate: c-a-b=1.0 is (near) an integer"),
+    ("r_band_core", (1.5, 0.7, 1.0, 1.2, 0.9, 0.7, 1.3), {}, "0x1.5d8f7bd5097dep-2"),
+    ("hyp2f1", (0.5, 0.5, 2.0, 0.7), {},
+     "DegenerateParameterError: 2F1 connection formula degenerate: c-a-b=1.0 is (near) an integer"),
+    ("hyp2f1", (1, 2, 3, 0.7), {},
+     "DegenerateParameterError: 2F1 connection formula degenerate: c-a-b=0 is (near) an integer"),
+    # integer nu - mu: the outer value is 0 before any other work
+    ("r_outer_core", (0.6, 1.6, 1.0, 1.2, 2.9, 1.7, 0.7), {}, "0x0.0p+0"),
+    ("r_outer_core", (0.6, 0.6 + 1.0 + 5e-13, 1.0, 1.2, 2.9, 1.7, 0.7), {}, "0x0.0p+0"),
+    ("r_outer_core", (1, 3, 1.0, 1.2, 2.9, -1.0, -2.0), {}, "0x0.0p+0"),
+    # u^-(nu-mu+1) below the double range: 0 before any 2F1 work
+    ("r_outer_core", (0.3, 1.2, 1.0, 1.2, 1e150, 1e300, 1e300), {}, "0x0.0p+0"),
+    ("r_outer_core", (0.3, 1.2, 1.0, 1.2, 2.9, 0.0, -1.0), {}, "ValueError: math domain error"),
+    # z = 0
+    ("hyp2f1", (0.7, 1.9, 2.9, 0.0), {}, ("0x1.0000000000000p+0", "0x0.0p+0")),
+    ("r_band_core", (0.6, 1.1, 1.0, 1.2, 0.2, 0.0, 2.0), {}, "0x0.0p+0"),
+    ("r_outer_core", (0.6, 1.1, 1.0, 1.2, 1e200, math.inf, math.inf), {}, "0x0.0p+0"),
+    # z in (-1e-12, 0) is taken as 0; below that it is out of range
+    ("hyp2f1", (0.7, 1.9, 2.9, -1e-13), {}, ("0x1.0000000000000p+0", "0x1.19799812dea11p-40")),
+    ("hyp2f1", (0.7, 1.9, 2.9, -1e-11), {}, "DomainError: 2F1 argument z=-1e-11 outside [0, 1)"),
+    ("r_band_core", (0.6, 1.1, 1.0, 1.2, 0.2, -2e-13, 2.0), {}, "ValueError: math domain error"),
+    ("r_band_core", (1.5, 1.1, 1.0, 1.2, 0.2, -2e-13, 2.0), {}, "-0x1.130f0afb50021p-40"),
+    # z >= 1 needs an accurate positive complement zc
+    ("hyp2f1", (0.7, 1.9, 2.9, 1.0), {}, "DomainError: 2F1 argument z=1.0 outside [0, 1)"),
+    ("hyp2f1", (0.7, 1.9, 2.9, 1.0), {"zc": 1e-15}, ("0x1.3d86e97d87e52p+2", "0x1.ad09fa92b91b8p-50")),
+    ("hyp2f1", (0.7, 1.9, 2.9, 1.0), {"zc": 0.0}, "DomainError: 2F1 argument z=1.0 outside [0, 1)"),
+    ("r_band_core", (0.6, 1.1, 1.0, 1.2, 2.2, 2.0, 1e-13), {}, "-0x1.635bdde2fcda9p-1"),
+    ("r_band_core", (0.6, 1.1, 1.0, 1.2, 2.2, 2.0, 0.0), {}, "DomainError: 2F1 argument z=1.0 outside [0, 1)"),
+    ("r_outer_core", (0.6, 1.1, 1.0, 1.2, 2.2, 1.0, 1e-13), {}, "-0x1.625f21ad35384p-1"),
+    ("r_outer_core", (0.6, 1.1, 1.0, 1.2, 2.2, 1.0, 0.0), {}, "DomainError: 2F1 argument z=1.0 outside [0, 1)"),
+    # Gamma(mu+1/2) overflows, but only after the powers of the band value
+    ("r_band_core", (200.0, 0.3, 1.0, 1.2, 0.9, 0.7, 1.3), {}, "OverflowError: math range error"),
+    ("r_band_core", (200.0, 0.3, 1.0, 1.2, 0.9, -2e-13, 2.0), {}, "ValueError: math domain error"),
+    # a connection gamma ratio with a denominator pole is 0
+    ("hyp2f1", (1.5, 0.25, 1.5, 0.8), {}, ("0x1.7ecf2d7f7566fp+0", "0x1.029a5bea4634cp-51")),
+    # non-finite parameters fail where the checks first meet them
+    ("hyp2f1", (math.nan, 0.5, 1.5, 0.0), {}, ("0x1.0000000000000p+0", "0x0.0p+0")),
+    ("hyp2f1", (math.nan, 0.5, 1.5, 0.3), {}, "ValueError: cannot convert float NaN to integer"),
+    ("hyp2f1", (-2.0, math.nan, 1.5, 0.3), {}, ("nan", "nan")),
+    ("hyp2f1", (0.5, 0.25, math.inf, 0.3), {}, ("0x1.0000000000000p+0", "0x1.cd2b297d889bcp-54")),
+    ("hyp2f1", (0.5, 0.25, math.inf, 0.7), {}, "OverflowError: cannot convert float infinity to integer"),
+    ("hyp2f1", (0.5, 0.25, math.nan, 0.0), {}, "ValueError: cannot convert float NaN to integer"),
+    ("r_outer_core", (math.nan, 1.1, 1.0, 1.2, 2.2, 1.5, 0.5), {},
+     "ValueError: cannot convert float NaN to integer"),
+    ("r_band_core", (math.inf, 1.1, 1.0, 1.2, 2.2, 1.0, 1.0), {}, "nan"),
+]
+
+
+def _outcome(case):
+    name, args, kwargs, _ = case
+    try:
+        return _hex(getattr(_corepy, name)(*args, **kwargs))
+    except Exception as exc:  # the outcome under test
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("case", _PLAN_CASES, ids=lambda c: f"{c[0]}{c[1]}{c[2] or ''}")
+def test_plan_branches(case):
+    _clear_tables()
+    assert _outcome(case) == case[3]   # cold plans
+    assert _outcome(case) == case[3]   # warm plans
+
+
+def test_plans_never_change_an_outcome():
+    want = [case[3] for case in _PLAN_CASES]
+    rng = random.Random(17)
+    _clear_tables()
+    assert [_outcome(c) for c in _PLAN_CASES] == want                     # cold
+    assert [_outcome(c) for c in _PLAN_CASES] == want                     # warm
+    _clear_tables()
+    assert [_outcome(c) for c in reversed(_PLAN_CASES)] == want[::-1]     # other build order
+    got = []
+    for case in _PLAN_CASES:                                              # every store emptied
+        _churn(rng, 70)                                                   # between two calls
+        got.append(_outcome(case))
+    assert got == want
+
+
+def test_threads_on_shuffled_plan_orders():
+    mismatches = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        order = list(range(len(_PLAN_CASES)))
+        for _ in range(6):
+            rng.shuffle(order)
+            mismatches.extend(i for i in order if _outcome(_PLAN_CASES[i]) != _PLAN_CASES[i][3])
+            _churn(rng, 20)
+
+    _clear_tables()
+    _in_threads(worker)
+    assert mismatches == []

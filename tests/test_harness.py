@@ -5,7 +5,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from gfkernel import Params, b_kernel
+from gfkernel import Params, _corepy, b_kernel, genkernel, harness, macdonald, quadrature
 from gfkernel.errors import DomainError
 from gfkernel.harness import (
     Axis,
@@ -106,6 +106,27 @@ class TestProductResidual:
             for (x, y) in [(0.4, 0.4), (1.2, 2.5)]:
                 mass, qerr = gamma_mass(p, x, y, SPEC)
                 assert abs(mass - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("k, a, lam, x, y, want", [
+        (0.75, 4.0 / 3.0, 1.9, 0.4, 2.5, "0x1.0ffb3a3c35c58p-38"),
+        (1.0, 2.0 / 3.0, 0.7, 1.2, 2.5, "0x1.64cf682692783p-53"),
+    ])
+    def test_bessel_values_are_not_recomputed(self, monkeypatch, k, a, lam, x, y, want):
+        # tanh-sinh nodes next to an endpoint repeat cZ; without a memo
+        # about 40% of these calls repeat an earlier (order, argument) pair
+        calls = []
+        bessel = _corepy.normalized_bessel_j
+
+        def counted(nu, arg):
+            calls.append((nu, arg))
+            return bessel(nu, arg)
+
+        for module in (genkernel, harness, macdonald, quadrature):
+            monkeypatch.setattr(module, "core", _corepy)
+        monkeypatch.setattr(_corepy, "normalized_bessel_j", counted)
+        r = product_residual(Params(k, a), lam, x, y, SPEC)
+        assert len(calls) - len(set(calls)) <= 0.15 * len(calls)
+        assert r.rel_residual.hex() == want       # recorded before the memo
 
 
 class TestTvNorm:

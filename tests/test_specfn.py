@@ -190,6 +190,12 @@ class TestHyp2f1:
         with pytest.raises(DomainError):
             specfn.hyp2f1(0.5, 0.5, 1.5, 1.2)
 
+    def test_connection_power_overflow_is_typed(self):
+        # c-a-b = -600.05: (1-z)^(c-a-b) leaves the double range while the
+        # gamma ratio beside it does not
+        with pytest.raises(RangeOverflowError, match=r"\(1-z\)\^\(c-a-b\) overflow"):
+            _corepy.hyp2f1(300.3, 300.45, 0.7, 0.9)
+
 
 class TestLegendreP:
     def test_unit_degree_zero(self):
