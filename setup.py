@@ -1,10 +1,9 @@
 """Build script: compiles the optional C accelerator for the scalar kernels.
 
-The extension is an accelerator only.  It is compiled from the committed
-``src/gfkernel/_core.c`` (generated from ``_core.pyx`` by Cython, with
-boundscheck=False and cdivision=True; regenerate and commit it after editing
-``_core.pyx``).  Without a C compiler the build falls through to the
-pure-Python core (gfkernel._corepy).  The two implementations expose
+The extension is an accelerator only.  It is compiled from the hand-written
+C99 file ``src/gfkernel/_core.c``, which mirrors the pure-Python core
+(gfkernel._corepy) operation for operation.  Without a C compiler the build
+falls through to the pure-Python core.  The two implementations expose
 identical functions and are selected at import time.
 """
 

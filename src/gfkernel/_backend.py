@@ -1,6 +1,6 @@
 """Select the scalar-kernel backend at import time.
 
-The compiled extension (gfkernel._core, built from _core.pyx) is preferred;
+The compiled extension (gfkernel._core, built from _core.c) is preferred;
 the pure-Python module gfkernel._corepy is the drop-in fallback.  Set
 GFKERNEL_BACKEND=python to force the fallback, GFKERNEL_BACKEND=c to insist
 on the extension (ImportError if it is missing).

@@ -1,18814 +1,897 @@
-/* Generated by Cython 3.2.8 */
+/* Compiled twin of gfkernel._corepy: the same scalar kernels, by the same
+   algorithms, raising the same errors, as a CPython extension.
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-ffp-contract=off"
-        ],
-        "name": "gfkernel._core",
-        "sources": [
-            "src/gfkernel/_core.pyx"
-        ]
-    },
-    "module_name": "gfkernel._core"
-}
-END: Cython Metadata */
+   Each kernel follows its _corepy namesake operation for operation.  The
+   pure core's per-order tables and per-parameter plans hold values that
+   this file recomputes, by the same operations, on every call; here that
+   work is a few cycles.  Build with -ffp-contract=off: the double-double
+   Bessel series relies on exact IEEE multiply and add rounding, which fused
+   contraction breaks.
 
-#ifndef PY_SSIZE_T_CLEAN
+   A kernel that fails sets the Python exception (the gfkernel.errors class
+   and the message _corepy raises) and returns -1.0.  -1.0 is also a valid
+   value, so a caller tests PyErr_Occurred() after each call that can fail;
+   calls whose errors an earlier check excludes go untested.  fail() keeps
+   an exception already set, so the first error is the one reported. */
+
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
+#include <Python.h>  /* with stdio.h and string.h */
+#include <math.h>
+#include <stdarg.h>
 
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
+/* the doubles _corepy computes for these at import */
+#define PI 0x1.921fb54442d18p+1
+#define SQRT_PI 0x1.c5bf891b4ef6ap+0        /* math.sqrt(math.pi) */
+#define SQRT_2PI 0x1.40d931ff62705p+1       /* math.sqrt(2.0 * math.pi) */
+#define SQRT_HALF_PI3 0x1.f7fccdff344acp+1  /* math.sqrt(0.5 * math.pi ** 3) */
+#define LOG_PI 0x1.250d048e7a1bdp+0         /* math.log(math.pi) */
+#define LOG_2 0x1.62e42fefa39efp-1          /* math.log(2.0) */
+#define LOG_MAX 709.0
+#define SPLITTER 134217729.0  /* 2^27 + 1, Dekker split constant */
+#define BESSEL_TERMS 600
+#define NMAX 4000  /* terms of the Gauss loop, and the cap of the terminating sums */
 
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
+static PyObject *ConvergenceError, *DegenerateParameterError, *DomainError,
+    *PoleError, *RangeOverflowError;
 
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
+/* Set exception cls with message fmt, where %r takes a double and writes its
+   repr, and %d takes an integer-valued double and writes it in full (as
+   Python prints the int).  Returns -1.0. */
+static double fail(PyObject *cls, const char *fmt, ...)
 {
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
+    char buf[1024], *s;
+    size_t k = 0, m;
+    va_list ap;
+    va_start(ap, fmt);
+    for (; *fmt && k < sizeof buf - 1; fmt++) {
+        if (*fmt != '%') {
+            buf[k++] = *fmt;
+            continue;
+        }
+        fmt++;
+        s = PyOS_double_to_string(va_arg(ap, double), *fmt == 'r' ? 'r' : 'f', 0,
+                                  *fmt == 'r' ? Py_DTSF_ADD_DOT_0 : 0, NULL);
+        if (s == NULL) break;
+        m = strlen(s);
+        if (m > sizeof buf - 1 - k) m = sizeof buf - 1 - k;
+        memcpy(buf + k, s, m);
+        k += m;
+        PyMem_Free(s);
     }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__gfkernel___core
-#define __PYX_HAVE_API__gfkernel___core
-/* Early includes */
-#include <math.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/gfkernel/_core.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer;
-struct __pyx_t_8gfkernel_5_core_dd;
-struct __pyx_ctuple_double__and_double;
-typedef struct __pyx_ctuple_double__and_double __pyx_ctuple_double__and_double;
-
-/* "gfkernel/_core.pyx":32
- * 
- * 
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):             # <<<<<<<<<<<<<<
- *     if x > 0.5:
- *         return False
-*/
-struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer {
-  int __pyx_n;
-  double tol;
-};
-
-/* "gfkernel/_core.pyx":101
- * # ---------------------------------------------------------------------------
- * 
- * cdef struct dd:             # <<<<<<<<<<<<<<
- *     double hi
- *     double lo
-*/
-struct __pyx_t_8gfkernel_5_core_dd {
-  double hi;
-  double lo;
-};
-
-/* "gfkernel/_core.pyx":272
- * 
- * 
- * cdef (double, double) _terminating_series(double a, double b, double c, double z,             # <<<<<<<<<<<<<<
- *                                           int nterms):
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0
-*/
-struct __pyx_ctuple_double__and_double {
-  double f0;
-  double f1;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* PyObjectFormatAndDecref.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatSimpleAndDecref(PyObject* s, PyObject* f);
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatAndDecref(PyObject* s, PyObject* f);
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* FloatExceptionCheck.proto */
-#define __PYX_CHECK_FLOAT_EXCEPTION(value, error_value)\
-    ((error_value) == (error_value) ?\
-     (value) == (error_value) :\
-     (value) != (value))
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* RaiseTooManyValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected);
-
-/* RaiseNeedMoreValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index);
-
-/* IterFinish.proto */
-static CYTHON_INLINE int __Pyx_IterFinish(void);
-
-/* UnpackItemEndCheck.proto */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* ImportFrom.proto */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name);
-
-/* pybytes_as_double.proto (used by pyunicode_as_double) */
-static double __Pyx_SlowPyString_AsDouble(PyObject *obj);
-static double __Pyx__PyBytes_AsDouble(PyObject *obj, const char* start, Py_ssize_t length);
-static CYTHON_INLINE double __Pyx_PyBytes_AsDouble(PyObject *obj) {
-    char* as_c_string;
-    Py_ssize_t size;
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    as_c_string = PyBytes_AS_STRING(obj);
-    size = PyBytes_GET_SIZE(obj);
-#else
-    if (PyBytes_AsStringAndSize(obj, &as_c_string, &size) < 0) {
-        return (double)-1;
-    }
-#endif
-    return __Pyx__PyBytes_AsDouble(obj, as_c_string, size);
-}
-static CYTHON_INLINE double __Pyx_PyByteArray_AsDouble(PyObject *obj) {
-    char* as_c_string;
-    Py_ssize_t size;
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    as_c_string = PyByteArray_AS_STRING(obj);
-    size = PyByteArray_GET_SIZE(obj);
-#else
-    as_c_string = PyByteArray_AsString(obj);
-    if (as_c_string == NULL) {
-        return (double)-1;
-    }
-    size = PyByteArray_Size(obj);
-#endif
-    return __Pyx__PyBytes_AsDouble(obj, as_c_string, size);
-}
-
-/* pyunicode_as_double.proto */
-#if !CYTHON_COMPILING_IN_PYPY && CYTHON_ASSUME_SAFE_MACROS
-static const char* __Pyx__PyUnicode_AsDouble_Copy(const void* data, const int kind, char* buffer, Py_ssize_t start, Py_ssize_t end) {
-    int last_was_punctuation;
-    Py_ssize_t i;
-    last_was_punctuation = 1;
-    for (i=start; i <= end; i++) {
-        Py_UCS4 chr = PyUnicode_READ(kind, data, i);
-        int is_punctuation = (chr == '_') | (chr == '.');
-        *buffer = (char)chr;
-        buffer += (chr != '_');
-        if (unlikely(chr > 127)) goto parse_failure;
-        if (unlikely(last_was_punctuation & is_punctuation)) goto parse_failure;
-        last_was_punctuation = is_punctuation;
-    }
-    if (unlikely(last_was_punctuation)) goto parse_failure;
-    *buffer = '\0';
-    return buffer;
-parse_failure:
-    return NULL;
-}
-static double __Pyx__PyUnicode_AsDouble_inf_nan(const void* data, int kind, Py_ssize_t start, Py_ssize_t length) {
-    int matches = 1;
-    Py_UCS4 chr;
-    Py_UCS4 sign = PyUnicode_READ(kind, data, start);
-    int is_signed = (sign == '-') | (sign == '+');
-    start += is_signed;
-    length -= is_signed;
-    switch (PyUnicode_READ(kind, data, start)) {
-        #ifdef Py_NAN
-        case 'n':
-        case 'N':
-            if (unlikely(length != 3)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+1);
-            matches &= (chr == 'a') | (chr == 'A');
-            chr = PyUnicode_READ(kind, data, start+2);
-            matches &= (chr == 'n') | (chr == 'N');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_NAN : Py_NAN;
-        #endif
-        case 'i':
-        case 'I':
-            if (unlikely(length < 3)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+1);
-            matches &= (chr == 'n') | (chr == 'N');
-            chr = PyUnicode_READ(kind, data, start+2);
-            matches &= (chr == 'f') | (chr == 'F');
-            if (likely(length == 3 && matches))
-                return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-            if (unlikely(length != 8)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+3);
-            matches &= (chr == 'i') | (chr == 'I');
-            chr = PyUnicode_READ(kind, data, start+4);
-            matches &= (chr == 'n') | (chr == 'N');
-            chr = PyUnicode_READ(kind, data, start+5);
-            matches &= (chr == 'i') | (chr == 'I');
-            chr = PyUnicode_READ(kind, data, start+6);
-            matches &= (chr == 't') | (chr == 'T');
-            chr = PyUnicode_READ(kind, data, start+7);
-            matches &= (chr == 'y') | (chr == 'Y');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-        case '.': case '0': case '1': case '2': case '3': case '4': case '5': case '6': case '7': case '8': case '9':
-            break;
-        default:
-            goto parse_failure;
-    }
-    return 0.0;
-parse_failure:
+    va_end(ap);
+    buf[k] = '\0';
+    if (!PyErr_Occurred())
+        PyErr_SetString(cls, buf);
     return -1.0;
 }
-static double __Pyx_PyUnicode_AsDouble_WithSpaces(PyObject *obj) {
-    double value;
-    const char *last;
-    char *end;
-    Py_ssize_t start, length = PyUnicode_GET_LENGTH(obj);
-    const int kind = PyUnicode_KIND(obj);
-    const void* data = PyUnicode_DATA(obj);
-    start = 0;
-    while (Py_UNICODE_ISSPACE(PyUnicode_READ(kind, data, start)))
-        start++;
-    while (start < length - 1 && Py_UNICODE_ISSPACE(PyUnicode_READ(kind, data, length - 1)))
-        length--;
-    length -= start;
-    if (unlikely(length <= 0)) goto fallback;
-    value = __Pyx__PyUnicode_AsDouble_inf_nan(data, kind, start, length);
-    if (unlikely(value == -1.0)) goto fallback;
-    if (value != 0.0) return value;
-    if (length < 40) {
-        char number[40];
-        last = __Pyx__PyUnicode_AsDouble_Copy(data, kind, number, start, start + length);
-        if (unlikely(!last)) goto fallback;
-        value = PyOS_string_to_double(number, &end, NULL);
-    } else {
-        char *number = (char*) PyMem_Malloc((length + 1) * sizeof(char));
-        if (unlikely(!number)) goto fallback;
-        last = __Pyx__PyUnicode_AsDouble_Copy(data, kind, number, start, start + length);
-        if (unlikely(!last)) {
-            PyMem_Free(number);
-            goto fallback;
-        }
-        value = PyOS_string_to_double(number, &end, NULL);
-        PyMem_Free(number);
-    }
-    if (likely(end == last) || (value == (double)-1 && PyErr_Occurred())) {
-        return value;
-    }
-fallback:
-    return __Pyx_SlowPyString_AsDouble(obj);
-}
-#endif
-static CYTHON_INLINE double __Pyx_PyUnicode_AsDouble(PyObject *obj) {
-#if !CYTHON_COMPILING_IN_PYPY && CYTHON_ASSUME_SAFE_MACROS
-    if (unlikely(__Pyx_PyUnicode_READY(obj) == -1))
-        return (double)-1;
-    if (likely(PyUnicode_IS_ASCII(obj))) {
-        const char *s;
-        Py_ssize_t length;
-        s = PyUnicode_AsUTF8AndSize(obj, &length);
-        return __Pyx__PyBytes_AsDouble(obj, s, length);
-    }
-    return __Pyx_PyUnicode_AsDouble_WithSpaces(obj);
-#else
-    return __Pyx_SlowPyString_AsDouble(obj);
-#endif
-}
 
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
+/* ---- gamma-family helpers ---- */
 
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* ToPyCTupleUtility.proto */
-static PyObject* __pyx_convert__to_py___pyx_ctuple_double__and_double(__pyx_ctuple_double__and_double);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.math" */
-
-/* Module declarations from "gfkernel._core" */
-static double __pyx_v_8gfkernel_5_core_PI;
-static double __pyx_v_8gfkernel_5_core_SQRT_2PI;
-static double __pyx_v_8gfkernel_5_core_SQRT_HALF_PI3;
-static double __pyx_v_8gfkernel_5_core_SPLITTER;
-static double __pyx_v_8gfkernel_5_core_LOG_MAX;
-static double __pyx_v_8gfkernel_5_core_INF;
-static int __pyx_f_8gfkernel_5_core_is_nonpositive_integer(double, int __pyx_skip_dispatch, struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer *__pyx_optional_args); /*proto*/
-static double __pyx_f_8gfkernel_5_core_gamma_sign(double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_gammafn(double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_rgamma(double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_sinpi(double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_digamma(double, int __pyx_skip_dispatch); /*proto*/
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_two_sum(double, double); /*proto*/
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_fast_two_sum(double, double); /*proto*/
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_two_prod(double, double); /*proto*/
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_add(struct __pyx_t_8gfkernel_5_core_dd, struct __pyx_t_8gfkernel_5_core_dd); /*proto*/
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_mul(struct __pyx_t_8gfkernel_5_core_dd, struct __pyx_t_8gfkernel_5_core_dd); /*proto*/
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_div(struct __pyx_t_8gfkernel_5_core_dd, struct __pyx_t_8gfkernel_5_core_dd); /*proto*/
-static double __pyx_f_8gfkernel_5_core_bessel_crossover(double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_normalized_bessel_series(double, double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_bessel_j_asymptotic(double, double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_bessel_j(double, double, int __pyx_skip_dispatch); /*proto*/
-static double __pyx_f_8gfkernel_5_core_normalized_bessel_j(double, double, int __pyx_skip_dispatch); /*proto*/
-static __pyx_ctuple_double__and_double __pyx_f_8gfkernel_5_core__terminating_series(double, double, double, double, int); /*proto*/
-static double __pyx_f_8gfkernel_5_core__gamma_ratio2(double, double, double, double); /*proto*/
-static double __pyx_f_8gfkernel_5_core__legendre_poly(int, double); /*proto*/
-static double __pyx_f_8gfkernel_5_core__legendre_p0_log(double, double, double); /*proto*/
-static double __pyx_f_8gfkernel_5_core_gegenbauer(int, double, double, int __pyx_skip_dispatch); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "gfkernel._core"
-extern int __pyx_module_is_main_gfkernel___core;
-int __pyx_module_is_main_gfkernel___core = 0;
-
-/* Implementation of "gfkernel._core" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_twin_of_gfkernel__corep[] = "Compiled twin of gfkernel._corepy: same functions, same algorithms.\n\nBuilt with -ffp-contract=off; the double-double primitives rely on exact\nIEEE multiply/add rounding and break under fused contraction.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_8gfkernel_5_core_is_nonpositive_integer(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x, double __pyx_v_tol); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_2gamma_sign(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_4log_abs_gamma(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_6gammafn(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_8rgamma(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_10sinpi(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_12digamma(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_14bessel_crossover(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_16normalized_bessel_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_18bessel_j_asymptotic(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_20bessel_j(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_22normalized_bessel_j(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_24gauss_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, int __pyx_v_nmax); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_26hyp2f1(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, PyObject *__pyx_v_zc); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_28legendre_p(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_t); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_30legendre_q_phase_free(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_t); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_32gegenbauer(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, double __pyx_v_mu, double __pyx_v_t); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_34r_band_core(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za, double __pyx_v_omt, double __pyx_v_opt); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_36r_outer_core(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za, double __pyx_v_u, double __pyx_v_um1); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_38r_band(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_40r_outer(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za); /* proto */
-static PyObject *__pyx_pf_8gfkernel_5_core_42r_gegenbauer_band(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, int __pyx_v_n, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[4];
-  PyObject *__pyx_codeobj_tab[22];
-  PyObject *__pyx_string_tab[166];
-  PyObject *__pyx_number_tab[3];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_0 __pyx_string_tab[1]
-#define __pyx_kp_u_2F1_argument_z __pyx_string_tab[2]
-#define __pyx_kp_u_2F1_connection_formula_degenerat __pyx_string_tab[3]
-#define __pyx_kp_u_2F1_parameter_c __pyx_string_tab[4]
-#define __pyx_kp_u_2F1_series_did_not_converge_a __pyx_string_tab[5]
-#define __pyx_kp_u_Legendre_log_series_did_not_conv __pyx_string_tab[6]
-#define __pyx_kp_u__2 __pyx_string_tab[7]
-#define __pyx_kp_u__3 __pyx_string_tab[8]
-#define __pyx_kp_u_at_a_gamma_pole __pyx_string_tab[9]
-#define __pyx_kp_u_b_2 __pyx_string_tab[10]
-#define __pyx_kp_u_c_2 __pyx_string_tab[11]
-#define __pyx_kp_u_digamma_pole_at_x __pyx_string_tab[12]
-#define __pyx_kp_u_gamma_pole_at_x __pyx_string_tab[13]
-#define __pyx_kp_u_gamma_pole_in_coefficient_numera __pyx_string_tab[14]
-#define __pyx_kp_u_gamma_ratio_overflow_in_2F1_conn __pyx_string_tab[15]
-#define __pyx_kp_u_gfkernel_errors __pyx_string_tab[16]
-#define __pyx_kp_u_is_a_nonpositive_integer __pyx_string_tab[17]
-#define __pyx_kp_u_is_near_an_integer __pyx_string_tab[18]
-#define __pyx_kp_u_legendre_p_argument_t __pyx_string_tab[19]
-#define __pyx_kp_u_legendre_p_order_mu __pyx_string_tab[20]
-#define __pyx_kp_u_legendre_p_prefactor_1_t_1_t_mu __pyx_string_tab[21]
-#define __pyx_kp_u_legendre_p_prefactor_overflow_mu __pyx_string_tab[22]
-#define __pyx_kp_u_legendre_q_argument_t __pyx_string_tab[23]
-#define __pyx_kp_u_legendre_q_degree_nu __pyx_string_tab[24]
-#define __pyx_kp_u_legendre_q_parameters_mu_nu_1 __pyx_string_tab[25]
-#define __pyx_kp_u_legendre_q_prefactor_overflow_at __pyx_string_tab[26]
-#define __pyx_kp_u_makes_1_mu_a_nonpositive_intege __pyx_string_tab[27]
-#define __pyx_kp_u_makes_nu_3_2_a_nonpositive_inte __pyx_string_tab[28]
-#define __pyx_kp_u_must_exceed_1 __pyx_string_tab[29]
-#define __pyx_kp_u_normalized_Bessel_series_did_not __pyx_string_tab[30]
-#define __pyx_kp_u_outside_0_1 __pyx_string_tab[31]
-#define __pyx_kp_u_outside_1_1 __pyx_string_tab[32]
-#define __pyx_kp_u_src_gfkernel__core_pyx __pyx_string_tab[33]
-#define __pyx_kp_u_t_2 __pyx_string_tab[34]
-#define __pyx_kp_u_too_close_to_1 __pyx_string_tab[35]
-#define __pyx_kp_u_x_2 __pyx_string_tab[36]
-#define __pyx_kp_u_z_2 __pyx_string_tab[37]
-#define __pyx_n_u_ConvergenceError __pyx_string_tab[38]
-#define __pyx_n_u_DegenerateParameterError __pyx_string_tab[39]
-#define __pyx_n_u_DomainError __pyx_string_tab[40]
-#define __pyx_n_u_PoleError __pyx_string_tab[41]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[42]
-#define __pyx_n_u_RangeOverflowError __pyx_string_tab[43]
-#define __pyx_n_u_a __pyx_string_tab[44]
-#define __pyx_n_u_abssum __pyx_string_tab[45]
-#define __pyx_n_u_annotate __pyx_string_tab[46]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[47]
-#define __pyx_n_u_b __pyx_string_tab[48]
-#define __pyx_n_u_bessel_crossover __pyx_string_tab[49]
-#define __pyx_n_u_bessel_j __pyx_string_tab[50]
-#define __pyx_n_u_bessel_j_asymptotic __pyx_string_tab[51]
-#define __pyx_n_u_c __pyx_string_tab[52]
-#define __pyx_n_u_c1 __pyx_string_tab[53]
-#define __pyx_n_u_c2 __pyx_string_tab[54]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[55]
-#define __pyx_n_u_coef __pyx_string_tab[56]
-#define __pyx_n_u_comp __pyx_string_tab[57]
-#define __pyx_n_u_ct __pyx_string_tab[58]
-#define __pyx_n_u_d __pyx_string_tab[59]
-#define __pyx_n_u_delta __pyx_string_tab[60]
-#define __pyx_n_u_digamma __pyx_string_tab[61]
-#define __pyx_n_u_e1 __pyx_string_tab[62]
-#define __pyx_n_u_e2 __pyx_string_tab[63]
-#define __pyx_n_u_err __pyx_string_tab[64]
-#define __pyx_n_u_errors __pyx_string_tab[65]
-#define __pyx_n_u_f __pyx_string_tab[66]
-#define __pyx_n_u_f1 __pyx_string_tab[67]
-#define __pyx_n_u_f2 __pyx_string_tab[68]
-#define __pyx_n_u_func __pyx_string_tab[69]
-#define __pyx_n_u_gamma_sign __pyx_string_tab[70]
-#define __pyx_n_u_gammafn __pyx_string_tab[71]
-#define __pyx_n_u_gauss_series __pyx_string_tab[72]
-#define __pyx_n_u_gegenbauer __pyx_string_tab[73]
-#define __pyx_n_u_gfkernel__core __pyx_string_tab[74]
-#define __pyx_n_u_hyp2f1 __pyx_string_tab[75]
-#define __pyx_n_u_inf __pyx_string_tab[76]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[77]
-#define __pyx_n_u_is_nonpositive_integer __pyx_string_tab[78]
-#define __pyx_n_u_items __pyx_string_tab[79]
-#define __pyx_n_u_l1 __pyx_string_tab[80]
-#define __pyx_n_u_l2 __pyx_string_tab[81]
-#define __pyx_n_u_legendre_p __pyx_string_tab[82]
-#define __pyx_n_u_legendre_q_phase_free __pyx_string_tab[83]
-#define __pyx_n_u_lg __pyx_string_tab[84]
-#define __pyx_n_u_lgd __pyx_string_tab[85]
-#define __pyx_n_u_ln __pyx_string_tab[86]
-#define __pyx_n_u_ln_coef __pyx_string_tab[87]
-#define __pyx_n_u_ln_pref __pyx_string_tab[88]
-#define __pyx_n_u_ln_u __pyx_string_tab[89]
-#define __pyx_n_u_log_abs_gamma __pyx_string_tab[90]
-#define __pyx_n_u_main __pyx_string_tab[91]
-#define __pyx_n_u_module __pyx_string_tab[92]
-#define __pyx_n_u_mu __pyx_string_tab[93]
-#define __pyx_n_u_n __pyx_string_tab[94]
-#define __pyx_n_u_name __pyx_string_tab[95]
-#define __pyx_n_u_nmax __pyx_string_tab[96]
-#define __pyx_n_u_normalized_bessel_j __pyx_string_tab[97]
-#define __pyx_n_u_normalized_bessel_series __pyx_string_tab[98]
-#define __pyx_n_u_nu __pyx_string_tab[99]
-#define __pyx_n_u_omt __pyx_string_tab[100]
-#define __pyx_n_u_opt __pyx_string_tab[101]
-#define __pyx_n_u_pop __pyx_string_tab[102]
-#define __pyx_n_u_qualname __pyx_string_tab[103]
-#define __pyx_n_u_r __pyx_string_tab[104]
-#define __pyx_n_u_r_band __pyx_string_tab[105]
-#define __pyx_n_u_r_band_core __pyx_string_tab[106]
-#define __pyx_n_u_r_gegenbauer_band __pyx_string_tab[107]
-#define __pyx_n_u_r_outer __pyx_string_tab[108]
-#define __pyx_n_u_r_outer_core __pyx_string_tab[109]
-#define __pyx_n_u_rgamma __pyx_string_tab[110]
-#define __pyx_n_u_rho __pyx_string_tab[111]
-#define __pyx_n_u_rp __pyx_string_tab[112]
-#define __pyx_n_u_s __pyx_string_tab[113]
-#define __pyx_n_u_s1 __pyx_string_tab[114]
-#define __pyx_n_u_s2 __pyx_string_tab[115]
-#define __pyx_n_u_sd __pyx_string_tab[116]
-#define __pyx_n_u_set_name __pyx_string_tab[117]
-#define __pyx_n_u_setdefault __pyx_string_tab[118]
-#define __pyx_n_u_sg __pyx_string_tab[119]
-#define __pyx_n_u_sgd __pyx_string_tab[120]
-#define __pyx_n_u_sinpi __pyx_string_tab[121]
-#define __pyx_n_u_t __pyx_string_tab[122]
-#define __pyx_n_u_tail __pyx_string_tab[123]
-#define __pyx_n_u_term __pyx_string_tab[124]
-#define __pyx_n_u_test __pyx_string_tab[125]
-#define __pyx_n_u_tm1 __pyx_string_tab[126]
-#define __pyx_n_u_tol __pyx_string_tab[127]
-#define __pyx_n_u_tp1 __pyx_string_tab[128]
-#define __pyx_n_u_twoxy __pyx_string_tab[129]
-#define __pyx_n_u_u __pyx_string_tab[130]
-#define __pyx_n_u_um1 __pyx_string_tab[131]
-#define __pyx_n_u_val __pyx_string_tab[132]
-#define __pyx_n_u_values __pyx_string_tab[133]
-#define __pyx_n_u_w __pyx_string_tab[134]
-#define __pyx_n_u_x __pyx_string_tab[135]
-#define __pyx_n_u_xa __pyx_string_tab[136]
-#define __pyx_n_u_y __pyx_string_tab[137]
-#define __pyx_n_u_ya __pyx_string_tab[138]
-#define __pyx_n_u_z __pyx_string_tab[139]
-#define __pyx_n_u_za __pyx_string_tab[140]
-#define __pyx_n_u_zc __pyx_string_tab[141]
-#define __pyx_n_u_zcv __pyx_string_tab[142]
-#define __pyx_n_u_zf __pyx_string_tab[143]
-#define __pyx_kp_b_iso88591_1_Qc_q_Jaq_V1A_s_AQ_q_2Rs_1A __pyx_string_tab[144]
-#define __pyx_kp_b_iso88591_1_r_1_q_r_E_iq_1_8_e1AT_2S_q __pyx_string_tab[145]
-#define __pyx_kp_b_iso88591_2Q_t1F_E_1_q_as_A_F_E_3aq_uBa_q __pyx_string_tab[146]
-#define __pyx_kp_b_iso88591_31A_r_A_3c_1_wc_9A_r_AQ_t1D_T_3 __pyx_string_tab[147]
-#define __pyx_kp_b_iso88591_31_Qc_iq_1_r_A_uA_r_1_2Rq_5_k_1 __pyx_string_tab[148]
-#define __pyx_kp_b_iso88591_7q_r_1_q_E_Ba_2S_D_ARr_Cq __pyx_string_tab[149]
-#define __pyx_kp_b_iso88591_9_y_N_Ba_Rr_Cr_3d_Bc_D_b_5_1_2R __pyx_string_tab[150]
-#define __pyx_kp_b_iso88591_Bc_1_Cr_s_Cs_Rs_A_Cr_r_4s_Bd_A __pyx_string_tab[151]
-#define __pyx_kp_b_iso88591_Bc_1_Cr_s_Cs_Rs_A_Cr_r_4s_Bd_A_2 __pyx_string_tab[152]
-#define __pyx_kp_b_iso88591_Bc_1_Cr_s_Cs_Rs_A_q_D_D_D_q __pyx_string_tab[153]
-#define __pyx_kp_b_iso88591_C1A_t2Q_1F_V1AQ_V1AQ_a_a_V1_V1 __pyx_string_tab[154]
-#define __pyx_kp_b_iso88591_E_Ba_Cq_3b_6_Cr_3gQa __pyx_string_tab[155]
-#define __pyx_kp_b_iso88591_F_3b_T_4s_E_RuD_aq_D_Bd_RuBd_5 __pyx_string_tab[156]
-#define __pyx_kp_b_iso88591_Q_D_Rq_5_Ja __pyx_string_tab[157]
-#define __pyx_kp_b_iso88591_aq_r_A_q_r_AQ_q_A_3avQc_5_Rs_4r __pyx_string_tab[158]
-#define __pyx_kp_b_iso88591_d_Cr_IZq_q_Cq_D_Ba_t2Rr_Ct2Rr_3 __pyx_string_tab[159]
-#define __pyx_kp_b_iso88591_q_Jaq_V1A_s_A_r_1_2Rs_1 __pyx_string_tab[160]
-#define __pyx_kp_b_iso88591_q_a_r_A_2S_Qa_1_0_wat2S_Rs_3b_B __pyx_string_tab[161]
-#define __pyx_kp_b_iso88591_q_a_r_A_q_Bc_1_U_3b_t2Rs_Bc_5_C __pyx_string_tab[162]
-#define __pyx_kp_b_iso88591_r_A_k_2_1_Qc_5_iq_q_Qc_3b_Q_iq __pyx_string_tab[163]
-#define __pyx_kp_b_iso88591_r_D_Bc_aq_iq_1_6_j __pyx_string_tab[164]
-#define __pyx_kp_b_iso88591_t5_q_k_2_1_Qd_D_iq_aq_s_A_U_A_r __pyx_string_tab[165]
-#define __pyx_float_0_0 __pyx_number_tab[0]
-#define __pyx_float_1_0 __pyx_number_tab[1]
-#define __pyx_float_1eneg_12 __pyx_number_tab[2]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<4; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<22; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<166; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<4; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<22; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<166; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "gfkernel/_core.pyx":32
- * 
- * 
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):             # <<<<<<<<<<<<<<
- *     if x > 0.5:
- *         return False
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_1is_nonpositive_integer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static int __pyx_f_8gfkernel_5_core_is_nonpositive_integer(double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch, struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer *__pyx_optional_args) {
-  double __pyx_v_tol = ((double)1e-12);
-  double __pyx_v_r;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  if (__pyx_optional_args) {
-    if (__pyx_optional_args->__pyx_n > 0) {
-      __pyx_v_tol = __pyx_optional_args->tol;
-    }
-  }
-
-  /* "gfkernel/_core.pyx":33
- * 
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):
- *     if x > 0.5:             # <<<<<<<<<<<<<<
- *         return False
- *     cdef double r = floor(x + 0.5)
-*/
-  __pyx_t_1 = (__pyx_v_x > 0.5);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":34
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):
- *     if x > 0.5:
- *         return False             # <<<<<<<<<<<<<<
- *     cdef double r = floor(x + 0.5)
- *     return r <= 0.0 and fabs(x - r) <= tol
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":33
- * 
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):
- *     if x > 0.5:             # <<<<<<<<<<<<<<
- *         return False
- *     cdef double r = floor(x + 0.5)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":35
- *     if x > 0.5:
- *         return False
- *     cdef double r = floor(x + 0.5)             # <<<<<<<<<<<<<<
- *     return r <= 0.0 and fabs(x - r) <= tol
- * 
-*/
-  __pyx_v_r = floor((__pyx_v_x + 0.5));
-
-  /* "gfkernel/_core.pyx":36
- *         return False
- *     cdef double r = floor(x + 0.5)
- *     return r <= 0.0 and fabs(x - r) <= tol             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = (__pyx_v_r <= 0.0);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (fabs((__pyx_v_x - __pyx_v_r)) <= __pyx_v_tol);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":32
- * 
- * 
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):             # <<<<<<<<<<<<<<
- *     if x > 0.5:
- *         return False
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_1is_nonpositive_integer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_1is_nonpositive_integer = {"is_nonpositive_integer", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_1is_nonpositive_integer, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_1is_nonpositive_integer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  double __pyx_v_tol;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("is_nonpositive_integer (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,&__pyx_mstate_global->__pyx_n_u_tol,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 32, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 32, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 32, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "is_nonpositive_integer", 0) < (0)) __PYX_ERR(0, 32, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("is_nonpositive_integer", 0, 1, 2, i); __PYX_ERR(0, 32, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 32, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 32, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 32, __pyx_L3_error)
-    if (values[1]) {
-      __pyx_v_tol = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 32, __pyx_L3_error)
-    } else {
-      __pyx_v_tol = ((double)1e-12);
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("is_nonpositive_integer", 0, 1, 2, __pyx_nargs); __PYX_ERR(0, 32, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.is_nonpositive_integer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_is_nonpositive_integer(__pyx_self, __pyx_v_x, __pyx_v_tol);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_is_nonpositive_integer(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x, double __pyx_v_tol) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("is_nonpositive_integer", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2.__pyx_n = 1;
-  __pyx_t_2.tol = __pyx_v_tol;
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(__pyx_v_x, 1, &__pyx_t_2); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 32, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyBool_FromLong(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("gfkernel._core.is_nonpositive_integer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":39
- * 
- * 
- * cpdef double gamma_sign(double x) except? -2.0:             # <<<<<<<<<<<<<<
- *     if x > 0.0:
- *         return 1.0
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_3gamma_sign(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_gamma_sign(double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  double __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("gamma_sign", 0);
-
-  /* "gfkernel/_core.pyx":40
- * 
- * cpdef double gamma_sign(double x) except? -2.0:
- *     if x > 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     if x == floor(x):
-*/
-  __pyx_t_1 = (__pyx_v_x > 0.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":41
- * cpdef double gamma_sign(double x) except? -2.0:
- *     if x > 0.0:
- *         return 1.0             # <<<<<<<<<<<<<<
- *     if x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")
-*/
-    __pyx_r = 1.0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":40
- * 
- * cpdef double gamma_sign(double x) except? -2.0:
- *     if x > 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     if x == floor(x):
-*/
-  }
-
-  /* "gfkernel/_core.pyx":42
- *     if x > 0.0:
- *         return 1.0
- *     if x == floor(x):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"gamma pole at x={x!r}")
- *     return 1.0 if (<long long>floor(-x)) % 2 == 1 else -1.0
-*/
-  __pyx_t_1 = (__pyx_v_x == floor(__pyx_v_x));
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":43
- *         return 1.0
- *     if x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")             # <<<<<<<<<<<<<<
- *     return 1.0 if (<long long>floor(-x)) % 2 == 1 else -1.0
- * 
-*/
-    __pyx_t_3 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 43, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = PyFloat_FromDouble(__pyx_v_x); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 43, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_5), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 43, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_5 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_gamma_pole_at_x, __pyx_t_6); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 43, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_7 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_4))) {
-      __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_4);
-      assert(__pyx_t_3);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-      __Pyx_INCREF(__pyx_t_3);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-      __pyx_t_7 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_5};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 43, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 43, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":42
- *     if x > 0.0:
- *         return 1.0
- *     if x == floor(x):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"gamma pole at x={x!r}")
- *     return 1.0 if (<long long>floor(-x)) % 2 == 1 else -1.0
-*/
-  }
-
-  /* "gfkernel/_core.pyx":44
- *     if x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")
- *     return 1.0 if (<long long>floor(-x)) % 2 == 1 else -1.0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = ((((PY_LONG_LONG)floor((-__pyx_v_x))) % 2) == 1);
-  if (__pyx_t_1) {
-    __pyx_t_8 = 1.0;
-  } else {
-    __pyx_t_8 = -1.0;
-  }
-  __pyx_r = __pyx_t_8;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":39
- * 
- * 
- * cpdef double gamma_sign(double x) except? -2.0:             # <<<<<<<<<<<<<<
- *     if x > 0.0:
- *         return 1.0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("gfkernel._core.gamma_sign", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-2.0);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_3gamma_sign(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_3gamma_sign = {"gamma_sign", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_3gamma_sign, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_3gamma_sign(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("gamma_sign (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 39, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 39, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "gamma_sign", 0) < (0)) __PYX_ERR(0, 39, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("gamma_sign", 1, 1, 1, i); __PYX_ERR(0, 39, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 39, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 39, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("gamma_sign", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 39, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.gamma_sign", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_2gamma_sign(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_2gamma_sign(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("gamma_sign", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_x, 1); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 39, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 39, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.gamma_sign", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":47
- * 
- * 
- * def log_abs_gamma(double x):             # <<<<<<<<<<<<<<
- *     if x <= 0.0 and x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_5log_abs_gamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_5log_abs_gamma = {"log_abs_gamma", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_5log_abs_gamma, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_5log_abs_gamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("log_abs_gamma (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 47, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 47, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "log_abs_gamma", 0) < (0)) __PYX_ERR(0, 47, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("log_abs_gamma", 1, 1, 1, i); __PYX_ERR(0, 47, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 47, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 47, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("log_abs_gamma", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 47, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.log_abs_gamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_4log_abs_gamma(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_4log_abs_gamma(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  size_t __pyx_t_8;
-  double __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("log_abs_gamma", 0);
-
-  /* "gfkernel/_core.pyx":48
- * 
- * def log_abs_gamma(double x):
- *     if x <= 0.0 and x == floor(x):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"gamma pole at x={x!r}")
- *     return lgamma(x), gamma_sign(x)
-*/
-  __pyx_t_2 = (__pyx_v_x <= 0.0);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_x == floor(__pyx_v_x));
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":49
- * def log_abs_gamma(double x):
- *     if x <= 0.0 and x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")             # <<<<<<<<<<<<<<
- *     return lgamma(x), gamma_sign(x)
- * 
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 49, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = PyFloat_FromDouble(__pyx_v_x); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 49, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_6), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 49, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_6 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_gamma_pole_at_x, __pyx_t_7); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 49, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_8 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_8 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_6};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 49, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 49, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":48
- * 
- * def log_abs_gamma(double x):
- *     if x <= 0.0 and x == floor(x):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"gamma pole at x={x!r}")
- *     return lgamma(x), gamma_sign(x)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":50
- *     if x <= 0.0 and x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")
- *     return lgamma(x), gamma_sign(x)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = PyFloat_FromDouble(lgamma(__pyx_v_x)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 50, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_9 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_x, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_9, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 50, __pyx_L1_error)
-  __pyx_t_5 = PyFloat_FromDouble(__pyx_t_9); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 50, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyTuple_New(2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 50, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 50, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_5);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 50, __pyx_L1_error);
-  __pyx_t_3 = 0;
-  __pyx_t_5 = 0;
-  __pyx_r = __pyx_t_6;
-  __pyx_t_6 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":47
- * 
- * 
- * def log_abs_gamma(double x):             # <<<<<<<<<<<<<<
- *     if x <= 0.0 and x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("gfkernel._core.log_abs_gamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":53
- * 
- * 
- * cpdef double gammafn(double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_7gammafn(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_gammafn(double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_s;
-  double __pyx_v_ln;
-  double __pyx_r;
-  double __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "gfkernel/_core.pyx":54
- * 
- * cpdef double gammafn(double x) except? -1e308:
- *     cdef double s = gamma_sign(x)             # <<<<<<<<<<<<<<
- *     cdef double ln = lgamma(x)
- *     if ln > LOG_MAX:
-*/
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_x, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 54, __pyx_L1_error)
-  __pyx_v_s = __pyx_t_1;
-
-  /* "gfkernel/_core.pyx":55
- * cpdef double gammafn(double x) except? -1e308:
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)             # <<<<<<<<<<<<<<
- *     if ln > LOG_MAX:
- *         return s * INF
-*/
-  __pyx_v_ln = lgamma(__pyx_v_x);
-
-  /* "gfkernel/_core.pyx":56
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
- *     if ln > LOG_MAX:             # <<<<<<<<<<<<<<
- *         return s * INF
- *     return s * exp(ln)
-*/
-  __pyx_t_2 = (__pyx_v_ln > __pyx_v_8gfkernel_5_core_LOG_MAX);
-  if (__pyx_t_2) {
-
-    /* "gfkernel/_core.pyx":57
- *     cdef double ln = lgamma(x)
- *     if ln > LOG_MAX:
- *         return s * INF             # <<<<<<<<<<<<<<
- *     return s * exp(ln)
- * 
-*/
-    __pyx_r = (__pyx_v_s * __pyx_v_8gfkernel_5_core_INF);
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":56
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
- *     if ln > LOG_MAX:             # <<<<<<<<<<<<<<
- *         return s * INF
- *     return s * exp(ln)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":58
- *     if ln > LOG_MAX:
- *         return s * INF
- *     return s * exp(ln)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_s * exp(__pyx_v_ln));
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":53
- * 
- * 
- * cpdef double gammafn(double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("gfkernel._core.gammafn", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1e308);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_7gammafn(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_7gammafn = {"gammafn", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_7gammafn, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_7gammafn(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("gammafn (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 53, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 53, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "gammafn", 0) < (0)) __PYX_ERR(0, 53, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("gammafn", 1, 1, 1, i); __PYX_ERR(0, 53, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 53, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 53, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("gammafn", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 53, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.gammafn", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_6gammafn(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_6gammafn(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("gammafn", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_gammafn(__pyx_v_x, 1); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 53, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 53, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.gammafn", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":61
- * 
- * 
- * cpdef double rgamma(double x):             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(x, 1e-12):
- *         return 0.0
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_9rgamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_rgamma(double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_s;
-  double __pyx_v_ln;
-  double __pyx_r;
-  int __pyx_t_1;
-  struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer __pyx_t_2;
-  double __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "gfkernel/_core.pyx":62
- * 
- * cpdef double rgamma(double x):
- *     if is_nonpositive_integer(x, 1e-12):             # <<<<<<<<<<<<<<
- *         return 0.0
- *     cdef double s = gamma_sign(x)
-*/
-  __pyx_t_2.__pyx_n = 1;
-  __pyx_t_2.tol = 1e-12;
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(__pyx_v_x, 0, &__pyx_t_2); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 62, __pyx_L1_error)
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":63
- * cpdef double rgamma(double x):
- *     if is_nonpositive_integer(x, 1e-12):
- *         return 0.0             # <<<<<<<<<<<<<<
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
-*/
-    __pyx_r = 0.0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":62
- * 
- * cpdef double rgamma(double x):
- *     if is_nonpositive_integer(x, 1e-12):             # <<<<<<<<<<<<<<
- *         return 0.0
- *     cdef double s = gamma_sign(x)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":64
- *     if is_nonpositive_integer(x, 1e-12):
- *         return 0.0
- *     cdef double s = gamma_sign(x)             # <<<<<<<<<<<<<<
- *     cdef double ln = lgamma(x)
- *     if ln < -LOG_MAX:
-*/
-  __pyx_t_3 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_x, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_3, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 64, __pyx_L1_error)
-  __pyx_v_s = __pyx_t_3;
-
-  /* "gfkernel/_core.pyx":65
- *         return 0.0
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)             # <<<<<<<<<<<<<<
- *     if ln < -LOG_MAX:
- *         return 0.0
-*/
-  __pyx_v_ln = lgamma(__pyx_v_x);
-
-  /* "gfkernel/_core.pyx":66
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
- *     if ln < -LOG_MAX:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     return s * exp(-ln)
-*/
-  __pyx_t_1 = (__pyx_v_ln < (-__pyx_v_8gfkernel_5_core_LOG_MAX));
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":67
- *     cdef double ln = lgamma(x)
- *     if ln < -LOG_MAX:
- *         return 0.0             # <<<<<<<<<<<<<<
- *     return s * exp(-ln)
- * 
-*/
-    __pyx_r = 0.0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":66
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
- *     if ln < -LOG_MAX:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     return s * exp(-ln)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":68
- *     if ln < -LOG_MAX:
- *         return 0.0
- *     return s * exp(-ln)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_s * exp((-__pyx_v_ln)));
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":61
- * 
- * 
- * cpdef double rgamma(double x):             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(x, 1e-12):
- *         return 0.0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("gfkernel._core.rgamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_9rgamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_9rgamma = {"rgamma", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_9rgamma, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_9rgamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("rgamma (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 61, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 61, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "rgamma", 0) < (0)) __PYX_ERR(0, 61, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("rgamma", 1, 1, 1, i); __PYX_ERR(0, 61, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 61, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 61, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("rgamma", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 61, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.rgamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_8rgamma(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_8rgamma(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("rgamma", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_rgamma(__pyx_v_x, 1); if (unlikely(__pyx_t_1 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 61, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 61, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.rgamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":71
- * 
- * 
- * cpdef double sinpi(double x):             # <<<<<<<<<<<<<<
- *     cdef double r = floor(x + 0.5)
- *     cdef double s = sin(PI * (x - r))
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_11sinpi(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_sinpi(double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_r;
-  double __pyx_v_s;
-  double __pyx_r;
-  double __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":72
- * 
- * cpdef double sinpi(double x):
- *     cdef double r = floor(x + 0.5)             # <<<<<<<<<<<<<<
- *     cdef double s = sin(PI * (x - r))
- *     return s if (<long long>r) % 2 == 0 else -s
-*/
-  __pyx_v_r = floor((__pyx_v_x + 0.5));
-
-  /* "gfkernel/_core.pyx":73
- * cpdef double sinpi(double x):
- *     cdef double r = floor(x + 0.5)
- *     cdef double s = sin(PI * (x - r))             # <<<<<<<<<<<<<<
- *     return s if (<long long>r) % 2 == 0 else -s
- * 
-*/
-  __pyx_v_s = sin((__pyx_v_8gfkernel_5_core_PI * (__pyx_v_x - __pyx_v_r)));
-
-  /* "gfkernel/_core.pyx":74
- *     cdef double r = floor(x + 0.5)
- *     cdef double s = sin(PI * (x - r))
- *     return s if (<long long>r) % 2 == 0 else -s             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = ((((PY_LONG_LONG)__pyx_v_r) % 2) == 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_s;
-  } else {
-    __pyx_t_1 = (-__pyx_v_s);
-  }
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":71
- * 
- * 
- * cpdef double sinpi(double x):             # <<<<<<<<<<<<<<
- *     cdef double r = floor(x + 0.5)
- *     cdef double s = sin(PI * (x - r))
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_11sinpi(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_11sinpi = {"sinpi", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_11sinpi, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_11sinpi(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("sinpi (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 71, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 71, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "sinpi", 0) < (0)) __PYX_ERR(0, 71, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("sinpi", 1, 1, 1, i); __PYX_ERR(0, 71, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 71, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 71, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("sinpi", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 71, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.sinpi", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_10sinpi(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_10sinpi(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("sinpi", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_sinpi(__pyx_v_x, 1); if (unlikely(__pyx_t_1 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 71, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 71, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.sinpi", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":77
- * 
- * 
- * cpdef double digamma(double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double acc = 0.0, inv2, tail
- *     if x <= 0.0:
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_13digamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_digamma(double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_acc;
-  double __pyx_v_inv2;
-  double __pyx_v_tail;
-  double __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  double __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("digamma", 0);
-
-  /* "gfkernel/_core.pyx":78
- * 
- * cpdef double digamma(double x) except? -1e308:
- *     cdef double acc = 0.0, inv2, tail             # <<<<<<<<<<<<<<
- *     if x <= 0.0:
- *         if x == floor(x):
-*/
-  __pyx_v_acc = 0.0;
-
-  /* "gfkernel/_core.pyx":79
- * cpdef double digamma(double x) except? -1e308:
- *     cdef double acc = 0.0, inv2, tail
- *     if x <= 0.0:             # <<<<<<<<<<<<<<
- *         if x == floor(x):
- *             raise PoleError(f"digamma pole at x={x!r}")
-*/
-  __pyx_t_1 = (__pyx_v_x <= 0.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":80
- *     cdef double acc = 0.0, inv2, tail
- *     if x <= 0.0:
- *         if x == floor(x):             # <<<<<<<<<<<<<<
- *             raise PoleError(f"digamma pole at x={x!r}")
- *         return digamma(1.0 - x) - PI / tan(PI * x)
-*/
-    __pyx_t_1 = (__pyx_v_x == floor(__pyx_v_x));
-    if (unlikely(__pyx_t_1)) {
-
-      /* "gfkernel/_core.pyx":81
- *     if x <= 0.0:
- *         if x == floor(x):
- *             raise PoleError(f"digamma pole at x={x!r}")             # <<<<<<<<<<<<<<
- *         return digamma(1.0 - x) - PI / tan(PI * x)
- *     while x < 10.0:
-*/
-      __pyx_t_3 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 81, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_5 = PyFloat_FromDouble(__pyx_v_x); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 81, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_5), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 81, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_5 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_digamma_pole_at_x, __pyx_t_6); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 81, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __pyx_t_7 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_4))) {
-        __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_4);
-        assert(__pyx_t_3);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-        __Pyx_INCREF(__pyx_t_3);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-        __pyx_t_7 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_5};
-        __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 81, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_2);
-      }
-      __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __PYX_ERR(0, 81, __pyx_L1_error)
-
-      /* "gfkernel/_core.pyx":80
- *     cdef double acc = 0.0, inv2, tail
- *     if x <= 0.0:
- *         if x == floor(x):             # <<<<<<<<<<<<<<
- *             raise PoleError(f"digamma pole at x={x!r}")
- *         return digamma(1.0 - x) - PI / tan(PI * x)
-*/
-    }
-
-    /* "gfkernel/_core.pyx":82
- *         if x == floor(x):
- *             raise PoleError(f"digamma pole at x={x!r}")
- *         return digamma(1.0 - x) - PI / tan(PI * x)             # <<<<<<<<<<<<<<
- *     while x < 10.0:
- *         acc -= 1.0 / x
-*/
-    __pyx_t_8 = __pyx_f_8gfkernel_5_core_digamma((1.0 - __pyx_v_x), 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_8, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 82, __pyx_L1_error)
-    __pyx_r = (__pyx_t_8 - (__pyx_v_8gfkernel_5_core_PI / tan((__pyx_v_8gfkernel_5_core_PI * __pyx_v_x))));
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":79
- * cpdef double digamma(double x) except? -1e308:
- *     cdef double acc = 0.0, inv2, tail
- *     if x <= 0.0:             # <<<<<<<<<<<<<<
- *         if x == floor(x):
- *             raise PoleError(f"digamma pole at x={x!r}")
-*/
-  }
-
-  /* "gfkernel/_core.pyx":83
- *             raise PoleError(f"digamma pole at x={x!r}")
- *         return digamma(1.0 - x) - PI / tan(PI * x)
- *     while x < 10.0:             # <<<<<<<<<<<<<<
- *         acc -= 1.0 / x
- *         x += 1.0
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_x < 10.0);
-    if (!__pyx_t_1) break;
-
-    /* "gfkernel/_core.pyx":84
- *         return digamma(1.0 - x) - PI / tan(PI * x)
- *     while x < 10.0:
- *         acc -= 1.0 / x             # <<<<<<<<<<<<<<
- *         x += 1.0
- *     inv2 = 1.0 / (x * x)
-*/
-    __pyx_v_acc = (__pyx_v_acc - (1.0 / __pyx_v_x));
-
-    /* "gfkernel/_core.pyx":85
- *     while x < 10.0:
- *         acc -= 1.0 / x
- *         x += 1.0             # <<<<<<<<<<<<<<
- *     inv2 = 1.0 / (x * x)
- *     tail = inv2 * (1.0 / 12.0
-*/
-    __pyx_v_x = (__pyx_v_x + 1.0);
-  }
-
-  /* "gfkernel/_core.pyx":86
- *         acc -= 1.0 / x
- *         x += 1.0
- *     inv2 = 1.0 / (x * x)             # <<<<<<<<<<<<<<
- *     tail = inv2 * (1.0 / 12.0
- *                    - inv2 * (1.0 / 120.0
-*/
-  __pyx_v_inv2 = (1.0 / (__pyx_v_x * __pyx_v_x));
-
-  /* "gfkernel/_core.pyx":87
- *         x += 1.0
- *     inv2 = 1.0 / (x * x)
- *     tail = inv2 * (1.0 / 12.0             # <<<<<<<<<<<<<<
- *                    - inv2 * (1.0 / 120.0
- *                              - inv2 * (1.0 / 252.0
-*/
-  __pyx_v_tail = (__pyx_v_inv2 * ((1.0 / 12.0) - (__pyx_v_inv2 * ((1.0 / 120.0) - (__pyx_v_inv2 * ((1.0 / 252.0) - (__pyx_v_inv2 * ((1.0 / 240.0) - (__pyx_v_inv2 * ((1.0 / 132.0) - (__pyx_v_inv2 * ((691.0 / 32760.0) - (__pyx_v_inv2 / 12.0)))))))))))));
-
-  /* "gfkernel/_core.pyx":94
- *                                                            - inv2 * (691.0 / 32760.0
- *                                                                      - inv2 / 12.0))))))
- *     return acc + log(x) - 0.5 / x - tail             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((__pyx_v_acc + log(__pyx_v_x)) - (0.5 / __pyx_v_x)) - __pyx_v_tail);
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":77
- * 
- * 
- * cpdef double digamma(double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double acc = 0.0, inv2, tail
- *     if x <= 0.0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("gfkernel._core.digamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1e308);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_13digamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_13digamma = {"digamma", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_13digamma, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_13digamma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("digamma (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 77, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 77, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "digamma", 0) < (0)) __PYX_ERR(0, 77, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("digamma", 1, 1, 1, i); __PYX_ERR(0, 77, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 77, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 77, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("digamma", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 77, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.digamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_12digamma(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_12digamma(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("digamma", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_digamma(__pyx_v_x, 1); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 77, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 77, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.digamma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":106
- * 
- * 
- * cdef inline dd dd_two_sum(double a, double b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd r
- *     cdef double s = a + b
-*/
-
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_two_sum(double __pyx_v_a, double __pyx_v_b) {
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_r;
-  double __pyx_v_s;
-  double __pyx_v_bb;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_r;
-
-  /* "gfkernel/_core.pyx":108
- * cdef inline dd dd_two_sum(double a, double b) noexcept:
- *     cdef dd r
- *     cdef double s = a + b             # <<<<<<<<<<<<<<
- *     cdef double bb = s - a
- *     r.hi = s
-*/
-  __pyx_v_s = (__pyx_v_a + __pyx_v_b);
-
-  /* "gfkernel/_core.pyx":109
- *     cdef dd r
- *     cdef double s = a + b
- *     cdef double bb = s - a             # <<<<<<<<<<<<<<
- *     r.hi = s
- *     r.lo = (a - (s - bb)) + (b - bb)
-*/
-  __pyx_v_bb = (__pyx_v_s - __pyx_v_a);
-
-  /* "gfkernel/_core.pyx":110
- *     cdef double s = a + b
- *     cdef double bb = s - a
- *     r.hi = s             # <<<<<<<<<<<<<<
- *     r.lo = (a - (s - bb)) + (b - bb)
- *     return r
-*/
-  __pyx_v_r.hi = __pyx_v_s;
-
-  /* "gfkernel/_core.pyx":111
- *     cdef double bb = s - a
- *     r.hi = s
- *     r.lo = (a - (s - bb)) + (b - bb)             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-  __pyx_v_r.lo = ((__pyx_v_a - (__pyx_v_s - __pyx_v_bb)) + (__pyx_v_b - __pyx_v_bb));
-
-  /* "gfkernel/_core.pyx":112
- *     r.hi = s
- *     r.lo = (a - (s - bb)) + (b - bb)
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":106
- * 
- * 
- * cdef inline dd dd_two_sum(double a, double b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd r
- *     cdef double s = a + b
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":115
- * 
- * 
- * cdef inline dd dd_fast_two_sum(double a, double b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd r
- *     cdef double s = a + b
-*/
-
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_fast_two_sum(double __pyx_v_a, double __pyx_v_b) {
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_r;
-  double __pyx_v_s;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_r;
-
-  /* "gfkernel/_core.pyx":117
- * cdef inline dd dd_fast_two_sum(double a, double b) noexcept:
- *     cdef dd r
- *     cdef double s = a + b             # <<<<<<<<<<<<<<
- *     r.hi = s
- *     r.lo = b - (s - a)
-*/
-  __pyx_v_s = (__pyx_v_a + __pyx_v_b);
-
-  /* "gfkernel/_core.pyx":118
- *     cdef dd r
- *     cdef double s = a + b
- *     r.hi = s             # <<<<<<<<<<<<<<
- *     r.lo = b - (s - a)
- *     return r
-*/
-  __pyx_v_r.hi = __pyx_v_s;
-
-  /* "gfkernel/_core.pyx":119
- *     cdef double s = a + b
- *     r.hi = s
- *     r.lo = b - (s - a)             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-  __pyx_v_r.lo = (__pyx_v_b - (__pyx_v_s - __pyx_v_a));
-
-  /* "gfkernel/_core.pyx":120
- *     r.hi = s
- *     r.lo = b - (s - a)
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":115
- * 
- * 
- * cdef inline dd dd_fast_two_sum(double a, double b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd r
- *     cdef double s = a + b
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":123
- * 
- * 
- * cdef inline dd dd_two_prod(double a, double b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd r
- *     cdef double p = a * b
-*/
-
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_two_prod(double __pyx_v_a, double __pyx_v_b) {
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_r;
-  double __pyx_v_p;
-  double __pyx_v_t;
-  double __pyx_v_ah;
-  double __pyx_v_al;
-  double __pyx_v_bh;
-  double __pyx_v_bl;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_r;
-
-  /* "gfkernel/_core.pyx":125
- * cdef inline dd dd_two_prod(double a, double b) noexcept:
- *     cdef dd r
- *     cdef double p = a * b             # <<<<<<<<<<<<<<
- *     cdef double t = SPLITTER * a
- *     cdef double ah = t - (t - a)
-*/
-  __pyx_v_p = (__pyx_v_a * __pyx_v_b);
-
-  /* "gfkernel/_core.pyx":126
- *     cdef dd r
- *     cdef double p = a * b
- *     cdef double t = SPLITTER * a             # <<<<<<<<<<<<<<
- *     cdef double ah = t - (t - a)
- *     cdef double al = a - ah
-*/
-  __pyx_v_t = (__pyx_v_8gfkernel_5_core_SPLITTER * __pyx_v_a);
-
-  /* "gfkernel/_core.pyx":127
- *     cdef double p = a * b
- *     cdef double t = SPLITTER * a
- *     cdef double ah = t - (t - a)             # <<<<<<<<<<<<<<
- *     cdef double al = a - ah
- *     cdef double bh, bl
-*/
-  __pyx_v_ah = (__pyx_v_t - (__pyx_v_t - __pyx_v_a));
-
-  /* "gfkernel/_core.pyx":128
- *     cdef double t = SPLITTER * a
- *     cdef double ah = t - (t - a)
- *     cdef double al = a - ah             # <<<<<<<<<<<<<<
- *     cdef double bh, bl
- *     t = SPLITTER * b
-*/
-  __pyx_v_al = (__pyx_v_a - __pyx_v_ah);
-
-  /* "gfkernel/_core.pyx":130
- *     cdef double al = a - ah
- *     cdef double bh, bl
- *     t = SPLITTER * b             # <<<<<<<<<<<<<<
- *     bh = t - (t - b)
- *     bl = b - bh
-*/
-  __pyx_v_t = (__pyx_v_8gfkernel_5_core_SPLITTER * __pyx_v_b);
-
-  /* "gfkernel/_core.pyx":131
- *     cdef double bh, bl
- *     t = SPLITTER * b
- *     bh = t - (t - b)             # <<<<<<<<<<<<<<
- *     bl = b - bh
- *     r.hi = p
-*/
-  __pyx_v_bh = (__pyx_v_t - (__pyx_v_t - __pyx_v_b));
-
-  /* "gfkernel/_core.pyx":132
- *     t = SPLITTER * b
- *     bh = t - (t - b)
- *     bl = b - bh             # <<<<<<<<<<<<<<
- *     r.hi = p
- *     r.lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-*/
-  __pyx_v_bl = (__pyx_v_b - __pyx_v_bh);
-
-  /* "gfkernel/_core.pyx":133
- *     bh = t - (t - b)
- *     bl = b - bh
- *     r.hi = p             # <<<<<<<<<<<<<<
- *     r.lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl
- *     return r
-*/
-  __pyx_v_r.hi = __pyx_v_p;
-
-  /* "gfkernel/_core.pyx":134
- *     bl = b - bh
- *     r.hi = p
- *     r.lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-  __pyx_v_r.lo = (((((__pyx_v_ah * __pyx_v_bh) - __pyx_v_p) + (__pyx_v_ah * __pyx_v_bl)) + (__pyx_v_al * __pyx_v_bh)) + (__pyx_v_al * __pyx_v_bl));
-
-  /* "gfkernel/_core.pyx":135
- *     r.hi = p
- *     r.lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":123
- * 
- * 
- * cdef inline dd dd_two_prod(double a, double b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd r
- *     cdef double p = a * b
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":138
- * 
- * 
- * cdef inline dd dd_add(dd x, dd y) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd s = dd_two_sum(x.hi, y.hi)
- *     return dd_fast_two_sum(s.hi, s.lo + x.lo + y.lo)
-*/
-
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_add(struct __pyx_t_8gfkernel_5_core_dd __pyx_v_x, struct __pyx_t_8gfkernel_5_core_dd __pyx_v_y) {
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_s;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_r;
-
-  /* "gfkernel/_core.pyx":139
- * 
- * cdef inline dd dd_add(dd x, dd y) noexcept:
- *     cdef dd s = dd_two_sum(x.hi, y.hi)             # <<<<<<<<<<<<<<
- *     return dd_fast_two_sum(s.hi, s.lo + x.lo + y.lo)
- * 
-*/
-  __pyx_v_s = __pyx_f_8gfkernel_5_core_dd_two_sum(__pyx_v_x.hi, __pyx_v_y.hi);
-
-  /* "gfkernel/_core.pyx":140
- * cdef inline dd dd_add(dd x, dd y) noexcept:
- *     cdef dd s = dd_two_sum(x.hi, y.hi)
- *     return dd_fast_two_sum(s.hi, s.lo + x.lo + y.lo)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_8gfkernel_5_core_dd_fast_two_sum(__pyx_v_s.hi, ((__pyx_v_s.lo + __pyx_v_x.lo) + __pyx_v_y.lo));
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":138
- * 
- * 
- * cdef inline dd dd_add(dd x, dd y) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd s = dd_two_sum(x.hi, y.hi)
- *     return dd_fast_two_sum(s.hi, s.lo + x.lo + y.lo)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":143
- * 
- * 
- * cdef inline dd dd_mul(dd x, dd y) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd p = dd_two_prod(x.hi, y.hi)
- *     return dd_fast_two_sum(p.hi, p.lo + x.hi * y.lo + x.lo * y.hi)
-*/
-
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_mul(struct __pyx_t_8gfkernel_5_core_dd __pyx_v_x, struct __pyx_t_8gfkernel_5_core_dd __pyx_v_y) {
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_p;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_r;
-
-  /* "gfkernel/_core.pyx":144
- * 
- * cdef inline dd dd_mul(dd x, dd y) noexcept:
- *     cdef dd p = dd_two_prod(x.hi, y.hi)             # <<<<<<<<<<<<<<
- *     return dd_fast_two_sum(p.hi, p.lo + x.hi * y.lo + x.lo * y.hi)
- * 
-*/
-  __pyx_v_p = __pyx_f_8gfkernel_5_core_dd_two_prod(__pyx_v_x.hi, __pyx_v_y.hi);
-
-  /* "gfkernel/_core.pyx":145
- * cdef inline dd dd_mul(dd x, dd y) noexcept:
- *     cdef dd p = dd_two_prod(x.hi, y.hi)
- *     return dd_fast_two_sum(p.hi, p.lo + x.hi * y.lo + x.lo * y.hi)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_8gfkernel_5_core_dd_fast_two_sum(__pyx_v_p.hi, ((__pyx_v_p.lo + (__pyx_v_x.hi * __pyx_v_y.lo)) + (__pyx_v_x.lo * __pyx_v_y.hi)));
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":143
- * 
- * 
- * cdef inline dd dd_mul(dd x, dd y) noexcept:             # <<<<<<<<<<<<<<
- *     cdef dd p = dd_two_prod(x.hi, y.hi)
- *     return dd_fast_two_sum(p.hi, p.lo + x.hi * y.lo + x.lo * y.hi)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":148
- * 
- * 
- * cdef inline dd dd_div(dd x, dd y) noexcept:             # <<<<<<<<<<<<<<
- *     cdef double q1 = x.hi / y.hi
- *     cdef dd t = dd_two_prod(q1, y.hi)
-*/
-
-static CYTHON_INLINE struct __pyx_t_8gfkernel_5_core_dd __pyx_f_8gfkernel_5_core_dd_div(struct __pyx_t_8gfkernel_5_core_dd __pyx_v_x, struct __pyx_t_8gfkernel_5_core_dd __pyx_v_y) {
-  double __pyx_v_q1;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_t;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_r;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_r;
-
-  /* "gfkernel/_core.pyx":149
- * 
- * cdef inline dd dd_div(dd x, dd y) noexcept:
- *     cdef double q1 = x.hi / y.hi             # <<<<<<<<<<<<<<
- *     cdef dd t = dd_two_prod(q1, y.hi)
- *     cdef dd r
-*/
-  __pyx_v_q1 = (__pyx_v_x.hi / __pyx_v_y.hi);
-
-  /* "gfkernel/_core.pyx":150
- * cdef inline dd dd_div(dd x, dd y) noexcept:
- *     cdef double q1 = x.hi / y.hi
- *     cdef dd t = dd_two_prod(q1, y.hi)             # <<<<<<<<<<<<<<
- *     cdef dd r
- *     t.lo += q1 * y.lo
-*/
-  __pyx_v_t = __pyx_f_8gfkernel_5_core_dd_two_prod(__pyx_v_q1, __pyx_v_y.hi);
-
-  /* "gfkernel/_core.pyx":152
- *     cdef dd t = dd_two_prod(q1, y.hi)
- *     cdef dd r
- *     t.lo += q1 * y.lo             # <<<<<<<<<<<<<<
- *     r.hi = -t.hi
- *     r.lo = -t.lo
-*/
-  __pyx_v_t.lo = (__pyx_v_t.lo + (__pyx_v_q1 * __pyx_v_y.lo));
-
-  /* "gfkernel/_core.pyx":153
- *     cdef dd r
- *     t.lo += q1 * y.lo
- *     r.hi = -t.hi             # <<<<<<<<<<<<<<
- *     r.lo = -t.lo
- *     r = dd_add(x, r)
-*/
-  __pyx_v_r.hi = (-__pyx_v_t.hi);
-
-  /* "gfkernel/_core.pyx":154
- *     t.lo += q1 * y.lo
- *     r.hi = -t.hi
- *     r.lo = -t.lo             # <<<<<<<<<<<<<<
- *     r = dd_add(x, r)
- *     return dd_fast_two_sum(q1, (r.hi + r.lo) / y.hi)
-*/
-  __pyx_v_r.lo = (-__pyx_v_t.lo);
-
-  /* "gfkernel/_core.pyx":155
- *     r.hi = -t.hi
- *     r.lo = -t.lo
- *     r = dd_add(x, r)             # <<<<<<<<<<<<<<
- *     return dd_fast_two_sum(q1, (r.hi + r.lo) / y.hi)
- * 
-*/
-  __pyx_v_r = __pyx_f_8gfkernel_5_core_dd_add(__pyx_v_x, __pyx_v_r);
-
-  /* "gfkernel/_core.pyx":156
- *     r.lo = -t.lo
- *     r = dd_add(x, r)
- *     return dd_fast_two_sum(q1, (r.hi + r.lo) / y.hi)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_8gfkernel_5_core_dd_fast_two_sum(__pyx_v_q1, ((__pyx_v_r.hi + __pyx_v_r.lo) / __pyx_v_y.hi));
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":148
- * 
- * 
- * cdef inline dd dd_div(dd x, dd y) noexcept:             # <<<<<<<<<<<<<<
- *     cdef double q1 = x.hi / y.hi
- *     cdef dd t = dd_two_prod(q1, y.hi)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":164
- * 
- * 
- * cpdef double bessel_crossover(double nu):             # <<<<<<<<<<<<<<
- *     cdef double c = 2.0 * nu * nu
- *     return c if c > 25.0 else 25.0
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_15bessel_crossover(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_bessel_crossover(double __pyx_v_nu, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_c;
-  double __pyx_r;
-  double __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":165
- * 
- * cpdef double bessel_crossover(double nu):
- *     cdef double c = 2.0 * nu * nu             # <<<<<<<<<<<<<<
- *     return c if c > 25.0 else 25.0
- * 
-*/
-  __pyx_v_c = ((2.0 * __pyx_v_nu) * __pyx_v_nu);
-
-  /* "gfkernel/_core.pyx":166
- * cpdef double bessel_crossover(double nu):
- *     cdef double c = 2.0 * nu * nu
- *     return c if c > 25.0 else 25.0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = (__pyx_v_c > 25.0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_c;
-  } else {
-    __pyx_t_1 = 25.0;
-  }
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":164
- * 
- * 
- * cpdef double bessel_crossover(double nu):             # <<<<<<<<<<<<<<
- *     cdef double c = 2.0 * nu * nu
- *     return c if c > 25.0 else 25.0
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_15bessel_crossover(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_15bessel_crossover = {"bessel_crossover", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_15bessel_crossover, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_15bessel_crossover(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_nu;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("bessel_crossover (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_nu,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 164, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 164, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "bessel_crossover", 0) < (0)) __PYX_ERR(0, 164, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("bessel_crossover", 1, 1, 1, i); __PYX_ERR(0, 164, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 164, __pyx_L3_error)
-    }
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("bessel_crossover", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 164, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.bessel_crossover", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_14bessel_crossover(__pyx_self, __pyx_v_nu);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_14bessel_crossover(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("bessel_crossover", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_bessel_crossover(__pyx_v_nu, 1); if (unlikely(__pyx_t_1 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 164, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.bessel_crossover", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":169
- * 
- * 
- * cpdef double normalized_bessel_series(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double half = 0.5 * x
- *     cdef dd q = dd_two_prod(half, half)
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_17normalized_bessel_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_normalized_bessel_series(double __pyx_v_nu, double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_half;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_q;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_term;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_s;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_den;
-  struct __pyx_t_8gfkernel_5_core_dd __pyx_v_an;
-  double __pyx_v_fn;
-  int __pyx_v_n;
-  double __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[5];
-  size_t __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("normalized_bessel_series", 0);
-
-  /* "gfkernel/_core.pyx":170
- * 
- * cpdef double normalized_bessel_series(double nu, double x) except? -1e308:
- *     cdef double half = 0.5 * x             # <<<<<<<<<<<<<<
- *     cdef dd q = dd_two_prod(half, half)
- *     cdef dd term, s, den, an
-*/
-  __pyx_v_half = (0.5 * __pyx_v_x);
-
-  /* "gfkernel/_core.pyx":171
- * cpdef double normalized_bessel_series(double nu, double x) except? -1e308:
- *     cdef double half = 0.5 * x
- *     cdef dd q = dd_two_prod(half, half)             # <<<<<<<<<<<<<<
- *     cdef dd term, s, den, an
- *     cdef double fn
-*/
-  __pyx_v_q = __pyx_f_8gfkernel_5_core_dd_two_prod(__pyx_v_half, __pyx_v_half);
-
-  /* "gfkernel/_core.pyx":174
- *     cdef dd term, s, den, an
- *     cdef double fn
- *     cdef int n = 1             # <<<<<<<<<<<<<<
- *     q.hi = -q.hi
- *     q.lo = -q.lo
-*/
-  __pyx_v_n = 1;
-
-  /* "gfkernel/_core.pyx":175
- *     cdef double fn
- *     cdef int n = 1
- *     q.hi = -q.hi             # <<<<<<<<<<<<<<
- *     q.lo = -q.lo
- *     term.hi = 1.0
-*/
-  __pyx_v_q.hi = (-__pyx_v_q.hi);
-
-  /* "gfkernel/_core.pyx":176
- *     cdef int n = 1
- *     q.hi = -q.hi
- *     q.lo = -q.lo             # <<<<<<<<<<<<<<
- *     term.hi = 1.0
- *     term.lo = 0.0
-*/
-  __pyx_v_q.lo = (-__pyx_v_q.lo);
-
-  /* "gfkernel/_core.pyx":177
- *     q.hi = -q.hi
- *     q.lo = -q.lo
- *     term.hi = 1.0             # <<<<<<<<<<<<<<
- *     term.lo = 0.0
- *     s.hi = 1.0
-*/
-  __pyx_v_term.hi = 1.0;
-
-  /* "gfkernel/_core.pyx":178
- *     q.lo = -q.lo
- *     term.hi = 1.0
- *     term.lo = 0.0             # <<<<<<<<<<<<<<
- *     s.hi = 1.0
- *     s.lo = 0.0
-*/
-  __pyx_v_term.lo = 0.0;
-
-  /* "gfkernel/_core.pyx":179
- *     term.hi = 1.0
- *     term.lo = 0.0
- *     s.hi = 1.0             # <<<<<<<<<<<<<<
- *     s.lo = 0.0
- *     while n <= 600:
-*/
-  __pyx_v_s.hi = 1.0;
-
-  /* "gfkernel/_core.pyx":180
- *     term.lo = 0.0
- *     s.hi = 1.0
- *     s.lo = 0.0             # <<<<<<<<<<<<<<
- *     while n <= 600:
- *         fn = <double>n
-*/
-  __pyx_v_s.lo = 0.0;
-
-  /* "gfkernel/_core.pyx":181
- *     s.hi = 1.0
- *     s.lo = 0.0
- *     while n <= 600:             # <<<<<<<<<<<<<<
- *         fn = <double>n
- *         an = dd_two_sum(nu, fn)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_n <= 0x258);
-    if (!__pyx_t_1) break;
-
-    /* "gfkernel/_core.pyx":182
- *     s.lo = 0.0
- *     while n <= 600:
- *         fn = <double>n             # <<<<<<<<<<<<<<
- *         an = dd_two_sum(nu, fn)
- *         den = dd_two_prod(an.hi, fn)
-*/
-    __pyx_v_fn = ((double)__pyx_v_n);
-
-    /* "gfkernel/_core.pyx":183
- *     while n <= 600:
- *         fn = <double>n
- *         an = dd_two_sum(nu, fn)             # <<<<<<<<<<<<<<
- *         den = dd_two_prod(an.hi, fn)
- *         den.lo += an.lo * fn
-*/
-    __pyx_v_an = __pyx_f_8gfkernel_5_core_dd_two_sum(__pyx_v_nu, __pyx_v_fn);
-
-    /* "gfkernel/_core.pyx":184
- *         fn = <double>n
- *         an = dd_two_sum(nu, fn)
- *         den = dd_two_prod(an.hi, fn)             # <<<<<<<<<<<<<<
- *         den.lo += an.lo * fn
- *         term = dd_mul(term, q)
-*/
-    __pyx_v_den = __pyx_f_8gfkernel_5_core_dd_two_prod(__pyx_v_an.hi, __pyx_v_fn);
-
-    /* "gfkernel/_core.pyx":185
- *         an = dd_two_sum(nu, fn)
- *         den = dd_two_prod(an.hi, fn)
- *         den.lo += an.lo * fn             # <<<<<<<<<<<<<<
- *         term = dd_mul(term, q)
- *         term = dd_div(term, den)
-*/
-    __pyx_v_den.lo = (__pyx_v_den.lo + (__pyx_v_an.lo * __pyx_v_fn));
-
-    /* "gfkernel/_core.pyx":186
- *         den = dd_two_prod(an.hi, fn)
- *         den.lo += an.lo * fn
- *         term = dd_mul(term, q)             # <<<<<<<<<<<<<<
- *         term = dd_div(term, den)
- *         s = dd_add(s, term)
-*/
-    __pyx_v_term = __pyx_f_8gfkernel_5_core_dd_mul(__pyx_v_term, __pyx_v_q);
-
-    /* "gfkernel/_core.pyx":187
- *         den.lo += an.lo * fn
- *         term = dd_mul(term, q)
- *         term = dd_div(term, den)             # <<<<<<<<<<<<<<
- *         s = dd_add(s, term)
- *         if fabs(term.hi) <= 1e-35 * fabs(s.hi) + 1e-305:
-*/
-    __pyx_v_term = __pyx_f_8gfkernel_5_core_dd_div(__pyx_v_term, __pyx_v_den);
-
-    /* "gfkernel/_core.pyx":188
- *         term = dd_mul(term, q)
- *         term = dd_div(term, den)
- *         s = dd_add(s, term)             # <<<<<<<<<<<<<<
- *         if fabs(term.hi) <= 1e-35 * fabs(s.hi) + 1e-305:
- *             return s.hi + s.lo
-*/
-    __pyx_v_s = __pyx_f_8gfkernel_5_core_dd_add(__pyx_v_s, __pyx_v_term);
-
-    /* "gfkernel/_core.pyx":189
- *         term = dd_div(term, den)
- *         s = dd_add(s, term)
- *         if fabs(term.hi) <= 1e-35 * fabs(s.hi) + 1e-305:             # <<<<<<<<<<<<<<
- *             return s.hi + s.lo
- *         n += 1
-*/
-    __pyx_t_1 = (fabs(__pyx_v_term.hi) <= ((1e-35 * fabs(__pyx_v_s.hi)) + 1e-305));
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":190
- *         s = dd_add(s, term)
- *         if fabs(term.hi) <= 1e-35 * fabs(s.hi) + 1e-305:
- *             return s.hi + s.lo             # <<<<<<<<<<<<<<
- *         n += 1
- *     raise ConvergenceError(
-*/
-      __pyx_r = (__pyx_v_s.hi + __pyx_v_s.lo);
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":189
- *         term = dd_div(term, den)
- *         s = dd_add(s, term)
- *         if fabs(term.hi) <= 1e-35 * fabs(s.hi) + 1e-305:             # <<<<<<<<<<<<<<
- *             return s.hi + s.lo
- *         n += 1
-*/
-    }
-
-    /* "gfkernel/_core.pyx":191
- *         if fabs(term.hi) <= 1e-35 * fabs(s.hi) + 1e-305:
- *             return s.hi + s.lo
- *         n += 1             # <<<<<<<<<<<<<<
- *     raise ConvergenceError(
- *         f"normalized Bessel series did not converge (nu={nu!r}, x={x!r})")
-*/
-    __pyx_v_n = (__pyx_v_n + 1);
-  }
-
-  /* "gfkernel/_core.pyx":192
- *             return s.hi + s.lo
- *         n += 1
- *     raise ConvergenceError(             # <<<<<<<<<<<<<<
- *         f"normalized Bessel series did not converge (nu={nu!r}, x={x!r})")
- * 
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_ConvergenceError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 192, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-
-  /* "gfkernel/_core.pyx":193
- *         n += 1
- *     raise ConvergenceError(
- *         f"normalized Bessel series did not converge (nu={nu!r}, x={x!r})")             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_5 = PyFloat_FromDouble(__pyx_v_nu); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 193, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_5), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 193, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_t_5 = PyFloat_FromDouble(__pyx_v_x); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 193, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_5), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 193, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_normalized_Bessel_series_did_not;
-  __pyx_t_8[1] = __pyx_t_6;
-  __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_x_2;
-  __pyx_t_8[3] = __pyx_t_7;
-  __pyx_t_8[4] = __pyx_mstate_global->__pyx_kp_u_;
-  __pyx_t_5 = __Pyx_PyUnicode_Join(__pyx_t_8, 5, 46 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 4 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 1, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_6) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-  if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 193, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_t_9 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_4))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_4);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-    __pyx_t_9 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_5};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 192, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __PYX_ERR(0, 192, __pyx_L1_error)
-
-  /* "gfkernel/_core.pyx":169
- * 
- * 
- * cpdef double normalized_bessel_series(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double half = 0.5 * x
- *     cdef dd q = dd_two_prod(half, half)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("gfkernel._core.normalized_bessel_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1e308);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_17normalized_bessel_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_17normalized_bessel_series = {"normalized_bessel_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_17normalized_bessel_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_17normalized_bessel_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_nu;
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("normalized_bessel_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 169, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 169, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 169, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "normalized_bessel_series", 0) < (0)) __PYX_ERR(0, 169, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("normalized_bessel_series", 1, 2, 2, i); __PYX_ERR(0, 169, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 169, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 169, __pyx_L3_error)
-    }
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 169, __pyx_L3_error)
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 169, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("normalized_bessel_series", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 169, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.normalized_bessel_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_16normalized_bessel_series(__pyx_self, __pyx_v_nu, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_16normalized_bessel_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("normalized_bessel_series", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_normalized_bessel_series(__pyx_v_nu, __pyx_v_x, 1); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 169, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 169, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.normalized_bessel_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":196
- * 
- * 
- * cpdef double bessel_j_asymptotic(double nu, double x):             # <<<<<<<<<<<<<<
- *     cdef double mu4 = 4.0 * nu * nu
- *     cdef double p = 1.0, q = 0.0, ak = 1.0
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_19bessel_j_asymptotic(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_bessel_j_asymptotic(double __pyx_v_nu, double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_mu4;
-  double __pyx_v_p;
-  double __pyx_v_q;
-  double __pyx_v_ak;
-  double __pyx_v_prev;
-  double __pyx_v_f;
-  double __pyx_v_a;
-  double __pyx_v_sign;
-  double __pyx_v_omega;
-  int __pyx_v_k;
-  double __pyx_r;
-  int __pyx_t_1;
-  double __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":197
- * 
- * cpdef double bessel_j_asymptotic(double nu, double x):
- *     cdef double mu4 = 4.0 * nu * nu             # <<<<<<<<<<<<<<
- *     cdef double p = 1.0, q = 0.0, ak = 1.0
- *     cdef double prev = INF, f, a, sign, omega
-*/
-  __pyx_v_mu4 = ((4.0 * __pyx_v_nu) * __pyx_v_nu);
-
-  /* "gfkernel/_core.pyx":198
- * cpdef double bessel_j_asymptotic(double nu, double x):
- *     cdef double mu4 = 4.0 * nu * nu
- *     cdef double p = 1.0, q = 0.0, ak = 1.0             # <<<<<<<<<<<<<<
- *     cdef double prev = INF, f, a, sign, omega
- *     cdef int k = 1
-*/
-  __pyx_v_p = 1.0;
-  __pyx_v_q = 0.0;
-  __pyx_v_ak = 1.0;
-
-  /* "gfkernel/_core.pyx":199
- *     cdef double mu4 = 4.0 * nu * nu
- *     cdef double p = 1.0, q = 0.0, ak = 1.0
- *     cdef double prev = INF, f, a, sign, omega             # <<<<<<<<<<<<<<
- *     cdef int k = 1
- *     while k <= 64:
-*/
-  __pyx_v_prev = __pyx_v_8gfkernel_5_core_INF;
-
-  /* "gfkernel/_core.pyx":200
- *     cdef double p = 1.0, q = 0.0, ak = 1.0
- *     cdef double prev = INF, f, a, sign, omega
- *     cdef int k = 1             # <<<<<<<<<<<<<<
- *     while k <= 64:
- *         f = 2.0 * k - 1.0
-*/
-  __pyx_v_k = 1;
-
-  /* "gfkernel/_core.pyx":201
- *     cdef double prev = INF, f, a, sign, omega
- *     cdef int k = 1
- *     while k <= 64:             # <<<<<<<<<<<<<<
- *         f = 2.0 * k - 1.0
- *         ak *= (mu4 - f * f) / (8.0 * k * x)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_k <= 64);
-    if (!__pyx_t_1) break;
-
-    /* "gfkernel/_core.pyx":202
- *     cdef int k = 1
- *     while k <= 64:
- *         f = 2.0 * k - 1.0             # <<<<<<<<<<<<<<
- *         ak *= (mu4 - f * f) / (8.0 * k * x)
- *         if ak == 0.0:
-*/
-    __pyx_v_f = ((2.0 * __pyx_v_k) - 1.0);
-
-    /* "gfkernel/_core.pyx":203
- *     while k <= 64:
- *         f = 2.0 * k - 1.0
- *         ak *= (mu4 - f * f) / (8.0 * k * x)             # <<<<<<<<<<<<<<
- *         if ak == 0.0:
- *             break
-*/
-    __pyx_v_ak = (__pyx_v_ak * ((__pyx_v_mu4 - (__pyx_v_f * __pyx_v_f)) / ((8.0 * __pyx_v_k) * __pyx_v_x)));
-
-    /* "gfkernel/_core.pyx":204
- *         f = 2.0 * k - 1.0
- *         ak *= (mu4 - f * f) / (8.0 * k * x)
- *         if ak == 0.0:             # <<<<<<<<<<<<<<
- *             break
- *         a = fabs(ak)
-*/
-    __pyx_t_1 = (__pyx_v_ak == 0.0);
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":205
- *         ak *= (mu4 - f * f) / (8.0 * k * x)
- *         if ak == 0.0:
- *             break             # <<<<<<<<<<<<<<
- *         a = fabs(ak)
- *         if a >= prev:
-*/
-      goto __pyx_L4_break;
-
-      /* "gfkernel/_core.pyx":204
- *         f = 2.0 * k - 1.0
- *         ak *= (mu4 - f * f) / (8.0 * k * x)
- *         if ak == 0.0:             # <<<<<<<<<<<<<<
- *             break
- *         a = fabs(ak)
-*/
-    }
-
-    /* "gfkernel/_core.pyx":206
- *         if ak == 0.0:
- *             break
- *         a = fabs(ak)             # <<<<<<<<<<<<<<
- *         if a >= prev:
- *             break
-*/
-    __pyx_v_a = fabs(__pyx_v_ak);
-
-    /* "gfkernel/_core.pyx":207
- *             break
- *         a = fabs(ak)
- *         if a >= prev:             # <<<<<<<<<<<<<<
- *             break
- *         sign = -1.0 if (k >> 1) & 1 else 1.0
-*/
-    __pyx_t_1 = (__pyx_v_a >= __pyx_v_prev);
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":208
- *         a = fabs(ak)
- *         if a >= prev:
- *             break             # <<<<<<<<<<<<<<
- *         sign = -1.0 if (k >> 1) & 1 else 1.0
- *         if k & 1:
-*/
-      goto __pyx_L4_break;
-
-      /* "gfkernel/_core.pyx":207
- *             break
- *         a = fabs(ak)
- *         if a >= prev:             # <<<<<<<<<<<<<<
- *             break
- *         sign = -1.0 if (k >> 1) & 1 else 1.0
-*/
-    }
-
-    /* "gfkernel/_core.pyx":209
- *         if a >= prev:
- *             break
- *         sign = -1.0 if (k >> 1) & 1 else 1.0             # <<<<<<<<<<<<<<
- *         if k & 1:
- *             q += sign * ak
-*/
-    __pyx_t_1 = (((__pyx_v_k >> 1) & 1) != 0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = -1.0;
-    } else {
-      __pyx_t_2 = 1.0;
-    }
-    __pyx_v_sign = __pyx_t_2;
-
-    /* "gfkernel/_core.pyx":210
- *             break
- *         sign = -1.0 if (k >> 1) & 1 else 1.0
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             q += sign * ak
- *         else:
-*/
-    __pyx_t_1 = ((__pyx_v_k & 1) != 0);
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":211
- *         sign = -1.0 if (k >> 1) & 1 else 1.0
- *         if k & 1:
- *             q += sign * ak             # <<<<<<<<<<<<<<
- *         else:
- *             p += sign * ak
-*/
-      __pyx_v_q = (__pyx_v_q + (__pyx_v_sign * __pyx_v_ak));
-
-      /* "gfkernel/_core.pyx":210
- *             break
- *         sign = -1.0 if (k >> 1) & 1 else 1.0
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             q += sign * ak
- *         else:
-*/
-      goto __pyx_L7;
-    }
-
-    /* "gfkernel/_core.pyx":213
- *             q += sign * ak
- *         else:
- *             p += sign * ak             # <<<<<<<<<<<<<<
- *         if a < 1e-17 * (fabs(p) + fabs(q)):
- *             break
-*/
-    /*else*/ {
-      __pyx_v_p = (__pyx_v_p + (__pyx_v_sign * __pyx_v_ak));
-    }
-    __pyx_L7:;
-
-    /* "gfkernel/_core.pyx":214
- *         else:
- *             p += sign * ak
- *         if a < 1e-17 * (fabs(p) + fabs(q)):             # <<<<<<<<<<<<<<
- *             break
- *         prev = a
-*/
-    __pyx_t_1 = (__pyx_v_a < (1e-17 * (fabs(__pyx_v_p) + fabs(__pyx_v_q))));
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":215
- *             p += sign * ak
- *         if a < 1e-17 * (fabs(p) + fabs(q)):
- *             break             # <<<<<<<<<<<<<<
- *         prev = a
- *         k += 1
-*/
-      goto __pyx_L4_break;
-
-      /* "gfkernel/_core.pyx":214
- *         else:
- *             p += sign * ak
- *         if a < 1e-17 * (fabs(p) + fabs(q)):             # <<<<<<<<<<<<<<
- *             break
- *         prev = a
-*/
-    }
-
-    /* "gfkernel/_core.pyx":216
- *         if a < 1e-17 * (fabs(p) + fabs(q)):
- *             break
- *         prev = a             # <<<<<<<<<<<<<<
- *         k += 1
- *     omega = x - (0.5 * nu + 0.25) * PI
-*/
-    __pyx_v_prev = __pyx_v_a;
-
-    /* "gfkernel/_core.pyx":217
- *             break
- *         prev = a
- *         k += 1             # <<<<<<<<<<<<<<
- *     omega = x - (0.5 * nu + 0.25) * PI
- *     return sqrt(2.0 / (PI * x)) * (cos(omega) * p - sin(omega) * q)
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-  }
-  __pyx_L4_break:;
-
-  /* "gfkernel/_core.pyx":218
- *         prev = a
- *         k += 1
- *     omega = x - (0.5 * nu + 0.25) * PI             # <<<<<<<<<<<<<<
- *     return sqrt(2.0 / (PI * x)) * (cos(omega) * p - sin(omega) * q)
- * 
-*/
-  __pyx_v_omega = (__pyx_v_x - (((0.5 * __pyx_v_nu) + 0.25) * __pyx_v_8gfkernel_5_core_PI));
-
-  /* "gfkernel/_core.pyx":219
- *         k += 1
- *     omega = x - (0.5 * nu + 0.25) * PI
- *     return sqrt(2.0 / (PI * x)) * (cos(omega) * p - sin(omega) * q)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (sqrt((2.0 / (__pyx_v_8gfkernel_5_core_PI * __pyx_v_x))) * ((cos(__pyx_v_omega) * __pyx_v_p) - (sin(__pyx_v_omega) * __pyx_v_q)));
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":196
- * 
- * 
- * cpdef double bessel_j_asymptotic(double nu, double x):             # <<<<<<<<<<<<<<
- *     cdef double mu4 = 4.0 * nu * nu
- *     cdef double p = 1.0, q = 0.0, ak = 1.0
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_19bessel_j_asymptotic(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_19bessel_j_asymptotic = {"bessel_j_asymptotic", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_19bessel_j_asymptotic, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_19bessel_j_asymptotic(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_nu;
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("bessel_j_asymptotic (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 196, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 196, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 196, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "bessel_j_asymptotic", 0) < (0)) __PYX_ERR(0, 196, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("bessel_j_asymptotic", 1, 2, 2, i); __PYX_ERR(0, 196, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 196, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 196, __pyx_L3_error)
-    }
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 196, __pyx_L3_error)
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 196, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("bessel_j_asymptotic", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 196, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.bessel_j_asymptotic", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_18bessel_j_asymptotic(__pyx_self, __pyx_v_nu, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_18bessel_j_asymptotic(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("bessel_j_asymptotic", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_bessel_j_asymptotic(__pyx_v_nu, __pyx_v_x, 1); if (unlikely(__pyx_t_1 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 196, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 196, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.bessel_j_asymptotic", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":222
- * 
- * 
- * cpdef double bessel_j(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double pref
- *     if x == 0.0:
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_21bessel_j(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_bessel_j(double __pyx_v_nu, double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_pref;
-  double __pyx_r;
-  int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "gfkernel/_core.pyx":224
- * cpdef double bessel_j(double nu, double x) except? -1e308:
- *     cdef double pref
- *     if x == 0.0:             # <<<<<<<<<<<<<<
- *         if nu == 0.0:
- *             return 1.0
-*/
-  __pyx_t_1 = (__pyx_v_x == 0.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":225
- *     cdef double pref
- *     if x == 0.0:
- *         if nu == 0.0:             # <<<<<<<<<<<<<<
- *             return 1.0
- *         return 0.0 if nu > 0.0 else INF
-*/
-    __pyx_t_1 = (__pyx_v_nu == 0.0);
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":226
- *     if x == 0.0:
- *         if nu == 0.0:
- *             return 1.0             # <<<<<<<<<<<<<<
- *         return 0.0 if nu > 0.0 else INF
- *     if x <= bessel_crossover(nu):
-*/
-      __pyx_r = 1.0;
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":225
- *     cdef double pref
- *     if x == 0.0:
- *         if nu == 0.0:             # <<<<<<<<<<<<<<
- *             return 1.0
- *         return 0.0 if nu > 0.0 else INF
-*/
-    }
-
-    /* "gfkernel/_core.pyx":227
- *         if nu == 0.0:
- *             return 1.0
- *         return 0.0 if nu > 0.0 else INF             # <<<<<<<<<<<<<<
- *     if x <= bessel_crossover(nu):
- *         pref = cpow(0.5 * x, nu) * exp(-lgamma(nu + 1.0))
-*/
-    __pyx_t_1 = (__pyx_v_nu > 0.0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = 0.0;
-    } else {
-      __pyx_t_2 = __pyx_v_8gfkernel_5_core_INF;
-    }
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":224
- * cpdef double bessel_j(double nu, double x) except? -1e308:
- *     cdef double pref
- *     if x == 0.0:             # <<<<<<<<<<<<<<
- *         if nu == 0.0:
- *             return 1.0
-*/
-  }
-
-  /* "gfkernel/_core.pyx":228
- *             return 1.0
- *         return 0.0 if nu > 0.0 else INF
- *     if x <= bessel_crossover(nu):             # <<<<<<<<<<<<<<
- *         pref = cpow(0.5 * x, nu) * exp(-lgamma(nu + 1.0))
- *         return pref * normalized_bessel_series(nu, x)
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_bessel_crossover(__pyx_v_nu, 0); if (unlikely(__pyx_t_2 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 228, __pyx_L1_error)
-  __pyx_t_1 = (__pyx_v_x <= __pyx_t_2);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":229
- *         return 0.0 if nu > 0.0 else INF
- *     if x <= bessel_crossover(nu):
- *         pref = cpow(0.5 * x, nu) * exp(-lgamma(nu + 1.0))             # <<<<<<<<<<<<<<
- *         return pref * normalized_bessel_series(nu, x)
- *     return bessel_j_asymptotic(nu, x)
-*/
-    __pyx_v_pref = (pow((0.5 * __pyx_v_x), __pyx_v_nu) * exp((-lgamma((__pyx_v_nu + 1.0)))));
-
-    /* "gfkernel/_core.pyx":230
- *     if x <= bessel_crossover(nu):
- *         pref = cpow(0.5 * x, nu) * exp(-lgamma(nu + 1.0))
- *         return pref * normalized_bessel_series(nu, x)             # <<<<<<<<<<<<<<
- *     return bessel_j_asymptotic(nu, x)
- * 
-*/
-    __pyx_t_2 = __pyx_f_8gfkernel_5_core_normalized_bessel_series(__pyx_v_nu, __pyx_v_x, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 230, __pyx_L1_error)
-    __pyx_r = (__pyx_v_pref * __pyx_t_2);
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":228
- *             return 1.0
- *         return 0.0 if nu > 0.0 else INF
- *     if x <= bessel_crossover(nu):             # <<<<<<<<<<<<<<
- *         pref = cpow(0.5 * x, nu) * exp(-lgamma(nu + 1.0))
- *         return pref * normalized_bessel_series(nu, x)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":231
- *         pref = cpow(0.5 * x, nu) * exp(-lgamma(nu + 1.0))
- *         return pref * normalized_bessel_series(nu, x)
- *     return bessel_j_asymptotic(nu, x)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_bessel_j_asymptotic(__pyx_v_nu, __pyx_v_x, 0); if (unlikely(__pyx_t_2 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 231, __pyx_L1_error)
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":222
- * 
- * 
- * cpdef double bessel_j(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double pref
- *     if x == 0.0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("gfkernel._core.bessel_j", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1e308);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_21bessel_j(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_21bessel_j = {"bessel_j", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_21bessel_j, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_21bessel_j(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_nu;
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("bessel_j (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 222, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 222, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 222, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "bessel_j", 0) < (0)) __PYX_ERR(0, 222, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("bessel_j", 1, 2, 2, i); __PYX_ERR(0, 222, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 222, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 222, __pyx_L3_error)
-    }
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 222, __pyx_L3_error)
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 222, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("bessel_j", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 222, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.bessel_j", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_20bessel_j(__pyx_self, __pyx_v_nu, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_20bessel_j(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("bessel_j", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_bessel_j(__pyx_v_nu, __pyx_v_x, 1); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 222, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 222, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.bessel_j", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":234
- * 
- * 
- * cpdef double normalized_bessel_j(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double pref
- *     if x == 0.0:
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_23normalized_bessel_j(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_normalized_bessel_j(double __pyx_v_nu, double __pyx_v_x, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_pref;
-  double __pyx_r;
-  int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "gfkernel/_core.pyx":236
- * cpdef double normalized_bessel_j(double nu, double x) except? -1e308:
- *     cdef double pref
- *     if x == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     if x <= bessel_crossover(nu):
-*/
-  __pyx_t_1 = (__pyx_v_x == 0.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":237
- *     cdef double pref
- *     if x == 0.0:
- *         return 1.0             # <<<<<<<<<<<<<<
- *     if x <= bessel_crossover(nu):
- *         return normalized_bessel_series(nu, x)
-*/
-    __pyx_r = 1.0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":236
- * cpdef double normalized_bessel_j(double nu, double x) except? -1e308:
- *     cdef double pref
- *     if x == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     if x <= bessel_crossover(nu):
-*/
-  }
-
-  /* "gfkernel/_core.pyx":238
- *     if x == 0.0:
- *         return 1.0
- *     if x <= bessel_crossover(nu):             # <<<<<<<<<<<<<<
- *         return normalized_bessel_series(nu, x)
- *     pref = exp(lgamma(nu + 1.0) - nu * log(0.5 * x))
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_bessel_crossover(__pyx_v_nu, 0); if (unlikely(__pyx_t_2 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 238, __pyx_L1_error)
-  __pyx_t_1 = (__pyx_v_x <= __pyx_t_2);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":239
- *         return 1.0
- *     if x <= bessel_crossover(nu):
- *         return normalized_bessel_series(nu, x)             # <<<<<<<<<<<<<<
- *     pref = exp(lgamma(nu + 1.0) - nu * log(0.5 * x))
- *     return pref * bessel_j_asymptotic(nu, x)
-*/
-    __pyx_t_2 = __pyx_f_8gfkernel_5_core_normalized_bessel_series(__pyx_v_nu, __pyx_v_x, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 239, __pyx_L1_error)
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":238
- *     if x == 0.0:
- *         return 1.0
- *     if x <= bessel_crossover(nu):             # <<<<<<<<<<<<<<
- *         return normalized_bessel_series(nu, x)
- *     pref = exp(lgamma(nu + 1.0) - nu * log(0.5 * x))
-*/
-  }
-
-  /* "gfkernel/_core.pyx":240
- *     if x <= bessel_crossover(nu):
- *         return normalized_bessel_series(nu, x)
- *     pref = exp(lgamma(nu + 1.0) - nu * log(0.5 * x))             # <<<<<<<<<<<<<<
- *     return pref * bessel_j_asymptotic(nu, x)
- * 
-*/
-  __pyx_v_pref = exp((lgamma((__pyx_v_nu + 1.0)) - (__pyx_v_nu * log((0.5 * __pyx_v_x)))));
-
-  /* "gfkernel/_core.pyx":241
- *         return normalized_bessel_series(nu, x)
- *     pref = exp(lgamma(nu + 1.0) - nu * log(0.5 * x))
- *     return pref * bessel_j_asymptotic(nu, x)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_bessel_j_asymptotic(__pyx_v_nu, __pyx_v_x, 0); if (unlikely(__pyx_t_2 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 241, __pyx_L1_error)
-  __pyx_r = (__pyx_v_pref * __pyx_t_2);
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":234
- * 
- * 
- * cpdef double normalized_bessel_j(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double pref
- *     if x == 0.0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("gfkernel._core.normalized_bessel_j", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1e308);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_23normalized_bessel_j(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_23normalized_bessel_j = {"normalized_bessel_j", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_23normalized_bessel_j, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_23normalized_bessel_j(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_nu;
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("normalized_bessel_j (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 234, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 234, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 234, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "normalized_bessel_j", 0) < (0)) __PYX_ERR(0, 234, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("normalized_bessel_j", 1, 2, 2, i); __PYX_ERR(0, 234, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 234, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 234, __pyx_L3_error)
-    }
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 234, __pyx_L3_error)
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 234, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("normalized_bessel_j", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 234, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.normalized_bessel_j", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_22normalized_bessel_j(__pyx_self, __pyx_v_nu, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_22normalized_bessel_j(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("normalized_bessel_j", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_normalized_bessel_j(__pyx_v_nu, __pyx_v_x, 1); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 234, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 234, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.normalized_bessel_j", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":249
- * 
- * 
- * def gauss_series(double a, double b, double c, double z, int nmax=4000):             # <<<<<<<<<<<<<<
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0
- *     cdef double r, y, t, rho, tail
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_25gauss_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_25gauss_series = {"gauss_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_25gauss_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_25gauss_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_a;
-  double __pyx_v_b;
-  double __pyx_v_c;
-  double __pyx_v_z;
-  int __pyx_v_nmax;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("gauss_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_c,&__pyx_mstate_global->__pyx_n_u_z,&__pyx_mstate_global->__pyx_n_u_nmax,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 249, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 249, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 249, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 249, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 249, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 249, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "gauss_series", 0) < (0)) __PYX_ERR(0, 249, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("gauss_series", 0, 4, 5, i); __PYX_ERR(0, 249, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 249, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 249, __pyx_L3_error)
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 249, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 249, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 249, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_a = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_a == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 249, __pyx_L3_error)
-    __pyx_v_b = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_b == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 249, __pyx_L3_error)
-    __pyx_v_c = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_c == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 249, __pyx_L3_error)
-    __pyx_v_z = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_z == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 249, __pyx_L3_error)
-    if (values[4]) {
-      __pyx_v_nmax = __Pyx_PyLong_As_int(values[4]); if (unlikely((__pyx_v_nmax == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 249, __pyx_L3_error)
-    } else {
-      __pyx_v_nmax = ((int)((int)0xFA0));
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("gauss_series", 0, 4, 5, __pyx_nargs); __PYX_ERR(0, 249, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.gauss_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_24gauss_series(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_c, __pyx_v_z, __pyx_v_nmax);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_24gauss_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, int __pyx_v_nmax) {
-  double __pyx_v_term;
-  double __pyx_v_s;
-  double __pyx_v_comp;
-  double __pyx_v_abssum;
-  double __pyx_v_r;
-  double __pyx_v_y;
-  double __pyx_v_t;
-  double __pyx_v_rho;
-  double __pyx_v_tail;
-  int __pyx_v_n;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  double __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12[9];
-  size_t __pyx_t_13;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("gauss_series", 0);
-
-  /* "gfkernel/_core.pyx":250
- * 
- * def gauss_series(double a, double b, double c, double z, int nmax=4000):
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0             # <<<<<<<<<<<<<<
- *     cdef double r, y, t, rho, tail
- *     cdef int n = 0
-*/
-  __pyx_v_term = 1.0;
-  __pyx_v_s = 1.0;
-  __pyx_v_comp = 0.0;
-  __pyx_v_abssum = 1.0;
-
-  /* "gfkernel/_core.pyx":252
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0
- *     cdef double r, y, t, rho, tail
- *     cdef int n = 0             # <<<<<<<<<<<<<<
- *     while n < nmax:
- *         r = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-*/
-  __pyx_v_n = 0;
-
-  /* "gfkernel/_core.pyx":253
- *     cdef double r, y, t, rho, tail
- *     cdef int n = 0
- *     while n < nmax:             # <<<<<<<<<<<<<<
- *         r = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
- *         term *= r
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_n < __pyx_v_nmax);
-    if (!__pyx_t_1) break;
-
-    /* "gfkernel/_core.pyx":254
- *     cdef int n = 0
- *     while n < nmax:
- *         r = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z             # <<<<<<<<<<<<<<
- *         term *= r
- *         if term == 0.0:
-*/
-    __pyx_v_r = ((((__pyx_v_a + __pyx_v_n) * (__pyx_v_b + __pyx_v_n)) / ((__pyx_v_c + __pyx_v_n) * (1.0 + __pyx_v_n))) * __pyx_v_z);
-
-    /* "gfkernel/_core.pyx":255
- *     while n < nmax:
- *         r = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
- *         term *= r             # <<<<<<<<<<<<<<
- *         if term == 0.0:
- *             return s + comp, 1e-16 * abssum
-*/
-    __pyx_v_term = (__pyx_v_term * __pyx_v_r);
-
-    /* "gfkernel/_core.pyx":256
- *         r = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
- *         term *= r
- *         if term == 0.0:             # <<<<<<<<<<<<<<
- *             return s + comp, 1e-16 * abssum
- *         y = term - comp
-*/
-    __pyx_t_1 = (__pyx_v_term == 0.0);
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":257
- *         term *= r
- *         if term == 0.0:
- *             return s + comp, 1e-16 * abssum             # <<<<<<<<<<<<<<
- *         y = term - comp
- *         t = s + y
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_2 = PyFloat_FromDouble((__pyx_v_s + __pyx_v_comp)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 257, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_3 = PyFloat_FromDouble((1e-16 * __pyx_v_abssum)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 257, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_4 = PyTuple_New(2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 257, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 257, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 257, __pyx_L1_error);
-      __pyx_t_2 = 0;
-      __pyx_t_3 = 0;
-      __pyx_r = __pyx_t_4;
-      __pyx_t_4 = 0;
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":256
- *         r = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
- *         term *= r
- *         if term == 0.0:             # <<<<<<<<<<<<<<
- *             return s + comp, 1e-16 * abssum
- *         y = term - comp
-*/
-    }
-
-    /* "gfkernel/_core.pyx":258
- *         if term == 0.0:
- *             return s + comp, 1e-16 * abssum
- *         y = term - comp             # <<<<<<<<<<<<<<
- *         t = s + y
- *         comp = (t - s) - y
-*/
-    __pyx_v_y = (__pyx_v_term - __pyx_v_comp);
-
-    /* "gfkernel/_core.pyx":259
- *             return s + comp, 1e-16 * abssum
- *         y = term - comp
- *         t = s + y             # <<<<<<<<<<<<<<
- *         comp = (t - s) - y
- *         s = t
-*/
-    __pyx_v_t = (__pyx_v_s + __pyx_v_y);
-
-    /* "gfkernel/_core.pyx":260
- *         y = term - comp
- *         t = s + y
- *         comp = (t - s) - y             # <<<<<<<<<<<<<<
- *         s = t
- *         abssum += fabs(term)
-*/
-    __pyx_v_comp = ((__pyx_v_t - __pyx_v_s) - __pyx_v_y);
-
-    /* "gfkernel/_core.pyx":261
- *         t = s + y
- *         comp = (t - s) - y
- *         s = t             # <<<<<<<<<<<<<<
- *         abssum += fabs(term)
- *         n += 1
-*/
-    __pyx_v_s = __pyx_v_t;
-
-    /* "gfkernel/_core.pyx":262
- *         comp = (t - s) - y
- *         s = t
- *         abssum += fabs(term)             # <<<<<<<<<<<<<<
- *         n += 1
- *         if fabs(term) <= 1e-17 * fabs(s) and n > 4:
-*/
-    __pyx_v_abssum = (__pyx_v_abssum + fabs(__pyx_v_term));
-
-    /* "gfkernel/_core.pyx":263
- *         s = t
- *         abssum += fabs(term)
- *         n += 1             # <<<<<<<<<<<<<<
- *         if fabs(term) <= 1e-17 * fabs(s) and n > 4:
- *             rho = fabs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
-*/
-    __pyx_v_n = (__pyx_v_n + 1);
-
-    /* "gfkernel/_core.pyx":264
- *         abssum += fabs(term)
- *         n += 1
- *         if fabs(term) <= 1e-17 * fabs(s) and n > 4:             # <<<<<<<<<<<<<<
- *             rho = fabs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
- *             tail = fabs(term) * rho / (1.0 - rho) if rho < 1.0 else fabs(term) * 10.0
-*/
-    __pyx_t_5 = (fabs(__pyx_v_term) <= (1e-17 * fabs(__pyx_v_s)));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_n > 4);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":265
- *         n += 1
- *         if fabs(term) <= 1e-17 * fabs(s) and n > 4:
- *             rho = fabs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)             # <<<<<<<<<<<<<<
- *             tail = fabs(term) * rho / (1.0 - rho) if rho < 1.0 else fabs(term) * 10.0
- *             return s, tail + 1e-16 * abssum
-*/
-      __pyx_v_rho = fabs(((((__pyx_v_a + __pyx_v_n) * (__pyx_v_b + __pyx_v_n)) / ((__pyx_v_c + __pyx_v_n) * (1.0 + __pyx_v_n))) * __pyx_v_z));
-
-      /* "gfkernel/_core.pyx":266
- *         if fabs(term) <= 1e-17 * fabs(s) and n > 4:
- *             rho = fabs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
- *             tail = fabs(term) * rho / (1.0 - rho) if rho < 1.0 else fabs(term) * 10.0             # <<<<<<<<<<<<<<
- *             return s, tail + 1e-16 * abssum
- *     raise ConvergenceError(
-*/
-      __pyx_t_1 = (__pyx_v_rho < 1.0);
-      if (__pyx_t_1) {
-        __pyx_t_6 = ((fabs(__pyx_v_term) * __pyx_v_rho) / (1.0 - __pyx_v_rho));
-      } else {
-        __pyx_t_6 = (fabs(__pyx_v_term) * 10.0);
-      }
-      __pyx_v_tail = __pyx_t_6;
-
-      /* "gfkernel/_core.pyx":267
- *             rho = fabs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
- *             tail = fabs(term) * rho / (1.0 - rho) if rho < 1.0 else fabs(term) * 10.0
- *             return s, tail + 1e-16 * abssum             # <<<<<<<<<<<<<<
- *     raise ConvergenceError(
- *         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_4 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 267, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_3 = PyFloat_FromDouble((__pyx_v_tail + (1e-16 * __pyx_v_abssum))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 267, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 267, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __Pyx_GIVEREF(__pyx_t_4);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 267, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 267, __pyx_L1_error);
-      __pyx_t_4 = 0;
-      __pyx_t_3 = 0;
-      __pyx_r = __pyx_t_2;
-      __pyx_t_2 = 0;
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":264
- *         abssum += fabs(term)
- *         n += 1
- *         if fabs(term) <= 1e-17 * fabs(s) and n > 4:             # <<<<<<<<<<<<<<
- *             rho = fabs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
- *             tail = fabs(term) * rho / (1.0 - rho) if rho < 1.0 else fabs(term) * 10.0
-*/
-    }
-  }
-
-  /* "gfkernel/_core.pyx":268
- *             tail = fabs(term) * rho / (1.0 - rho) if rho < 1.0 else fabs(term) * 10.0
- *             return s, tail + 1e-16 * abssum
- *     raise ConvergenceError(             # <<<<<<<<<<<<<<
- *         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")
- * 
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_ConvergenceError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 268, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-
-  /* "gfkernel/_core.pyx":269
- *             return s, tail + 1e-16 * abssum
- *     raise ConvergenceError(
- *         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_a); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_7), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_b); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_9 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_7), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_c); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_10 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_7), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_z); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_11 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_7), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_t_12[0] = __pyx_mstate_global->__pyx_kp_u_2F1_series_did_not_converge_a;
-  __pyx_t_12[1] = __pyx_t_8;
-  __pyx_t_12[2] = __pyx_mstate_global->__pyx_kp_u_b_2;
-  __pyx_t_12[3] = __pyx_t_9;
-  __pyx_t_12[4] = __pyx_mstate_global->__pyx_kp_u_c_2;
-  __pyx_t_12[5] = __pyx_t_10;
-  __pyx_t_12[6] = __pyx_mstate_global->__pyx_kp_u_z_2;
-  __pyx_t_12[7] = __pyx_t_11;
-  __pyx_t_12[8] = __pyx_mstate_global->__pyx_kp_u_;
-  __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_12, 9, 31 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_8) + 4 * 3 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_10) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_11) + 1, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_8) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_9) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_10) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_11));
-  if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 269, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-  __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-  __pyx_t_13 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_4))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_4);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-    __pyx_t_13 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_7};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_13, (2-__pyx_t_13) | (__pyx_t_13*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 268, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __PYX_ERR(0, 268, __pyx_L1_error)
-
-  /* "gfkernel/_core.pyx":249
- * 
- * 
- * def gauss_series(double a, double b, double c, double z, int nmax=4000):             # <<<<<<<<<<<<<<
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0
- *     cdef double r, y, t, rho, tail
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_AddTraceback("gfkernel._core.gauss_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":272
- * 
- * 
- * cdef (double, double) _terminating_series(double a, double b, double c, double z,             # <<<<<<<<<<<<<<
- *                                           int nterms):
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0
-*/
-
-static __pyx_ctuple_double__and_double __pyx_f_8gfkernel_5_core__terminating_series(double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, int __pyx_v_nterms) {
-  double __pyx_v_term;
-  double __pyx_v_s;
-  double __pyx_v_comp;
-  double __pyx_v_abssum;
-  double __pyx_v_y;
-  double __pyx_v_t;
-  int __pyx_v_n;
-  __pyx_ctuple_double__and_double __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  __pyx_ctuple_double__and_double __pyx_t_4;
-
-  /* "gfkernel/_core.pyx":274
- * cdef (double, double) _terminating_series(double a, double b, double c, double z,
- *                                           int nterms):
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0             # <<<<<<<<<<<<<<
- *     cdef double y, t
- *     cdef int n
-*/
-  __pyx_v_term = 1.0;
-  __pyx_v_s = 1.0;
-  __pyx_v_comp = 0.0;
-  __pyx_v_abssum = 1.0;
-
-  /* "gfkernel/_core.pyx":277
- *     cdef double y, t
- *     cdef int n
- *     for n in range(nterms):             # <<<<<<<<<<<<<<
- *         term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
- *         y = term - comp
-*/
-  __pyx_t_1 = __pyx_v_nterms;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_n = __pyx_t_3;
-
-    /* "gfkernel/_core.pyx":278
- *     cdef int n
- *     for n in range(nterms):
- *         term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z             # <<<<<<<<<<<<<<
- *         y = term - comp
- *         t = s + y
-*/
-    __pyx_v_term = (__pyx_v_term * ((((__pyx_v_a + __pyx_v_n) * (__pyx_v_b + __pyx_v_n)) / ((__pyx_v_c + __pyx_v_n) * (1.0 + __pyx_v_n))) * __pyx_v_z));
-
-    /* "gfkernel/_core.pyx":279
- *     for n in range(nterms):
- *         term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
- *         y = term - comp             # <<<<<<<<<<<<<<
- *         t = s + y
- *         comp = (t - s) - y
-*/
-    __pyx_v_y = (__pyx_v_term - __pyx_v_comp);
-
-    /* "gfkernel/_core.pyx":280
- *         term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
- *         y = term - comp
- *         t = s + y             # <<<<<<<<<<<<<<
- *         comp = (t - s) - y
- *         s = t
-*/
-    __pyx_v_t = (__pyx_v_s + __pyx_v_y);
-
-    /* "gfkernel/_core.pyx":281
- *         y = term - comp
- *         t = s + y
- *         comp = (t - s) - y             # <<<<<<<<<<<<<<
- *         s = t
- *         abssum += fabs(term)
-*/
-    __pyx_v_comp = ((__pyx_v_t - __pyx_v_s) - __pyx_v_y);
-
-    /* "gfkernel/_core.pyx":282
- *         t = s + y
- *         comp = (t - s) - y
- *         s = t             # <<<<<<<<<<<<<<
- *         abssum += fabs(term)
- *     return s, 1e-16 * abssum
-*/
-    __pyx_v_s = __pyx_v_t;
-
-    /* "gfkernel/_core.pyx":283
- *         comp = (t - s) - y
- *         s = t
- *         abssum += fabs(term)             # <<<<<<<<<<<<<<
- *     return s, 1e-16 * abssum
- * 
-*/
-    __pyx_v_abssum = (__pyx_v_abssum + fabs(__pyx_v_term));
-  }
-
-  /* "gfkernel/_core.pyx":284
- *         s = t
- *         abssum += fabs(term)
- *     return s, 1e-16 * abssum             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_4.f0 = __pyx_v_s;
-  __pyx_t_4.f1 = (1e-16 * __pyx_v_abssum);
-  __pyx_r = __pyx_t_4;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":272
- * 
- * 
- * cdef (double, double) _terminating_series(double a, double b, double c, double z,             # <<<<<<<<<<<<<<
- *                                           int nterms):
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":287
- * 
- * 
- * cdef double _gamma_ratio2(double n1, double n2, double d1, double d2) except? -1e308:             # <<<<<<<<<<<<<<
- *     """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)); 0 on denominator poles."""
- *     cdef double ln = 0.0, sign = 1.0
-*/
-
-static double __pyx_f_8gfkernel_5_core__gamma_ratio2(double __pyx_v_n1, double __pyx_v_n2, double __pyx_v_d1, double __pyx_v_d2) {
-  double __pyx_v_ln;
-  double __pyx_v_sign;
-  double __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  double __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_gamma_ratio2", 0);
-
-  /* "gfkernel/_core.pyx":289
- * cdef double _gamma_ratio2(double n1, double n2, double d1, double d2) except? -1e308:
- *     """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)); 0 on denominator poles."""
- *     cdef double ln = 0.0, sign = 1.0             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(n1, 1e-12) or is_nonpositive_integer(n2, 1e-12):
- *         raise PoleError("gamma pole in coefficient numerator")
-*/
-  __pyx_v_ln = 0.0;
-  __pyx_v_sign = 1.0;
-
-  /* "gfkernel/_core.pyx":290
- *     """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)); 0 on denominator poles."""
- *     cdef double ln = 0.0, sign = 1.0
- *     if is_nonpositive_integer(n1, 1e-12) or is_nonpositive_integer(n2, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError("gamma pole in coefficient numerator")
- *     ln += lgamma(n1)
-*/
-  __pyx_t_3.__pyx_n = 1;
-  __pyx_t_3.tol = 1e-12;
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(__pyx_v_n1, 0, &__pyx_t_3); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 290, __pyx_L1_error)
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3.__pyx_n = 1;
-  __pyx_t_3.tol = 1e-12;
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(__pyx_v_n2, 0, &__pyx_t_3); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 290, __pyx_L1_error)
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":291
- *     cdef double ln = 0.0, sign = 1.0
- *     if is_nonpositive_integer(n1, 1e-12) or is_nonpositive_integer(n2, 1e-12):
- *         raise PoleError("gamma pole in coefficient numerator")             # <<<<<<<<<<<<<<
- *     ln += lgamma(n1)
- *     sign *= gamma_sign(n1)
-*/
-    __pyx_t_5 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_6, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 291, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_6))) {
-      __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_6);
-      assert(__pyx_t_5);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_6);
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_6, __pyx__function);
-      __pyx_t_7 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_mstate_global->__pyx_kp_u_gamma_pole_in_coefficient_numera};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_6, __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 291, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 291, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":290
- *     """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)); 0 on denominator poles."""
- *     cdef double ln = 0.0, sign = 1.0
- *     if is_nonpositive_integer(n1, 1e-12) or is_nonpositive_integer(n2, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError("gamma pole in coefficient numerator")
- *     ln += lgamma(n1)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":292
- *     if is_nonpositive_integer(n1, 1e-12) or is_nonpositive_integer(n2, 1e-12):
- *         raise PoleError("gamma pole in coefficient numerator")
- *     ln += lgamma(n1)             # <<<<<<<<<<<<<<
- *     sign *= gamma_sign(n1)
- *     ln += lgamma(n2)
-*/
-  __pyx_v_ln = (__pyx_v_ln + lgamma(__pyx_v_n1));
-
-  /* "gfkernel/_core.pyx":293
- *         raise PoleError("gamma pole in coefficient numerator")
- *     ln += lgamma(n1)
- *     sign *= gamma_sign(n1)             # <<<<<<<<<<<<<<
- *     ln += lgamma(n2)
- *     sign *= gamma_sign(n2)
-*/
-  __pyx_t_8 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_n1, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_8, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 293, __pyx_L1_error)
-  __pyx_v_sign = (__pyx_v_sign * __pyx_t_8);
-
-  /* "gfkernel/_core.pyx":294
- *     ln += lgamma(n1)
- *     sign *= gamma_sign(n1)
- *     ln += lgamma(n2)             # <<<<<<<<<<<<<<
- *     sign *= gamma_sign(n2)
- *     if is_nonpositive_integer(d1, 1e-12) or is_nonpositive_integer(d2, 1e-12):
-*/
-  __pyx_v_ln = (__pyx_v_ln + lgamma(__pyx_v_n2));
-
-  /* "gfkernel/_core.pyx":295
- *     sign *= gamma_sign(n1)
- *     ln += lgamma(n2)
- *     sign *= gamma_sign(n2)             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(d1, 1e-12) or is_nonpositive_integer(d2, 1e-12):
- *         return 0.0
-*/
-  __pyx_t_8 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_n2, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_8, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 295, __pyx_L1_error)
-  __pyx_v_sign = (__pyx_v_sign * __pyx_t_8);
-
-  /* "gfkernel/_core.pyx":296
- *     ln += lgamma(n2)
- *     sign *= gamma_sign(n2)
- *     if is_nonpositive_integer(d1, 1e-12) or is_nonpositive_integer(d2, 1e-12):             # <<<<<<<<<<<<<<
- *         return 0.0
- *     ln -= lgamma(d1)
-*/
-  __pyx_t_3.__pyx_n = 1;
-  __pyx_t_3.tol = 1e-12;
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(__pyx_v_d1, 0, &__pyx_t_3); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 296, __pyx_L1_error)
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L7_bool_binop_done;
-  }
-  __pyx_t_3.__pyx_n = 1;
-  __pyx_t_3.tol = 1e-12;
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(__pyx_v_d2, 0, &__pyx_t_3); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 296, __pyx_L1_error)
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L7_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":297
- *     sign *= gamma_sign(n2)
- *     if is_nonpositive_integer(d1, 1e-12) or is_nonpositive_integer(d2, 1e-12):
- *         return 0.0             # <<<<<<<<<<<<<<
- *     ln -= lgamma(d1)
- *     sign *= gamma_sign(d1)
-*/
-    __pyx_r = 0.0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":296
- *     ln += lgamma(n2)
- *     sign *= gamma_sign(n2)
- *     if is_nonpositive_integer(d1, 1e-12) or is_nonpositive_integer(d2, 1e-12):             # <<<<<<<<<<<<<<
- *         return 0.0
- *     ln -= lgamma(d1)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":298
- *     if is_nonpositive_integer(d1, 1e-12) or is_nonpositive_integer(d2, 1e-12):
- *         return 0.0
- *     ln -= lgamma(d1)             # <<<<<<<<<<<<<<
- *     sign *= gamma_sign(d1)
- *     ln -= lgamma(d2)
-*/
-  __pyx_v_ln = (__pyx_v_ln - lgamma(__pyx_v_d1));
-
-  /* "gfkernel/_core.pyx":299
- *         return 0.0
- *     ln -= lgamma(d1)
- *     sign *= gamma_sign(d1)             # <<<<<<<<<<<<<<
- *     ln -= lgamma(d2)
- *     sign *= gamma_sign(d2)
-*/
-  __pyx_t_8 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_d1, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_8, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 299, __pyx_L1_error)
-  __pyx_v_sign = (__pyx_v_sign * __pyx_t_8);
-
-  /* "gfkernel/_core.pyx":300
- *     ln -= lgamma(d1)
- *     sign *= gamma_sign(d1)
- *     ln -= lgamma(d2)             # <<<<<<<<<<<<<<
- *     sign *= gamma_sign(d2)
- *     if ln > LOG_MAX:
-*/
-  __pyx_v_ln = (__pyx_v_ln - lgamma(__pyx_v_d2));
-
-  /* "gfkernel/_core.pyx":301
- *     sign *= gamma_sign(d1)
- *     ln -= lgamma(d2)
- *     sign *= gamma_sign(d2)             # <<<<<<<<<<<<<<
- *     if ln > LOG_MAX:
- *         raise RangeOverflowError("gamma ratio overflow in 2F1 connection formula")
-*/
-  __pyx_t_8 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_d2, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_8, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 301, __pyx_L1_error)
-  __pyx_v_sign = (__pyx_v_sign * __pyx_t_8);
-
-  /* "gfkernel/_core.pyx":302
- *     ln -= lgamma(d2)
- *     sign *= gamma_sign(d2)
- *     if ln > LOG_MAX:             # <<<<<<<<<<<<<<
- *         raise RangeOverflowError("gamma ratio overflow in 2F1 connection formula")
- *     return sign * exp(ln)
-*/
-  __pyx_t_1 = (__pyx_v_ln > __pyx_v_8gfkernel_5_core_LOG_MAX);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":303
- *     sign *= gamma_sign(d2)
- *     if ln > LOG_MAX:
- *         raise RangeOverflowError("gamma ratio overflow in 2F1 connection formula")             # <<<<<<<<<<<<<<
- *     return sign * exp(ln)
- * 
-*/
-    __pyx_t_6 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_RangeOverflowError); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 303, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_7 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_6 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_6);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_6);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_7 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_mstate_global->__pyx_kp_u_gamma_ratio_overflow_in_2F1_conn};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 303, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 303, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":302
- *     ln -= lgamma(d2)
- *     sign *= gamma_sign(d2)
- *     if ln > LOG_MAX:             # <<<<<<<<<<<<<<
- *         raise RangeOverflowError("gamma ratio overflow in 2F1 connection formula")
- *     return sign * exp(ln)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":304
- *     if ln > LOG_MAX:
- *         raise RangeOverflowError("gamma ratio overflow in 2F1 connection formula")
- *     return sign * exp(ln)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_sign * exp(__pyx_v_ln));
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":287
- * 
- * 
- * cdef double _gamma_ratio2(double n1, double n2, double d1, double d2) except? -1e308:             # <<<<<<<<<<<<<<
- *     """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)); 0 on denominator poles."""
- *     cdef double ln = 0.0, sign = 1.0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("gfkernel._core._gamma_ratio2", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1e308);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":307
- * 
- * 
- * def hyp2f1(double a, double b, double c, double z, zc=None):             # <<<<<<<<<<<<<<
- *     cdef double w, d, f1, e1, f2, e2, c1, c2, val, err, rp
- *     cdef double zcv
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_27hyp2f1(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_27hyp2f1 = {"hyp2f1", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_27hyp2f1, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_27hyp2f1(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_a;
-  double __pyx_v_b;
-  double __pyx_v_c;
-  double __pyx_v_z;
-  PyObject *__pyx_v_zc = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("hyp2f1 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_c,&__pyx_mstate_global->__pyx_n_u_z,&__pyx_mstate_global->__pyx_n_u_zc,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 307, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 307, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 307, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 307, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 307, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 307, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "hyp2f1", 0) < (0)) __PYX_ERR(0, 307, __pyx_L3_error)
-      if (!values[4]) values[4] = __Pyx_NewRef(((PyObject *)Py_None));
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("hyp2f1", 0, 4, 5, i); __PYX_ERR(0, 307, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 307, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 307, __pyx_L3_error)
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 307, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 307, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 307, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[4]) values[4] = __Pyx_NewRef(((PyObject *)Py_None));
-    }
-    __pyx_v_a = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_a == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 307, __pyx_L3_error)
-    __pyx_v_b = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_b == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 307, __pyx_L3_error)
-    __pyx_v_c = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_c == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 307, __pyx_L3_error)
-    __pyx_v_z = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_z == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 307, __pyx_L3_error)
-    __pyx_v_zc = values[4];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("hyp2f1", 0, 4, 5, __pyx_nargs); __PYX_ERR(0, 307, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.hyp2f1", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_26hyp2f1(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_c, __pyx_v_z, __pyx_v_zc);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_26hyp2f1(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, PyObject *__pyx_v_zc) {
-  double __pyx_v_w;
-  double __pyx_v_d;
-  double __pyx_v_f1;
-  double __pyx_v_e1;
-  double __pyx_v_f2;
-  double __pyx_v_e2;
-  double __pyx_v_c1;
-  double __pyx_v_c2;
-  double __pyx_v_val;
-  double __pyx_v_err;
-  double __pyx_v_rp;
-  double __pyx_v_zcv;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[3];
-  size_t __pyx_t_9;
-  double __pyx_t_10;
-  double __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  __pyx_ctuple_double__and_double __pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *(*__pyx_t_17)(PyObject *);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("hyp2f1", 0);
-
-  /* "gfkernel/_core.pyx":310
- *     cdef double w, d, f1, e1, f2, e2, c1, c2, val, err, rp
- *     cdef double zcv
- *     if is_nonpositive_integer(c, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
- *     if z == 0.0:
-*/
-  __pyx_t_2.__pyx_n = 1;
-  __pyx_t_2.tol = 1e-12;
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(__pyx_v_c, 0, &__pyx_t_2); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 310, __pyx_L1_error)
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":311
- *     cdef double zcv
- *     if is_nonpositive_integer(c, 1e-12):
- *         raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")             # <<<<<<<<<<<<<<
- *     if z == 0.0:
- *         return 1.0, 0.0
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 311, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = PyFloat_FromDouble(__pyx_v_c); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 311, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_6), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 311, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_2F1_parameter_c;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_is_a_nonpositive_integer;
-    __pyx_t_6 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 16 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 25, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 311, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_6};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 311, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 311, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":310
- *     cdef double w, d, f1, e1, f2, e2, c1, c2, val, err, rp
- *     cdef double zcv
- *     if is_nonpositive_integer(c, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
- *     if z == 0.0:
-*/
-  }
-
-  /* "gfkernel/_core.pyx":312
- *     if is_nonpositive_integer(c, 1e-12):
- *         raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
- *     if z == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0, 0.0
- *     if z < 0.0:
-*/
-  __pyx_t_1 = (__pyx_v_z == 0.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":313
- *         raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
- *     if z == 0.0:
- *         return 1.0, 0.0             # <<<<<<<<<<<<<<
- *     if z < 0.0:
- *         if z > -1e-12:
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_tuple[0]);
-    __pyx_r = __pyx_mstate_global->__pyx_tuple[0];
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":312
- *     if is_nonpositive_integer(c, 1e-12):
- *         raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
- *     if z == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0, 0.0
- *     if z < 0.0:
-*/
-  }
-
-  /* "gfkernel/_core.pyx":314
- *     if z == 0.0:
- *         return 1.0, 0.0
- *     if z < 0.0:             # <<<<<<<<<<<<<<
- *         if z > -1e-12:
- *             return 1.0, 1e-12
-*/
-  __pyx_t_1 = (__pyx_v_z < 0.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":315
- *         return 1.0, 0.0
- *     if z < 0.0:
- *         if z > -1e-12:             # <<<<<<<<<<<<<<
- *             return 1.0, 1e-12
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
-*/
-    __pyx_t_1 = (__pyx_v_z > -1e-12);
-    if (__pyx_t_1) {
-
-      /* "gfkernel/_core.pyx":316
- *     if z < 0.0:
- *         if z > -1e-12:
- *             return 1.0, 1e-12             # <<<<<<<<<<<<<<
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     zcv = -1.0 if zc is None else <double>zc
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_tuple[1]);
-      __pyx_r = __pyx_mstate_global->__pyx_tuple[1];
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":315
- *         return 1.0, 0.0
- *     if z < 0.0:
- *         if z > -1e-12:             # <<<<<<<<<<<<<<
- *             return 1.0, 1e-12
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
-*/
-    }
-
-    /* "gfkernel/_core.pyx":317
- *         if z > -1e-12:
- *             return 1.0, 1e-12
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")             # <<<<<<<<<<<<<<
- *     zcv = -1.0 if zc is None else <double>zc
- *     if z >= 1.0 and not (zc is not None and zcv > 0.0):
-*/
-    __pyx_t_5 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_6, __pyx_mstate_global->__pyx_n_u_DomainError); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 317, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_4 = PyFloat_FromDouble(__pyx_v_z); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 317, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_4), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 317, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_2F1_argument_z;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_outside_0_1;
-    __pyx_t_4 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 15 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 317, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_6))) {
-      __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_6);
-      assert(__pyx_t_5);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_6);
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_6, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_4};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_6, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 317, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 317, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":314
- *     if z == 0.0:
- *         return 1.0, 0.0
- *     if z < 0.0:             # <<<<<<<<<<<<<<
- *         if z > -1e-12:
- *             return 1.0, 1e-12
-*/
-  }
-
-  /* "gfkernel/_core.pyx":318
- *             return 1.0, 1e-12
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     zcv = -1.0 if zc is None else <double>zc             # <<<<<<<<<<<<<<
- *     if z >= 1.0 and not (zc is not None and zcv > 0.0):
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
-*/
-  __pyx_t_1 = (__pyx_v_zc == Py_None);
-  if (__pyx_t_1) {
-    __pyx_t_10 = -1.0;
-  } else {
-    __pyx_t_11 = __Pyx_PyFloat_AsDouble(__pyx_v_zc); if (unlikely((__pyx_t_11 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 318, __pyx_L1_error)
-    __pyx_t_10 = ((double)__pyx_t_11);
-  }
-  __pyx_v_zcv = __pyx_t_10;
-
-  /* "gfkernel/_core.pyx":319
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     zcv = -1.0 if zc is None else <double>zc
- *     if z >= 1.0 and not (zc is not None and zcv > 0.0):             # <<<<<<<<<<<<<<
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     rp = floor(a + 0.5)
-*/
-  __pyx_t_12 = (__pyx_v_z >= 1.0);
-  if (__pyx_t_12) {
-  } else {
-    __pyx_t_1 = __pyx_t_12;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_13 = (__pyx_v_zc != Py_None);
-  if (__pyx_t_13) {
-  } else {
-    __pyx_t_12 = __pyx_t_13;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_13 = (__pyx_v_zcv > 0.0);
-  __pyx_t_12 = __pyx_t_13;
-  __pyx_L10_bool_binop_done:;
-  __pyx_t_13 = (!__pyx_t_12);
-  __pyx_t_1 = __pyx_t_13;
-  __pyx_L8_bool_binop_done:;
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":320
- *     zcv = -1.0 if zc is None else <double>zc
- *     if z >= 1.0 and not (zc is not None and zcv > 0.0):
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")             # <<<<<<<<<<<<<<
- *     rp = floor(a + 0.5)
- *     if rp <= 0.0 and fabs(a - rp) <= 1e-12:
-*/
-    __pyx_t_6 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_DomainError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 320, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = PyFloat_FromDouble(__pyx_v_z); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 320, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_5), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 320, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_2F1_argument_z;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_outside_0_1;
-    __pyx_t_5 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 15 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 320, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_4))) {
-      __pyx_t_6 = PyMethod_GET_SELF(__pyx_t_4);
-      assert(__pyx_t_6);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-      __Pyx_INCREF(__pyx_t_6);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_t_5};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 320, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 320, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":319
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     zcv = -1.0 if zc is None else <double>zc
- *     if z >= 1.0 and not (zc is not None and zcv > 0.0):             # <<<<<<<<<<<<<<
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     rp = floor(a + 0.5)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":321
- *     if z >= 1.0 and not (zc is not None and zcv > 0.0):
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     rp = floor(a + 0.5)             # <<<<<<<<<<<<<<
- *     if rp <= 0.0 and fabs(a - rp) <= 1e-12:
- *         return _terminating_series(a, b, c, z, <int>(-rp))
-*/
-  __pyx_v_rp = floor((__pyx_v_a + 0.5));
-
-  /* "gfkernel/_core.pyx":322
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     rp = floor(a + 0.5)
- *     if rp <= 0.0 and fabs(a - rp) <= 1e-12:             # <<<<<<<<<<<<<<
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     rp = floor(b + 0.5)
-*/
-  __pyx_t_13 = (__pyx_v_rp <= 0.0);
-  if (__pyx_t_13) {
-  } else {
-    __pyx_t_1 = __pyx_t_13;
-    goto __pyx_L13_bool_binop_done;
-  }
-  __pyx_t_13 = (fabs((__pyx_v_a - __pyx_v_rp)) <= 1e-12);
-  __pyx_t_1 = __pyx_t_13;
-  __pyx_L13_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":323
- *     rp = floor(a + 0.5)
- *     if rp <= 0.0 and fabs(a - rp) <= 1e-12:
- *         return _terminating_series(a, b, c, z, <int>(-rp))             # <<<<<<<<<<<<<<
- *     rp = floor(b + 0.5)
- *     if rp <= 0.0 and fabs(b - rp) <= 1e-12:
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_14 = __pyx_f_8gfkernel_5_core__terminating_series(__pyx_v_a, __pyx_v_b, __pyx_v_c, __pyx_v_z, ((int)(-__pyx_v_rp))); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 323, __pyx_L1_error)
-    __pyx_t_3 = __pyx_convert__to_py___pyx_ctuple_double__and_double(__pyx_t_14); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 323, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":322
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     rp = floor(a + 0.5)
- *     if rp <= 0.0 and fabs(a - rp) <= 1e-12:             # <<<<<<<<<<<<<<
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     rp = floor(b + 0.5)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":324
- *     if rp <= 0.0 and fabs(a - rp) <= 1e-12:
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     rp = floor(b + 0.5)             # <<<<<<<<<<<<<<
- *     if rp <= 0.0 and fabs(b - rp) <= 1e-12:
- *         return _terminating_series(a, b, c, z, <int>(-rp))
-*/
-  __pyx_v_rp = floor((__pyx_v_b + 0.5));
-
-  /* "gfkernel/_core.pyx":325
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     rp = floor(b + 0.5)
- *     if rp <= 0.0 and fabs(b - rp) <= 1e-12:             # <<<<<<<<<<<<<<
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     if z <= 0.5:
-*/
-  __pyx_t_13 = (__pyx_v_rp <= 0.0);
-  if (__pyx_t_13) {
-  } else {
-    __pyx_t_1 = __pyx_t_13;
-    goto __pyx_L16_bool_binop_done;
-  }
-  __pyx_t_13 = (fabs((__pyx_v_b - __pyx_v_rp)) <= 1e-12);
-  __pyx_t_1 = __pyx_t_13;
-  __pyx_L16_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":326
- *     rp = floor(b + 0.5)
- *     if rp <= 0.0 and fabs(b - rp) <= 1e-12:
- *         return _terminating_series(a, b, c, z, <int>(-rp))             # <<<<<<<<<<<<<<
- *     if z <= 0.5:
- *         return gauss_series(a, b, c, z)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_14 = __pyx_f_8gfkernel_5_core__terminating_series(__pyx_v_a, __pyx_v_b, __pyx_v_c, __pyx_v_z, ((int)(-__pyx_v_rp))); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 326, __pyx_L1_error)
-    __pyx_t_3 = __pyx_convert__to_py___pyx_ctuple_double__and_double(__pyx_t_14); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 326, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":325
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     rp = floor(b + 0.5)
- *     if rp <= 0.0 and fabs(b - rp) <= 1e-12:             # <<<<<<<<<<<<<<
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     if z <= 0.5:
-*/
-  }
-
-  /* "gfkernel/_core.pyx":327
- *     if rp <= 0.0 and fabs(b - rp) <= 1e-12:
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     if z <= 0.5:             # <<<<<<<<<<<<<<
- *         return gauss_series(a, b, c, z)
- *     w = (1.0 - z) if zc is None else zcv
-*/
-  __pyx_t_1 = (__pyx_v_z <= 0.5);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":328
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     if z <= 0.5:
- *         return gauss_series(a, b, c, z)             # <<<<<<<<<<<<<<
- *     w = (1.0 - z) if zc is None else zcv
- *     d = c - a - b
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_gauss_series); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 328, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = PyFloat_FromDouble(__pyx_v_a); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 328, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = PyFloat_FromDouble(__pyx_v_b); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 328, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_15 = PyFloat_FromDouble(__pyx_v_c); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 328, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __pyx_t_16 = PyFloat_FromDouble(__pyx_v_z); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 328, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_16);
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[5] = {__pyx_t_4, __pyx_t_6, __pyx_t_7, __pyx_t_15, __pyx_t_16};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_9, (5-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-      __Pyx_DECREF(__pyx_t_16); __pyx_t_16 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 328, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":327
- *     if rp <= 0.0 and fabs(b - rp) <= 1e-12:
- *         return _terminating_series(a, b, c, z, <int>(-rp))
- *     if z <= 0.5:             # <<<<<<<<<<<<<<
- *         return gauss_series(a, b, c, z)
- *     w = (1.0 - z) if zc is None else zcv
-*/
-  }
-
-  /* "gfkernel/_core.pyx":329
- *     if z <= 0.5:
- *         return gauss_series(a, b, c, z)
- *     w = (1.0 - z) if zc is None else zcv             # <<<<<<<<<<<<<<
- *     d = c - a - b
- *     if fabs(d - floor(d + 0.5)) < 1e-8:
-*/
-  __pyx_t_1 = (__pyx_v_zc == Py_None);
-  if (__pyx_t_1) {
-    __pyx_t_10 = (1.0 - __pyx_v_z);
-  } else {
-    __pyx_t_10 = __pyx_v_zcv;
-  }
-  __pyx_v_w = __pyx_t_10;
-
-  /* "gfkernel/_core.pyx":330
- *         return gauss_series(a, b, c, z)
- *     w = (1.0 - z) if zc is None else zcv
- *     d = c - a - b             # <<<<<<<<<<<<<<
- *     if fabs(d - floor(d + 0.5)) < 1e-8:
- *         raise DegenerateParameterError(
-*/
-  __pyx_v_d = ((__pyx_v_c - __pyx_v_a) - __pyx_v_b);
-
-  /* "gfkernel/_core.pyx":331
- *     w = (1.0 - z) if zc is None else zcv
- *     d = c - a - b
- *     if fabs(d - floor(d + 0.5)) < 1e-8:             # <<<<<<<<<<<<<<
- *         raise DegenerateParameterError(
- *             f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
-*/
-  __pyx_t_1 = (fabs((__pyx_v_d - floor((__pyx_v_d + 0.5)))) < 1e-8);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":332
- *     d = c - a - b
- *     if fabs(d - floor(d + 0.5)) < 1e-8:
- *         raise DegenerateParameterError(             # <<<<<<<<<<<<<<
- *             f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
- *     f1, e1 = gauss_series(a, b, a + b - c + 1.0, w)
-*/
-    __pyx_t_5 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_DegenerateParameterError); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 332, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_16);
-
-    /* "gfkernel/_core.pyx":333
- *     if fabs(d - floor(d + 0.5)) < 1e-8:
- *         raise DegenerateParameterError(
- *             f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")             # <<<<<<<<<<<<<<
- *     f1, e1 = gauss_series(a, b, a + b - c + 1.0, w)
- *     f2, e2 = gauss_series(c - a, c - b, d + 1.0, w)
-*/
-    __pyx_t_15 = PyFloat_FromDouble(__pyx_v_d); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 333, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_15), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 333, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_2F1_connection_formula_degenerat;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_is_near_an_integer;
-    __pyx_t_15 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 41 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 21, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 333, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_16))) {
-      __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_16);
-      assert(__pyx_t_5);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_16);
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_16, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_15};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_16, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-      __Pyx_DECREF(__pyx_t_16); __pyx_t_16 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 332, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 332, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":331
- *     w = (1.0 - z) if zc is None else zcv
- *     d = c - a - b
- *     if fabs(d - floor(d + 0.5)) < 1e-8:             # <<<<<<<<<<<<<<
- *         raise DegenerateParameterError(
- *             f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
-*/
-  }
-
-  /* "gfkernel/_core.pyx":334
- *         raise DegenerateParameterError(
- *             f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
- *     f1, e1 = gauss_series(a, b, a + b - c + 1.0, w)             # <<<<<<<<<<<<<<
- *     f2, e2 = gauss_series(c - a, c - b, d + 1.0, w)
- *     c1 = _gamma_ratio2(c, d, c - a, c - b)
-*/
-  __pyx_t_16 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_15, __pyx_mstate_global->__pyx_n_u_gauss_series); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_15);
-  __pyx_t_5 = PyFloat_FromDouble(__pyx_v_a); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_b); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_6 = PyFloat_FromDouble((((__pyx_v_a + __pyx_v_b) - __pyx_v_c) + 1.0)); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_4 = PyFloat_FromDouble(__pyx_v_w); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_9 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_15))) {
-    __pyx_t_16 = PyMethod_GET_SELF(__pyx_t_15);
-    assert(__pyx_t_16);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_15);
-    __Pyx_INCREF(__pyx_t_16);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_15, __pyx__function);
-    __pyx_t_9 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[5] = {__pyx_t_16, __pyx_t_5, __pyx_t_7, __pyx_t_6, __pyx_t_4};
-    __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_15, __pyx_callargs+__pyx_t_9, (5-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_16); __pyx_t_16 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-  }
-  if ((likely(PyTuple_CheckExact(__pyx_t_3))) || (PyList_CheckExact(__pyx_t_3))) {
-    PyObject* sequence = __pyx_t_3;
-    Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-    if (unlikely(size != 2)) {
-      if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-      else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-      __PYX_ERR(0, 334, __pyx_L1_error)
-    }
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    if (likely(PyTuple_CheckExact(sequence))) {
-      __pyx_t_15 = PyTuple_GET_ITEM(sequence, 0);
-      __Pyx_INCREF(__pyx_t_15);
-      __pyx_t_4 = PyTuple_GET_ITEM(sequence, 1);
-      __Pyx_INCREF(__pyx_t_4);
-    } else {
-      __pyx_t_15 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 334, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_15);
-      __pyx_t_4 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 334, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_4);
-    }
-    #else
-    __pyx_t_15 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __pyx_t_4 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    #endif
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  } else {
-    Py_ssize_t index = -1;
-    __pyx_t_6 = PyObject_GetIter(__pyx_t_3); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_17 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_6);
-    index = 0; __pyx_t_15 = __pyx_t_17(__pyx_t_6); if (unlikely(!__pyx_t_15)) goto __pyx_L20_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_15);
-    index = 1; __pyx_t_4 = __pyx_t_17(__pyx_t_6); if (unlikely(!__pyx_t_4)) goto __pyx_L20_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_4);
-    if (__Pyx_IternextUnpackEndCheck(__pyx_t_17(__pyx_t_6), 2) < (0)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __pyx_t_17 = NULL;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    goto __pyx_L21_unpacking_done;
-    __pyx_L20_unpacking_failed:;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_17 = NULL;
-    if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-    __PYX_ERR(0, 334, __pyx_L1_error)
-    __pyx_L21_unpacking_done:;
-  }
-  __pyx_t_10 = __Pyx_PyFloat_AsDouble(__pyx_t_15); if (unlikely((__pyx_t_10 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-  __pyx_t_11 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_11 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_v_f1 = __pyx_t_10;
-  __pyx_v_e1 = __pyx_t_11;
-
-  /* "gfkernel/_core.pyx":335
- *             f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
- *     f1, e1 = gauss_series(a, b, a + b - c + 1.0, w)
- *     f2, e2 = gauss_series(c - a, c - b, d + 1.0, w)             # <<<<<<<<<<<<<<
- *     c1 = _gamma_ratio2(c, d, c - a, c - b)
- *     c2 = _gamma_ratio2(c, -d, a, b) * cpow(w, d)
-*/
-  __pyx_t_4 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_15, __pyx_mstate_global->__pyx_n_u_gauss_series); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_15);
-  __pyx_t_6 = PyFloat_FromDouble((__pyx_v_c - __pyx_v_a)); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = PyFloat_FromDouble((__pyx_v_c - __pyx_v_b)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_5 = PyFloat_FromDouble((__pyx_v_d + 1.0)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_16 = PyFloat_FromDouble(__pyx_v_w); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_16);
-  __pyx_t_9 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_15))) {
-    __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_15);
-    assert(__pyx_t_4);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_15);
-    __Pyx_INCREF(__pyx_t_4);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_15, __pyx__function);
-    __pyx_t_9 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[5] = {__pyx_t_4, __pyx_t_6, __pyx_t_7, __pyx_t_5, __pyx_t_16};
-    __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_15, __pyx_callargs+__pyx_t_9, (5-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_16); __pyx_t_16 = 0;
-    __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 335, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-  }
-  if ((likely(PyTuple_CheckExact(__pyx_t_3))) || (PyList_CheckExact(__pyx_t_3))) {
-    PyObject* sequence = __pyx_t_3;
-    Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-    if (unlikely(size != 2)) {
-      if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-      else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-      __PYX_ERR(0, 335, __pyx_L1_error)
-    }
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    if (likely(PyTuple_CheckExact(sequence))) {
-      __pyx_t_15 = PyTuple_GET_ITEM(sequence, 0);
-      __Pyx_INCREF(__pyx_t_15);
-      __pyx_t_16 = PyTuple_GET_ITEM(sequence, 1);
-      __Pyx_INCREF(__pyx_t_16);
-    } else {
-      __pyx_t_15 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 335, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_15);
-      __pyx_t_16 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-      if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 335, __pyx_L1_error)
-      __Pyx_XGOTREF(__pyx_t_16);
-    }
-    #else
-    __pyx_t_15 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 335, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __pyx_t_16 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 335, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_16);
-    #endif
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  } else {
-    Py_ssize_t index = -1;
-    __pyx_t_5 = PyObject_GetIter(__pyx_t_3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 335, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_17 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_5);
-    index = 0; __pyx_t_15 = __pyx_t_17(__pyx_t_5); if (unlikely(!__pyx_t_15)) goto __pyx_L22_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_15);
-    index = 1; __pyx_t_16 = __pyx_t_17(__pyx_t_5); if (unlikely(!__pyx_t_16)) goto __pyx_L22_unpacking_failed;
-    __Pyx_GOTREF(__pyx_t_16);
-    if (__Pyx_IternextUnpackEndCheck(__pyx_t_17(__pyx_t_5), 2) < (0)) __PYX_ERR(0, 335, __pyx_L1_error)
-    __pyx_t_17 = NULL;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    goto __pyx_L23_unpacking_done;
-    __pyx_L22_unpacking_failed:;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_17 = NULL;
-    if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-    __PYX_ERR(0, 335, __pyx_L1_error)
-    __pyx_L23_unpacking_done:;
-  }
-  __pyx_t_11 = __Pyx_PyFloat_AsDouble(__pyx_t_15); if (unlikely((__pyx_t_11 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-  __pyx_t_10 = __Pyx_PyFloat_AsDouble(__pyx_t_16); if (unlikely((__pyx_t_10 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_16); __pyx_t_16 = 0;
-  __pyx_v_f2 = __pyx_t_11;
-  __pyx_v_e2 = __pyx_t_10;
-
-  /* "gfkernel/_core.pyx":336
- *     f1, e1 = gauss_series(a, b, a + b - c + 1.0, w)
- *     f2, e2 = gauss_series(c - a, c - b, d + 1.0, w)
- *     c1 = _gamma_ratio2(c, d, c - a, c - b)             # <<<<<<<<<<<<<<
- *     c2 = _gamma_ratio2(c, -d, a, b) * cpow(w, d)
- *     val = c1 * f1 + c2 * f2
-*/
-  __pyx_t_10 = __pyx_f_8gfkernel_5_core__gamma_ratio2(__pyx_v_c, __pyx_v_d, (__pyx_v_c - __pyx_v_a), (__pyx_v_c - __pyx_v_b)); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_10, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 336, __pyx_L1_error)
-  __pyx_v_c1 = __pyx_t_10;
-
-  /* "gfkernel/_core.pyx":337
- *     f2, e2 = gauss_series(c - a, c - b, d + 1.0, w)
- *     c1 = _gamma_ratio2(c, d, c - a, c - b)
- *     c2 = _gamma_ratio2(c, -d, a, b) * cpow(w, d)             # <<<<<<<<<<<<<<
- *     val = c1 * f1 + c2 * f2
- *     err = fabs(c1) * e1 + fabs(c2) * e2 + 2e-16 * (fabs(c1 * f1) + fabs(c2 * f2))
-*/
-  __pyx_t_10 = __pyx_f_8gfkernel_5_core__gamma_ratio2(__pyx_v_c, (-__pyx_v_d), __pyx_v_a, __pyx_v_b); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_10, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 337, __pyx_L1_error)
-  __pyx_v_c2 = (__pyx_t_10 * pow(__pyx_v_w, __pyx_v_d));
-
-  /* "gfkernel/_core.pyx":338
- *     c1 = _gamma_ratio2(c, d, c - a, c - b)
- *     c2 = _gamma_ratio2(c, -d, a, b) * cpow(w, d)
- *     val = c1 * f1 + c2 * f2             # <<<<<<<<<<<<<<
- *     err = fabs(c1) * e1 + fabs(c2) * e2 + 2e-16 * (fabs(c1 * f1) + fabs(c2 * f2))
- *     return val, err
-*/
-  __pyx_v_val = ((__pyx_v_c1 * __pyx_v_f1) + (__pyx_v_c2 * __pyx_v_f2));
-
-  /* "gfkernel/_core.pyx":339
- *     c2 = _gamma_ratio2(c, -d, a, b) * cpow(w, d)
- *     val = c1 * f1 + c2 * f2
- *     err = fabs(c1) * e1 + fabs(c2) * e2 + 2e-16 * (fabs(c1 * f1) + fabs(c2 * f2))             # <<<<<<<<<<<<<<
- *     return val, err
- * 
-*/
-  __pyx_v_err = (((fabs(__pyx_v_c1) * __pyx_v_e1) + (fabs(__pyx_v_c2) * __pyx_v_e2)) + (2e-16 * (fabs((__pyx_v_c1 * __pyx_v_f1)) + fabs((__pyx_v_c2 * __pyx_v_f2)))));
-
-  /* "gfkernel/_core.pyx":340
- *     val = c1 * f1 + c2 * f2
- *     err = fabs(c1) * e1 + fabs(c2) * e2 + 2e-16 * (fabs(c1 * f1) + fabs(c2 * f2))
- *     return val, err             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = PyFloat_FromDouble(__pyx_v_val); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 340, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_16 = PyFloat_FromDouble(__pyx_v_err); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 340, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_16);
-  __pyx_t_15 = PyTuple_New(2); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 340, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_15);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 340, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_16);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, __pyx_t_16) != (0)) __PYX_ERR(0, 340, __pyx_L1_error);
-  __pyx_t_3 = 0;
-  __pyx_t_16 = 0;
-  __pyx_r = __pyx_t_15;
-  __pyx_t_15 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":307
- * 
- * 
- * def hyp2f1(double a, double b, double c, double z, zc=None):             # <<<<<<<<<<<<<<
- *     cdef double w, d, f1, e1, f2, e2, c1, c2, val, err, rp
- *     cdef double zcv
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_XDECREF(__pyx_t_16);
-  __Pyx_AddTraceback("gfkernel._core.hyp2f1", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":348
- * 
- * 
- * cdef double _legendre_poly(int n, double t) noexcept:             # <<<<<<<<<<<<<<
- *     cdef double pm1 = 1.0, p = t, nxt
- *     cdef int j
-*/
-
-static double __pyx_f_8gfkernel_5_core__legendre_poly(int __pyx_v_n, double __pyx_v_t) {
-  double __pyx_v_pm1;
-  double __pyx_v_p;
-  double __pyx_v_nxt;
-  int __pyx_v_j;
-  double __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "gfkernel/_core.pyx":349
- * 
- * cdef double _legendre_poly(int n, double t) noexcept:
- *     cdef double pm1 = 1.0, p = t, nxt             # <<<<<<<<<<<<<<
- *     cdef int j
- *     if n == 0:
-*/
-  __pyx_v_pm1 = 1.0;
-  __pyx_v_p = __pyx_v_t;
-
-  /* "gfkernel/_core.pyx":351
- *     cdef double pm1 = 1.0, p = t, nxt
- *     cdef int j
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     for j in range(1, n):
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":352
- *     cdef int j
- *     if n == 0:
- *         return 1.0             # <<<<<<<<<<<<<<
- *     for j in range(1, n):
- *         nxt = ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0)
-*/
-    __pyx_r = 1.0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":351
- *     cdef double pm1 = 1.0, p = t, nxt
- *     cdef int j
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     for j in range(1, n):
-*/
-  }
-
-  /* "gfkernel/_core.pyx":353
- *     if n == 0:
- *         return 1.0
- *     for j in range(1, n):             # <<<<<<<<<<<<<<
- *         nxt = ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0)
- *         pm1 = p
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_j = __pyx_t_4;
-
-    /* "gfkernel/_core.pyx":354
- *         return 1.0
- *     for j in range(1, n):
- *         nxt = ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0)             # <<<<<<<<<<<<<<
- *         pm1 = p
- *         p = nxt
-*/
-    __pyx_v_nxt = ((((((2.0 * __pyx_v_j) + 1.0) * __pyx_v_t) * __pyx_v_p) - (__pyx_v_j * __pyx_v_pm1)) / (__pyx_v_j + 1.0));
-
-    /* "gfkernel/_core.pyx":355
- *     for j in range(1, n):
- *         nxt = ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0)
- *         pm1 = p             # <<<<<<<<<<<<<<
- *         p = nxt
- *     return p
-*/
-    __pyx_v_pm1 = __pyx_v_p;
-
-    /* "gfkernel/_core.pyx":356
- *         nxt = ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0)
- *         pm1 = p
- *         p = nxt             # <<<<<<<<<<<<<<
- *     return p
- * 
-*/
-    __pyx_v_p = __pyx_v_nxt;
-  }
-
-  /* "gfkernel/_core.pyx":357
- *         pm1 = p
- *         p = nxt
- *     return p             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_p;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":348
- * 
- * 
- * cdef double _legendre_poly(int n, double t) noexcept:             # <<<<<<<<<<<<<<
- *     cdef double pm1 = 1.0, p = t, nxt
- *     cdef int j
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":360
- * 
- * 
- * cdef double _legendre_p0_log(double nu, double zf, double w) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double a = nu + 1.0
- *     cdef double b = -nu
-*/
-
-static double __pyx_f_8gfkernel_5_core__legendre_p0_log(double __pyx_v_nu, CYTHON_UNUSED double __pyx_v_zf, double __pyx_v_w) {
-  double __pyx_v_a;
-  double __pyx_v_b;
-  double __pyx_v_la;
-  double __pyx_v_lb;
-  double __pyx_v_g;
-  double __pyx_v_lnw;
-  double __pyx_v_psi_n1;
-  double __pyx_v_psi_an;
-  double __pyx_v_psi_bn;
-  double __pyx_v_coef;
-  double __pyx_v_s;
-  double __pyx_v_wn;
-  double __pyx_v_term;
-  int __pyx_v_n;
-  double __pyx_r;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11[3];
-  size_t __pyx_t_12;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_legendre_p0_log", 0);
-
-  /* "gfkernel/_core.pyx":361
- * 
- * cdef double _legendre_p0_log(double nu, double zf, double w) except? -1e308:
- *     cdef double a = nu + 1.0             # <<<<<<<<<<<<<<
- *     cdef double b = -nu
- *     cdef double la = lgamma(a)
-*/
-  __pyx_v_a = (__pyx_v_nu + 1.0);
-
-  /* "gfkernel/_core.pyx":362
- * cdef double _legendre_p0_log(double nu, double zf, double w) except? -1e308:
- *     cdef double a = nu + 1.0
- *     cdef double b = -nu             # <<<<<<<<<<<<<<
- *     cdef double la = lgamma(a)
- *     cdef double lb = lgamma(b)
-*/
-  __pyx_v_b = (-__pyx_v_nu);
-
-  /* "gfkernel/_core.pyx":363
- *     cdef double a = nu + 1.0
- *     cdef double b = -nu
- *     cdef double la = lgamma(a)             # <<<<<<<<<<<<<<
- *     cdef double lb = lgamma(b)
- *     cdef double g = gamma_sign(a) * gamma_sign(b) * exp(-(la + lb))
-*/
-  __pyx_v_la = lgamma(__pyx_v_a);
-
-  /* "gfkernel/_core.pyx":364
- *     cdef double b = -nu
- *     cdef double la = lgamma(a)
- *     cdef double lb = lgamma(b)             # <<<<<<<<<<<<<<
- *     cdef double g = gamma_sign(a) * gamma_sign(b) * exp(-(la + lb))
- *     cdef double lnw = log(w)
-*/
-  __pyx_v_lb = lgamma(__pyx_v_b);
-
-  /* "gfkernel/_core.pyx":365
- *     cdef double la = lgamma(a)
- *     cdef double lb = lgamma(b)
- *     cdef double g = gamma_sign(a) * gamma_sign(b) * exp(-(la + lb))             # <<<<<<<<<<<<<<
- *     cdef double lnw = log(w)
- *     cdef double psi_n1 = digamma(1.0)
-*/
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_a, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_1, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 365, __pyx_L1_error)
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_gamma_sign(__pyx_v_b, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 365, __pyx_L1_error)
-  __pyx_v_g = ((__pyx_t_1 * __pyx_t_2) * exp((-(__pyx_v_la + __pyx_v_lb))));
-
-  /* "gfkernel/_core.pyx":366
- *     cdef double lb = lgamma(b)
- *     cdef double g = gamma_sign(a) * gamma_sign(b) * exp(-(la + lb))
- *     cdef double lnw = log(w)             # <<<<<<<<<<<<<<
- *     cdef double psi_n1 = digamma(1.0)
- *     cdef double psi_an = digamma(a)
-*/
-  __pyx_v_lnw = log(__pyx_v_w);
-
-  /* "gfkernel/_core.pyx":367
- *     cdef double g = gamma_sign(a) * gamma_sign(b) * exp(-(la + lb))
- *     cdef double lnw = log(w)
- *     cdef double psi_n1 = digamma(1.0)             # <<<<<<<<<<<<<<
- *     cdef double psi_an = digamma(a)
- *     cdef double psi_bn = digamma(b)
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_digamma(1.0, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 367, __pyx_L1_error)
-  __pyx_v_psi_n1 = __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":368
- *     cdef double lnw = log(w)
- *     cdef double psi_n1 = digamma(1.0)
- *     cdef double psi_an = digamma(a)             # <<<<<<<<<<<<<<
- *     cdef double psi_bn = digamma(b)
- *     cdef double coef = 1.0, s = 0.0, wn = 1.0, term
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_digamma(__pyx_v_a, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 368, __pyx_L1_error)
-  __pyx_v_psi_an = __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":369
- *     cdef double psi_n1 = digamma(1.0)
- *     cdef double psi_an = digamma(a)
- *     cdef double psi_bn = digamma(b)             # <<<<<<<<<<<<<<
- *     cdef double coef = 1.0, s = 0.0, wn = 1.0, term
- *     cdef int n
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_digamma(__pyx_v_b, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 369, __pyx_L1_error)
-  __pyx_v_psi_bn = __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":370
- *     cdef double psi_an = digamma(a)
- *     cdef double psi_bn = digamma(b)
- *     cdef double coef = 1.0, s = 0.0, wn = 1.0, term             # <<<<<<<<<<<<<<
- *     cdef int n
- *     for n in range(0, 400):
-*/
-  __pyx_v_coef = 1.0;
-  __pyx_v_s = 0.0;
-  __pyx_v_wn = 1.0;
-
-  /* "gfkernel/_core.pyx":372
- *     cdef double coef = 1.0, s = 0.0, wn = 1.0, term
- *     cdef int n
- *     for n in range(0, 400):             # <<<<<<<<<<<<<<
- *         if n > 0:
- *             coef *= (a + n - 1.0) * (b + n - 1.0) / (<double>n * n)
-*/
-  for (__pyx_t_3 = 0; __pyx_t_3 < 0x190; __pyx_t_3+=1) {
-    __pyx_v_n = __pyx_t_3;
-
-    /* "gfkernel/_core.pyx":373
- *     cdef int n
- *     for n in range(0, 400):
- *         if n > 0:             # <<<<<<<<<<<<<<
- *             coef *= (a + n - 1.0) * (b + n - 1.0) / (<double>n * n)
- *             wn *= w
-*/
-    __pyx_t_4 = (__pyx_v_n > 0);
-    if (__pyx_t_4) {
-
-      /* "gfkernel/_core.pyx":374
- *     for n in range(0, 400):
- *         if n > 0:
- *             coef *= (a + n - 1.0) * (b + n - 1.0) / (<double>n * n)             # <<<<<<<<<<<<<<
- *             wn *= w
- *             psi_n1 += 1.0 / n
-*/
-      __pyx_v_coef = (__pyx_v_coef * ((((__pyx_v_a + __pyx_v_n) - 1.0) * ((__pyx_v_b + __pyx_v_n) - 1.0)) / (((double)__pyx_v_n) * __pyx_v_n)));
-
-      /* "gfkernel/_core.pyx":375
- *         if n > 0:
- *             coef *= (a + n - 1.0) * (b + n - 1.0) / (<double>n * n)
- *             wn *= w             # <<<<<<<<<<<<<<
- *             psi_n1 += 1.0 / n
- *             psi_an += 1.0 / (a + n - 1.0)
-*/
-      __pyx_v_wn = (__pyx_v_wn * __pyx_v_w);
-
-      /* "gfkernel/_core.pyx":376
- *             coef *= (a + n - 1.0) * (b + n - 1.0) / (<double>n * n)
- *             wn *= w
- *             psi_n1 += 1.0 / n             # <<<<<<<<<<<<<<
- *             psi_an += 1.0 / (a + n - 1.0)
- *             psi_bn += 1.0 / (b + n - 1.0)
-*/
-      __pyx_v_psi_n1 = (__pyx_v_psi_n1 + (1.0 / ((double)__pyx_v_n)));
-
-      /* "gfkernel/_core.pyx":377
- *             wn *= w
- *             psi_n1 += 1.0 / n
- *             psi_an += 1.0 / (a + n - 1.0)             # <<<<<<<<<<<<<<
- *             psi_bn += 1.0 / (b + n - 1.0)
- *         term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw)
-*/
-      __pyx_v_psi_an = (__pyx_v_psi_an + (1.0 / ((__pyx_v_a + __pyx_v_n) - 1.0)));
-
-      /* "gfkernel/_core.pyx":378
- *             psi_n1 += 1.0 / n
- *             psi_an += 1.0 / (a + n - 1.0)
- *             psi_bn += 1.0 / (b + n - 1.0)             # <<<<<<<<<<<<<<
- *         term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw)
- *         s += term
-*/
-      __pyx_v_psi_bn = (__pyx_v_psi_bn + (1.0 / ((__pyx_v_b + __pyx_v_n) - 1.0)));
-
-      /* "gfkernel/_core.pyx":373
- *     cdef int n
- *     for n in range(0, 400):
- *         if n > 0:             # <<<<<<<<<<<<<<
- *             coef *= (a + n - 1.0) * (b + n - 1.0) / (<double>n * n)
- *             wn *= w
-*/
-    }
-
-    /* "gfkernel/_core.pyx":379
- *             psi_an += 1.0 / (a + n - 1.0)
- *             psi_bn += 1.0 / (b + n - 1.0)
- *         term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw)             # <<<<<<<<<<<<<<
- *         s += term
- *         if n > 3 and fabs(term) <= 1e-17 * fabs(s):
-*/
-    __pyx_v_term = ((__pyx_v_coef * __pyx_v_wn) * ((((2.0 * __pyx_v_psi_n1) - __pyx_v_psi_an) - __pyx_v_psi_bn) - __pyx_v_lnw));
-
-    /* "gfkernel/_core.pyx":380
- *             psi_bn += 1.0 / (b + n - 1.0)
- *         term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw)
- *         s += term             # <<<<<<<<<<<<<<
- *         if n > 3 and fabs(term) <= 1e-17 * fabs(s):
- *             return g * s
-*/
-    __pyx_v_s = (__pyx_v_s + __pyx_v_term);
-
-    /* "gfkernel/_core.pyx":381
- *         term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw)
- *         s += term
- *         if n > 3 and fabs(term) <= 1e-17 * fabs(s):             # <<<<<<<<<<<<<<
- *             return g * s
- *     raise ConvergenceError(f"Legendre log-series did not converge (nu={nu!r})")
-*/
-    __pyx_t_5 = (__pyx_v_n > 3);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (fabs(__pyx_v_term) <= (1e-17 * fabs(__pyx_v_s)));
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "gfkernel/_core.pyx":382
- *         s += term
- *         if n > 3 and fabs(term) <= 1e-17 * fabs(s):
- *             return g * s             # <<<<<<<<<<<<<<
- *     raise ConvergenceError(f"Legendre log-series did not converge (nu={nu!r})")
- * 
-*/
-      __pyx_r = (__pyx_v_g * __pyx_v_s);
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":381
- *         term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw)
- *         s += term
- *         if n > 3 and fabs(term) <= 1e-17 * fabs(s):             # <<<<<<<<<<<<<<
- *             return g * s
- *     raise ConvergenceError(f"Legendre log-series did not converge (nu={nu!r})")
-*/
-    }
-  }
-
-  /* "gfkernel/_core.pyx":383
- *         if n > 3 and fabs(term) <= 1e-17 * fabs(s):
- *             return g * s
- *     raise ConvergenceError(f"Legendre log-series did not converge (nu={nu!r})")             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_7 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_ConvergenceError); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 383, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = PyFloat_FromDouble(__pyx_v_nu); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 383, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_10 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_9), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 383, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  __pyx_t_11[0] = __pyx_mstate_global->__pyx_kp_u_Legendre_log_series_did_not_conv;
-  __pyx_t_11[1] = __pyx_t_10;
-  __pyx_t_11[2] = __pyx_mstate_global->__pyx_kp_u_;
-  __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_11, 3, 41 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_10) + 1, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_10));
-  if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 383, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-  __pyx_t_12 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_8))) {
-    __pyx_t_7 = PyMethod_GET_SELF(__pyx_t_8);
-    assert(__pyx_t_7);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_8);
-    __Pyx_INCREF(__pyx_t_7);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_8, __pyx__function);
-    __pyx_t_12 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_t_9};
-    __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_8, __pyx_callargs+__pyx_t_12, (2-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 383, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-  }
-  __Pyx_Raise(__pyx_t_6, 0, 0, 0);
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  __PYX_ERR(0, 383, __pyx_L1_error)
-
-  /* "gfkernel/_core.pyx":360
- * 
- * 
- * cdef double _legendre_p0_log(double nu, double zf, double w) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double a = nu + 1.0
- *     cdef double b = -nu
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("gfkernel._core._legendre_p0_log", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1e308);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":386
- * 
- * 
- * def legendre_p(double mu, double nu, double t):             # <<<<<<<<<<<<<<
- *     cdef double zf, w, f, lg, sg, ln_pref, r
- *     if not -1.0 < t <= 1.0:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_29legendre_p(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_29legendre_p = {"legendre_p", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_29legendre_p, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_29legendre_p(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_mu;
-  double __pyx_v_nu;
-  double __pyx_v_t;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("legendre_p (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_t,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 386, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 386, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 386, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 386, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "legendre_p", 0) < (0)) __PYX_ERR(0, 386, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("legendre_p", 1, 3, 3, i); __PYX_ERR(0, 386, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 386, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 386, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 386, __pyx_L3_error)
-    }
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 386, __pyx_L3_error)
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 386, __pyx_L3_error)
-    __pyx_v_t = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 386, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("legendre_p", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 386, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.legendre_p", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_28legendre_p(__pyx_self, __pyx_v_mu, __pyx_v_nu, __pyx_v_t);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_28legendre_p(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_t) {
-  double __pyx_v_zf;
-  double __pyx_v_w;
-  double __pyx_v_f;
-  double __pyx_v_lg;
-  double __pyx_v_sg;
-  double __pyx_v_ln_pref;
-  double __pyx_v_r;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[3];
-  size_t __pyx_t_9;
-  struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer __pyx_t_10;
-  PyObject *__pyx_t_11 = NULL;
-  double __pyx_t_12;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15[5];
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("legendre_p", 0);
-
-  /* "gfkernel/_core.pyx":388
- * def legendre_p(double mu, double nu, double t):
- *     cdef double zf, w, f, lg, sg, ln_pref, r
- *     if not -1.0 < t <= 1.0:             # <<<<<<<<<<<<<<
- *         raise DomainError(f"legendre_p argument t={t!r} outside (-1, 1]")
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):
-*/
-  __pyx_t_1 = (-1.0 < __pyx_v_t);
-  if (__pyx_t_1) {
-    __pyx_t_1 = (__pyx_v_t <= 1.0);
-  }
-  __pyx_t_2 = (!__pyx_t_1);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "gfkernel/_core.pyx":389
- *     cdef double zf, w, f, lg, sg, ln_pref, r
- *     if not -1.0 < t <= 1.0:
- *         raise DomainError(f"legendre_p argument t={t!r} outside (-1, 1]")             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):
- *         raise PoleError(f"legendre_p order mu={mu!r} makes 1-mu a nonpositive integer")
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_DomainError); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 389, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = PyFloat_FromDouble(__pyx_v_t); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 389, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_6), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 389, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_legendre_p_argument_t;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_outside_1_1;
-    __pyx_t_6 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 22 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 16, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 389, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_6};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 389, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 389, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":388
- * def legendre_p(double mu, double nu, double t):
- *     cdef double zf, w, f, lg, sg, ln_pref, r
- *     if not -1.0 < t <= 1.0:             # <<<<<<<<<<<<<<
- *         raise DomainError(f"legendre_p argument t={t!r} outside (-1, 1]")
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):
-*/
-  }
-
-  /* "gfkernel/_core.pyx":390
- *     if not -1.0 < t <= 1.0:
- *         raise DomainError(f"legendre_p argument t={t!r} outside (-1, 1]")
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"legendre_p order mu={mu!r} makes 1-mu a nonpositive integer")
- *     if nu < -0.5:
-*/
-  __pyx_t_10.__pyx_n = 1;
-  __pyx_t_10.tol = 1e-12;
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer((1.0 - __pyx_v_mu), 0, &__pyx_t_10); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 390, __pyx_L1_error)
-  if (unlikely(__pyx_t_2)) {
-
-    /* "gfkernel/_core.pyx":391
- *         raise DomainError(f"legendre_p argument t={t!r} outside (-1, 1]")
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):
- *         raise PoleError(f"legendre_p order mu={mu!r} makes 1-mu a nonpositive integer")             # <<<<<<<<<<<<<<
- *     if nu < -0.5:
- *         nu = -1.0 - nu
-*/
-    __pyx_t_5 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_6, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 391, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_4 = PyFloat_FromDouble(__pyx_v_mu); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 391, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_4), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 391, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_legendre_p_order_mu;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_makes_1_mu_a_nonpositive_intege;
-    __pyx_t_4 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 20 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 33, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 391, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_6))) {
-      __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_6);
-      assert(__pyx_t_5);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_6);
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_6, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_4};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_6, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 391, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 391, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":390
- *     if not -1.0 < t <= 1.0:
- *         raise DomainError(f"legendre_p argument t={t!r} outside (-1, 1]")
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"legendre_p order mu={mu!r} makes 1-mu a nonpositive integer")
- *     if nu < -0.5:
-*/
-  }
-
-  /* "gfkernel/_core.pyx":392
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):
- *         raise PoleError(f"legendre_p order mu={mu!r} makes 1-mu a nonpositive integer")
- *     if nu < -0.5:             # <<<<<<<<<<<<<<
- *         nu = -1.0 - nu
- *     if t == 1.0:
-*/
-  __pyx_t_2 = (__pyx_v_nu < -0.5);
-  if (__pyx_t_2) {
-
-    /* "gfkernel/_core.pyx":393
- *         raise PoleError(f"legendre_p order mu={mu!r} makes 1-mu a nonpositive integer")
- *     if nu < -0.5:
- *         nu = -1.0 - nu             # <<<<<<<<<<<<<<
- *     if t == 1.0:
- *         if mu == 0.0:
-*/
-    __pyx_v_nu = (-1.0 - __pyx_v_nu);
-
-    /* "gfkernel/_core.pyx":392
- *     if is_nonpositive_integer(1.0 - mu, 1e-12):
- *         raise PoleError(f"legendre_p order mu={mu!r} makes 1-mu a nonpositive integer")
- *     if nu < -0.5:             # <<<<<<<<<<<<<<
- *         nu = -1.0 - nu
- *     if t == 1.0:
-*/
-  }
-
-  /* "gfkernel/_core.pyx":394
- *     if nu < -0.5:
- *         nu = -1.0 - nu
- *     if t == 1.0:             # <<<<<<<<<<<<<<
- *         if mu == 0.0:
- *             return 1.0
-*/
-  __pyx_t_2 = (__pyx_v_t == 1.0);
-  if (__pyx_t_2) {
-
-    /* "gfkernel/_core.pyx":395
- *         nu = -1.0 - nu
- *     if t == 1.0:
- *         if mu == 0.0:             # <<<<<<<<<<<<<<
- *             return 1.0
- *         if mu < 0.0:
-*/
-    __pyx_t_2 = (__pyx_v_mu == 0.0);
-    if (__pyx_t_2) {
-
-      /* "gfkernel/_core.pyx":396
- *     if t == 1.0:
- *         if mu == 0.0:
- *             return 1.0             # <<<<<<<<<<<<<<
- *         if mu < 0.0:
- *             return 0.0
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_float_1_0);
-      __pyx_r = __pyx_mstate_global->__pyx_float_1_0;
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":395
- *         nu = -1.0 - nu
- *     if t == 1.0:
- *         if mu == 0.0:             # <<<<<<<<<<<<<<
- *             return 1.0
- *         if mu < 0.0:
-*/
-    }
-
-    /* "gfkernel/_core.pyx":397
- *         if mu == 0.0:
- *             return 1.0
- *         if mu < 0.0:             # <<<<<<<<<<<<<<
- *             return 0.0
- *         raise RangeOverflowError(
-*/
-    __pyx_t_2 = (__pyx_v_mu < 0.0);
-    if (__pyx_t_2) {
-
-      /* "gfkernel/_core.pyx":398
- *             return 1.0
- *         if mu < 0.0:
- *             return 0.0             # <<<<<<<<<<<<<<
- *         raise RangeOverflowError(
- *             f"legendre_p prefactor ((1+t)/(1-t))^(mu/2) diverges at t=1 for mu={mu!r}>0")
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-      __pyx_r = __pyx_mstate_global->__pyx_float_0_0;
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":397
- *         if mu == 0.0:
- *             return 1.0
- *         if mu < 0.0:             # <<<<<<<<<<<<<<
- *             return 0.0
- *         raise RangeOverflowError(
-*/
-    }
-
-    /* "gfkernel/_core.pyx":399
- *         if mu < 0.0:
- *             return 0.0
- *         raise RangeOverflowError(             # <<<<<<<<<<<<<<
- *             f"legendre_p prefactor ((1+t)/(1-t))^(mu/2) diverges at t=1 for mu={mu!r}>0")
- *     zf = 0.5 * (1.0 - t)
-*/
-    __pyx_t_6 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_RangeOverflowError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 399, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-
-    /* "gfkernel/_core.pyx":400
- *             return 0.0
- *         raise RangeOverflowError(
- *             f"legendre_p prefactor ((1+t)/(1-t))^(mu/2) diverges at t=1 for mu={mu!r}>0")             # <<<<<<<<<<<<<<
- *     zf = 0.5 * (1.0 - t)
- *     w = 0.5 * (1.0 + t)
-*/
-    __pyx_t_5 = PyFloat_FromDouble(__pyx_v_mu); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_5), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_legendre_p_prefactor_1_t_1_t_mu;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_0;
-    __pyx_t_5 = __Pyx_PyUnicode_Join(__pyx_t_8, 3, 65 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 2, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_4))) {
-      __pyx_t_6 = PyMethod_GET_SELF(__pyx_t_4);
-      assert(__pyx_t_6);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-      __Pyx_INCREF(__pyx_t_6);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_t_5};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 399, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 399, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":394
- *     if nu < -0.5:
- *         nu = -1.0 - nu
- *     if t == 1.0:             # <<<<<<<<<<<<<<
- *         if mu == 0.0:
- *             return 1.0
-*/
-  }
-
-  /* "gfkernel/_core.pyx":401
- *         raise RangeOverflowError(
- *             f"legendre_p prefactor ((1+t)/(1-t))^(mu/2) diverges at t=1 for mu={mu!r}>0")
- *     zf = 0.5 * (1.0 - t)             # <<<<<<<<<<<<<<
- *     w = 0.5 * (1.0 + t)
- *     if fabs(mu) < 1e-13:
-*/
-  __pyx_v_zf = (0.5 * (1.0 - __pyx_v_t));
-
-  /* "gfkernel/_core.pyx":402
- *             f"legendre_p prefactor ((1+t)/(1-t))^(mu/2) diverges at t=1 for mu={mu!r}>0")
- *     zf = 0.5 * (1.0 - t)
- *     w = 0.5 * (1.0 + t)             # <<<<<<<<<<<<<<
- *     if fabs(mu) < 1e-13:
- *         r = floor(nu + 0.5)
-*/
-  __pyx_v_w = (0.5 * (1.0 + __pyx_v_t));
-
-  /* "gfkernel/_core.pyx":403
- *     zf = 0.5 * (1.0 - t)
- *     w = 0.5 * (1.0 + t)
- *     if fabs(mu) < 1e-13:             # <<<<<<<<<<<<<<
- *         r = floor(nu + 0.5)
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:
-*/
-  __pyx_t_2 = (fabs(__pyx_v_mu) < 1e-13);
-  if (__pyx_t_2) {
-
-    /* "gfkernel/_core.pyx":404
- *     w = 0.5 * (1.0 + t)
- *     if fabs(mu) < 1e-13:
- *         r = floor(nu + 0.5)             # <<<<<<<<<<<<<<
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:
- *             return _legendre_poly(<int>r, t)
-*/
-    __pyx_v_r = floor((__pyx_v_nu + 0.5));
-
-    /* "gfkernel/_core.pyx":405
- *     if fabs(mu) < 1e-13:
- *         r = floor(nu + 0.5)
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:             # <<<<<<<<<<<<<<
- *             return _legendre_poly(<int>r, t)
- *         if zf <= 0.5:
-*/
-    __pyx_t_1 = (fabs((__pyx_v_nu - __pyx_v_r)) < 1e-12);
-    if (__pyx_t_1) {
-    } else {
-      __pyx_t_2 = __pyx_t_1;
-      goto __pyx_L11_bool_binop_done;
-    }
-    __pyx_t_1 = (__pyx_v_r >= 0.0);
-    __pyx_t_2 = __pyx_t_1;
-    __pyx_L11_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "gfkernel/_core.pyx":406
- *         r = floor(nu + 0.5)
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:
- *             return _legendre_poly(<int>r, t)             # <<<<<<<<<<<<<<
- *         if zf <= 0.5:
- *             return hyp2f1(nu + 1.0, -nu, 1.0, zf)[0]
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_3 = PyFloat_FromDouble(__pyx_f_8gfkernel_5_core__legendre_poly(((int)__pyx_v_r), __pyx_v_t)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 406, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_r = __pyx_t_3;
-      __pyx_t_3 = 0;
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":405
- *     if fabs(mu) < 1e-13:
- *         r = floor(nu + 0.5)
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:             # <<<<<<<<<<<<<<
- *             return _legendre_poly(<int>r, t)
- *         if zf <= 0.5:
-*/
-    }
-
-    /* "gfkernel/_core.pyx":407
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:
- *             return _legendre_poly(<int>r, t)
- *         if zf <= 0.5:             # <<<<<<<<<<<<<<
- *             return hyp2f1(nu + 1.0, -nu, 1.0, zf)[0]
- *         return _legendre_p0_log(nu, zf, w)
-*/
-    __pyx_t_2 = (__pyx_v_zf <= 0.5);
-    if (__pyx_t_2) {
-
-      /* "gfkernel/_core.pyx":408
- *             return _legendre_poly(<int>r, t)
- *         if zf <= 0.5:
- *             return hyp2f1(nu + 1.0, -nu, 1.0, zf)[0]             # <<<<<<<<<<<<<<
- *         return _legendre_p0_log(nu, zf, w)
- *     f = hyp2f1(nu + 1.0, -nu, 1.0 - mu, zf, w)[0]
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_4 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_hyp2f1); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 408, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_6 = PyFloat_FromDouble((__pyx_v_nu + 1.0)); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 408, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_7 = PyFloat_FromDouble((-__pyx_v_nu)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 408, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_11 = PyFloat_FromDouble(__pyx_v_zf); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 408, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __pyx_t_9 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_5))) {
-        __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-        assert(__pyx_t_4);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-        __Pyx_INCREF(__pyx_t_4);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-        __pyx_t_9 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[5] = {__pyx_t_4, __pyx_t_6, __pyx_t_7, __pyx_mstate_global->__pyx_float_1_0, __pyx_t_11};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_9, (5-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 408, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 408, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __pyx_r = __pyx_t_5;
-      __pyx_t_5 = 0;
-      goto __pyx_L0;
-
-      /* "gfkernel/_core.pyx":407
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:
- *             return _legendre_poly(<int>r, t)
- *         if zf <= 0.5:             # <<<<<<<<<<<<<<
- *             return hyp2f1(nu + 1.0, -nu, 1.0, zf)[0]
- *         return _legendre_p0_log(nu, zf, w)
-*/
-    }
-
-    /* "gfkernel/_core.pyx":409
- *         if zf <= 0.5:
- *             return hyp2f1(nu + 1.0, -nu, 1.0, zf)[0]
- *         return _legendre_p0_log(nu, zf, w)             # <<<<<<<<<<<<<<
- *     f = hyp2f1(nu + 1.0, -nu, 1.0 - mu, zf, w)[0]
- *     lg = lgamma(1.0 - mu)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_12 = __pyx_f_8gfkernel_5_core__legendre_p0_log(__pyx_v_nu, __pyx_v_zf, __pyx_v_w); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_12, ((double)(-1e308))) && PyErr_Occurred())) __PYX_ERR(0, 409, __pyx_L1_error)
-    __pyx_t_5 = PyFloat_FromDouble(__pyx_t_12); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 409, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_r = __pyx_t_5;
-    __pyx_t_5 = 0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":403
- *     zf = 0.5 * (1.0 - t)
- *     w = 0.5 * (1.0 + t)
- *     if fabs(mu) < 1e-13:             # <<<<<<<<<<<<<<
- *         r = floor(nu + 0.5)
- *         if fabs(nu - r) < 1e-12 and r >= 0.0:
-*/
-  }
-
-  /* "gfkernel/_core.pyx":410
- *             return hyp2f1(nu + 1.0, -nu, 1.0, zf)[0]
- *         return _legendre_p0_log(nu, zf, w)
- *     f = hyp2f1(nu + 1.0, -nu, 1.0 - mu, zf, w)[0]             # <<<<<<<<<<<<<<
- *     lg = lgamma(1.0 - mu)
- *     sg = gamma_sign(1.0 - mu)
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_11, __pyx_mstate_global->__pyx_n_u_hyp2f1); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_t_7 = PyFloat_FromDouble((__pyx_v_nu + 1.0)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_6 = PyFloat_FromDouble((-__pyx_v_nu)); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_4 = PyFloat_FromDouble((1.0 - __pyx_v_mu)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_13 = PyFloat_FromDouble(__pyx_v_zf); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __pyx_t_14 = PyFloat_FromDouble(__pyx_v_w); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_14);
-  __pyx_t_9 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_11))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_11);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_11);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_11, __pyx__function);
-    __pyx_t_9 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[6] = {__pyx_t_3, __pyx_t_7, __pyx_t_6, __pyx_t_4, __pyx_t_13, __pyx_t_14};
-    __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_11, __pyx_callargs+__pyx_t_9, (6-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 410, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-  }
-  __pyx_t_11 = __Pyx_GetItemInt(__pyx_t_5, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_t_12 = __Pyx_PyFloat_AsDouble(__pyx_t_11); if (unlikely((__pyx_t_12 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-  __pyx_v_f = __pyx_t_12;
-
-  /* "gfkernel/_core.pyx":411
- *         return _legendre_p0_log(nu, zf, w)
- *     f = hyp2f1(nu + 1.0, -nu, 1.0 - mu, zf, w)[0]
- *     lg = lgamma(1.0 - mu)             # <<<<<<<<<<<<<<
- *     sg = gamma_sign(1.0 - mu)
- *     ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg
-*/
-  __pyx_v_lg = lgamma((1.0 - __pyx_v_mu));
-
-  /* "gfkernel/_core.pyx":412
- *     f = hyp2f1(nu + 1.0, -nu, 1.0 - mu, zf, w)[0]
- *     lg = lgamma(1.0 - mu)
- *     sg = gamma_sign(1.0 - mu)             # <<<<<<<<<<<<<<
- *     ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg
- *     if ln_pref > LOG_MAX:
-*/
-  __pyx_t_12 = __pyx_f_8gfkernel_5_core_gamma_sign((1.0 - __pyx_v_mu), 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_12, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 412, __pyx_L1_error)
-  __pyx_v_sg = __pyx_t_12;
-
-  /* "gfkernel/_core.pyx":413
- *     lg = lgamma(1.0 - mu)
- *     sg = gamma_sign(1.0 - mu)
- *     ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg             # <<<<<<<<<<<<<<
- *     if ln_pref > LOG_MAX:
- *         raise RangeOverflowError(
-*/
-  __pyx_v_ln_pref = (((0.5 * __pyx_v_mu) * (log(__pyx_v_w) - log(__pyx_v_zf))) - __pyx_v_lg);
-
-  /* "gfkernel/_core.pyx":414
- *     sg = gamma_sign(1.0 - mu)
- *     ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg
- *     if ln_pref > LOG_MAX:             # <<<<<<<<<<<<<<
- *         raise RangeOverflowError(
- *             f"legendre_p prefactor overflow: mu={mu!r}, t={t!r} too close to 1")
-*/
-  __pyx_t_2 = (__pyx_v_ln_pref > __pyx_v_8gfkernel_5_core_LOG_MAX);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "gfkernel/_core.pyx":415
- *     ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg
- *     if ln_pref > LOG_MAX:
- *         raise RangeOverflowError(             # <<<<<<<<<<<<<<
- *             f"legendre_p prefactor overflow: mu={mu!r}, t={t!r} too close to 1")
- *     return sg * exp(ln_pref) * f
-*/
-    __pyx_t_5 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_14, __pyx_mstate_global->__pyx_n_u_RangeOverflowError); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 415, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_14);
-
-    /* "gfkernel/_core.pyx":416
- *     if ln_pref > LOG_MAX:
- *         raise RangeOverflowError(
- *             f"legendre_p prefactor overflow: mu={mu!r}, t={t!r} too close to 1")             # <<<<<<<<<<<<<<
- *     return sg * exp(ln_pref) * f
- * 
-*/
-    __pyx_t_13 = PyFloat_FromDouble(__pyx_v_mu); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 416, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_4 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_13), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 416, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    __pyx_t_13 = PyFloat_FromDouble(__pyx_v_t); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 416, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_13), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 416, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    __pyx_t_15[0] = __pyx_mstate_global->__pyx_kp_u_legendre_p_prefactor_overflow_mu;
-    __pyx_t_15[1] = __pyx_t_4;
-    __pyx_t_15[2] = __pyx_mstate_global->__pyx_kp_u_t_2;
-    __pyx_t_15[3] = __pyx_t_6;
-    __pyx_t_15[4] = __pyx_mstate_global->__pyx_kp_u_too_close_to_1;
-    __pyx_t_13 = __Pyx_PyUnicode_Join(__pyx_t_15, 5, 34 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 4 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 15, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_4) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_6));
-    if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 416, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_14))) {
-      __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_14);
-      assert(__pyx_t_5);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_14);
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_14, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_13};
-      __pyx_t_11 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_14, __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-      if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 415, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_11);
-    }
-    __Pyx_Raise(__pyx_t_11, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __PYX_ERR(0, 415, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":414
- *     sg = gamma_sign(1.0 - mu)
- *     ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg
- *     if ln_pref > LOG_MAX:             # <<<<<<<<<<<<<<
- *         raise RangeOverflowError(
- *             f"legendre_p prefactor overflow: mu={mu!r}, t={t!r} too close to 1")
-*/
-  }
-
-  /* "gfkernel/_core.pyx":417
- *         raise RangeOverflowError(
- *             f"legendre_p prefactor overflow: mu={mu!r}, t={t!r} too close to 1")
- *     return sg * exp(ln_pref) * f             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_11 = PyFloat_FromDouble(((__pyx_v_sg * exp(__pyx_v_ln_pref)) * __pyx_v_f)); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 417, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_r = __pyx_t_11;
-  __pyx_t_11 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":386
- * 
- * 
- * def legendre_p(double mu, double nu, double t):             # <<<<<<<<<<<<<<
- *     cdef double zf, w, f, lg, sg, ln_pref, r
- *     if not -1.0 < t <= 1.0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_AddTraceback("gfkernel._core.legendre_p", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":420
- * 
- * 
- * def legendre_q_phase_free(double mu, double nu, double t):             # <<<<<<<<<<<<<<
- *     cdef double tm1, tp1, z, zc, f, l1, s1, l2, s2, ln
- *     if t <= 1.0:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_31legendre_q_phase_free(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_31legendre_q_phase_free = {"legendre_q_phase_free", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_31legendre_q_phase_free, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_31legendre_q_phase_free(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_mu;
-  double __pyx_v_nu;
-  double __pyx_v_t;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("legendre_q_phase_free (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_t,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 420, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 420, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 420, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 420, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "legendre_q_phase_free", 0) < (0)) __PYX_ERR(0, 420, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("legendre_q_phase_free", 1, 3, 3, i); __PYX_ERR(0, 420, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 420, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 420, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 420, __pyx_L3_error)
-    }
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 420, __pyx_L3_error)
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 420, __pyx_L3_error)
-    __pyx_v_t = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 420, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("legendre_q_phase_free", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 420, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.legendre_q_phase_free", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_30legendre_q_phase_free(__pyx_self, __pyx_v_mu, __pyx_v_nu, __pyx_v_t);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_30legendre_q_phase_free(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_t) {
-  double __pyx_v_tm1;
-  double __pyx_v_tp1;
-  double __pyx_v_z;
-  double __pyx_v_zc;
-  double __pyx_v_f;
-  double __pyx_v_l1;
-  double __pyx_v_s1;
-  double __pyx_v_l2;
-  double __pyx_v_s2;
-  double __pyx_v_ln;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7[3];
-  size_t __pyx_t_8;
-  struct __pyx_opt_args_8gfkernel_5_core_is_nonpositive_integer __pyx_t_9;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  double __pyx_t_13;
-  PyObject *__pyx_t_14[4];
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("legendre_q_phase_free", 0);
-
-  /* "gfkernel/_core.pyx":422
- * def legendre_q_phase_free(double mu, double nu, double t):
- *     cdef double tm1, tp1, z, zc, f, l1, s1, l2, s2, ln
- *     if t <= 1.0:             # <<<<<<<<<<<<<<
- *         raise DomainError(f"legendre_q argument t={t!r} must exceed 1")
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):
-*/
-  __pyx_t_1 = (__pyx_v_t <= 1.0);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":423
- *     cdef double tm1, tp1, z, zc, f, l1, s1, l2, s2, ln
- *     if t <= 1.0:
- *         raise DomainError(f"legendre_q argument t={t!r} must exceed 1")             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):
- *         raise PoleError(f"legendre_q degree nu={nu!r} makes nu+3/2 a nonpositive integer")
-*/
-    __pyx_t_3 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_DomainError); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 423, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = PyFloat_FromDouble(__pyx_v_t); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 423, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_5), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 423, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_7[0] = __pyx_mstate_global->__pyx_kp_u_legendre_q_argument_t;
-    __pyx_t_7[1] = __pyx_t_6;
-    __pyx_t_7[2] = __pyx_mstate_global->__pyx_kp_u_must_exceed_1;
-    __pyx_t_5 = __Pyx_PyUnicode_Join(__pyx_t_7, 3, 22 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 14, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_6));
-    if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 423, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_8 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_4))) {
-      __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_4);
-      assert(__pyx_t_3);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-      __Pyx_INCREF(__pyx_t_3);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-      __pyx_t_8 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_5};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 423, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 423, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":422
- * def legendre_q_phase_free(double mu, double nu, double t):
- *     cdef double tm1, tp1, z, zc, f, l1, s1, l2, s2, ln
- *     if t <= 1.0:             # <<<<<<<<<<<<<<
- *         raise DomainError(f"legendre_q argument t={t!r} must exceed 1")
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):
-*/
-  }
-
-  /* "gfkernel/_core.pyx":424
- *     if t <= 1.0:
- *         raise DomainError(f"legendre_q argument t={t!r} must exceed 1")
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"legendre_q degree nu={nu!r} makes nu+3/2 a nonpositive integer")
- *     if is_nonpositive_integer(mu + nu + 1.0, 1e-12):
-*/
-  __pyx_t_9.__pyx_n = 1;
-  __pyx_t_9.tol = 1e-12;
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer((__pyx_v_nu + 1.5), 0, &__pyx_t_9); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 424, __pyx_L1_error)
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":425
- *         raise DomainError(f"legendre_q argument t={t!r} must exceed 1")
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):
- *         raise PoleError(f"legendre_q degree nu={nu!r} makes nu+3/2 a nonpositive integer")             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(mu + nu + 1.0, 1e-12):
- *         raise PoleError(f"legendre_q parameters: mu+nu+1={mu + nu + 1.0!r} at a gamma pole")
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 425, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_3 = PyFloat_FromDouble(__pyx_v_nu); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 425, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_3), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 425, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_7[0] = __pyx_mstate_global->__pyx_kp_u_legendre_q_degree_nu;
-    __pyx_t_7[1] = __pyx_t_6;
-    __pyx_t_7[2] = __pyx_mstate_global->__pyx_kp_u_makes_nu_3_2_a_nonpositive_inte;
-    __pyx_t_3 = __Pyx_PyUnicode_Join(__pyx_t_7, 3, 21 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 35, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_6));
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 425, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_8 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_8 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_3};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 425, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 425, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":424
- *     if t <= 1.0:
- *         raise DomainError(f"legendre_q argument t={t!r} must exceed 1")
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"legendre_q degree nu={nu!r} makes nu+3/2 a nonpositive integer")
- *     if is_nonpositive_integer(mu + nu + 1.0, 1e-12):
-*/
-  }
-
-  /* "gfkernel/_core.pyx":426
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):
- *         raise PoleError(f"legendre_q degree nu={nu!r} makes nu+3/2 a nonpositive integer")
- *     if is_nonpositive_integer(mu + nu + 1.0, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"legendre_q parameters: mu+nu+1={mu + nu + 1.0!r} at a gamma pole")
- *     tm1 = t - 1.0
-*/
-  __pyx_t_9.__pyx_n = 1;
-  __pyx_t_9.tol = 1e-12;
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_is_nonpositive_integer(((__pyx_v_mu + __pyx_v_nu) + 1.0), 0, &__pyx_t_9); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 426, __pyx_L1_error)
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":427
- *         raise PoleError(f"legendre_q degree nu={nu!r} makes nu+3/2 a nonpositive integer")
- *     if is_nonpositive_integer(mu + nu + 1.0, 1e-12):
- *         raise PoleError(f"legendre_q parameters: mu+nu+1={mu + nu + 1.0!r} at a gamma pole")             # <<<<<<<<<<<<<<
- *     tm1 = t - 1.0
- *     tp1 = t + 1.0
-*/
-    __pyx_t_5 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_PoleError); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 427, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = PyFloat_FromDouble(((__pyx_v_mu + __pyx_v_nu) + 1.0)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 427, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_4), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 427, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_7[0] = __pyx_mstate_global->__pyx_kp_u_legendre_q_parameters_mu_nu_1;
-    __pyx_t_7[1] = __pyx_t_6;
-    __pyx_t_7[2] = __pyx_mstate_global->__pyx_kp_u_at_a_gamma_pole;
-    __pyx_t_4 = __Pyx_PyUnicode_Join(__pyx_t_7, 3, 31 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 16, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_6));
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 427, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_8 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_3))) {
-      __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_3);
-      assert(__pyx_t_5);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-      __pyx_t_8 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_4};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 427, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 427, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":426
- *     if is_nonpositive_integer(nu + 1.5, 1e-12):
- *         raise PoleError(f"legendre_q degree nu={nu!r} makes nu+3/2 a nonpositive integer")
- *     if is_nonpositive_integer(mu + nu + 1.0, 1e-12):             # <<<<<<<<<<<<<<
- *         raise PoleError(f"legendre_q parameters: mu+nu+1={mu + nu + 1.0!r} at a gamma pole")
- *     tm1 = t - 1.0
-*/
-  }
-
-  /* "gfkernel/_core.pyx":428
- *     if is_nonpositive_integer(mu + nu + 1.0, 1e-12):
- *         raise PoleError(f"legendre_q parameters: mu+nu+1={mu + nu + 1.0!r} at a gamma pole")
- *     tm1 = t - 1.0             # <<<<<<<<<<<<<<
- *     tp1 = t + 1.0
- *     z = 1.0 / (t * t)
-*/
-  __pyx_v_tm1 = (__pyx_v_t - 1.0);
-
-  /* "gfkernel/_core.pyx":429
- *         raise PoleError(f"legendre_q parameters: mu+nu+1={mu + nu + 1.0!r} at a gamma pole")
- *     tm1 = t - 1.0
- *     tp1 = t + 1.0             # <<<<<<<<<<<<<<
- *     z = 1.0 / (t * t)
- *     zc = tm1 * tp1 * z
-*/
-  __pyx_v_tp1 = (__pyx_v_t + 1.0);
-
-  /* "gfkernel/_core.pyx":430
- *     tm1 = t - 1.0
- *     tp1 = t + 1.0
- *     z = 1.0 / (t * t)             # <<<<<<<<<<<<<<
- *     zc = tm1 * tp1 * z
- *     f = hyp2f1(0.5 * (mu + nu) + 1.0, 0.5 * (mu + nu + 1.0), nu + 1.5, z, zc)[0]
-*/
-  __pyx_v_z = (1.0 / (__pyx_v_t * __pyx_v_t));
-
-  /* "gfkernel/_core.pyx":431
- *     tp1 = t + 1.0
- *     z = 1.0 / (t * t)
- *     zc = tm1 * tp1 * z             # <<<<<<<<<<<<<<
- *     f = hyp2f1(0.5 * (mu + nu) + 1.0, 0.5 * (mu + nu + 1.0), nu + 1.5, z, zc)[0]
- *     l1 = lgamma(mu + nu + 1.0)
-*/
-  __pyx_v_zc = ((__pyx_v_tm1 * __pyx_v_tp1) * __pyx_v_z);
-
-  /* "gfkernel/_core.pyx":432
- *     z = 1.0 / (t * t)
- *     zc = tm1 * tp1 * z
- *     f = hyp2f1(0.5 * (mu + nu) + 1.0, 0.5 * (mu + nu + 1.0), nu + 1.5, z, zc)[0]             # <<<<<<<<<<<<<<
- *     l1 = lgamma(mu + nu + 1.0)
- *     s1 = gamma_sign(mu + nu + 1.0)
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_hyp2f1); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyFloat_FromDouble(((0.5 * (__pyx_v_mu + __pyx_v_nu)) + 1.0)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyFloat_FromDouble((0.5 * ((__pyx_v_mu + __pyx_v_nu) + 1.0))); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_10 = PyFloat_FromDouble((__pyx_v_nu + 1.5)); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_11 = PyFloat_FromDouble(__pyx_v_z); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_t_12 = PyFloat_FromDouble(__pyx_v_zc); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_8 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_4))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_4);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-    __pyx_t_8 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[6] = {__pyx_t_3, __pyx_t_5, __pyx_t_6, __pyx_t_10, __pyx_t_11, __pyx_t_12};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_8, (6-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 432, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __pyx_t_4 = __Pyx_GetItemInt(__pyx_t_2, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_13 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_13 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 432, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_v_f = __pyx_t_13;
-
-  /* "gfkernel/_core.pyx":433
- *     zc = tm1 * tp1 * z
- *     f = hyp2f1(0.5 * (mu + nu) + 1.0, 0.5 * (mu + nu + 1.0), nu + 1.5, z, zc)[0]
- *     l1 = lgamma(mu + nu + 1.0)             # <<<<<<<<<<<<<<
- *     s1 = gamma_sign(mu + nu + 1.0)
- *     l2 = lgamma(nu + 1.5)
-*/
-  __pyx_v_l1 = lgamma(((__pyx_v_mu + __pyx_v_nu) + 1.0));
-
-  /* "gfkernel/_core.pyx":434
- *     f = hyp2f1(0.5 * (mu + nu) + 1.0, 0.5 * (mu + nu + 1.0), nu + 1.5, z, zc)[0]
- *     l1 = lgamma(mu + nu + 1.0)
- *     s1 = gamma_sign(mu + nu + 1.0)             # <<<<<<<<<<<<<<
- *     l2 = lgamma(nu + 1.5)
- *     s2 = gamma_sign(nu + 1.5)
-*/
-  __pyx_t_13 = __pyx_f_8gfkernel_5_core_gamma_sign(((__pyx_v_mu + __pyx_v_nu) + 1.0), 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_13, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 434, __pyx_L1_error)
-  __pyx_v_s1 = __pyx_t_13;
-
-  /* "gfkernel/_core.pyx":435
- *     l1 = lgamma(mu + nu + 1.0)
- *     s1 = gamma_sign(mu + nu + 1.0)
- *     l2 = lgamma(nu + 1.5)             # <<<<<<<<<<<<<<
- *     s2 = gamma_sign(nu + 1.5)
- *     ln = (0.5 * log(PI) + l1 - l2
-*/
-  __pyx_v_l2 = lgamma((__pyx_v_nu + 1.5));
-
-  /* "gfkernel/_core.pyx":436
- *     s1 = gamma_sign(mu + nu + 1.0)
- *     l2 = lgamma(nu + 1.5)
- *     s2 = gamma_sign(nu + 1.5)             # <<<<<<<<<<<<<<
- *     ln = (0.5 * log(PI) + l1 - l2
- *           + 0.5 * mu * (log(tm1) + log(tp1))
-*/
-  __pyx_t_13 = __pyx_f_8gfkernel_5_core_gamma_sign((__pyx_v_nu + 1.5), 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_13, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 436, __pyx_L1_error)
-  __pyx_v_s2 = __pyx_t_13;
-
-  /* "gfkernel/_core.pyx":440
- *           + 0.5 * mu * (log(tm1) + log(tp1))
- *           - (nu + 1.0) * log(2.0)
- *           - (mu + nu + 1.0) * log(t))             # <<<<<<<<<<<<<<
- *     if ln > LOG_MAX:
- *         raise RangeOverflowError(f"legendre_q prefactor overflow at mu={mu!r}, t={t!r}")
-*/
-  __pyx_v_ln = ((((((0.5 * log(__pyx_v_8gfkernel_5_core_PI)) + __pyx_v_l1) - __pyx_v_l2) + ((0.5 * __pyx_v_mu) * (log(__pyx_v_tm1) + log(__pyx_v_tp1)))) - ((__pyx_v_nu + 1.0) * log(2.0))) - (((__pyx_v_mu + __pyx_v_nu) + 1.0) * log(__pyx_v_t)));
-
-  /* "gfkernel/_core.pyx":441
- *           - (nu + 1.0) * log(2.0)
- *           - (mu + nu + 1.0) * log(t))
- *     if ln > LOG_MAX:             # <<<<<<<<<<<<<<
- *         raise RangeOverflowError(f"legendre_q prefactor overflow at mu={mu!r}, t={t!r}")
- *     return s1 * s2 * exp(ln) * f
-*/
-  __pyx_t_1 = (__pyx_v_ln > __pyx_v_8gfkernel_5_core_LOG_MAX);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "gfkernel/_core.pyx":442
- *           - (mu + nu + 1.0) * log(t))
- *     if ln > LOG_MAX:
- *         raise RangeOverflowError(f"legendre_q prefactor overflow at mu={mu!r}, t={t!r}")             # <<<<<<<<<<<<<<
- *     return s1 * s2 * exp(ln) * f
- * 
-*/
-    __pyx_t_2 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_12, __pyx_mstate_global->__pyx_n_u_RangeOverflowError); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __pyx_t_11 = PyFloat_FromDouble(__pyx_v_mu); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_t_10 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_11), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __pyx_t_11 = PyFloat_FromDouble(__pyx_v_t); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_t_11), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __pyx_t_14[0] = __pyx_mstate_global->__pyx_kp_u_legendre_q_prefactor_overflow_at;
-    __pyx_t_14[1] = __pyx_t_10;
-    __pyx_t_14[2] = __pyx_mstate_global->__pyx_kp_u_t_2;
-    __pyx_t_14[3] = __pyx_t_6;
-    __pyx_t_11 = __Pyx_PyUnicode_Join(__pyx_t_14, 4, 36 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_10) + 4 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6), 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_10) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_6));
-    if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_8 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_12))) {
-      __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_12);
-      assert(__pyx_t_2);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_12);
-      __Pyx_INCREF(__pyx_t_2);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_12, __pyx__function);
-      __pyx_t_8 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_11};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_12, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-      __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 442, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 442, __pyx_L1_error)
-
-    /* "gfkernel/_core.pyx":441
- *           - (nu + 1.0) * log(2.0)
- *           - (mu + nu + 1.0) * log(t))
- *     if ln > LOG_MAX:             # <<<<<<<<<<<<<<
- *         raise RangeOverflowError(f"legendre_q prefactor overflow at mu={mu!r}, t={t!r}")
- *     return s1 * s2 * exp(ln) * f
-*/
-  }
-
-  /* "gfkernel/_core.pyx":443
- *     if ln > LOG_MAX:
- *         raise RangeOverflowError(f"legendre_q prefactor overflow at mu={mu!r}, t={t!r}")
- *     return s1 * s2 * exp(ln) * f             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = PyFloat_FromDouble((((__pyx_v_s1 * __pyx_v_s2) * exp(__pyx_v_ln)) * __pyx_v_f)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 443, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":420
- * 
- * 
- * def legendre_q_phase_free(double mu, double nu, double t):             # <<<<<<<<<<<<<<
- *     cdef double tm1, tp1, z, zc, f, l1, s1, l2, s2, ln
- *     if t <= 1.0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_AddTraceback("gfkernel._core.legendre_q_phase_free", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":446
- * 
- * 
- * cpdef double gegenbauer(int n, double mu, double t):             # <<<<<<<<<<<<<<
- *     cdef double cm1 = 1.0, c, nxt
- *     cdef int j
-*/
-
-static PyObject *__pyx_pw_8gfkernel_5_core_33gegenbauer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static double __pyx_f_8gfkernel_5_core_gegenbauer(int __pyx_v_n, double __pyx_v_mu, double __pyx_v_t, CYTHON_UNUSED int __pyx_skip_dispatch) {
-  double __pyx_v_cm1;
-  double __pyx_v_c;
-  double __pyx_v_nxt;
-  int __pyx_v_j;
-  double __pyx_r;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "gfkernel/_core.pyx":447
- * 
- * cpdef double gegenbauer(int n, double mu, double t):
- *     cdef double cm1 = 1.0, c, nxt             # <<<<<<<<<<<<<<
- *     cdef int j
- *     if n == 0:
-*/
-  __pyx_v_cm1 = 1.0;
-
-  /* "gfkernel/_core.pyx":449
- *     cdef double cm1 = 1.0, c, nxt
- *     cdef int j
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     c = 2.0 * mu * t
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":450
- *     cdef int j
- *     if n == 0:
- *         return 1.0             # <<<<<<<<<<<<<<
- *     c = 2.0 * mu * t
- *     for j in range(2, n + 1):
-*/
-    __pyx_r = 1.0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":449
- *     cdef double cm1 = 1.0, c, nxt
- *     cdef int j
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     c = 2.0 * mu * t
-*/
-  }
-
-  /* "gfkernel/_core.pyx":451
- *     if n == 0:
- *         return 1.0
- *     c = 2.0 * mu * t             # <<<<<<<<<<<<<<
- *     for j in range(2, n + 1):
- *         nxt = (2.0 * t * (j + mu - 1.0) * c - (j + 2.0 * mu - 2.0) * cm1) / j
-*/
-  __pyx_v_c = ((2.0 * __pyx_v_mu) * __pyx_v_t);
-
-  /* "gfkernel/_core.pyx":452
- *         return 1.0
- *     c = 2.0 * mu * t
- *     for j in range(2, n + 1):             # <<<<<<<<<<<<<<
- *         nxt = (2.0 * t * (j + mu - 1.0) * c - (j + 2.0 * mu - 2.0) * cm1) / j
- *         cm1 = c
-*/
-  __pyx_t_2 = (__pyx_v_n + 1);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 2; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_j = __pyx_t_4;
-
-    /* "gfkernel/_core.pyx":453
- *     c = 2.0 * mu * t
- *     for j in range(2, n + 1):
- *         nxt = (2.0 * t * (j + mu - 1.0) * c - (j + 2.0 * mu - 2.0) * cm1) / j             # <<<<<<<<<<<<<<
- *         cm1 = c
- *         c = nxt
-*/
-    __pyx_v_nxt = (((((2.0 * __pyx_v_t) * ((__pyx_v_j + __pyx_v_mu) - 1.0)) * __pyx_v_c) - (((__pyx_v_j + (2.0 * __pyx_v_mu)) - 2.0) * __pyx_v_cm1)) / ((double)__pyx_v_j));
-
-    /* "gfkernel/_core.pyx":454
- *     for j in range(2, n + 1):
- *         nxt = (2.0 * t * (j + mu - 1.0) * c - (j + 2.0 * mu - 2.0) * cm1) / j
- *         cm1 = c             # <<<<<<<<<<<<<<
- *         c = nxt
- *     return c
-*/
-    __pyx_v_cm1 = __pyx_v_c;
-
-    /* "gfkernel/_core.pyx":455
- *         nxt = (2.0 * t * (j + mu - 1.0) * c - (j + 2.0 * mu - 2.0) * cm1) / j
- *         cm1 = c
- *         c = nxt             # <<<<<<<<<<<<<<
- *     return c
- * 
-*/
-    __pyx_v_c = __pyx_v_nxt;
-  }
-
-  /* "gfkernel/_core.pyx":456
- *         cm1 = c
- *         c = nxt
- *     return c             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_c;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":446
- * 
- * 
- * cpdef double gegenbauer(int n, double mu, double t):             # <<<<<<<<<<<<<<
- *     cdef double cm1 = 1.0, c, nxt
- *     cdef int j
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_33gegenbauer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_33gegenbauer = {"gegenbauer", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_33gegenbauer, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_33gegenbauer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  double __pyx_v_mu;
-  double __pyx_v_t;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("gegenbauer (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_t,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 446, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 446, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 446, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 446, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "gegenbauer", 0) < (0)) __PYX_ERR(0, 446, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("gegenbauer", 1, 3, 3, i); __PYX_ERR(0, 446, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 446, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 446, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 446, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 446, __pyx_L3_error)
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 446, __pyx_L3_error)
-    __pyx_v_t = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 446, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("gegenbauer", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 446, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.gegenbauer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_32gegenbauer(__pyx_self, __pyx_v_n, __pyx_v_mu, __pyx_v_t);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_32gegenbauer(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, double __pyx_v_mu, double __pyx_v_t) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("gegenbauer", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_8gfkernel_5_core_gegenbauer(__pyx_v_n, __pyx_v_mu, __pyx_v_t, 1); if (unlikely(__pyx_t_1 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 446, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 446, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("gfkernel._core.gegenbauer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":464
- * 
- * 
- * def r_band_core(double mu, double nu, double xa, double ya, double za,             # <<<<<<<<<<<<<<
- *                 double omt, double opt):
- *     cdef double f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 0.5 * opt)[0]
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_35r_band_core(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_35r_band_core = {"r_band_core", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_35r_band_core, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_35r_band_core(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_mu;
-  double __pyx_v_nu;
-  double __pyx_v_xa;
-  double __pyx_v_ya;
-  double __pyx_v_za;
-  double __pyx_v_omt;
-  double __pyx_v_opt;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[7] = {0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("r_band_core (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_xa,&__pyx_mstate_global->__pyx_n_u_ya,&__pyx_mstate_global->__pyx_n_u_za,&__pyx_mstate_global->__pyx_n_u_omt,&__pyx_mstate_global->__pyx_n_u_opt,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 464, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 464, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 464, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 464, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 464, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 464, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 464, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 464, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "r_band_core", 0) < (0)) __PYX_ERR(0, 464, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 7; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("r_band_core", 1, 7, 7, i); __PYX_ERR(0, 464, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 7)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 464, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 464, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 464, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 464, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 464, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 464, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 464, __pyx_L3_error)
-    }
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 464, __pyx_L3_error)
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 464, __pyx_L3_error)
-    __pyx_v_xa = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_xa == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 464, __pyx_L3_error)
-    __pyx_v_ya = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_ya == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 464, __pyx_L3_error)
-    __pyx_v_za = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_za == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 464, __pyx_L3_error)
-    __pyx_v_omt = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_omt == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 465, __pyx_L3_error)
-    __pyx_v_opt = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_opt == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 465, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("r_band_core", 1, 7, 7, __pyx_nargs); __PYX_ERR(0, 464, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.r_band_core", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_34r_band_core(__pyx_self, __pyx_v_mu, __pyx_v_nu, __pyx_v_xa, __pyx_v_ya, __pyx_v_za, __pyx_v_omt, __pyx_v_opt);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_34r_band_core(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za, double __pyx_v_omt, double __pyx_v_opt) {
-  double __pyx_v_f;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  size_t __pyx_t_9;
-  double __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("r_band_core", 0);
-
-  /* "gfkernel/_core.pyx":466
- * def r_band_core(double mu, double nu, double xa, double ya, double za,
- *                 double omt, double opt):
- *     cdef double f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 0.5 * opt)[0]             # <<<<<<<<<<<<<<
- *     return (cpow(xa * ya, mu - 1.0) * cpow(omt, mu - 0.5) * f
- *             / (SQRT_2PI * cpow(za, mu) * exp(lgamma(mu + 0.5))))
-*/
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_hyp2f1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = PyFloat_FromDouble((__pyx_v_nu + 0.5)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyFloat_FromDouble((0.5 - __pyx_v_nu)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyFloat_FromDouble((__pyx_v_mu + 0.5)); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = PyFloat_FromDouble((0.5 * __pyx_v_omt)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = PyFloat_FromDouble((0.5 * __pyx_v_opt)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_9 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[6] = {__pyx_t_2, __pyx_t_4, __pyx_t_5, __pyx_t_6, __pyx_t_7, __pyx_t_8};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_9, (6-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 466, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_t_3 = __Pyx_GetItemInt(__pyx_t_1, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_10 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_10 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_f = __pyx_t_10;
-
-  /* "gfkernel/_core.pyx":467
- *                 double omt, double opt):
- *     cdef double f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 0.5 * opt)[0]
- *     return (cpow(xa * ya, mu - 1.0) * cpow(omt, mu - 0.5) * f             # <<<<<<<<<<<<<<
- *             / (SQRT_2PI * cpow(za, mu) * exp(lgamma(mu + 0.5))))
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "gfkernel/_core.pyx":468
- *     cdef double f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 0.5 * opt)[0]
- *     return (cpow(xa * ya, mu - 1.0) * cpow(omt, mu - 0.5) * f
- *             / (SQRT_2PI * cpow(za, mu) * exp(lgamma(mu + 0.5))))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_3 = PyFloat_FromDouble((((pow((__pyx_v_xa * __pyx_v_ya), (__pyx_v_mu - 1.0)) * pow(__pyx_v_omt, (__pyx_v_mu - 0.5))) * __pyx_v_f) / ((__pyx_v_8gfkernel_5_core_SQRT_2PI * pow(__pyx_v_za, __pyx_v_mu)) * exp(lgamma((__pyx_v_mu + 0.5)))))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 468, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":464
- * 
- * 
- * def r_band_core(double mu, double nu, double xa, double ya, double za,             # <<<<<<<<<<<<<<
- *                 double omt, double opt):
- *     cdef double f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 0.5 * opt)[0]
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_AddTraceback("gfkernel._core.r_band_core", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":471
- * 
- * 
- * def r_outer_core(double mu, double nu, double xa, double ya, double za,             # <<<<<<<<<<<<<<
- *                  double u, double um1):
- *     # sign fixed against the defining triple-Bessel integral; see _corepy
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_37r_outer_core(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_37r_outer_core = {"r_outer_core", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_37r_outer_core, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_37r_outer_core(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_mu;
-  double __pyx_v_nu;
-  double __pyx_v_xa;
-  double __pyx_v_ya;
-  double __pyx_v_za;
-  double __pyx_v_u;
-  double __pyx_v_um1;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[7] = {0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("r_outer_core (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_xa,&__pyx_mstate_global->__pyx_n_u_ya,&__pyx_mstate_global->__pyx_n_u_za,&__pyx_mstate_global->__pyx_n_u_u,&__pyx_mstate_global->__pyx_n_u_um1,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 471, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 471, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 471, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 471, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 471, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 471, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 471, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 471, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "r_outer_core", 0) < (0)) __PYX_ERR(0, 471, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 7; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("r_outer_core", 1, 7, 7, i); __PYX_ERR(0, 471, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 7)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 471, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 471, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 471, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 471, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 471, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 471, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 471, __pyx_L3_error)
-    }
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 471, __pyx_L3_error)
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 471, __pyx_L3_error)
-    __pyx_v_xa = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_xa == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 471, __pyx_L3_error)
-    __pyx_v_ya = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_ya == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 471, __pyx_L3_error)
-    __pyx_v_za = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_za == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 471, __pyx_L3_error)
-    __pyx_v_u = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_u == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 472, __pyx_L3_error)
-    __pyx_v_um1 = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_um1 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 472, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("r_outer_core", 1, 7, 7, __pyx_nargs); __PYX_ERR(0, 471, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.r_outer_core", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_36r_outer_core(__pyx_self, __pyx_v_mu, __pyx_v_nu, __pyx_v_xa, __pyx_v_ya, __pyx_v_za, __pyx_v_u, __pyx_v_um1);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_36r_outer_core(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za, double __pyx_v_u, double __pyx_v_um1) {
-  double __pyx_v_delta;
-  double __pyx_v_sd;
-  double __pyx_v_ln_u;
-  double __pyx_v_z;
-  double __pyx_v_zc;
-  double __pyx_v_f;
-  double __pyx_v_lgd;
-  double __pyx_v_sgd;
-  double __pyx_v_coef;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  double __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("r_outer_core", 0);
-
-  /* "gfkernel/_core.pyx":474
- *                  double u, double um1):
- *     # sign fixed against the defining triple-Bessel integral; see _corepy
- *     cdef double delta = nu - mu             # <<<<<<<<<<<<<<
- *     cdef double sd, ln_u, z, zc, f, lgd, sgd, coef
- *     if fabs(delta - floor(delta + 0.5)) <= 1e-12:
-*/
-  __pyx_v_delta = (__pyx_v_nu - __pyx_v_mu);
-
-  /* "gfkernel/_core.pyx":476
- *     cdef double delta = nu - mu
- *     cdef double sd, ln_u, z, zc, f, lgd, sgd, coef
- *     if fabs(delta - floor(delta + 0.5)) <= 1e-12:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     sd = sinpi(mu - nu)
-*/
-  __pyx_t_1 = (fabs((__pyx_v_delta - floor((__pyx_v_delta + 0.5)))) <= 1e-12);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":477
- *     cdef double sd, ln_u, z, zc, f, lgd, sgd, coef
- *     if fabs(delta - floor(delta + 0.5)) <= 1e-12:
- *         return 0.0             # <<<<<<<<<<<<<<
- *     sd = sinpi(mu - nu)
- *     ln_u = (delta + 1.0) * log(u)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-    __pyx_r = __pyx_mstate_global->__pyx_float_0_0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":476
- *     cdef double delta = nu - mu
- *     cdef double sd, ln_u, z, zc, f, lgd, sgd, coef
- *     if fabs(delta - floor(delta + 0.5)) <= 1e-12:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     sd = sinpi(mu - nu)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":478
- *     if fabs(delta - floor(delta + 0.5)) <= 1e-12:
- *         return 0.0
- *     sd = sinpi(mu - nu)             # <<<<<<<<<<<<<<
- *     ln_u = (delta + 1.0) * log(u)
- *     if ln_u > LOG_MAX:
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_sinpi((__pyx_v_mu - __pyx_v_nu), 0); if (unlikely(__pyx_t_2 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 478, __pyx_L1_error)
-  __pyx_v_sd = __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":479
- *         return 0.0
- *     sd = sinpi(mu - nu)
- *     ln_u = (delta + 1.0) * log(u)             # <<<<<<<<<<<<<<
- *     if ln_u > LOG_MAX:
- *         return 0.0
-*/
-  __pyx_v_ln_u = ((__pyx_v_delta + 1.0) * log(__pyx_v_u));
-
-  /* "gfkernel/_core.pyx":480
- *     sd = sinpi(mu - nu)
- *     ln_u = (delta + 1.0) * log(u)
- *     if ln_u > LOG_MAX:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     z = 1.0 / (u * u)
-*/
-  __pyx_t_1 = (__pyx_v_ln_u > __pyx_v_8gfkernel_5_core_LOG_MAX);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":481
- *     ln_u = (delta + 1.0) * log(u)
- *     if ln_u > LOG_MAX:
- *         return 0.0             # <<<<<<<<<<<<<<
- *     z = 1.0 / (u * u)
- *     zc = um1 * (u + 1.0) * z
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-    __pyx_r = __pyx_mstate_global->__pyx_float_0_0;
-    goto __pyx_L0;
-
-    /* "gfkernel/_core.pyx":480
- *     sd = sinpi(mu - nu)
- *     ln_u = (delta + 1.0) * log(u)
- *     if ln_u > LOG_MAX:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     z = 1.0 / (u * u)
-*/
-  }
-
-  /* "gfkernel/_core.pyx":482
- *     if ln_u > LOG_MAX:
- *         return 0.0
- *     z = 1.0 / (u * u)             # <<<<<<<<<<<<<<
- *     zc = um1 * (u + 1.0) * z
- *     f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, zc)[0]
-*/
-  __pyx_v_z = (1.0 / (__pyx_v_u * __pyx_v_u));
-
-  /* "gfkernel/_core.pyx":483
- *         return 0.0
- *     z = 1.0 / (u * u)
- *     zc = um1 * (u + 1.0) * z             # <<<<<<<<<<<<<<
- *     f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, zc)[0]
- *     lgd = lgamma(delta + 1.0)
-*/
-  __pyx_v_zc = ((__pyx_v_um1 * (__pyx_v_u + 1.0)) * __pyx_v_z);
-
-  /* "gfkernel/_core.pyx":484
- *     z = 1.0 / (u * u)
- *     zc = um1 * (u + 1.0) * z
- *     f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, zc)[0]             # <<<<<<<<<<<<<<
- *     lgd = lgamma(delta + 1.0)
- *     sgd = gamma_sign(delta + 1.0)
-*/
-  __pyx_t_4 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_hyp2f1); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyFloat_FromDouble(((0.5 * __pyx_v_delta) + 1.0)); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = PyFloat_FromDouble((0.5 * (__pyx_v_delta + 1.0))); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = PyFloat_FromDouble((__pyx_v_nu + 1.0)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = PyFloat_FromDouble(__pyx_v_z); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_10 = PyFloat_FromDouble(__pyx_v_zc); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_11 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_5))) {
-    __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-    assert(__pyx_t_4);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-    __Pyx_INCREF(__pyx_t_4);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-    __pyx_t_11 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[6] = {__pyx_t_4, __pyx_t_6, __pyx_t_7, __pyx_t_8, __pyx_t_9, __pyx_t_10};
-    __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_11, (6-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 484, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-  }
-  __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_2 = __Pyx_PyFloat_AsDouble(__pyx_t_5); if (unlikely((__pyx_t_2 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 484, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_v_f = __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":485
- *     zc = um1 * (u + 1.0) * z
- *     f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, zc)[0]
- *     lgd = lgamma(delta + 1.0)             # <<<<<<<<<<<<<<
- *     sgd = gamma_sign(delta + 1.0)
- *     coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * log(2.0))
-*/
-  __pyx_v_lgd = lgamma((__pyx_v_delta + 1.0));
-
-  /* "gfkernel/_core.pyx":486
- *     f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, zc)[0]
- *     lgd = lgamma(delta + 1.0)
- *     sgd = gamma_sign(delta + 1.0)             # <<<<<<<<<<<<<<
- *     coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * log(2.0))
- *     return (sd * cpow(xa * ya, mu - 1.0) * sqrt(PI) * coef * f
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_gamma_sign((__pyx_v_delta + 1.0), 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)(-2.0))) && PyErr_Occurred())) __PYX_ERR(0, 486, __pyx_L1_error)
-  __pyx_v_sgd = __pyx_t_2;
-
-  /* "gfkernel/_core.pyx":487
- *     lgd = lgamma(delta + 1.0)
- *     sgd = gamma_sign(delta + 1.0)
- *     coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * log(2.0))             # <<<<<<<<<<<<<<
- *     return (sd * cpow(xa * ya, mu - 1.0) * sqrt(PI) * coef * f
- *             / (SQRT_HALF_PI3 * cpow(za, mu)))
-*/
-  __pyx_v_coef = (__pyx_v_sgd * exp((((__pyx_v_lgd - lgamma((__pyx_v_nu + 1.0))) - __pyx_v_ln_u) - ((__pyx_v_nu + 0.5) * log(2.0)))));
-
-  /* "gfkernel/_core.pyx":488
- *     sgd = gamma_sign(delta + 1.0)
- *     coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * log(2.0))
- *     return (sd * cpow(xa * ya, mu - 1.0) * sqrt(PI) * coef * f             # <<<<<<<<<<<<<<
- *             / (SQRT_HALF_PI3 * cpow(za, mu)))
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "gfkernel/_core.pyx":489
- *     coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * log(2.0))
- *     return (sd * cpow(xa * ya, mu - 1.0) * sqrt(PI) * coef * f
- *             / (SQRT_HALF_PI3 * cpow(za, mu)))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_5 = PyFloat_FromDouble((((((__pyx_v_sd * pow((__pyx_v_xa * __pyx_v_ya), (__pyx_v_mu - 1.0))) * sqrt(__pyx_v_8gfkernel_5_core_PI)) * __pyx_v_coef) * __pyx_v_f) / (__pyx_v_8gfkernel_5_core_SQRT_HALF_PI3 * pow(__pyx_v_za, __pyx_v_mu)))); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 489, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":471
- * 
- * 
- * def r_outer_core(double mu, double nu, double xa, double ya, double za,             # <<<<<<<<<<<<<<
- *                  double u, double um1):
- *     # sign fixed against the defining triple-Bessel integral; see _corepy
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("gfkernel._core.r_outer_core", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":492
- * 
- * 
- * def r_band(double mu, double nu, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_39r_band(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_39r_band = {"r_band", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_39r_band, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_39r_band(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_mu;
-  double __pyx_v_nu;
-  double __pyx_v_xa;
-  double __pyx_v_ya;
-  double __pyx_v_za;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("r_band (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_xa,&__pyx_mstate_global->__pyx_n_u_ya,&__pyx_mstate_global->__pyx_n_u_za,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 492, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 492, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 492, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 492, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 492, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 492, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "r_band", 0) < (0)) __PYX_ERR(0, 492, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("r_band", 1, 5, 5, i); __PYX_ERR(0, 492, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 492, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 492, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 492, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 492, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 492, __pyx_L3_error)
-    }
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 492, __pyx_L3_error)
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 492, __pyx_L3_error)
-    __pyx_v_xa = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_xa == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 492, __pyx_L3_error)
-    __pyx_v_ya = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_ya == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 492, __pyx_L3_error)
-    __pyx_v_za = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_za == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 492, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("r_band", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 492, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.r_band", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_38r_band(__pyx_self, __pyx_v_mu, __pyx_v_nu, __pyx_v_xa, __pyx_v_ya, __pyx_v_za);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_38r_band(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za) {
-  double __pyx_v_twoxy;
-  double __pyx_v_d;
-  double __pyx_v_omt;
-  double __pyx_v_s;
-  double __pyx_v_opt;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("r_band", 0);
-
-  /* "gfkernel/_core.pyx":493
- * 
- * def r_band(double mu, double nu, double xa, double ya, double za):
- *     cdef double twoxy = 2.0 * xa * ya             # <<<<<<<<<<<<<<
- *     cdef double d = xa - ya
- *     cdef double omt = (za - d) * (za + d) / twoxy
-*/
-  __pyx_v_twoxy = ((2.0 * __pyx_v_xa) * __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":494
- * def r_band(double mu, double nu, double xa, double ya, double za):
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya             # <<<<<<<<<<<<<<
- *     cdef double omt = (za - d) * (za + d) / twoxy
- *     cdef double s = xa + ya
-*/
-  __pyx_v_d = (__pyx_v_xa - __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":495
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
- *     cdef double omt = (za - d) * (za + d) / twoxy             # <<<<<<<<<<<<<<
- *     cdef double s = xa + ya
- *     cdef double opt = (s - za) * (s + za) / twoxy
-*/
-  __pyx_v_omt = (((__pyx_v_za - __pyx_v_d) * (__pyx_v_za + __pyx_v_d)) / __pyx_v_twoxy);
-
-  /* "gfkernel/_core.pyx":496
- *     cdef double d = xa - ya
- *     cdef double omt = (za - d) * (za + d) / twoxy
- *     cdef double s = xa + ya             # <<<<<<<<<<<<<<
- *     cdef double opt = (s - za) * (s + za) / twoxy
- *     return r_band_core(mu, nu, xa, ya, za, omt, opt)
-*/
-  __pyx_v_s = (__pyx_v_xa + __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":497
- *     cdef double omt = (za - d) * (za + d) / twoxy
- *     cdef double s = xa + ya
- *     cdef double opt = (s - za) * (s + za) / twoxy             # <<<<<<<<<<<<<<
- *     return r_band_core(mu, nu, xa, ya, za, omt, opt)
- * 
-*/
-  __pyx_v_opt = (((__pyx_v_s - __pyx_v_za) * (__pyx_v_s + __pyx_v_za)) / __pyx_v_twoxy);
-
-  /* "gfkernel/_core.pyx":498
- *     cdef double s = xa + ya
- *     cdef double opt = (s - za) * (s + za) / twoxy
- *     return r_band_core(mu, nu, xa, ya, za, omt, opt)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_r_band_core); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = PyFloat_FromDouble(__pyx_v_mu); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyFloat_FromDouble(__pyx_v_nu); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyFloat_FromDouble(__pyx_v_xa); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_ya); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = PyFloat_FromDouble(__pyx_v_za); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = PyFloat_FromDouble(__pyx_v_omt); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_10 = PyFloat_FromDouble(__pyx_v_opt); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_11 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_11 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[8] = {__pyx_t_2, __pyx_t_4, __pyx_t_5, __pyx_t_6, __pyx_t_7, __pyx_t_8, __pyx_t_9, __pyx_t_10};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_11, (8-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 498, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":492
- * 
- * 
- * def r_band(double mu, double nu, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("gfkernel._core.r_band", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":501
- * 
- * 
- * def r_outer(double mu, double nu, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double s = xa + ya
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_41r_outer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_41r_outer = {"r_outer", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_41r_outer, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_41r_outer(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_mu;
-  double __pyx_v_nu;
-  double __pyx_v_xa;
-  double __pyx_v_ya;
-  double __pyx_v_za;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("r_outer (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_xa,&__pyx_mstate_global->__pyx_n_u_ya,&__pyx_mstate_global->__pyx_n_u_za,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 501, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 501, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 501, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 501, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 501, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 501, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "r_outer", 0) < (0)) __PYX_ERR(0, 501, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("r_outer", 1, 5, 5, i); __PYX_ERR(0, 501, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 501, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 501, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 501, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 501, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 501, __pyx_L3_error)
-    }
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 501, __pyx_L3_error)
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 501, __pyx_L3_error)
-    __pyx_v_xa = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_xa == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 501, __pyx_L3_error)
-    __pyx_v_ya = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_ya == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 501, __pyx_L3_error)
-    __pyx_v_za = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_za == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 501, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("r_outer", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 501, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.r_outer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_40r_outer(__pyx_self, __pyx_v_mu, __pyx_v_nu, __pyx_v_xa, __pyx_v_ya, __pyx_v_za);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_40r_outer(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, double __pyx_v_nu, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za) {
-  double __pyx_v_twoxy;
-  double __pyx_v_s;
-  double __pyx_v_um1;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("r_outer", 0);
-
-  /* "gfkernel/_core.pyx":502
- * 
- * def r_outer(double mu, double nu, double xa, double ya, double za):
- *     cdef double twoxy = 2.0 * xa * ya             # <<<<<<<<<<<<<<
- *     cdef double s = xa + ya
- *     cdef double um1 = (za - s) * (za + s) / twoxy
-*/
-  __pyx_v_twoxy = ((2.0 * __pyx_v_xa) * __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":503
- * def r_outer(double mu, double nu, double xa, double ya, double za):
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double s = xa + ya             # <<<<<<<<<<<<<<
- *     cdef double um1 = (za - s) * (za + s) / twoxy
- *     return r_outer_core(mu, nu, xa, ya, za, 1.0 + um1, um1)
-*/
-  __pyx_v_s = (__pyx_v_xa + __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":504
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double s = xa + ya
- *     cdef double um1 = (za - s) * (za + s) / twoxy             # <<<<<<<<<<<<<<
- *     return r_outer_core(mu, nu, xa, ya, za, 1.0 + um1, um1)
- * 
-*/
-  __pyx_v_um1 = (((__pyx_v_za - __pyx_v_s) * (__pyx_v_za + __pyx_v_s)) / __pyx_v_twoxy);
-
-  /* "gfkernel/_core.pyx":505
- *     cdef double s = xa + ya
- *     cdef double um1 = (za - s) * (za + s) / twoxy
- *     return r_outer_core(mu, nu, xa, ya, za, 1.0 + um1, um1)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_r_outer_core); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = PyFloat_FromDouble(__pyx_v_mu); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyFloat_FromDouble(__pyx_v_nu); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyFloat_FromDouble(__pyx_v_xa); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_ya); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = PyFloat_FromDouble(__pyx_v_za); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = PyFloat_FromDouble((1.0 + __pyx_v_um1)); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_10 = PyFloat_FromDouble(__pyx_v_um1); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_11 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_11 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[8] = {__pyx_t_2, __pyx_t_4, __pyx_t_5, __pyx_t_6, __pyx_t_7, __pyx_t_8, __pyx_t_9, __pyx_t_10};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_11, (8-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 505, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":501
- * 
- * 
- * def r_outer(double mu, double nu, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double s = xa + ya
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("gfkernel._core.r_outer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gfkernel/_core.pyx":508
- * 
- * 
- * def r_gegenbauer_band(double mu, int n, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8gfkernel_5_core_43r_gegenbauer_band(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8gfkernel_5_core_43r_gegenbauer_band = {"r_gegenbauer_band", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8gfkernel_5_core_43r_gegenbauer_band, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8gfkernel_5_core_43r_gegenbauer_band(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_mu;
-  int __pyx_v_n;
-  double __pyx_v_xa;
-  double __pyx_v_ya;
-  double __pyx_v_za;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("r_gegenbauer_band (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mu,&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_xa,&__pyx_mstate_global->__pyx_n_u_ya,&__pyx_mstate_global->__pyx_n_u_za,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 508, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 508, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 508, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 508, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 508, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 508, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "r_gegenbauer_band", 0) < (0)) __PYX_ERR(0, 508, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("r_gegenbauer_band", 1, 5, 5, i); __PYX_ERR(0, 508, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 508, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 508, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 508, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 508, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 508, __pyx_L3_error)
-    }
-    __pyx_v_mu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_mu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L3_error)
-    __pyx_v_n = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L3_error)
-    __pyx_v_xa = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_xa == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L3_error)
-    __pyx_v_ya = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_ya == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L3_error)
-    __pyx_v_za = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_za == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("r_gegenbauer_band", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 508, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gfkernel._core.r_gegenbauer_band", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8gfkernel_5_core_42r_gegenbauer_band(__pyx_self, __pyx_v_mu, __pyx_v_n, __pyx_v_xa, __pyx_v_ya, __pyx_v_za);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8gfkernel_5_core_42r_gegenbauer_band(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_mu, int __pyx_v_n, double __pyx_v_xa, double __pyx_v_ya, double __pyx_v_za) {
-  double __pyx_v_twoxy;
-  double __pyx_v_d;
-  double __pyx_v_omt;
-  double __pyx_v_s;
-  double __pyx_v_opt;
-  double __pyx_v_ct;
-  double __pyx_v_ln_coef;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  double __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("r_gegenbauer_band", 0);
-
-  /* "gfkernel/_core.pyx":509
- * 
- * def r_gegenbauer_band(double mu, int n, double xa, double ya, double za):
- *     cdef double twoxy = 2.0 * xa * ya             # <<<<<<<<<<<<<<
- *     cdef double d = xa - ya
- *     cdef double omt = (za - d) * (za + d) / twoxy
-*/
-  __pyx_v_twoxy = ((2.0 * __pyx_v_xa) * __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":510
- * def r_gegenbauer_band(double mu, int n, double xa, double ya, double za):
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya             # <<<<<<<<<<<<<<
- *     cdef double omt = (za - d) * (za + d) / twoxy
- *     cdef double s = xa + ya
-*/
-  __pyx_v_d = (__pyx_v_xa - __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":511
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
- *     cdef double omt = (za - d) * (za + d) / twoxy             # <<<<<<<<<<<<<<
- *     cdef double s = xa + ya
- *     cdef double opt = (s - za) * (s + za) / twoxy
-*/
-  __pyx_v_omt = (((__pyx_v_za - __pyx_v_d) * (__pyx_v_za + __pyx_v_d)) / __pyx_v_twoxy);
-
-  /* "gfkernel/_core.pyx":512
- *     cdef double d = xa - ya
- *     cdef double omt = (za - d) * (za + d) / twoxy
- *     cdef double s = xa + ya             # <<<<<<<<<<<<<<
- *     cdef double opt = (s - za) * (s + za) / twoxy
- *     cdef double ct = 1.0 - omt
-*/
-  __pyx_v_s = (__pyx_v_xa + __pyx_v_ya);
-
-  /* "gfkernel/_core.pyx":513
- *     cdef double omt = (za - d) * (za + d) / twoxy
- *     cdef double s = xa + ya
- *     cdef double opt = (s - za) * (s + za) / twoxy             # <<<<<<<<<<<<<<
- *     cdef double ct = 1.0 - omt
- *     cdef double ln_coef
-*/
-  __pyx_v_opt = (((__pyx_v_s - __pyx_v_za) * (__pyx_v_s + __pyx_v_za)) / __pyx_v_twoxy);
-
-  /* "gfkernel/_core.pyx":514
- *     cdef double s = xa + ya
- *     cdef double opt = (s - za) * (s + za) / twoxy
- *     cdef double ct = 1.0 - omt             # <<<<<<<<<<<<<<
- *     cdef double ln_coef
- *     if ct < -1.0:
-*/
-  __pyx_v_ct = (1.0 - __pyx_v_omt);
-
-  /* "gfkernel/_core.pyx":516
- *     cdef double ct = 1.0 - omt
- *     cdef double ln_coef
- *     if ct < -1.0:             # <<<<<<<<<<<<<<
- *         ct = -1.0
- *     elif ct > 1.0:
-*/
-  __pyx_t_1 = (__pyx_v_ct < -1.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":517
- *     cdef double ln_coef
- *     if ct < -1.0:
- *         ct = -1.0             # <<<<<<<<<<<<<<
- *     elif ct > 1.0:
- *         ct = 1.0
-*/
-    __pyx_v_ct = -1.0;
-
-    /* "gfkernel/_core.pyx":516
- *     cdef double ct = 1.0 - omt
- *     cdef double ln_coef
- *     if ct < -1.0:             # <<<<<<<<<<<<<<
- *         ct = -1.0
- *     elif ct > 1.0:
-*/
-    goto __pyx_L3;
-  }
-
-  /* "gfkernel/_core.pyx":518
- *     if ct < -1.0:
- *         ct = -1.0
- *     elif ct > 1.0:             # <<<<<<<<<<<<<<
- *         ct = 1.0
- *     ln_coef = ((0.5 - mu) * log(2.0) + lgamma(2.0 * mu) + lgamma(n + 1.0)
-*/
-  __pyx_t_1 = (__pyx_v_ct > 1.0);
-  if (__pyx_t_1) {
-
-    /* "gfkernel/_core.pyx":519
- *         ct = -1.0
- *     elif ct > 1.0:
- *         ct = 1.0             # <<<<<<<<<<<<<<
- *     ln_coef = ((0.5 - mu) * log(2.0) + lgamma(2.0 * mu) + lgamma(n + 1.0)
- *                - lgamma(n + 2.0 * mu) - lgamma(mu + 0.5))
-*/
-    __pyx_v_ct = 1.0;
-
-    /* "gfkernel/_core.pyx":518
- *     if ct < -1.0:
- *         ct = -1.0
- *     elif ct > 1.0:             # <<<<<<<<<<<<<<
- *         ct = 1.0
- *     ln_coef = ((0.5 - mu) * log(2.0) + lgamma(2.0 * mu) + lgamma(n + 1.0)
-*/
-  }
-  __pyx_L3:;
-
-  /* "gfkernel/_core.pyx":521
- *         ct = 1.0
- *     ln_coef = ((0.5 - mu) * log(2.0) + lgamma(2.0 * mu) + lgamma(n + 1.0)
- *                - lgamma(n + 2.0 * mu) - lgamma(mu + 0.5))             # <<<<<<<<<<<<<<
- *     return (exp(ln_coef) * cpow(xa * ya, mu - 1.0)
- *             * cpow(omt * opt, mu - 0.5) * gegenbauer(n, mu, ct)
-*/
-  __pyx_v_ln_coef = ((((((0.5 - __pyx_v_mu) * log(2.0)) + lgamma((2.0 * __pyx_v_mu))) + lgamma((__pyx_v_n + 1.0))) - lgamma((__pyx_v_n + (2.0 * __pyx_v_mu)))) - lgamma((__pyx_v_mu + 0.5)));
-
-  /* "gfkernel/_core.pyx":522
- *     ln_coef = ((0.5 - mu) * log(2.0) + lgamma(2.0 * mu) + lgamma(n + 1.0)
- *                - lgamma(n + 2.0 * mu) - lgamma(mu + 0.5))
- *     return (exp(ln_coef) * cpow(xa * ya, mu - 1.0)             # <<<<<<<<<<<<<<
- *             * cpow(omt * opt, mu - 0.5) * gegenbauer(n, mu, ct)
- *             / (SQRT_2PI * cpow(za, mu)))
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "gfkernel/_core.pyx":523
- *                - lgamma(n + 2.0 * mu) - lgamma(mu + 0.5))
- *     return (exp(ln_coef) * cpow(xa * ya, mu - 1.0)
- *             * cpow(omt * opt, mu - 0.5) * gegenbauer(n, mu, ct)             # <<<<<<<<<<<<<<
- *             / (SQRT_2PI * cpow(za, mu)))
-*/
-  __pyx_t_2 = __pyx_f_8gfkernel_5_core_gegenbauer(__pyx_v_n, __pyx_v_mu, __pyx_v_ct, 0); if (unlikely(__pyx_t_2 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 523, __pyx_L1_error)
-
-  /* "gfkernel/_core.pyx":524
- *     return (exp(ln_coef) * cpow(xa * ya, mu - 1.0)
- *             * cpow(omt * opt, mu - 0.5) * gegenbauer(n, mu, ct)
- *             / (SQRT_2PI * cpow(za, mu)))             # <<<<<<<<<<<<<<
-*/
-  __pyx_t_3 = PyFloat_FromDouble(((((exp(__pyx_v_ln_coef) * pow((__pyx_v_xa * __pyx_v_ya), (__pyx_v_mu - 1.0))) * pow((__pyx_v_omt * __pyx_v_opt), (__pyx_v_mu - 0.5))) * __pyx_t_2) / (__pyx_v_8gfkernel_5_core_SQRT_2PI * pow(__pyx_v_za, __pyx_v_mu)))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 524, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "gfkernel/_core.pyx":508
- * 
- * 
- * def r_gegenbauer_band(double mu, int n, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("gfkernel._core.r_gegenbauer_band", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__core(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__core},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_core",
-      __pyx_k_Compiled_twin_of_gfkernel__corep, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__core(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__core(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
+/* True when x is within 1e-12 of an integer <= 0; rint rounds half to even,
+   as Python's round does. */
+static int is_nonpositive_integer(double x)
 {
-  return PyModuleDef_Init(&__pyx_moduledef);
+    double r;
+    if (x > 0.5) return 0;
+    r = rint(x);
+    return r <= 0.0 && fabs(x - r) <= 1e-12;
 }
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
+
+/* Sign of Gamma(x); raises on poles. */
+static double gamma_sign(double x)
 {
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
+    if (x > 0.0) return 1.0;
+    if (x == floor(x)) return fail(PoleError, "gamma pole at x=%r", x);
+    /* Gamma alternates sign between consecutive negative integers. */
+    return fmod(floor(-x), 2.0) == 1.0 ? 1.0 : -1.0;
 }
 
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__core(PyObject *__pyx_pyinit_module)
-#endif
+/* log|Gamma(x)| into *ln, and the sign of Gamma(x); pole error at
+   nonpositive integers. */
+static double log_abs_gamma(double x, double *ln)
 {
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  double __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_core' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_core" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__core", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_gfkernel___core) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "gfkernel._core")) {
-      if (unlikely((PyDict_SetItemString(modules, "gfkernel._core", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "gfkernel/_core.pyx":11
- *                         pow as cpow, sin, sinh, sqrt, tan)
- * 
- * from .errors import (             # <<<<<<<<<<<<<<
- *     ConvergenceError,
- *     DegenerateParameterError,
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_ConvergenceError,__pyx_mstate_global->__pyx_n_u_DegenerateParameterError,__pyx_mstate_global->__pyx_n_u_DomainError,__pyx_mstate_global->__pyx_n_u_PoleError,__pyx_mstate_global->__pyx_n_u_RangeOverflowError};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_errors, __pyx_imported_names, 5, __pyx_mstate_global->__pyx_kp_u_gfkernel_errors, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 11, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_ConvergenceError,__pyx_mstate_global->__pyx_n_u_DegenerateParameterError,__pyx_mstate_global->__pyx_n_u_DomainError,__pyx_mstate_global->__pyx_n_u_PoleError,__pyx_mstate_global->__pyx_n_u_RangeOverflowError};
-    for (__pyx_t_3=0; __pyx_t_3 < 5; __pyx_t_3++) {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 11, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 11, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":19
- * )
- * 
- * cdef double PI = 3.141592653589793238462643383279502884             # <<<<<<<<<<<<<<
- * cdef double SQRT_2PI = sqrt(2.0 * PI)
- * cdef double SQRT_HALF_PI3 = sqrt(0.5 * PI * PI * PI)
-*/
-  __pyx_v_8gfkernel_5_core_PI = 3.141592653589793238462643383279502884;
-
-  /* "gfkernel/_core.pyx":20
- * 
- * cdef double PI = 3.141592653589793238462643383279502884
- * cdef double SQRT_2PI = sqrt(2.0 * PI)             # <<<<<<<<<<<<<<
- * cdef double SQRT_HALF_PI3 = sqrt(0.5 * PI * PI * PI)
- * cdef double SPLITTER = 134217729.0
-*/
-  __pyx_v_8gfkernel_5_core_SQRT_2PI = sqrt((2.0 * __pyx_v_8gfkernel_5_core_PI));
-
-  /* "gfkernel/_core.pyx":21
- * cdef double PI = 3.141592653589793238462643383279502884
- * cdef double SQRT_2PI = sqrt(2.0 * PI)
- * cdef double SQRT_HALF_PI3 = sqrt(0.5 * PI * PI * PI)             # <<<<<<<<<<<<<<
- * cdef double SPLITTER = 134217729.0
- * cdef double LOG_MAX = 709.0
-*/
-  __pyx_v_8gfkernel_5_core_SQRT_HALF_PI3 = sqrt((((0.5 * __pyx_v_8gfkernel_5_core_PI) * __pyx_v_8gfkernel_5_core_PI) * __pyx_v_8gfkernel_5_core_PI));
-
-  /* "gfkernel/_core.pyx":22
- * cdef double SQRT_2PI = sqrt(2.0 * PI)
- * cdef double SQRT_HALF_PI3 = sqrt(0.5 * PI * PI * PI)
- * cdef double SPLITTER = 134217729.0             # <<<<<<<<<<<<<<
- * cdef double LOG_MAX = 709.0
- * cdef double INF = float("inf")
-*/
-  __pyx_v_8gfkernel_5_core_SPLITTER = 134217729.0;
-
-  /* "gfkernel/_core.pyx":23
- * cdef double SQRT_HALF_PI3 = sqrt(0.5 * PI * PI * PI)
- * cdef double SPLITTER = 134217729.0
- * cdef double LOG_MAX = 709.0             # <<<<<<<<<<<<<<
- * cdef double INF = float("inf")
- * 
-*/
-  __pyx_v_8gfkernel_5_core_LOG_MAX = 709.0;
-
-  /* "gfkernel/_core.pyx":24
- * cdef double SPLITTER = 134217729.0
- * cdef double LOG_MAX = 709.0
- * cdef double INF = float("inf")             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_5 = __Pyx_PyUnicode_AsDouble(__pyx_mstate_global->__pyx_n_u_inf); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_5, ((double)((double)-1))) && PyErr_Occurred())) __PYX_ERR(0, 24, __pyx_L1_error)
-  __pyx_v_8gfkernel_5_core_INF = __pyx_t_5;
-
-  /* "gfkernel/_core.pyx":32
- * 
- * 
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):             # <<<<<<<<<<<<<<
- *     if x > 0.5:
- *         return False
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_1is_nonpositive_integer, 0, __pyx_mstate_global->__pyx_n_u_is_nonpositive_integer, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[2]);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_is_nonpositive_integer, __pyx_t_2) < (0)) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":39
- * 
- * 
- * cpdef double gamma_sign(double x) except? -2.0:             # <<<<<<<<<<<<<<
- *     if x > 0.0:
- *         return 1.0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_3gamma_sign, 0, __pyx_mstate_global->__pyx_n_u_gamma_sign, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 39, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_gamma_sign, __pyx_t_2) < (0)) __PYX_ERR(0, 39, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":47
- * 
- * 
- * def log_abs_gamma(double x):             # <<<<<<<<<<<<<<
- *     if x <= 0.0 and x == floor(x):
- *         raise PoleError(f"gamma pole at x={x!r}")
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_5log_abs_gamma, 0, __pyx_mstate_global->__pyx_n_u_log_abs_gamma, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 47, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_log_abs_gamma, __pyx_t_2) < (0)) __PYX_ERR(0, 47, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":53
- * 
- * 
- * cpdef double gammafn(double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double s = gamma_sign(x)
- *     cdef double ln = lgamma(x)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_7gammafn, 0, __pyx_mstate_global->__pyx_n_u_gammafn, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 53, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_gammafn, __pyx_t_2) < (0)) __PYX_ERR(0, 53, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":61
- * 
- * 
- * cpdef double rgamma(double x):             # <<<<<<<<<<<<<<
- *     if is_nonpositive_integer(x, 1e-12):
- *         return 0.0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_9rgamma, 0, __pyx_mstate_global->__pyx_n_u_rgamma, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 61, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_rgamma, __pyx_t_2) < (0)) __PYX_ERR(0, 61, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":71
- * 
- * 
- * cpdef double sinpi(double x):             # <<<<<<<<<<<<<<
- *     cdef double r = floor(x + 0.5)
- *     cdef double s = sin(PI * (x - r))
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_11sinpi, 0, __pyx_mstate_global->__pyx_n_u_sinpi, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 71, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_sinpi, __pyx_t_2) < (0)) __PYX_ERR(0, 71, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":77
- * 
- * 
- * cpdef double digamma(double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double acc = 0.0, inv2, tail
- *     if x <= 0.0:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_13digamma, 0, __pyx_mstate_global->__pyx_n_u_digamma, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 77, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_digamma, __pyx_t_2) < (0)) __PYX_ERR(0, 77, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":164
- * 
- * 
- * cpdef double bessel_crossover(double nu):             # <<<<<<<<<<<<<<
- *     cdef double c = 2.0 * nu * nu
- *     return c if c > 25.0 else 25.0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_15bessel_crossover, 0, __pyx_mstate_global->__pyx_n_u_bessel_crossover, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 164, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_bessel_crossover, __pyx_t_2) < (0)) __PYX_ERR(0, 164, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":169
- * 
- * 
- * cpdef double normalized_bessel_series(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double half = 0.5 * x
- *     cdef dd q = dd_two_prod(half, half)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_17normalized_bessel_series, 0, __pyx_mstate_global->__pyx_n_u_normalized_bessel_series, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 169, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_normalized_bessel_series, __pyx_t_2) < (0)) __PYX_ERR(0, 169, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":196
- * 
- * 
- * cpdef double bessel_j_asymptotic(double nu, double x):             # <<<<<<<<<<<<<<
- *     cdef double mu4 = 4.0 * nu * nu
- *     cdef double p = 1.0, q = 0.0, ak = 1.0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_19bessel_j_asymptotic, 0, __pyx_mstate_global->__pyx_n_u_bessel_j_asymptotic, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[9])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 196, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_bessel_j_asymptotic, __pyx_t_2) < (0)) __PYX_ERR(0, 196, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":222
- * 
- * 
- * cpdef double bessel_j(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double pref
- *     if x == 0.0:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_21bessel_j, 0, __pyx_mstate_global->__pyx_n_u_bessel_j, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[10])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 222, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_bessel_j, __pyx_t_2) < (0)) __PYX_ERR(0, 222, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":234
- * 
- * 
- * cpdef double normalized_bessel_j(double nu, double x) except? -1e308:             # <<<<<<<<<<<<<<
- *     cdef double pref
- *     if x == 0.0:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_23normalized_bessel_j, 0, __pyx_mstate_global->__pyx_n_u_normalized_bessel_j, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[11])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 234, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_normalized_bessel_j, __pyx_t_2) < (0)) __PYX_ERR(0, 234, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":249
- * 
- * 
- * def gauss_series(double a, double b, double c, double z, int nmax=4000):             # <<<<<<<<<<<<<<
- *     cdef double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0
- *     cdef double r, y, t, rho, tail
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(((int)0xFA0)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = PyTuple_Pack(1, __pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_25gauss_series, 0, __pyx_mstate_global->__pyx_n_u_gauss_series, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[12])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_t_4);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_gauss_series, __pyx_t_2) < (0)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":307
- * 
- * 
- * def hyp2f1(double a, double b, double c, double z, zc=None):             # <<<<<<<<<<<<<<
- *     cdef double w, d, f1, e1, f2, e2, c1, c2, val, err, rp
- *     cdef double zcv
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_27hyp2f1, 0, __pyx_mstate_global->__pyx_n_u_hyp2f1, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[13])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 307, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[3]);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_hyp2f1, __pyx_t_2) < (0)) __PYX_ERR(0, 307, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":386
- * 
- * 
- * def legendre_p(double mu, double nu, double t):             # <<<<<<<<<<<<<<
- *     cdef double zf, w, f, lg, sg, ln_pref, r
- *     if not -1.0 < t <= 1.0:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_29legendre_p, 0, __pyx_mstate_global->__pyx_n_u_legendre_p, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[14])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 386, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_legendre_p, __pyx_t_2) < (0)) __PYX_ERR(0, 386, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":420
- * 
- * 
- * def legendre_q_phase_free(double mu, double nu, double t):             # <<<<<<<<<<<<<<
- *     cdef double tm1, tp1, z, zc, f, l1, s1, l2, s2, ln
- *     if t <= 1.0:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_31legendre_q_phase_free, 0, __pyx_mstate_global->__pyx_n_u_legendre_q_phase_free, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[15])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 420, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_legendre_q_phase_free, __pyx_t_2) < (0)) __PYX_ERR(0, 420, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":446
- * 
- * 
- * cpdef double gegenbauer(int n, double mu, double t):             # <<<<<<<<<<<<<<
- *     cdef double cm1 = 1.0, c, nxt
- *     cdef int j
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_33gegenbauer, 0, __pyx_mstate_global->__pyx_n_u_gegenbauer, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[16])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 446, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_gegenbauer, __pyx_t_2) < (0)) __PYX_ERR(0, 446, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":464
- * 
- * 
- * def r_band_core(double mu, double nu, double xa, double ya, double za,             # <<<<<<<<<<<<<<
- *                 double omt, double opt):
- *     cdef double f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 0.5 * opt)[0]
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_35r_band_core, 0, __pyx_mstate_global->__pyx_n_u_r_band_core, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[17])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 464, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_r_band_core, __pyx_t_2) < (0)) __PYX_ERR(0, 464, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":471
- * 
- * 
- * def r_outer_core(double mu, double nu, double xa, double ya, double za,             # <<<<<<<<<<<<<<
- *                  double u, double um1):
- *     # sign fixed against the defining triple-Bessel integral; see _corepy
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_37r_outer_core, 0, __pyx_mstate_global->__pyx_n_u_r_outer_core, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[18])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 471, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_r_outer_core, __pyx_t_2) < (0)) __PYX_ERR(0, 471, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":492
- * 
- * 
- * def r_band(double mu, double nu, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_39r_band, 0, __pyx_mstate_global->__pyx_n_u_r_band, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[19])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 492, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_r_band, __pyx_t_2) < (0)) __PYX_ERR(0, 492, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":501
- * 
- * 
- * def r_outer(double mu, double nu, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double s = xa + ya
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_41r_outer, 0, __pyx_mstate_global->__pyx_n_u_r_outer, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[20])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 501, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_r_outer, __pyx_t_2) < (0)) __PYX_ERR(0, 501, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":508
- * 
- * 
- * def r_gegenbauer_band(double mu, int n, double xa, double ya, double za):             # <<<<<<<<<<<<<<
- *     cdef double twoxy = 2.0 * xa * ya
- *     cdef double d = xa - ya
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8gfkernel_5_core_43r_gegenbauer_band, 0, __pyx_mstate_global->__pyx_n_u_r_gegenbauer_band, NULL, __pyx_mstate_global->__pyx_n_u_gfkernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[21])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 508, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_r_gegenbauer_band, __pyx_t_2) < (0)) __PYX_ERR(0, 508, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gfkernel/_core.pyx":1
- * # cython: language_level=3, boundscheck=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled twin of gfkernel._corepy: same functions, same algorithms.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init gfkernel._core", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init gfkernel._core");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
+    if (x <= 0.0 && x == floor(x)) return fail(PoleError, "gamma pole at x=%r", x);
+    *ln = lgamma(x);
+    return gamma_sign(x);
 }
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
 
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "gfkernel/_core.pyx":313
- *         raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
- *     if z == 0.0:
- *         return 1.0, 0.0             # <<<<<<<<<<<<<<
- *     if z < 0.0:
- *         if z > -1e-12:
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(2, __pyx_mstate_global->__pyx_float_1_0, __pyx_mstate_global->__pyx_float_0_0); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 313, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-
-  /* "gfkernel/_core.pyx":316
- *     if z < 0.0:
- *         if z > -1e-12:
- *             return 1.0, 1e-12             # <<<<<<<<<<<<<<
- *         raise DomainError(f"2F1 argument z={z!r} outside [0, 1)")
- *     zcv = -1.0 if zc is None else <double>zc
-*/
-  __pyx_mstate_global->__pyx_tuple[1] = PyTuple_Pack(2, __pyx_mstate_global->__pyx_float_1_0, __pyx_mstate_global->__pyx_float_1eneg_12); if (unlikely(!__pyx_mstate_global->__pyx_tuple[1])) __PYX_ERR(0, 316, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[1]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[1]);
-
-  /* "gfkernel/_core.pyx":32
- * 
- * 
- * cpdef bint is_nonpositive_integer(double x, double tol=1e-12):             # <<<<<<<<<<<<<<
- *     if x > 0.5:
- *         return False
-*/
-  __pyx_mstate_global->__pyx_tuple[2] = PyTuple_Pack(1, __pyx_mstate_global->__pyx_float_1eneg_12); if (unlikely(!__pyx_mstate_global->__pyx_tuple[2])) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[2]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[2]);
-
-  /* "gfkernel/_core.pyx":307
- * 
- * 
- * def hyp2f1(double a, double b, double c, double z, zc=None):             # <<<<<<<<<<<<<<
- *     cdef double w, d, f1, e1, f2, e2, c1, c2, val, err, rp
- *     cdef double zcv
-*/
-  __pyx_mstate_global->__pyx_tuple[3] = PyTuple_Pack(1, Py_None); if (unlikely(!__pyx_mstate_global->__pyx_tuple[3])) __PYX_ERR(0, 307, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[3]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[3]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<4; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{2},{15},{41},{16},{31},{41},{1},{1},{16},{4},{4},{18},{16},{35},{46},{15},{25},{21},{22},{20},{65},{34},{22},{21},{31},{36},{33},{35},{14},{46},{15},{16},{22},{4},{15},{4},{4},{16},{24},{11},{9},{20},{18},{1},{6},{12},{18},{1},{16},{8},{19},{1},{2},{2},{18},{4},{4},{2},{1},{5},{7},{2},{2},{3},{6},{1},{2},{2},{8},{10},{7},{12},{10},{14},{6},{3},{13},{22},{5},{2},{2},{10},{21},{2},{3},{2},{7},{7},{4},{13},{8},{10},{2},{1},{8},{4},{19},{24},{2},{3},{3},{3},{12},{1},{6},{11},{17},{7},{12},{6},{3},{2},{1},{2},{2},{2},{12},{10},{2},{3},{5},{1},{4},{4},{8},{3},{3},{3},{5},{1},{3},{3},{6},{1},{1},{2},{1},{2},{1},{2},{2},{3},{2},{71},{73},{283},{118},{545},{60},{296},{96},{253},{70},{236},{56},{111},{31},{96},{261},{56},{225},{118},{385},{52},{399}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (2634 bytes) */
-const char* const cstring = "BZh91AY&SY\227\275\343\234\000\002f\177\377\377\377\377\377\377\377\377\377\277\365\377_\277\377\377\365@@@@@@@@@@@@@\000@\000`\n{\347z\036\235g\264\354]\235\006\201\336\300wp\364\240\003\201\203\rL\223Q1\240&\004\2364\325\036\320\321\351=\024\312\006\206\214M\000\0006\243@\000\001\240\031\251\221\240\t$\002d\010\214L@*~)\345O\322G\246\247\250\375Q\223 \000\000\000\000\000\000\332 \001\352\003S\320\024\2054\311\372\240\311\246\200d2z\236\240\323F\200\000\000\000\000\006\200\000\000\323#\324\002S\"RSCC@\320h\006F\215\0364\3114\375\023\t\252\007\2504\365\001\240\032\032\000\036\243\322\003\324dz\233H\203LLLL\004\300L\000\000\000\002`\000\t\200\000L\000\000\000\004\320$\2205=R\200=@\320\003@\006\201\240\000\000\006@\000\000\000\000\000\000E.\212S\265\233\370\313\247\34735\307\353\367v^.\254\313\204\204\021\024\252X$\255\034=\030\330\242\t\240(\"\310\271\017\004:\007\007\035\307-\374A\375\006\001\231&\031\t\0030\206`E\340\200!(\010\010\214\202\276\027+\211\223\377\312\010\205\3203D\320\225j\340\260\002\030KS\234%L^\246@#\210\206\270\342\020\222HP$\"\022\204\242\362\264Gj\240\213\n,q4S3md\354\334\223\306[\324\301\316\213\222S\2009\010\200\314\302\201&\036r\325XDVfy\2341\t@a\311\322r#(\264 \317h\271\206P\204\255\245i\341\307\002\344\250\n\310UV\274\275ezE\326d\025\n\242\252\250\255kp\262B\240R\224)I\251\364\261B\205(e5%\"Q\273\20682T\020H\234\246\332\002J(\tI\232'(W@\225b\212\362\373\307\340\206\216\322Och\225\266\255\316n\236\336\347?'\372\245L>\246n\317;\214\227\232\372\254a\031\022\276\360}\250\377\260\374.p\346\242\322\2479g}\324\305\260\306\30173\237\3763\252\265^\364\336^&9\016Tv/@\364\000\352]]\317\271\243&g\233\017J\022a\347\241\005T*\000g\312$8\016\207#M\n\002\004Q\005)J\024\241EDQN0<!tiJ,%*\365\340a\037\204|\257\236\357a\220\332\244\327{:\240\260\3456teO\322Co\242V\240\353\033\256\356\244\352l\274\326RU\313\305\"f\255.\324\350\315\306\373xz\034\037:&\020w7!\203\271\221-\320\312&\265\213\365\214\257:\021l\001\205\001#z!\030a\021\225\023!\251 \261\014e\303\305""\035\304\024r\202]\342\340\304\277\316\221}]w\325\327z\001\220,\005\210\263]\206zV\223\310j\250\025\n\242\240T\355:\3554\246\246RD\321\305\253R)3 H\231\201\020\230]4\327\313\352\257,h+\334F\226\315\341\303\0272\366\n\277\306\302K\211\001\342\204\340e[\265_v\362\213K\332\014\021\203\177\244W\241p\354`\261\021\tG\252\263\031\311HV\224\214\301<\031\244\\\225R!\004\005\236\353`\334\224\220\256AEEE}\274\276v\271+\222\271\\+\225\3246\361\335\353;\216\312\300X\265\213g\356\22159\207G\352\224\021\247\345\327\016\257U\332\"<\340\240\257\026e\306du\3479\014\357]\317}\032,8g\300\243\341\001\234\331R3\205{\371\250\202\242\212\n\201B\362\307\230t\235\003\203\216;\373\334pq\302\326*V\264\246;\024*\025\"\217&M\203\016\332\315\233\2761H\254EV\303\327\022\242aj\024y\\Y;\244\332#\211\030\337KXq7\230\222i#\236*\n\366\224\211\007\276k2\"Fn3b#\366\006h\360\360qi\321\336LV2*\347%\351y\314\025\026\241\030\325u\341\243gsI_\376\344=\0251b\246w\323\217\313\344\366\235 \014J\0140\006-\003Pk\255\264F4*\225gfvf\305Tz\002\346\243^\237\003B\267\034\372\272\366D\3470J\310\3040\014M\031]\331\334\363'\377\307_\304\367\277\272^v\317\221\310r;\232\235\033\013\227!\250Z\205\251\013RZ\215T*\270\234i\347\200\331\235\334N^<\335\323D&\370:\r\013B4\013E\363M\334\273V:4\301\371ri\344\215^;\255SM\252!\324b\333\024 \335\254\261\341N\300\376x\010\217\233$:W\342\311\221\204#p\006\334\323\336A\235\336\327\\KB\036\310\215Q2|\351\2729\350\370F\364\3538\365\372\321+X\301r\355Y\263a\333\357Qr\255\002@\226J\242\203\024\200\2655\017\t\241\327\005[b6dp\324\264\223\223\022\204\305\367\220a\003\027\370\347H\312K\253\261\320\337\247\247\245P\353\232\036?\014\3062\306\246\271IE\241s\016\037}d\030H-U\330*-v\311bE\027\205\261r9\215hl\265\255\254\0326\317\013\327\026#\264\360\337(\204\366c\032\032\234e\314\202:\254AC\n)\203!zt\364ow}|l\026/v$\212\270\266\341\315&j\220kI9\"U\300u\224\007\034\032'k^?\004\375\235\376(,-@\274\034\217Z9\014o\220ki\032\366,\315\241\351O\232<T\034d\014\275\211Q\215lq#)\003\346\242<\362H\302\200\353""\003\345\311\220d\2318m\352\026\315_\261~\267\232ai\204\224\357V\330T\rC\r\344\362@\345A1\343\207\224Z5\242]\210\300\364\213\332N\032ui$w\224\211Kg\217%\342\267831\324\303\230\355\315\351\234\376\010\250\232X\331\0313\010\354\343\334\020U\2309\222\270\030\007!\223\322\343z\325\003\323C\017f\360\000\320#\205\001\302.\023X\265\032\215|\366f\014\233Wk\341\343hG\321\317\206\002\332w\352\n\355\273z\206\372\207,k\347\343\354\200\245\241\357\223doKx\267\240\336\006\361o[\367\363]\212\275\335\014\303\r\305\355w\007\213\242z{7\3320\262\2629\236k\243;\216\217'Ba\033\371\333\216*[\354\323u\305\327n\r\3107-\311n[\267e\3002a\223xfc\003\2278g\263\231]>\247I\373\005\331\301\300pp.\003\233\233N\275\201`\376\331\003\367^\213\355\264\333prk\231-<i\254\331\250W\244\324\\yB\374\207U&Z'\313\031\371\252\242\216\001\307\033\352\332\035\343\361\306V@5\220\020\215P\204a\000ua\220\262\310\351\207e\224\206GS\362h\023\035\0254\nl\203\"yx\235\204\304\220\220\330\225\364:\350\262F4\211E\241C_\311\364@\2261#\361\372\306)\023$\343\324#\354\217\253u\037\022\347\245\363\"&\220\320\"`\216\211\323J=.\220\t/l\325\345\022U\213J*[\252\227\023\010Hb\210\365M\357\323\323\374\027UX\231\245-\252\0271\241\313\2539R\355%n\037\267'L\346yx\001\004\322\010R\0274=\032m\217\027\353\235keS@R_\354\262\304\301\035Z\202\250N\376P\363\026\366\005V,\201$M\tCcJ\205$\3137\324o\337\303\204\302!\026\235j\263\201\324\332X\251\222\311\0069Q:\203\311\030\003\203\013)\260\310(\340\260\332\271\241|\177\200\344\371\261\362)\266;\365\262\032\246B&2L\227q\r\221w3'\206G\360]\213\251\330\034DF\222\274S\275W\235\242\232\231D\217cb\345t\246\225\314\347\245IR7\354\354\236\354!\343:\330\217\277\024\321!\220\201\331=\274\254E'\024e\231[\030\261\260\270\305\022\214\205L%(br\247*\201\244\275\023\207gow>e{=\344\372\025V\031\026Q=36c1\322js\233U\014\216\242\274\242\310\245\"\223\031\231FAe\207\326\317h\256\273\213K\206h\275\223\256h\313\300\211\332\213N\207:\004\n\026\224\223j<\354f_\3736jP\230\215\253J\204\025I\242d\267\347\357\206m\305\262hY""\351\346\231\264\312z1]\237\177g%A\225&\311P\222\216Yu\306T\226\316H\2261\0228\246dl\350s\261\"\340\3066\2618K\030\244Q\303\261\213\266\341W,Ht\306\346l\330\225\333|\356\013\206$F\3431\266\365\314(\345\341\034\266-u(h\346\327\371\030u\375fk\363Q\306QbjE~5o\217\0018\007\306\265\245X\235o7\264\323\324\277}J\230\025\237\260\027\357\210\366\233P\265a_io\032a\251\251\250\244\031\021\234\013\013Z\001@\321$\302H\214k\354jA\004!\206\302\303\365f\2203a\027f!\031\255\226a\004\310\242=5\005\023B\035\300\310b,F\025\211MA\020\213\021\000\222:\301\213\201\200\330f\212\3745\210\022\315\002\205*\317\200D\3038La\020A\006Jw\307\nf\017\026\273\367\226\225\245\245\232u\356\340\300x/\237\031\362\277\240\225\257&]5\341\202}\354\013XX\300\375\362\301q\373\370\0222\352\336\306\375\327\206+v\355\007m\023\256\271f\321]r\270p\277\325\353\330{F+VAC/;\222\302Z\310\205jT\351\335\307F|\331\303>}\277\213\321V\354Uc\224MM$\351f\027\231\3609\203Z\320\362\201\344\003:\204\200\211\20076c]\334k\223\242\256\306|\324\252\251b\313\271%\021\303C\3031\014\031\211Yp\216\305\001H\204\005ebR\021L\262\005d\200\223\020\251m\025\350\360\261Q\200a\032\021\330+0z3<%P\201\t+@\245ha\021U\020;\314\314)\237\034L\324\350\322Y\n*J\305A\335U\030\274\271Q)%\352vq\013B\361\014\321J\202\250Z\211\222\365@vv!\315VK\250g0\256\216\251.\321\016\325\021-\377\342\356H\247\n\022\022\367\274s\200";
-    PyObject *data = __Pyx_DecompressString(cstring, 2634, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2835 bytes) */
-const char* const cstring = "x\332\255WKs\333\326\025\026%\332\226-%\016\365\312\243u\003\222\222\"\305\257\200\224\234W\225\016I\311i;\235\304\244$O&}`@\020d\030\223\000\361\222%M\247\243%\226Xb\211%\226Xb\311%\227\\r\351\237\320\237\320\357\334\013>d\307\231\351\264\036\231\000\356\275\270\367\234\363}\347;\007\273\337|Vx*\n\262\331r\272\252f\013\227\007\364\250\350\232\246*v[\327\204\246nv\235\216,4\324\226\252\251\246l\253_\t\312C\371a\235-\354\311\246\334Um\325\024\024\366l\251f[\265\204F\273!h\272M\373\234\251fK\025v\344\203\277\320\006\rS\025:z\353\341[\327i\316\301\243?\010\262-\310BK\356ve\241\247w\324\007B\375\340\001Nh\264\247c\264\346\374\340W\236\333\032\266U\233\315\266\322&\3074\370\007\353u\223/\301m[\027t\234\332\354\350/i\361/\373\335j\276PMM\355<RMS7-\241m\3012M\327z\272\325\266\333gt\214\r\307L\232\330\321T\331\334\025dm<\330I\\\226z\323\000\333\0073\243\272\331\300\253]gv\254g\252MY\201\241\302\316\216x\337\336}\274#>\264ww\377\261\323u\036\027v\0212\026)\213\374\265\017D\262\363\255\033\214\335\373\352\332\n\343\027\2151\010aSU\021\250\331\301\t\300\026mr_s\356\213\327\246\3378\213\354\302iBW~\001#\305\207]\347-\001\343\013\260a\361q\341mK\034\313\026\324sEU\033\202\250\001\020\271\323\276\304}Y\265,\265#\374\032\211\004\335\261\255vC\025\376\372\331\003A\334\235<\356<\024\361\374w\313T\036\217\241},)\272\251>\352]\234?@@\004[\327\005\245\243[*\356\004,>\007\365.\017*\311\346\232\242\036\021\023\016'\351\360l\034!>\256w\345\266\306n\237\201\205\354F\222\236]\234\343\377a[\261\245\357\324s\273\2466k\262\326R\277Ob\306V\311r\335\262\234\256$\311\032\274\301\306\270\263.4\245\255?\202}\260\277\255\251V\275\316\\\227\024S\267,\ny\362\374\363\370J\357t{\266n\267\025E\021\225\202\322\301kR[\223lSV\324\272\254\274\240\244P\364nO\261\033\r\265c\313IR\251\242Z\000\3079\315\233M\261Y\220\244\246\243)\222\304\246%\253\335\322\330]\023\027\307\262$\036\375\026\305\241.;\210\3158SX8\177\272\350\025\232b[kJmK\232\330\217\373\031\234\245\004\347\266\255v\255\216\330)LI<\245\230\324\373I""\266T\251\tjvZ\235V\243\243u4\211|\300\205\330\207\213\003E\221\020\275\304R\211\020\220\360\257\2537\234\016\302\330u\360\250\001$\374v\345\363)\221\244q\324\336\034\342\336i\216\336\265\365\236\335\323{\222d8r\207\357b\232R]\206y\354\227\271kJ\323@$s\360\030\301\344\027\276\206\231g\376\244\233=\313\022\255\202\325\220p\214\235X\206\273\006r\311\351\330V\313j5\254\266\326k\333\266\334\356\340u\220\302V-\033\277]\321\326;vO\264_\352\347\027\216\323\025\317\344\016\376\034\325zy~._\\\310\227\227\362\245r\251\234]6\207s\253\2368J\337\032\336\272\347W}%\310\214\026\357\272\306(\275\346\375\331\227}\334\254{\317}\321/a\311\225\345\346\334\222[MV,\271\005\267\346Z^\326\023\275\322p\356\3230\033\322FW\246\273\342\212\311\032zZu\217\274\214\227\035-\276\353\266=c\370A\262p\311\375\302\373\332W\0031(\005'\341JX\010\217\243[\221q\225\372\367\315\271\033\037\372\013~\301\257\276\302\006\266+\272O\275\234w\344g\374\355`>\330\016\027\302\361\366\267\335uW\206\t9\017\366-'\313V\374\"\267\374\326\225\343\226]9Y\273\350\246\335\212kz+\344\356mw\315=\366\346\223\365\"\315\336\304N\266W\200\267\005\3774\330\014\224p#4\243\215\310\212s\361Q\177\265_\351\033\203\324(}\307\335\366R\336\206g\372\031z\370\324+\2617\252\344\320\036\266_\305\300\t\366|\022d\202|P\013\234\260\034\252Q1R\342\225x\277?\337\317\367\253}\231\214%[\326\274\252\247`\361\236o\005\271\340\010Q\330\013\215(\035\225#5.\304\325\321\362]\367_~\315\267\021\244\30305\234+FbTz\225D\2654Z\\r\213\256\342eF\313\204!\334|\311v\3732(%\221\037.\377\326/\371\0140\033(\035\372\363~\336?\tV\202b \007Fx3\224C+\312E%Z\340x\345\341\306#\214\330\021\2413\\\372\035\242\210\223\331\251\204\311\342\014E\256C9\261\207v)\315p\200S\304 \373\366\375\024\275\366\302\317\014?\272\037\212a\211\242\267\343\345\275c\377N\260\023f\307\273\034zi`\262\352\177\033\354\207\351\3600\232\217\262\257\277\307QO\220$V\346\335\023\204\362\004\004\311\371e\277\201\270\223\313\303\273\271 \013O\225p5\254\204gQ5\222\377\267wg\334\374'R\242\002\320h5\270\223""\002\235j\356\031|Y\360\277\342C\363\310\225\262[\367R\243\204\303\364p\003x\327\001\002\361\230\334\032\276\273\035\310\243\345\317##N\321K7\334\277\301\220\274\177\214\371\\P\016\352\341|\230\013\217\242\314t\222\254T\200`!8\236N\336v\357y\262g\341\315\232o\006\253\354\315\324t8\213\214P\330p\003\200\025C\231b\237g\311\233\363*c*o&\tp\014\0037\031\366\374\214\355h!\332\203\205\013\240\344I\177\245\277\207DX\030\024\006\214\362\373\036h\231\035f\341\302\353\271\277\306R\226\354\225\271X\034\003\332C?\rFr++\2011\234\3732\306\341\357{\027\301r\370]\234}\225\316x\314\230\034\317\334w`$\345\024\031Iy\335`a!T\210\031\233Q\035q[|\017A^$S\026\000*\250V\360j\336\231\377\034\346\003\312e\250\017\201\215\033\016\007\226\317O\334\306(\360\\\3616\021'\203\216\253\322N{\256\341\335D*m\300\314\265\240\212\363\326\302\032\304\000\211FK\t\301\034\203\237\033\303'W\243Jd'!bf\354y\206\177\323\257\007i8jC\336~\210N\240\001_\366\017\007\251\301\306\300\034Vk\264\252\350\251\220\017nl\372\316\360\316G>\210\261\033f\302\235(\033}\021\213\361\037\373\245~\365\nh~\200\320q\354E\nn\202\333\373\3007\227p\261\026X`D\351\332\2549\221\027B\237\315.\271_\303]\033\303v\260\007\323\366\243\324\377u\377u&\200\342\253q\305\340q\275\275<\206\024\216\276\007*\224\275\006\333\331\010n`\347\263\260\0326\240E\207\361|\274\335O!\210\205~ut7\003\2515X\274\017\221\023\233\340\365T\264\230\210\032\336mf\201\021, \206'`F\031\374^~\327m\2400\355\301\274u\346\322>\210\374iT\212\216\343t\\\"]\275\230\260\\\374/\235_r\177\017\223\3220(\rU\346\032\265\025\201\312\225\276\330/\321K6/\010\357yK\220\211\247A\226\324s\205x}\343\3529\224\200J\350\354-\253=\223\013\233\230\\(\023\340$\205\355\007\257J\227\037\331\341\245D\024a\336\021\t\362\222\3739HM\002\237\245\364;\203\3204\375\322\265[\252\217Y\360M\036S\234\013\355S@\207\342\002\306mq\212\257&\225\"\213\272\310\321\032\323\362\2138\025\177\330\317\366Q\023VP\320\257g8\005\315\200\376\025AyR7\304\351\211\367\033\004\317d\365\246\005|\345\253\324+\254{\312\004\251""\016\330OX\305#4\217\342\265\270\026;H\216\371\301\346@\036\030\204\356!*\355*\343\t\t\233\223\350\327>\364\250\020\235\242,\277\006\344^`\002\376R\370\034U\262\022\231qf8w\217pXK\n_\3157\270dQ\376\243\273\031\316}\023\313\261\361jV\330\2157*\347\360\356'(\225i\216|\021\032y\226\024\355}\270\311i\221\205\023\024:\276\371pe\013\232\001K\207sB\000jm$<7\201\023l\371\223\377c`\020K\3603\021;\00619L\246\225=\231Wl\0222\023\020U\230\026\327\340^f\246\346\277\303\337Hy\031^h\217!n4\310C\302\213\310'af\246\ng\274u\210W\352\325\370f<E\205\213d\371\230\245\030:\203d\237D\021\323\224\271\n\252d\215\245\003\021\246\304\333\035\342P\205\r\036\"\375\250\251x\031\326\221\0169\304\337\210o\305f\037\030P\370R\277\322P\322IIA\236i)'\357mx\263\245\227;JuT&1\336\365\305\341o?\213RQ\206\267?2\313\275\343\031d\2120(5SQx\\\253\211g\344\204\225\204<\315K\310\036K\375\325u\3574\351\225\304\321\275\217A>.\342\325\321'\273\341z\250DkQ\r%O,F\373(\214{\344\351\350\353\203\370\024\375\335sV\033\217\276\355;\203\362@\236\355\013ye\255\263\342\216\216\231Q\000\356\275N@\352T)\340,$T\367OY\336\326\307\311\315\211aMZ\201}\326\010T@\301\025\024j3^\215\313\261\n\371<\035\344\006L'd^\347`\211H\03189-i\253\n\2504\263\237\000\264cj\322\343=FG\232\2726[\204\n\337@$\306+P\302\343<\262\327\352\347\372\245i\250\2477o\264\336\265\004\204I\333]L\332`3XG\346\344\361)0\037\345\021\341\263\370\030=\363V\337\032\344\007\325\001\353\3376\300\272\205\244M\311\322\300G\320\253\n\313\023\246C\323\025\325\331\331\244\305\251S\2230\243\007wx\322\345Y\353&BK\223\336xt\347\035\366\201\260\3056&%H\006\362\010\275\303\002\237\t\2623\034F/\207l\037f\277Ewt\033\265}X;\346\202QO\254M\371kt\342Uj\266\323-\303\357u\226\026o|\035=\301G\323\246\367s\220\n2\0344\233)\327\226g\274\005\270\006\027\362\311N\324\313\033\243\331\"|\312?\224\336\362\371\300\215M%O\334\237\321\362\367\003c\370\254:\376bJ\363L\341\200&\030\362\366\226\242\230\345\355V\206\005\311\030\227\2311X\333\250\227\324.\261\363\276A\370\266(A\257Y\361\204u\277$\365""\364MHi\226\241\366\037\032\3741\n|\232\271\227p\306J>\t7\023\277\323T\367Cc\214\177b(\307\237\227\3054\365\0049\246W\371\t\223e\366\201\306\024\346\034\014\315L\035'U\3710\316\306\342\024F\021\342\r\010\377\003'5/\246";
-    PyObject *data = __Pyx_DecompressString(cstring, 2835, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (5389 bytes) */
-const char* const bytes = ")>02F1 argument z=2F1 connection formula degenerate: c-a-b=2F1 parameter c=2F1 series did not converge (a=Legendre log-series did not converge (nu=.? at a gamma pole, b=, c=digamma pole at x=gamma pole at x=gamma pole in coefficient numeratorgamma ratio overflow in 2F1 connection formulagfkernel.errors is a nonpositive integer is (near) an integerlegendre_p argument t=legendre_p order mu=legendre_p prefactor ((1+t)/(1-t))^(mu/2) diverges at t=1 for mu=legendre_p prefactor overflow: mu=legendre_q argument t=legendre_q degree nu=legendre_q parameters: mu+nu+1=legendre_q prefactor overflow at mu= makes 1-mu a nonpositive integer makes nu+3/2 a nonpositive integer must exceed 1normalized Bessel series did not converge (nu= outside [0, 1) outside (-1, 1]src/gfkernel/_core.pyx, t= too close to 1, x=, z=ConvergenceErrorDegenerateParameterErrorDomainErrorPoleError__Pyx_PyDict_NextRefRangeOverflowErroraabssum__annotate__asyncio.coroutinesbbessel_crossoverbessel_jbessel_j_asymptoticcc1c2cline_in_tracebackcoefcompctddeltadigammae1e2errerrorsff1f2__func__gamma_signgammafngauss_seriesgegenbauergfkernel._corehyp2f1inf_is_coroutineis_nonpositive_integeritemsl1l2legendre_plegendre_q_phase_freelglgdlnln_coefln_prefln_ulog_abs_gamma__main____module__mun__name__nmaxnormalized_bessel_jnormalized_bessel_seriesnuomtoptpop__qualname__rr_bandr_band_corer_gegenbauer_bandr_outerr_outer_corergammarhorpss1s2sd__set_name__setdefaultsgsgdsinpittailterm__test__tm1toltp1twoxyuum1valvalueswxxayyazzazczcvzf\320\000\023\2201\330\004\007\320\007\035\230Q\230c\240\021\330\010\017\210q\330\004\024\220J\230a\230q\330\004\025\220V\2301\230A\330\004\007\200s\210\"\210A\210Q\330\010\017\210q\330\004\013\2102\210R\210s\220!\2201\220A\320\000*\250!\2501\330\004\007\200r\210\022\2101\330\010\017\210q\330\004\007\200r\210\023\210E\220\021\220!\330\010\016\210i\220q\320\030*\250!\2501\330\004\013\2108\220;\230e\2401\240A\240T\250\022\2502\250S\260\007\260q\200\001\360\006\000\005\031\230\003\2302\230Q\340\004""\007\200t\2101\210F\220\"\220E\230\021\230&\240\002\240&\250\003\2501\330\010\017\210q\330\004\t\210\025\210a\210s\220\"\220A\330\004\014\210F\220\"\220E\230\022\2303\230a\230q\330\004\007\200u\210B\210a\330\010\017\210q\330\004\010\210\004\210C\210r\220\022\2201\330\004\t\210\024\210S\220\002\220\"\220E\230\022\2301\330\004\010\210\006\210a\210t\2202\220V\2302\230U\240$\240c\250\026\250r\260\026\260s\270\"\270E\300\023\300C\300q\310\001\330\004\n\210&\220\001\220\026\220r\230\021\330\004\n\210*\220A\220V\2302\230Q\330\004\013\2104\210r\220\023\220A\220T\230\022\2306\240\021\240#\240R\240u\250B\250e\2603\260c\270\022\2705\300\002\300#\300Q\300a\330\004\014\210C\210r\220\024\220Q\220c\230\022\2304\230s\240\"\240E\250\022\2504\250q\260\004\260B\260e\2702\270Q\330\014\017\210~\230R\230t\2401\240D\250\001\320\0003\2601\260A\340\004\007\200r\210\023\210A\330\010\013\2103\210c\220\021\330\014\023\2201\330\010\017\210w\220c\230\022\2309\240A\330\004\007\200r\210\023\320\014\034\230A\230Q\330\010\017\210t\2201\220D\230\002\230#\230T\240\022\2403\240a\240q\250\006\250a\250s\260\"\260A\330\010\017\210u\220B\320\026.\250a\250t\2601\330\004\013\320\013\036\230a\230t\2401\320\0003\2601\360\006\000\005\010\320\007\035\230Q\230c\240\021\330\010\016\210i\220q\320\030*\250!\2501\330\004\007\200r\210\023\210A\330\010\017\210u\220A\330\004\007\200r\210\022\2101\330\010\013\2102\210R\210q\330\014\023\2205\230\001\330\010\016\210k\230\021\320\032+\2501\250A\330\004\n\210(\220#\220S\230\n\240(\250!\330\004\007\200r\210\023\210D\220\004\220E\230\023\230G\2405\250\004\250D\260\002\260!\330\010\016\210k\230\021\320\032+\2501\250A\330\004\t\210\025\210a\210r\220\022\2201\330\004\007\200s\210#\210T\220\024\220T\230\021\230\"\230B\230d\240#\240Q\330\010\017\320\017\"\240!\2403\240c\250\023\250C\250v\260Q\260a\330\004\t\210\025\210a\210r\220\022\2201\330\004\007\200s\210#\210T\220\024\220T\230\021\230\"\230B\230d\240#\240Q\330\010\017\320\017\"\240!\2403\240c\250\023\250C\250v\260Q\260a\330""\004\007\200r\210\023\210A\330\010\017\210|\2301\230C\230s\240#\240Q\330\004\010\210\001\210\024\210R\210v\220S\230\003\230:\240Q\330\004\010\210\002\210\"\210B\210b\220\001\330\004\007\200t\2101\210B\210b\220\005\220Q\220b\230\002\230&\240\002\240!\330\010\016\320\016&\240a\330\0147\260q\270\001\330\004\010\210\005\210\\\230\021\230#\230S\240\002\240\"\240B\240b\250\002\250\"\250E\260\021\330\004\010\210\005\210\\\230\021\230\"\230B\230c\240\022\2402\240S\250\002\250\"\250E\260\021\330\004\t\210\035\220a\220s\230#\230R\230r\240\023\240B\240b\250\001\330\004\t\210\035\220a\220s\230!\2303\230c\240\023\240B\240d\250!\2503\250a\330\004\n\210#\210R\210s\220\"\220C\220r\230\021\330\004\n\210$\210a\210t\2202\220S\230\002\230$\230a\230t\2402\240S\250\002\250&\260\003\2604\260q\270\003\2702\270T\300\022\3004\300q\310\003\3102\310Q\330\004\013\2105\220\001\320\000!\320!7\260q\330\004\007\200r\210\022\2101\330\010\017\210q\330\004\024\220E\230\021\230\"\230B\230a\330\004\013\2102\210S\220\004\220D\230\004\230A\230R\230r\240\023\240C\240q\320\0009\270\021\330\004\027\220y\240\014\250N\270!\340\004\021\220\021\330\004\n\210\"\210B\210a\330\010\r\210R\210r\220\023\220C\220r\230\022\2303\230d\240\"\240B\240c\250\023\250D\260\002\260$\260b\270\001\330\010\020\220\001\330\010\013\2105\220\003\2201\330\014\023\2202\220R\220v\230V\2402\240Q\330\010\014\210E\220\022\2201\330\010\014\210B\210b\220\001\330\010\020\220\002\220\"\220C\220r\230\021\330\010\014\210A\330\010\022\220$\220a\220q\330\010\r\210Q\330\010\013\2104\210q\220\006\220c\230\026\230r\240\024\240Q\240c\250\024\250R\250r\260\021\330\014\022\220$\220b\230\002\230\"\230C\230s\240\"\240B\240c\250\024\250R\250r\260\023\260C\260t\2702\270T\300\022\3001\330\014\023\2204\220q\230\006\230b\240\004\240C\240t\2502\250X\260T\270\022\2709\300D\310\001\310\026\310r\320QR\330\014\023\2203\220e\2302\230V\2402\240Q\330\004\n\320\n\032\230!\330\010)\250\021\250(\260!\2608\2701\270H\300A\300Q\200\001\330\004\030\230\004\230B\230c\240\022""\2401\330\004\024\220C\220r\230\021\330\004\027\220s\230\"\230C\230s\240#\240R\240s\250\"\250A\330\004\024\220C\220r\230\021\330\004\027\220r\230\022\2304\230s\240\"\240B\240d\250\"\250A\330\004\013\210;\220a\220t\2304\230t\2404\240t\2505\260\001\200\001\330\004\030\230\004\230B\230c\240\022\2401\330\004\024\220C\220r\230\021\330\004\027\220s\230\"\230C\230s\240#\240R\240s\250\"\250A\330\004\024\220C\220r\230\021\330\004\027\220r\230\022\2304\230s\240\"\240B\240d\250\"\250A\330\004\025\220T\230\022\2301\340\004\007\200s\210\"\210A\330\010\r\210Q\330\t\014\210B\210a\330\010\r\210Q\330\004\020\220\004\220B\220d\230\"\230C\230q\240\005\240R\240v\250Q\250d\260\"\260D\270\002\270&\300\001\300\022\3002\300Q\330\017\021\220\026\220q\230\002\230\"\230D\240\002\240$\240b\250\006\250a\250s\260\"\260A\330\004\014\210C\210q\220\t\230\022\2304\230q\240\003\2402\240T\250\023\250B\250a\330\014\016\210d\220!\2204\220r\230\025\230c\240\022\2405\250\002\250*\260A\260S\270\004\270A\330\014\017\210y\230\002\230$\230a\230t\2401\200\001\330\004\030\230\004\230B\230c\240\022\2401\330\004\024\220C\220r\230\021\330\004\027\220s\230\"\230C\230s\240#\240R\240s\250\"\250A\330\004\013\210<\220q\230\004\230D\240\004\240D\250\004\250D\260\002\260%\260q\320\000C\3001\300A\330\004\027\220t\2302\230Q\330\004\020\220\013\2301\230F\240!\360\006\000\005\022\220\021\330\004\005\200V\2101\210A\210Q\330\004\005\200V\2101\210A\210Q\330\004\010\210\006\210a\330\004\010\210\006\210a\330\004\005\200V\2101\330\004\005\200V\2101\330\004\n\210\"\210C\210q\330\010\r\210X\220Q\330\010\r\210Z\220q\230\004\230A\330\010\016\210k\230\021\230\"\230E\240\021\330\010\013\2107\220\"\220D\230\002\230!\330\010\017\210v\220Q\220f\230A\330\010\017\210v\220Q\220f\230A\330\010\014\210F\220!\2203\220a\330\010\013\2104\210q\220\004\220E\230\023\230F\240\"\240D\250\001\250\021\250%\250r\260\021\330\014\023\2201\220D\230\002\230!\2301\330\010\r\210Q\330\004\n\320\n\032\230!\330\0108\270\001\270\031\300!\3001\320\000\022\220!\330""\004\024\220E\230\021\230\"\230B\230a\330\004\024\220C\220q\230\003\2303\230b\240\002\240!\330\004\013\2106\220\033\230C\230r\240\022\2403\240g\250Q\250a\200\001\340\004\024\220F\230!\2303\230b\240\005\240T\250\022\2504\250s\260\"\260E\270\024\270R\270u\300D\310\002\310$\310a\310q\330\004\014\210D\220\001\220\023\220B\220d\230#\230R\230u\240B\240d\250!\2505\260\003\2602\260U\270\"\270A\330\014\017\210y\230\002\230$\230a\230t\2404\240r\250\023\250A\250V\2601\260C\260r\270\021\320\000\035\230Q\330\004\024\220D\230\002\230#\230R\230q\330\004\013\2105\220\002\220\"\220J\230a\320\000>\270a\270q\340\004\007\200r\210\023\210A\330\010\017\210q\330\004\007\200r\210\023\320\014\034\230A\230Q\330\010\017\320\017'\240q\250\004\250A\330\004\013\2103\210a\210v\220Q\220c\230\022\2305\240\002\240#\240R\240s\250!\2504\250r\260\021\330\004\013\2105\220\002\320\022%\240Q\240d\250!\320\000 \240\001\330\004\026\220d\230\"\230C\230r\240\021\330\004\024\220I\230Z\240q\330\004\027\220q\330\004\021\220\021\330\004\n\210\"\210C\210q\330\010\014\210D\220\002\220\"\220B\220a\330\010\017\210t\2202\220R\220r\230\023\230C\230t\2402\240R\240r\250\021\330\010\013\2103\210c\220\021\330\014\r\330\010\014\210D\220\001\220\021\330\010\013\2102\210S\220\001\330\014\r\330\010\017\210y\230\002\230#\230S\240\002\240'\250\021\330\010\013\2102\210R\210q\330\014\021\220\025\220b\230\001\340\014\021\220\025\220b\230\001\330\010\013\2102\210R\210v\220S\230\004\230A\230S\240\002\240$\240a\240q\330\014\r\330\010\017\210q\330\010\r\210Q\330\004\014\210B\210c\220\024\220R\220s\230\"\230F\240\"\240A\330\004\013\2104\210q\220\004\220C\220s\230\"\230D\240\003\2403\240a\240w\250b\260\002\260\"\260C\260q\270\007\270r\300\021\320\000'\240q\250\001\330\004\024\220J\230a\230q\330\004\025\220V\2301\230A\330\004\007\200s\210\"\210A\330\010\017\210r\220\022\2201\330\004\013\2102\210R\210s\220!\2201\320\000'\240q\250\001\330\004\026\220a\330\004\007\200r\210\023\210A\330\010\013\2102\210S\220\005\220Q\220a\330\014\022\220)""\2301\320\0340\260\001\260\021\330\010\017\210w\220a\220t\2302\230S\240\002\240#\240R\240s\250!\2503\250b\260\001\330\004\n\210\"\210B\210a\330\010\017\210t\2202\220Q\330\010\r\210Q\330\004\013\2104\210s\220\"\220B\220a\330\004\013\2105\220\003\2204\220r\230\021\330\023\025\220U\230#\230T\240\022\2401\330\035\037\230u\240C\240t\2502\250Q\330')\250\025\250c\260\024\260R\260q\33013\2605\270\003\2704\270r\300\021\330;=\270U\300#\300V\3102\310Q\330EG\300u\310B\310a\330\004\013\2104\210r\220\023\220A\220S\230\002\230$\230b\240\002\240\"\240A\320\000\027\220q\330\004\026\220a\340\004\007\200r\210\023\210A\330\010\017\210q\330\004\010\210\004\210B\210c\220\022\2201\330\004\010\210\005\210U\220!\2203\220b\230\002\230!\330\010\017\210t\2202\220R\220s\230\"\230B\230c\240\022\2405\250\002\250\"\250C\250r\260\022\2604\260r\270\023\270B\270e\3002\300U\310\"\310A\330\010\016\210a\330\010\014\210A\330\004\013\2101\200\001\340\004\007\200r\210\023\210A\330\010\016\210k\230\021\320\0322\260!\2601\330\004\007\320\007\035\230Q\230c\240\022\2405\250\001\330\010\016\210i\220q\320\030/\250q\260\001\330\004\007\320\007\035\230Q\230c\240\022\2403\240b\250\005\250Q\330\010\016\210i\220q\320\0309\270\021\270#\270R\270s\300\"\300A\330\004\n\210\"\210B\210a\330\004\n\210\"\210B\210a\330\004\010\210\004\210C\210r\220\022\2201\330\004\t\210\024\210R\210t\2202\220Q\330\004\010\210\006\210a\210t\2203\220c\230\022\2304\230r\240\025\240d\250#\250S\260\002\260#\260R\260v\270S\300\002\300%\300s\310#\310Q\310a\330\004\t\210\026\210q\220\003\2202\220S\230\002\230!\330\004\t\210\032\2201\220C\220r\230\023\230B\230a\330\004\t\210\026\210q\220\003\2202\220Q\330\004\t\210\032\2201\220C\220r\230\021\330\004\n\210$\210b\220\003\2201\220D\230\002\230#\230R\230q\330\n\014\210D\220\002\220#\220S\230\003\2301\230E\240\022\2403\240a\240q\330\n\r\210S\220\002\220%\220r\230\023\230A\230Q\330\n\r\210S\220\002\220#\220R\220u\230B\230c\240\021\240!\330\004\007\200s\210\"\210A\330\010\016\320\016 \240\001\320!G\300q""\310\t\320QR\320RS\330\004\013\2103\210b\220\003\2202\220S\230\001\230\024\230R\230q\200\001\330\004\007\200r\210\023\210D\220\004\220B\220c\230\025\230a\230q\330\010\016\210i\220q\320\030*\250!\2501\330\004\013\2106\220\021\220$\220j\240\001\240\021\200\001\340\004\007\200t\2105\220\002\220%\220q\330\010\016\210k\230\021\320\0322\260!\2601\330\004\007\320\007\035\230Q\230d\240\"\240D\250\001\330\010\016\210i\220q\320\030.\250a\250q\330\004\007\200s\210\"\210A\330\010\r\210U\220\"\220A\330\004\007\200r\210\023\210A\330\010\013\2103\210c\220\021\330\014\023\2201\330\010\013\2103\210b\220\001\330\014\023\2201\330\010\016\320\016 \240\001\330\014O\310q\320PQ\330\004\t\210\024\210S\220\004\220B\220a\330\004\010\210\004\210C\210t\2202\220Q\330\004\007\200t\2101\210D\220\002\220!\330\010\014\210E\220\021\220#\220R\220q\330\010\013\2104\210q\220\003\2202\220S\230\002\230&\240\004\240B\240c\250\021\330\014\023\220>\240\021\240%\240s\250!\330\010\013\2103\210c\220\021\330\014\023\2206\230\021\230#\230R\230u\240A\240T\250\025\250c\260\021\260!\330\010\017\320\017\037\230q\240\004\240D\250\001\330\004\010\210\006\210a\210s\220\"\220E\230\021\230$\230d\240\"\240D\250\004\250B\250a\250q\330\004\t\210\026\210q\220\004\220B\220a\330\004\t\210\032\2201\220D\230\002\230!\330\004\016\210d\220\"\220C\220s\230#\230Q\230c\240\022\2403\240a\240u\250B\250a\330\004\007\200x\210r\220\021\330\010\016\320\016 \240\001\330\0140\260\001\260\031\270!\2701\330\004\013\2103\210b\220\003\2201\220I\230R\230q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 144; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 38) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 144; i < 166; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 166; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 144;
-      for (Py_ssize_t i=0; i<22; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab;
-    double const c_constants[] = {0.0,1.0,1e-12};
-    for (int i = 0; i < 3; i++) {
-      numbertab[i] = PyFloat_FromDouble(c_constants[i]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<3; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 32};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_tol};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_is_nonpositive_integer, __pyx_mstate->__pyx_kp_b_iso88591_7q_r_1_q_E_Ba_2S_D_ARr_Cq, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 39};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_gamma_sign, __pyx_mstate->__pyx_kp_b_iso88591_1_r_1_q_r_E_iq_1_8_e1AT_2S_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 47};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_log_abs_gamma, __pyx_mstate->__pyx_kp_b_iso88591_r_D_Bc_aq_iq_1_6_j, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 53};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_gammafn, __pyx_mstate->__pyx_kp_b_iso88591_q_Jaq_V1A_s_A_r_1_2Rs_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 61};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_rgamma, __pyx_mstate->__pyx_kp_b_iso88591_1_Qc_q_Jaq_V1A_s_AQ_q_2Rs_1A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 71};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_sinpi, __pyx_mstate->__pyx_kp_b_iso88591_E_Ba_Cq_3b_6_Cr_3gQa, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 77};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_digamma, __pyx_mstate->__pyx_kp_b_iso88591_q_a_r_A_2S_Qa_1_0_wat2S_Rs_3b_B, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 164};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_nu};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_bessel_crossover, __pyx_mstate->__pyx_kp_b_iso88591_Q_D_Rq_5_Ja, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 169};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_normalized_bessel_series, __pyx_mstate->__pyx_kp_b_iso88591_C1A_t2Q_1F_V1AQ_V1AQ_a_a_V1_V1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 196};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[9] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_bessel_j_asymptotic, __pyx_mstate->__pyx_kp_b_iso88591_d_Cr_IZq_q_Cq_D_Ba_t2Rr_Ct2Rr_3, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[9])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 222};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[10] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_bessel_j, __pyx_mstate->__pyx_kp_b_iso88591_31A_r_A_3c_1_wc_9A_r_AQ_t1D_T_3, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[10])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 234};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[11] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_normalized_bessel_j, __pyx_mstate->__pyx_kp_b_iso88591_aq_r_A_q_r_AQ_q_A_3avQc_5_Rs_4r, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[11])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 15, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 249};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_nmax, __pyx_mstate->__pyx_n_u_term, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_comp, __pyx_mstate->__pyx_n_u_abssum, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_y, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_rho, __pyx_mstate->__pyx_n_u_tail, __pyx_mstate->__pyx_n_u_n};
-    __pyx_mstate_global->__pyx_codeobj_tab[12] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_gauss_series, __pyx_mstate->__pyx_kp_b_iso88591_9_y_N_Ba_Rr_Cr_3d_Bc_D_b_5_1_2R, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[12])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 17, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 307};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_zc, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_f1, __pyx_mstate->__pyx_n_u_e1, __pyx_mstate->__pyx_n_u_f2, __pyx_mstate->__pyx_n_u_e2, __pyx_mstate->__pyx_n_u_c1, __pyx_mstate->__pyx_n_u_c2, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_err, __pyx_mstate->__pyx_n_u_rp, __pyx_mstate->__pyx_n_u_zcv};
-    __pyx_mstate_global->__pyx_codeobj_tab[13] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_hyp2f1, __pyx_mstate->__pyx_kp_b_iso88591_31_Qc_iq_1_r_A_uA_r_1_2Rq_5_k_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[13])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 10, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 386};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_zf, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_f, __pyx_mstate->__pyx_n_u_lg, __pyx_mstate->__pyx_n_u_sg, __pyx_mstate->__pyx_n_u_ln_pref, __pyx_mstate->__pyx_n_u_r};
-    __pyx_mstate_global->__pyx_codeobj_tab[14] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_legendre_p, __pyx_mstate->__pyx_kp_b_iso88591_t5_q_k_2_1_Qd_D_iq_aq_s_A_U_A_r, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[14])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 13, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 420};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_tm1, __pyx_mstate->__pyx_n_u_tp1, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_zc, __pyx_mstate->__pyx_n_u_f, __pyx_mstate->__pyx_n_u_l1, __pyx_mstate->__pyx_n_u_s1, __pyx_mstate->__pyx_n_u_l2, __pyx_mstate->__pyx_n_u_s2, __pyx_mstate->__pyx_n_u_ln};
-    __pyx_mstate_global->__pyx_codeobj_tab[15] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_legendre_q_phase_free, __pyx_mstate->__pyx_kp_b_iso88591_r_A_k_2_1_Qc_5_iq_q_Qc_3b_Q_iq, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[15])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 3, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 446};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_t};
-    __pyx_mstate_global->__pyx_codeobj_tab[16] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_gegenbauer, __pyx_mstate->__pyx_kp_b_iso88591_q_a_r_A_q_Bc_1_U_3b_t2Rs_Bc_5_C, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[16])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {7, 0, 0, 8, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 464};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_xa, __pyx_mstate->__pyx_n_u_ya, __pyx_mstate->__pyx_n_u_za, __pyx_mstate->__pyx_n_u_omt, __pyx_mstate->__pyx_n_u_opt, __pyx_mstate->__pyx_n_u_f};
-    __pyx_mstate_global->__pyx_codeobj_tab[17] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_r_band_core, __pyx_mstate->__pyx_kp_b_iso88591_F_3b_T_4s_E_RuD_aq_D_Bd_RuBd_5, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[17])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {7, 0, 0, 16, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 471};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_xa, __pyx_mstate->__pyx_n_u_ya, __pyx_mstate->__pyx_n_u_za, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_um1, __pyx_mstate->__pyx_n_u_delta, __pyx_mstate->__pyx_n_u_sd, __pyx_mstate->__pyx_n_u_ln_u, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_zc, __pyx_mstate->__pyx_n_u_f, __pyx_mstate->__pyx_n_u_lgd, __pyx_mstate->__pyx_n_u_sgd, __pyx_mstate->__pyx_n_u_coef};
-    __pyx_mstate_global->__pyx_codeobj_tab[18] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_r_outer_core, __pyx_mstate->__pyx_kp_b_iso88591_2Q_t1F_E_1_q_as_A_F_E_3aq_uBa_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[18])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 10, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 492};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_xa, __pyx_mstate->__pyx_n_u_ya, __pyx_mstate->__pyx_n_u_za, __pyx_mstate->__pyx_n_u_twoxy, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_omt, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_opt};
-    __pyx_mstate_global->__pyx_codeobj_tab[19] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_r_band, __pyx_mstate->__pyx_kp_b_iso88591_Bc_1_Cr_s_Cs_Rs_A_Cr_r_4s_Bd_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[19])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 8, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 501};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_xa, __pyx_mstate->__pyx_n_u_ya, __pyx_mstate->__pyx_n_u_za, __pyx_mstate->__pyx_n_u_twoxy, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_um1};
-    __pyx_mstate_global->__pyx_codeobj_tab[20] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_r_outer, __pyx_mstate->__pyx_kp_b_iso88591_Bc_1_Cr_s_Cs_Rs_A_q_D_D_D_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[20])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 12, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 508};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mu, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_xa, __pyx_mstate->__pyx_n_u_ya, __pyx_mstate->__pyx_n_u_za, __pyx_mstate->__pyx_n_u_twoxy, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_omt, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_opt, __pyx_mstate->__pyx_n_u_ct, __pyx_mstate->__pyx_n_u_ln_coef};
-    __pyx_mstate_global->__pyx_codeobj_tab[21] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gfkernel__core_pyx, __pyx_mstate->__pyx_n_u_r_gegenbauer_band, __pyx_mstate->__pyx_kp_b_iso88591_Bc_1_Cr_s_Cs_Rs_A_Cr_r_4s_Bd_A_2, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[21])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+static double gammafn(double x)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
+    double ln, s = log_abs_gamma(x, &ln);
+    if (PyErr_Occurred()) return -1.0;
+    if (ln > LOG_MAX) return s * INFINITY;
+    return s * exp(ln);
 }
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+
+static double rgamma(double x)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
+    double ln, s;
+    if (is_nonpositive_integer(x)) return 0.0;
+    s = log_abs_gamma(x, &ln);
+    if (ln < -LOG_MAX) return 0.0;
+    return s * exp(-ln);
 }
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
+
+static double sinpi(double x)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
+    double r = rint(x), s = sin(PI * (x - r));
+    return fmod(r, 2.0) == 0.0 ? s : -s;
 }
 
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
+static double digamma(double x)
 {
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
+    double acc = 0.0, inv2, tail;
+    if (x <= 0.0) {
+        if (x == floor(x)) return fail(PoleError, "digamma pole at x=%r", x);
+        /* psi(x) = psi(1-x) - pi*cot(pi*x) */
+        return digamma(1.0 - x) - PI / tan(PI * x);
     }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
+    while (x < 10.0) {
+        acc -= 1.0 / x;
+        x += 1.0;
     }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
+    inv2 = 1.0 / (x * x);
+    /* Bernoulli tail B_2k/(2k x^2k), k = 1..7 */
+    tail = inv2 * (1.0 / 12.0
+                   - inv2 * (1.0 / 120.0
+                             - inv2 * (1.0 / 252.0
+                                       - inv2 * (1.0 / 240.0
+                                                 - inv2 * (1.0 / 132.0
+                                                           - inv2 * (691.0 / 32760.0
+                                                                     - inv2 / 12.0))))));
+    return acc + log(x) - 0.5 / x - tail;
 }
 
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
+/* ---- Bessel J and its normalized variant ---- */
 
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+static double bessel_crossover(double nu)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
+    double c = 2.0 * nu * nu;
+    return c > 25.0 ? c : 25.0;
 }
 
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
+/* sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n) in double-double arithmetic, by
+   _corepy's sequence of operations, so both cores return the same double. */
+static double normalized_bessel_series(double nu, double x)
+{
+    double half = 0.5 * x, t, hh, hl, qh, ql, qhh, qhl;
+    double th = 1.0, tl = 0.0, sh = 1.0, sl = 0.0;
+    double fn, ah, bb, al, dh, dl, ahh, ahl, vh, vl, p, uh, ul, pl, q1, q2, rh, rl, r;
+    int n;
+    /* q = -two_prod(half, half), the sign building in the alternation, and
+       the split of qh that every two_prod(th, qh) below reuses */
+    t = SPLITTER * half;
+    hh = t - (t - half);
+    hl = half - hh;
+    qh = half * half;
+    ql = ((hh * hh - qh) + hh * hl + hl * hh) + hl * hl;
+    qh = -qh;
+    ql = -ql;
+    t = SPLITTER * qh;
+    qhh = t - (t - qh);
+    qhl = qh - qhh;
+    for (n = 1; n <= BESSEL_TERMS; n++) {
+        /* the denominator d = n*(nu+n) exactly, as two_sum(nu, n) then
+           two_prod(ah, n) (n splits exactly into (n, 0.0): two_prod drops
+           its zeros), and the Dekker split of dh */
+        fn = n;
+        ah = nu + fn;
+        bb = ah - nu;
+        al = (nu - (ah - bb)) + (fn - bb);
+        dh = ah * fn;
+        t = SPLITTER * ah;
+        ahh = t - (t - ah);
+        ahl = ah - ahh;
+        dl = (ahh * fn - dh) + ahl * fn;
+        dl += al * fn;
+        t = SPLITTER * dh;
+        vh = t - (t - dh);
+        vl = dh - vh;
+        p = th * qh;  /* term *= q: two_prod(th, qh), cross terms, fast_two_sum */
+        t = SPLITTER * th;
+        uh = t - (t - th);
+        ul = th - uh;
+        pl = ((uh * qhh - p) + uh * qhl + ul * qhh) + ul * qhl;
+        pl += th * ql + tl * qh;
+        th = p + pl;
+        tl = pl - (th - p);
+        q1 = th / dh;  /* term /= d: r = term - q1*d, fast_two_sum(q1, r/dh) */
+        p = q1 * dh;
+        t = SPLITTER * q1;
+        uh = t - (t - q1);
+        ul = q1 - uh;
+        pl = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl;
+        pl += q1 * dl;
+        rh = th + -p;
+        bb = rh - th;
+        rl = (th - (rh - bb)) + (-p - bb);
+        rl += tl + -pl;
+        r = rh + rl;
+        rl = rl - (r - rh);
+        q2 = (r + rl) / dh;
+        th = q1 + q2;
+        tl = q2 - (th - q1);
+        rh = sh + th;  /* sum += term: two_sum(sh, th), low parts, fast_two_sum */
+        bb = rh - sh;
+        rl = (sh - (rh - bb)) + (th - bb);
+        rl += sl + tl;
+        sh = rh + rl;
+        sl = rl - (sh - rh);
+        if (fabs(th) <= 1e-35 * fabs(sh) + 1e-305) return sh + sl;
     }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
+    return fail(ConvergenceError,
+                "normalized Bessel series did not converge (nu=%r, x=%r)", nu, x);
 }
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
+
+/* Hankel large-argument expansion, summed to its smallest term. */
+static double bessel_j_asymptotic(double nu, double x)
+{
+    double mu4 = 4.0 * nu * nu, p = 1.0, q = 0.0, ak = 1.0, prev = INFINITY;
+    double f, a, sign, omega;
+    int k;
+    for (k = 1; k <= 64; k++) {
+        f = 2.0 * k - 1.0;
+        ak *= (mu4 - f * f) / (8.0 * k * x);
+        if (ak == 0.0)
+            break;  /* half-integer order: expansion terminates exactly */
+        a = fabs(ak);
+        if (a >= prev)
+            break;  /* past the smallest term: stop before divergence */
+        sign = (k >> 1) & 1 ? -1.0 : 1.0;
+        if (k & 1)
+            q += sign * ak;
         else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
+            p += sign * ak;
+        if (a < 1e-17 * (fabs(p) + fabs(q))) break;
+        prev = a;
     }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
+    omega = x - (0.5 * nu + 0.25) * PI;
+    return sqrt(2.0 / (PI * x)) * (cos(omega) * p - sin(omega) * q);
 }
 
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
+static double bessel_j(double nu, double x)
 {
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
+    if (x == 0.0) {
+        if (nu == 0.0) return 1.0;
+        return nu > 0.0 ? 0.0 : INFINITY;
     }
-    return 0;
-bad:
+    if (x <= bessel_crossover(nu))
+        /* (x/2)^nu / Gamma(nu+1) times the normalized series; Gamma(nu+1) > 0 */
+        return pow(0.5 * x, nu) * exp(-lgamma(nu + 1.0)) * normalized_bessel_series(nu, x);
+    return bessel_j_asymptotic(nu, x);
+}
+
+static double normalized_bessel_j(double nu, double x)
+{
+    if (x == 0.0) return 1.0;
+    if (x <= bessel_crossover(nu)) return normalized_bessel_series(nu, x);
+    return exp(lgamma(nu + 1.0) - nu * log(0.5 * x)) * bessel_j_asymptotic(nu, x);
+}
+
+/* ---- Gauss hypergeometric 2F1 on [0, 1) ---- */
+
+/* Term ratio of the Gauss series at z = 1 (DLMF 15.2.1). */
+static double gauss_ratio(double a, double b, double c, long n)
+{
+    return (a + n) * (b + n) / ((c + n) * (1.0 + n));
+}
+
+/* Gauss series with Kahan compensation: the value, and its error in *err. */
+static double gauss_series(double a, double b, double c, double z, long nmax, double *err)
+{
+    double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0, y, t, at, rho;
+    long n = 0;
+    *err = 0.0;
+    while (n < nmax) {
+        term *= gauss_ratio(a, b, c, n) * z;
+        if (term == 0.0) {
+            *err = 1e-16 * abssum;
+            return s + comp;
+        }
+        y = term - comp;
+        t = s + y;
+        comp = (t - s) - y;
+        s = t;
+        at = fabs(term);
+        abssum += at;
+        n++;
+        if (at <= 1e-17 * fabs(s) && n > 4) {
+            rho = fabs(gauss_ratio(a, b, c, n) * z);
+            *err = (rho < 1.0 ? at * rho / (1.0 - rho) : at * 10.0) + 1e-16 * abssum;
+            return s;
+        }
+    }
+    return fail(ConvergenceError, "2F1 series did not converge (a=%r, b=%r, c=%r, z=%r)",
+                a, b, c, z);
+}
+
+static double terminating_series(double a, double b, double c, double z, long nterms,
+                                 double *err)
+{
+    double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0, y, t;
+    long n;
+    for (n = 0; n < nterms; n++) {
+        term *= gauss_ratio(a, b, c, n) * z;
+        y = term - comp;
+        t = s + y;
+        comp = (t - s) - y;
+        s = t;
+        abssum += fabs(term);
+    }
+    *err = 1e-16 * abssum;
+    return s;
+}
+
+/* Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)), 0.0 when a denominator poles. */
+static double gamma_ratio(double n1, double n2, double d1, double d2)
+{
+    const double v[4] = {n1, n2, d1, d2};
+    double ln = 0.0, sign = 1.0, l = 0.0, s;
+    int i;
+    for (i = 0; i < 4; i++) {
+        if (is_nonpositive_integer(v[i])) {
+            if (i < 2) return fail(PoleError, "gamma pole at %r in coefficient", v[i]);
+            return 0.0;
+        }
+        s = log_abs_gamma(v[i], &l);
+        if (PyErr_Occurred()) return -1.0;
+        ln = i < 2 ? ln + l : ln - l;
+        sign *= s;
+    }
+    if (ln > LOG_MAX)
+        return fail(RangeOverflowError, "gamma ratio overflow in 2F1 connection formula");
+    return sign * exp(ln);
+}
+
+/* 2F1(a, b; c; z) for z in [0, 1): the value, and its error in *err.  With
+   has_zc, zc is an accurately computed 1-z.  Terminating series are summed
+   directly for any z, the Gauss series handles z <= 1/2 and the linear
+   connection formula z > 1/2, all in _corepy._hyp2f1's order of checks. */
+static double hyp2f1(double a, double b, double c, double z, int has_zc, double zc,
+                     double *err)
+{
+    const double par[2] = {a, b};
+    double nterms = -1.0, r, w, d, f1, e1, f2, e2, c1, g2, pw, c2;
+    int i;
+    *err = 0.0;
+    if (is_nonpositive_integer(c))
+        return fail(PoleError, "2F1 parameter c=%r is a nonpositive integer", c);
+    if (z == 0.0) return 1.0;
+    if (z < 0.0) {
+        /* tolerate roundoff from complement arithmetic at region edges */
+        if (z > -1e-12) {
+            *err = 1e-12;
+            return 1.0;
+        }
+        return fail(DomainError, "2F1 argument z=%r outside [0, 1)", z);
+    }
+    if (z >= 1.0 && !(has_zc && zc > 0.0))
+        return fail(DomainError, "2F1 argument z=%r outside [0, 1)", z);
+    for (i = 0; i < 2 && nterms < 0.0; i++) {
+        r = rint(par[i]);
+        if (r <= 0.0 && fabs(par[i] - r) <= 1e-12) nterms = -r;
+    }
+    if (nterms > NMAX)
+        return fail(ConvergenceError, "terminating 2F1 series would take %d terms, past the "
+                    "cap of %d (a=%r, b=%r, c=%r)", nterms, (double)NMAX, a, b, c);
+    if (nterms >= 0.0) return terminating_series(a, b, c, z, (long)nterms, err);
+    if (z <= 0.5) return gauss_series(a, b, c, z, NMAX, err);
+    w = has_zc ? zc : 1.0 - z;
+    d = c - a - b;
+    if (fabs(d - rint(d)) < 1e-8)
+        return fail(DegenerateParameterError,
+                    "2F1 connection formula degenerate: c-a-b=%r is (near) an integer", d);
+    f1 = gauss_series(a, b, a + b - c + 1.0, w, NMAX, &e1);
+    if (PyErr_Occurred()) return -1.0;
+    f2 = gauss_series(c - a, c - b, d + 1.0, w, NMAX, &e2);
+    if (PyErr_Occurred()) return -1.0;
+    c1 = gamma_ratio(c, d, c - a, c - b);
+    if (PyErr_Occurred()) return -1.0;
+    g2 = gamma_ratio(c, -d, a, b);
+    if (PyErr_Occurred()) return -1.0;
+    pw = pow(w, d);
+    /* where math.pow raises OverflowError */
+    if (isinf(pw) && isfinite(w) && w != 0.0 && isfinite(d))
+        return fail(RangeOverflowError, "(1-z)^(c-a-b) overflow in 2F1 connection formula "
+                    "(1-z=%r, c-a-b=%r)", w, d);
+    c2 = g2 * pw;
+    *err = fabs(c1) * e1 + fabs(c2) * e2 + 2e-16 * (fabs(c1 * f1) + fabs(c2 * f2));
+    return c1 * f1 + c2 * f2;
+}
+
+/* ---- Legendre functions ---- */
+
+/* P_n(t) by the three-term recurrence; n past the cap is a ConvergenceError. */
+static double legendre_poly(double n, double t)
+{
+    double pm1 = 1.0, p = t, next;
+    long j;
+    if (n > NMAX)
+        return fail(ConvergenceError, "Legendre recurrence would take %d terms, past the "
+                    "cap of %d", n, (double)NMAX);
+    if (n == 0.0) return 1.0;
+    for (j = 1; j < (long)n; j++) {
+        next = ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0);
+        pm1 = p;
+        p = next;
+    }
+    return p;
+}
+
+/* Ordinary Legendre P_nu(t) for (1-t)/2 > 1/2, non-integer degree: the
+   degenerate (c = a+b) connection series with digamma terms, in the
+   accurately known complement w = (1+t)/2. */
+static double legendre_p0_log(double nu, double w)
+{
+    double a = nu + 1.0, b = -nu, la = 0.0, lb = 0.0, sa, sb, g, lnw;
+    double psi_n1, psi_an, psi_bn, coef = 1.0, s = 0.0, wn = 1.0, term;
+    int n;
+    sa = log_abs_gamma(a, &la);
+    sb = log_abs_gamma(b, &lb);
+    g = sa * sb * exp(-(la + lb));
+    lnw = log(w);
+    psi_n1 = digamma(1.0);
+    psi_an = digamma(a);
+    psi_bn = digamma(b);
+    for (n = 0; n < 400; n++) {
+        if (n > 0) {
+            coef *= (a + n - 1.0) * (b + n - 1.0) / ((double)n * n);
+            wn *= w;
+            psi_n1 += 1.0 / n;
+            psi_an += 1.0 / (a + n - 1.0);
+            psi_bn += 1.0 / (b + n - 1.0);
+        }
+        term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw);
+        s += term;
+        if (n > 3 && fabs(term) <= 1e-17 * fabs(s)) return g * s;
+    }
+    return fail(ConvergenceError, "Legendre log-series did not converge (nu=%r)", nu);
+}
+
+/* Associated Legendre P^mu_nu(t) on the cut, t in (-1, 1]. */
+static double legendre_p(double mu, double nu, double t)
+{
+    double zf, w, f, err, lg = 0.0, sg, ln_pref, r;
+    if (!(-1.0 < t && t <= 1.0))
+        return fail(DomainError, "legendre_p argument t=%r outside (-1, 1]", t);
+    if (is_nonpositive_integer(1.0 - mu))
+        return fail(PoleError, "legendre_p order mu=%r makes 1-mu a nonpositive integer", mu);
+    if (nu < -0.5)
+        nu = -1.0 - nu;  /* degree reflection P^mu_nu = P^mu_{-1-nu} */
+    if (t == 1.0) {
+        if (mu == 0.0) return 1.0;
+        if (mu < 0.0) return 0.0;
+        return fail(RangeOverflowError, "legendre_p prefactor ((1+t)/(1-t))^(mu/2) "
+                    "diverges at t=1 for mu=%r>0", mu);
+    }
+    zf = 0.5 * (1.0 - t);
+    w = 0.5 * (1.0 + t);
+    if (fabs(mu) < 1e-13) {
+        r = rint(nu);
+        if (fabs(nu - r) < 1e-12 && r >= 0.0) return legendre_poly(r, t);
+        if (zf <= 0.5) return hyp2f1(nu + 1.0, -nu, 1.0, zf, 0, 0.0, &err);
+        return legendre_p0_log(nu, w);
+    }
+    f = hyp2f1(nu + 1.0, -nu, 1.0 - mu, zf, 1, w, &err);
+    if (PyErr_Occurred()) return -1.0;
+    sg = log_abs_gamma(1.0 - mu, &lg);
+    /* ((1+t)/(1-t))^(mu/2) = ((1+t)/2)^(mu/2) * ((1-t)/2)^(-mu/2) */
+    ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg;
+    if (ln_pref > LOG_MAX)
+        return fail(RangeOverflowError,
+                    "legendre_p prefactor overflow: mu=%r, t=%r too close to 1", mu, t);
+    return sg * exp(ln_pref) * f;
+}
+
+/* e^(-mu pi i) Q^mu_nu(t) for t > 1: the real, phase-stripped value. */
+static double legendre_q_phase_free(double mu, double nu, double t)
+{
+    double tm1, tp1, z, zc, f, err, l1 = 0.0, s1, l2 = 0.0, s2, ln;
+    if (t <= 1.0) return fail(DomainError, "legendre_q argument t=%r must exceed 1", t);
+    if (is_nonpositive_integer(nu + 1.5))
+        return fail(PoleError,
+                    "legendre_q degree nu=%r makes nu+3/2 a nonpositive integer", nu);
+    if (is_nonpositive_integer(mu + nu + 1.0))
+        return fail(PoleError, "legendre_q parameters: mu+nu+1=%r at a gamma pole",
+                    mu + nu + 1.0);
+    tm1 = t - 1.0;
+    tp1 = t + 1.0;
+    z = 1.0 / (t * t);
+    zc = tm1 * tp1 * z;
+    f = hyp2f1(0.5 * (mu + nu) + 1.0, 0.5 * (mu + nu + 1.0), nu + 1.5, z, 1, zc, &err);
+    if (PyErr_Occurred()) return -1.0;
+    s1 = log_abs_gamma(mu + nu + 1.0, &l1);
+    s2 = log_abs_gamma(nu + 1.5, &l2);
+    ln = (0.5 * LOG_PI + l1 - l2
+          + 0.5 * mu * (log(tm1) + log(tp1))
+          - (nu + 1.0) * LOG_2
+          - (mu + nu + 1.0) * log(t));
+    if (ln > LOG_MAX)
+        return fail(RangeOverflowError, "legendre_q prefactor overflow at mu=%r, t=%r", mu, t);
+    return s1 * s2 * exp(ln) * f;
+}
+
+/* Gegenbauer polynomial C_n^mu(t) by the three-term recurrence. */
+static double gegenbauer(long n, double mu, double t)
+{
+    double cm1 = 1.0, c = 2.0 * mu * t, next;
+    long j;
+    if (n == 0) return 1.0;
+    for (j = 2; j <= n; j++) {
+        next = (2.0 * t * (j + mu - 1.0) * c - (j + 2.0 * mu - 2.0) * cm1) / j;
+        cm1 = c;
+        c = next;
+    }
+    return c;
+}
+
+/* ---- Triple-Bessel (Macdonald) kernel branch values, fused forms (see _corepy) ---- */
+
+/* Band value of R_{mu,nu}(xa, ya, za) given omt = 1-cos(theta), opt = 1+cos(theta). */
+static double r_band_core(double mu, double nu, double xa, double ya, double za,
+                          double omt, double opt)
+{
+    double err, f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 1, 0.5 * opt, &err);
+    if (PyErr_Occurred()) return -1.0;
+    return (pow(xa * ya, mu - 1.0) * pow(omt, mu - 0.5) * f
+            / (SQRT_2PI * pow(za, mu) * exp(lgamma(mu + 0.5))));
+}
+
+/* Outer value of R_{mu,nu}(xa, ya, za) given u = cosh(theta) and um1 = u-1.
+   The sign factor sin((mu-nu) pi) is fixed against the defining
+   triple-Bessel integral; see _corepy.r_outer_core. */
+static double r_outer_core(double mu, double nu, double xa, double ya, double za,
+                           double u, double um1)
+{
+    double delta = nu - mu, sd, ln_u, z, zc, f, err, lgd = 0.0, sgd, coef;
+    if (fabs(delta - rint(delta)) <= 1e-12) return 0.0;
+    sd = sinpi(mu - nu);
+    ln_u = (delta + 1.0) * log(u);
+    if (ln_u > LOG_MAX)
+        return 0.0;  /* value underflows: u^-(nu-mu+1) below double range */
+    z = 1.0 / (u * u);
+    zc = um1 * (u + 1.0) * z;
+    f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, 1, zc, &err);
+    if (PyErr_Occurred()) return -1.0;
+    sgd = log_abs_gamma(delta + 1.0, &lgd);
+    coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * LOG_2);
+    return (sd * pow(xa * ya, mu - 1.0) * SQRT_PI * coef * f
+            / (SQRT_HALF_PI3 * pow(za, mu)));
+}
+
+static double r_band(double mu, double nu, double xa, double ya, double za)
+{
+    double twoxy = 2.0 * xa * ya, d = xa - ya, s = xa + ya;
+    double omt = (za - d) * (za + d) / twoxy, opt = (s - za) * (s + za) / twoxy;
+    return r_band_core(mu, nu, xa, ya, za, omt, opt);
+}
+
+static double r_outer(double mu, double nu, double xa, double ya, double za)
+{
+    double twoxy = 2.0 * xa * ya, s = xa + ya, um1 = (za - s) * (za + s) / twoxy;
+    return r_outer_core(mu, nu, xa, ya, za, 1.0 + um1, um1);
+}
+
+static double r_gegenbauer_band(double mu, long n, double xa, double ya, double za)
+{
+    double twoxy = 2.0 * xa * ya, d = xa - ya, s = xa + ya;
+    double omt = (za - d) * (za + d) / twoxy, opt = (s - za) * (s + za) / twoxy;
+    double ct = 1.0 - omt, ln_coef;
+    if (ct < -1.0)
+        ct = -1.0;
+    else if (ct > 1.0)
+        ct = 1.0;
+    ln_coef = ((0.5 - mu) * LOG_2 + lgamma(2.0 * mu) + lgamma(n + 1.0)
+               - lgamma(n + 2.0 * mu) - lgamma(mu + 0.5));
+    return (exp(ln_coef) * pow(xa * ya, mu - 1.0)
+            * pow(omt * opt, mu - 0.5) * gegenbauer(n, mu, ct)
+            / (SQRT_2PI * pow(za, mu)));
+}
+
+/* ---- Python entry points ---- */
+
+/* TypeError "name() " + fmt, the name read from the text signature sig. */
+static int arg_error(const char *sig, const char *fmt, ...)
+{
+    char buf[200];
+    int k = snprintf(buf, sizeof buf, "%.*s() ", (int)(strchr(sig, '(') - sig), sig);
+    va_list ap;
+    va_start(ap, fmt);
+    vsnprintf(buf + k, sizeof buf - k, fmt, ap);
+    va_end(ap);
+    PyErr_SetString(PyExc_TypeError, buf);
     return -1;
 }
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
+
+/* Unpack a call's arguments into the targets out[], by fmt, one character
+   per parameter of the entry whose docstring is the text signature sig
+   ("name(a, b=1)\n--..."): 'd' stores a double, 'l' a long, 'O' the object.
+   Parameters after '|' are optional; a missing one keeps the value its
+   target holds.  Keywords are matched against the parameter names in sig. */
+static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
+                 const char *sig, const char *fmt, void *const *out)
 {
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
+    PyObject *v[8] = {NULL}, *o;
+    Py_ssize_t i, k, len, klen;
+    const char *p, *key;
+    int opt = 0;
+    for (k = 0; kwnames != NULL && k < PyTuple_GET_SIZE(kwnames); k++) {
+        if ((key = PyUnicode_AsUTF8AndSize(PyTuple_GET_ITEM(kwnames, k), &klen)) == NULL)
+            return -1;
+        for (i = 0, p = strchr(sig, '(') + 1;; i++, p += 2) {  /* 2: skip ", " */
+            len = (Py_ssize_t)strcspn(p, ",=)");
+            if (len == klen && strncmp(p, key, klen) == 0) break;
+            p += strcspn(p, ",)");
+            if (*p == ')') {
+                i = -1;
                 break;
             }
         }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
+        if (i < 0 || i < nargs || v[i] != NULL)
+            return arg_error(sig, "got an unexpected or repeated argument '%s'", key);
+        v[i] = args[nargs + k];
     }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* PyObjectFormatAndDecref */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatSimpleAndDecref(PyObject* s, PyObject* f) {
-    if (unlikely(!s)) return NULL;
-    if (likely(PyUnicode_CheckExact(s))) return s;
-    return __Pyx_PyObject_FormatAndDecref(s, f);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatAndDecref(PyObject* s, PyObject* f) {
-    PyObject *result;
-    if (unlikely(!s)) return NULL;
-    result = PyObject_Format(s, f);
-    Py_DECREF(s);
-    return result;
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
+    for (i = 0; *fmt; fmt++) {
+        if (*fmt == '|') {
+            opt = 1;
             continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
         }
-        char_pos += ulength;
-    }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
-    return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
-}
-
-/* RaiseTooManyValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected) {
-    PyErr_Format(PyExc_ValueError,
-                 "too many values to unpack (expected %" CYTHON_FORMAT_SSIZE_T "d)", expected);
-}
-
-/* RaiseNeedMoreValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index) {
-    PyErr_Format(PyExc_ValueError,
-                 "need more than %" CYTHON_FORMAT_SSIZE_T "d value%.1s to unpack",
-                 index, (index == 1) ? "" : "s");
-}
-
-/* IterFinish */
-static CYTHON_INLINE int __Pyx_IterFinish(void) {
-    PyObject* exc_type;
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    exc_type = __Pyx_PyErr_CurrentExceptionType();
-    if (unlikely(exc_type)) {
-        if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration)))
-            return -1;
-        __Pyx_PyErr_Clear();
-        return 0;
-    }
-    return 0;
-}
-
-/* UnpackItemEndCheck */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected) {
-    if (unlikely(retval)) {
-        Py_DECREF(retval);
-        __Pyx_RaiseTooManyValuesError(expected);
-        return -1;
-    }
-    return __Pyx_IterFinish();
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* ImportFrom */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name) {
-    PyObject* value = __Pyx_PyObject_GetAttrStr(module, name);
-    if (unlikely(!value) && PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        const char* module_name_str = 0;
-        PyObject* module_name = 0;
-        PyObject* module_dot = 0;
-        PyObject* full_name = 0;
-        PyErr_Clear();
-        module_name_str = PyModule_GetName(module);
-        if (unlikely(!module_name_str)) { goto modbad; }
-        module_name = PyUnicode_FromString(module_name_str);
-        if (unlikely(!module_name)) { goto modbad; }
-        module_dot = PyUnicode_Concat(module_name, __pyx_mstate_global->__pyx_kp_u__2);
-        if (unlikely(!module_dot)) { goto modbad; }
-        full_name = PyUnicode_Concat(module_dot, name);
-        if (unlikely(!full_name)) { goto modbad; }
-        #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM  < 0x07030400) ||\
-                CYTHON_COMPILING_IN_GRAAL
-        {
-            PyObject *modules = PyImport_GetModuleDict();
-            if (unlikely(!modules))
-                goto modbad;
-            value = PyObject_GetItem(modules, full_name);
-        }
-        #else
-        value = PyImport_GetModule(full_name);
-        #endif
-      modbad:
-        Py_XDECREF(full_name);
-        Py_XDECREF(module_dot);
-        Py_XDECREF(module_name);
-    }
-    if (unlikely(!value)) {
-        PyErr_Format(PyExc_ImportError, "cannot import name %S", name);
-    }
-    return value;
-}
-
-/* pybytes_as_double (used by pyunicode_as_double) */
-static double __Pyx_SlowPyString_AsDouble(PyObject *obj) {
-    PyObject *float_value = PyFloat_FromString(obj);
-    if (likely(float_value)) {
-        double value = __Pyx_PyFloat_AS_DOUBLE(float_value);
-        Py_DECREF(float_value);
-        return value;
-    }
-    return (double)-1;
-}
-static const char* __Pyx__PyBytes_AsDouble_Copy(const char* start, char* buffer, Py_ssize_t length) {
-    int last_was_punctuation = 1;
-    int parse_error_found = 0;
-    Py_ssize_t i;
-    for (i=0; i < length; i++) {
-        char chr = start[i];
-        int is_punctuation = (chr == '_') | (chr == '.') | (chr == 'e') | (chr == 'E');
-        *buffer = chr;
-        buffer += (chr != '_');
-        parse_error_found |= last_was_punctuation & is_punctuation;
-        last_was_punctuation = is_punctuation;
-    }
-    parse_error_found |= last_was_punctuation;
-    *buffer = '\0';
-    return unlikely(parse_error_found) ? NULL : buffer;
-}
-static double __Pyx__PyBytes_AsDouble_inf_nan(const char* start, Py_ssize_t length) {
-    int matches = 1;
-    char sign = start[0];
-    int is_signed = (sign == '+') | (sign == '-');
-    start += is_signed;
-    length -= is_signed;
-    switch (start[0]) {
-        #ifdef Py_NAN
-        case 'n':
-        case 'N':
-            if (unlikely(length != 3)) goto parse_failure;
-            matches &= (start[1] == 'a' || start[1] == 'A');
-            matches &= (start[2] == 'n' || start[2] == 'N');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_NAN : Py_NAN;
-        #endif
-        case 'i':
-        case 'I':
-            if (unlikely(length < 3)) goto parse_failure;
-            matches &= (start[1] == 'n' || start[1] == 'N');
-            matches &= (start[2] == 'f' || start[2] == 'F');
-            if (likely(length == 3 && matches))
-                return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-            if (unlikely(length != 8)) goto parse_failure;
-            matches &= (start[3] == 'i' || start[3] == 'I');
-            matches &= (start[4] == 'n' || start[4] == 'N');
-            matches &= (start[5] == 'i' || start[5] == 'I');
-            matches &= (start[6] == 't' || start[6] == 'T');
-            matches &= (start[7] == 'y' || start[7] == 'Y');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-        case '.': case '0': case '1': case '2': case '3': case '4': case '5': case '6': case '7': case '8': case '9':
+        if ((o = i < nargs ? args[i] : v[i]) == NULL && !opt) {
+            arg_error(sig, "missing required argument %zd", i + 1);
             break;
-        default:
-            goto parse_failure;
-    }
-    return 0.0;
-parse_failure:
-    return -1.0;
-}
-static CYTHON_INLINE int __Pyx__PyBytes_AsDouble_IsSpace(char ch) {
-    return (ch == 0x20) | !((ch < 0x9) | (ch > 0xd));
-}
-CYTHON_UNUSED static double __Pyx__PyBytes_AsDouble(PyObject *obj, const char* start, Py_ssize_t length) {
-    double value;
-    Py_ssize_t i, digits;
-    const char *last = start + length;
-    char *end;
-    while (__Pyx__PyBytes_AsDouble_IsSpace(*start))
-        start++;
-    while (start < last - 1 && __Pyx__PyBytes_AsDouble_IsSpace(last[-1]))
-        last--;
-    length = last - start;
-    if (unlikely(length <= 0)) goto fallback;
-    value = __Pyx__PyBytes_AsDouble_inf_nan(start, length);
-    if (unlikely(value == -1.0)) goto fallback;
-    if (value != 0.0) return value;
-    digits = 0;
-    for (i=0; i < length; digits += start[i++] != '_');
-    if (likely(digits == length)) {
-        value = PyOS_string_to_double(start, &end, NULL);
-    } else if (digits < 40) {
-        char number[40];
-        last = __Pyx__PyBytes_AsDouble_Copy(start, number, length);
-        if (unlikely(!last)) goto fallback;
-        value = PyOS_string_to_double(number, &end, NULL);
-    } else {
-        char *number = (char*) PyMem_Malloc((digits + 1) * sizeof(char));
-        if (unlikely(!number)) goto fallback;
-        last = __Pyx__PyBytes_AsDouble_Copy(start, number, length);
-        if (unlikely(!last)) {
-            PyMem_Free(number);
-            goto fallback;
         }
-        value = PyOS_string_to_double(number, &end, NULL);
-        PyMem_Free(number);
-    }
-    if (likely(end == last) || (value == (double)-1 && PyErr_Occurred())) {
-        return value;
-    }
-fallback:
-    return __Pyx_SlowPyString_AsDouble(obj);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
+        if (*fmt == 'd') {
+            double *x = out[i];
+            if (o != NULL && PyFloat_CheckExact(o))
+                *x = PyFloat_AS_DOUBLE(o);
+            else if (o != NULL && (*x = PyFloat_AsDouble(o)) == -1.0 && PyErr_Occurred())
+                break;
+        } else if (*fmt == 'l') {
+            long *x = out[i];
+            if (o != NULL && (*x = PyLong_AsLong(o)) == -1 && PyErr_Occurred()) break;
+        } else {
+            PyObject **x = out[i];
+            if (o != NULL) *x = o;
         }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
         i++;
     }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
+    if (*fmt == '\0' && nargs > i)
+        return arg_error(sig, "takes at most %zd arguments (%zd given)", i, nargs);
+    return *fmt ? -1 : 0;
 }
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
 
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
+static PyObject *value(double v)
 {
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
+    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(v);
 }
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+
+static PyObject *pair(double v, double e)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+    PyObject *a = NULL, *b = NULL, *t = NULL;
+    if (!PyErr_Occurred() && (a = PyFloat_FromDouble(v)) && (b = PyFloat_FromDouble(e)))
+        t = PyTuple_Pack(2, a, b);
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    return t;
 }
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
+
+#define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n, PyObject *kw
+#define PARSE(name, fmt, ...) \
+    parse(args, n, kw, name##_doc, fmt, (void *const[]){__VA_ARGS__})
+
+PyDoc_STRVAR(log_abs_gamma_doc, "log_abs_gamma(x)\n--\n\n");
+static PyObject *py_log_abs_gamma(ARGS)
 {
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
+    double x, ln = 0.0, s;
+    if (PARSE(log_abs_gamma, "d", &x)) return NULL;
+    s = log_abs_gamma(x, &ln);
+    return pair(ln, s);
 }
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
+
+PyDoc_STRVAR(gammafn_doc, "gammafn(x)\n--\n\n");
+static PyObject *py_gammafn(ARGS)
 {
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
+    double x;
+    if (PARSE(gammafn, "d", &x)) return NULL;
+    return value(gammafn(x));
 }
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+
+PyDoc_STRVAR(rgamma_doc, "rgamma(x)\n--\n\n");
+static PyObject *py_rgamma(ARGS)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+    double x;
+    if (PARSE(rgamma, "d", &x)) return NULL;
+    return value(rgamma(x));
 }
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
+
+PyDoc_STRVAR(sinpi_doc, "sinpi(x)\n--\n\n");
+static PyObject *py_sinpi(ARGS)
 {
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
+    double x;
+    if (PARSE(sinpi, "d", &x)) return NULL;
+    return value(sinpi(x));
 }
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+
+PyDoc_STRVAR(digamma_doc, "digamma(x)\n--\n\n");
+static PyObject *py_digamma(ARGS)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+    double x;
+    if (PARSE(digamma, "d", &x)) return NULL;
+    return value(digamma(x));
 }
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
+
+PyDoc_STRVAR(bessel_crossover_doc, "bessel_crossover(nu)\n--\n\n");
+static PyObject *py_bessel_crossover(ARGS)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
+    double nu;
+    if (PARSE(bessel_crossover, "d", &nu)) return NULL;
+    return value(bessel_crossover(nu));
 }
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
+
+PyDoc_STRVAR(normalized_bessel_series_doc, "normalized_bessel_series(nu, x)\n--\n\n");
+static PyObject *py_normalized_bessel_series(ARGS)
 {
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
+    double nu, x;
+    if (PARSE(normalized_bessel_series, "dd", &nu, &x)) return NULL;
+    return value(normalized_bessel_series(nu, x));
 }
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
+
+PyDoc_STRVAR(bessel_j_asymptotic_doc, "bessel_j_asymptotic(nu, x)\n--\n\n");
+static PyObject *py_bessel_j_asymptotic(ARGS)
 {
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
+    double nu, x;
+    if (PARSE(bessel_j_asymptotic, "dd", &nu, &x)) return NULL;
+    return value(bessel_j_asymptotic(nu, x));
 }
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
+
+PyDoc_STRVAR(bessel_j_doc, "bessel_j(nu, x)\n--\n\n");
+static PyObject *py_bessel_j(ARGS)
 {
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
+    double nu, x;
+    if (PARSE(bessel_j, "dd", &nu, &x)) return NULL;
+    return value(bessel_j(nu, x));
 }
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
+
+PyDoc_STRVAR(normalized_bessel_j_doc, "normalized_bessel_j(nu, x)\n--\n\n");
+static PyObject *py_normalized_bessel_j(ARGS)
+{
+    double nu, x;
+    if (PARSE(normalized_bessel_j, "dd", &nu, &x)) return NULL;
+    return value(normalized_bessel_j(nu, x));
 }
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+
+PyDoc_STRVAR(gauss_series_doc, "gauss_series(a, b, c, z, nmax=4000)\n--\n\n");
+static PyObject *py_gauss_series(ARGS)
+{
+    double a, b, c, z, v, err = 0.0;
+    long nmax = NMAX;
+    if (PARSE(gauss_series, "dddd|l", &a, &b, &c, &z, &nmax)) return NULL;
+    v = gauss_series(a, b, c, z, nmax, &err);
+    return pair(v, err);
 }
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
+
+PyDoc_STRVAR(hyp2f1_doc, "hyp2f1(a, b, c, z, zc=None)\n--\n\n");
+static PyObject *py_hyp2f1(ARGS)
+{
+    double a, b, c, z, zc = 0.0, v, err = 0.0;
+    PyObject *zc_obj = Py_None;
+    if (PARSE(hyp2f1, "dddd|O", &a, &b, &c, &z, &zc_obj)) return NULL;
+    if (zc_obj != Py_None && (zc = PyFloat_AsDouble(zc_obj)) == -1.0 && PyErr_Occurred())
         return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
+    v = hyp2f1(a, b, c, z, zc_obj != Py_None, zc, &err);
+    return pair(v, err);
 }
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
+
+PyDoc_STRVAR(legendre_p_doc, "legendre_p(mu, nu, t)\n--\n\n");
+static PyObject *py_legendre_p(ARGS)
+{
+    double mu, nu, t;
+    if (PARSE(legendre_p, "ddd", &mu, &nu, &t)) return NULL;
+    return value(legendre_p(mu, nu, t));
 }
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
+
+PyDoc_STRVAR(legendre_q_phase_free_doc, "legendre_q_phase_free(mu, nu, t)\n--\n\n");
+static PyObject *py_legendre_q_phase_free(ARGS)
+{
+    double mu, nu, t;
+    if (PARSE(legendre_q_phase_free, "ddd", &mu, &nu, &t)) return NULL;
+    return value(legendre_q_phase_free(mu, nu, t));
+}
+
+PyDoc_STRVAR(gegenbauer_doc, "gegenbauer(n, mu, t)\n--\n\n");
+static PyObject *py_gegenbauer(ARGS)
+{
+    long k;
+    double mu, t;
+    if (PARSE(gegenbauer, "ldd", &k, &mu, &t)) return NULL;
+    return value(gegenbauer(k, mu, t));
+}
+
+PyDoc_STRVAR(r_band_core_doc, "r_band_core(mu, nu, xa, ya, za, omt, opt)\n--\n\n");
+static PyObject *py_r_band_core(ARGS)
+{
+    double mu, nu, xa, ya, za, omt, opt;
+    if (PARSE(r_band_core, "ddddddd", &mu, &nu, &xa, &ya, &za, &omt, &opt)) return NULL;
+    return value(r_band_core(mu, nu, xa, ya, za, omt, opt));
+}
+
+PyDoc_STRVAR(r_outer_core_doc, "r_outer_core(mu, nu, xa, ya, za, u, um1)\n--\n\n");
+static PyObject *py_r_outer_core(ARGS)
+{
+    double mu, nu, xa, ya, za, u, um1;
+    if (PARSE(r_outer_core, "ddddddd", &mu, &nu, &xa, &ya, &za, &u, &um1)) return NULL;
+    return value(r_outer_core(mu, nu, xa, ya, za, u, um1));
+}
+
+PyDoc_STRVAR(r_band_doc, "r_band(mu, nu, xa, ya, za)\n--\n\n");
+static PyObject *py_r_band(ARGS)
+{
+    double mu, nu, xa, ya, za;
+    if (PARSE(r_band, "ddddd", &mu, &nu, &xa, &ya, &za)) return NULL;
+    return value(r_band(mu, nu, xa, ya, za));
+}
+
+PyDoc_STRVAR(r_outer_doc, "r_outer(mu, nu, xa, ya, za)\n--\n\n");
+static PyObject *py_r_outer(ARGS)
+{
+    double mu, nu, xa, ya, za;
+    if (PARSE(r_outer, "ddddd", &mu, &nu, &xa, &ya, &za)) return NULL;
+    return value(r_outer(mu, nu, xa, ya, za));
+}
+
+PyDoc_STRVAR(r_gegenbauer_band_doc, "r_gegenbauer_band(mu, n, xa, ya, za)\n--\n\n");
+static PyObject *py_r_gegenbauer_band(ARGS)
+{
+    long k;
+    double mu, xa, ya, za;
+    if (PARSE(r_gegenbauer_band, "dlddd", &mu, &k, &xa, &ya, &za)) return NULL;
+    return value(r_gegenbauer_band(mu, k, xa, ya, za));
+}
+
+#define ENTRY(name) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL | METH_KEYWORDS, name##_doc}
+
+static PyMethodDef methods[] = {
+    ENTRY(log_abs_gamma),
+    ENTRY(gammafn),
+    ENTRY(rgamma),
+    ENTRY(sinpi),
+    ENTRY(digamma),
+    ENTRY(bessel_crossover),
+    ENTRY(normalized_bessel_series),
+    ENTRY(bessel_j_asymptotic),
+    ENTRY(bessel_j),
+    ENTRY(normalized_bessel_j),
+    ENTRY(gauss_series),
+    ENTRY(hyp2f1),
+    ENTRY(legendre_p),
+    ENTRY(legendre_q_phase_free),
+    ENTRY(gegenbauer),
+    ENTRY(r_band_core),
+    ENTRY(r_outer_core),
+    ENTRY(r_band),
+    ENTRY(r_outer),
+    ENTRY(r_gegenbauer_band),
+    {NULL, NULL, 0, NULL},
 };
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "gfkernel._core",
+    "Compiled twin of gfkernel._corepy: same functions, same algorithms, same errors.",
+    -1, methods, NULL, NULL, NULL, NULL,
 };
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
+
+PyMODINIT_FUNC PyInit__core(void)
 {
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
+    PyObject *errors = PyImport_ImportModule("gfkernel.errors"), *m = NULL;
+    if (errors == NULL) return NULL;
+    if ((ConvergenceError = PyObject_GetAttrString(errors, "ConvergenceError")) != NULL
+        && (DegenerateParameterError = PyObject_GetAttrString(
+                errors, "DegenerateParameterError")) != NULL
+        && (DomainError = PyObject_GetAttrString(errors, "DomainError")) != NULL
+        && (PoleError = PyObject_GetAttrString(errors, "PoleError")) != NULL
+        && (RangeOverflowError = PyObject_GetAttrString(errors, "RangeOverflowError")) != NULL)
+        m = PyModule_Create(&module);
+    Py_DECREF(errors);
+    return m;
 }
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* ToPyCTupleUtility */
-static PyObject* __pyx_convert__to_py___pyx_ctuple_double__and_double(__pyx_ctuple_double__and_double value) {
-    PyObject* items[2] = { 0, 0 };
-    PyObject* result = NULL;
-        items[0] = PyFloat_FromDouble(value.f0);
-        if (unlikely(!items[0])) goto bad;
-        items[1] = PyFloat_FromDouble(value.f1);
-        if (unlikely(!items[1])) goto bad;
-    result = PyTuple_New(2);
-    if (unlikely(!result)) goto bad;
-    for (Py_ssize_t i=0; i<2; ++i) {
-        PyObject *item = items[i];
-        items[i] = NULL;
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(result, i, item) < 0)) goto bad;
-        #else
-        PyTuple_SET_ITEM(result, i, item);
-        #endif
-    }
-    return result;
-bad:
-    Py_XDECREF(result);
-    for (Py_ssize_t i=1; i >= 0; --i) {
-        Py_XDECREF(items[i]);
-    }
-    return NULL;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__3);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
-}
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

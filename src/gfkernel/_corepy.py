@@ -1,7 +1,7 @@
 """Pure-Python scalar kernels: the reference implementation of the hot path.
 
 Everything here is a pure function of floats returning floats (or a
-(value, err) pair), so the compiled twin in ``_core.pyx`` can mirror it
+(value, err) pair), so the compiled twin in ``_core.c`` can mirror it
 one-to-one.  Public argument validation lives in the wrapper modules; this
 layer only guards against the failure modes that appear mid-computation
 (poles, nonconvergence, degenerate connection formulas).
@@ -12,11 +12,10 @@ Numerical notes
   arithmetic: the series alternates and loses up to ~11 digits to
   cancellation near the series/asymptotic crossover, which plain (even
   Kahan-compensated) double summation cannot recover.  Its error-free
-  transformations (Dekker's two_sum, two_prod, fast_two_sum, as in the
-  ``dd_*`` helpers of ``_core.pyx``) are written out inline, and the bit pins
-  in ``tests/test_specfn.py`` guard their operation sequence.  ``_core.pyx``
-  adds the low-order parts in another order, so the cores can return
-  different doubles where the series cancels past double-double precision.
+  transformations (Dekker's two_sum, two_prod, fast_two_sum) are written out
+  inline, and the bit pins in ``tests/test_specfn.py`` guard their operation
+  sequence.  ``_core.c`` repeats that sequence, so both cores return the
+  same doubles (``tests/test_backends.py`` holds it to the same pins).
 * Per-order tables.  Within one harness check the orders are fixed, so the
   series kernels read the work that depends only on them from tables kept
   per parameter set: ``normalized_bessel_series`` the exact denominators
@@ -69,6 +68,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF_PI3 = math.sqrt(0.5 * math.pi ** 3)
 _LOG_MAX = 709.0
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
+_NMAX = 4000  # terms of the Gauss series loop, and the cap of the terminating sums
 
 # ---------------------------------------------------------------------------
 # gamma-family helpers
@@ -365,7 +365,7 @@ def _key(a, b, c):
     return type(a), a, type(b), b, type(c), c
 
 
-def _gauss(key, abc, z, nmax=4000):
+def _gauss(key, abc, z, nmax=_NMAX):
     """Gauss series of the triple abc, key its _key; returns (value, err)."""
     ratios = _GAUSS_RATIOS.store.get(key, ())
     term = 1.0
@@ -398,7 +398,7 @@ def _gauss(key, abc, z, nmax=4000):
         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")
 
 
-def gauss_series(a, b, c, z, nmax=4000):
+def gauss_series(a, b, c, z, nmax=_NMAX):
     """Plain Gauss series with Kahan compensation; returns (value, err)."""
     return _gauss(_key(a, b, c), (a, b, c), z, nmax)
 
@@ -477,10 +477,16 @@ class _Hyp2f1Plan:
         self.nterms = self.conn = self.ratios = None
 
     def terminating(self):
-        """n when a or b is the nonpositive integer -n, else -1."""
+        """n when a or b is the nonpositive integer -n, else -1; an n past
+        the term cap raises ConvergenceError."""
         for par in self.abc[:2]:
             r = round(par)
             if r <= 0 and abs(par - r) <= 1e-12:
+                if -r > _NMAX:
+                    a, b, c = self.abc
+                    raise ConvergenceError(
+                        f"terminating 2F1 series would take {-r} terms, past the cap of "
+                        f"{_NMAX} (a={a!r}, b={b!r}, c={c!r})")
                 return int(-r)
         return -1
 
@@ -565,7 +571,11 @@ def hyp2f1(a, b, c, z, zc=None):
 
 
 def _legendre_poly(n, t):
-    """P_n(t) by the three-term recurrence."""
+    """P_n(t) by the three-term recurrence; n past the term cap raises
+    ConvergenceError."""
+    if n > _NMAX:
+        raise ConvergenceError(
+            f"Legendre recurrence would take {n} terms, past the cap of {_NMAX}")
     if n == 0:
         return 1.0
     pm1 = 1.0

@@ -1,34 +1,87 @@
-"""Compiled core vs pure-Python core: one implementation, two builds."""
+"""Compiled core vs pure-Python core: one implementation, two builds.
 
+The compiled core is ``src/gfkernel/_core.c``.  When no built
+``gfkernel._core`` is importable, the ``c_core`` fixture compiles that file
+with the benchmark's flags (plus -Wall -Wextra -Werror) into a temporary
+directory, never into ``src/``, so the default backend stays as it is.
+"""
+
+import ast
+import contextlib
+import ctypes
+import ctypes.util
+import importlib.util
 import inspect
+import math
 import os
+import random
 import re
+import shutil
+import signal
 import subprocess
 import sys
+import sysconfig
+import types
 from pathlib import Path
 
 import pytest
 
-from gfkernel import backend_name
-
-try:
-    from gfkernel import _core as c_core
-    HAS_C = True
-except ImportError:
-    HAS_C = False
 from gfkernel import _corepy as py_core
+from gfkernel import backend_name
+from gfkernel.errors import ConvergenceError, GfkError, RangeOverflowError
+from test_specfn import _SERIES_PINS
 
-needs_both = pytest.mark.skipif(not HAS_C, reason="compiled core not built")
+ROOT = Path(__file__).resolve().parents[1]
+CORE_C = ROOT / "src" / "gfkernel" / "_core.c"
 
 
-@needs_both
+@pytest.fixture(scope="session")
+def c_core(tmp_path_factory):
+    """The compiled core: an importable build, or _core.c compiled here."""
+    try:
+        from gfkernel import _core
+        return _core
+    except ImportError:
+        pass
+    include = sysconfig.get_paths()["include"]
+    if shutil.which("gcc") is None or not Path(include, "Python.h").exists():
+        pytest.skip("gcc or the Python headers are missing")
+    target = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(["gcc", "-shared", "-fPIC", "-O2", "-ffp-contract=off",
+                    "-Wall", "-Wextra", "-Werror", "-I" + include, str(CORE_C),
+                    "-o", str(target), "-lm"], check=True, timeout=120)
+    spec = importlib.util.spec_from_file_location("gfkernel._core", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["python", "c"])
+def core(request):
+    return py_core if request.param == "python" else request.getfixturevalue("c_core")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, instead of hanging the suite, past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBackendAgreement:
     def rel(self, a, b):
         if a == b:
             return 0.0  # covers the shared infinities at x = 0, nu < 0
         return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
-    def test_bessel_family(self):
+    def test_bessel_family(self, c_core):
         for nu in (-0.4, 0.0, 0.5, 1.7, 4.5):
             for x in (0.0, 0.3, 2.0, 19.0, 26.0, 120.0):
                 assert self.rel(py_core.normalized_bessel_j(nu, x),
@@ -36,12 +89,12 @@ class TestBackendAgreement:
                 assert self.rel(py_core.bessel_j(nu, x),
                                 c_core.bessel_j(nu, x)) <= 1e-13
 
-    def test_hyp2f1(self):
+    def test_hyp2f1(self, c_core):
         for args in [(0.9, 0.35, 1.4, 0.3), (1.375, 0.125, 0.875, 0.77),
                      (2.4, -0.8, 1.1, 0.52), (0.9, -3.0, 1.2, 0.9)]:
             assert self.rel(py_core.hyp2f1(*args)[0], c_core.hyp2f1(*args)[0]) <= 1e-13
 
-    def test_legendre(self):
+    def test_legendre(self, c_core):
         for (mu, nu, t) in [(0.25, 1.25, -0.7), (0.0, 0.6, -0.6), (0.125, 1.375, 0.3),
                             (-1.0, 4.0, -0.9), (0.0, 3.0, 0.4)]:
             assert self.rel(py_core.legendre_p(mu, nu, t),
@@ -50,7 +103,7 @@ class TestBackendAgreement:
             assert self.rel(py_core.legendre_q_phase_free(mu, nu, t),
                             c_core.legendre_q_phase_free(mu, nu, t)) <= 1e-13
 
-    def test_kernel_branches(self):
+    def test_kernel_branches(self, c_core):
         for (mu, nu, x, y, z) in [(0.375, 1.875, 1.0, 1.2, 2.6), (0.4, 0.9, 0.8, 1.1, 2.2)]:
             assert self.rel(py_core.r_outer(mu, nu, x, y, z),
                             c_core.r_outer(mu, nu, x, y, z)) <= 1e-13
@@ -61,7 +114,7 @@ class TestBackendAgreement:
             assert self.rel(py_core.r_gegenbauer_band(0.8, n, 1.0, 1.2, 1.5),
                             c_core.r_gegenbauer_band(0.8, n, 1.0, 1.2, 1.5)) <= 1e-13
 
-    def test_gamma_helpers(self):
+    def test_gamma_helpers(self, c_core):
         # CPython ships its own lgamma; it can differ from libm by an ulp
         for x in (0.5, 5.0, -0.5, -1.5, 12.3):
             la, sa = py_core.log_abs_gamma(x)
@@ -72,7 +125,7 @@ class TestBackendAgreement:
         assert py_core.sinpi(3.0) == c_core.sinpi(3.0) == 0.0
         assert py_core.rgamma(-2.0) == c_core.rgamma(-2.0) == 0.0
 
-    def test_exception_parity(self):
+    def test_exception_parity(self, c_core):
         from gfkernel.errors import DegenerateParameterError, PoleError
         for mod in (py_core, c_core):
             with pytest.raises(PoleError):
@@ -81,32 +134,251 @@ class TestBackendAgreement:
                 mod.hyp2f1(0.9, 0.35, 1.25, 0.7)
 
 
-def _compiled_defs():
-    """(name, positional parameter count) of each Python-visible def and
-    cpdef in _core.pyx, read from the source, so no build is needed."""
-    src = (Path(__file__).resolve().parents[1] / "src" / "gfkernel" / "_core.pyx").read_text()
-    for m in re.finditer(r"^(?:cp)?def\s+(?:\w+\s+)*?(\w+)\(", src, re.M):
-        depth, i = 1, m.end()
-        while depth:
-            depth += {"(": 1, ")": -1}.get(src[i], 0)
-            i += 1
-        params = src[m.end():i - 1]
-        depth, count = 0, 1 if params.strip() else 0
-        for ch in params:
-            depth += {"(": 1, ")": -1}.get(ch, 0)
-            count += ch == "," and depth == 0
-        yield m.group(1), count
+def test_hyp2f1_zc_positional_or_keyword(c_core):
+    args = (1.375, 0.125, 0.875, 0.77)
+    assert c_core.hyp2f1(*args, 0.23) == c_core.hyp2f1(*args, zc=0.23) != c_core.hyp2f1(*args)
+    assert c_core.hyp2f1(*args, None) == c_core.hyp2f1(*args, zc=None) == c_core.hyp2f1(*args)
+    assert str(inspect.signature(c_core.hyp2f1)) == "(a, b, c, z, zc=None)"
+    with pytest.raises(TypeError, match="missing"):
+        c_core.hyp2f1(*args[:3])
+    with pytest.raises(TypeError, match="at most 5"):
+        c_core.hyp2f1(*args, 0.2, 0.1)
+    with pytest.raises(TypeError, match="'zc'"):
+        c_core.hyp2f1(*args, 0.2, zc=0.2)
+    with pytest.raises(TypeError, match="'zd'"):
+        c_core.hyp2f1(*args, zd=0.2)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("hyp2f1", (-1e15, 1.0, 2.0, 0.3)),
+    ("legendre_p", (0.0, 1e15, 0.5)),
+])
+def test_huge_terminating_parameter_raises(core, name, args):
+    # the terminating 2F1 sum and the Legendre recurrence stop at 4000 terms,
+    # where the Gauss loop stops
+    with _deadline(5), pytest.raises(ConvergenceError, match="1000000000000000 terms"):
+        getattr(core, name)(*args)
+
+
+@pytest.mark.parametrize("nu, x, expected", _SERIES_PINS)
+def test_compiled_series_bit_pins(c_core, nu, x, expected):
+    assert c_core.normalized_bessel_series(nu, x).hex() == expected
+
+
+def _outcome(fn, *args):
+    """fn(*args) as (value, None), or (None, (exception class, message))."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared, not handled
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("name, args, cls", [
+    ("hyp2f1", (300.3, 300.45, 0.7, 0.9), RangeOverflowError),
+    ("hyp2f1", (-1e15, 1.0, 2.0, 0.3), ConvergenceError),
+    ("legendre_p", (0.0, 1e15, 0.5), ConvergenceError),
+])
+def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
+    with _deadline(5):
+        expected = _outcome(getattr(py_core, name), *args)
+    assert expected[1][0] is cls
+    assert _outcome(getattr(c_core, name), *args) == expected
+
+
+# ---------------------------------------------------------------------------
+# Seeded parity sweep over every export
+# ---------------------------------------------------------------------------
+
+
+def _band(rng):
+    xa, ya = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+    return xa, ya, rng.uniform(abs(xa - ya), xa + ya)
+
+
+def _outer(rng):
+    xa, ya = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+    return xa, ya, xa + ya + rng.uniform(0.01, 5.0)
+
+
+def _either(rng, p, special, general):
+    return special() if rng.random() < p else general()
+
+
+def _gamma_arg(rng):
+    return (_either(rng, 0.1, lambda: float(rng.randint(-6, 3)),
+                    lambda: rng.uniform(-20.0, 30.0)),)
+
+
+def _hyp2f1_args(rng):
+    def par():
+        return _either(rng, 0.1, lambda: float(rng.randint(-8, 0)),
+                       lambda: rng.uniform(-6.0, 6.0))
+    a, b = par(), par()
+    c = _either(rng, 0.05, lambda: float(rng.randint(-3, 0)),
+                lambda: _either(rng, 0.05, lambda: a + b + rng.randint(-2, 2),
+                                lambda: rng.uniform(-3.0, 6.0)))
+    z = rng.uniform(-0.05, 1.05)
+    r = rng.random()
+    return (a, b, c, z) if r < 0.5 else (a, b, c, z, 1.0 - z if r < 0.8 else rng.uniform(0.0, 1.0))
+
+
+def _orders(rng):
+    return rng.uniform(-0.45, 3.0), rng.uniform(-0.45, 4.0)
+
+
+def _r_band_core_args(rng):
+    xa, ya, za = _band(rng)
+    twoxy, d, s = 2.0 * xa * ya, xa - ya, xa + ya
+    return _orders(rng) + (xa, ya, za, (za - d) * (za + d) / twoxy, (s - za) * (s + za) / twoxy)
+
+
+def _r_outer_core_args(rng):
+    xa, ya, za = _outer(rng)
+    s = xa + ya
+    um1 = (za - s) * (za + s) / (2.0 * xa * ya)
+    return _orders(rng) + (xa, ya, za, 1.0 + um1, um1)
+
+
+# export -> argument sampler: each domain with its poles, edges and error cases
+_SAMPLERS = {
+    "log_abs_gamma": _gamma_arg,
+    "gammafn": _gamma_arg,
+    "rgamma": _gamma_arg,
+    "sinpi": lambda rng: (_either(rng, 0.2, lambda: rng.randint(-100, 100) / 2.0,
+                                  lambda: rng.uniform(-50.0, 50.0)),),
+    "digamma": _gamma_arg,
+    "bessel_crossover": lambda rng: (rng.uniform(-1.0, 12.0),),
+    "normalized_bessel_series": lambda rng: (rng.uniform(-0.99, 12.0), rng.uniform(0.0, 40.0)),
+    "bessel_j_asymptotic": lambda rng: (rng.uniform(-0.99, 12.0), rng.uniform(25.0, 500.0)),
+    "bessel_j": lambda rng: (rng.uniform(-0.99, 12.0),
+                             _either(rng, 0.05, lambda: 0.0, lambda: rng.uniform(0.0, 300.0))),
+    "normalized_bessel_j": lambda rng: (rng.uniform(-0.99, 12.0),
+                                        _either(rng, 0.05, lambda: 0.0,
+                                                lambda: rng.uniform(0.0, 300.0))),
+    "gauss_series": lambda rng: (rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0),
+                                 rng.uniform(0.1, 6.0), rng.uniform(0.0, 0.95)),
+    "hyp2f1": _hyp2f1_args,
+    "legendre_p": lambda rng: (_either(rng, 0.15, lambda: float(rng.randint(0, 2)),
+                                       lambda: rng.uniform(-2.5, 2.5)),
+                               _either(rng, 0.1, lambda: float(rng.randint(-4, 6)),
+                                       lambda: rng.uniform(-4.0, 6.0)),
+                               _either(rng, 0.05, lambda: 1.0, lambda: rng.uniform(-1.05, 1.0))),
+    "legendre_q_phase_free": lambda rng: (rng.uniform(-2.0, 2.0),
+                                          _either(rng, 0.05, lambda: -1.5 - rng.randint(0, 2),
+                                                  lambda: rng.uniform(-2.0, 5.0)),
+                                          rng.uniform(0.9, 10.0)),
+    "gegenbauer": lambda rng: (rng.randint(0, 30), rng.uniform(-0.45, 4.0), rng.uniform(-1.0, 1.0)),
+    "r_band_core": _r_band_core_args,
+    "r_outer_core": _r_outer_core_args,
+    "r_band": lambda rng: _orders(rng) + _band(rng),
+    "r_outer": lambda rng: _orders(rng) + _outer(rng),
+    "r_gegenbauer_band": lambda rng: (rng.uniform(0.05, 3.0), rng.randint(0, 10)) + _band(rng),
+}
+
+
+def _hex(v):
+    return tuple(_hex(p) for p in v) if isinstance(v, tuple) else v.hex()
+
+
+@pytest.fixture
+def libm_lgamma(monkeypatch):
+    """_corepy with the C library's lgamma in place of CPython's own.
+
+    lgamma is the one function the two cores do not share: CPython's
+    math.lgamma is its own code and can differ from the C library by ulps,
+    which cancellation in the 2F1 connection formula grows to about 6e-12
+    relative on values of order one (more than the 2F1 error estimate), so
+    no fixed tolerance separates it from a drift in the C code.  With one
+    lgamma for both, every other operation must give the same double.  The
+    plans that keep gamma values are emptied before and after.
+    """
+    name = ctypes.util.find_library("m")
+    if name is None:
+        pytest.skip("no C math library to load")
+    lgamma = ctypes.CDLL(name).lgamma
+    lgamma.restype, lgamma.argtypes = ctypes.c_double, [ctypes.c_double]
+
+    def checked(x):
+        if x <= 0.0 and x == math.floor(x):
+            raise ValueError("math domain error")
+        return lgamma(x)
+
+    patched = types.SimpleNamespace(**vars(math))
+    patched.lgamma = checked
+    plans = (py_core._HYP2F1_PLANS, py_core._BAND_PLANS, py_core._OUTER_PLANS)
+    for p in plans:
+        p.store.clear()
+    monkeypatch.setattr(py_core, "math", patched)
+    yield
+    monkeypatch.undo()
+    for p in plans:
+        p.store.clear()
+
+
+def test_seeded_parity_sweep(c_core, libm_lgamma):
+    """5,200 seeded points over the 20 exports: the compiled core returns the
+    pure core's double, or raises its class with its message.  Points where
+    the pure core raises an untyped ValueError or OverflowError are counted
+    and not compared."""
+    rng = random.Random(20261018)
+    compared = untyped = 0
+    for name, sampler in _SAMPLERS.items():
+        for _ in range(260):
+            args = sampler(rng)
+            want, want_err = _outcome(getattr(py_core, name), *args)
+            if want_err is not None and not issubclass(want_err[0], GfkError):
+                untyped += 1
+                continue
+            got, got_err = _outcome(getattr(c_core, name), *args)
+            if want_err is not None or got_err is not None:
+                assert got_err == want_err, (name, args)
+            else:
+                assert _hex(got) == _hex(want), (name, args)
+            compared += 1
+    assert compared + untyped == 5200 and compared >= 5000, untyped
+
+
+# ---------------------------------------------------------------------------
+# Source twin: checked without a build
+# ---------------------------------------------------------------------------
+
+
+def _compiled_entries():
+    """(name, positional parameter count) of each entry of _core.c's method
+    table, the count read from the entry's text signature."""
+    src = CORE_C.read_text()
+    table = re.search(r"PyMethodDef \w+\[\] = \{(.*?)\n\};", src, re.S).group(1)
+    sigs = dict(re.findall(r'"(\w+)\(([^)]*)\)\\n--\\n\\n"', src))
+    for name in re.findall(r"ENTRY\((\w+)\)", table):
+        params = sigs[name].strip()
+        yield name, params.count(",") + 1 if params else 0
+
+
+def _core_names_used():
+    """Every core.<name> of the package's modules and the benchmark's kernel
+    probes (perfbench/probe.py KERNEL_CASES)."""
+    names = set()
+    for path in (ROOT / "src" / "gfkernel").glob("*.py"):
+        names.update(re.findall(r"\bcore\.(\w+)", path.read_text()))
+    probe = ast.parse((ROOT / "perfbench" / "probe.py").read_text())
+    for node in probe.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "KERNEL_CASES":
+            names.update(fn for fn, _ in ast.literal_eval(node.value).values())
+    return names
 
 
 def test_pure_core_mirrors_every_compiled_def():
-    defs = dict(_compiled_defs())
-    assert len(defs) >= 20
-    for name, count in defs.items():
+    entries = dict(_compiled_entries())
+    assert len(entries) >= 20
+    for name, count in entries.items():
         fn = getattr(py_core, name, None)
         assert callable(fn), f"_corepy has no {name}"
         positional = [p for p in inspect.signature(fn).parameters.values()
                       if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
         assert len(positional) == count, f"{name}: {len(positional)} != {count}"
+    used = _core_names_used()
+    assert "hyp2f1" in used and "normalized_bessel_j" in used
+    assert used <= set(entries), f"missing from _core.c: {sorted(used - set(entries))}"
 
 
 def test_backend_env_override():
@@ -122,7 +394,6 @@ def test_active_backend_reported():
     assert backend_name() in ("c", "python")
 
 
-@needs_both
 def test_pure_backend_passes_spot_acceptance():
     """A quick product-formula point under the forced pure backend."""
     env = dict(os.environ, GFKERNEL_BACKEND="python")
