@@ -17,33 +17,38 @@ Numerical notes
   sequence.  ``_core.c`` repeats that sequence, so both cores return the
   same doubles (``tests/test_backends.py`` holds it to the same pins).
 * Per-order tables.  Within one harness check the orders are fixed, so the
-  series kernels read the work that depends only on them from tables kept
-  per parameter set: ``normalized_bessel_series`` the exact denominators
-  n(nu+n) and their Dekker splits (keyed on nu), and the Gauss series loop
-  its term ratios (a+n)(b+n)/((c+n)(1+n)) (keyed on (a, b, c)).  An entry
-  is the double the loop would compute, by the same operations, so a kernel
-  returns the same double or raises the same error whether its table is
-  cold, warm or just emptied: the functions stay pure functions of their
-  arguments.
-  Keys are typed, so 1 and 1.0 do not share a table; +0.0 and -0.0 share
-  one, which is harmless, since every entry comes out the same from either
-  (nu + n and a + n round a zero of either sign alike, and a zero gamma
-  argument is a pole either way); a NaN key hits only for the same float
-  object, whose entries are the same NaNs.  Tables are tuples grown in
-  chunks and replaced whole, and the stores are bounded (``_Rows``), so
-  threads share them safely and memory stays under 0.5 MB.  The compiled
-  twin keeps no tables: there the same work is a few cycles per term.
+  series kernels read their order-only work from tables:
+  ``normalized_bessel_series`` the exact denominators n(nu+n) and their
+  Dekker splits, the Gauss series loop its term ratios
+  (a+n)(b+n)/((c+n)(1+n)).  An entry is the double the loop would compute,
+  by the same operations, so a kernel returns the same double or raises
+  the same error whether its table is cold, warm or evicted.  A table
+  (``_Table``) is a tuple grown 32 rows at a time and replaced whole; it
+  keeps at most 160 rows, the longest the benchmark workloads use.  The
+  compiled twin keeps no tables: there the same work is a few cycles per
+  term.
 * Per-parameter plans.  ``hyp2f1``, ``r_band_core`` and ``r_outer_core``
-  look up a plan keyed on (a, b, c) or (mu, nu) that holds every decision
-  and constant that does not depend on z: the pole, terminating and
-  degenerate checks, the connection parameters with their table keys, the
-  connection gamma ratios, and the order-only factors of the two kernels.
-  A plan builds each of its stages at the point where the kernel meets it
-  and keeps it only once it succeeds, so an error is raised where it would
-  be without plans, and on every call.  The three functions share one flow
-  (``_hyp2f1``) and one Gauss series loop (``_gauss``).  The plan stores
-  (``_Plans``, typed keys, emptied whole like the tables) hold at most 64
-  2F1 plans and 16 of each kernel's, a few tens of kB.
+  look up a plan that holds every decision and constant that does not
+  depend on z: the pole, terminating and degenerate checks, the Gauss
+  tables of the series and of the two connection series, the connection
+  gamma ratios, and the order-only factors of the two kernels.  A plan
+  builds each stage where the kernel first meets it and keeps it once it
+  succeeds, so an error is raised where it would be without plans, and on
+  every call.  The three share one flow (``_hyp2f1``) and one Gauss series
+  loop (``_gauss``).
+* One memo idiom.  Tables and plans come from ``functools.lru_cache(N,
+  typed=True)`` constructors: ``_bessel_table(nu)`` 16, ``_gauss_table(a,
+  b, c)`` 64, ``_hyp2f1_plan(a, b, c)`` 64, ``_band_plan(mu, nu)`` and
+  ``_outer_plan(mu, nu)`` 16 each.  Keys are typed, so 1 and 1.0 do not
+  share an entry; +0.0 and -0.0 share one, which is harmless (nu + n and
+  a + n round a zero of either sign alike, and a zero gamma argument is a
+  pole either way); a NaN key hits only for the same float object.  A
+  constructor that raises keeps nothing.  The caches are thread safe, and
+  a table's rows and a plan's stages are replaced whole, so threads share
+  them without a lock.  Plans keep their tables alive after the table memo
+  evicts them: at most 16 Bessel and 352 Gauss tables (64 in the memo and
+  three in each of up to 96 live 2F1 plans), 2.3 MiB at 160 rows each,
+  under the 2.5 MiB that ``tests/test_corepy_tables.py`` measures.
 * Band and outer values of the triple-Bessel kernel are evaluated in fused
   form: the algebraic prefactors of the Legendre functions cancel against
   the sin/sinh powers analytically, so no (1-t^2) or (u^2-1) power is ever
@@ -51,8 +56,8 @@ Numerical notes
   (1 -+ cos(theta), u - 1) which they can compute stably.
 """
 
+import functools
 import math
-import threading
 
 from .errors import (
     ConvergenceError,
@@ -154,49 +159,34 @@ def digamma(x):
 
 
 _CHUNK = 32  # rows added to a table at a time
-_STORE_LOCK = threading.Lock()
+_TABLE_ROWS = 160  # rows a table keeps at most
 
 
-def _keep(store, key, value, cap, budget=None):
-    """store[key] = value, emptying the store first when a new key would
-    take it past cap keys, or (given a budget) when its tables would hold
-    more than budget rows in all."""
-    with _STORE_LOCK:
-        if (key not in store and len(store) >= cap) or (
-                budget is not None and sum(map(len, store.values())) + len(value) > budget):
-            store.clear()
-        store[key] = value
+class _Table:
+    """row(*params, i), i = 0, 1, ..., as the tuple ``rows``.  A row that
+    raises ends its chunk; the error reaches the caller only when the series
+    asks for that row, where it would raise without a table, and it is never
+    stored.  A table longer than _TABLE_ROWS is used but not kept."""
 
+    __slots__ = ("row", "params", "rows")
 
-class _Rows:
-    """Tables of row(*params, i), i = 0, 1, ..., one per parameter key.
-
-    A table is an immutable tuple, grown a chunk at a time and replaced
-    whole, so a caller sees it complete or not at all.  A row that raises
-    ends the chunk; the error reaches the caller only when it asks for that
-    row, which is where the series would raise without a table, and it is
-    never stored.  The store holds at most `cap` tables of at most `budget`
-    rows in all (a longer table is used but not kept).
-    """
-
-    def __init__(self, row, cap, budget):
+    def __init__(self, row, *params):
         self.row = row
-        self.cap = cap
-        self.budget = budget
-        self.store = {}
+        self.params = params
+        self.rows = ()
 
-    def grown(self, key, params, rows, n):
-        """rows, the table of key, extended to hold row n."""
+    def grown(self, rows, n):
+        """rows, a prefix of this table, extended to hold row n."""
         new = list(rows)
         try:
             for i in range(len(new), n + _CHUNK):
-                new.append(self.row(*params, i))
+                new.append(self.row(*self.params, i))
         except ArithmeticError:
             if len(new) <= n:
                 raise
         rows = tuple(new)
-        if len(rows) <= self.budget:
-            _keep(self.store, key, rows, self.cap, self.budget)
+        if len(rows) <= _TABLE_ROWS:
+            self.rows = rows
         return rows
 
 
@@ -229,7 +219,12 @@ def _bessel_row(nu, i):
 
 
 _BESSEL_TERMS = 600
-_BESSEL_ROWS = _Rows(_bessel_row, cap=16, budget=1536)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _bessel_table(nu):
+    """The rows of normalized_bessel_series at order nu."""
+    return _Table(_bessel_row, nu)
 
 
 def normalized_bessel_series(nu, x):
@@ -251,12 +246,12 @@ def normalized_bessel_series(nu, x):
     qhh = t - (t - qh)
     qhl = qh - qhh
     th, tl, sh, sl = 1.0, 0.0, 1.0, 0.0
-    key = (type(nu), nu)
-    rows = _BESSEL_ROWS.store.get(key, ())
+    table = _bessel_table(nu)
+    rows = table.rows
     n = 0
     while n < _BESSEL_TERMS:
         if n == len(rows):
-            rows = _BESSEL_ROWS.grown(key, (nu,), rows, n)
+            rows = table.grown(rows, n)
         for dh, dl, vh, vl in rows[n:_BESSEL_TERMS]:
             n += 1
             p = th * qh  # term *= q: two_prod(th, qh), cross terms, fast_two_sum
@@ -357,17 +352,15 @@ def _gauss_ratio(a, b, c, n):
     return (a + n) * (b + n) / ((c + n) * (1.0 + n))
 
 
-_GAUSS_RATIOS = _Rows(_gauss_ratio, cap=64, budget=4096)
+@functools.lru_cache(maxsize=64, typed=True)
+def _gauss_table(a, b, c):
+    """The term ratios of the Gauss series of (a, b, c)."""
+    return _Table(_gauss_ratio, a, b, c)
 
 
-def _key(a, b, c):
-    """Typed store key of a parameter triple."""
-    return type(a), a, type(b), b, type(c), c
-
-
-def _gauss(key, abc, z, nmax=_NMAX):
-    """Gauss series of the triple abc, key its _key; returns (value, err)."""
-    ratios = _GAUSS_RATIOS.store.get(key, ())
+def _gauss(table, z, nmax=_NMAX):
+    """Gauss series of the parameters of a _gauss_table; returns (value, err)."""
+    ratios = table.rows
     term = 1.0
     s = 1.0
     comp = 0.0
@@ -375,7 +368,7 @@ def _gauss(key, abc, z, nmax=_NMAX):
     n = 0
     while n < nmax:
         if n == len(ratios):
-            ratios = _GAUSS_RATIOS.grown(key, abc, ratios, n)
+            ratios = table.grown(ratios, n)
         for ratio in ratios[n:nmax]:
             term *= ratio * z
             if term == 0.0:
@@ -389,18 +382,18 @@ def _gauss(key, abc, z, nmax=_NMAX):
             n += 1
             if at <= 1e-17 * abs(s) and n > 4:
                 if n == len(ratios):
-                    ratios = _GAUSS_RATIOS.grown(key, abc, ratios, n)
+                    ratios = table.grown(ratios, n)
                 rho = abs(ratios[n] * z)
                 tail = at * rho / (1.0 - rho) if rho < 1.0 else at * 10.0
                 return s, tail + 1e-16 * abssum
-    a, b, c = abc
+    a, b, c = table.params
     raise ConvergenceError(
         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")
 
 
 def gauss_series(a, b, c, z, nmax=_NMAX):
     """Plain Gauss series with Kahan compensation; returns (value, err)."""
-    return _gauss(_key(a, b, c), (a, b, c), z, nmax)
+    return _gauss(_gauss_table(a, b, c), z, nmax)
 
 
 def _terminating_series(a, b, c, z, nterms):
@@ -439,24 +432,6 @@ def _gamma_ratio(num, den):
     return sign * math.exp(ln)
 
 
-class _Plans:
-    """Plans build(*params), one per typed parameter key, at most cap kept."""
-
-    def __init__(self, build, cap):
-        self.build = build
-        self.cap = cap
-        self.store = {}
-
-    def get(self, key, *params):
-        """The plan of params, kept under key.  A build that raises keeps
-        nothing, so the error comes again on the next call."""
-        plan = self.store.get(key)
-        if plan is None:
-            plan = self.build(*params)
-            _keep(self.store, key, plan, self.cap)
-        return plan
-
-
 class _Hyp2f1Plan:
     """The z-independent part of 2F1(a, b; c; z), in the order hyp2f1 takes it.
 
@@ -467,13 +442,13 @@ class _Hyp2f1Plan:
     and the connection gamma ratios after its two series.
     """
 
-    __slots__ = ("abc", "key", "nterms", "conn", "ratios")
+    __slots__ = ("abc", "table", "nterms", "conn", "ratios")
 
     def __init__(self, a, b, c):
         if is_nonpositive_integer(c):
             raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
         self.abc = a, b, c
-        self.key = _key(a, b, c)
+        self.table = _gauss_table(a, b, c)
         self.nterms = self.conn = self.ratios = None
 
     def terminating(self):
@@ -491,22 +466,20 @@ class _Hyp2f1Plan:
         return -1
 
     def connection(self):
-        """c-a-b and the (key, triple) of the two series in w = 1-z."""
+        """c-a-b and the tables of the two series in w = 1-z."""
         a, b, c = self.abc
         d = c - a - b
         if abs(d - round(d)) < 1e-8:
             raise DegenerateParameterError(
                 f"2F1 connection formula degenerate: c-a-b={d!r} is (near) an integer")
-        abc1 = (a, b, a + b - c + 1.0)
-        abc2 = (c - a, c - b, d + 1.0)
-        return d, _key(*abc1), abc1, _key(*abc2), abc2
+        return d, _gauss_table(a, b, a + b - c + 1.0), _gauss_table(c - a, c - b, d + 1.0)
 
     def gamma_ratios(self, d):
         a, b, c = self.abc
         return _gamma_ratio((c, d), (c - a, c - b)), _gamma_ratio((c, -d), (a, b))
 
 
-_HYP2F1_PLANS = _Plans(_Hyp2f1Plan, cap=64)
+_hyp2f1_plan = functools.lru_cache(maxsize=64, typed=True)(_Hyp2f1Plan)
 
 
 def _hyp2f1(plan, z, zc):
@@ -526,14 +499,14 @@ def _hyp2f1(plan, z, zc):
     if n >= 0:
         return _terminating_series(*plan.abc, z, n)
     if z <= 0.5:
-        return _gauss(plan.key, plan.abc, z)
+        return _gauss(plan.table, z)
     w = zc if zc is not None else 1.0 - z
     conn = plan.conn
     if conn is None:
         conn = plan.conn = plan.connection()
-    d, key1, abc1, key2, abc2 = conn
-    f1, e1 = _gauss(key1, abc1, w)
-    f2, e2 = _gauss(key2, abc2, w)
+    d, table1, table2 = conn
+    f1, e1 = _gauss(table1, w)
+    f2, e2 = _gauss(table2, w)
     ratios = plan.ratios
     if ratios is None:
         ratios = plan.ratios = plan.gamma_ratios(d)
@@ -560,9 +533,7 @@ def hyp2f1(a, b, c, z, zc=None):
     connection formula handles z > 1/2; when c-a-b is within 1e-8 of an
     integer that path is degenerate and an explicit error is raised.
     """
-    key = _key(a, b, c)
-    plan = _HYP2F1_PLANS.get(key, a, b, c)
-    return _hyp2f1(plan, z, zc)
+    return _hyp2f1(_hyp2f1_plan(a, b, c), z, zc)
 
 
 # ---------------------------------------------------------------------------
@@ -710,20 +681,18 @@ class _BandPlan:
     __slots__ = ("hyp", "mu1", "muh", "gm")
 
     def __init__(self, mu, nu):
-        a, b, c = nu + 0.5, 0.5 - nu, mu + 0.5
-        self.hyp = _HYP2F1_PLANS.get(_key(a, b, c), a, b, c)
+        self.hyp = _hyp2f1_plan(nu + 0.5, 0.5 - nu, mu + 0.5)
         self.mu1 = mu - 1.0
         self.muh = mu - 0.5
         self.gm = None
 
 
-_BAND_PLANS = _Plans(_BandPlan, cap=16)
+_band_plan = functools.lru_cache(maxsize=16, typed=True)(_BandPlan)
 
 
 def r_band_core(mu, nu, xa, ya, za, omt, opt):
     """Band value of R_{mu,nu}(xa, ya, za) given omt = 1-cos(theta), opt = 1+cos(theta)."""
-    key = (type(mu), mu, type(nu), nu)
-    plan = _BAND_PLANS.get(key, mu, nu)
+    plan = _band_plan(mu, nu)
     f, _ = _hyp2f1(plan.hyp, 0.5 * omt, 0.5 * opt)
     num = math.pow(xa * ya, plan.mu1) * math.pow(omt, plan.muh) * f
     den = _SQRT_2PI * math.pow(za, mu)
@@ -760,7 +729,7 @@ class _OuterPlan:
         return sgd, lgd - math.lgamma(nu + 1.0)
 
 
-_OUTER_PLANS = _Plans(_OuterPlan, cap=16)
+_outer_plan = functools.lru_cache(maxsize=16, typed=True)(_OuterPlan)
 
 
 def r_outer_core(mu, nu, xa, ya, za, u, um1):
@@ -771,8 +740,7 @@ def r_outer_core(mu, nu, xa, ya, za, u, um1):
     opposite sign, which fails that comparison and breaks the mass
     normalization of the product density).
     """
-    key = (type(mu), mu, type(nu), nu)
-    plan = _OUTER_PLANS.get(key, mu, nu)
+    plan = _outer_plan(mu, nu)
     if plan.zero:
         return 0.0
     ln_u = plan.dp1 * math.log(u)
@@ -782,7 +750,7 @@ def r_outer_core(mu, nu, xa, ya, za, u, um1):
     zc = um1 * (u + 1.0) * z
     hyp = plan.hyp
     if hyp is None:
-        hyp = plan.hyp = _HYP2F1_PLANS.get(_key(*plan.abc), *plan.abc)
+        hyp = plan.hyp = _hyp2f1_plan(*plan.abc)
     f, _ = _hyp2f1(hyp, z, zc)
     gammas = plan.gammas
     if gammas is None:

@@ -72,7 +72,6 @@ def _spec_from(ns: dict) -> QuadratureSpec:
         max_levels=int(ns.get("max_levels", 12)),
         osc_max_zeros=int(ns.get("osc_max_zeros", 200)),
         accel_terms=int(ns.get("accel_terms", 12)),
-        tail_cutoff_policy=ns.get("tail_policy", "exponent-based"),
     )
 
 
@@ -139,8 +138,8 @@ def _cmd_verify_product(ns: dict) -> int:
 
 
 def _tv_point(args):
-    k, a, x, y, spec_kw = args
-    rep = tv_norm_report(Params(k, a), x, y, QuadratureSpec(**spec_kw))
+    k, a, x, y, spec = args
+    rep = tv_norm_report(Params(k, a), x, y, spec)
     return dict(k=k, a=a, x=x, y=y, tv=rep.value, quad_err=rep.quad_error,
                 trunc_bound=rep.truncation_bound, wall_ms=1e3 * rep.wall_time)
 
@@ -152,10 +151,7 @@ def _cmd_tv_sweep(ns: dict) -> int:
     grid = SweepGrid((_axis_from(ns, "x", 0.1, 10.0, 9),
                       _axis_from(ns, "y", 0.1, 10.0, 9)))
     spec = _spec_from(ns)
-    spec_kw = dict(abs_tol=spec.abs_tol, rel_tol=spec.rel_tol, max_levels=spec.max_levels,
-                   osc_max_zeros=spec.osc_max_zeros, accel_terms=spec.accel_terms,
-                   tail_cutoff_policy=spec.tail_cutoff_policy)
-    tasks = [(p.k, p.a, pt["x"], pt["y"], spec_kw) for pt in grid.points()]
+    tasks = [(p.k, p.a, pt["x"], pt["y"], spec) for pt in grid.points()]
     jobs = int(ns.get("jobs", 1))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -21,8 +21,8 @@ class DegenerateParameterError(DomainError):
 
 
 class BoundaryTripleError(DomainError):
-    """A Macdonald triple lies on (or within boundary_eps of) a region
-    boundary z = |x-y| or z = x+y, where the kernel may diverge."""
+    """A Macdonald triple lies on (or within DEFAULT_BOUNDARY_EPS*(x+y) of) a
+    region boundary z = |x-y| or z = x+y, where the kernel may diverge."""
 
 
 class RangeOverflowError(DomainError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from ._backend import core
 from .errors import DomainError, require_finite
-from .macdonald import DEFAULT_BOUNDARY_EPS, MacdonaldOrders, r_kernel
+from .macdonald import MacdonaldOrders, r_kernel
 
 __all__ = ["Params", "m_const", "b_kernel", "delta_density"]
 
@@ -119,8 +119,7 @@ def _phase_e2a(p: Params) -> complex:
     return complex(math.cos(ph), -math.sin(ph))
 
 
-def delta_density(p: Params, x: float, y: float, z: float,
-                  boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> complex:
+def delta_density(p: Params, x: float, y: float, z: float) -> complex:
     """The four-term product-formula density Delta(x, y, z) (without the
     weight |z|^w).
 
@@ -137,10 +136,10 @@ def delta_density(p: Params, x: float, y: float, z: float,
     even_orders = MacdonaldOrders(p.mu_m, p.mu_m)
     ha = 0.5 * p.a
     xa, ya, za = math.pow(abs(x), ha), math.pow(abs(y), ha), math.pow(abs(z), ha)
-    t1 = r_kernel(even_orders, xa, ya, za, boundary_eps)
-    t2 = r_kernel(orders, xa, ya, za, boundary_eps)
-    t3 = r_kernel(orders, xa, za, ya, boundary_eps)
-    t4 = r_kernel(orders, ya, za, xa, boundary_eps)
+    t1 = r_kernel(even_orders, xa, ya, za)
+    t2 = r_kernel(orders, xa, ya, za)
+    t3 = r_kernel(orders, xa, za, ya)
+    t4 = r_kernel(orders, ya, za, xa)
     sxy = math.copysign(1.0, x) * math.copysign(1.0, y)
     sxz = math.copysign(1.0, x) * math.copysign(1.0, z)
     syz = math.copysign(1.0, y) * math.copysign(1.0, z)

@@ -700,22 +700,11 @@ def translate(p: Params, y: float, f: Profile, z: float,
         return complex(f(z))
     if z == 0.0:
         return complex(f(y))
-    p.require_macdonald()
-    mu, nu = p.mu_m, p.nu_m
-    ha = 0.5 * p.a
-    two_over_a = 2.0 / p.a
-    Yh = math.pow(abs(y), ha)
-    Zc = math.pow(abs(z), ha)
-    sy = math.copysign(1.0, y)
-    sz = math.copysign(1.0, z)
-    syz = sy * sz
-    e2a = _phase_e2a(p)
-    has_tail = not p.band_offset_integer
-    X1 = abs(Yh - Zc)
-    X2 = Yh + Zc
-    XS = math.pow(f.support, ha)
-    coef = _delta_prefactor(p) * math.pow(abs(y * z), 0.5 - p.k)
-    zexp = p.w - p.k + 0.5
+    g = _DensityGeometry(p, y, z)
+    mu, nu = g.mu, g.nu
+    Yh, Zc, X1, X2 = g.X, g.Y, g.Z1, g.Z2
+    sy, sz, syz = g.sx, g.sy, g.sxy
+    XS = math.pow(f.support, g.ha)
 
     def fe_fo(xi: float):
         fp = f(xi)
@@ -730,7 +719,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
         off_hi = X2 - hi_band
 
         def f_band(Xi, dlo, dhi):
-            xi = math.pow(Xi, two_over_a)
+            xi = g.z_of(Xi)
             fe, fo = fe_fo(xi)
             if fe == 0.0 and fo == 0.0:
                 return 0.0j
@@ -744,42 +733,39 @@ def translate(p: Params, y: float, f: Profile, z: float,
                                         _complements(Yh, Zc, ey, ez, d2, s),
                                         _complements(Xi, Zc, d2, ez, ey, s))
             even = r1 + syz * r3
-            odd = e2a * (sy * r2) + complex(sz * r4)
-            jac = two_over_a * math.pow(Xi, two_over_a - 1.0)
-            return (even * fe + odd * fo) * coef * math.pow(xi, zexp) * jac
+            odd = g.e2a * (sy * r2) + complex(sz * r4)
+            return (even * fe + odd * fo) * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
 
         pieces.append(integrate_singular_band2(f_band, X1, hi_band, spec))
 
     hi_gap = min(X1, XS)
-    if has_tail and hi_gap > 0.0:
+    if g.has_tail and hi_gap > 0.0:
         off_hi1 = X1 - hi_gap
 
         def f_gap(Xi, dlo, dhi):
-            xi = math.pow(Xi, two_over_a)
+            xi = g.z_of(Xi)
             fe, fo = fe_fo(xi)
             if fo == 0.0 and fe == 0.0:
                 return 0.0j
             dd = dhi + off_hi1             # X1 - Xi, exact composition
             if Zc > Yh:
-                odd = e2a * (sy * _r_outer(mu, nu, Yh, Xi, Zc, dd, X2 + Xi))
+                odd = g.e2a * (sy * _r_outer(mu, nu, Yh, Xi, Zc, dd, X2 + Xi))
             else:
                 odd = complex(sz * _r_outer(mu, nu, Xi, Zc, Yh, dd, X2 + Xi))
-            jac = two_over_a * math.pow(Xi, two_over_a - 1.0)
-            return odd * fo * coef * math.pow(xi, zexp) * jac
+            return odd * fo * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
 
         pieces.append(integrate_singular_band2(f_gap, 0.0, hi_gap, spec))
 
-    if has_tail and XS > X2:
+    if g.has_tail and XS > X2:
         def f_tail(Xi, dlo, dhi):
-            xi = math.pow(Xi, two_over_a)
+            xi = g.z_of(Xi)
             fe, fo = fe_fo(xi)
             if fe == 0.0:
                 return 0.0
             r3o = _r_outer(mu, nu, Yh, Zc, Xi, dlo, Xi + X2)
             if r3o == 0.0:
                 return 0.0
-            jac = two_over_a * math.pow(Xi, two_over_a - 1.0)
-            return syz * r3o * fe * coef * math.pow(xi, zexp) * jac
+            return syz * r3o * fe * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
 
         pieces.append(integrate_singular_band2(f_tail, X2, XS, spec))
 

@@ -67,18 +67,17 @@ class MacdonaldOrders:
                 f"Macdonald orders must exceed -1/2, got mu={self.mu!r}, nu={self.nu!r}")
 
 
-def classify(x: float, y: float, z: float,
-             boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> TripleGeometry:
+def classify(x: float, y: float, z: float) -> TripleGeometry:
     """Region of (x, y, z) with the strict inequalities of the kernel.
 
-    A triple within boundary_eps*(x+y) of z = |x-y| or z = x+y is Boundary,
+    A triple within DEFAULT_BOUNDARY_EPS*(x+y) of z = |x-y| or z = x+y is Boundary,
     as is one whose cos(theta) needs clamping by more than 1e-12.
     """
     if not (x > 0.0 and y > 0.0 and z > 0.0):
         raise DomainError(f"classify needs positive x, y, z, got ({x!r}, {y!r}, {z!r})")
     s = x + y
     d = abs(x - y)
-    tol = boundary_eps * s
+    tol = DEFAULT_BOUNDARY_EPS * s
     if abs(z - d) <= tol or abs(z - s) <= tol:
         return TripleGeometry(x, y, z, Region.BOUNDARY)
     if z < d:
@@ -98,11 +97,10 @@ def classify(x: float, y: float, z: float,
     return TripleGeometry(x, y, z, Region.BAND, cos_theta=ct)
 
 
-def r_kernel(orders: MacdonaldOrders, x: float, y: float, z: float,
-             boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> float:
+def r_kernel(orders: MacdonaldOrders, x: float, y: float, z: float) -> float:
     """R_{mu,nu}(x, y, z): 0 inside, Legendre-P band value, Legendre-Q outer
     value (identically 0 when nu - mu is an integer)."""
-    geo = classify(x, y, z, boundary_eps)
+    geo = classify(x, y, z)
     if geo.region is Region.BOUNDARY:
         raise BoundaryTripleError(
             f"triple ({x!r}, {y!r}, {z!r}) lies on a region boundary; "
@@ -114,8 +112,7 @@ def r_kernel(orders: MacdonaldOrders, x: float, y: float, z: float,
     return core.r_band(orders.mu, orders.nu, x, y, z)
 
 
-def r_kernel_gegenbauer(mu: float, n: int, x: float, y: float, z: float,
-                        boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> float:
+def r_kernel_gegenbauer(mu: float, n: int, x: float, y: float, z: float) -> float:
     """The nu = mu + n special case through the Gegenbauer polynomial.
 
     Needs mu > -1/2 and mu != 0 so Gamma(2 mu) and C_n^mu are well defined;
@@ -125,7 +122,7 @@ def r_kernel_gegenbauer(mu: float, n: int, x: float, y: float, z: float,
         raise DomainError(f"gegenbauer-case mu={mu!r} must exceed -1/2 and be nonzero")
     if n < 0 or n != int(n):
         raise DomainError(f"gegenbauer-case offset n={n!r} must be a nonnegative integer")
-    geo = classify(x, y, z, boundary_eps)
+    geo = classify(x, y, z)
     if geo.region is Region.BOUNDARY:
         raise BoundaryTripleError(
             f"triple ({x!r}, {y!r}, {z!r}) lies on a region boundary; "

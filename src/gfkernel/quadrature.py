@@ -34,13 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget knobs shared by all engines."""
+    """Tolerances and budget knobs shared by all engines: absolute and
+    relative tolerance, tanh-sinh refinement levels, and the zero cells and
+    Euler terms of the oscillatory engine.  Immutable and picklable, so
+    tv-sweep hands it to its worker processes as it is."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_levels: int = 12
-    tail_cutoff_policy: str = "exponent-based"  # or "fixed-z"
-    fixed_z_cutoff: float = 1e6
     osc_max_zeros: int = 200
     accel_terms: int = 12
 
@@ -51,10 +52,6 @@ class QuadratureSpec:
             raise DomainError("max_levels must be at least 4")
         if self.osc_max_zeros < 8:
             raise DomainError("osc_max_zeros must be at least 8")
-        if self.tail_cutoff_policy not in ("exponent-based", "fixed-z"):
-            raise DomainError(f"unknown tail_cutoff_policy {self.tail_cutoff_policy!r}")
-        if self.tail_cutoff_policy == "fixed-z" and self.fixed_z_cutoff <= 0.0:
-            raise DomainError("fixed_z_cutoff must be positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -80,11 +77,13 @@ class IntegralResult:
 _T_MAX = 5.5
 
 
-def _de_level(level: int):
+@functools.cache
+def _de_nodes(level: int):
     """Unit nodes for one refinement level: (|x|, weight, near-end distance).
 
     Level 0 holds the integer abscissas t = 0..T_MAX; level L > 0 holds the
-    odd multiples of h = 2^-L.  Weights do not include h.
+    odd multiples of h = 2^-L.  Weights do not include h.  Each level is
+    built once and shared, so callers must not modify it.
     """
     nodes = []
     if level == 0:
@@ -108,15 +107,6 @@ def _de_level(level: int):
             continue
         nodes.append((x, w, sigma))
     return nodes
-
-
-_DE_CACHE: dict[int, list] = {}
-
-
-def _de_nodes(level: int):
-    if level not in _DE_CACHE:
-        _DE_CACHE[level] = _de_level(level)
-    return _DE_CACHE[level]
 
 
 def integrate_singular_band2(f2, lo: float, hi: float,
@@ -210,10 +200,9 @@ def integrate_power_tail(f: Callable[[float], complex], lo: float, decay_exponen
     """∫_lo^∞ f for integrands decaying like z^p with p = decay_exponent < -1.
 
     The measured decay is checked against the promise before integrating;
-    an integrand decaying slower than p + 1/2 is rejected.  Policy
-    "exponent-based" maps u = 1/z onto the singular-interval rule (no
-    truncation); "fixed-z" truncates at spec.fixed_z_cutoff and bounds the
-    remainder with the fitted power law.
+    an integrand decaying slower than p + 1/2 is rejected.  The map u = 1/z
+    carries the whole tail onto the singular-interval rule, so nothing is
+    truncated and truncation_bound is 0.
     """
     if decay_exponent >= -1.0:
         raise DomainError(f"decay_exponent must be < -1, got {decay_exponent!r}")
@@ -226,12 +215,7 @@ def integrate_power_tail(f: Callable[[float], complex], lo: float, decay_exponen
         raise ConvergenceError(
             f"tail decay slower than promised: fitted slope {slope:.3f} vs "
             f"exponent {decay_exponent!r}")
-    if spec.tail_cutoff_policy == "fixed-z":
-        z_cut = max(spec.fixed_z_cutoff, 10.0 * lo)
-        res = integrate_singular_band2(lambda z, dl, dh: f(z), lo, z_cut, spec)
-        bound = abs(f(z_cut)) * z_cut / (-decay_exponent - 1.0)
-        return IntegralResult(res.value, res.est_error + bound,
-                              res.evaluations + 6, bound)
+
     def mapped(u, dl, dh):
         # sequential divisions: u*u may underflow even when f(1/u)/u^2 is finite
         val = f(1.0 / u)

@@ -305,14 +305,14 @@ def libm_lgamma(monkeypatch):
 
     patched = types.SimpleNamespace(**vars(math))
     patched.lgamma = checked
-    plans = (py_core._HYP2F1_PLANS, py_core._BAND_PLANS, py_core._OUTER_PLANS)
+    plans = (py_core._hyp2f1_plan, py_core._band_plan, py_core._outer_plan)
     for p in plans:
-        p.store.clear()
+        p.cache_clear()
     monkeypatch.setattr(py_core, "math", patched)
     yield
     monkeypatch.undo()
     for p in plans:
-        p.store.clear()
+        p.cache_clear()
 
 
 def test_seeded_parity_sweep(c_core, libm_lgamma):

@@ -6,10 +6,12 @@ existed; every test here calls ``_corepy`` directly, so it holds whichever
 backend is selected.
 """
 
+import gc
 import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -58,18 +60,17 @@ def _call(pin):
     return _hex(getattr(_corepy, name)(*args, **kwargs))
 
 
-_PLANS = (_corepy._HYP2F1_PLANS, _corepy._BAND_PLANS, _corepy._OUTER_PLANS)
+_MEMOS = (_corepy._bessel_table, _corepy._gauss_table, _corepy._hyp2f1_plan,
+          _corepy._band_plan, _corepy._outer_plan)
 
 
 def _clear_tables():
-    _corepy._BESSEL_ROWS.store.clear()
-    _corepy._GAUSS_RATIOS.store.clear()
-    for plans in _PLANS:
-        plans.store.clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def _churn(rng, n):
-    """Calls with n fresh orders and triples, enough to empty every store."""
+    """Calls with n fresh orders and triples, enough to evict every memo entry."""
     for _ in range(n):
         _corepy.normalized_bessel_series(rng.uniform(-0.9, 8.0), rng.uniform(0.1, 20.0))
         a, b = rng.uniform(-2.5, 3.0), rng.uniform(-2.5, 3.0)
@@ -80,12 +81,6 @@ def _churn(rng, n):
         mu, nu = rng.uniform(-0.4, 3.0), rng.uniform(-0.4, 3.0)
         _corepy.r_band_core(mu, nu, 1.0, 1.2, 0.9, 0.7, 1.3)
         _corepy.r_outer_core(mu, nu, 1.0, 1.2, 2.9, 1.7, 0.7)
-
-
-def _stores():
-    return ((_corepy._BESSEL_ROWS.store, _corepy._BESSEL_ROWS.cap, _corepy._BESSEL_ROWS.budget),
-            (_corepy._GAUSS_RATIOS.store, _corepy._GAUSS_RATIOS.cap, _corepy._GAUSS_RATIOS.budget),
-            *((plans.store, plans.cap, None) for plans in _PLANS))
 
 
 @pytest.mark.parametrize("pin", _PINS, ids=lambda p: f"{p[0]}{p[1]}")
@@ -104,7 +99,7 @@ def test_tables_never_change_a_value():
     _clear_tables()
     assert [_call(p) for p in reversed(_PINS)] == want[::-1]    # other growth order
     got = []
-    for pin in _PINS:                                           # every store emptied
+    for pin in _PINS:                                           # every memo evicted
         _churn(rng, 70)                                         # between two calls
         got.append(_call(pin))
     assert got == want
@@ -152,16 +147,57 @@ def test_stores_stay_within_their_caps():
     _clear_tables()
     for _ in range(1000):
         _churn(rng, 1)
-        for store, cap, budget in _stores():
-            assert len(store) <= cap
-            if budget is not None:
-                assert sum(map(len, store.values())) <= budget
+        for memo in _MEMOS:
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize
+
+
+def _fill_with_long_tables():
+    """Every memo full, in the order that keeps the most tables alive: band
+    and outer plans first, whose 2F1 plans the next 64 then evict from their
+    memo, then 64 Gauss tables that evict those plans' tables.  Every series
+    reaches the row cap, and many run past it."""
+    u = math.sqrt(2.0)  # z = 1/u^2 = 1/2
+    for i in range(16):
+        nu = 6.0 + i / 8.0
+        _corepy.normalized_bessel_series(nu, _corepy.bessel_crossover(nu))
+        mu = 0.3 + i / 64.0
+        _corepy.r_band_core(mu, 140.37 + i / 64.0, 1.0, 1.2, 0.9, 1.0, 1.0)
+        _corepy.r_band_core(mu, 140.37 + i / 64.0, 1.0, 1.2, 0.9, 1.0 + 1e-9, 1.0 - 1e-9)
+        _corepy.r_outer_core(mu, 160.37 + i / 64.0, 1.0, 1.2, 2.9, u + 1e-9, u - 1.0 + 1e-9)
+        _corepy.r_outer_core(mu, 160.37 + i / 64.0, 1.0, 1.2, 2.9, u - 1e-9, u - 1.0 - 1e-9)
+    for i in range(64):
+        a, b, c = 140.87 + i / 64.0, -139.87, 1.3
+        _corepy.hyp2f1(a, b, c, 0.5)
+        _corepy.hyp2f1(a, b, c, 0.5 + 1e-9)
+    for i in range(64):
+        _corepy.gauss_series(0.5, 0.5, 1.7 + i / 64.0, 0.9)
+
+
+def test_memos_hold_less_than_the_stated_bound():
+    bound = 2.5 * 2 ** 20  # 2.5 MiB, as the _corepy docstring states
+    _clear_tables()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _fill_with_long_tables()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 16 Bessel tables, and 64 Gauss tables plus three in each of 96 plans
+    tables = [o for o in gc.get_objects() if isinstance(o, _corepy._Table)]
+    assert len(tables) == 16 + 64 + 3 * 96
+    assert {len(t.rows) for t in tables} == {_corepy._TABLE_ROWS}
+    assert held < bound
+    _clear_tables()
 
 
 def test_keys_are_typed_and_signed_zeros_share_a_table():
     _clear_tables()
     assert _corepy.gauss_series(1, 2, 3, 0.25) == _corepy.gauss_series(1.0, 2.0, 3.0, 0.25)
-    assert len(_corepy._GAUSS_RATIOS.store) == 2
+    assert _corepy._gauss_table.cache_info().currsize == 2
     # +-0.0 compare equal and share a key; both give the same rows, since
     # a + n and nu + n (n >= 0) round a zero of either sign to +0.0 or n
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
@@ -171,8 +207,8 @@ def test_keys_are_typed_and_signed_zeros_share_a_table():
         _clear_tables()
         v3 = _corepy.normalized_bessel_series(second, 3.7), _corepy.gauss_series(second, 1.5, 2.5, 0.4)
         assert _hex(v1) == _hex(v2) == _hex(v3)
-    assert _corepy._BESSEL_ROWS.grown((float, 0.0), (0.0,), (), 40) == \
-        _corepy._BESSEL_ROWS.grown((float, -0.0), (-0.0,), (), 40)
+    assert _corepy._Table(_corepy._bessel_row, 0.0).grown((), 40) == \
+        _corepy._Table(_corepy._bessel_row, -0.0).grown((), 40)
 
 
 @pytest.mark.parametrize("name, args, exc, message", [
@@ -303,7 +339,7 @@ def test_plans_never_change_an_outcome():
     _clear_tables()
     assert [_outcome(c) for c in reversed(_PLAN_CASES)] == want[::-1]     # other build order
     got = []
-    for case in _PLAN_CASES:                                              # every store emptied
+    for case in _PLAN_CASES:                                              # every memo evicted
         _churn(rng, 70)                                                   # between two calls
         got.append(_outcome(case))
     assert got == want

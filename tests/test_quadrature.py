@@ -34,8 +34,6 @@ class TestSpecValidation:
             QuadratureSpec(max_levels=3)
         with pytest.raises(DomainError):
             QuadratureSpec(osc_max_zeros=4)
-        with pytest.raises(DomainError):
-            QuadratureSpec(tail_cutoff_policy="nope")
 
 
 class TestSingularBand:
@@ -100,12 +98,6 @@ class TestPowerTail:
     def test_precondition(self):
         with pytest.raises(DomainError):
             integrate_power_tail(lambda t: t ** -3.0, 1.0, -0.5)
-
-    def test_fixed_z_policy(self):
-        spec = QuadratureSpec(tail_cutoff_policy="fixed-z", fixed_z_cutoff=1e5)
-        r = integrate_power_tail(lambda t: t ** -2.0, 1.0, -2.0, spec)
-        assert r.truncation_bound > 0.0
-        assert abs(r.value - 1.0) <= 2.0 * r.truncation_bound + 1e-9
 
     def test_zero_tail(self):
         r = integrate_power_tail(lambda t: 0.0, 1.0, -3.0)
