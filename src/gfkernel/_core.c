@@ -29,6 +29,7 @@
 #define LOG_MAX 709.0
 #define SPLITTER 134217729.0  /* 2^27 + 1, Dekker split constant */
 #define BESSEL_TERMS 600
+#define DD_SLACK 0x1p-90  /* _corepy._DD_SLACK */
 #define NMAX 4000  /* terms of the Gauss loop, and the cap of the terminating sums */
 
 static PyObject *ConvergenceError, *DegenerateParameterError, *DomainError,
@@ -150,13 +151,27 @@ static double bessel_crossover(double nu)
     return c > 25.0 ? c : 25.0;
 }
 
+/* Whether every real within bound of sh + sl rounds to the same double as
+   sh + sl; the halved margin absorbs the rounding of this test. */
+static int rounds_alike(double sh, double sl, double bound)
+{
+    double r = sh + sl, e = sl - (r - sh);  /* fast_two_sum: sh + sl = r + e exactly */
+    double up = 0.5 * (nextafter(r, INFINITY) - r);
+    double down = 0.5 * (r - nextafter(r, -INFINITY));
+    double margin = down + e < up - e ? down + e : up - e;
+    return bound < 0.5 * margin;
+}
+
 /* sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n) in double-double arithmetic, by
-   _corepy's sequence of operations, so both cores return the same double. */
+   _corepy's sequence of operations, so both cores return the same double.
+   Returns as soon as the alternating tail cannot change fl(sum): once the
+   term ratio rho is below 1/2 the tail lies within rho |term| of the sum,
+   plus DD_SLACK |sum| for the rounding of the terms still to be added. */
 static double normalized_bessel_series(double nu, double x)
 {
     double half = 0.5 * x, t, hh, hl, qh, ql, qhh, qhl;
     double th = 1.0, tl = 0.0, sh = 1.0, sl = 0.0;
-    double fn, ah, bb, al, dh, dl, ahh, ahl, vh, vl, p, uh, ul, pl, q1, q2, rh, rl, r;
+    double fn, ah, bb, al, dh, dl, ahh, ahl, vh, vl, p, uh, ul, pl, q1, q2, rh, rl, r, rho;
     int n;
     /* q = -two_prod(half, half), the sign building in the alternation, and
        the split of qh that every two_prod(th, qh) below reuses */
@@ -218,6 +233,11 @@ static double normalized_bessel_series(double nu, double x)
         sh = rh + rl;
         sl = rl - (sh - rh);
         if (fabs(th) <= 1e-35 * fabs(sh) + 1e-305) return sh + sl;
+        if (fabs(th) <= 0x1p-52 * fabs(sh)) {
+            rho = half * half / ((n + 1.0) * (nu + n + 1.0));
+            if (rho < 0.5 && rounds_alike(sh, sl, rho * fabs(th) + DD_SLACK * fabs(sh)))
+                return sh + sl;
+        }
     }
     return fail(ConvergenceError,
                 "normalized Bessel series did not converge (nu=%r, x=%r)", nu, x);
@@ -319,6 +339,11 @@ static double terminating_series(double a, double b, double c, double z, long nt
         abssum += fabs(term);
     }
     *err = 1e-16 * abssum;
+    /* no digit is known when the rounding bound exceeds both the sum and the
+       first term, 1 (an exact zero of a short polynomial stays a value) */
+    if (!(isfinite(s) && (*err < fabs(s) || *err < 1.0)))
+        return fail(ConvergenceError, "terminating 2F1 series lost every digit to "
+                    "cancellation (a=%r, b=%r, c=%r, z=%r)", a, b, c, z);
     return s;
 }
 

@@ -219,6 +219,12 @@ def _bessel_row(nu, i):
 
 
 _BESSEL_TERMS = 600
+# Bound on the rounding that the double-double sum of normalized_bessel_series
+# gathers over the terms left once |term| <= 2^-52 |sum| and the term ratio is
+# below 1/2: at most 65 terms (each at most half the last) until the 1e-35
+# exit, each added with an error below 2^-103 |sum|.
+_DD_SLACK = 2.0 ** -90
+_EPS = 2.0 ** -52
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -227,10 +233,25 @@ def _bessel_table(nu):
     return _Table(_bessel_row, nu)
 
 
+def _rounds_alike(sh, sl, bound):
+    """Whether every real within bound of sh + sl rounds to the same double
+    as sh + sl; the halved margin absorbs the rounding of this test."""
+    r = sh + sl
+    e = sl - (r - sh)  # fast_two_sum: sh + sl = r + e exactly
+    up = 0.5 * (math.nextafter(r, math.inf) - r)
+    down = 0.5 * (r - math.nextafter(r, -math.inf))
+    return bound < 0.5 * min(up - e, down + e)
+
+
 def normalized_bessel_series(nu, x):
     """sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n) in double-double arithmetic.
 
     Valid for any nu > -1; intended for x below the asymptotic crossover.
+    Returns fl(sum) as soon as the tail left cannot change it: once the term
+    ratio rho = (x/2)^2 / ((n+1)(nu+n+1)) is below 1/2 the tail alternates
+    and decreases, so it lies within rho |term| of the sum, plus _DD_SLACK
+    for the rounding of the terms still to be added.  The double returned
+    is the one the loop run to its 1e-35 exit returns.
     """
     splitter = _SPLITTER
     # q = -two_prod(half, half), the sign building in the alternation, and
@@ -286,6 +307,10 @@ def normalized_bessel_series(nu, x):
             sl = rl - (sh - rh)
             if abs(th) <= 1e-35 * abs(sh) + 1e-305:
                 return sh + sl
+            if abs(th) <= _EPS * abs(sh):
+                rho = half * half / ((n + 1.0) * (nu + n + 1.0))
+                if rho < 0.5 and _rounds_alike(sh, sl, rho * abs(th) + _DD_SLACK * abs(sh)):
+                    return sh + sl
     raise ConvergenceError(
         f"normalized Bessel series did not converge (nu={nu!r}, x={x!r})")
 
@@ -408,7 +433,14 @@ def _terminating_series(a, b, c, z, nterms):
         comp = (t - s) - y
         s = t
         abssum += abs(term)
-    return s, 1e-16 * abssum
+    err = 1e-16 * abssum
+    # no digit is known when the rounding bound exceeds both the sum and the
+    # first term, 1 (an exact zero of a short polynomial stays a value)
+    if not (math.isfinite(s) and (err < abs(s) or err < 1.0)):
+        raise ConvergenceError(
+            f"terminating 2F1 series lost every digit to cancellation "
+            f"(a={a!r}, b={b!r}, c={c!r}, z={z!r})")
+    return s, err
 
 
 def _gamma_ratio(num, den):

@@ -331,8 +331,13 @@ def _merge_config(ns: argparse.Namespace) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
+        known = vars(ns).keys() - {"command", "config"}
         for key, val in cfg.items():
-            merged[key.replace("-", "_")] = val
+            name = key.replace("-", "_")
+            if name not in known:
+                raise DomainError(f"unknown config key {key!r} for {ns.command}; "
+                                  f"known: {', '.join(sorted(known))}")
+            merged[name] = val
     for key, val in vars(ns).items():
         if key in ("command", "config"):
             continue

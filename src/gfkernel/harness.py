@@ -246,7 +246,10 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
         z = g.z_of(Z)
         return band(Z, z, even, odd) * g.common(z) * g.dz_dt(Z)
 
-    res = integrate_singular_band2(f_band, -1.0, 1.0, spec)
+    # every piece grows like d^(mu - 1/2) at a region edge, d the distance
+    # to it: the band at both ends, the gap at Z1, the near-outer at u = 1
+    edge = mu - 0.5
+    res = integrate_singular_band2(f_band, -1.0, 1.0, spec, edge_exponent=edge)
     pieces = [res.value, 0.0, 0.0, 0.0]
     qerr = res.est_error
     trunc = 0.0
@@ -264,7 +267,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
             z = g.z_of(Z)
             return gap(Z, z, t) * g.common(z) * g.dz_dZ(Z)
 
-        res = integrate_singular_band2(f_gap, 0.0, g.Z1, spec)
+        res = integrate_singular_band2(f_gap, 0.0, g.Z1, spec, edge_exponent=edge)
         pieces[1] = res.value
         qerr += res.est_error
 
@@ -278,7 +281,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
             z = g.z_of(Z)
             return outer(Z, z, t2) * g.common(z) * g.dz_dt(Z)
 
-        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec)
+        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec, edge_exponent=edge)
         pieces[2] = res.value
         qerr += res.est_error
         z_split = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * (_COSH_SPLIT - 1.0))

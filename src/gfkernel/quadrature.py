@@ -1,7 +1,8 @@
 """Integration engines for the three integral shapes that appear here:
 
 * finite intervals whose integrand has algebraic endpoint singularities
-  (tanh-sinh / double-exponential rule),
+  (tanh-sinh / double-exponential rule, on s = d^(1+p) when a stated edge
+  power d^p is too strong for its nodes),
 * semi-infinite tails with a known power-law decay (1/z substitution onto
   the singular-interval rule, with a decay-fit guard),
 * semi-infinite Bessel-oscillatory integrals (partition at Bessel zeros,
@@ -109,15 +110,77 @@ def _de_nodes(level: int):
     return nodes
 
 
+# Smallest endpoint distance of any node, as a fraction of the half-width:
+# sigma at t = T_MAX, which level 1 reaches.  An integrand that grows like
+# d^p at an end keeps about _SIGMA_MIN^(1+p) of its mass closer than that.
+_SIGMA_MIN = min(sigma for _, _, sigma in _de_nodes(1))
+
+
 def integrate_singular_band2(f2, lo: float, hi: float,
-                             spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
+                             spec: QuadratureSpec = DEFAULT_SPEC,
+                             edge_exponent: float = 0.0) -> IntegralResult:
     """Distance-aware tanh-sinh rule: f2(x, dist_lo, dist_hi).
 
     The engine never evaluates at the endpoints; nodes whose distance
     underflows are dropped (their weights are far below any tolerance).
+
+    edge_exponent p > -1 states that f2 grows at most like d^p at either
+    end, d the distance to that end.  Where the mass the nodes cannot reach,
+    about _SIGMA_MIN^(1+p) of the whole, exceeds spec.rel_tol, each half of
+    the interval is integrated in s = (d/half)^(1+p), which cancels that
+    power (see _integrate_edge_substituted); otherwise the plain rule runs
+    as it does for p = 0.
     """
     if not lo < hi:
         raise DomainError(f"empty or inverted interval [{lo!r}, {hi!r}]")
+    if not edge_exponent > -1.0:
+        raise DomainError(f"edge_exponent must be > -1, got {edge_exponent!r}")
+    if math.pow(_SIGMA_MIN, 1.0 + edge_exponent) > spec.rel_tol:
+        return _integrate_edge_substituted(f2, lo, hi, 1.0 + edge_exponent, spec)
+    return _tanh_sinh(f2, lo, hi, spec)
+
+
+def _integrate_edge_substituted(f2, lo: float, hi: float, beta: float,
+                                spec: QuadratureSpec) -> IntegralResult:
+    """∫_lo^hi f2 for f2 = O(d^(beta-1)) at both ends, split at the midpoint.
+
+    On each half, d = half * s^(1/beta) is the distance to the outer end and
+    dd = (half^beta / beta) d^(1-beta) ds, so the s-integrand f2 d^(1-beta)
+    is flat at s = 0 and the plain rule resolves it.  d is floored at the
+    plain rule's own smallest node distance: s^(1/beta) underflows for
+    small beta where f2 d^(1-beta) is already constant, and f2 is never
+    asked for a point closer to an end than the plain rule asks for.
+    """
+    half = 0.5 * (hi - lo)
+    width = 2.0 * half
+    floor = half * _SIGMA_MIN
+    inv = 1.0 / beta
+    scale = math.pow(half, beta) * inv
+
+    def dist(s):
+        return max(half * math.pow(s, inv), floor)
+
+    def from_lo(s, ds_lo, ds_hi):
+        d = dist(ds_lo)
+        return f2(lo + d, d, width - d) * (math.pow(d, 1.0 - beta) * scale)
+
+    def from_hi(s, ds_lo, ds_hi):
+        d = dist(ds_lo)
+        return f2(hi - d, width - d, d) * (math.pow(d, 1.0 - beta) * scale)
+
+    try:
+        left = _tanh_sinh(from_lo, 0.0, 1.0, spec)
+        right = _tanh_sinh(from_hi, 0.0, 1.0, spec)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"tanh-sinh rule did not converge in {spec.max_levels} levels on "
+            f"[{lo!r}, {hi!r}] with edge exponent {beta - 1.0!r}") from exc
+    return IntegralResult(left.value + right.value, left.est_error + right.est_error,
+                          left.evaluations + right.evaluations)
+
+
+def _tanh_sinh(f2, lo: float, hi: float, spec: QuadratureSpec) -> IntegralResult:
+    """The plain rule of integrate_singular_band2 on lo < hi."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     evals = 0

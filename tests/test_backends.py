@@ -29,7 +29,7 @@ import pytest
 from gfkernel import _corepy as py_core
 from gfkernel import backend_name
 from gfkernel.errors import ConvergenceError, GfkError, RangeOverflowError
-from test_specfn import _SERIES_PINS
+from test_specfn import _SERIES_PINS, early_stop_points
 
 ROOT = Path(__file__).resolve().parents[1]
 CORE_C = ROOT / "src" / "gfkernel" / "_core.c"
@@ -160,9 +160,30 @@ def test_huge_terminating_parameter_raises(core, name, args):
         getattr(core, name)(*args)
 
 
+@pytest.mark.parametrize("args", [(-200.0, 1.0, 2.0, 0.3), (-4000.0, 1.0, 2.0, 0.3)])
+def test_cancelling_terminating_series_raises(core, args):
+    # exact values (1 - 0.7^(1-a)) / ((1-a) 0.3): 0.016584 and 8.33e-4; the
+    # alternating terms reach 1e114, so the double sum is noise or nan
+    with pytest.raises(ConvergenceError, match="terminating 2F1 series lost every digit"):
+        core.hyp2f1(*args)
+
+
+@pytest.mark.parametrize("a", [-3.0, -60.0, -100.0])
+def test_terminating_series_within_its_estimate_is_returned(core, a):
+    value, err = core.hyp2f1(a, 1.0, 2.0, 0.3)
+    assert abs(value - (1.0 - 0.7 ** (1.0 - a)) / ((1.0 - a) * 0.3)) <= err < abs(value)
+
+
 @pytest.mark.parametrize("nu, x, expected", _SERIES_PINS)
 def test_compiled_series_bit_pins(c_core, nu, x, expected):
     assert c_core.normalized_bessel_series(nu, x).hex() == expected
+
+
+def test_compiled_series_early_stop_matches_the_pure_core(c_core):
+    changed = [(nu, x) for nu, x in early_stop_points()
+               if c_core.normalized_bessel_series(nu, x).hex()
+               != py_core.normalized_bessel_series(nu, x).hex()]
+    assert not changed, changed[:5]
 
 
 def _outcome(fn, *args):

@@ -114,6 +114,21 @@ class TestConfigFile:
         code = main(["eval-kernel", "--config", "/nonexistent.json"])
         assert code == 2
 
+    def test_unknown_config_key_is_invalid_input(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 0.5, "a": 2.0, "lam": 1.1, "x": 0.7, "y": 1.3,
+                                   "reltol": 1e-3}))
+        code = main(["verify-product", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid input:") and "'reltol'" in err
+
+    def test_config_keys_may_use_flag_spelling(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 0.5, "a": 2.0, "lam": 0.0, "x": 1.0, "rel-tol": 1e-8}))
+        code, _ = run_cli(["eval-kernel", "--config", str(cfg)], capsys)
+        assert code == 0
+
 
 class TestSweepAndFormats:
     def test_tv_sweep_sorted_rows(self, capsys):

@@ -159,7 +159,7 @@ def _fill_with_long_tables():
     reaches the row cap, and many run past it."""
     u = math.sqrt(2.0)  # z = 1/u^2 = 1/2
     for i in range(16):
-        nu = 6.0 + i / 8.0
+        nu = 7.0 + i / 8.0  # from 7 on, even the early stop runs past the cap
         _corepy.normalized_bessel_series(nu, _corepy.bessel_crossover(nu))
         mu = 0.3 + i / 64.0
         _corepy.r_band_core(mu, 140.37 + i / 64.0, 1.0, 1.2, 0.9, 1.0, 1.0)
@@ -305,7 +305,9 @@ _PLAN_CASES = [
     # non-finite parameters fail where the checks first meet them
     ("hyp2f1", (math.nan, 0.5, 1.5, 0.0), {}, ("0x1.0000000000000p+0", "0x0.0p+0")),
     ("hyp2f1", (math.nan, 0.5, 1.5, 0.3), {}, "ValueError: cannot convert float NaN to integer"),
-    ("hyp2f1", (-2.0, math.nan, 1.5, 0.3), {}, ("nan", "nan")),
+    ("hyp2f1", (-2.0, math.nan, 1.5, 0.3), {},
+     "ConvergenceError: terminating 2F1 series lost every digit to cancellation "
+     "(a=-2.0, b=nan, c=1.5, z=0.3)"),
     ("hyp2f1", (0.5, 0.25, math.inf, 0.3), {}, ("0x1.0000000000000p+0", "0x1.cd2b297d889bcp-54")),
     ("hyp2f1", (0.5, 0.25, math.inf, 0.7), {}, "OverflowError: cannot convert float infinity to integer"),
     ("hyp2f1", (0.5, 0.25, math.nan, 0.0), {}, "ValueError: cannot convert float NaN to integer"),

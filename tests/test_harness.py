@@ -25,6 +25,7 @@ from gfkernel.harness import (
     tv_norm_report,
 )
 from gfkernel.quadrature import QuadratureSpec
+from gfkernel.selfcheck import PRODUCT_GRID_LAMBDA, PRODUCT_GRID_XY
 
 SPEC = QuadratureSpec()
 P_DUNKL = Params(0.5, 2.0)
@@ -55,6 +56,12 @@ class TestAxisGrid:
         pts = list(grid.points())
         assert pts == [dict(x=0.0, y=5.0), dict(x=0.0, y=6.0),
                        dict(x=1.0, y=5.0), dict(x=1.0, y=6.0)]
+
+
+@pytest.fixture
+def pure_core(monkeypatch):
+    for module in (genkernel, harness, macdonald, quadrature):
+        monkeypatch.setattr(module, "core", _corepy)
 
 
 class TestProductResidual:
@@ -111,7 +118,7 @@ class TestProductResidual:
         (0.75, 4.0 / 3.0, 1.9, 0.4, 2.5, "0x1.0ffb3a3c35c58p-38"),
         (1.0, 2.0 / 3.0, 0.7, 1.2, 2.5, "0x1.64cf682692783p-53"),
     ])
-    def test_bessel_values_are_not_recomputed(self, monkeypatch, k, a, lam, x, y, want):
+    def test_bessel_values_are_not_recomputed(self, monkeypatch, pure_core, k, a, lam, x, y, want):
         # tanh-sinh nodes next to an endpoint repeat cZ; without a memo
         # about 40% of these calls repeat an earlier (order, argument) pair
         calls = []
@@ -121,12 +128,39 @@ class TestProductResidual:
             calls.append((nu, arg))
             return bessel(nu, arg)
 
-        for module in (genkernel, harness, macdonald, quadrature):
-            monkeypatch.setattr(module, "core", _corepy)
         monkeypatch.setattr(_corepy, "normalized_bessel_j", counted)
         r = product_residual(Params(k, a), lam, x, y, SPEC)
         assert len(calls) - len(set(calls)) <= 0.15 * len(calls)
         assert r.rel_residual.hex() == want       # recorded before the memo
+
+
+class TestBoundaryOrder:
+    """mu = 2k - 1 -> -1/2 at a = 1, where every piece of the density grows
+    like d^(mu - 1/2) at a region edge."""
+
+    C02 = [(lam, x, y) for lam in PRODUCT_GRID_LAMBDA
+           for x in PRODUCT_GRID_XY for y in PRODUCT_GRID_XY]
+
+    @pytest.mark.parametrize("mu", [-0.49, -0.499])
+    def test_product_formula_on_the_c02_points(self, pure_core, mu):
+        p = Params(0.5 * (mu + 1.0), 1.0)
+        for lam, x, y in self.C02:
+            r = product_residual(p, lam, x, y, SPEC)
+            assert r.rel_residual <= 1e-5 and r.wall_time < 1.0, (lam, x, y, r)
+
+    @pytest.mark.parametrize("mu", [-0.47, -0.46, -0.455])
+    def test_product_formula_to_the_quadrature_tolerance(self, mu):
+        # the plain rule returned 5e-8 at mu = -0.46 without an error
+        p = Params(0.5 * (mu + 1.0), 1.0)
+        for lam, x, y in [(0.7, 0.4, 0.4), (1.9, 1.2, 2.5)]:
+            assert product_residual(p, lam, x, y, SPEC).rel_residual <= 1e-9
+
+    def test_mass(self):
+        p = Params(0.5 * (-0.49 + 1.0), 1.0)
+        for x in PRODUCT_GRID_XY:
+            for y in PRODUCT_GRID_XY:
+                mass, _ = gamma_mass(p, x, y, SPEC)
+                assert abs(mass - 1.0) <= 1e-6, (x, y)
 
 
 class TestTvNorm:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gfkernel import Params, delta_density
+from gfkernel import Params, delta_density, quadrature
 from gfkernel.errors import ConvergenceError, DomainError
 from gfkernel.quadrature import (
     QuadratureSpec,
@@ -34,6 +34,55 @@ class TestSpecValidation:
             QuadratureSpec(max_levels=3)
         with pytest.raises(DomainError):
             QuadratureSpec(osc_max_zeros=4)
+
+
+def _beta_arc(p):
+    """∫_{-1}^{1} (1 - t^2)^p dt = sqrt(pi) Gamma(p + 1) / Gamma(p + 3/2)."""
+    return math.exp(0.5 * math.log(math.pi) + math.lgamma(p + 1.0) - math.lgamma(p + 1.5))
+
+
+class TestEdgeExponent:
+    # p* where _SIGMA_MIN^(1 + p) = rel_tol: the plain rule below it
+    P_SWITCH = math.log(SPEC.rel_tol) / math.log(quadrature._SIGMA_MIN) - 1.0
+
+    @pytest.mark.parametrize("p", [-0.999, -0.99, -0.975, -0.96])
+    def test_reaches_the_edge_mass(self, p):
+        r = integrate_singular_band2(lambda t, dlo, dhi: (dlo * dhi) ** p, -1.0, 1.0,
+                                     edge_exponent=p)
+        assert abs(r.value - _beta_arc(p)) <= 1e-12 * _beta_arc(p)
+        assert r.est_error <= 1e-9 * r.value
+
+    def test_plain_rule_misses_that_mass(self):
+        p = -0.975
+        with pytest.raises(ConvergenceError):
+            integrate_singular_band2(lambda t, dlo, dhi: (dlo * dhi) ** p, -1.0, 1.0)
+
+    def test_one_singular_end_on_a_shifted_interval(self):
+        # ∫_2^5 (x - 2)^p (x - 1) dx: a regular far end and a scaled half-width
+        p = -0.99
+        r = integrate_singular_band2(lambda x, dlo, dhi: dlo ** p * (x - 1.0), 2.0, 5.0,
+                                     edge_exponent=p)
+        want = 3.0 ** (p + 1.0) / (p + 1.0) + 3.0 ** (p + 2.0) / (p + 2.0)
+        assert abs(r.value - want) <= 1e-12 * want
+
+    def test_switch_sits_where_the_left_out_mass_meets_rel_tol(self):
+        assert -0.947 < self.P_SWITCH < -0.945
+
+    @pytest.mark.parametrize("p", [P_SWITCH + 1e-9, -0.9, -0.5, 0.5])
+    def test_above_the_switch_the_plain_rule_runs_bit_for_bit(self, p):
+        f = lambda t, dlo, dhi: (dlo * dhi) ** -0.4 * math.cos(t)
+        assert integrate_singular_band2(f, -1.0, 2.0, edge_exponent=p) == \
+            integrate_singular_band2(f, -1.0, 2.0)
+
+    def test_below_the_switch_the_substitution_runs(self):
+        f = lambda t, dlo, dhi: (dlo * dhi) ** -0.4 * math.cos(t)
+        assert integrate_singular_band2(f, -1.0, 2.0, edge_exponent=self.P_SWITCH - 1e-9) != \
+            integrate_singular_band2(f, -1.0, 2.0)
+
+    @pytest.mark.parametrize("p", [-1.0, -2.0, math.nan])
+    def test_exponent_must_exceed_minus_one(self, p):
+        with pytest.raises(DomainError, match="edge_exponent"):
+            integrate_singular_band2(lambda t, dlo, dhi: 1.0, 0.0, 1.0, edge_exponent=p)
 
 
 class TestSingularBand:

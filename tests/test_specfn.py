@@ -1,6 +1,7 @@
 """Special-function layer: closed forms, cross-path consistency, envelopes."""
 
 import math
+import random
 
 import pytest
 from numpy.testing import assert_allclose
@@ -120,6 +121,79 @@ _SERIES_PINS = [
 def test_pure_series_bit_pins(nu, x, expected):
     # _corepy directly, so the pins hold whichever backend is selected
     assert _corepy.normalized_bessel_series(nu, x).hex() == expected
+
+
+def _unabridged_series(nu, x):
+    """normalized_bessel_series as it was before its early stop: the same
+    double-double operations, run to the 1e-35 exit."""
+    split = 134217729.0
+    half = 0.5 * x
+    t = split * half
+    hh = t - (t - half)
+    hl = half - hh
+    qh = half * half
+    ql = -(((hh * hh - qh) + hh * hl + hl * hh) + hl * hl)
+    qh = -qh
+    t = split * qh
+    qhh = t - (t - qh)
+    qhl = qh - qhh
+    th, tl, sh, sl = 1.0, 0.0, 1.0, 0.0
+    for n in range(1, 601):
+        ah = nu + n
+        bb = ah - nu
+        al = (nu - (ah - bb)) + (n - bb)
+        dh = ah * n
+        t = split * ah
+        ahh = t - (t - ah)
+        dl = (ahh * n - dh) + (ah - ahh) * n + al * n
+        t = split * dh
+        vh = t - (t - dh)
+        vl = dh - vh
+        p = th * qh
+        t = split * th
+        uh = t - (t - th)
+        ul = th - uh
+        pl = ((uh * qhh - p) + uh * qhl + ul * qhh) + ul * qhl + (th * ql + tl * qh)
+        th = p + pl
+        tl = pl - (th - p)
+        q1 = th / dh
+        p = q1 * dh
+        t = split * q1
+        uh = t - (t - q1)
+        ul = q1 - uh
+        pl = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl + q1 * dl
+        rh = th - p
+        bb = rh - th
+        rl = (th - (rh - bb)) + (-p - bb) + (tl - pl)
+        r = rh + rl
+        q2 = (r + (rl - (r - rh))) / dh
+        th = q1 + q2
+        tl = q2 - (th - q1)
+        rh = sh + th
+        bb = rh - sh
+        rl = (sh - (rh - bb)) + (th - bb) + (sl + tl)
+        sh = rh + rl
+        sl = rl - (sh - rh)
+        if abs(th) <= 1e-35 * abs(sh) + 1e-305:
+            return sh + sl
+    raise AssertionError("reference series did not converge")
+
+
+def early_stop_points():
+    """20,000 seeded series arguments: 40 orders in (-1, 12), each with 500
+    log-uniform x in [1e-3, bessel_crossover(nu)]."""
+    rng = random.Random(20261018)
+    for _ in range(40):
+        nu = -1.0 + 13.0 * (1.0 - rng.random())
+        top = math.log(_corepy.bessel_crossover(nu) / 1e-3)
+        for _ in range(500):
+            yield nu, 1e-3 * math.exp(top * rng.random())
+
+
+def test_series_early_stop_returns_the_unabridged_double():
+    changed = [(nu, x) for nu, x in early_stop_points()
+               if _corepy.normalized_bessel_series(nu, x).hex() != _unabridged_series(nu, x).hex()]
+    assert not changed, changed[:5]
 
 
 @pytest.mark.parametrize("fn, args", [
