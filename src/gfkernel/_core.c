@@ -552,12 +552,20 @@ static double gegenbauer(long n, double mu, double t)
 
 /* ---- Triple-Bessel (Macdonald) kernel branch values, fused forms (see _corepy) ---- */
 
-/* Band value of R_{mu,nu}(xa, ya, za) given omt = 1-cos(theta), opt = 1+cos(theta). */
+/* Band value of R_{mu,nu}(xa, ya, za) given omt = 1-cos(theta), opt = 1+cos(theta).
+   When nu-mu is an integer n >= 0 the 2F1 is taken in its Euler form,
+   (opt/2)^(mu-1/2) times the degree-n polynomial 2F1(-n, mu+nu; mu+1/2; z). */
 static double r_band_core(double mu, double nu, double xa, double ya, double za,
                           double omt, double opt)
 {
-    double err, f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 1, 0.5 * opt, &err);
+    double err, f;
+    int euler = is_nonpositive_integer(mu - nu);
+    if (euler)
+        f = hyp2f1(mu - nu, mu + nu, mu + 0.5, 0.5 * omt, 1, 0.5 * opt, &err);
+    else
+        f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 1, 0.5 * opt, &err);
     if (PyErr_Occurred()) return -1.0;
+    if (euler) f *= pow(0.5 * opt, mu - 0.5);
     return (pow(xa * ya, mu - 1.0) * pow(omt, mu - 0.5) * f
             / (SQRT_2PI * pow(za, mu) * exp(lgamma(mu + 0.5))));
 }

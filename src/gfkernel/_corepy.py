@@ -54,6 +54,17 @@ Numerical notes
   the sin/sinh powers analytically, so no (1-t^2) or (u^2-1) power is ever
   formed near a region edge.  Callers supply the two endpoint complements
   (1 -+ cos(theta), u - 1) which they can compute stably.
+* Integer offsets.  When nu-mu is an integer n >= 0 (the compact-support
+  case 2/a = n, and the R_{mu,mu} term at every a), the band 2F1(nu+1/2,
+  1/2-nu; mu+1/2; z) is taken in Euler's form (DLMF 15.8.1),
+  (1-z)^(mu-1/2) 2F1(-n, mu+nu; mu+1/2; z): a degree-n polynomial that
+  ``_terminating_series`` sums in n terms, times a power of the supplied
+  complement 1-z = opt/2.  The transformation is exact, and it replaces a
+  Gauss or connection sum of about 27 terms.  Where the direct parameters
+  terminate too (mu and nu half-integers), their polynomial has a zero of
+  order mu-1/2 at z = 1 that the sum reaches only by cancellation; the
+  Euler form carries it in the power of opt, exactly.  Every other offset
+  keeps its plan and its bits.
 """
 
 import functools
@@ -707,13 +718,19 @@ def gegenbauer(n, mu, t):
 
 
 class _BandPlan:
-    """The order-only part of r_band_core: its 2F1 plan, mu-1, mu-1/2 and
-    Gamma(mu+1/2), the last built after the first call's powers."""
+    """The order-only part of r_band_core: its 2F1 plan, whether that is the
+    Euler form (nu-mu an integer n >= 0 by _OuterPlan.zero's test; see
+    "Integer offsets" above), mu-1, mu-1/2 and Gamma(mu+1/2), the last built
+    after the first call's powers."""
 
-    __slots__ = ("hyp", "mu1", "muh", "gm")
+    __slots__ = ("hyp", "euler", "mu1", "muh", "gm")
 
     def __init__(self, mu, nu):
-        self.hyp = _hyp2f1_plan(nu + 0.5, 0.5 - nu, mu + 0.5)
+        self.euler = is_nonpositive_integer(mu - nu)
+        if self.euler:
+            self.hyp = _hyp2f1_plan(mu - nu, mu + nu, mu + 0.5)
+        else:
+            self.hyp = _hyp2f1_plan(nu + 0.5, 0.5 - nu, mu + 0.5)
         self.mu1 = mu - 1.0
         self.muh = mu - 0.5
         self.gm = None
@@ -726,6 +743,8 @@ def r_band_core(mu, nu, xa, ya, za, omt, opt):
     """Band value of R_{mu,nu}(xa, ya, za) given omt = 1-cos(theta), opt = 1+cos(theta)."""
     plan = _band_plan(mu, nu)
     f, _ = _hyp2f1(plan.hyp, 0.5 * omt, 0.5 * opt)
+    if plan.euler:
+        f *= math.pow(0.5 * opt, plan.muh)
     num = math.pow(xa * ya, plan.mu1) * math.pow(omt, plan.muh) * f
     den = _SQRT_2PI * math.pow(za, mu)
     gm = plan.gm

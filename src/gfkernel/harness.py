@@ -493,7 +493,9 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
         return (val * core.normalized_bessel_j(mu, Z * t) * math.pow(Z, mu + 1.0)
                 * (x * y / Z))
 
-    res = integrate_singular_band2(f_band, -1.0, 1.0, spec)
+    # the band and near-outer pieces grow like d^(mu - 1/2) at their edges
+    edge = mu - 0.5
+    res = integrate_singular_band2(f_band, -1.0, 1.0, spec, edge_exponent=edge)
     rhs = res.value
     qerr += res.est_error
 
@@ -509,7 +511,7 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
             w = core.normalized_bessel_j(mu, Z * t) * math.pow(Z, mu + 1.0)
             return val * w * (x * y / Z)
 
-        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec)
+        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec, edge_exponent=edge)
         rhs += res.value
         qerr += res.est_error
         z_split = math.sqrt(x * x + y * y + 2.0 * x * y * _COSH_SPLIT)
@@ -544,6 +546,8 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
     kfac = math.pow(2.0, mu) * math.exp(math.lgamma(mu + 1.0))
     qerr = 0.0
     rhs = 0.0
+    # the gap and band pieces grow like d^(mu - 1/2) at their edges
+    edge = mu - 0.5
 
     d = nu - mu
     if y > x and abs(d - round(d)) > 1e-12:
@@ -553,7 +557,7 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
                 return 0.0
             return val * core.normalized_bessel_j(nu, Z * t) * math.pow(Z, nu + 1.0)
 
-        res = integrate_singular_band2(f_out, 0.0, y - x, spec)
+        res = integrate_singular_band2(f_out, 0.0, y - x, spec, edge_exponent=edge)
         rhs += res.value
         qerr += res.est_error
 
@@ -565,7 +569,7 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
         val = core.r_band_core(mu, nu, x, Z, y, *_complements(x, Z, ex, dhi, ey, x + Z + y))
         return val * core.normalized_bessel_j(nu, Z * t) * math.pow(Z, nu + 1.0)
 
-    res = integrate_singular_band2(f_band, dm, x + y, spec)
+    res = integrate_singular_band2(f_band, dm, x + y, spec, edge_exponent=edge)
     rhs += res.value
     qerr += res.est_error
     return _report(lhs, kfac * rhs, kfac * qerr, t0)

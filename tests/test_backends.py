@@ -1,26 +1,21 @@
 """Compiled core vs pure-Python core: one implementation, two builds.
 
-The compiled core is ``src/gfkernel/_core.c``.  When no built
-``gfkernel._core`` is importable, the ``c_core`` fixture compiles that file
-with the benchmark's flags (plus -Wall -Wextra -Werror) into a temporary
-directory, never into ``src/``, so the default backend stays as it is.
+The compiled core is ``src/gfkernel/_core.c``; the ``c_core`` and ``core``
+fixtures (``conftest.py``) build or import it.
 """
 
 import ast
 import contextlib
 import ctypes
 import ctypes.util
-import importlib.util
 import inspect
 import math
 import os
 import random
 import re
-import shutil
 import signal
 import subprocess
 import sys
-import sysconfig
 import types
 from pathlib import Path
 
@@ -33,32 +28,6 @@ from test_specfn import _SERIES_PINS, early_stop_points
 
 ROOT = Path(__file__).resolve().parents[1]
 CORE_C = ROOT / "src" / "gfkernel" / "_core.c"
-
-
-@pytest.fixture(scope="session")
-def c_core(tmp_path_factory):
-    """The compiled core: an importable build, or _core.c compiled here."""
-    try:
-        from gfkernel import _core
-        return _core
-    except ImportError:
-        pass
-    include = sysconfig.get_paths()["include"]
-    if shutil.which("gcc") is None or not Path(include, "Python.h").exists():
-        pytest.skip("gcc or the Python headers are missing")
-    target = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(["gcc", "-shared", "-fPIC", "-O2", "-ffp-contract=off",
-                    "-Wall", "-Wextra", "-Werror", "-I" + include, str(CORE_C),
-                    "-o", str(target), "-lm"], check=True, timeout=120)
-    spec = importlib.util.spec_from_file_location("gfkernel._core", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(params=["python", "c"])
-def core(request):
-    return py_core if request.param == "python" else request.getfixturevalue("c_core")
 
 
 @contextlib.contextmanager
@@ -247,10 +216,20 @@ def _orders(rng):
     return rng.uniform(-0.45, 3.0), rng.uniform(-0.45, 4.0)
 
 
+def _band_orders(rng):
+    """Orders for the band kernel; a quarter with nu - mu an integer n >= 0,
+    where the 2F1 is summed in its Euler form."""
+    def integer_offset():
+        mu = rng.uniform(-0.45, 3.0)
+        return mu, mu + rng.randint(0, 4)
+    return _either(rng, 0.25, integer_offset, lambda: _orders(rng))
+
+
 def _r_band_core_args(rng):
     xa, ya, za = _band(rng)
     twoxy, d, s = 2.0 * xa * ya, xa - ya, xa + ya
-    return _orders(rng) + (xa, ya, za, (za - d) * (za + d) / twoxy, (s - za) * (s + za) / twoxy)
+    return _band_orders(rng) + (xa, ya, za, (za - d) * (za + d) / twoxy,
+                                (s - za) * (s + za) / twoxy)
 
 
 def _r_outer_core_args(rng):
@@ -291,7 +270,7 @@ _SAMPLERS = {
     "gegenbauer": lambda rng: (rng.randint(0, 30), rng.uniform(-0.45, 4.0), rng.uniform(-1.0, 1.0)),
     "r_band_core": _r_band_core_args,
     "r_outer_core": _r_outer_core_args,
-    "r_band": lambda rng: _orders(rng) + _band(rng),
+    "r_band": lambda rng: _band_orders(rng) + _band(rng),
     "r_outer": lambda rng: _orders(rng) + _outer(rng),
     "r_gegenbauer_band": lambda rng: (rng.uniform(0.05, 3.0), rng.randint(0, 10)) + _band(rng),
 }

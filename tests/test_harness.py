@@ -25,7 +25,7 @@ from gfkernel.harness import (
     tv_norm_report,
 )
 from gfkernel.quadrature import QuadratureSpec
-from gfkernel.selfcheck import PRODUCT_GRID_LAMBDA, PRODUCT_GRID_XY
+from gfkernel.selfcheck import HANKEL_POINTS, PRODUCT_GRID_LAMBDA, PRODUCT_GRID_XY
 
 SPEC = QuadratureSpec()
 P_DUNKL = Params(0.5, 2.0)
@@ -114,11 +114,13 @@ class TestProductResidual:
                 mass, qerr = gamma_mass(p, x, y, SPEC)
                 assert abs(mass - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("k, a, lam, x, y, want", [
-        (0.75, 4.0 / 3.0, 1.9, 0.4, 2.5, "0x1.0ffb3a3c35c58p-38"),
-        (1.0, 2.0 / 3.0, 0.7, 1.2, 2.5, "0x1.64cf682692783p-53"),
+    @pytest.mark.parametrize("k, a, lam, x, y, want, before", [
+        (0.75, 4.0 / 3.0, 1.9, 0.4, 2.5, "0x1.0ffb3a3c35c58p-38", None),
+        # moved by the Euler form of the band 2F1 at nu - mu = 3
+        (1.0, 2.0 / 3.0, 0.7, 1.2, 2.5, "0x1.49d11ac6dc70ep-53", "0x1.64cf682692783p-53"),
     ])
-    def test_bessel_values_are_not_recomputed(self, monkeypatch, pure_core, k, a, lam, x, y, want):
+    def test_bessel_values_are_not_recomputed(self, monkeypatch, pure_core, k, a, lam, x, y, want,
+                                              before):
         # tanh-sinh nodes next to an endpoint repeat cZ; without a memo
         # about 40% of these calls repeat an earlier (order, argument) pair
         calls = []
@@ -132,6 +134,8 @@ class TestProductResidual:
         r = product_residual(Params(k, a), lam, x, y, SPEC)
         assert len(calls) - len(set(calls)) <= 0.15 * len(calls)
         assert r.rel_residual.hex() == want       # recorded before the memo
+        # a moved pin is at least as close as before to the exact residual, 0
+        assert before is None or r.rel_residual <= float.fromhex(before)
 
 
 class TestBoundaryOrder:
@@ -226,6 +230,15 @@ class TestHankelIdentities:
         x, y, t = pt
         assert hankel_identity_eq1(mu, nu, x, y, t, SPEC).rel_residual <= 1e-5
         assert hankel_identity_eq2(mu, nu, x, y, t, SPEC).rel_residual <= 1e-5
+
+    @pytest.mark.parametrize("mu", [-0.475, -0.49, -0.499])
+    def test_both_identities_near_the_boundary_order(self, mu):
+        # every piece grows like d^(mu - 1/2) at its edges; the plain rule
+        # raised ConvergenceError after about 1 s on each of these
+        for nu in (mu + 1.0, 0.9, 1.75):
+            for x, y, t in HANKEL_POINTS:
+                assert hankel_identity_eq1(mu, nu, x, y, t, SPEC).rel_residual <= 1e-9
+                assert hankel_identity_eq2(mu, nu, x, y, t, SPEC).rel_residual <= 1e-9
 
     def test_small_t_limits(self):
         # nu > mu: both sides vanish like t^(2(nu-mu))

@@ -11,6 +11,14 @@ Gamma(nu+1) (x/2)^(-nu) J_nu(x) against ``mpmath.besselj``, over
 nu in (-1, 3.5] and x log-uniform on [1e-3, 25], the region the power series
 serves.  The tolerance is |err| <= 1e-14 |ref| + 1e-20.
 
+Band kernel at integer offsets: ``r_band_core`` on both cores for
+nu - mu = n in {0, 1, 2, 3}, where its 2F1 is summed as the terminating
+Euler polynomial, against ``mpmath.hyp2f1`` of the defining form, at seeded
+angles with distances to t = +-1 down to 1e-14.  The error is measured
+relative to max(|R|, P), P the value with the polynomial replaced by 1, so
+that a zero of R inside the band asks for no more than the rounding of its
+terms.  The tolerance is 1e-13.
+
 Known hole, not claimed here: at large order and argument (nu > 3.5,
 x > 25) the series is used up to x = 2 nu^2 and cancels beyond what
 double-double arithmetic can hold.  That region gets its own failing-first
@@ -113,3 +121,53 @@ def test_triple_complements_against_mpmath(monkeypatch):
             if err > _GEOM_RTOL:
                 bad.append((a, b, c, float(err)))
     assert not bad, f"{len(bad)} of {_TRIPLES} triples outside tolerance, e.g. {bad[:3]}"
+
+
+# (mu, nu) with nu - mu = 0, 1, 2, 3: the R_{mu,mu} term, the a = 2 and a = 1
+# compact-support pairs, the a = 2/3 pair of the c02 grid, and mu near -1/2
+_INTEGER_OFFSETS = [(0.0, 0.0), (0.375, 0.375), (0.0, 1.0), (0.0, 2.0), (1.5, 4.5),
+                    (-0.45, 2.55)]
+_BAND_POINTS = 90
+_BAND_RTOL = 1e-13
+
+
+def _band_points():
+    """(xa, ya, za, omt, opt): a third each within 1e-14..1 of t = 1 and of
+    t = -1 (log-uniform), a third with t uniform on (-1, 1)."""
+    rng = random.Random(20260)
+    out = []
+    for i in range(_BAND_POINTS):
+        xa, ya = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        d = math.exp(rng.uniform(math.log(1e-14), 0.0))
+        kind = i % 3
+        if kind == 0:
+            omt, opt = d, 2.0 - d
+        elif kind == 1:
+            omt, opt = 2.0 - d, d
+        else:
+            t = rng.uniform(-1.0, 1.0)
+            omt, opt = 1.0 - t, 1.0 + t
+        out.append((xa, ya, math.sqrt((xa - ya) ** 2 + 2.0 * xa * ya * omt), omt, opt))
+    return out
+
+
+def _band_reference(mu, nu, xa, ya, za, omt, opt):
+    """(R, P) in 40 digits, with 2F1 at z from the smaller complement."""
+    with mpmath.workdps(40):
+        m, n, h = mpmath.mpf(mu), mpmath.mpf(nu), mpmath.mpf(0.5)
+        z = mpmath.mpf(omt) / 2 if omt <= opt else 1 - mpmath.mpf(opt) / 2
+        pre = ((mpmath.mpf(xa) * ya) ** (m - 1) * mpmath.mpf(omt) ** (m - h)
+               / (mpmath.sqrt(2 * mpmath.pi) * mpmath.mpf(za) ** m * mpmath.gamma(m + h)))
+        r = pre * mpmath.hyp2f1(n + h, h - n, m + h, z)
+        return r, max(abs(r), abs(pre * (1 - z) ** (m - h)))
+
+
+@pytest.mark.parametrize("mu, nu", _INTEGER_OFFSETS)
+def test_band_kernel_at_integer_offsets_against_mpmath(core, mu, nu):
+    bad = []
+    for args in _band_points():
+        ref, scale = _band_reference(mu, nu, *args)
+        err = float(abs(core.r_band_core(mu, nu, *args) - ref) / scale)
+        if err > _BAND_RTOL:
+            bad.append((args, err))
+    assert not bad, f"{len(bad)} of {_BAND_POINTS} points outside tolerance, e.g. {bad[:3]}"
