@@ -15,11 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from . import selfcheck
 from ._backend import backend_name
 from .errors import ConvergenceError, DomainError, GfkError
 from .genkernel import Params, b_kernel, delta_density
@@ -154,6 +151,8 @@ def _cmd_tv_sweep(ns: dict) -> int:
     tasks = [(p.k, p.a, pt["x"], pt["y"], spec) for pt in grid.points()]
     jobs = int(ns.get("jobs", 1))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_tv_point, tasks))
     else:
@@ -213,6 +212,10 @@ def _cmd_translate(ns: dict) -> int:
 
 
 def _cmd_selftest(ns: dict) -> int:
+    import random
+
+    from . import selfcheck
+
     results = selfcheck.run_all()
     seed = int(ns.get("seed", 0))
     rng = random.Random(seed)

@@ -743,7 +743,17 @@ def translate(p: Params, y: float, f: Profile, z: float,
             odd = g.e2a * (sy * r2) + complex(sz * r4)
             return (even * fe + odd * fo) * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
 
-        pieces.append(integrate_singular_band2(f_band, X1, hi_band, spec))
+        try:
+            pieces.append(integrate_singular_band2(f_band, X1, hi_band, spec))
+        except (ArithmeticError, ValueError) as exc:
+            if X1 != 0.0:
+                raise
+            # |y|^(a/2) = |z|^(a/2): the band reaches Xi = 0, where the rule's
+            # outermost nodes underflow the kernels' edge powers unless about
+            # 1/2 <= mu < 2 (a math domain error, a division by zero, or no
+            # convergence on the compiled core); the limit is not computed
+            raise DomainError(f"translate is not computed at |y|^(a/2) = |z|^(a/2) "
+                              f"(y={y!r}, z={z!r}, mu={mu!r})") from exc
 
     hi_gap = min(X1, XS)
     if g.has_tail and hi_gap > 0.0:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ._backend import core
 from .errors import ConvergenceError, DomainError
 
@@ -294,9 +292,22 @@ def integrate_power_tail(f: Callable[[float], complex], lo: float, decay_exponen
 # Bessel-oscillatory semi-infinite integrals
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_X = tuple(float(v) for v in _GL_X)
-_GL_W = tuple(float(v) for v in _GL_W)
+# 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
+# weights, mirrored about 0 (the reference rule's nodes are exactly odd and
+# its weights exactly even); tests/test_quadrature.py checks it bit for bit
+# against polynomial.legendre.leggauss(16)
+_GL_HALF = tuple((float.fromhex(x), float.fromhex(w)) for x, w in (
+    ("0x1.852bd6676a9f9p-4", "0x1.83feae80e4e01p-3"),
+    ("0x1.205cae642337cp-2", "0x1.75f8c77e0c011p-3"),
+    ("0x1.d50259a43a772p-2", "0x1.5a6ebbb5a7600p-3"),
+    ("0x1.3c5a466d5e8b8p-1", "0x1.325f61bca3cbep-3"),
+    ("0x1.82c45dda4726bp-1", "0x1.fe7af2bad3878p-4"),
+    ("0x1.bb3403514e483p-1", "0x1.85c4ee79cc24bp-4"),
+    ("0x1.e39f56616f9b0p-1", "0x1.fdfb1a2c1261ep-5"),
+    ("0x1.fa92c264d787ep-1", "0x1.bcddab4b7c228p-6"),
+))
+_GL_X = tuple(-x for x, _ in reversed(_GL_HALF)) + tuple(x for x, _ in _GL_HALF)
+_GL_W = tuple(w for _, w in reversed(_GL_HALF)) + tuple(w for _, w in _GL_HALF)
 
 
 def bessel_zeros(order: float, count: int, first: int = 1) -> list[float]:

@@ -186,6 +186,36 @@ class TestOtherCommands:
         assert code == 0
         assert out.startswith("k,a,y,z,profile,width,re,im,quad_error")
 
+    @pytest.mark.parametrize("z", ["1", "-1"])
+    def test_translate_at_equal_magnitudes_is_invalid_input(self, z, capsys):
+        code = main(["translate", "--k", "0.75", "--a", "1.3333333333333333",
+                     "--y", "1", "--z", z, "--profile", "bump"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid input: ") and "Traceback" not in err
+
+
+def test_import_loads_only_what_every_command_needs():
+    # numpy is not a runtime dependency; the process pool and the acceptance
+    # suite are imported by the commands that use them
+    code = ("import sys, gfkernel.cli; print(sorted(m for m in "
+            "('numpy', 'concurrent.futures', 'gfkernel.selfcheck') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_selftest_reports_the_suite_and_spot_checks(monkeypatch, tmp_path, capsys):
+    from gfkernel import selfcheck
+
+    fake = [selfcheck.CriterionResult("c01", "stub", True, "ok", 0.5)]
+    monkeypatch.setattr(selfcheck, "run_all", lambda: fake)
+    out = tmp_path / "suite.csv"
+    assert main(["selftest", "--seed", "3", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert 1 <= printed.count("[PASS] spot product") <= 3 and "FAIL" not in printed
+    assert out.read_text() == "cid,passed,seconds,detail\nc01,1,0.5,ok\n"
+
 
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "gfkernel.cli", "eval-kernel",

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gfkernel import Params, _corepy, b_kernel, genkernel, harness, macdonald, quadrature
-from gfkernel.errors import DomainError
+from gfkernel.errors import DomainError, GfkError
 from gfkernel.harness import (
     Axis,
     SweepGrid,
@@ -353,6 +353,36 @@ class TestTranslate:
     def test_requires_declared_support(self):
         with pytest.raises(DomainError):
             translate(P_DUNKL, 1.0, lambda xi: 1.0, 0.5, SPEC)
+
+    @pytest.mark.parametrize("p", [P_FRAC, P_DUNKL, Params(2.0, 1.0)])   # mu 0.375, 0, 3
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_equal_magnitudes_are_a_domain_error(self, p, z, core, monkeypatch):
+        # at |y| = |z| the band reaches Xi = 0; its limit is not computed yet
+        monkeypatch.setattr(harness, "core", core)
+        with pytest.raises(DomainError, match=r"\|y\|\^\(a/2\) = \|z\|\^\(a/2\)"):
+            translate(p, 1.0, bump_profile(), z)
+
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_equal_magnitudes_keep_their_value_where_it_is_computed(self, z, core,
+                                                                     monkeypatch):
+        # at 1/2 <= mu < 2 the band's edge powers stay finite at the rule's nodes
+        monkeypatch.setattr(harness, "core", core)
+        p, f = Params(1.0, 1.5), bump_profile()
+        v = translate(p, 1.0, f, z)
+        assert abs(v - translate(p, 1.0, f, math.nextafter(z, 0.0))) <= 1e-13
+
+    @pytest.mark.parametrize("p", [P_FRAC, P_DUNKL, Params(0.5, 1.0), Params(1.0, 1.5),
+                                   Params(2.0, 1.0)])
+    def test_neighbours_of_equal_magnitudes_are_finite_or_typed(self, p):
+        for y in (1.0, 0.7, -1.3):
+            for edge in (y, -y):
+                for z in (math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)):
+                    for f in (bump_profile(), gaussian_profile()):
+                        try:
+                            v = translate(p, y, f, z)
+                        except GfkError:
+                            continue
+                        assert math.isfinite(v.real) and math.isfinite(v.imag)
 
     def test_against_bruteforce_quadrature(self):
         import numpy as np

@@ -221,6 +221,13 @@ class TestBesselOscillatory:
             integrate_bessel_oscillatory(lambda t: 1.0, 0.0, -1.0, 0.0)
 
 
+def test_gauss_legendre_rule_is_numpys_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert [v.hex() for v in quadrature._GL_X] == [float(v).hex() for v in x]
+    assert [v.hex() for v in quadrature._GL_W] == [float(v).hex() for v in w]
+    assert all(type(v) is float for v in quadrature._GL_X + quadrature._GL_W)
+
+
 class TestBesselZeros:
     @pytest.mark.parametrize("order", [0.0, 0.375, 1.875, 4.5])
     def test_zeros_are_zeros(self, order):
