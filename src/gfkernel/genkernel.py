@@ -9,9 +9,12 @@ Two validity levels coexist.  The kernel B alone only needs both Bessel
 orders above -1, which is exactly w > -1 and is enforced at construction.
 Everything built on the triple-Bessel density additionally needs the
 Macdonald admissibility mu_m > -1/2 (equivalently 2k > 1 - a/2); operations
-on the density call :meth:`Params.require_macdonald`.  The literature also
-quotes the stronger condition 2k > a - 1; it is surfaced in diagnostics but
-is not used as the gate because no in-scope formula needs it.
+on the density call :meth:`Params.require_macdonald`.  The paper's abstract
+states the condition 2k > a - 1 instead; it is surfaced in diagnostics but
+is not the gate.  It is stronger than mu_m > -1/2 only for a > 4/3.  For
+a < 4/3 it admits mu_m in (1 - 2/a, -1/2], which the gate refuses: whether
+the product formula holds there is an open question of this reproduction,
+and if it does, that region is a gap in it.
 
 Complex values are carried in rectangular form end to end; the phases
 e^(-i pi / a) and e^(-2 i pi / a) are materialized once per parameter set
@@ -62,7 +65,10 @@ class Params:
 
     @property
     def abstract_condition_2k_gt_am1(self) -> bool:
-        """The quoted-but-unused stronger condition 2k > a-1 (diagnostic only)."""
+        """The abstract's condition 2k > a-1 (diagnostic only).  Stronger than
+        mu_m > -1/2 for a > 4/3; for a < 4/3 it also admits mu_m in
+        (1 - 2/a, -1/2], where the density gate refuses (see the module
+        docstring)."""
         return 2.0 * self.k > self.a - 1.0
 
     def require_macdonald(self) -> None:

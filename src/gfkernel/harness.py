@@ -40,6 +40,7 @@ from .quadrature import (
     QuadratureSpec,
     _recent,
     integrate_bessel_oscillatory,
+    integrate_gauss_jacobi,
     integrate_power_tail,
     integrate_singular_band2,
 )
@@ -247,9 +248,12 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
         return band(Z, z, even, odd) * g.common(z) * g.dz_dt(Z)
 
     # every piece grows like d^(mu - 1/2) at a region edge, d the distance
-    # to it: the band at both ends, the gap at Z1, the near-outer at u = 1
+    # to it: the band at both ends, the gap at Z1, the near-outer at u = 1.
+    # With compact support the band is (1 - t^2)^(mu - 1/2) times a smooth
+    # factor, which the Gauss-Jacobi rules of that weight resolve.
     edge = mu - 0.5
-    res = integrate_singular_band2(f_band, -1.0, 1.0, spec, edge_exponent=edge)
+    band_rule = integrate_singular_band2 if g.has_tail else integrate_gauss_jacobi
+    res = band_rule(f_band, -1.0, 1.0, spec, edge_exponent=edge)
     pieces = [res.value, 0.0, 0.0, 0.0]
     qerr = res.est_error
     trunc = 0.0
@@ -769,7 +773,10 @@ def translate(p: Params, y: float, f: Profile, z: float,
                 odd = g.e2a * (sy * _r_outer(mu, nu, Yh, Xi, Zc, dd, X2 + Xi))
             else:
                 odd = complex(sz * _r_outer(mu, nu, Xi, Zc, Yh, dd, X2 + Xi))
-            return odd * fo * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
+            # xi^zexp dxi/dXi as one power of Xi: xi = Xi^(2/a) underflows
+            # near Xi = 0 once 2/a is large, and zexp may be negative
+            return odd * fo * (g.coef * g.two_over_a
+                               * math.pow(Xi, g.two_over_a * (g.zexp + 1.0) - 1.0))
 
         pieces.append(integrate_singular_band2(f_gap, 0.0, hi_gap, spec))
 

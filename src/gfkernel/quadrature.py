@@ -2,7 +2,12 @@
 
 * finite intervals whose integrand has algebraic endpoint singularities
   (tanh-sinh / double-exponential rule, on s = d^(1+p) when a stated edge
-  power d^p is too strong for its nodes),
+  power d^p is too strong for its nodes); when the integrand is exactly
+  (d_lo d_hi)^p times a smooth factor, as the density's band is when 2/a
+  is an integer, Gauss-Jacobi rules of the weight (1 - t^2)^p at n = 8, 12,
+  16, 24, 32, 48, 64 nodes, stopped when two successive rules agree within
+  1e-2 of the tolerance and handed to the tanh-sinh rule when n = 64 still
+  disagrees,
 * semi-infinite tails with a known power-law decay (1/z substitution onto
   the singular-interval rule, with a decay-fit guard),
 * semi-infinite Bessel-oscillatory integrals (partition at Bessel zeros,
@@ -26,6 +31,7 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "integrate_singular_band",
+    "integrate_gauss_jacobi",
     "integrate_power_tail",
     "integrate_bessel_oscillatory",
 ]
@@ -228,6 +234,60 @@ def integrate_singular_band(f: Callable[[float], complex], lo: float, hi: float,
         return f(x) if lo < x < hi else 0.0
 
     return integrate_singular_band2(f2, lo, hi, spec)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi rules for (1 - t^2)^p times a smooth factor
+# ---------------------------------------------------------------------------
+#
+# The rules are built by _gauss_jacobi, which the engine imports on its
+# first call, so that importing gfkernel does not compile it.
+
+_GJ_LADDER = (8, 12, 16, 24, 32, 48, 64)
+
+
+def integrate_gauss_jacobi(f2, lo: float, hi: float,
+                           spec: QuadratureSpec = DEFAULT_SPEC,
+                           edge_exponent: float = 0.0) -> IntegralResult:
+    """Gauss-Jacobi rules for f2(x, dist_lo, dist_hi) = (dist_lo dist_hi)^p
+    times a smooth factor, p = edge_exponent > -1.
+
+    The smooth factor, f2 / (dist_lo dist_hi / half^2)^p, is summed by the
+    rules of the weight (1 - s^2)^p at n = 8, 12, 16, 24, 32, 48, 64 nodes.
+    Two successive rules that agree within 1e-2 max(abs_tol, rel_tol |Q|)
+    end the ladder: the larger one's Q is returned with their difference as
+    its error estimate.  When n = 64 still disagrees (a factor that is not
+    smooth), the interval goes to integrate_singular_band2 with the same
+    edge exponent, and the rules' evaluations are counted with its own.
+    """
+    if not lo < hi:
+        raise DomainError(f"empty or inverted interval [{lo!r}, {hi!r}]")
+    if not edge_exponent > -1.0:
+        raise DomainError(f"edge_exponent must be > -1, got {edge_exponent!r}")
+    from ._gauss_jacobi import gauss_jacobi_rule
+
+    half = 0.5 * (hi - lo)
+    evals = 0
+    prev = None
+    for n in _GJ_LADDER:
+        # from the middle outwards, each node t >= 0 and then its mirror -t,
+        # which shares its weight over (1 - t^2)^p
+        total = 0.0
+        for t, w, opt, omt in gauss_jacobi_rule(n, edge_exponent):
+            c = w / math.pow(opt * omt, edge_exponent)
+            near, far = half * omt, half * opt
+            total += c * f2(hi - near, far, near)
+            if t != 0.0:
+                total += c * f2(lo + near, near, far)
+        evals += n
+        total = half * total
+        if prev is not None:
+            diff = abs(total - prev)
+            if diff <= 1e-2 * max(spec.abs_tol, spec.rel_tol * abs(total)):
+                return IntegralResult(total, diff, evals)
+        prev = total
+    res = integrate_singular_band2(f2, lo, hi, spec, edge_exponent=edge_exponent)
+    return IntegralResult(res.value, res.est_error, res.evaluations + evals)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,15 @@ class TestOtherCommands:
         assert code == 0
         assert out.startswith("k,a,y,z,profile,width,re,im,quad_error")
 
+    def test_translate_at_small_a(self, capsys):
+        # 2/a = 2.5: Xi^(2/a) underflows at the gap rule's outermost nodes
+        code, out = run_cli(["translate", "--k", "0.62", "--a", "0.8", "--y", "0.7",
+                             "--z", "1.3"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        assert math.isfinite(float(vals["re"])) and float(vals["im"]) == 0.0
+
     @pytest.mark.parametrize("z", ["1", "-1"])
     def test_translate_at_equal_magnitudes_is_invalid_input(self, z, capsys):
         code = main(["translate", "--k", "0.75", "--a", "1.3333333333333333",

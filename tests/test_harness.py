@@ -1,6 +1,7 @@
 """Verification harness: residual reports, sweeps, translation."""
 
 import math
+import random
 
 import pytest
 from numpy.testing import assert_allclose
@@ -24,8 +25,13 @@ from gfkernel.harness import (
     tv_norm,
     tv_norm_report,
 )
-from gfkernel.quadrature import QuadratureSpec
-from gfkernel.selfcheck import HANKEL_POINTS, PRODUCT_GRID_LAMBDA, PRODUCT_GRID_XY
+from gfkernel.quadrature import QuadratureSpec, integrate_singular_band2
+from gfkernel.selfcheck import (
+    HANKEL_POINTS,
+    PRODUCT_GRID_KA,
+    PRODUCT_GRID_LAMBDA,
+    PRODUCT_GRID_XY,
+)
 
 SPEC = QuadratureSpec()
 P_DUNKL = Params(0.5, 2.0)
@@ -116,8 +122,9 @@ class TestProductResidual:
 
     @pytest.mark.parametrize("k, a, lam, x, y, want, before", [
         (0.75, 4.0 / 3.0, 1.9, 0.4, 2.5, "0x1.0ffb3a3c35c58p-38", None),
-        # moved by the Euler form of the band 2F1 at nu - mu = 3
-        (1.0, 2.0 / 3.0, 0.7, 1.2, 2.5, "0x1.49d11ac6dc70ep-53", "0x1.64cf682692783p-53"),
+        # moved by the Gauss-Jacobi band rule at nu - mu = 3 (before it, by
+        # the Euler form of the band 2F1 from 0x1.64cf682692783p-53)
+        (1.0, 2.0 / 3.0, 0.7, 1.2, 2.5, "0x1.0f10524063c40p-53", "0x1.49d11ac6dc70ep-53"),
     ])
     def test_bessel_values_are_not_recomputed(self, monkeypatch, pure_core, k, a, lam, x, y, want,
                                               before):
@@ -136,6 +143,56 @@ class TestProductResidual:
         assert r.rel_residual.hex() == want       # recorded before the memo
         # a moved pin is at least as close as before to the exact residual, 0
         assert before is None or r.rel_residual <= float.fromhex(before)
+
+
+class TestCompactBand:
+    """With 2/a an integer the density lives on the band alone, which the
+    Gauss-Jacobi rules of the weight (1 - t^2)^(mu - 1/2) integrate."""
+
+    REF = QuadratureSpec(max_levels=16, rel_tol=1e-12)
+
+    @staticmethod
+    def cases():
+        """(k, a, lambda, x, y): the compact points of the c02 product grid
+        and the c03 mass grid (lambda = 0), then 20 seeded draws with a in
+        {2, 1, 2/3}, one mu in each twentieth of (-1/2, 2) and lambda, x, y
+        log-uniform in [0.3, 3]; every fourth draw has x = y, where Z -> 0
+        at t = 1."""
+        grid = [(k, a, lam, x, y) for k, a in PRODUCT_GRID_KA
+                if Params(k, a).band_offset_integer
+                for lam in [0.0] + PRODUCT_GRID_LAMBDA
+                for x in PRODUCT_GRID_XY for y in PRODUCT_GRID_XY]
+        rng = random.Random(20261018)
+        draws = []
+        for i in range(20):
+            a = rng.choice((2.0, 1.0, 2.0 / 3.0))
+            mu = -0.5 + 2.5 * (i + rng.random()) / 20
+            lam, x, y = (0.3 * 10.0 ** rng.random() for _ in range(3))
+            draws.append((0.5 * (mu * a + 1.0), a, lam, x, x if i % 4 == 0 else y))
+        return grid + draws
+
+    def test_every_band_is_within_its_tolerance_of_a_deep_reference(self, monkeypatch):
+        segments = []
+        rule = harness.integrate_gauss_jacobi
+
+        def checked(f2, lo, hi, spec, edge_exponent):
+            res = rule(f2, lo, hi, spec, edge_exponent=edge_exponent)
+            ref = integrate_singular_band2(f2, lo, hi, self.REF, edge_exponent=edge_exponent)
+            segments.append((res, ref.value, max(spec.abs_tol, spec.rel_tol * abs(ref.value))))
+            return res
+
+        monkeypatch.setattr(harness, "integrate_gauss_jacobi", checked)
+        cases = self.cases()
+        for k, a, lam, x, y in cases:
+            if lam == 0.0:
+                gamma_mass(Params(k, a), x, y, SPEC)
+            else:
+                product_residual(Params(k, a), lam, x, y, SPEC)
+        assert len(segments) == len(cases) == 128
+        for res, ref, tol in segments:
+            assert abs(res.value - ref) <= tol, (res, ref, tol)
+            # converged on the ladder, without the tanh-sinh fallback
+            assert res.evaluations <= sum(quadrature._GJ_LADDER)
 
 
 class TestBoundaryOrder:
@@ -370,6 +427,16 @@ class TestTranslate:
         p, f = Params(1.0, 1.5), bump_profile()
         v = translate(p, 1.0, f, z)
         assert abs(v - translate(p, 1.0, f, math.nextafter(z, 0.0))) <= 1e-13
+
+    @pytest.mark.parametrize("k, a", [(0.62, 0.8), (0.59, 0.6), (0.92, 0.7)])
+    def test_gap_piece_at_small_a(self, k, a):
+        # 2/a > 1.93: xi = Xi^(2/a) underflows at the gap rule's outermost
+        # nodes, where xi^(k + a - 3/2) raised a math domain error
+        p = Params(k, a)
+        fone = Profile(lambda xi: 1.0, 1e5, "one")
+        assert abs(translate(p, 0.7, fone, 1.3, SPEC) - 1.0) <= 1e-10
+        f = gaussian_profile(1.0)
+        assert abs(translate(p, 0.7, f, 1.3, SPEC) - translate(p, 1.3, f, 0.7, SPEC)) <= 1e-15
 
     @pytest.mark.parametrize("p", [P_FRAC, P_DUNKL, Params(0.5, 1.0), Params(1.0, 1.5),
                                    Params(2.0, 1.0)])

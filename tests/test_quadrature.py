@@ -1,17 +1,21 @@
 """Quadrature engines: examples, determinism, error paths."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gfkernel import Params, delta_density, quadrature
+from gfkernel._gauss_jacobi import gauss_jacobi_rule
 from gfkernel.errors import ConvergenceError, DomainError
 from gfkernel.quadrature import (
     QuadratureSpec,
     bessel_zeros,
     integrate_bessel_oscillatory,
+    integrate_gauss_jacobi,
     integrate_power_tail,
     integrate_singular_band,
     integrate_singular_band2,
@@ -226,6 +230,121 @@ def test_gauss_legendre_rule_is_numpys_bit_for_bit():
     assert [v.hex() for v in quadrature._GL_X] == [float(v).hex() for v in x]
     assert [v.hex() for v in quadrature._GL_W] == [float(v).hex() for v in w]
     assert all(type(v) is float for v in quadrature._GL_X + quadrature._GL_W)
+
+
+class TestGaussJacobi:
+    NS = [8, 12, 24, 64]
+    ALPHAS = [-0.99, -0.5, -0.3, 0.0, 0.25, 1.5, 3.0]
+
+    @pytest.fixture(scope="class")
+    def mpmath_rules(self):
+        # Golub-Welsch in 40 digits; the positive half, in increasing t
+        mpmath = pytest.importorskip("mpmath")
+        rules = {}
+        with mpmath.workdps(40):
+            for n in self.NS:
+                for alpha in self.ALPHAS:
+                    a = mpmath.mpf(alpha)
+                    xs, ws = mpmath.mp.gauss_quadrature(n, "jacobi", a, a)
+                    rules[n, alpha] = sorted((x, w) for x, w in zip(xs, ws) if x > 0)
+        return rules
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_rule_is_correctly_rounded(self, mpmath_rules, n, alpha):
+        # 0 ulps: each node, its distances to -1 and 1 and its weight is the
+        # double nearest the 40-digit value
+        ref = mpmath_rules[n, alpha]
+        rule = gauss_jacobi_rule(n, alpha)
+        assert len(rule) == len(ref) == n // 2
+        for (t, w, opt, omt), (x, wx) in zip(rule, ref):
+            assert (t, w, opt, omt) == (float(x), float(wx), float(1 + x), float(1 - x))
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_rule_against_scipy(self, n, alpha):
+        special = pytest.importorskip("scipy.special")
+        xs, ws = special.roots_jacobi(n, alpha, alpha)
+        rule = gauss_jacobi_rule(n, alpha)
+        assert_allclose([t for t, _, _, _ in rule], xs[n // 2:], rtol=0, atol=2.3e-16)
+        # scipy's own weights stray from the 40-digit ones, by up to 7e-11
+        # at n = 64, alpha = -0.99
+        assert_allclose([w for _, w, _, _ in rule], ws[n // 2:], rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_odd_rules_hold_the_middle_node(self, n):
+        rule = gauss_jacobi_rule(n, 0.4)
+        assert rule[0][0] == 0.0 and len(rule) == (n + 1) // 2
+        # ∫ t^2 (1 - t^2)^0.4 dt, exact for these rules
+        got = sum(w * t * t * (1 if t == 0.0 else 2) for t, w, _, _ in rule)
+        assert abs(got - _beta_arc(0.4) / 3.8) <= 1e-15
+
+    def test_import_builds_no_rule_and_loads_no_array_library(self):
+        # the rule module is compiled on the engine's first call
+        code = ("import sys, gfkernel; loaded = sorted(m for m in ('numpy', 'scipy', "
+                "'gfkernel._gauss_jacobi') if m in sys.modules); "
+                "from gfkernel._gauss_jacobi import gauss_jacobi_rule; "
+                "print(loaded, gauss_jacobi_rule.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "[] 0"
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 2.25])
+    def test_smooth_factor_stops_at_the_first_pair(self, alpha):
+        # ∫_{1/2}^{5/2} ((x - 1/2)(5/2 - x))^alpha x^2 dx, half-width 1
+        r = integrate_gauss_jacobi(lambda x, dlo, dhi: (dlo * dhi) ** alpha * x * x,
+                                   0.5, 2.5, edge_exponent=alpha)
+        want = _beta_arc(alpha) * (2.25 + 1.0 / (2.0 * alpha + 3.0))
+        assert r.evaluations == 20
+        assert abs(r.value - want) <= 1e-14 * want
+
+    def test_oscillating_factor_climbs_the_ladder(self):
+        # ∫ (1 - t^2)^0.3 cos(20 t) dt = sqrt(pi) Gamma(1.3) (1/10)^0.8 J_0.8(20)
+        # = 0.0286; successive rules differ by 3.8e-5 at (16, 24), 2.2e-14
+        # at (24, 32) and 4.8e-16 at (32, 48)
+        a = 0.3
+
+        def f2(t, dlo, dhi):
+            return (dlo * dhi) ** a * math.cos(20.0 * t)
+
+        want = math.sqrt(math.pi) * math.gamma(a + 1.0) * 0.1 ** (a + 0.5) * core.bessel_j(a + 0.5, 20.0)
+        r = integrate_gauss_jacobi(f2, -1.0, 1.0, edge_exponent=a)
+        assert r.evaluations == 8 + 12 + 16 + 24 + 32
+        assert abs(r.value - want) <= 1e-12 * abs(want)
+        # at a tolerance of 1e-13 the (24, 32) difference is above 1e-2 of it
+        tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+        r = integrate_gauss_jacobi(f2, -1.0, 1.0, tight, edge_exponent=a)
+        assert r.evaluations == 8 + 12 + 16 + 24 + 32 + 48
+        assert abs(r.value - want) <= 1e-13 * abs(want)
+
+    def test_other_edge_powers_take_the_tanh_sinh_fallback(self, monkeypatch):
+        # (1 + t)^(p + 1/4) (1 - t)^p: no rule of the weight (1 - t^2)^p
+        # resolves the extra quarter power at t = -1
+        p = -0.3
+        calls = []
+        fallback = quadrature.integrate_singular_band2
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("edge_exponent"))
+            return fallback(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_singular_band2", counted)
+        r = integrate_gauss_jacobi(lambda t, dlo, dhi: dlo ** (p + 0.25) * dhi ** p,
+                                   -1.0, 1.0, edge_exponent=p)
+        a, b = p + 0.25, p
+        want = 2.0 ** (a + b + 1.0) * math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                                                - math.lgamma(a + b + 2.0))
+        assert calls == [p]
+        assert r.evaluations > sum(quadrature._GJ_LADDER)
+        assert abs(r.value - want) <= 1e-9 * want
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            integrate_gauss_jacobi(lambda t, dlo, dhi: 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            integrate_gauss_jacobi(lambda t, dlo, dhi: 1.0, -1.0, 1.0, edge_exponent=-1.0)
+        with pytest.raises(DomainError):
+            gauss_jacobi_rule(0, 0.0)
 
 
 class TestBesselZeros:
