@@ -14,11 +14,14 @@ algebraic and its complements exactly computable:
   where the z-line decay exponent is exactly -3).
 
 The triple geometry has one source: _complements (1 -+ cos(theta) from the
-exact excesses of a band triple), _r_outer (R off the band from the exact
-gap) and _band_four (the four band terms, for the gamma side Delta(x, y, .)
-and the sigma side Delta(y, ., z) alike).  _gamma_integral is the one band /
-gap / near-outer / tail plan of the gamma side: the product, mass and TV
-checks are weight callbacks on it.
+exact excesses of a band triple) and _r_outer (R off the band from the exact
+gap).  _gamma_integral is the one band / gap / near-outer / tail plan of the
+gamma side: the product, mass and TV checks are weight callbacks on it.
+
+Parity: the density's even terms are weighted by the even part of what it
+is integrated against, its odd terms by the odd part.  Where that part is
+exactly zero (no odd weight on the gamma side; an even or odd profile, node
+by node, in translate) its terms are not evaluated, which changes no bit.
 
 All residual reports carry rel_residual = abs_residual / (1 + |lhs|).
 """
@@ -152,18 +155,6 @@ def _r_outer(mu: float, nu: float, a: float, b: float, c: float,
     return core.r_outer_core(mu, nu, a, b, c, 1.0 + um1, um1)
 
 
-def _band_four(mu: float, nu: float, a: float, b: float, c: float,
-               c_ab: tuple[float, float], c_ac: tuple[float, float],
-               c_bc: tuple[float, float]):
-    """R_{mu,mu}(a,b,c), R_{mu,nu}(a,b,c), R_{mu,nu}(a,c,b), R_{mu,nu}(b,c,a):
-    the four band terms of the density, each from the complements of the
-    angle between the named pair of sides."""
-    return (core.r_band_core(mu, mu, a, b, c, *c_ab),
-            core.r_band_core(mu, nu, a, b, c, *c_ab),
-            core.r_band_core(mu, nu, a, c, b, *c_ac),
-            core.r_band_core(mu, nu, b, c, a, *c_bc))
-
-
 class _DensityGeometry:
     """Magnitudes, signs and constants for integrating against Delta(x, y, .)."""
 
@@ -204,12 +195,19 @@ class _DensityGeometry:
         return self.two_over_a * math.pow(Z, self.two_over_a - 2.0) * self.X * self.Y
 
 
-def _band_terms(g: _DensityGeometry, omt: float, opt: float):
-    """All four density terms on the band, at cos(theta) complements
-    (omt, opt) of the (X, Y, Z) triple; returns (Z, even_sum, odd_sum)."""
-    X, Y = g.X, g.Y
+def _band_terms(g: _DensityGeometry, omt: float, opt: float, odd: bool = True):
+    """The density terms on the band, at cos(theta) complements (omt, opt)
+    of the (X, Y, Z) triple; returns (Z, even_sum, odd_sum).  The even sum
+    is R_{mu,mu}(X,Y,Z) + e^(-2 i pi/a) sgn(xy) R_{mu,nu}(X,Y,Z); the odd
+    sum, sgn(x) R_{mu,nu}(X,Z,Y) + sgn(y) R_{mu,nu}(Y,Z,X), is 0.0 unless
+    odd."""
+    X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
     twoxy = 2.0 * X * Y
     Z = math.sqrt((X - Y) * (X - Y) + twoxy * omt)
+    even = (core.r_band_core(mu, mu, X, Y, Z, omt, opt)
+            + g.e2a * (g.sxy * core.r_band_core(mu, nu, X, Y, Z, omt, opt)))
+    if not odd:
+        return Z, even, 0.0
     s = X + Y + Z
     ez = twoxy * opt / s                    # X + Y - Z
     dm = abs(X - Y)
@@ -219,12 +217,9 @@ def _band_terms(g: _DensityGeometry, omt: float, opt: float):
     # own first side dm + Z
     ex3, ey3 = (dm + Z, lo) if Y >= X else (lo, dm + Z)
     ey4, ex4 = (dm + Z, lo) if X >= Y else (lo, dm + Z)
-    t1, t2, t3, t4 = _band_four(g.mu, g.nu, X, Y, Z, (omt, opt),
-                                _complements(X, Z, ex3, ez, ey3, s),
-                                _complements(Y, Z, ey4, ez, ex4, s))
-    even = t1 + g.e2a * (g.sxy * t2)
-    odd = g.sx * t3 + g.sy * t4
-    return Z, even, odd
+    t3 = core.r_band_core(mu, nu, X, Z, Y, *_complements(X, Z, ex3, ez, ey3, s))
+    t4 = core.r_band_core(mu, nu, Y, Z, X, *_complements(Y, Z, ey4, ez, ex4, s))
+    return Z, even, g.sx * t3 + g.sy * t4
 
 
 def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
@@ -233,17 +228,20 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
 
     band(Z, z, even, odd) weights the even and odd sums of the band terms
     (integrated in t = cos(theta)); gap(Z, z, t) and outer(Z, z, t) weight
-    the single term that survives below the band (in Z, skipped when gap
-    is None) and above it (in u = cosh(theta) up to _COSH_SPLIT, then a
-    tail).  With osc = c the outer weight is J~_mu(c Z) and its tail is
-    summed between Bessel zeros; with osc None the tail is a z^-3 power
-    tail.  Returns the (band, gap, near-outer, tail) values, 0.0 for an
-    absent piece, the summed error estimate and the tail's truncation bound.
+    the single term that survives below the band (in Z) and above it (in
+    u = cosh(theta) up to _COSH_SPLIT, then a tail).  With osc = c the
+    outer weight is J~_mu(c Z) and its tail is summed between Bessel zeros;
+    with osc None the tail is a z^-3 power tail.  gap None states that the
+    weights have no odd part: the gap is skipped and band gets 0.0 for the
+    odd sum, which is not evaluated.  Returns the (band, gap, near-outer,
+    tail) values, 0.0 for an absent piece, the summed error estimate and
+    the tail's truncation bound.
     """
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
+    odd_weight = gap is not None
 
     def f_band(t, dlo, dhi):
-        Z, even, odd = _band_terms(g, dhi, dlo)
+        Z, even, odd = _band_terms(g, dhi, dlo, odd_weight)
         z = g.z_of(Z)
         return band(Z, z, even, odd) * g.common(z) * g.dz_dt(Z)
 
@@ -260,7 +258,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
 
     # inner gap (0, Z1): term (iii) when Y > X (outer of the (X, Z, Y)
     # triple), term (iv) when X > Y; dhi is Z1 - Z, exact
-    if gap is not None and g.Z1 > 0.0 and g.has_tail:
+    if odd_weight and g.Z1 > 0.0 and g.has_tail:
         def f_gap(Z, dlo, dhi):
             if Y > X:
                 t = g.sx * _r_outer(mu, nu, X, Z, Y, dhi, X + Y + Z)
@@ -601,7 +599,8 @@ def legendre_p_integral_check(mu: float, nu: float,
         val, _ = core.hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * dhi, zc=0.5 * dlo)
         return math.pow(dhi, mu - 0.5) * val * rg
 
-    res = integrate_singular_band2(f2, -1.0, 1.0, spec)
+    # (1 - t)^(mu - 1/2) at t = 1
+    res = integrate_singular_band2(f2, -1.0, 1.0, spec, edge_exponent=mu - 0.5)
     rhs = (math.pow(2.0, mu + 0.5) * math.exp(math.lgamma(mu + 0.5))
            * core.rgamma(mu - nu + 1.0) * core.rgamma(mu + nu + 1.0))
     return _report(res.value, rhs, res.est_error, t0)
@@ -703,6 +702,12 @@ def translate(p: Params, y: float, f: Profile, z: float,
     survives (which one depends on whether |y| or |z| dominates), above X2
     only the term that produces the infinite translation tail, and both
     outer pieces vanish identically when 2/a is an integer.
+
+    The even terms R_{mu,mu}(Y, Xi, Z) and sgn(yz) R_{mu,nu}(Y, Z, Xi) are
+    weighted by the profile's even part f(xi) + f(-xi), the odd terms (the
+    other two band terms, and the gap's) by its odd part f(xi) - f(-xi).
+    At each node only the terms of a nonzero part are evaluated, so an even
+    profile never evaluates an odd term; the value is the same to the bit.
     """
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
@@ -716,6 +721,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
     Yh, Zc, X1, X2 = g.X, g.Y, g.Z1, g.Z2
     sy, sz, syz = g.sx, g.sy, g.sxy
     XS = math.pow(f.support, g.ha)
+    edge = mu - 0.5                        # d^(mu - 1/2) at every region edge
 
     def fe_fo(xi: float):
         fp = f(xi)
@@ -739,16 +745,20 @@ def translate(p: Params, y: float, f: Profile, z: float,
             # excesses of the (Yh, Xi, Zc) triple: Xi's is d2, and of Zc and
             # Yh the larger has dlo = Xi - X1
             ez, ey = (X1 + Xi, dlo) if Yh >= Zc else (dlo, X1 + Xi)
-            r1, r2, r3, r4 = _band_four(mu, nu, Yh, Xi, Zc,
-                                        _complements(Yh, Xi, ey, d2, ez, s),
-                                        _complements(Yh, Zc, ey, ez, d2, s),
-                                        _complements(Xi, Zc, d2, ez, ey, s))
-            even = r1 + syz * r3
-            odd = g.e2a * (sy * r2) + complex(sz * r4)
-            return (even * fe + odd * fo) * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
+            c_yx = _complements(Yh, Xi, ey, d2, ez, s)
+            val = 0.0
+            if fe != 0.0:
+                r1 = core.r_band_core(mu, mu, Yh, Xi, Zc, *c_yx)
+                r3 = core.r_band_core(mu, nu, Yh, Zc, Xi, *_complements(Yh, Zc, ey, ez, d2, s))
+                val = (r1 + syz * r3) * fe
+            if fo != 0.0:
+                r2 = core.r_band_core(mu, nu, Yh, Xi, Zc, *c_yx)
+                r4 = core.r_band_core(mu, nu, Xi, Zc, Yh, *_complements(Xi, Zc, d2, ez, ey, s))
+                val = val + (g.e2a * (sy * r2) + complex(sz * r4)) * fo
+            return val * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
 
         try:
-            pieces.append(integrate_singular_band2(f_band, X1, hi_band, spec))
+            pieces.append(integrate_singular_band2(f_band, X1, hi_band, spec, edge_exponent=edge))
         except (ArithmeticError, ValueError) as exc:
             if X1 != 0.0:
                 raise
@@ -765,8 +775,8 @@ def translate(p: Params, y: float, f: Profile, z: float,
 
         def f_gap(Xi, dlo, dhi):
             xi = g.z_of(Xi)
-            fe, fo = fe_fo(xi)
-            if fo == 0.0 and fe == 0.0:
+            fo = fe_fo(xi)[1]
+            if fo == 0.0:                  # the gap's one term is odd
                 return 0.0j
             dd = dhi + off_hi1             # X1 - Xi, exact composition
             if Zc > Yh:
@@ -778,7 +788,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
             return odd * fo * (g.coef * g.two_over_a
                                * math.pow(Xi, g.two_over_a * (g.zexp + 1.0) - 1.0))
 
-        pieces.append(integrate_singular_band2(f_gap, 0.0, hi_gap, spec))
+        pieces.append(integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
 
     if g.has_tail and XS > X2:
         def f_tail(Xi, dlo, dhi):
@@ -791,7 +801,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
                 return 0.0
             return syz * r3o * fe * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
 
-        pieces.append(integrate_singular_band2(f_tail, X2, XS, spec))
+        pieces.append(integrate_singular_band2(f_tail, X2, XS, spec, edge_exponent=edge))
 
     for res in pieces:
         total += res.value

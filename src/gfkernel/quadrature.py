@@ -13,8 +13,10 @@
 * semi-infinite Bessel-oscillatory integrals (partition at Bessel zeros,
   Euler-accelerate the alternating partial sums).
 
-Engines hold no state between calls and are deterministic: identical inputs
-and spec produce bit-identical results.  Integrands may return complex.
+Engines are deterministic: identical inputs and spec produce bit-identical
+results.  The one state they keep between calls is a bounded table of
+Bessel zeros, which holds the values a call would compute.  Integrands may
+return complex.
 """
 
 from __future__ import annotations
@@ -370,13 +372,23 @@ _GL_X = tuple(-x for x, _ in reversed(_GL_HALF)) + tuple(x for x, _ in _GL_HALF)
 _GL_W = tuple(w for _, w in reversed(_GL_HALF)) + tuple(w for _, w in _GL_HALF)
 
 
-def bessel_zeros(order: float, count: int, first: int = 1) -> list[float]:
-    """`count` positive zeros of J_order from the `first`-th on: McMahon +
-    Newton polish."""
+@functools.lru_cache(maxsize=64, typed=True)
+def _zero_ladder(backend, order: float, first: int) -> list[float]:
+    """The positive zeros of J_order from the first-th on, as computed by
+    the backend core, as far as _ladder_to has been asked for them: 64
+    ladders of at most osc_max_zeros (200) zeros, about 0.4 MiB."""
+    return []
+
+
+def _ladder_to(order: float, first: int, count: int) -> list[float]:
+    """The ladder of (order, first), grown to hold at least count zeros:
+    McMahon's guess, then two Newton steps, kept monotone.  A zero's value
+    depends only on its index and the one before it, so threads that grow
+    one ladder at once store equal values in each slot."""
+    zeros = _zero_ladder(core, order, first)
     mu4 = 4.0 * order * order
-    zeros: list[float] = []
-    for k in range(first, first + count):
-        beta = (k + 0.5 * order - 0.25) * math.pi
+    for n in range(len(zeros), count):
+        beta = (first + n + 0.5 * order - 0.25) * math.pi
         e = 8.0 * beta
         x = beta - (mu4 - 1.0) / e - 4.0 * (mu4 - 1.0) * (7.0 * mu4 - 31.0) / (3.0 * e ** 3)
         for _ in range(2):
@@ -388,10 +400,16 @@ def bessel_zeros(order: float, count: int, first: int = 1) -> list[float]:
             if abs(step) > 1.0:
                 step = math.copysign(1.0, step)
             x -= step
-        if zeros and x <= zeros[-1] + 1e-9:
-            x = zeros[-1] + math.pi  # safeguard: keep ladder monotone
-        zeros.append(x)
+        if n and x <= zeros[n - 1] + 1e-9:
+            x = zeros[n - 1] + math.pi  # safeguard: keep ladder monotone
+        zeros[n:n + 1] = [x]
     return zeros
+
+
+def bessel_zeros(order: float, count: int, first: int = 1) -> list[float]:
+    """`count` positive zeros of J_order from the `first`-th on: McMahon +
+    Newton polish, from a table kept per (order, first)."""
+    return _ladder_to(order, first, count)[:count]
 
 
 def _euler_average(sums):
@@ -416,8 +434,9 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
 
     Cells run between consecutive zeros of the oscillatory factor; each cell
     uses a fixed Gauss-Legendre rule and the alternating partial sums are
-    Euler-accelerated.  Failure to stabilize raises, with the best partial
-    value attached to the exception.
+    Euler-accelerated.  Zeros come from the ladder table as the cells reach
+    them; evaluations counts the calls of g.  Failure to stabilize raises,
+    with the best partial value attached to the exception.
     """
     if freq <= 0.0:
         raise DomainError("oscillatory frequency must be positive")
@@ -428,11 +447,9 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     # - 1/4) pi), so that zeros below the first cell are neither computed
     # nor counted against osc_max_zeros
     k0 = max(1, int(lo * freq / math.pi - 0.5 * order + 0.25) - 3)
-    zeros = bessel_zeros(order, 32, k0)
-    while k0 > 1 and zeros[0] >= lo * freq:
+    while k0 > 1 and _ladder_to(order, k0, 1)[0] >= lo * freq:
         k0 = max(1, k0 - 8)
-        zeros = bessel_zeros(order, 32, k0)
-    evals = 2 * 32
+    evals = 0
 
     def cell(a, b):
         nonlocal evals
@@ -462,11 +479,7 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     last_hi = lo
     first = True
     while idx < nzeros:
-        if idx >= len(zeros):
-            zeros.extend(bessel_zeros(order, min(len(zeros), nzeros + 1 - len(zeros)),
-                                      k0 + len(zeros)))
-            evals += 2 * (len(zeros) - idx)
-        hi = zeros[idx] / freq
+        hi = _ladder_to(order, k0, idx + 1)[idx] / freq
         idx += 1
         if hi <= last_hi * (1.0 + 1e-12) + 1e-300:
             continue

@@ -354,6 +354,12 @@ class TestLegendreIdentityChecks:
             vals.append((t * t - 1.0) ** (0.5 * mu - 0.25) * q)
         assert vals[0] > vals[1] > vals[2] > 0.0
 
+    @pytest.mark.parametrize("mu", [-0.46, -0.48, -0.49, -0.499])
+    def test_first_kind_near_the_boundary_order(self, mu):
+        # the integrand grows like (1 - t)^(mu - 1/2) at t = 1; without the
+        # exponent the rule lost accuracy at -0.46 and did not converge at -0.48
+        assert legendre_p_integral_check(mu, 0.3, SPEC).rel_residual <= 1e-13
+
     def test_second_kind_convergence_gate(self):
         with pytest.raises(DomainError, match="tail exponent"):
             legendre_q_integral_check(1.2, 0.6, SPEC)
@@ -438,6 +444,40 @@ class TestTranslate:
         f = gaussian_profile(1.0)
         assert abs(translate(p, 0.7, f, 1.3, SPEC) - translate(p, 1.3, f, 0.7, SPEC)) <= 1e-15
 
+    @pytest.mark.parametrize("a", [0.6, 0.8, 1.3, 2.0])
+    @pytest.mark.parametrize("mu", [-0.475, -0.49, -0.499])
+    def test_near_the_boundary_order(self, a, mu):
+        # band, gap and tail grow like d^(mu - 1/2) at their region edges;
+        # without the exponent the rule did not converge from mu = -0.475 on
+        p = Params(0.5 * (mu * a + 1.0), a)
+        fone = Profile(lambda xi: 1.0, 1e5, "one")
+        assert abs(translate(p, 0.7, fone, 1.3, SPEC) - 1.0) <= 1e-10
+        f = gaussian_profile(1.0)
+        assert abs(translate(p, 0.7, f, 1.3, SPEC) - translate(p, 1.3, f, 0.7, SPEC)) <= 1e-15
+
+    def test_equal_magnitudes_give_a_domain_error_or_a_unit_value(self):
+        # parity skips only terms weighted by zero, so it hides no failure
+        fone = Profile(lambda xi: 1.0, 1e5, "one")
+        computed = set()
+        for a in (0.8, 4.0 / 3.0, 2.0, 3.0):
+            for mu in (-0.45, -0.25, 0.0, 0.25, 0.5, 0.8, 1.2, 1.7, 2.5, 3.0):
+                if mu * a + 1.0 < 0.0:             # k < 0
+                    continue
+                p = Params(0.5 * (mu * a + 1.0), a)
+                for f in (gaussian_profile(1.0), fone):
+                    try:
+                        v = translate(p, 0.7, f, -0.7, SPEC)
+                    except DomainError:
+                        continue
+                    computed.add((a, mu, f.name))
+                    assert math.isfinite(v.real) and math.isfinite(v.imag)
+                    if f is fone:
+                        # 1.3e-8 at a = 3, as at |y| != |z|: the tail piece
+                        # under the default spec
+                        assert abs(v - 1.0) <= 2e-8
+        for mu in (0.5, 0.8, 1.2, 1.7):
+            assert {(2.0, mu, "gaussian"), (2.0, mu, "one")} <= computed
+
     @pytest.mark.parametrize("p", [P_FRAC, P_DUNKL, Params(0.5, 1.0), Params(1.0, 1.5),
                                    Params(2.0, 1.0)])
     def test_neighbours_of_equal_magnitudes_are_finite_or_typed(self, p):
@@ -470,6 +510,94 @@ class TestTranslate:
         brute = complex(np.trapezoid(vals, u))
         mine = translate(p, yv, f, zv, SPEC)
         assert abs(brute - mine) <= 1e-5 * abs(mine)
+
+
+def _even_and_odd_parts(f: Profile) -> tuple[Profile, Profile]:
+    return (Profile(lambda xi: 0.5 * (f.fn(xi) + f.fn(-xi)), f.support, "even"),
+            Profile(lambda xi: 0.5 * (f.fn(xi) - f.fn(-xi)), f.support, "odd"))
+
+
+class _CountingCore:
+    """A scalar core whose r_band_core and r_outer_core calls are counted."""
+
+    def __init__(self, core):
+        self._core = core
+        self.calls = {"r_band_core": 0, "r_outer_core": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(self._core, name)
+        if name not in self.calls:
+            return fn
+
+        def counted(*args):
+            self.calls[name] += 1
+            return fn(*args)
+        return counted
+
+
+@pytest.fixture
+def piece_counts(monkeypatch):
+    """Runs a harness call on the counting pure core; returns, per
+    integrate_singular_band2 piece in call order, (evaluations, r_band_core
+    calls, r_outer_core calls)."""
+    def run(call):
+        counting = _CountingCore(_corepy)
+        monkeypatch.setattr(harness, "core", counting)
+        rule, pieces = harness.integrate_singular_band2, []
+
+        def logged(*args, **kwargs):
+            before = dict(counting.calls)
+            res = rule(*args, **kwargs)
+            pieces.append((res.evaluations,
+                           counting.calls["r_band_core"] - before["r_band_core"],
+                           counting.calls["r_outer_core"] - before["r_outer_core"]))
+            return res
+
+        monkeypatch.setattr(harness, "integrate_singular_band2", logged)
+        call()
+        return pieces
+    return run
+
+
+class TestParity:
+    """Terms whose weight (a part of the profile, or the odd weight of the
+    gamma side) is zero are not evaluated."""
+
+    SHIFTED = Profile(lambda xi: math.exp(-(xi - 0.4) ** 2), 10.0, "shifted")
+
+    @pytest.mark.parametrize("p, y, z", [(P_DUNKL, 0.8, 1.3), (P_FRAC, 0.9, -1.4)])
+    def test_translate_is_linear_in_the_profile_parts(self, p, y, z):
+        # the shifted profile runs the both-parts branch, its parts the
+        # even-only and odd-only ones; P_FRAC has a gap and a tail
+        even, odd = _even_and_odd_parts(self.SHIFTED)
+        whole = translate(p, y, self.SHIFTED, z, SPEC)
+        parts = translate(p, y, even, z, SPEC) + translate(p, y, odd, z, SPEC)
+        assert abs(whole - parts) <= 1e-9 * abs(whole)
+
+    def test_translate_evaluates_only_the_weighted_terms(self, piece_counts):
+        even, odd = _even_and_odd_parts(self.SHIFTED)
+        for f in (gaussian_profile(1.0), even):
+            (nb, b_band, b_outer), (_, g_band, g_outer), (nt, t_band, t_outer) = \
+                piece_counts(lambda: translate(P_FRAC, 0.9, f, 1.4, SPEC))
+            assert (b_band, b_outer) == (2 * nb, 0)
+            assert (g_band, g_outer) == (0, 0)            # the gap's term is odd
+            assert (t_band, t_outer) == (0, nt)
+        (nb, b_band, _), (ng, _, g_outer), (_, _, t_outer) = \
+            piece_counts(lambda: translate(P_FRAC, 0.9, odd, 1.4, SPEC))
+        assert b_band == 2 * nb
+        assert 0 < g_outer <= ng                          # nodes where f(xi) - f(-xi) > 0
+        assert t_outer == 0                               # the tail's term is even
+        (nb, b_band, _), *_ = piece_counts(lambda: translate(P_FRAC, 0.9, self.SHIFTED, 1.4,
+                                                             SPEC))
+        assert b_band == 4 * nb
+
+    def test_gamma_side_without_odd_weight_evaluates_the_even_terms(self, piece_counts):
+        (nb, b_band, _), *_ = piece_counts(lambda: gamma_mass(P_FRAC, 0.9, 1.4, SPEC))
+        assert b_band == 2 * nb
+        (nb, b_band, _), *_ = piece_counts(lambda: product_residual(P_FRAC, 0.0, 0.9, 1.4, SPEC))
+        assert b_band == 2 * nb
+        (nb, b_band, _), *_ = piece_counts(lambda: product_residual(P_FRAC, 0.7, 0.9, 1.4, SPEC))
+        assert b_band == 4 * nb
 
 
 class TestLpProbe:

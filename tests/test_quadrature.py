@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -358,6 +359,52 @@ class TestBesselZeros:
     @pytest.mark.parametrize("order", [-0.45, 0.0, 1.875])
     def test_ladder_from_a_later_zero(self, order):
         assert bessel_zeros(order, 20, 37) == bessel_zeros(order, 56)[36:]
+
+    def test_table_hands_out_copies_grown_as_far_as_asked(self):
+        quadrature._zero_ladder.cache_clear()
+        zs = bessel_zeros(0.375, 5, 3)
+        assert len(quadrature._zero_ladder(core, 0.375, 3)) == 5
+        want = list(zs)
+        zs[0] = -1.0
+        zs.extend(want)                                    # as the oscillatory rule does
+        assert bessel_zeros(0.375, 5, 3) == want
+        longer = bessel_zeros(0.375, 9, 3)
+        assert longer[:5] == want and len(quadrature._zero_ladder(core, 0.375, 3)) == 9
+        quadrature._zero_ladder.cache_clear()
+        assert bessel_zeros(0.375, 9, 3) == longer         # cold, the same values
+
+    def test_oscillatory_rule_computes_the_zeros_its_cells_reach(self):
+        quadrature._zero_ladder.cache_clear()
+        integrate_bessel_oscillatory(lambda t: math.exp(-t), 0.0, 1.0, 0.0)
+        assert len(quadrature._zero_ladder(core, 0.0, 1)) == 17    # its 17 cells
+
+    def test_threads_growing_one_ladder_store_each_zero_once(self):
+        quadrature._zero_ladder.cache_clear()
+        want = bessel_zeros(1.875, 120, 4)
+        quadrature._zero_ladder.cache_clear()
+        results = []
+
+        def worker(step):
+            results.extend(bessel_zeros(1.875, n, 4) == want[:n] for n in range(1, 121, step))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in (1, 3, 5, 7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert all(results) and len(results) == 120 + 40 + 24 + 18
+        assert quadrature._zero_ladder(core, 1.875, 4) == want
+
+    def test_import_computes_no_zero(self):
+        code = "import gfkernel.quadrature as q; print(q._zero_ladder.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "0"
 
     def test_known_j0_zeros(self):
         zs = bessel_zeros(0.0, 3)
