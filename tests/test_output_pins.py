@@ -16,6 +16,7 @@ from gfkernel.harness import (
     gaussian_profile,
     hankel_identity_eq1,
     hankel_identity_eq2,
+    legendre_q_integral_check,
     product_residual,
     translate,
     tv_norm,
@@ -63,6 +64,16 @@ _PINS = {
                        ("0x1.82603e47aacb1p-1", "0x0.0p+0")),
     "hankel_eq2_rhs": (lambda: hankel_identity_eq2(0.4, 0.9, 0.8, 1.1, 1.3, SPEC).rhs,
                        ("0x1.f93e262f4b447p-2", "0x0.0p+0")),
+    # 2/a = 3/2: the infinite tail by the power-tail engine
+    "gamma_mass_tail": (lambda: gamma_mass(P_GOLDEN, 0.4, 1.2, SPEC),
+                        (("0x1.0000000000001p+0", "-0x1.2a00000000000p-49"),
+                         "0x1.b5749cf73013bp-37")),
+    # mu = -0.45: each half of the band integrated in s = d^(1 + p)
+    "product_rhs_edge_substituted": (
+        lambda: product_residual(Params(0.1625, 1.5), 0.7, 0.9, 1.4, SPEC).rhs,
+        ("-0x1.567a0ec462c1ap-2", "-0x1.9b4d5bbaf1fa8p-3")),
+    "legendre_q_rhs": (lambda: legendre_q_integral_check(0.25, 1.25, SPEC).rhs,
+                       ("0x1.8ce17a36bd8ecp-1", "0x0.0p+0")),
 }
 
 
