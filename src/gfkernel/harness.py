@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _COSH_SPLIT = 2.0  # outer pieces switch from the u-substitution to the tail here
+_TAIL_SPAN = 1e3    # translate's tail is integrated in pieces of at most this ratio
 
 
 @dataclass(frozen=True)
@@ -708,6 +709,13 @@ def translate(p: Params, y: float, f: Profile, z: float,
     other two band terms, and the gap's) by its odd part f(xi) - f(-xi).
     At each node only the terms of a nonzero part are evaluated, so an even
     profile never evaluates an odd term; the value is the same to the bit.
+
+    At |y|^(a/2) = |z|^(a/2) the band reaches Xi = 0.  The kernels' edge
+    powers underflow at the rule's nodes next to it, but the rule stops
+    walking toward an end once its terms no longer move the sum, which is
+    mostly before those nodes; where it does reach them, translate raises
+    DomainError.  The tail above X2 is integrated in pieces of at most a
+    factor _TAIL_SPAN each.
     """
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
@@ -762,10 +770,11 @@ def translate(p: Params, y: float, f: Profile, z: float,
         except (ArithmeticError, ValueError) as exc:
             if X1 != 0.0:
                 raise
-            # |y|^(a/2) = |z|^(a/2): the band reaches Xi = 0, where the rule's
-            # outermost nodes underflow the kernels' edge powers unless about
-            # 1/2 <= mu < 2 (a math domain error, a division by zero, or no
-            # convergence on the compiled core); the limit is not computed
+            # |y|^(a/2) = |z|^(a/2): the band reaches Xi = 0, where nodes
+            # next to it underflow the kernels' edge powers (a math domain
+            # error, a division by zero, or no convergence on the compiled
+            # core); the rule's walk mostly stops short of them, and where it
+            # does not, the limit is not computed
             raise DomainError(f"translate is not computed at |y|^(a/2) = |z|^(a/2) "
                               f"(y={y!r}, z={z!r}, mu={mu!r})") from exc
 
@@ -791,17 +800,24 @@ def translate(p: Params, y: float, f: Profile, z: float,
         pieces.append(integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
 
     if g.has_tail and XS > X2:
-        def f_tail(Xi, dlo, dhi):
-            xi = g.z_of(Xi)
-            fe, fo = fe_fo(xi)
-            if fe == 0.0:
-                return 0.0
-            r3o = _r_outer(mu, nu, Yh, Zc, Xi, dlo, Xi + X2)
-            if r3o == 0.0:
-                return 0.0
-            return syz * r3o * fe * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
+        # one rule per factor of 1e3 at most: a rule across many decades of
+        # the power decay misses mass; only X2 is a region edge
+        start = X2
+        while start < XS:
+            def f_tail(Xi, dlo, dhi, _off=start - X2):
+                xi = g.z_of(Xi)
+                fe, fo = fe_fo(xi)
+                if fe == 0.0:
+                    return 0.0
+                r3o = _r_outer(mu, nu, Yh, Zc, Xi, _off + dlo, Xi + X2)
+                if r3o == 0.0:
+                    return 0.0
+                return syz * r3o * fe * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
 
-        pieces.append(integrate_singular_band2(f_tail, X2, XS, spec, edge_exponent=edge))
+            stop = min(_TAIL_SPAN * start, XS)
+            pieces.append(integrate_singular_band2(f_tail, start, stop, spec,
+                                                   edge_exponent=edge if start == X2 else 0.0))
+            start = stop
 
     for res in pieces:
         total += res.value

@@ -196,8 +196,19 @@ class TestOtherCommands:
         assert math.isfinite(float(vals["re"])) and float(vals["im"]) == 0.0
 
     @pytest.mark.parametrize("z", ["1", "-1"])
+    def test_translate_at_equal_magnitudes_prints_a_value(self, z, capsys):
+        code, out = run_cli(["translate", "--k", "0.75", "--a", "1.3333333333333333",
+                             "--y", "1", "--z", z, "--profile", "bump"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        assert float(vals["re"]) > 0.0 and float(vals["im"]) == 0.0
+
+    @pytest.mark.parametrize("z", ["1", "-1"])
     def test_translate_at_equal_magnitudes_is_invalid_input(self, z, capsys):
-        code = main(["translate", "--k", "0.75", "--a", "1.3333333333333333",
+        # mu = -0.45: the rule still reaches the nodes where the band's edge
+        # powers underflow
+        code = main(["translate", "--k", "0.2", "--a", "1.3333333333333333",
                      "--y", "1", "--z", z, "--profile", "bump"])
         err = capsys.readouterr().err
         assert code == 2

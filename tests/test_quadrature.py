@@ -135,6 +135,76 @@ class TestSingularBand:
             integrate_singular_band(lambda t: 1.0, 1.0, 1.0)
 
 
+def _full_ladder(f2, lo, hi, spec=SPEC):
+    """The tanh-sinh rule without the walk: every node of every level.
+    Returns (value, est_error, evaluations)."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    evals, running, prev = 0, 0.0, None
+    for level in range(spec.max_levels + 1):
+        new = 0.0
+        for xu, wu, sigma in quadrature._de_nodes(level):
+            d_near, d_far = half * sigma, half * (1.0 + xu)
+            if d_near <= 0.0:
+                continue
+            if xu == 0.0:
+                new += wu * f2(mid, half, half)
+                evals += 1
+                continue
+            new += wu * f2(hi - d_near, d_far, d_near)
+            new += wu * f2(lo + d_near, d_near, d_far)
+            evals += 2
+        running = running + new
+        total = 0.5 ** level * running
+        if level >= 3 and prev is not None:
+            diff = abs(total - prev)
+            if diff <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                return half * total, half * diff, evals
+        prev = total
+    raise AssertionError("the full ladder did not converge")
+
+
+def _vanishing_between(a, b):
+    """(a - x)^4 left of a, (x - b)^4 right of b, exactly 0 between."""
+    return lambda x, dlo, dhi: (a - x) ** 4 if x <= a else ((x - b) ** 4 if x >= b else 0.0)
+
+
+class TestWalk:
+    """Each level stops walking toward an end after two terms in a row that
+    leave its sum unchanged; the value and error estimate keep every bit of
+    the full ladder."""
+
+    @staticmethod
+    def assert_as_the_full_ladder(f2, lo, hi):
+        r = integrate_singular_band2(f2, lo, hi)
+        value, est_error, evals = _full_ladder(f2, lo, hi)
+        assert (r.value, r.est_error) == (value, est_error)
+        assert r.evaluations <= evals
+        return r.evaluations, evals
+
+    @pytest.mark.parametrize("q", [-0.9, -0.5, 0.0, 1.5])
+    @pytest.mark.parametrize("p", [-0.9, -0.5, 0.0, 1.5])
+    def test_edge_powers(self, p, q):
+        self.assert_as_the_full_ladder(
+            lambda x, dlo, dhi: dlo ** p * dhi ** q / (2.0 + x), -1.0, 2.0)
+
+    def test_oscillating(self):
+        self.assert_as_the_full_ladder(lambda x, dlo, dhi: math.cos(40.0 * x), 0.0, 3.0)
+
+    def test_complex(self):
+        self.assert_as_the_full_ladder(
+            lambda x, dlo, dhi: complex(math.cos(3.0 * x), math.sin(3.0 * x)) * dlo ** -0.5,
+            0.0, 2.0)
+
+    @pytest.mark.parametrize("a, b", [(-0.3, 0.3), (0.2, 0.6), (0.4, 0.95)])
+    def test_integrand_that_vanishes_on_a_stretch(self, a, b):
+        # the walk passes the zeros on one side to the mass beyond them
+        self.assert_as_the_full_ladder(_vanishing_between(a, b), -1.0, 1.0)
+
+    def test_smooth_integrand_stops_short_of_the_full_levels(self):
+        walked, full = self.assert_as_the_full_ladder(lambda x, dlo, dhi: math.exp(x), 0.0, 1.0)
+        assert full == 89 > walked         # levels 0 to 3: 11 + 12 + 22 + 44 nodes
+
+
 class TestPowerTail:
     def test_inverse_square(self):
         r = integrate_power_tail(lambda t: t ** -2.0, 1.0, -2.0)
