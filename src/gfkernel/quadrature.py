@@ -131,9 +131,10 @@ def _de_nodes(level: int):
 # d^p at an end keeps about _SIGMA_MIN^(1+p) of its mass closer than that.
 _SIGMA_MIN = min(sigma for _, _, sigma in _de_nodes(1))
 
-# A side of a level stops after two terms in a row below _QUIET times the
-# level's sum so far.  2^-70 was not enough to stop translate at
-# |y|^(a/2) = |z|^(a/2) short of the nodes that underflow its kernels.
+# A term below _QUIET times its level's sum so far is about 2^-11 of half an
+# ulp of that sum; two in a row stop the level's walk toward that end.
+# 2^-70 did not stop translate at |y|^(a/2) = |z|^(a/2) short of the nodes
+# that underflow its kernels.
 _QUIET = 2.0 ** -64
 
 
@@ -152,14 +153,12 @@ def integrate_singular_band2(f2, lo: float, hi: float,
     power (see _integrate_edge_substituted); otherwise the plain rule runs
     as it does for p = 0.
 
-    Each level walks its nodes from the middle toward each end and stops on
-    a side after two terms in a row below 2^-64 of the level's sum so far
-    (an exact zero may continue such a run but not start one).  That leaves
-    every level sum as the full level gives it, provided the terms keep
-    falling past two quiet nodes, as they do for an f2 of the promised
-    d^p growth.  Nodes the walk does not reach are never evaluated: at an
-    end where f2's value underflows or cannot be formed, the walk usually
-    stops before it gets there.
+    Each level walks its nodes from the middle toward each end and stops a
+    side after two terms in a row below 2^-64 of the level's sum so far
+    (see the module docstring).  The value is the full levels' value as
+    long as f2's terms keep falling past two such nodes, as they do for the
+    promised d^p growth.  Nodes past the stop are never evaluated, so an
+    end where f2 underflows or cannot be formed is mostly not reached.
     """
     if not lo < hi:
         raise DomainError(f"empty or inverted interval [{lo!r}, {hi!r}]")
@@ -220,10 +219,9 @@ def _tanh_sinh(f2, lo: float, hi: float, spec: QuadratureSpec) -> IntegralResult
     for level in range(0, spec.max_levels + 1):
         h = 0.5 ** level
         new = 0.0
-        # quiet terms in a row on each side: one below 2^-64 |new| is about
-        # 2^-11 of half an ulp of new, and the side stops at two.  An exact
-        # zero continues a quiet run but does not start one, so a stretch
-        # where f2 vanishes does not hide the mass beyond it.
+        # quiet terms in a row toward hi and toward lo; an exact zero
+        # continues a run but does not start one, so a stretch where f2
+        # vanishes does not hide the mass beyond it
         quiet_hi = quiet_lo = 0
         for xu, wu, sigma in _de_nodes(level):
             d_near = half * sigma

@@ -280,7 +280,6 @@ class TestTvNorm:
             brute = float(np.trapezoid(vals, u))
             assert abs(brute - tv_norm(p, x, y, SPEC)) <= 1e-5 * brute, (p, x, y)
 
-
     # Open holes of the integer-2/a branch near mu = -1/2.  References: the
     # band split at the zeros of each signed density over (1 - t^2)^(mu - 1/2),
     # which is finite at t = +-1, found on a 4097-point scan; each piece with
@@ -493,8 +492,8 @@ class TestTranslate:
     @pytest.mark.parametrize("a", [2.5, 3.0])
     @pytest.mark.parametrize("support", [1e6, 1e7])
     def test_unit_profile_with_a_tail_over_many_decades(self, a, support):
-        # the tail piece runs to support^(a/2), up to 1e10.5 X2; one rule over
-        # all of it was off by up to 1.2e-3 at a = 3
+        # the tail (X2, support^(a/2)) spans up to ten decades; one rule
+        # over all of it was off by up to 1.2e-3 at a = 3
         fone = Profile(lambda xi: 1.0, support, "one")
         v = translate(Params(0.5 * (0.8 * a + 1.0), a), 0.7, fone, 1.3)
         assert abs(v - 1.0) <= 1e-8
@@ -522,7 +521,7 @@ class TestTranslate:
 
     def test_equal_magnitudes_over_the_domain(self):
         # each call at |y| = |z| returns its neighbour's value or raises the
-        # typed error; before the walk 87 of these 150 raised
+        # typed error; before the walk 82 of these 150 raised
         rng = random.Random(13)
         profiles = (gaussian_profile(1.0), bump_profile(), Profile(lambda xi: 1.0, 1e5, "one"))
         computed = 0
