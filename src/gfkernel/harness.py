@@ -15,8 +15,10 @@ algebraic and its complements exactly computable:
 
 The triple geometry has one source: _complements (1 -+ cos(theta) from the
 exact excesses of a band triple) and _r_outer (R off the band from the exact
-gap).  _gamma_integral is the one band / gap / near-outer / tail plan of the
-gamma side: the product, mass and TV checks are weight callbacks on it.
+gap).  _gamma_integral is the one band / gap / near-outer / tail plan over
+the third side of the triple: the product, mass and TV checks and the first
+Hankel identity are callbacks on it (the second identity and translate
+integrate over the middle side).
 
 Parity: the density's even terms are weighted by the even part of what it
 is integrated against, its odd terms by the odd part.  Where that part is
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ._backend import core
-from .errors import DomainError, require_finite
+from .errors import DegenerateParameterError, DomainError, require_finite
 from .genkernel import Params, _delta_prefactor, _phase_e2a, b_kernel, m_const
 from .quadrature import (
     DEFAULT_SPEC,
@@ -157,16 +159,15 @@ def _r_outer(mu: float, nu: float, a: float, b: float, c: float,
 
 
 class _DensityGeometry:
-    """Magnitudes, signs and constants for integrating against Delta(x, y, .)."""
+    """Magnitudes X = |x|^(a/2), Y = |y|^(a/2), signs and the shared factor
+    coef z^zexp for integrating against a triple density at (x, y); the
+    outer branches vanish identically unless has_tail."""
 
-    def __init__(self, p: Params, x: float, y: float):
-        p.require_macdonald()
-        require_finite(x=x, y=y)
-        if x == 0.0 or y == 0.0:
-            raise DomainError("density integrals need nonzero base points")
-        self.mu = p.mu_m
-        self.nu = p.nu_m
-        self.ha = 0.5 * p.a
+    def __init__(self, mu: float, nu: float, a: float, x: float, y: float,
+                 coef: float, zexp: float, has_tail: bool, e2a: complex = 1.0):
+        self.mu = mu
+        self.nu = nu
+        self.ha = 0.5 * a
         self.X = math.pow(abs(x), self.ha)
         self.Y = math.pow(abs(y), self.ha)
         self.sx = math.copysign(1.0, x)
@@ -174,13 +175,23 @@ class _DensityGeometry:
         self.sxy = self.sx * self.sy
         self.Z1 = abs(self.X - self.Y)
         self.Z2 = self.X + self.Y
-        self.e2a = _phase_e2a(p)
-        self.two_over_a = 2.0 / p.a
-        # z-exponent of the shared factor z^w / (xyz)^(k-1/2)
-        self.zexp = p.w - p.k + 0.5
-        self.coef = _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k)
-        # outer branches vanish identically when nu - mu = 2/a is an integer
-        self.has_tail = not p.band_offset_integer
+        self.e2a = e2a
+        self.two_over_a = 2.0 / a
+        self.zexp = zexp
+        self.coef = coef
+        self.has_tail = has_tail
+
+    @classmethod
+    def of(cls, p: Params, x: float, y: float) -> "_DensityGeometry":
+        """Delta(x, y, .): coef z^zexp = a 2^(mu-2) Gamma(mu+1) z^w / |xyz|^(k-1/2),
+        with a tail unless 2/a is an integer."""
+        p.require_macdonald()
+        require_finite(x=x, y=y)
+        if x == 0.0 or y == 0.0:
+            raise DomainError("density integrals need nonzero base points")
+        return cls(p.mu_m, p.nu_m, p.a, x, y,
+                   _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k),
+                   p.w - p.k + 0.5, not p.band_offset_integer, _phase_e2a(p))
 
     def z_of(self, Z: float) -> float:
         return math.pow(Z, self.two_over_a)
@@ -224,38 +235,42 @@ def _band_terms(g: _DensityGeometry, omt: float, opt: float, odd: bool = True):
 
 
 def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
-                    osc: float | None):
+                    osc: float | None, breaks=(), terms=_band_terms):
     """The pieces of ∫ w(z) Delta(x, y, z) |z|^w dz over z > 0.
 
-    band(Z, z, even, odd) weights the even and odd sums of the band terms
-    (integrated in t = cos(theta)); gap(Z, z, t) and outer(Z, z, t) weight
-    the single term that survives below the band (in Z) and above it (in
-    u = cosh(theta) up to _COSH_SPLIT, then a tail).  With osc = c the
-    outer weight is J~_mu(c Z) and its tail is summed between Bessel zeros;
-    with osc None the tail is a z^-3 power tail.  gap None states that the
-    weights have no odd part: the gap is skipped and band gets 0.0 for the
-    odd sum, which is not evaluated.  Returns the (band, gap, near-outer,
-    tail) values, 0.0 for an absent piece, the summed error estimate and
-    the tail's truncation bound.
+    terms(g, 1 - t, 1 + t, odd) forms the band's even and odd sums, which
+    band(Z, z, even, odd) weights (in t = cos(theta), split at the interior
+    points breaks); gap(Z, z, t) and outer(Z, z, t) weight the single term
+    that survives below the band (in Z) and above it (in u = cosh(theta) up
+    to _COSH_SPLIT, then a tail).  With osc = c the outer weight is
+    J~_mu(c Z) and its tail is summed between Bessel zeros; with osc None
+    the tail is a z^-3 power tail.  gap None states that the weights have no
+    odd part: the gap is skipped and the odd sum is not formed (0.0).
+    Every piece grows like d^(mu - 1/2) at a region edge and is given that
+    exponent; an unsplit compact band, (1 - t^2)^(mu - 1/2) times a smooth
+    factor, takes the Gauss-Jacobi rules, every other piece tanh-sinh.
+    Returns the (band, gap, near-outer, tail) values, 0.0 for an absent
+    piece, the summed error estimate and the tail's truncation bound.
     """
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
     odd_weight = gap is not None
-
-    def f_band(t, dlo, dhi):
-        Z, even, odd = _band_terms(g, dhi, dlo, odd_weight)
-        z = g.z_of(Z)
-        return band(Z, z, even, odd) * g.common(z) * g.dz_dt(Z)
-
-    # every piece grows like d^(mu - 1/2) at a region edge, d the distance
-    # to it: the band at both ends, the gap at Z1, the near-outer at u = 1.
-    # With compact support the band is (1 - t^2)^(mu - 1/2) times a smooth
-    # factor, which the Gauss-Jacobi rules of that weight resolve.
     edge = mu - 0.5
-    band_rule = integrate_singular_band2 if g.has_tail else integrate_gauss_jacobi
-    res = band_rule(f_band, -1.0, 1.0, spec, edge_exponent=edge)
-    pieces = [res.value, 0.0, 0.0, 0.0]
-    qerr = res.est_error
+    band_rule = integrate_singular_band2 if g.has_tail or breaks else integrate_gauss_jacobi
+    pieces = [0.0, 0.0, 0.0, 0.0]
+    qerr = 0.0
     trunc = 0.0
+
+    # each band piece keeps its distances to t = -1 and t = 1 exact
+    ends = [-1.0, *breaks, 1.0]
+    for lo, hi in zip(ends, ends[1:]):
+        def f_band(t, dlo, dhi, _ol=lo + 1.0, _oh=1.0 - hi):
+            Z, even, odd = terms(g, dhi + _oh, dlo + _ol, odd_weight)
+            z = g.z_of(Z)
+            return band(Z, z, even, odd) * g.common(z) * g.dz_dt(Z)
+
+        res = band_rule(f_band, lo, hi, spec, edge_exponent=edge)
+        pieces[0] += res.value
+        qerr += res.est_error
 
     # inner gap (0, Z1): term (iii) when Y > X (outer of the (X, Z, Y)
     # triple), term (iv) when X > Y; dhi is Z1 - Z, exact
@@ -328,7 +343,7 @@ def _product_rhs(p: Params, lam: float, x: float, y: float,
     Folded onto z > 0: twice the integral of B_even * (even terms) +
     B_odd * (odd terms).
     """
-    g = _DensityGeometry(p, x, y)
+    g = _DensityGeometry.of(p, x, y)
     mu, nu = g.mu, g.nu
     c = (2.0 / p.a) * math.pow(abs(lam), 0.5 * p.a) if lam != 0.0 else 0.0
     m = m_const(p)
@@ -394,10 +409,12 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
     """Interior zeros of the two signed band densities (real-phase case).
 
     When 2/a is an integer the density is real-valued and its modulus has
-    kinks at sign changes, which the tanh-sinh rule cannot see; the band is
-    split there.  Zeros are located by a uniform scan plus bisection; a zero
-    on a scan node is a break itself, and a zero shared by both densities
-    is one break.
+    kinks at sign changes, which slow the band rules; the band is split
+    there.  Zeros are located by a scan plus bisection; the scan takes the
+    midpoints of scan equal cells and a point 2^-40 from each end (where
+    1 -+ t is exact), so zeros beyond the outermost midpoints are seen.  A
+    zero on a scan node is a break itself, and a zero shared by both
+    densities is one break.
     """
     def s_pair(t):
         d_hi = 1.0 - t
@@ -406,11 +423,13 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
         return (even + odd).real, (even - odd).real
 
     breaks = []
-    ts = [-1.0 + 2.0 * (i + 0.5) / scan for i in range(scan)]
+    end = 2.0 ** -40
+    ts = ([-1.0 + end] + [-1.0 + 2.0 * (i + 0.5) / scan for i in range(scan)]
+          + [1.0 - end])
     vals = [s_pair(t) for t in ts]
     for comp in (0, 1):
         breaks += [t for t, v in zip(ts, vals) if v[comp] == 0.0]
-        for i in range(scan - 1):
+        for i in range(len(ts) - 1):
             va, vb = vals[i][comp], vals[i + 1][comp]
             if va * vb >= 0.0:
                 continue
@@ -432,25 +451,14 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
 def tv_norm_report(p: Params, x: float, y: float,
                    spec: QuadratureSpec = DEFAULT_SPEC) -> TvReport:
     """∫ |Delta(x, y, z)| |z|^w dz with the modulus taken pointwise on the
-    complex density (no term-by-term bound)."""
-    t0 = time.perf_counter()
-    g = _DensityGeometry(p, x, y)
-    if p.band_offset_integer:
-        # real density on the band only: integrate the signed pair per
-        # sign-constant piece, with distances to t = -1 and t = 1 exact
-        total = 0.0
-        qerr = 0.0
-        edges = [-1.0] + _band_sign_breaks(g) + [1.0]
-        for a_i, b_i in zip(edges, edges[1:]):
-            def f_piece(t, dlo, dhi, _ol=a_i + 1.0, _oh=1.0 - b_i):
-                Z, even, odd = _band_terms(g, dhi + _oh, dlo + _ol)
-                c = g.common(g.z_of(Z)) * g.dz_dt(Z)
-                return complex((even + odd).real * c, (even - odd).real * c)
+    complex density (no term-by-term bound).
 
-            res = integrate_singular_band2(f_piece, a_i, b_i, spec)
-            total += abs(res.value.real) + abs(res.value.imag)
-            qerr += res.est_error
-        return TvReport(total, qerr, 0.0, time.perf_counter() - t0)
+    One band weight, |even + odd| + |even - odd|, serves every a; at integer
+    2/a the band is split at its sign breaks, and one the scan misses is a
+    kink inside a piece, which costs nodes but not accuracy.
+    """
+    t0 = time.perf_counter()
+    g = _DensityGeometry.of(p, x, y)
 
     def band(Z, z, even, odd):
         return abs(even + odd) + abs(even - odd)
@@ -458,7 +466,9 @@ def tv_norm_report(p: Params, x: float, y: float,
     def modulus(Z, z, t):
         return 2.0 * abs(t)
 
-    (b, gp, near, tail), qerr, trunc = _gamma_integral(g, spec, band, modulus, modulus, None)
+    breaks = _band_sign_breaks(g) if p.band_offset_integer else ()
+    (b, gp, near, tail), qerr, trunc = _gamma_integral(g, spec, band, modulus, modulus, None,
+                                                       breaks)
     return TvReport(b + gp + near + tail, qerr, trunc, time.perf_counter() - t0)
 
 
@@ -476,7 +486,12 @@ def tv_norm(p: Params, x: float, y: float,
 def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
                         spec: QuadratureSpec = DEFAULT_SPEC) -> ResidualReport:
     """(xy)^nu t^(2(nu-mu)) J~_nu(xt) J~_nu(yt) against the weighted integral
-    of R_{mu,nu}(x, y, .) with kernel J~_mu(zt) z^(mu+1)."""
+    of R_{mu,nu}(x, y, .) with kernel J~_mu(zt) z^(mu+1).
+
+    The integral is the gamma-side plan at a = 2 (Z = z), X = x, Y = y,
+    coefficient 1 and z-exponent mu + 1, with the one band term
+    R_{mu,nu}(x, y, Z), weight J~_mu(tZ), oscillatory frequency t and no gap.
+    """
     t0 = time.perf_counter()
     require_finite(mu=mu, nu=nu, x=x, y=y, t=t)
     if not (mu > -0.5 and nu > -0.5):
@@ -487,50 +502,22 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
            * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(nu, y * t))
     kfac = math.exp((2.0 * nu - mu) * math.log(2.0)
                     + 2.0 * math.lgamma(nu + 1.0) - math.lgamma(mu + 1.0))
-    qerr = 0.0
-
-    def f_band(s, dlo, dhi):
-        omt, opt = dhi, dlo
-        Z = math.sqrt((x - y) * (x - y) + 2.0 * x * y * omt)
-        val = core.r_band_core(mu, nu, x, y, Z, omt, opt)
-        return (val * core.normalized_bessel_j(mu, Z * t) * math.pow(Z, mu + 1.0)
-                * (x * y / Z))
-
-    # the band and near-outer pieces grow like d^(mu - 1/2) at their edges
-    edge = mu - 0.5
-    res = integrate_singular_band2(f_band, -1.0, 1.0, spec, edge_exponent=edge)
-    rhs = res.value
-    qerr += res.est_error
-
     d = nu - mu
-    if abs(d - round(d)) > 1e-12:
-        # outer piece in u = cosh(theta) up to _COSH_SPLIT, then the
-        # oscillatory tail
-        def f_near(u, dlo, dhi):
-            Z = math.sqrt((x + y) * (x + y) + 2.0 * x * y * dlo)
-            val = core.r_outer_core(mu, nu, x, y, Z, u, dlo)
-            if val == 0.0:
-                return 0.0
-            w = core.normalized_bessel_j(mu, Z * t) * math.pow(Z, mu + 1.0)
-            return val * w * (x * y / Z)
+    g = _DensityGeometry(mu, nu, 2.0, x, y, 1.0, mu + 1.0, abs(d - round(d)) > 1e-12)
+    j_mu = _recent(functools.partial(core.normalized_bessel_j, mu))
 
-        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec, edge_exponent=edge)
-        rhs += res.value
-        qerr += res.est_error
-        z_split = math.sqrt(x * x + y * y + 2.0 * x * y * _COSH_SPLIT)
-        gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * t, -mu)
+    def terms(g, omt, opt, odd):
+        Z = math.sqrt(g.Z1 * g.Z1 + 2.0 * x * y * omt)
+        return Z, core.r_band_core(mu, nu, x, y, Z, omt, opt), 0.0
 
-        def g_osc(Z):
-            val = core.r_outer(mu, nu, x, y, Z)
-            if val == 0.0:
-                return 0.0
-            return gj * val * Z
+    def band(Z, z, even, odd):
+        return even * j_mu(Z * t)
 
-        res = integrate_bessel_oscillatory(g_osc, mu, t, z_split, spec)
-        rhs += res.value
-        qerr += res.est_error
+    def outer(Z, z, r):
+        return r * j_mu(Z * t)
 
-    return _report(lhs, kfac * rhs, kfac * qerr, t0)
+    (b, _, near, tail), qerr, _ = _gamma_integral(g, spec, band, None, outer, t, terms=terms)
+    return _report(lhs, kfac * (b + near + tail), kfac * qerr, t0)
 
 
 def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
@@ -714,8 +701,9 @@ def translate(p: Params, y: float, f: Profile, z: float,
     powers underflow at the rule's nodes next to it, but the rule stops
     walking toward an end once its terms no longer move the sum, which is
     mostly before those nodes; where it does reach them, translate raises
-    DomainError.  The tail above X2 is integrated in pieces of at most a
-    factor _TAIL_SPAN each.
+    DomainError.  A DegenerateParameterError, which every z raises at that
+    (k, a), passes through as it is.  The tail above X2 is integrated in
+    pieces of at most a factor _TAIL_SPAN each.
     """
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
@@ -724,7 +712,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
         return complex(f(z))
     if z == 0.0:
         return complex(f(y))
-    g = _DensityGeometry(p, y, z)
+    g = _DensityGeometry.of(p, y, z)
     mu, nu = g.mu, g.nu
     Yh, Zc, X1, X2 = g.X, g.Y, g.Z1, g.Z2
     sy, sz, syz = g.sx, g.sy, g.sxy
@@ -768,7 +756,7 @@ def translate(p: Params, y: float, f: Profile, z: float,
         try:
             pieces.append(integrate_singular_band2(f_band, X1, hi_band, spec, edge_exponent=edge))
         except (ArithmeticError, ValueError) as exc:
-            if X1 != 0.0:
+            if X1 != 0.0 or isinstance(exc, DegenerateParameterError):
                 raise
             # |y|^(a/2) = |z|^(a/2): the band reaches Xi = 0, where nodes
             # next to it underflow the kernels' edge powers (a math domain

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gfkernel import Params, _corepy, b_kernel, genkernel, harness, macdonald, quadrature
-from gfkernel.errors import ConvergenceError, DomainError, GfkError
+from gfkernel.errors import DegenerateParameterError, DomainError, GfkError
 from gfkernel.harness import (
     Axis,
     SweepGrid,
@@ -280,26 +280,67 @@ class TestTvNorm:
             brute = float(np.trapezoid(vals, u))
             assert abs(brute - tv_norm(p, x, y, SPEC)) <= 1e-5 * brute, (p, x, y)
 
-    # Open holes of the integer-2/a branch near mu = -1/2.  References: the
-    # band split at the zeros of each signed density over (1 - t^2)^(mu - 1/2),
-    # which is finite at t = +-1, found on a 4097-point scan; each piece with
-    # the edge exponent at rel_tol 1e-13, max_levels 16 (a 1025-point scan
-    # gives the same value to 1e-15).
+    # Integer 2/a near mu = -1/2.  References: the band split at the zeros of
+    # each signed density over (1 - t^2)^(mu - 1/2), which is finite at
+    # t = +-1, found on a 4097-point scan; each piece with the edge exponent
+    # at rel_tol 1e-13, max_levels 16 (a 1025-point scan gives the same value
+    # to 1e-15).
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the sign-split pieces do not pass the edge exponent")
     def test_integer_two_over_a_near_the_boundary_order(self):
-        # mu = -0.46: 1.0317123617 is returned, 2e-7 low, with no error
+        # mu = -0.46: the signed pieces without the edge exponent returned
+        # 1.0317123617, 2e-7 low, with no error
         want = 1.0317125718177602
         assert abs(tv_norm(Params(0.04, 2.0), 0.7, 1.3) - want) <= SPEC.rel_tol * want
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="the 129-point scan misses the sign break at t = 0.99542")
     def test_sign_break_next_to_the_band_edge(self):
-        # mu = -0.475
+        # mu = -0.475: a scan of midpoints only missed the break at t = 0.99542,
+        # and the piece across it raised ConvergenceError
         want = 3.5477401202926657
         v = tv_norm(Params(0.2625, 1.0), 0.7, 1.3, TV_SPEC)
         assert abs(v - want) <= TV_SPEC.rel_tol * want
+
+    def test_sign_break_scan_reaches_the_band_ends(self):
+        # even + odd changes sign at t = 0.99541698646302435 (mpmath, 40
+        # digits), 1/218 from t = 1: closer to the end than the scan's
+        # outermost midpoint
+        g = harness._DensityGeometry.of(Params(0.2625, 1.0), 0.7, 1.3)
+        assert min(abs(t - 0.99541698646302435) for t in harness._band_sign_breaks(g)) <= 1e-9
+
+    # (a, mu, x, y): references made as those above, at abs_tol 1e-16
+    _NEAR_HALF = {
+        (2.0, -0.475, 0.7, 1.3): 1.020433259217554,
+        (2.0, -0.475, 0.4, 2.5): 1.0070652192617604,
+        (2.0, -0.49, 0.7, 1.3): 1.008433352076399,
+        (2.0, -0.49, 0.4, 2.5): 1.002909796884467,
+        (2.0, -0.499, 0.7, 1.3): 1.0008597090236553,
+        (2.0, -0.499, 0.4, 2.5): 1.0002962434257356,
+        (1.0, -0.475, 0.7, 1.3): 3.5477401202926657,
+        (1.0, -0.475, 0.4, 2.5): 2.880345251502806,
+        (1.0, -0.49, 0.7, 1.3): 3.84182894595196,
+        (1.0, -0.49, 0.4, 2.5): 3.1187494269192606,
+        (1.0, -0.499, 0.7, 1.3): 4.07604478885758,
+        (1.0, -0.499, 0.4, 2.5): 3.315545441527709,
+        (2.0 / 3.0, -0.475, 0.7, 1.3): 3.1400350506781542,
+        (2.0 / 3.0, -0.475, 0.4, 2.5): 2.7880648281910694,
+        (2.0 / 3.0, -0.49, 0.7, 1.3): 3.3371173077737804,
+        (2.0 / 3.0, -0.49, 0.4, 2.5): 2.963728187750964,
+        (2.0 / 3.0, -0.499, 0.7, 1.3): 3.4853279502491725,
+        (2.0 / 3.0, -0.499, 0.4, 2.5): 3.098506039955275,
+    }
+
+    @pytest.mark.parametrize("a", [2.0, 1.0, 2.0 / 3.0])
+    def test_integer_two_over_a_next_to_mu_minus_half(self, a, core, monkeypatch):
+        # the band grows like d^(mu - 1/2) at both ends, and its pieces take
+        # the exponent: at mu <= -0.475 they raised ConvergenceError without
+        # it.  At a = 2/3 both signed densities fall to d (1 - t^2)^(mu - 1/2)
+        # at t = 1, below their rounding noise within 2^-48 of it; the modulus
+        # of that noise adds up to 2.5e-12 of the value at mu = -0.499.
+        monkeypatch.setattr(harness, "core", core)
+        for mu in (-0.475, -0.49, -0.499):
+            p = Params(0.5 * (mu * a + 1.0), a)
+            for x, y in ((0.7, 1.3), (0.4, 2.5)):
+                want = self._NEAR_HALF[(a, mu, x, y)]
+                assert abs(tv_norm(p, x, y) - want) <= 5e-12 * want, (a, mu, x, y)
 
 
 class TestHankelIdentities:
@@ -318,6 +359,23 @@ class TestHankelIdentities:
             for x, y, t in HANKEL_POINTS:
                 assert hankel_identity_eq1(mu, nu, x, y, t, SPEC).rel_residual <= 1e-9
                 assert hankel_identity_eq2(mu, nu, x, y, t, SPEC).rel_residual <= 1e-9
+
+    @pytest.mark.parametrize("mu,nu", [(0.5, 0.5), (0.5, 1.5), (-0.49, 0.51), (1.0, 3.0)])
+    def test_first_identity_at_integer_offsets(self, mu, nu, core, monkeypatch):
+        # nu - mu an integer: the band is the whole support, integrated by the
+        # Gauss-Jacobi rules of the weight (1 - t^2)^(mu - 1/2)
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(harness, "core", core)
+        for x, y, t in HANKEL_POINTS:
+            with mpmath.workdps(30):
+                m, n, xm, ym, tm = (mpmath.mpf(v) for v in (mu, nu, x, y, t))
+
+                def jt(s):   # J~_nu(s)
+                    return mpmath.gamma(n + 1) * (s / 2) ** (-n) * mpmath.besselj(n, s)
+
+                lhs = float((xm * ym) ** n * tm ** (2 * (n - m)) * jt(xm * tm) * jt(ym * tm))
+            rhs = hankel_identity_eq1(mu, nu, x, y, t).rhs
+            assert abs(rhs - lhs) <= 1e-13 * (1.0 + abs(lhs)), (x, y, t)
 
     def test_small_t_limits(self):
         # nu > mu: both sides vanish like t^(2(nu-mu))
@@ -467,6 +525,14 @@ class TestTranslate:
         p, f = Params(1.0, 1.5), bump_profile()
         v = translate(p, 1.0, f, z)
         assert abs(v - translate(p, 1.0, f, math.nextafter(z, 0.0))) <= 1e-13
+
+    @pytest.mark.parametrize("z", [0.7, -0.7])
+    def test_equal_magnitudes_keep_the_degenerate_parameter_error(self, z, core, monkeypatch):
+        # mu = 1/2 with 2/a not an integer: the 2F1 connection formula is
+        # degenerate at every z, and at |y| = |z| that error is raised as it is
+        monkeypatch.setattr(harness, "core", core)
+        with pytest.raises(DegenerateParameterError, match="connection formula degenerate"):
+            translate(Params(1.25, 3.0), 0.7, gaussian_profile(1.0), z)
 
     @pytest.mark.parametrize("k, a", [(0.62, 0.8), (0.59, 0.6), (0.92, 0.7)])
     def test_gap_piece_at_small_a(self, k, a):
