@@ -6,6 +6,13 @@ generalized translation, and run the acceptance suite.  Output is CSV (17
 significant digits, locale-independent) or JSON; re-running a command with
 an identical configuration produces byte-identical files.
 
+Each command is declared once, in ``_COMMANDS``: its help, its required
+float options, its run function and its own extra options.  The parser and
+the missing-option check read that table.  A run function returns its rows
+and its exit code; the keys of the first row, in order, are the output
+columns.  The quadrature flags (``--abs-tol`` ... ``--accel-terms``), their
+types and their defaults are the fields of ``QuadratureSpec``.
+
 Exit codes: 0 all asserted tolerances met, 2 invalid input, 3 numerical
 failure (nonconvergence).
 """
@@ -13,8 +20,10 @@ failure (nonconvergence).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
 
 from ._backend import backend_name
@@ -39,21 +48,20 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
+_SPEC_FIELDS = dataclasses.fields(QuadratureSpec)
+
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _write_rows(columns: list[str], rows: list[dict], out: str | None, fmt: str) -> None:
+def _write_rows(rows: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json":
         # json floats round-trip exactly (repr emits the shortest exact form)
-        text = json.dumps([{c: r[c] for c in columns} for r in rows], indent=1) + "\n"
+        text = json.dumps(rows, indent=1) + "\n"
     else:
-        lines = [",".join(columns)]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) for c in columns))
+        lines = [",".join(rows[0])]
+        lines += [",".join(_fmt(v) for v in r.values()) for r in rows]
         text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", newline="") as fh:
@@ -63,75 +71,46 @@ def _write_rows(columns: list[str], rows: list[dict], out: str | None, fmt: str)
 
 
 def _spec_from(ns: dict) -> QuadratureSpec:
-    return QuadratureSpec(
-        abs_tol=ns.get("abs_tol", 1e-10),
-        rel_tol=ns.get("rel_tol", 1e-9),
-        max_levels=int(ns.get("max_levels", 12)),
-        osc_max_zeros=int(ns.get("osc_max_zeros", 200)),
-        accel_terms=int(ns.get("accel_terms", 12)),
-    )
+    return QuadratureSpec(**{f.name: type(f.default)(ns[f.name])
+                             for f in _SPEC_FIELDS if f.name in ns})
 
 
-def _residual_row(prefix: dict, rep) -> dict:
-    row = dict(prefix)
-    row.update(
-        lhs_re=rep.lhs.real, lhs_im=rep.lhs.imag,
-        rhs_re=rep.rhs.real, rhs_im=rep.rhs.imag,
-        abs_res=rep.abs_residual, rel_res=rep.rel_residual,
-        quad_err=rep.quad_error, wall_ms=1e3 * rep.wall_time,
-    )
-    return row
+def _density_params(ns: dict) -> Params:
+    p = Params(ns["k"], ns["a"])
+    p.require_macdonald()
+    return p
 
 
-def _need(ns: dict, *names: str) -> None:
-    missing = [n for n in names if ns.get(n) is None]
-    if missing:
-        raise DomainError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
+def _residual(prefix: dict, rep, ns: dict, tol: float) -> tuple[list[dict], int]:
+    """The residual row after ``prefix``, and exit 3 past ``--assert-tol``."""
+    row = dict(prefix,
+               lhs_re=rep.lhs.real, lhs_im=rep.lhs.imag,
+               rhs_re=rep.rhs.real, rhs_im=rep.rhs.imag,
+               abs_res=rep.abs_residual, rel_res=rep.rel_residual,
+               quad_err=rep.quad_error, wall_ms=1e3 * rep.wall_time)
+    tol = float(ns.get("assert_tol", tol))
+    return [row], EXIT_OK if rep.rel_residual <= tol else EXIT_NUMERICAL
 
 
-def _axis_from(ns: dict, name: str, default_min: float, default_max: float,
-               default_count: int) -> Axis:
-    return Axis(name,
-                float(ns.get(f"{name}_min", default_min)),
-                float(ns.get(f"{name}_max", default_max)),
-                int(ns.get(f"{name}_count", default_count)),
-                ns.get(f"{name}_spacing", "log"))
-
-
-def _cmd_eval_kernel(ns: dict) -> int:
-    _need(ns, "k", "a", "lam", "x")
+def _cmd_eval_kernel(ns: dict) -> tuple[list[dict], int]:
     p = Params(ns["k"], ns["a"])
     v = b_kernel(p, ns["lam"], ns["x"])
-    rows = [dict(k=p.k, a=p.a, **{"lambda": ns["lam"]}, x=ns["x"],
-                 re=v.real, im=v.imag, quad_error=0.0)]
-    _write_rows(["k", "a", "lambda", "x", "re", "im", "quad_error"], rows,
-                ns.get("out"), ns.get("format", "csv"))
-    return EXIT_OK
+    return [dict(k=p.k, a=p.a, **{"lambda": ns["lam"]}, x=ns["x"],
+                 re=v.real, im=v.imag, quad_error=0.0)], EXIT_OK
 
 
-def _cmd_eval_density(ns: dict) -> int:
-    _need(ns, "k", "a", "x", "y", "z")
-    p = Params(ns["k"], ns["a"])
-    p.require_macdonald()
+def _cmd_eval_density(ns: dict) -> tuple[list[dict], int]:
+    p = _density_params(ns)
     v = delta_density(p, ns["x"], ns["y"], ns["z"])
-    rows = [dict(k=p.k, a=p.a, x=ns["x"], y=ns["y"], z=ns["z"],
-                 re=v.real, im=v.imag, quad_error=0.0)]
-    _write_rows(["k", "a", "x", "y", "z", "re", "im", "quad_error"], rows,
-                ns.get("out"), ns.get("format", "csv"))
-    return EXIT_OK
+    return [dict(k=p.k, a=p.a, x=ns["x"], y=ns["y"], z=ns["z"],
+                 re=v.real, im=v.imag, quad_error=0.0)], EXIT_OK
 
 
-def _cmd_verify_product(ns: dict) -> int:
-    _need(ns, "k", "a", "lam", "x", "y")
-    p = Params(ns["k"], ns["a"])
-    p.require_macdonald()
+def _cmd_verify_product(ns: dict) -> tuple[list[dict], int]:
+    p = _density_params(ns)
     rep = product_residual(p, ns["lam"], ns["x"], ns["y"], _spec_from(ns))
-    row = _residual_row(dict(k=p.k, a=p.a, **{"lambda": ns["lam"]}, x=ns["x"], y=ns["y"]), rep)
-    _write_rows(["k", "a", "lambda", "x", "y", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-                 "abs_res", "rel_res", "quad_err", "wall_ms"], [row],
-                ns.get("out"), ns.get("format", "csv"))
-    tol = float(ns.get("assert_tol", 1e-5))
-    return EXIT_OK if rep.rel_residual <= tol else EXIT_NUMERICAL
+    return _residual(dict(k=p.k, a=p.a, **{"lambda": ns["lam"]}, x=ns["x"], y=ns["y"]),
+                     rep, ns, 1e-5)
 
 
 def _tv_point(args):
@@ -141,84 +120,65 @@ def _tv_point(args):
                 trunc_bound=rep.truncation_bound, wall_ms=1e3 * rep.wall_time)
 
 
-def _cmd_tv_sweep(ns: dict) -> int:
-    _need(ns, "k", "a")
-    p = Params(ns["k"], ns["a"])
-    p.require_macdonald()
-    grid = SweepGrid((_axis_from(ns, "x", 0.1, 10.0, 9),
-                      _axis_from(ns, "y", 0.1, 10.0, 9)))
+def _cmd_tv_sweep(ns: dict) -> tuple[list[dict], int]:
+    p = _density_params(ns)
+    grid = SweepGrid(tuple(Axis(n, float(ns.get(f"{n}_min", 0.1)),
+                                float(ns.get(f"{n}_max", 10.0)),
+                                int(ns.get(f"{n}_count", 9)),
+                                ns.get(f"{n}_spacing", "log")) for n in ("x", "y")))
     spec = _spec_from(ns)
     tasks = [(p.k, p.a, pt["x"], pt["y"], spec) for pt in grid.points()]
     jobs = int(ns.get("jobs", 1))
-    if jobs > 1:
+    if jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_tv_point, tasks))
     else:
         rows = [_tv_point(t) for t in tasks]
     rows.sort(key=lambda r: (r["x"], r["y"]))
-    _write_rows(["k", "a", "x", "y", "tv", "quad_err", "trunc_bound", "wall_ms"],
-                rows, ns.get("out"), ns.get("format", "csv"))
-    return EXIT_OK if all(math.isfinite(r["tv"]) for r in rows) else EXIT_NUMERICAL
+    return rows, EXIT_OK if all(math.isfinite(r["tv"]) for r in rows) else EXIT_NUMERICAL
 
 
-def _cmd_hankel_check(ns: dict) -> int:
-    _need(ns, "mu", "nu", "x", "y", "t")
+def _cmd_hankel_check(ns: dict) -> tuple[list[dict], int]:
     eq = int(ns.get("eq", 1))
     fn = hankel_identity_eq1 if eq == 1 else hankel_identity_eq2
     rep = fn(ns["mu"], ns["nu"], ns["x"], ns["y"], ns["t"], _spec_from(ns))
-    row = _residual_row(dict(eq=eq, mu=ns["mu"], nu=ns["nu"], x=ns["x"], y=ns["y"], t=ns["t"]), rep)
-    _write_rows(["eq", "mu", "nu", "x", "y", "t", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-                 "abs_res", "rel_res", "quad_err", "wall_ms"], [row],
-                ns.get("out"), ns.get("format", "csv"))
-    tol = float(ns.get("assert_tol", 1e-5))
-    return EXIT_OK if rep.rel_residual <= tol else EXIT_NUMERICAL
+    return _residual(dict(eq=eq, mu=ns["mu"], nu=ns["nu"], x=ns["x"], y=ns["y"], t=ns["t"]),
+                     rep, ns, 1e-5)
 
 
-def _cmd_legendre_check(ns: dict) -> int:
-    _need(ns, "mu", "nu")
+def _cmd_legendre_check(ns: dict) -> tuple[list[dict], int]:
     ident = ns.get("identity", "P").upper()
     if ident not in ("P", "Q"):
         raise DomainError("--identity must be P or Q")
     fn = legendre_p_integral_check if ident == "P" else legendre_q_integral_check
     rep = fn(ns["mu"], ns["nu"], _spec_from(ns))
-    row = _residual_row(dict(identity=ident, mu=ns["mu"], nu=ns["nu"]), rep)
-    _write_rows(["identity", "mu", "nu", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-                 "abs_res", "rel_res", "quad_err", "wall_ms"], [row],
-                ns.get("out"), ns.get("format", "csv"))
-    tol = float(ns.get("assert_tol", 1e-6))
-    return EXIT_OK if rep.rel_residual <= tol else EXIT_NUMERICAL
+    return _residual(dict(identity=ident, mu=ns["mu"], nu=ns["nu"]), rep, ns, 1e-6)
 
 
-def _cmd_translate(ns: dict) -> int:
-    _need(ns, "k", "a", "y", "z")
-    p = Params(ns["k"], ns["a"])
-    p.require_macdonald()
+def _cmd_translate(ns: dict) -> tuple[list[dict], int]:
+    p = _density_params(ns)
     profile = ns.get("profile", "gaussian")
     width = float(ns.get("width", 1.0))
-    if profile == "gaussian":
-        f = gaussian_profile(width)
-    elif profile == "bump":
-        f = bump_profile(width)
-    else:
+    profiles = {"gaussian": gaussian_profile, "bump": bump_profile}
+    if profile not in profiles:
         raise DomainError(f"unknown profile {profile!r} (gaussian or bump)")
-    v = translate(p, ns["y"], f, ns["z"], _spec_from(ns))
-    rows = [dict(k=p.k, a=p.a, y=ns["y"], z=ns["z"], profile=profile, width=width,
-                 re=v.real, im=v.imag, quad_error=0.0)]
-    _write_rows(["k", "a", "y", "z", "profile", "width", "re", "im", "quad_error"],
-                rows, ns.get("out"), ns.get("format", "csv"))
-    return EXIT_OK
+    v = translate(p, ns["y"], profiles[profile](width), ns["z"], _spec_from(ns))
+    return [dict(k=p.k, a=p.a, y=ns["y"], z=ns["z"], profile=profile, width=width,
+                 re=v.real, im=v.imag, quad_error=0.0)], EXIT_OK
 
 
-def _cmd_selftest(ns: dict) -> int:
+def _cmd_selftest(ns: dict) -> tuple[list[dict] | None, int]:
     import random
 
     from . import selfcheck
 
     results = selfcheck.run_all()
-    seed = int(ns.get("seed", 0))
-    rng = random.Random(seed)
+    rng = random.Random(int(ns.get("seed", 0)))
     spot_fail = False
     for _ in range(3):
         k = rng.uniform(0.3, 1.5)
@@ -236,35 +196,38 @@ def _cmd_selftest(ns: dict) -> int:
               f"lambda={lam:.3f}, x={x:.3f}, y={y:.3f}): rel_residual={rep.rel_residual:.3e}")
     rows = [dict(cid=r.cid, passed=int(r.passed), seconds=r.seconds, detail=r.detail)
             for r in results]
-    if ns.get("out"):
-        _write_rows(["cid", "passed", "seconds", "detail"], rows, ns["out"],
-                    ns.get("format", "csv"))
-    failed = [r for r in results if not r.passed]
-    return EXIT_OK if not failed and not spot_fail else 1
+    passed = all(r.passed for r in results) and not spot_fail
+    return rows if ns.get("out") else None, EXIT_OK if passed else 1
 
 
+def _axis_opts(n: str) -> tuple:
+    return ((f"--{n}-min", dict(type=float)), (f"--{n}-max", dict(type=float)),
+            (f"--{n}-count", dict(type=int)), (f"--{n}-spacing", dict(choices=["linear", "log"])))
+
+
+_ASSERT_TOL = (("--assert-tol", dict(type=float, help="exit 3 when rel_residual exceeds it")),)
+
+# name: (help, required float options, run function, extra options)
 _COMMANDS = {
-    "eval-kernel": _cmd_eval_kernel,
-    "eval-density": _cmd_eval_density,
-    "verify-product": _cmd_verify_product,
-    "tv-sweep": _cmd_tv_sweep,
-    "hankel-check": _cmd_hankel_check,
-    "legendre-check": _cmd_legendre_check,
-    "translate": _cmd_translate,
-    "selftest": _cmd_selftest,
+    "eval-kernel": ("evaluate B(lambda, x)", ("k", "a", "lam", "x"), _cmd_eval_kernel, ()),
+    "eval-density": ("evaluate the product density Delta(x, y, z)", ("k", "a", "x", "y", "z"),
+                     _cmd_eval_density, ()),
+    "verify-product": ("product-formula residual at one point", ("k", "a", "lam", "x", "y"),
+                       _cmd_verify_product, _ASSERT_TOL),
+    "tv-sweep": ("total-variation norms over an (x, y) grid", ("k", "a"), _cmd_tv_sweep,
+                 _axis_opts("x") + _axis_opts("y")
+                 + (("--jobs", dict(type=int, help="parallel workers, at most one per "
+                                                   "grid point and CPU (default 1)")),)),
+    "hankel-check": ("weighted Hankel identity residual", ("mu", "nu", "x", "y", "t"),
+                     _cmd_hankel_check, (("--eq", dict(type=int, choices=[1, 2])),) + _ASSERT_TOL),
+    "legendre-check": ("Legendre integral identity residual", ("mu", "nu"), _cmd_legendre_check,
+                       (("--identity", dict(choices=["P", "Q", "p", "q"])),) + _ASSERT_TOL),
+    "translate": ("apply the generalized translation to a profile", ("k", "a", "y", "z"),
+                  _cmd_translate, (("--profile", dict(choices=["gaussian", "bump"])),
+                                   ("--width", dict(type=float)))),
+    "selftest": ("run the acceptance suite", (), _cmd_selftest,
+                 (("--seed", dict(type=int, help="seed for randomized spot checks (default 0)")),)),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file supplying options; explicit flags win")
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float, help="quadrature absolute tolerance")
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float, help="quadrature relative tolerance")
-    sub.add_argument("--max-levels", dest="max_levels", type=int, help="tanh-sinh refinement cap")
-    sub.add_argument("--osc-max-zeros", dest="osc_max_zeros", type=int, help="oscillatory cell cap")
-    sub.add_argument("--accel-terms", dest="accel_terms", type=int, help="acceleration window")
-    sub.add_argument("--seed", type=int, help="seed for randomized spot checks (default 0)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -273,88 +236,51 @@ def make_parser() -> argparse.ArgumentParser:
         description=("deformed Fourier kernel evaluation and product-formula "
                      f"verification (backend: {backend_name()})"))
     sp = ap.add_subparsers(dest="command", required=True)
-
-    def scalar_opts(sub, *names):
-        for n in names:
-            flag = "--lambda" if n == "lam" else f"--{n}"
-            sub.add_argument(flag, dest=n, type=float)
-
-    s = sp.add_parser("eval-kernel", help="evaluate B(lambda, x)")
-    scalar_opts(s, "k", "a", "lam", "x")
-    _add_common(s)
-
-    s = sp.add_parser("eval-density", help="evaluate the product density Delta(x, y, z)")
-    scalar_opts(s, "k", "a", "x", "y", "z")
-    _add_common(s)
-
-    s = sp.add_parser("verify-product", help="product-formula residual at one point")
-    scalar_opts(s, "k", "a", "lam", "x", "y")
-    s.add_argument("--assert-tol", dest="assert_tol", type=float,
-                   help="rel_residual threshold for exit status (default 1e-5)")
-    _add_common(s)
-
-    s = sp.add_parser("tv-sweep", help="total-variation norms over an (x, y) grid")
-    scalar_opts(s, "k", "a")
-    for axn in ("x", "y"):
-        s.add_argument(f"--{axn}-min", dest=f"{axn}_min", type=float)
-        s.add_argument(f"--{axn}-max", dest=f"{axn}_max", type=float)
-        s.add_argument(f"--{axn}-count", dest=f"{axn}_count", type=int)
-        s.add_argument(f"--{axn}-spacing", dest=f"{axn}_spacing", choices=["linear", "log"])
-    s.add_argument("--jobs", type=int, help="parallel workers (default 1)")
-    _add_common(s)
-
-    s = sp.add_parser("hankel-check", help="weighted Hankel identity residual")
-    s.add_argument("--eq", type=int, choices=[1, 2])
-    scalar_opts(s, "mu", "nu", "x", "y", "t")
-    s.add_argument("--assert-tol", dest="assert_tol", type=float)
-    _add_common(s)
-
-    s = sp.add_parser("legendre-check", help="Legendre integral identity residual")
-    s.add_argument("--identity", choices=["P", "Q", "p", "q"])
-    scalar_opts(s, "mu", "nu")
-    s.add_argument("--assert-tol", dest="assert_tol", type=float)
-    _add_common(s)
-
-    s = sp.add_parser("translate", help="apply the generalized translation to a profile")
-    scalar_opts(s, "k", "a", "y", "z")
-    s.add_argument("--profile", choices=["gaussian", "bump"])
-    s.add_argument("--width", type=float)
-    _add_common(s)
-
-    s = sp.add_parser("selftest", help="run the acceptance suite")
-    _add_common(s)
+    for name, (help_, required, _run, extra) in _COMMANDS.items():
+        s = sp.add_parser(name, help=help_)
+        for n in required:
+            s.add_argument("--lambda" if n == "lam" else f"--{n}", dest=n, type=float)
+        for flag, kwargs in extra:
+            s.add_argument(flag, **kwargs)
+        s.add_argument("--config", help="JSON file supplying options; explicit flags win")
+        s.add_argument("--out", help="output file (default: stdout)")
+        s.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
+        for f in _SPEC_FIELDS:
+            s.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           help=f"QuadratureSpec.{f.name} (default {f.default})")
     return ap
 
 
 def _merge_config(ns: argparse.Namespace) -> dict:
+    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
     merged: dict = {}
-    cfg_path = getattr(ns, "config", None)
-    if cfg_path:
-        with open(cfg_path) as fh:
+    if ns.config:
+        with open(ns.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
-        known = vars(ns).keys() - {"command", "config"}
         for key, val in cfg.items():
             name = key.replace("-", "_")
-            if name not in known:
+            if name not in flags:
                 raise DomainError(f"unknown config key {key!r} for {ns.command}; "
-                                  f"known: {', '.join(sorted(known))}")
+                                  f"known: {', '.join(sorted(flags))}")
             merged[name] = val
-    for key, val in vars(ns).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
+    merged.update((k, v) for k, v in flags.items() if v is not None)
     return merged
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = make_parser()
-    ns = ap.parse_args(argv)
+    ns = make_parser().parse_args(argv)
+    _help, required, run, _extra = _COMMANDS[ns.command]
     try:
         merged = _merge_config(ns)
-        return _COMMANDS[ns.command](merged)
+        missing = [n for n in required if merged.get(n) is None]
+        if missing:
+            raise DomainError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+        rows, code = run(merged)
+        if rows:
+            _write_rows(rows, merged.get("out"), merged.get("format", "csv"))
+        return code
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -579,6 +579,7 @@ def legendre_p_integral_check(mu: float, nu: float,
     which is the same analytic cancellation the band kernel uses.
     """
     t0 = time.perf_counter()
+    require_finite(mu=mu, nu=nu)
     if not mu > -0.5:
         raise DomainError("legendre_p_integral_check needs mu > -1/2")
     rg = math.exp(-math.lgamma(mu + 0.5))
@@ -604,6 +605,7 @@ def legendre_q_integral_check(mu: float, nu: float,
     nu > mu, which is the convergence gate.
     """
     t0 = time.perf_counter()
+    require_finite(mu=mu, nu=nu)
     if not mu > -0.5:
         raise DomainError("legendre_q_integral_check needs mu > -1/2")
     if not nu > mu:

@@ -390,6 +390,18 @@ def test_backend_env_override():
     assert proc.stdout.strip() == "python"
 
 
+@pytest.mark.parametrize("value", ["pyhton", "pure"])
+def test_backend_env_takes_only_python_or_c(value):
+    # a misspelt or retired spelling fails the import instead of falling
+    # back to whichever core happens to be built
+    env = dict(os.environ, GFKERNEL_BACKEND=value)
+    proc = subprocess.run([sys.executable, "-c", "import gfkernel"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert "ImportError" in proc.stderr
+    assert f"GFKERNEL_BACKEND={value!r}" in proc.stderr and "'python' or 'c'" in proc.stderr
+
+
 def test_active_backend_reported():
     assert backend_name() in ("c", "python")
 

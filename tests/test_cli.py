@@ -1,7 +1,9 @@
 """Command-line interface: schemas, exit codes, determinism, config files."""
 
+import concurrent.futures
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -46,10 +48,49 @@ class TestEvalKernel:
     ["translate", "--k", "0.5", "--a", "2", "--y", "1", "--z", "nan", "--profile", "gaussian"],
     ["hankel-check", "--eq", "1", "--mu", "0.4", "--nu", "0.9", "--x", "inf", "--y", "1", "--t", "1"],
     ["hankel-check", "--eq", "2", "--mu", "0.4", "--nu", "0.9", "--x", "1", "--y", "1", "--t", "inf"],
+    ["legendre-check", "--identity", "P", "--mu", "0.5", "--nu", "inf"],
+    ["legendre-check", "--identity", "P", "--mu", "0.5", "--nu", "nan"],
+    ["legendre-check", "--identity", "Q", "--mu", "0.25", "--nu", "nan"],
 ])
 def test_non_finite_input_is_invalid(args, capsys):
     assert main(args) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+_SHAPES = [
+    (["eval-kernel", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7"],
+     "k,a,lambda,x,re,im,quad_error"),
+    (["eval-density", "--k", "0.75", "--a", "1.3333333333333333", "--x", "1.0", "--y", "1.2",
+      "--z", "0.9"],
+     "k,a,x,y,z,re,im,quad_error"),
+    (["verify-product", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7", "--y", "1.3"],
+     "k,a,lambda,x,y,lhs_re,lhs_im,rhs_re,rhs_im,abs_res,rel_res,quad_err,wall_ms"),
+    (["tv-sweep", "--k", "0.5", "--a", "2", "--x-min", "0.5", "--x-max", "2.0", "--x-count", "2",
+      "--y-min", "0.5", "--y-count", "1", "--x-spacing", "linear"],
+     "k,a,x,y,tv,quad_err,trunc_bound,wall_ms"),
+    (["hankel-check", "--eq", "2", "--mu", "0.4", "--nu", "0.9", "--x", "0.8", "--y", "1.1",
+      "--t", "1.3"],
+     "eq,mu,nu,x,y,t,lhs_re,lhs_im,rhs_re,rhs_im,abs_res,rel_res,quad_err,wall_ms"),
+    (["legendre-check", "--identity", "P", "--mu", "0.8", "--nu", "1.3"],
+     "identity,mu,nu,lhs_re,lhs_im,rhs_re,rhs_im,abs_res,rel_res,quad_err,wall_ms"),
+    (["translate", "--k", "0.5", "--a", "2", "--y", "1.0", "--z", "0.5", "--profile", "bump"],
+     "k,a,y,z,profile,width,re,im,quad_error"),
+]
+
+
+@pytest.mark.parametrize("args, header", _SHAPES, ids=[a[0] for a, _ in _SHAPES])
+def test_output_columns(args, header, capsys):
+    # the CSV header and the JSON keys both come from the row dicts, in order
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
+    code, out = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload) == len(lines) - 1
+    assert all(list(row) == header.split(",") for row in payload)
 
 
 class TestVerifyProduct:
@@ -123,6 +164,18 @@ class TestConfigFile:
         assert code == 2
         assert err.startswith("invalid input:") and "'reltol'" in err
 
+    def test_seed_is_an_option_of_selftest_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-kernel", "--k", "0.5", "--a", "2", "--lambda", "1", "--x", "1",
+                  "--seed", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 0.5, "a": 2.0, "lam": 1.1, "x": 0.7, "y": 1.3,
+                                   "seed": 3}))
+        assert main(["verify-product", "--config", str(cfg)]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
     def test_config_keys_may_use_flag_spelling(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"k": 0.5, "a": 2.0, "lam": 0.0, "x": 1.0, "rel-tol": 1e-8}))
@@ -154,6 +207,39 @@ class TestSweepAndFormats:
         assert code == 0
         strip = lambda text: [r.rsplit(",", 1)[0] for r in text.splitlines()]
         assert strip(serial) == strip(par)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_tv_sweep_needs_a_worker(self, jobs, capsys):
+        code = main(["tv-sweep", "--k", "0.5", "--a", "2", "--x-count", "1", "--y-count", "1",
+                     "--jobs", jobs])
+        assert code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cpus, workers", [(8, [2]), (1, []), (None, [])])
+    def test_tv_sweep_pool_is_capped(self, cpus, workers, monkeypatch, capsys):
+        # at most one worker per grid point and CPU; one worker runs in this process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out = run_cli(["tv-sweep", "--k", "0.5", "--a", "2", "--x-min", "0.5",
+                             "--x-max", "2.0", "--x-count", "2", "--y-min", "0.5",
+                             "--y-count", "1", "--jobs", "64"], capsys)
+        assert code == 0 and len(out.splitlines()) == 3
+        assert asked == workers
 
     def test_json_format(self, capsys):
         code, out = run_cli(["eval-kernel", "--k", "0.5", "--a", "2",
