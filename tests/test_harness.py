@@ -748,3 +748,56 @@ class TestLpProbe:
         grid = SweepGrid((Axis("y", 0.1, 1.0, 2),))
         with pytest.raises(DomainError):
             lp_bound_probe(P_DUNKL, 3.0, f, grid, SPEC)
+
+
+class TestMetamorphic:
+    """Relations that need no reference value.  The measure is dilation
+    invariant, so TV and mass depend on (x, y) only through y/x; TV is
+    symmetric in (x, y); and the translation of an even profile is
+    symmetric in y and z."""
+
+    KA = [(0.75, 4.0 / 3.0), (0.5, 1.0), (1.0, 2.0), (0.62, 0.8), (0.9, 3.0)]
+
+    @staticmethod
+    def _draws(rng, n):
+        for _ in range(n):
+            yield (0.2 * math.exp(rng.random() * math.log(15.0)),
+                   0.2 * math.exp(rng.random() * math.log(15.0)),
+                   math.exp(rng.uniform(-1.5, 1.5)))
+
+    def test_tv_and_mass_are_dilation_invariant_and_tv_symmetric(self):
+        rng = random.Random(2024)
+        for k, a in self.KA:
+            p = Params(k, a)
+            for x, y, s in self._draws(rng, 3):
+                tv = tv_norm(p, x, y, TV_SPEC)
+                assert abs(tv_norm(p, s * x, s * y, TV_SPEC) - tv) <= 1e-13 * tv, (k, a, x, y, s)
+                assert abs(tv_norm(p, y, x, TV_SPEC) - tv) <= 1e-13 * tv, (k, a, x, y)
+                mass, _ = gamma_mass(p, x, -y, SPEC)
+                assert abs(gamma_mass(p, s * x, -s * y, SPEC)[0] - mass) <= 1e-13, (k, a, x, y, s)
+
+    def test_translation_of_an_even_profile_is_symmetric(self):
+        # both sign pairs; a compact (2/a integer) or with a tail; a support
+        # that cuts the band (bump of radius 0.6) or covers it; and |y| = |z|
+        rng = random.Random(17)
+        profiles = (gaussian_profile(1.0), bump_profile(0.6), bump_profile(1.5),
+                    Profile(lambda xi: 1.0, 1e3, "one"))
+        computed = 0
+        for a in (2.0, 1.0, 4.0 / 3.0, 0.8, 3.0):
+            for mu in (0.0, 0.375, 1.2):
+                p = Params(0.5 * (mu * a + 1.0), a)
+                for f in profiles:
+                    for case in range(3):
+                        y = 0.3 * math.exp(rng.random() * math.log(8.0))
+                        z = y if case == 2 else 0.3 * math.exp(rng.random() * math.log(8.0))
+                        sy = rng.choice((1.0, -1.0))
+                        sz = -sy if case == 2 else rng.choice((1.0, -1.0))
+                        try:
+                            v = translate(p, sy * y, f, sz * z, SPEC)
+                        except DomainError:
+                            assert case == 2          # |y| = |z| only
+                            continue
+                        computed += 1
+                        w = translate(p, sz * z, f, sy * y, SPEC)
+                        assert abs(v - w) <= 1e-14 * max(1.0, abs(v)), (a, mu, f.name, y, z)
+        assert computed >= 170
