@@ -1,29 +1,24 @@
 """Executable verification of the kernel identities.
 
-Every check reduces to integrals of the three shapes the quadrature module
-provides.  The z-line integral against the product density splits, per
-density term, into the sign of z and the three triple-Bessel regions; each
-piece is integrated in the coordinate that makes its endpoint singularities
-algebraic and its complements exactly computable:
+Every density integral is one plan, _gamma_integral, over one triple
+(_DensityGeometry): two fixed sides and a free one, which is Delta's third
+side (product, mass, TV, the first Hankel identity) or its middle side
+(translate, the second Hankel identity).  The free side's line splits into
+the three triple-Bessel regions, each in the coordinate that makes its edge
+singularities algebraic and its complements exact:
 
-* band pieces in t = cos(theta) of the (X, Y, Z) triple (or directly in the
-  Z coordinate when the angle is not monotone there),
-* near-outer pieces in u = cosh(theta) on (1, 2],
-* the infinite outer tail by Bessel-zero partitioning with Euler
-  acceleration (oscillatory case) or the power-tail rule (modulus case,
-  where the z-line decay exponent is exactly -3).
+* the band in t = cos(theta) of the fixed sides, whose three angles give
+  the four permuted kernels (_band_terms),
+* the gap below it, with its one surviving term (_gap_term), in Z,
+* above it the one outer term: in u = cosh(theta) on (1, 2], then a tail by
+  Bessel-zero partitioning with Euler acceleration (oscillatory case) or
+  the power-tail rule (z^-3); a finite support ends it in pieces of Z.
 
-The triple geometry has one source: _complements (1 -+ cos(theta) from the
-exact excesses of a band triple) and _r_outer (R off the band from the exact
-gap).  _gamma_integral is the one band / gap / near-outer / tail plan over
-the third side of the triple: the product, mass and TV checks and the first
-Hankel identity are callbacks on it (the second identity and translate
-integrate over the middle side).
-
-Parity: the density's even terms are weighted by the even part of what it
-is integrated against, its odd terms by the odd part.  Where that part is
-exactly zero (no odd weight on the gamma side; an even or odd profile, node
-by node, in translate) its terms are not evaluated, which changes no bit.
+Each check is a weight callback on the plan.  The density's even terms are
+weighted by the even part of what it is integrated against, its odd terms
+by the odd part; where that part is exactly zero (no odd weight on the
+gamma side; an even or odd profile, node by node, in translate) its terms
+are not evaluated, which changes no bit.
 
 All residual reports carry rel_residual = abs_residual / (1 + |lhs|).
 """
@@ -38,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ._backend import core
-from .errors import DegenerateParameterError, DomainError, require_finite
+from .errors import DomainError, require_finite
 from .genkernel import Params, _delta_prefactor, _phase_e2a, b_kernel, m_const
 from .quadrature import (
     DEFAULT_SPEC,
@@ -56,7 +51,7 @@ __all__ = [
     "product_residual", "gamma_mass", "tv_norm", "tv_norm_report",
     "hankel_identity_eq1", "hankel_identity_eq2",
     "legendre_p_integral_check", "legendre_q_integral_check",
-    "translate", "lp_bound_probe",
+    "translate", "translate_report", "TranslateReport", "lp_bound_probe",
 ]
 
 _COSH_SPLIT = 2.0  # outer pieces switch from the u-substitution to the tail here
@@ -159,12 +154,16 @@ def _r_outer(mu: float, nu: float, a: float, b: float, c: float,
 
 
 class _DensityGeometry:
-    """Magnitudes X = |x|^(a/2), Y = |y|^(a/2), signs and the shared factor
-    coef z^zexp for integrating against a triple density at (x, y); the
-    outer branches vanish identically unless has_tail."""
+    """The triple of a density integral: fixed sides X = |x|^(a/2) and
+    Y = |y|^(a/2) with their signs, the free side Z and the shared factor
+    coef z^zexp.  Z is Delta's third side, or its middle one when middle
+    (Delta(x, ., y)); single keeps only the kernel R_{mu,nu} that Delta
+    weights by e^(-2 i pi/a) (the Hankel identities).  The outer terms
+    vanish identically unless has_tail."""
 
     def __init__(self, mu: float, nu: float, a: float, x: float, y: float,
-                 coef: float, zexp: float, has_tail: bool, e2a: complex = 1.0):
+                 coef: float, zexp: float, has_tail: bool, e2a: complex = 1.0,
+                 middle: bool = False, single: bool = False):
         self.mu = mu
         self.nu = nu
         self.ha = 0.5 * a
@@ -180,18 +179,25 @@ class _DensityGeometry:
         self.zexp = zexp
         self.coef = coef
         self.has_tail = has_tail
+        self.middle = middle
+        self.single = single
 
     @classmethod
-    def of(cls, p: Params, x: float, y: float) -> "_DensityGeometry":
-        """Delta(x, y, .): coef z^zexp = a 2^(mu-2) Gamma(mu+1) z^w / |xyz|^(k-1/2),
-        with a tail unless 2/a is an integer."""
+    def of(cls, p: Params, x: float, y: float, middle: bool = False) -> "_DensityGeometry":
+        """Delta(x, y, .), or Delta(x, ., y) when middle: coef z^zexp =
+        a 2^(mu-2) Gamma(mu+1) z^w / |xyz|^(k-1/2), with a tail unless 2/a
+        is an integer."""
         p.require_macdonald()
         require_finite(x=x, y=y)
         if x == 0.0 or y == 0.0:
             raise DomainError("density integrals need nonzero base points")
         return cls(p.mu_m, p.nu_m, p.a, x, y,
                    _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k),
-                   p.w - p.k + 0.5, not p.band_offset_integer, _phase_e2a(p))
+                   p.w - p.k + 0.5, not p.band_offset_integer, _phase_e2a(p), middle)
+
+    def side(self, omt: float) -> float:
+        """The free side at 1 - cos(theta) = omt of the angle between X and Y."""
+        return math.sqrt(self.Z1 * self.Z1 + 2.0 * self.X * self.Y * omt)
 
     def z_of(self, Z: float) -> float:
         return math.pow(Z, self.two_over_a)
@@ -207,19 +213,31 @@ class _DensityGeometry:
         return self.two_over_a * math.pow(Z, self.two_over_a - 2.0) * self.X * self.Y
 
 
-def _band_terms(g: _DensityGeometry, omt: float, opt: float, odd: bool = True):
-    """The density terms on the band, at cos(theta) complements (omt, opt)
-    of the (X, Y, Z) triple; returns (Z, even_sum, odd_sum).  The even sum
-    is R_{mu,mu}(X,Y,Z) + e^(-2 i pi/a) sgn(xy) R_{mu,nu}(X,Y,Z); the odd
-    sum, sgn(x) R_{mu,nu}(X,Z,Y) + sgn(y) R_{mu,nu}(Y,Z,X), is 0.0 unless
-    odd."""
+def _band_terms(g: _DensityGeometry, Z: float, omt: float, opt: float,
+                even: bool = True, odd: bool = True):
+    """The band's even and odd sums (0.0 where not asked for) at the
+    complements (omt, opt) of the angle between X and Y and free side Z.
+
+    The triple's three angles give the permuted kernels: R(X, Y, Z) from
+    (omt, opt), R(X, Z, Y) and R(Y, Z, X) from the exact excesses
+    (r_band_core takes its first two sides only as their product, so
+    R(Z, Y, X) is R(Y, Z, X)).  With R = R_{mu,nu} and Rm = R_{mu,mu}:
+    third side, even Rm(X,Y,Z) + e^(-2 i pi/a) sgn(xy) R(X,Y,Z) and odd
+    sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X); middle side, even Rm(X,Z,Y) +
+    sgn(xy) R(X,Y,Z) and odd e^(-2 i pi/a) sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X).
+    single keeps R(X,Y,Z) (even) or R(X,Z,Y) (odd, middle) alone.
+    """
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
+    r = core.r_band_core
+    e = o = 0.0
+    if not g.middle:
+        if even:
+            e = r(mu, nu, X, Y, Z, omt, opt)
+            if not g.single:
+                e = r(mu, mu, X, Y, Z, omt, opt) + g.e2a * (g.sxy * e)
+        if g.single or not odd:
+            return e, o
     twoxy = 2.0 * X * Y
-    Z = math.sqrt((X - Y) * (X - Y) + twoxy * omt)
-    even = (core.r_band_core(mu, mu, X, Y, Z, omt, opt)
-            + g.e2a * (g.sxy * core.r_band_core(mu, nu, X, Y, Z, omt, opt)))
-    if not odd:
-        return Z, even, 0.0
     s = X + Y + Z
     ez = twoxy * opt / s                    # X + Y - Z
     dm = abs(X - Y)
@@ -228,107 +246,157 @@ def _band_terms(g: _DensityGeometry, omt: float, opt: float, odd: bool = True):
     # X = Y, where the two round differently, each permuted term gives its
     # own first side dm + Z
     ex3, ey3 = (dm + Z, lo) if Y >= X else (lo, dm + Z)
+    c_xz = _complements(X, Z, ex3, ez, ey3, s)
+    if g.middle:
+        if even and not g.single:
+            e = r(mu, mu, X, Z, Y, *c_xz) + g.sxy * r(mu, nu, X, Y, Z, omt, opt)
+        if not odd:
+            return e, o
+        o = r(mu, nu, X, Z, Y, *c_xz)
+        if g.single:
+            return e, o
+        o = g.e2a * (g.sx * o)
+    else:
+        o = g.sx * r(mu, nu, X, Z, Y, *c_xz)
     ey4, ex4 = (dm + Z, lo) if X >= Y else (lo, dm + Z)
-    t3 = core.r_band_core(mu, nu, X, Z, Y, *_complements(X, Z, ex3, ez, ey3, s))
-    t4 = core.r_band_core(mu, nu, Y, Z, X, *_complements(Y, Z, ey4, ez, ex4, s))
-    return Z, even, g.sx * t3 + g.sy * t4
+    return e, o + g.sy * r(mu, nu, Y, Z, X, *_complements(Y, Z, ey4, ez, ex4, s))
 
 
-def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, band, gap, outer,
-                    osc: float | None, breaks=(), terms=_band_terms):
-    """The pieces of ∫ w(z) Delta(x, y, z) |z|^w dz over z > 0.
+def _gap_term(g: _DensityGeometry, Z: float, d: float):
+    """The one term left below the band, Z < |X - Y|, at d = |X - Y| - Z:
+    R(X, Z, Y) when Y > X, else R(Y, Z, X), with its odd-sum factor."""
+    X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
+    if Y > X:
+        t = g.sx * _r_outer(mu, nu, X, Z, Y, d, X + Y + Z)
+        return g.e2a * t if g.middle else t
+    return g.sy * _r_outer(mu, nu, Y, Z, X, d, X + Y + Z)
 
-    terms(g, 1 - t, 1 + t, odd) forms the band's even and odd sums, which
-    band(Z, z, even, odd) weights (in t = cos(theta), split at the interior
-    points breaks); gap(Z, z, t) and outer(Z, z, t) weight the single term
-    that survives below the band (in Z) and above it (in u = cosh(theta) up
-    to _COSH_SPLIT, then a tail).  With osc = c the outer weight is
-    J~_mu(c Z) and its tail is summed between Bessel zeros; with osc None
-    the tail is a z^-3 power tail.  gap None states that the weights have no
-    odd part: the gap is skipped and the odd sum is not formed (0.0).
-    Every piece grows like d^(mu - 1/2) at a region edge and is given that
-    exponent; an unsplit compact band, (1 - t^2)^(mu - 1/2) times a smooth
-    factor, takes the Gauss-Jacobi rules, every other piece tanh-sinh.
-    Returns the (band, gap, near-outer, tail) values, 0.0 for an absent
-    piece, the summed error estimate and the tail's truncation bound.
+
+def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: bool = True,
+                    osc: float | None = None, modulus: bool = False, breaks=(),
+                    cut: float = math.inf):
+    """The pieces of ∫ w(z) Delta |z|^w dz over the free side z > 0, up to
+    the free side Z = cut.
+
+    weights(Z, z, even, odd) returns the even and odd weights at a node,
+    of which the plan asks only for the ones it uses; a zero weight's terms
+    are not evaluated, and odd False states that there is no odd weight
+    (the gap is skipped).  A node's value is e + o of the weighted sums,
+    or |e + o| + |e - o| with modulus.  The band is integrated in t =
+    cos(theta) of the fixed sides, split at the interior points breaks and
+    cut at the free side cut; the gap (0, min(Z1, cut)) in Z; above the
+    band, a finite cut is reached in pieces of Z of at most a factor
+    _TAIL_SPAN, and otherwise the near-outer piece in u = cosh(theta) up to
+    _COSH_SPLIT is followed by a tail: with osc = c the outer weight is
+    J~_mu(c Z) and the tail is summed between Bessel zeros, with osc None it
+    is a z^-3 power tail.  Every piece grows like d^(mu - 1/2) at a region
+    edge and is given that exponent; an uncut, unsplit compact band,
+    (1 - t^2)^(mu - 1/2) times a smooth factor, takes the Gauss-Jacobi
+    rules, every other piece tanh-sinh.  Returns the (band, gap,
+    near-outer, tail) values, 0.0 for an absent piece, the summed error
+    estimate and the tail's truncation bound.
     """
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
-    odd_weight = gap is not None
     edge = mu - 0.5
-    band_rule = integrate_singular_band2 if g.has_tail or breaks else integrate_gauss_jacobi
     pieces = [0.0, 0.0, 0.0, 0.0]
-    qerr = 0.0
-    trunc = 0.0
+    qerr = [0.0]
 
-    # each band piece keeps its distances to t = -1 and t = 1 exact
+    def add(i, res):
+        pieces[i] += res.value
+        qerr[0] += res.est_error
+
+    def fold(e, o):
+        return abs(e + o) + abs(e - o) if modulus else e + o
+
+    def weighted(Z, z, odd_side, term, *args):
+        # the even or the odd weight times its one term, and the common factor
+        w = weights(Z, z, not odd_side, odd_side)[odd_side]
+        if w == 0.0:
+            return 0.0
+        t = term(*args)
+        if t == 0.0:
+            return 0.0
+        return (fold(0.0, w * t) if odd_side else fold(w * t, 0.0)) * g.common(z)
+
+    # each band piece keeps its distances to t = -1 and t = 1 exact: a cut
+    # at the free side cut starts the band at t_S = 1 - (cut^2 - Z1^2) / 2XY
     ends = [-1.0, *breaks, 1.0]
+    opt_lo = 0.0
+    if cut < g.Z2:
+        twoxy = 2.0 * X * Y
+        ends[0] = 1.0 - (cut - g.Z1) * (cut + g.Z1) / twoxy
+        opt_lo = (g.Z2 - cut) * (g.Z2 + cut) / twoxy
+    compact = not (g.has_tail or breaks or cut < g.Z2)
+    band_rule = integrate_gauss_jacobi if compact else integrate_singular_band2
     for lo, hi in zip(ends, ends[1:]):
-        def f_band(t, dlo, dhi, _ol=lo + 1.0, _oh=1.0 - hi):
-            Z, even, odd = terms(g, dhi + _oh, dlo + _ol, odd_weight)
+        if not lo < hi:
+            continue
+
+        def f_band(t, dlo, dhi, _ol=opt_lo if lo == ends[0] else lo + 1.0, _oh=1.0 - hi):
+            omt, opt = dhi + _oh, dlo + _ol
+            Z = g.side(omt)
             z = g.z_of(Z)
-            return band(Z, z, even, odd) * g.common(z) * g.dz_dt(Z)
-
-        res = band_rule(f_band, lo, hi, spec, edge_exponent=edge)
-        pieces[0] += res.value
-        qerr += res.est_error
-
-    # inner gap (0, Z1): term (iii) when Y > X (outer of the (X, Z, Y)
-    # triple), term (iv) when X > Y; dhi is Z1 - Z, exact
-    if odd_weight and g.Z1 > 0.0 and g.has_tail:
-        def f_gap(Z, dlo, dhi):
-            if Y > X:
-                t = g.sx * _r_outer(mu, nu, X, Z, Y, dhi, X + Y + Z)
-            else:
-                t = g.sy * _r_outer(mu, nu, Y, Z, X, dhi, X + Y + Z)
-            if t == 0.0:
+            we, wo = weights(Z, z, True, odd)
+            if we == 0.0 and wo == 0.0:
                 return 0.0
-            z = g.z_of(Z)
-            return gap(Z, z, t) * g.common(z) * g.dz_dZ(Z)
+            even, o = _band_terms(g, Z, omt, opt, we != 0.0, wo != 0.0)
+            return fold(we * even, wo * o) * g.common(z) * g.dz_dt(Z)
 
-        res = integrate_singular_band2(f_gap, 0.0, g.Z1, spec, edge_exponent=edge)
-        pieces[1] = res.value
-        qerr += res.est_error
+        add(0, band_rule(f_band, lo, hi, spec, edge_exponent=edge))
 
-    # outer (Z2, inf): term (ii) only
-    if g.has_tail:
-        def f_near(u, dlo, dhi):
-            Z = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * dlo)
-            t2 = core.r_outer_core(mu, nu, X, Y, Z, u, dlo)
+    # inner gap (0, Z1), cut at cut; dhi + off is Z1 - Z, exact
+    hi_gap = min(g.Z1, cut)
+    if odd and g.has_tail and hi_gap > 0.0 and (Y > X or not g.single):
+        def f_gap(Z, dlo, dhi, _off=g.Z1 - hi_gap):
+            return weighted(Z, g.z_of(Z), True, _gap_term, g, Z, dhi + _off) * g.dz_dZ(Z)
+
+        add(1, integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
+
+    if not (g.has_tail and cut > g.Z2):
+        return pieces, qerr[0], 0.0
+    if cut < math.inf:
+        # a rule across many decades of the power decay misses mass; only Z2
+        # is a region edge, and (start - Z2) + dlo is Z - Z2
+        start = g.Z2
+        while start < cut:
+            def f_piece(Z, dlo, dhi, _off=start - g.Z2):
+                return weighted(Z, g.z_of(Z), False, _r_outer, mu, nu, X, Y, Z, _off + dlo,
+                                X + Y + Z) * g.dz_dZ(Z)
+
+            stop = min(_TAIL_SPAN * start, cut)
+            add(3, integrate_singular_band2(f_piece, start, stop, spec,
+                                            edge_exponent=edge if start == g.Z2 else 0.0))
+            start = stop
+        return pieces, qerr[0], 0.0
+
+    # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
+    def f_near(u, dlo, dhi):
+        Z = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * dlo)
+        return weighted(Z, g.z_of(Z), False, core.r_outer_core, mu, nu, X, Y, Z, u,
+                        dlo) * g.dz_dt(Z)
+
+    add(2, integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec, edge_exponent=edge))
+    z_split = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * (_COSH_SPLIT - 1.0))
+    if osc is not None:
+        gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
+
+        def g_osc(Z):
+            t2 = core.r_outer(mu, nu, X, Y, Z)
             if t2 == 0.0:
                 return 0.0
             z = g.z_of(Z)
-            return outer(Z, z, t2) * g.common(z) * g.dz_dt(Z)
+            return gj * math.pow(Z, -mu) * t2 * g.common(z) * g.dz_dZ(Z)
 
-        res = integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec, edge_exponent=edge)
-        pieces[2] = res.value
-        qerr += res.est_error
-        z_split = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * (_COSH_SPLIT - 1.0))
-        if osc is not None:
-            gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
+        res = integrate_bessel_oscillatory(g_osc, mu, osc, z_split, spec)
+    else:
+        def f_tail(z):
+            Z = math.pow(z, g.ha)
+            return weighted(Z, z, False, core.r_outer, mu, nu, X, Y, Z)
 
-            def g_osc(Z):
-                t2 = core.r_outer(mu, nu, X, Y, Z)
-                if t2 == 0.0:
-                    return 0.0
-                z = g.z_of(Z)
-                return gj * math.pow(Z, -mu) * t2 * g.common(z) * g.dz_dZ(Z)
-
-            res = integrate_bessel_oscillatory(g_osc, mu, osc, z_split, spec)
-        else:
-            def f_tail(z):
-                Z = math.pow(z, g.ha)
-                t2 = core.r_outer(mu, nu, X, Y, Z)
-                if t2 == 0.0:
-                    return 0.0
-                return outer(Z, z, t2) * g.common(z)
-
-            # the z-line density tail decays like z^-3 for every valid (k, a)
-            res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
-            trunc = res.truncation_bound
-        pieces[3] = res.value
-        qerr += res.est_error
-
-    return pieces, qerr, trunc
+        # the z-line density tail decays like z^-3 for every valid (k, a)
+        res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
+    add(3, res)
+    return pieces, qerr[0], res.truncation_bound
 
 
 # ---------------------------------------------------------------------------
@@ -350,27 +418,12 @@ def _product_rhs(p: Params, lam: float, x: float, y: float,
     j_mu = _recent(functools.partial(core.normalized_bessel_j, mu))
     j_nu = _recent(functools.partial(core.normalized_bessel_j, nu))
 
-    def b_even(Z: float) -> float:
-        return j_mu(c * Z) if c != 0.0 else 1.0
+    def weights(Z, z, even, odd):    # B_even and B_odd at (lambda, z)
+        we = (j_mu(c * Z) if c != 0.0 else 1.0) if even else 0.0
+        return we, (m * (lam * z) * j_nu(c * Z) if odd else 0.0)
 
-    def b_odd(z: float, Z: float) -> complex:
-        return m * (lam * z) * j_nu(c * Z)
-
-    def band(Z, z, even, odd):
-        val = b_even(Z) * even
-        if lam != 0.0:
-            val += b_odd(z, Z) * odd
-        return val
-
-    def gap(Z, z, t):
-        return b_odd(z, Z) * t
-
-    def outer(Z, z, t):
-        return b_even(Z) * t
-
-    odd_weight = lam != 0.0
-    (b, gp, near, tail), qerr, _ = _gamma_integral(
-        g, spec, band, gap if odd_weight else None, outer, c if odd_weight else None)
+    odd = lam != 0.0
+    (b, gp, near, tail), qerr, _ = _gamma_integral(g, spec, weights, odd, c if odd else None)
     # the outer term carries the constant phase
     return 2.0 * (b + gp + g.e2a * (g.sxy * (near + tail))), qerr
 
@@ -418,8 +471,7 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
     """
     def s_pair(t):
         d_hi = 1.0 - t
-        d_lo = 1.0 + t
-        Z, even, odd = _band_terms(g, d_hi, d_lo)
+        even, odd = _band_terms(g, g.side(d_hi), d_hi, 1.0 + t)
         return (even + odd).real, (even - odd).real
 
     breaks = []
@@ -459,16 +511,9 @@ def tv_norm_report(p: Params, x: float, y: float,
     """
     t0 = time.perf_counter()
     g = _DensityGeometry.of(p, x, y)
-
-    def band(Z, z, even, odd):
-        return abs(even + odd) + abs(even - odd)
-
-    def modulus(Z, z, t):
-        return 2.0 * abs(t)
-
     breaks = _band_sign_breaks(g) if p.band_offset_integer else ()
-    (b, gp, near, tail), qerr, trunc = _gamma_integral(g, spec, band, modulus, modulus, None,
-                                                       breaks)
+    (b, gp, near, tail), qerr, trunc = _gamma_integral(g, spec, lambda Z, z, e, o: (1.0, 1.0),
+                                                       modulus=True, breaks=breaks)
     return TvReport(b + gp + near + tail, qerr, trunc, time.perf_counter() - t0)
 
 
@@ -483,86 +528,61 @@ def tv_norm(p: Params, x: float, y: float,
 # ---------------------------------------------------------------------------
 
 
-def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> ResidualReport:
-    """(xy)^nu t^(2(nu-mu)) J~_nu(xt) J~_nu(yt) against the weighted integral
-    of R_{mu,nu}(x, y, .) with kernel J~_mu(zt) z^(mu+1).
-
-    The integral is the gamma-side plan at a = 2 (Z = z), X = x, Y = y,
-    coefficient 1 and z-exponent mu + 1, with the one band term
-    R_{mu,nu}(x, y, Z), weight J~_mu(tZ), oscillatory frequency t and no gap.
-    """
-    t0 = time.perf_counter()
+def _hankel_geometry(mu: float, nu: float, x: float, y: float, t: float, zexp: float,
+                     middle: bool = False) -> _DensityGeometry:
+    """The checked arguments' plan at a = 2 (Z = z): X = x, Y = y,
+    coefficient 1, z-exponent zexp and the one kernel R_{mu,nu}, with a tail
+    unless nu - mu is an integer."""
     require_finite(mu=mu, nu=nu, x=x, y=y, t=t)
     if not (mu > -0.5 and nu > -0.5):
         raise DomainError("orders must exceed -1/2")
     if not (x > 0.0 and y > 0.0 and t > 0.0):
         raise DomainError("x, y, t must be positive")
+    d = nu - mu
+    return _DensityGeometry(mu, nu, 2.0, x, y, 1.0, zexp, abs(d - round(d)) > 1e-12,
+                            middle=middle, single=True)
+
+
+def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
+                        spec: QuadratureSpec = DEFAULT_SPEC) -> ResidualReport:
+    """(xy)^nu t^(2(nu-mu)) J~_nu(xt) J~_nu(yt) against the weighted integral
+    of R_{mu,nu}(x, y, .) with kernel J~_mu(zt) z^(mu+1).
+
+    The integral is the plan over the third side with z-exponent mu + 1,
+    the one kernel R_{mu,nu}(x, y, Z), weight J~_mu(tZ), oscillatory
+    frequency t and no gap.
+    """
+    t0 = time.perf_counter()
+    g = _hankel_geometry(mu, nu, x, y, t, mu + 1.0)
     lhs = (math.pow(x * y, nu) * math.pow(t, 2.0 * (nu - mu))
            * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(nu, y * t))
     kfac = math.exp((2.0 * nu - mu) * math.log(2.0)
                     + 2.0 * math.lgamma(nu + 1.0) - math.lgamma(mu + 1.0))
-    d = nu - mu
-    g = _DensityGeometry(mu, nu, 2.0, x, y, 1.0, mu + 1.0, abs(d - round(d)) > 1e-12)
     j_mu = _recent(functools.partial(core.normalized_bessel_j, mu))
-
-    def terms(g, omt, opt, odd):
-        Z = math.sqrt(g.Z1 * g.Z1 + 2.0 * x * y * omt)
-        return Z, core.r_band_core(mu, nu, x, y, Z, omt, opt), 0.0
-
-    def band(Z, z, even, odd):
-        return even * j_mu(Z * t)
-
-    def outer(Z, z, r):
-        return r * j_mu(Z * t)
-
-    (b, _, near, tail), qerr, _ = _gamma_integral(g, spec, band, None, outer, t, terms=terms)
+    (b, _, near, tail), qerr, _ = _gamma_integral(
+        g, spec, lambda Z, z, e, o: (j_mu(Z * t), 0.0), odd=False, osc=t)
     return _report(lhs, kfac * (b + near + tail), kfac * qerr, t0)
 
 
 def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
                         spec: QuadratureSpec = DEFAULT_SPEC) -> ResidualReport:
     """x^nu y^mu J~_nu(xt) J~_mu(yt) against the weighted integral of
-    R_{mu,nu}(x, ., y) with kernel J~_nu(zt) z^(nu+1); the z-support is
-    compact here (no oscillatory tail)."""
+    R_{mu,nu}(x, ., y) with kernel J~_nu(zt) z^(nu+1).
+
+    The integral is the plan over the middle side with z-exponent nu + 1,
+    the one kernel R_{mu,nu}(x, Z, y) and weight J~_nu(tZ): its band, and
+    its gap when y > x; the kernel vanishes above the band, where the plan
+    is cut.
+    """
     t0 = time.perf_counter()
-    require_finite(mu=mu, nu=nu, x=x, y=y, t=t)
-    if not (mu > -0.5 and nu > -0.5):
-        raise DomainError("orders must exceed -1/2")
-    if not (x > 0.0 and y > 0.0 and t > 0.0):
-        raise DomainError("x, y, t must be positive")
+    g = _hankel_geometry(mu, nu, x, y, t, nu + 1.0, middle=True)
     lhs = (math.pow(x, nu) * math.pow(y, mu)
            * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(mu, y * t))
-    kfac = math.pow(2.0, mu) * math.exp(math.lgamma(mu + 1.0))
-    qerr = 0.0
-    rhs = 0.0
-    # the gap and band pieces grow like d^(mu - 1/2) at their edges
-    edge = mu - 0.5
-
-    d = nu - mu
-    if y > x and abs(d - round(d)) > 1e-12:
-        def f_out(Z, dlo, dhi):
-            val = _r_outer(mu, nu, x, Z, y, dhi, x + y + Z)
-            if val == 0.0:
-                return 0.0
-            return val * core.normalized_bessel_j(nu, Z * t) * math.pow(Z, nu + 1.0)
-
-        res = integrate_singular_band2(f_out, 0.0, y - x, spec, edge_exponent=edge)
-        rhs += res.value
-        qerr += res.est_error
-
-    dm = abs(x - y)
-
-    def f_band(Z, dlo, dhi):
-        # triple (x, Z, y); dlo = Z - |x-y| and dhi = (x+y) - Z are exact
-        ex, ey = (dm + Z, dlo) if y >= x else (dlo, dm + Z)
-        val = core.r_band_core(mu, nu, x, Z, y, *_complements(x, Z, ex, dhi, ey, x + Z + y))
-        return val * core.normalized_bessel_j(nu, Z * t) * math.pow(Z, nu + 1.0)
-
-    res = integrate_singular_band2(f_band, dm, x + y, spec, edge_exponent=edge)
-    rhs += res.value
-    qerr += res.est_error
-    return _report(lhs, kfac * rhs, kfac * qerr, t0)
+    kfac = math.pow(2.0, mu) * math.gamma(mu + 1.0)
+    j_nu = _recent(functools.partial(core.normalized_bessel_j, nu))
+    (b, gp, _, _), qerr, _ = _gamma_integral(g, spec, lambda Z, z, e, o: (0.0, j_nu(Z * t)),
+                                             cut=g.Z2)
+    return _report(lhs, kfac * (b + gp), kfac * qerr, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -681,137 +701,61 @@ def bump_profile(radius: float = 1.0) -> Profile:
     return Profile(fn, radius, "bump")
 
 
-def translate(p: Params, y: float, f: Profile, z: float,
-              spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+@dataclass(frozen=True)
+class TranslateReport:
+    value: complex
+    quad_error: float
+    wall_time: float
+
+
+def translate_report(p: Params, y: float, f: Profile, z: float,
+                     spec: QuadratureSpec = DEFAULT_SPEC) -> TranslateReport:
     """(tau_y f)(z) = ∫ f d sigma_{y,z}: integration of f against the
-    translation measure, with the Dirac shortcuts at y = 0 or z = 0.
+    translation measure Delta(y, xi, z) |xi|^w dxi, with the Dirac shortcuts
+    at y = 0 or z = 0, and the summed error estimate of its pieces.
 
-    In the magnitude coordinate Xi = |xi|^(a/2) the integrand splits at
-    X1 = ||y|^(a/2) - |z|^(a/2)| and X2 = |y|^(a/2) + |z|^(a/2): all four
-    density terms live on the band (X1, X2); below X1 a single outer term
-    survives (which one depends on whether |y| or |z| dominates), above X2
-    only the term that produces the infinite translation tail, and both
-    outer pieces vanish identically when 2/a is an integer.
+    It is the density plan over Delta's middle side Xi = |xi|^(a/2), cut at
+    the support XS: the band (X1, X2), X1 = ||y|^(a/2) - |z|^(a/2)| and
+    X2 = |y|^(a/2) + |z|^(a/2), in t = cos(theta) of the (|y|^(a/2),
+    |z|^(a/2)) angle from t = 1 down to the cut; below X1 the one outer
+    term of the gap; above X2 up to XS the tail, in pieces of at most a
+    factor _TAIL_SPAN.  Gap and tail vanish when 2/a is an integer, and the
+    uncut compact band takes the Gauss-Jacobi rules.
 
-    The even terms R_{mu,mu}(Y, Xi, Z) and sgn(yz) R_{mu,nu}(Y, Z, Xi) are
-    weighted by the profile's even part f(xi) + f(-xi), the odd terms (the
-    other two band terms, and the gap's) by its odd part f(xi) - f(-xi).
-    At each node only the terms of a nonzero part are evaluated, so an even
-    profile never evaluates an odd term; the value is the same to the bit.
+    The even terms are weighted by the profile's even part f(xi) + f(-xi),
+    the odd terms (and the gap's) by its odd part f(xi) - f(-xi), the tail's
+    by the even part.  At each node only the terms of a nonzero part are
+    evaluated, so an even profile never evaluates an odd term.
 
-    At |y|^(a/2) = |z|^(a/2) the band reaches Xi = 0.  The kernels' edge
-    powers underflow at the rule's nodes next to it, but the rule stops
-    walking toward an end once its terms no longer move the sum, which is
-    mostly before those nodes; where it does reach them, translate raises
-    DomainError.  A DegenerateParameterError, which every z raises at that
-    (k, a), passes through as it is.  The tail above X2 is integrated in
-    pieces of at most a factor _TAIL_SPAN each.
+    At |y|^(a/2) = |z|^(a/2) the band reaches Xi = 0, at t = 1.  There the
+    kernel over (|y|^(a/2), |z|^(a/2), Xi) takes its angle complement 1 - t
+    from the rule exactly, so no edge power is formed from an underflowed
+    difference, and the value is the limit of its neighbours'.
     """
+    t0 = time.perf_counter()
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
     require_finite(y=y, z=z)
-    if y == 0.0:
-        return complex(f(z))
-    if z == 0.0:
-        return complex(f(y))
-    g = _DensityGeometry.of(p, y, z)
-    mu, nu = g.mu, g.nu
-    Yh, Zc, X1, X2 = g.X, g.Y, g.Z1, g.Z2
-    sy, sz, syz = g.sx, g.sy, g.sxy
-    XS = math.pow(f.support, g.ha)
-    edge = mu - 0.5                        # d^(mu - 1/2) at every region edge
+    if y == 0.0 or z == 0.0:
+        return TranslateReport(complex(f(z if y == 0.0 else y)), 0.0, time.perf_counter() - t0)
+    g = _DensityGeometry.of(p, y, z, middle=True)
 
-    def fe_fo(xi: float):
+    def weights(Xi, xi, even, odd):
         fp = f(xi)
         fm = f(-xi)
         return fp + fm, fp - fm
 
-    total = 0.0j
-    pieces = []
+    (b, gp, near, tail), qerr, _ = _gamma_integral(g, spec, weights,
+                                                   cut=math.pow(f.support, g.ha))
+    # the tail's one term carries the sign sgn(yz)
+    return TranslateReport(complex(b + gp + g.sxy * (near + tail)), qerr,
+                           time.perf_counter() - t0)
 
-    hi_band = min(X2, XS)
-    if hi_band > X1:
-        off_hi = X2 - hi_band
 
-        def f_band(Xi, dlo, dhi):
-            xi = g.z_of(Xi)
-            fe, fo = fe_fo(xi)
-            if fe == 0.0 and fo == 0.0:
-                return 0.0j
-            d2 = dhi + off_hi              # X2 - Xi, exact composition
-            s = X2 + Xi
-            # excesses of the (Yh, Xi, Zc) triple: Xi's is d2, and of Zc and
-            # Yh the larger has dlo = Xi - X1
-            ez, ey = (X1 + Xi, dlo) if Yh >= Zc else (dlo, X1 + Xi)
-            c_yx = _complements(Yh, Xi, ey, d2, ez, s)
-            val = 0.0
-            if fe != 0.0:
-                r1 = core.r_band_core(mu, mu, Yh, Xi, Zc, *c_yx)
-                r3 = core.r_band_core(mu, nu, Yh, Zc, Xi, *_complements(Yh, Zc, ey, ez, d2, s))
-                val = (r1 + syz * r3) * fe
-            if fo != 0.0:
-                r2 = core.r_band_core(mu, nu, Yh, Xi, Zc, *c_yx)
-                r4 = core.r_band_core(mu, nu, Xi, Zc, Yh, *_complements(Xi, Zc, d2, ez, ey, s))
-                val = val + (g.e2a * (sy * r2) + complex(sz * r4)) * fo
-            return val * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
-
-        try:
-            pieces.append(integrate_singular_band2(f_band, X1, hi_band, spec, edge_exponent=edge))
-        except (ArithmeticError, ValueError) as exc:
-            if X1 != 0.0 or isinstance(exc, DegenerateParameterError):
-                raise
-            # |y|^(a/2) = |z|^(a/2): the band reaches Xi = 0, where nodes
-            # next to it underflow the kernels' edge powers (a math domain
-            # error, a division by zero, or no convergence on the compiled
-            # core); the rule's walk mostly stops short of them, and where it
-            # does not, the limit is not computed
-            raise DomainError(f"translate is not computed at |y|^(a/2) = |z|^(a/2) "
-                              f"(y={y!r}, z={z!r}, mu={mu!r})") from exc
-
-    hi_gap = min(X1, XS)
-    if g.has_tail and hi_gap > 0.0:
-        off_hi1 = X1 - hi_gap
-
-        def f_gap(Xi, dlo, dhi):
-            xi = g.z_of(Xi)
-            fo = fe_fo(xi)[1]
-            if fo == 0.0:                  # the gap's one term is odd
-                return 0.0j
-            dd = dhi + off_hi1             # X1 - Xi, exact composition
-            if Zc > Yh:
-                odd = g.e2a * (sy * _r_outer(mu, nu, Yh, Xi, Zc, dd, X2 + Xi))
-            else:
-                odd = complex(sz * _r_outer(mu, nu, Xi, Zc, Yh, dd, X2 + Xi))
-            # xi^zexp dxi/dXi as one power of Xi: xi = Xi^(2/a) underflows
-            # near Xi = 0 once 2/a is large, and zexp may be negative
-            return odd * fo * (g.coef * g.two_over_a
-                               * math.pow(Xi, g.two_over_a * (g.zexp + 1.0) - 1.0))
-
-        pieces.append(integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
-
-    if g.has_tail and XS > X2:
-        # one rule per factor of 1e3 at most: a rule across many decades of
-        # the power decay misses mass; only X2 is a region edge
-        start = X2
-        while start < XS:
-            def f_tail(Xi, dlo, dhi, _off=start - X2):
-                xi = g.z_of(Xi)
-                fe, fo = fe_fo(xi)
-                if fe == 0.0:
-                    return 0.0
-                r3o = _r_outer(mu, nu, Yh, Zc, Xi, _off + dlo, Xi + X2)
-                if r3o == 0.0:
-                    return 0.0
-                return syz * r3o * fe * g.coef * math.pow(xi, g.zexp) * g.dz_dZ(Xi)
-
-            stop = min(_TAIL_SPAN * start, XS)
-            pieces.append(integrate_singular_band2(f_tail, start, stop, spec,
-                                                   edge_exponent=edge if start == X2 else 0.0))
-            start = stop
-
-    for res in pieces:
-        total += res.value
-    return total
+def translate(p: Params, y: float, f: Profile, z: float,
+              spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+    """(tau_y f)(z); see translate_report."""
+    return translate_report(p, y, f, z, spec).value
 
 
 def lp_bound_probe(p: Params, p_exp: float, f: Profile, y_grid: SweepGrid,

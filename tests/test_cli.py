@@ -290,15 +290,18 @@ class TestOtherCommands:
         vals = dict(zip(header.split(","), row.split(",")))
         assert float(vals["re"]) > 0.0 and float(vals["im"]) == 0.0
 
-    @pytest.mark.parametrize("z", ["1", "-1"])
-    def test_translate_at_equal_magnitudes_is_invalid_input(self, z, capsys):
-        # mu = -0.45: the rule still reaches the nodes where the band's edge
-        # powers underflow
-        code = main(["translate", "--k", "0.2", "--a", "1.3333333333333333",
-                     "--y", "1", "--z", z, "--profile", "bump"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("invalid input: ") and "Traceback" not in err
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_translate_at_equal_magnitudes_matches_its_neighbour(self, z, capsys):
+        # mu = -0.45, where the value used to be refused as invalid input
+        values = []
+        for zz in (z, z * (1.0 + 1e-10)):
+            code, out = run_cli(["translate", "--k", "0.2", "--a", "1.3333333333333333",
+                                 "--y", "1", "--z", repr(zz), "--profile", "bump"], capsys)
+            assert code == 0
+            header, row = out.strip().splitlines()
+            vals = dict(zip(header.split(","), row.split(",")))
+            values.append(complex(float(vals["re"]), float(vals["im"])))
+        assert abs(values[0] - values[1]) <= 1e-9 * abs(values[0])
 
 
 def test_import_loads_only_what_every_command_needs():

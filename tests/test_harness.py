@@ -377,6 +377,23 @@ class TestHankelIdentities:
             rhs = hankel_identity_eq1(mu, nu, x, y, t).rhs
             assert abs(rhs - lhs) <= 1e-13 * (1.0 + abs(lhs)), (x, y, t)
 
+    @pytest.mark.parametrize("mu,nu", [(0.5, 0.5), (0.4, 0.9), (0.25, 1.75), (0.5, 1.5),
+                                       (1.0, 3.0), (-0.49, 0.51), (0.25, 2.25)])
+    def test_second_identity_against_mpmath(self, mu, nu, core, monkeypatch):
+        # the band in t = cos(theta) of the (x, y) angle, the gap below it
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(harness, "core", core)
+        for x, y, t in HANKEL_POINTS:
+            with mpmath.workdps(30):
+                m, n, xm, ym, tm = (mpmath.mpf(v) for v in (mu, nu, x, y, t))
+
+                def jt(o, s):   # J~_o(s)
+                    return mpmath.gamma(o + 1) * (s / 2) ** (-o) * mpmath.besselj(o, s)
+
+                lhs = float(xm ** n * ym ** m * jt(n, xm * tm) * jt(m, ym * tm))
+            rhs = hankel_identity_eq2(mu, nu, x, y, t).rhs
+            assert abs(rhs - lhs) <= 2e-15 * (1.0 + abs(lhs)), (x, y, t)
+
     def test_small_t_limits(self):
         # nu > mu: both sides vanish like t^(2(nu-mu))
         r = hankel_identity_eq1(0.4, 0.9, 0.8, 1.1, 1e-3, SPEC)
@@ -497,25 +514,18 @@ class TestTranslate:
         with pytest.raises(DomainError):
             translate(P_DUNKL, 1.0, lambda xi: 1.0, 0.5, SPEC)
 
-    @pytest.mark.parametrize("p", [P_FRAC, P_DUNKL, Params(2.0, 1.0)])   # mu 0.375, 0, 3
+    # mu 0.375, 0, 3, and -0.45 at a = 0.8, 4/3 and 2, where the walk reached
+    # nodes next to Xi = 0 whose edge powers underflowed before the band was
+    # integrated in t = cos(theta) with 1 - t exact
+    @pytest.mark.parametrize("p", [P_FRAC, P_DUNKL, Params(2.0, 1.0)]
+                             + [Params(0.5 * (1.0 - 0.45 * a), a) for a in (0.8, 4.0 / 3.0, 2.0)])
     @pytest.mark.parametrize("z", [1.0, -1.0])
     def test_equal_magnitudes_are_computed(self, p, z, core, monkeypatch):
-        # at |y| = |z| the band reaches Xi = 0, where the kernels' edge powers
-        # underflow; the rule's walk stops before those nodes
+        # at |y| = |z| the band reaches Xi = 0
         monkeypatch.setattr(harness, "core", core)
         f = bump_profile()
         v = translate(p, 1.0, f, z)
         assert abs(v - translate(p, 1.0, f, z * (1.0 + 1e-10))) <= 1e-9 * abs(v)
-
-    # mu = -0.45 at a = 0.8, 4/3 and 2: the walk still reaches the nodes where
-    # the band's edge powers underflow
-    @pytest.mark.parametrize("p", [Params(0.5 * (1.0 - 0.45 * a), a)
-                                   for a in (0.8, 4.0 / 3.0, 2.0)])
-    @pytest.mark.parametrize("z", [1.0, -1.0])
-    def test_equal_magnitudes_are_a_domain_error(self, p, z, core, monkeypatch):
-        monkeypatch.setattr(harness, "core", core)
-        with pytest.raises(DomainError, match=r"\|y\|\^\(a/2\) = \|z\|\^\(a/2\)"):
-            translate(p, 1.0, bump_profile(), z)
 
     @pytest.mark.parametrize("z", [1.0, -1.0])
     def test_equal_magnitudes_keep_their_value_where_it_is_computed(self, z, core,
@@ -586,11 +596,10 @@ class TestTranslate:
             assert {(2.0, mu, "gaussian"), (2.0, mu, "one")} <= computed
 
     def test_equal_magnitudes_over_the_domain(self):
-        # each call at |y| = |z| returns its neighbour's value or raises the
-        # typed error; before the walk 82 of these 150 raised
+        # each call at |y| = |z| returns its neighbour's value; before the
+        # walk 82 of these 150 raised, before the band in t 8 did
         rng = random.Random(13)
         profiles = (gaussian_profile(1.0), bump_profile(), Profile(lambda xi: 1.0, 1e5, "one"))
-        computed = 0
         for i in range(150):
             a = 0.6 * math.exp(rng.random() * math.log(5.0))
             mu = -0.45 + 3.45 * rng.random()
@@ -599,13 +608,8 @@ class TestTranslate:
             y = 0.3 * math.exp(rng.random() * math.log(10.0)) * rng.choice((1.0, -1.0))
             z = y * rng.choice((1.0, -1.0))
             p, f = Params(0.5 * (mu * a + 1.0), a), profiles[i % 3]
-            try:
-                v = translate(p, y, f, z)
-            except DomainError:
-                continue
-            computed += 1
+            v = translate(p, y, f, z)
             assert abs(v - translate(p, y, f, z * (1.0 + 1e-10))) <= 1e-9 * abs(v), (a, mu, y, z)
-        assert computed >= 140
 
     @pytest.mark.parametrize("p", [P_FRAC, P_DUNKL, Params(0.5, 1.0), Params(1.0, 1.5),
                                    Params(2.0, 1.0)])
@@ -782,7 +786,6 @@ class TestMetamorphic:
         rng = random.Random(17)
         profiles = (gaussian_profile(1.0), bump_profile(0.6), bump_profile(1.5),
                     Profile(lambda xi: 1.0, 1e3, "one"))
-        computed = 0
         for a in (2.0, 1.0, 4.0 / 3.0, 0.8, 3.0):
             for mu in (0.0, 0.375, 1.2):
                 p = Params(0.5 * (mu * a + 1.0), a)
@@ -792,12 +795,6 @@ class TestMetamorphic:
                         z = y if case == 2 else 0.3 * math.exp(rng.random() * math.log(8.0))
                         sy = rng.choice((1.0, -1.0))
                         sz = -sy if case == 2 else rng.choice((1.0, -1.0))
-                        try:
-                            v = translate(p, sy * y, f, sz * z, SPEC)
-                        except DomainError:
-                            assert case == 2          # |y| = |z| only
-                            continue
-                        computed += 1
+                        v = translate(p, sy * y, f, sz * z, SPEC)
                         w = translate(p, sz * z, f, sy * y, SPEC)
                         assert abs(v - w) <= 1e-14 * max(1.0, abs(v)), (a, mu, f.name, y, z)
-        assert computed >= 170

@@ -58,12 +58,17 @@ _PINS = {
     # (0.5, 1): the band density changes sign inside the band
     "tv_sign_break": (lambda: tv_norm(Params(0.5, 1.0), 0.316227766016838, 1.0, TV_SPEC),
                       "0x1.281d79dc3db32p+0"),
+    # the band in t = cos(theta) of the (|y|^(a/2), |z|^(a/2)) angle
     "translate": (lambda: translate(P_GOLDEN, 0.8, gaussian_profile(1.0), -1.3, SPEC),
-                  ("0x1.946b6992b859dp-4", "0x0.0p+0")),
+                  ("0x1.946b6992b8598p-4", "0x0.0p+0")),
     "hankel_eq1_rhs": (lambda: hankel_identity_eq1(0.4, 0.9, 0.8, 1.1, 1.3, SPEC).rhs,
                        ("0x1.82603e47aacb1p-1", "0x0.0p+0")),
+    # the band in t = cos(theta) of the (x, y) angle, and 2^mu Gamma(mu + 1)
+    # from math.gamma; 1 ulp farther from mpmath than 0x1.f93e262f4b447p-2,
+    # which the second identity's sweep against mpmath in test_harness.py
+    # outweighs
     "hankel_eq2_rhs": (lambda: hankel_identity_eq2(0.4, 0.9, 0.8, 1.1, 1.3, SPEC).rhs,
-                       ("0x1.f93e262f4b447p-2", "0x0.0p+0")),
+                       ("0x1.f93e262f4b448p-2", "0x0.0p+0")),
     # 2/a = 3/2: the infinite tail by the power-tail engine
     "gamma_mass_tail": (lambda: gamma_mass(P_GOLDEN, 0.4, 1.2, SPEC),
                         (("0x1.0000000000001p+0", "-0x1.2a00000000000p-49"),
@@ -140,6 +145,11 @@ _MOVED = {
                            lambda: 1.0, lambda v: v[0]),   # the mass is exactly 1
     "tv_sign_break": (float.fromhex("0x1.281d79dc3db30p+0"), _tv_sign_break_reference,
                       lambda v: v),
+    # the same translation at rel_tol 1e-13 and 16 levels
+    "translate": (complex(float.fromhex("0x1.946b6992b859dp-4")),
+                  lambda: translate(P_GOLDEN, 0.8, gaussian_profile(1.0), -1.3,
+                                    QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13, max_levels=16)),
+                  lambda v: v),
 }
 
 
