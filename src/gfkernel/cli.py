@@ -39,7 +39,7 @@ from .harness import (
     legendre_p_integral_check,
     legendre_q_integral_check,
     product_residual,
-    translate,
+    translate_report,
     tv_norm_report,
 )
 from .quadrature import QuadratureSpec
@@ -167,9 +167,9 @@ def _cmd_translate(ns: dict) -> tuple[list[dict], int]:
     profiles = {"gaussian": gaussian_profile, "bump": bump_profile}
     if profile not in profiles:
         raise DomainError(f"unknown profile {profile!r} (gaussian or bump)")
-    v = translate(p, ns["y"], profiles[profile](width), ns["z"], _spec_from(ns))
+    rep = translate_report(p, ns["y"], profiles[profile](width), ns["z"], _spec_from(ns))
     return [dict(k=p.k, a=p.a, y=ns["y"], z=ns["z"], profile=profile, width=width,
-                 re=v.real, im=v.imag, quad_error=0.0)], EXIT_OK
+                 re=rep.value.real, im=rep.value.imag, quad_error=rep.quad_error)], EXIT_OK
 
 
 def _cmd_selftest(ns: dict) -> tuple[list[dict] | None, int]:
@@ -238,21 +238,23 @@ def make_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="command", required=True)
     for name, (help_, required, _run, extra) in _COMMANDS.items():
         s = sp.add_parser(name, help=help_)
-        for n in required:
-            s.add_argument("--lambda" if n == "lam" else f"--{n}", dest=n, type=float)
-        for flag, kwargs in extra:
-            s.add_argument(flag, **kwargs)
+        acts = [s.add_argument("--lambda" if n == "lam" else f"--{n}", dest=n, type=float)
+                for n in required]
+        acts += [s.add_argument(flag, **kwargs) for flag, kwargs in extra]
         s.add_argument("--config", help="JSON file supplying options; explicit flags win")
-        s.add_argument("--out", help="output file (default: stdout)")
-        s.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-        for f in _SPEC_FIELDS:
-            s.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                           help=f"QuadratureSpec.{f.name} (default {f.default})")
+        acts.append(s.add_argument("--out", help="output file (default: stdout)"))
+        acts.append(s.add_argument("--format", choices=["csv", "json"],
+                                   help="output format (default csv)"))
+        acts += [s.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                help=f"QuadratureSpec.{f.name} (default {f.default})")
+                 for f in _SPEC_FIELDS]
+        # each option's action, which checks the config values as it does flags
+        s.set_defaults(actions={a.dest: a for a in acts})
     return ap
 
 
 def _merge_config(ns: argparse.Namespace) -> dict:
-    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config", "actions")}
     merged: dict = {}
     if ns.config:
         with open(ns.config) as fh:
@@ -264,6 +266,14 @@ def _merge_config(ns: argparse.Namespace) -> dict:
             if name not in flags:
                 raise DomainError(f"unknown config key {key!r} for {ns.command}; "
                                   f"known: {', '.join(sorted(flags))}")
+            # a number for a float option; otherwise exactly the option's type
+            act = ns.actions[name]
+            want = (int, float) if act.type is float else act.type or str
+            if (isinstance(val, bool) or not isinstance(val, want)
+                    or act.choices is not None and val not in act.choices):
+                raise DomainError(f"config key {key!r} takes {(act.type or str).__name__} "
+                                  f"values{f' in {act.choices}' if act.choices else ''}, "
+                                  f"got {val!r}")
             merged[name] = val
     merged.update((k, v) for k, v in flags.items() if v is not None)
     return merged

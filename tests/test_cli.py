@@ -176,6 +176,21 @@ class TestConfigFile:
         assert main(["verify-product", "--config", str(cfg)]) == 2
         assert "unknown config key 'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("hankel-check", {"mu": 0.4, "nu": 0.9, "x": 0.8, "y": 1.1, "t": 1.3, "eq": 3}, "eq"),
+        ("eval-kernel", {"k": 0.5, "a": 2.0, "lam": 1.0, "x": 1.0, "format": "xml"}, "format"),
+        ("eval-kernel", {"k": "0.5", "a": 2.0, "lam": 1.0, "x": 1.0}, "k"),
+        ("tv-sweep", {"k": 0.5, "a": 2.0, "x_count": 2.7, "y_count": 1}, "x_count"),
+    ], ids=["choice", "format", "string-for-float", "float-for-int"])
+    def test_config_values_pass_the_flags_checks(self, tmp_path, capsys, command, cfg, key):
+        # a config value is checked against its flag's type and choices
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input:") and repr(key) in err
+
     def test_config_keys_may_use_flag_spelling(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"k": 0.5, "a": 2.0, "lam": 0.0, "x": 1.0, "rel-tol": 1e-8}))
@@ -271,6 +286,12 @@ class TestOtherCommands:
                              "--z", "0.5", "--profile", "gaussian", "--width", "1"], capsys)
         assert code == 0
         assert out.startswith("k,a,y,z,profile,width,re,im,quad_error")
+        # the summed error estimate of the plan's pieces, not a constant 0
+        # (at a = 2 the Gauss-Jacobi rules may agree exactly)
+        code, out = run_cli(["translate", "--k", "0.75", "--a", "1.3333333333333333",
+                             "--y", "0.8", "--z", "-1.3"], capsys)
+        header, row = out.strip().splitlines()
+        assert 0.0 < float(dict(zip(header.split(","), row.split(",")))["quad_error"]) < 1e-9
 
     def test_translate_at_small_a(self, capsys):
         # 2/a = 2.5: Xi^(2/a) underflows at the gap rule's outermost nodes

@@ -510,6 +510,13 @@ class TestTranslate:
         want = b_kernel(P_DUNKL, lam0, y0) * t_f
         assert abs(t_tau - want) <= 1e-4 * (1.0 + abs(want))
 
+    def test_report_carries_the_value_and_the_error_estimate(self):
+        f = gaussian_profile(1.0)
+        rep = harness.translate_report(P_FRAC, 0.9, f, -1.4, SPEC)
+        assert rep.value == translate(P_FRAC, 0.9, f, -1.4, SPEC)
+        assert 0.0 < rep.quad_error <= 1e-9
+        assert harness.translate_report(P_FRAC, 0.0, f, -1.4, SPEC).quad_error == 0.0
+
     def test_requires_declared_support(self):
         with pytest.raises(DomainError):
             translate(P_DUNKL, 1.0, lambda xi: 1.0, 0.5, SPEC)
