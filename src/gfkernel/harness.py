@@ -195,10 +195,6 @@ class _DensityGeometry:
                    _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k),
                    p.w - p.k + 0.5, not p.band_offset_integer, _phase_e2a(p), middle)
 
-    def side(self, omt: float) -> float:
-        """The free side at 1 - cos(theta) = omt of the angle between X and Y."""
-        return math.sqrt(self.Z1 * self.Z1 + 2.0 * self.X * self.Y * omt)
-
     def z_of(self, Z: float) -> float:
         return math.pow(Z, self.two_over_a)
 
@@ -305,25 +301,19 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         pieces[i] += res.value
         qerr[0] += res.est_error
 
-    def fold(e, o):
-        return abs(e + o) + abs(e - o) if modulus else e + o
-
-    def weighted(Z, z, odd_side, term, *args):
-        # the even or the odd weight times its one term, and the common factor
-        w = weights(Z, z, not odd_side, odd_side)[odd_side]
-        if w == 0.0:
-            return 0.0
-        t = term(*args)
+    def one_term(w, t, z, jac):
+        # off the band: the one term t, its weight w, and the factors
         if t == 0.0:
             return 0.0
-        return (fold(0.0, w * t) if odd_side else fold(w * t, 0.0)) * g.common(z)
+        v = w * t
+        return (abs(v) + abs(v) if modulus else v) * g.common(z) * jac
 
     # each band piece keeps its distances to t = -1 and t = 1 exact: a cut
     # at the free side cut starts the band at t_S = 1 - (cut^2 - Z1^2) / 2XY
     ends = [-1.0, *breaks, 1.0]
     opt_lo = 0.0
+    twoxy, z1sq = 2.0 * X * Y, g.Z1 * g.Z1
     if cut < g.Z2:
-        twoxy = 2.0 * X * Y
         ends[0] = 1.0 - (cut - g.Z1) * (cut + g.Z1) / twoxy
         opt_lo = (g.Z2 - cut) * (g.Z2 + cut) / twoxy
     compact = not (g.has_tail or breaks or cut < g.Z2)
@@ -334,13 +324,14 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
 
         def f_band(t, dlo, dhi, _ol=opt_lo if lo == ends[0] else lo + 1.0, _oh=1.0 - hi):
             omt, opt = dhi + _oh, dlo + _ol
-            Z = g.side(omt)
+            Z = math.sqrt(z1sq + twoxy * omt)
             z = g.z_of(Z)
             we, wo = weights(Z, z, True, odd)
             if we == 0.0 and wo == 0.0:
                 return 0.0
-            even, o = _band_terms(g, Z, omt, opt, we != 0.0, wo != 0.0)
-            return fold(we * even, wo * o) * g.common(z) * g.dz_dt(Z)
+            e, o = _band_terms(g, Z, omt, opt, we != 0.0, wo != 0.0)
+            e, o = we * e, wo * o
+            return (abs(e + o) + abs(e - o) if modulus else e + o) * g.common(z) * g.dz_dt(Z)
 
         add(0, band_rule(f_band, lo, hi, spec, edge_exponent=edge))
 
@@ -348,7 +339,9 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     hi_gap = min(g.Z1, cut)
     if odd and g.has_tail and hi_gap > 0.0 and (Y > X or not g.single):
         def f_gap(Z, dlo, dhi, _off=g.Z1 - hi_gap):
-            return weighted(Z, g.z_of(Z), True, _gap_term, g, Z, dhi + _off) * g.dz_dZ(Z)
+            z = g.z_of(Z)
+            w = weights(Z, z, False, True)[1]
+            return one_term(w, _gap_term(g, Z, dhi + _off), z, g.dz_dZ(Z)) if w else 0.0
 
         add(1, integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
 
@@ -360,8 +353,10 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         start = g.Z2
         while start < cut:
             def f_piece(Z, dlo, dhi, _off=start - g.Z2):
-                return weighted(Z, g.z_of(Z), False, _r_outer, mu, nu, X, Y, Z, _off + dlo,
-                                X + Y + Z) * g.dz_dZ(Z)
+                z = g.z_of(Z)
+                w = weights(Z, z, True, False)[0]
+                return (one_term(w, _r_outer(mu, nu, X, Y, Z, _off + dlo, X + Y + Z), z,
+                                 g.dz_dZ(Z)) if w else 0.0)
 
             stop = min(_TAIL_SPAN * start, cut)
             add(3, integrate_singular_band2(f_piece, start, stop, spec,
@@ -371,12 +366,13 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
 
     # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
     def f_near(u, dlo, dhi):
-        Z = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * dlo)
-        return weighted(Z, g.z_of(Z), False, core.r_outer_core, mu, nu, X, Y, Z, u,
-                        dlo) * g.dz_dt(Z)
+        Z = math.sqrt(g.Z2 * g.Z2 + twoxy * dlo)
+        z = g.z_of(Z)
+        w = weights(Z, z, True, False)[0]
+        return one_term(w, core.r_outer_core(mu, nu, X, Y, Z, u, dlo), z, g.dz_dt(Z)) if w else 0.0
 
     add(2, integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec, edge_exponent=edge))
-    z_split = math.sqrt(g.Z2 * g.Z2 + 2.0 * X * Y * (_COSH_SPLIT - 1.0))
+    z_split = math.sqrt(g.Z2 * g.Z2 + twoxy * (_COSH_SPLIT - 1.0))
     if osc is not None:
         gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
 
@@ -391,7 +387,8 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     else:
         def f_tail(z):
             Z = math.pow(z, g.ha)
-            return weighted(Z, z, False, core.r_outer, mu, nu, X, Y, Z)
+            w = weights(Z, z, True, False)[0]
+            return one_term(w, core.r_outer(mu, nu, X, Y, Z), z, 1.0) if w else 0.0
 
         # the z-line density tail decays like z^-3 for every valid (k, a)
         res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
@@ -471,7 +468,8 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
     """
     def s_pair(t):
         d_hi = 1.0 - t
-        even, odd = _band_terms(g, g.side(d_hi), d_hi, 1.0 + t)
+        Z = math.sqrt(g.Z1 * g.Z1 + 2.0 * g.X * g.Y * d_hi)
+        even, odd = _band_terms(g, Z, d_hi, 1.0 + t)
         return (even + odd).real, (even - odd).real
 
     breaks = []
