@@ -295,11 +295,12 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
     edge = mu - 0.5
     pieces = [0.0, 0.0, 0.0, 0.0]
-    qerr = [0.0]
+    qerr = 0.0
 
     def add(i, res):
+        nonlocal qerr
         pieces[i] += res.value
-        qerr[0] += res.est_error
+        qerr += res.est_error
 
     def one_term(w, t, z, jac):
         # off the band: the one term t, its weight w, and the factors
@@ -346,7 +347,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         add(1, integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
 
     if not (g.has_tail and cut > g.Z2):
-        return pieces, qerr[0], 0.0
+        return pieces, qerr, 0.0
     if cut < math.inf:
         # a rule across many decades of the power decay misses mass; only Z2
         # is a region edge, and (start - Z2) + dlo is Z - Z2
@@ -362,7 +363,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
             add(3, integrate_singular_band2(f_piece, start, stop, spec,
                                             edge_exponent=edge if start == g.Z2 else 0.0))
             start = stop
-        return pieces, qerr[0], 0.0
+        return pieces, qerr, 0.0
 
     # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
     def f_near(u, dlo, dhi):
@@ -393,7 +394,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         # the z-line density tail decays like z^-3 for every valid (k, a)
         res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
     add(3, res)
-    return pieces, qerr[0], res.truncation_bound
+    return pieces, qerr, res.truncation_bound
 
 
 # ---------------------------------------------------------------------------
