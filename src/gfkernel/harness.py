@@ -577,7 +577,9 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
     g = _hankel_geometry(mu, nu, x, y, t, nu + 1.0, middle=True)
     lhs = (math.pow(x, nu) * math.pow(y, mu)
            * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(mu, y * t))
-    kfac = math.pow(2.0, mu) * math.gamma(mu + 1.0)
+    # Gamma(mu + 1) as mu Gamma(mu): math.gamma errs less at the smaller
+    # argument; it is 1 to double precision where Gamma(mu) would overflow
+    kfac = math.pow(2.0, mu) * (mu * math.gamma(mu) if abs(mu) > 1e-300 else 1.0)
     j_nu = _recent(functools.partial(core.normalized_bessel_j, nu))
     (b, gp, _, _), qerr, _ = _gamma_integral(g, spec, lambda Z, z, e, o: (0.0, j_nu(Z * t)),
                                              cut=g.Z2)

@@ -58,17 +58,16 @@ _PINS = {
     # (0.5, 1): the band density changes sign inside the band
     "tv_sign_break": (lambda: tv_norm(Params(0.5, 1.0), 0.316227766016838, 1.0, TV_SPEC),
                       "0x1.281d79dc3db32p+0"),
-    # the band in t = cos(theta) of the (|y|^(a/2), |z|^(a/2)) angle
+    # the band in t = cos(theta) of the (|y|^(a/2), |z|^(a/2)) angle; 6.6e-17
+    # from the 30-digit value, where 0x1.946b6992b859dp-4 was 3.2e-18 (see
+    # test_translate_pin_against_mpmath)
     "translate": (lambda: translate(P_GOLDEN, 0.8, gaussian_profile(1.0), -1.3, SPEC),
                   ("0x1.946b6992b8598p-4", "0x0.0p+0")),
     "hankel_eq1_rhs": (lambda: hankel_identity_eq1(0.4, 0.9, 0.8, 1.1, 1.3, SPEC).rhs,
                        ("0x1.82603e47aacb1p-1", "0x0.0p+0")),
-    # the band in t = cos(theta) of the (x, y) angle, and 2^mu Gamma(mu + 1)
-    # from math.gamma; 1 ulp farther from mpmath than 0x1.f93e262f4b447p-2,
-    # which the second identity's sweep against mpmath in test_harness.py
-    # outweighs
+    # the band in t = cos(theta) of the (x, y) angle, and 2^mu mu Gamma(mu)
     "hankel_eq2_rhs": (lambda: hankel_identity_eq2(0.4, 0.9, 0.8, 1.1, 1.3, SPEC).rhs,
-                       ("0x1.f93e262f4b448p-2", "0x0.0p+0")),
+                       ("0x1.f93e262f4b445p-2", "0x0.0p+0")),
     # 2/a = 3/2: the infinite tail by the power-tail engine
     "gamma_mass_tail": (lambda: gamma_mass(P_GOLDEN, 0.4, 1.2, SPEC),
                         (("0x1.0000000000001p+0", "-0x1.2a00000000000p-49"),
@@ -138,6 +137,61 @@ def _tv_sign_break_reference():
         return total
 
 
+def _hankel_eq2_reference():
+    """hankel_eq2_rhs in 30 digits: the identity's left side x^nu y^mu
+    J~_nu(xt) J~_mu(yt), with J~_o(s) = Gamma(o + 1) (s/2)^(-o) J_o(s)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        mu, nu, x, y, t = (mpmath.mpf(v) for v in (0.4, 0.9, 0.8, 1.1, 1.3))
+
+        def jt(o, s):
+            return mpmath.gamma(o + 1) * (s / 2) ** (-o) * mpmath.besselj(o, s)
+
+        return x ** nu * y ** mu * jt(nu, x * t) * jt(mu, y * t)
+
+
+def _translate_reference():
+    """The translate pin in 30 digits: (k, a) = (0.75, 4/3), y = 0.8,
+    z = -1.3 and exp(-xi^2) on |xi| <= 9.  The four-term density
+    Delta(y, xi, z) |xi|^w from the closed forms of R_{mu,nu} with mpmath's
+    2F1 (the band form inside the triangle, the 1/u^2 form above it), folded
+    onto xi > 0 and integrated by mp.quad between the region edges."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        half = mp.mpf(0.5)
+        k, a, y, z = (mp.mpf(v) for v in (0.75, 4.0 / 3.0, 0.8, -1.3))
+        mu, nu, w = (2 * k - 1) / a, (2 * k + 1) / a, 2 * k + a - 2
+        e2a = mp.exp(-2j * mp.pi / a)
+
+        def r(m, n, A, B, C):   # R_{m,n}(A, B, C)
+            if C < abs(A - B):
+                return 0
+            if C < A + B:
+                omt = 1 - (A * A + B * B - C * C) / (2 * A * B)
+                return ((A * B) ** (m - 1) * omt ** (m - half)
+                        * mp.hyp2f1(n + half, half - n, m + half, omt / 2)
+                        / (mp.sqrt(2 * mp.pi) * C ** m * mp.gamma(m + half)))
+            d, u = n - m, (C * C - A * A - B * B) / (2 * A * B)
+            return (mp.sin((m - n) * mp.pi) * (A * B) ** (m - 1) * mp.gamma(d + 1)
+                    / mp.gamma(n + 1) * u ** (-(d + 1)) * 2 ** (-(n + half))
+                    * mp.hyp2f1(d / 2 + 1, (d + 1) / 2, n + 1, 1 / (u * u))
+                    * mp.sqrt(2) / (mp.pi * C ** m))
+
+        def delta(x1, x2, x3):
+            X1, X2, X3 = (abs(v) ** (a / 2) for v in (x1, x2, x3))
+            s = mp.sign
+            return (a * 2 ** (mu - 2) * mp.gamma(mu + 1) * abs(x1 * x2 * x3) ** (half - k)
+                    * (r(mu, mu, X1, X2, X3) + e2a * s(x1) * s(x2) * r(mu, nu, X1, X2, X3)
+                       + s(x1) * s(x3) * r(mu, nu, X1, X3, X2)
+                       + s(x2) * s(x3) * r(mu, nu, X2, X3, X1)))
+
+        Y, Z = abs(y) ** (a / 2), abs(z) ** (a / 2)
+        edges = [0, abs(Y - Z) ** (2 / a), (Y + Z) ** (2 / a), 9]
+        return mp.quad(lambda xi: (mp.exp(-xi * xi) * (delta(y, xi, z) + delta(y, -xi, z))
+                                   * xi ** w), edges)
+
+
 # moved pins: the value before the move, the reference, and the part of
 # the pinned output that both are measured against
 _MOVED = {
@@ -145,11 +199,8 @@ _MOVED = {
                            lambda: 1.0, lambda v: v[0]),   # the mass is exactly 1
     "tv_sign_break": (float.fromhex("0x1.281d79dc3db30p+0"), _tv_sign_break_reference,
                       lambda v: v),
-    # the same translation at rel_tol 1e-13 and 16 levels
-    "translate": (complex(float.fromhex("0x1.946b6992b859dp-4")),
-                  lambda: translate(P_GOLDEN, 0.8, gaussian_profile(1.0), -1.3,
-                                    QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13, max_levels=16)),
-                  lambda v: v),
+    "hankel_eq2_rhs": (complex(float.fromhex("0x1.f93e262f4b447p-2")),
+                       _hankel_eq2_reference, lambda v: v),
 }
 
 
@@ -159,3 +210,12 @@ def test_moved_pins_are_at_least_as_close_to_their_reference(name):
     ref = reference()
     now = part(_PINS[name][0]())
     assert abs(now - ref) <= abs(before - ref), (name, now, ref)
+
+
+def test_translate_pin_against_mpmath():
+    # the pin moved from 0x1.946b6992b859dp-4 (3.2e-18 from the 30-digit
+    # value) to 6.6e-17 from it, which the pin rule does not allow; both are
+    # well inside 1e-15 relative
+    ref = _translate_reference()
+    now = complex(*map(float.fromhex, _PINS["translate"][1]))
+    assert abs(now - ref) <= 1e-15 * abs(ref), (now, ref)
