@@ -82,6 +82,7 @@ class TvReport:
     quad_error: float
     truncation_bound: float
     wall_time: float
+    break_evaluations: int   # _band_terms calls of the sign-break search
 
 
 @dataclass(frozen=True)
@@ -456,47 +457,91 @@ def gamma_mass(p: Params, x: float, y: float,
 # ---------------------------------------------------------------------------
 
 
-def _band_sign_breaks(g: _DensityGeometry, scan: int = 129) -> list[float]:
-    """Interior zeros of the two signed band densities (real-phase case).
+_BREAK_TOL = 1e-12   # a sign break is refined to a bracket of this width in t
+
+
+def _brent_zero(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A zero of f in the bracket [a, b], fa fb < 0, to within _BREAK_TOL:
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), secant or inverse quadratic steps that fall back on bisection
+    unless they shrink the bracket fast enough."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * 2.0 ** -52 * abs(b) + 0.5 * _BREAK_TOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:                          # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:                               # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb * math.copysign(1.0, fc) > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+
+
+def _band_sign_breaks(g: _DensityGeometry, scan: int = 32) -> tuple[list[float], int]:
+    """Interior zeros of the two signed band densities (real-phase case),
+    and the number of _band_terms calls made to find them.
 
     When 2/a is an integer the density is real-valued and its modulus has
     kinks at sign changes, which slow the band rules; the band is split
-    there.  Zeros are located by a scan plus bisection; the scan takes the
-    midpoints of scan equal cells and a point 2^-40 from each end (where
-    1 -+ t is exact), so zeros beyond the outermost midpoints are seen.  A
-    zero on a scan node is a break itself, and a zero shared by both
-    densities is one break.
+    there.  A scan brackets the zeros: it takes the midpoints of scan
+    cells equal in theta = arccos(t), narrow in t toward t = +-1 where the
+    zeros crowd, and a point 2^-40 from each end (1 -+ t exact), so zeros
+    beyond the outermost midpoints are seen.  An even scan puts no node on
+    t = 0, where at mu = 0, nu = 2 both densities vanish.  Each bracket is
+    refined by Brent steps to _BREAK_TOL; a zero on a scan node is a break
+    itself, and breaks within 2 _BREAK_TOL of each other (a zero of both
+    densities) are one.  Two zeros inside one cell go unseen, and the
+    piece across them costs more nodes.
     """
+    calls = 0
+
     def s_pair(t):
+        nonlocal calls
+        calls += 1
         d_hi = 1.0 - t
         Z = math.sqrt(g.Z1 * g.Z1 + 2.0 * g.X * g.Y * d_hi)
         even, odd = _band_terms(g, Z, d_hi, 1.0 + t)
         return (even + odd).real, (even - odd).real
 
-    breaks = []
+    found = []
     end = 2.0 ** -40
-    ts = ([-1.0 + end] + [-1.0 + 2.0 * (i + 0.5) / scan for i in range(scan)]
+    ts = ([-1.0 + end] + [-math.cos(math.pi * (i + 0.5) / scan) for i in range(scan)]
           + [1.0 - end])
     vals = [s_pair(t) for t in ts]
     for comp in (0, 1):
-        breaks += [t for t, v in zip(ts, vals) if v[comp] == 0.0]
+        found += [t for t, v in zip(ts, vals) if v[comp] == 0.0]
         for i in range(len(ts) - 1):
             va, vb = vals[i][comp], vals[i + 1][comp]
-            if va * vb >= 0.0:
-                continue
-            a, b = ts[i], ts[i + 1]
-            fa = va
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = s_pair(m)[comp]
-                if fm == 0.0:
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            breaks.append(0.5 * (a + b))
-    return sorted(set(breaks))
+            if va * vb < 0.0:
+                found.append(_brent_zero(lambda t: s_pair(t)[comp], ts[i], ts[i + 1], va, vb))
+    breaks = []
+    for t in sorted(found):
+        if not breaks or t - breaks[-1] > 2.0 * _BREAK_TOL:
+            breaks.append(t)
+    return breaks, calls
 
 
 def tv_norm_report(p: Params, x: float, y: float,
@@ -505,15 +550,17 @@ def tv_norm_report(p: Params, x: float, y: float,
     complex density (no term-by-term bound).
 
     One band weight, |even + odd| + |even - odd|, serves every a; at integer
-    2/a the band is split at its sign breaks, and one the scan misses is a
-    kink inside a piece, which costs nodes but not accuracy.
+    2/a the band is split at its sign breaks (_band_sign_breaks, whose
+    _band_terms calls the report counts as break_evaluations, 0 at other
+    a), and one the scan misses is a kink inside a piece, which costs nodes
+    but not accuracy.
     """
     t0 = time.perf_counter()
     g = _DensityGeometry.of(p, x, y)
-    breaks = _band_sign_breaks(g) if p.band_offset_integer else ()
+    breaks, n_break = _band_sign_breaks(g) if p.band_offset_integer else ((), 0)
     (b, gp, near, tail), qerr, trunc = _gamma_integral(g, spec, lambda Z, z, e, o: (1.0, 1.0),
                                                        modulus=True, breaks=breaks)
-    return TvReport(b + gp + near + tail, qerr, trunc, time.perf_counter() - t0)
+    return TvReport(b + gp + near + tail, qerr, trunc, time.perf_counter() - t0, n_break)
 
 
 def tv_norm(p: Params, x: float, y: float,

@@ -304,7 +304,67 @@ class TestTvNorm:
         # digits), 1/218 from t = 1: closer to the end than the scan's
         # outermost midpoint
         g = harness._DensityGeometry.of(Params(0.2625, 1.0), 0.7, 1.3)
-        assert min(abs(t - 0.99541698646302435) for t in harness._band_sign_breaks(g)) <= 1e-9
+        breaks, _ = harness._band_sign_breaks(g)
+        assert min(abs(t - 0.99541698646302435) for t in breaks) <= 1e-9
+
+    def test_break_evaluations_are_counted(self):
+        # no sign split at the golden point (2/a = 3/2); the sign-break pin
+        # point finds its breaks in at most 60 band evaluations
+        golden = tv_norm_report(Params(0.75, 4.0 / 3.0), 0.1, 10.000000000000005, TV_SPEC)
+        assert golden.break_evaluations == 0
+        pin = tv_norm_report(Params(0.5, 1.0), 0.316227766016838, 1.0, TV_SPEC)
+        assert 0 < pin.break_evaluations <= 60
+
+    # five points of the benchmark's (0.5, 1) TV grid: the breaks there, and
+    # the _band_terms calls that a 129-midpoint scan with 60-step bisection
+    # made to find them
+    _GRID_SEARCH = {
+        (0.1, 0.1): (1, 251),
+        (0.1, 1.0000000000000002): (2, 311),
+        (0.316227766016838, 3.1622776601683804): (2, 311),
+        (1.0000000000000002, 10.000000000000005): (2, 298),
+        (10.000000000000005, 0.316227766016838): (2, 177),
+    }
+
+    def test_sign_break_search_stays_within_a_quarter_of_bisection(self, monkeypatch):
+        calls = []
+        band_terms = harness._band_terms
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return band_terms(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_band_terms", counted)
+        for (x, y), (n_breaks, _) in self._GRID_SEARCH.items():
+            before = len(calls)
+            breaks, n = harness._band_sign_breaks(
+                harness._DensityGeometry.of(Params(0.5, 1.0), x, y))
+            assert len(breaks) == n_breaks, (x, y, breaks)
+            assert n == len(calls) - before, (x, y)
+        assert len(calls) <= sum(c for _, c in self._GRID_SEARCH.values()) / 4
+
+    def test_sign_breaks_match_a_dense_scan(self):
+        # seeded points over 2/a in {1, 2, 3}, mu in (-0.499, 3) and x, y in
+        # (0.05, 20); the reference scans 1023 cells (and the two end points)
+        # and bisects each bracket to 1e-13
+        def tv(g, breaks):
+            pieces, _, _ = harness._gamma_integral(
+                g, TV_SPEC, lambda Z, z, e, o: (1.0, 1.0), modulus=True, breaks=breaks)
+            return sum(pieces)
+
+        rng = random.Random(20231)
+        log_lo, log_hi = math.log(0.05), math.log(20.0)
+        for _ in range(40):
+            a = rng.choice((2.0, 1.0, 2.0 / 3.0))
+            mu = rng.uniform(-0.499, 3.0)
+            x, y = (math.exp(rng.uniform(log_lo, log_hi)) for _ in range(2))
+            g = harness._DensityGeometry.of(Params(0.5 * (mu * a + 1.0), a), x, y)
+            breaks, _ = harness._band_sign_breaks(g)
+            want = _dense_sign_breaks(g)
+            assert len(breaks) == len(want), (a, mu, x, y, breaks, want)
+            assert all(abs(s - t) <= 1e-9 for s, t in zip(breaks, want)), (a, mu, x, y)
+            v, v_ref = tv(g, breaks), tv(g, want)
+            assert abs(v - v_ref) <= 1e-14 * v_ref, (a, mu, x, y, v, v_ref)
 
     # (a, mu, x, y): references made as those above, at abs_tol 1e-16
     _NEAR_HALF = {
@@ -341,6 +401,42 @@ class TestTvNorm:
             for x, y in ((0.7, 1.3), (0.4, 2.5)):
                 want = self._NEAR_HALF[(a, mu, x, y)]
                 assert abs(tv_norm(p, x, y) - want) <= 5e-12 * want, (a, mu, x, y)
+
+
+def _dense_sign_breaks(g, scan: int = 1023) -> list[float]:
+    """Zeros of the two signed band densities by a scan of scan equal cells
+    in t (and the points 2^-40 from the ends) and bisection of each bracket
+    to 1e-13; a zero on a scan node is kept as it is."""
+    def s_pair(t):
+        Z = math.sqrt(g.Z1 * g.Z1 + 2.0 * g.X * g.Y * (1.0 - t))
+        even, odd = harness._band_terms(g, Z, 1.0 - t, 1.0 + t)
+        return (even + odd).real, (even - odd).real
+
+    end = 2.0 ** -40
+    ts = [-1.0 + end] + [-1.0 + 2.0 * (i + 0.5) / scan for i in range(scan)] + [1.0 - end]
+    vals = [s_pair(t) for t in ts]
+    found = []
+    for comp in (0, 1):
+        found += [t for t, v in zip(ts, vals) if v[comp] == 0.0]
+        for i in range(len(ts) - 1):
+            lo, hi, f_lo = ts[i], ts[i + 1], vals[i][comp]
+            if f_lo * vals[i + 1][comp] >= 0.0:
+                continue
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                f_mid = s_pair(mid)[comp]
+                if f_mid == 0.0:
+                    lo = hi = mid
+                elif (f_mid < 0.0) == (f_lo < 0.0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            found.append(0.5 * (lo + hi))
+    breaks = []
+    for t in sorted(found):
+        if not breaks or t - breaks[-1] > 1e-12:
+            breaks.append(t)
+    return breaks
 
 
 class TestHankelIdentities:
