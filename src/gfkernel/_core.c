@@ -297,12 +297,12 @@ static double gauss_ratio(double a, double b, double c, long n)
 }
 
 /* Gauss series with Kahan compensation: the value, and its error in *err. */
-static double gauss_series(double a, double b, double c, double z, long nmax, double *err)
+static double gauss_series(double a, double b, double c, double z, double *err)
 {
     double term = 1.0, s = 1.0, comp = 0.0, abssum = 1.0, y, t, at, rho;
     long n = 0;
     *err = 0.0;
-    while (n < nmax) {
+    while (n < NMAX) {
         term *= gauss_ratio(a, b, c, n) * z;
         if (term == 0.0) {
             *err = 1e-16 * abssum;
@@ -376,7 +376,7 @@ static double hyp2f1(double a, double b, double c, double z, int has_zc, double 
                      double *err)
 {
     const double par[2] = {a, b};
-    double nterms = -1.0, r, w, d, f1, e1, f2, e2, c1, g2, pw, c2;
+    double nterms = -1.0, w, d, f1, e1, f2, e2, c1, g2, pw, c2;
     int i;
     *err = 0.0;
     if (is_nonpositive_integer(c))
@@ -392,23 +392,21 @@ static double hyp2f1(double a, double b, double c, double z, int has_zc, double 
     }
     if (z >= 1.0 && !(has_zc && zc > 0.0))
         return fail(DomainError, "2F1 argument z=%r outside [0, 1)", z);
-    for (i = 0; i < 2 && nterms < 0.0; i++) {
-        r = rint(par[i]);
-        if (r <= 0.0 && fabs(par[i] - r) <= 1e-12) nterms = -r;
-    }
+    for (i = 0; i < 2 && nterms < 0.0; i++)
+        if (is_nonpositive_integer(par[i])) nterms = -rint(par[i]);
     if (nterms > NMAX)
         return fail(ConvergenceError, "terminating 2F1 series would take %d terms, past the "
                     "cap of %d (a=%r, b=%r, c=%r)", nterms, (double)NMAX, a, b, c);
     if (nterms >= 0.0) return terminating_series(a, b, c, z, (long)nterms, err);
-    if (z <= 0.5) return gauss_series(a, b, c, z, NMAX, err);
+    if (z <= 0.5) return gauss_series(a, b, c, z, err);
     w = has_zc ? zc : 1.0 - z;
     d = c - a - b;
     if (fabs(d - rint(d)) < 1e-8)
         return fail(DegenerateParameterError,
                     "2F1 connection formula degenerate: c-a-b=%r is (near) an integer", d);
-    f1 = gauss_series(a, b, a + b - c + 1.0, w, NMAX, &e1);
+    f1 = gauss_series(a, b, a + b - c + 1.0, w, &e1);
     if (PyErr_Occurred()) return -1.0;
-    f2 = gauss_series(c - a, c - b, d + 1.0, w, NMAX, &e2);
+    f2 = gauss_series(c - a, c - b, d + 1.0, w, &e2);
     if (PyErr_Occurred()) return -1.0;
     c1 = gamma_ratio(c, d, c - a, c - b);
     if (PyErr_Occurred()) return -1.0;
@@ -793,13 +791,12 @@ static PyObject *py_normalized_bessel_j(ARGS)
     return value(normalized_bessel_j(nu, x));
 }
 
-PyDoc_STRVAR(gauss_series_doc, "gauss_series(a, b, c, z, nmax=4000)\n--\n\n");
+PyDoc_STRVAR(gauss_series_doc, "gauss_series(a, b, c, z)\n--\n\n");
 static PyObject *py_gauss_series(ARGS)
 {
     double a, b, c, z, v, err = 0.0;
-    long nmax = NMAX;
-    if (PARSE(gauss_series, "dddd|l", &a, &b, &c, &z, &nmax)) return NULL;
-    v = gauss_series(a, b, c, z, nmax, &err);
+    if (PARSE(gauss_series, "dddd", &a, &b, &c, &z)) return NULL;
+    v = gauss_series(a, b, c, z, &err);
     return pair(v, err);
 }
 

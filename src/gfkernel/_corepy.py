@@ -91,12 +91,12 @@ _NMAX = 4000  # terms of the Gauss series loop, and the cap of the terminating s
 # ---------------------------------------------------------------------------
 
 
-def is_nonpositive_integer(x, tol=1e-12):
-    """True when x is within tol of an integer <= 0."""
+def is_nonpositive_integer(x):
+    """True when x is within 1e-12 of an integer <= 0."""
     if x > 0.5:
         return False
     r = round(x)
-    return r <= 0 and abs(x - r) <= tol
+    return r <= 0 and abs(x - r) <= 1e-12
 
 
 def gamma_sign(x):
@@ -394,7 +394,7 @@ def _gauss_table(a, b, c):
     return _Table(_gauss_ratio, a, b, c)
 
 
-def _gauss(table, z, nmax=_NMAX):
+def _gauss(table, z):
     """Gauss series of the parameters of a _gauss_table; returns (value, err)."""
     ratios = table.rows
     term = 1.0
@@ -402,10 +402,10 @@ def _gauss(table, z, nmax=_NMAX):
     comp = 0.0
     abssum = 1.0
     n = 0
-    while n < nmax:
+    while n < _NMAX:
         if n == len(ratios):
             ratios = table.grown(ratios, n)
-        for ratio in ratios[n:nmax]:
+        for ratio in ratios[n:_NMAX]:
             term *= ratio * z
             if term == 0.0:
                 return s + comp, 1e-16 * abssum
@@ -427,9 +427,9 @@ def _gauss(table, z, nmax=_NMAX):
         f"2F1 series did not converge (a={a!r}, b={b!r}, c={c!r}, z={z!r})")
 
 
-def gauss_series(a, b, c, z, nmax=_NMAX):
+def gauss_series(a, b, c, z):
     """Plain Gauss series with Kahan compensation; returns (value, err)."""
-    return _gauss(_gauss_table(a, b, c), z, nmax)
+    return _gauss(_gauss_table(a, b, c), z)
 
 
 def _terminating_series(a, b, c, z, nterms):
@@ -498,14 +498,14 @@ class _Hyp2f1Plan:
         """n when a or b is the nonpositive integer -n, else -1; an n past
         the term cap raises ConvergenceError."""
         for par in self.abc[:2]:
-            r = round(par)
-            if r <= 0 and abs(par - r) <= 1e-12:
-                if -r > _NMAX:
+            if is_nonpositive_integer(par):
+                n = -round(par)
+                if n > _NMAX:
                     a, b, c = self.abc
                     raise ConvergenceError(
-                        f"terminating 2F1 series would take {-r} terms, past the cap of "
+                        f"terminating 2F1 series would take {n} terms, past the cap of "
                         f"{_NMAX} (a={a!r}, b={b!r}, c={c!r})")
-                return int(-r)
+                return n
         return -1
 
     def connection(self):

@@ -10,8 +10,9 @@ Each command is declared once, in ``_COMMANDS``: its help, its required
 float options, its run function and its own extra options.  The parser and
 the missing-option check read that table.  A run function returns its rows
 and its exit code; the keys of the first row, in order, are the output
-columns.  The quadrature flags (``--abs-tol`` ... ``--accel-terms``), their
-types and their defaults are the fields of ``QuadratureSpec``.
+columns.  The quadrature flags (``--abs-tol``, ``--rel-tol``,
+``--max-levels``), their types and their defaults are the fields of
+``QuadratureSpec``; only the commands that integrate take them.
 
 Exit codes: 0 all asserted tolerances met, 2 invalid input, 3 numerical
 failure (nonconvergence).
@@ -96,14 +97,14 @@ def _cmd_eval_kernel(ns: dict) -> tuple[list[dict], int]:
     p = Params(ns["k"], ns["a"])
     v = b_kernel(p, ns["lam"], ns["x"])
     return [dict(k=p.k, a=p.a, **{"lambda": ns["lam"]}, x=ns["x"],
-                 re=v.real, im=v.imag, quad_error=0.0)], EXIT_OK
+                 re=v.real, im=v.imag)], EXIT_OK
 
 
 def _cmd_eval_density(ns: dict) -> tuple[list[dict], int]:
     p = _density_params(ns)
     v = delta_density(p, ns["x"], ns["y"], ns["z"])
     return [dict(k=p.k, a=p.a, x=ns["x"], y=ns["y"], z=ns["z"],
-                 re=v.real, im=v.imag, quad_error=0.0)], EXIT_OK
+                 re=v.real, im=v.imag)], EXIT_OK
 
 
 def _cmd_verify_product(ns: dict) -> tuple[list[dict], int]:
@@ -117,7 +118,7 @@ def _tv_point(args):
     k, a, x, y, spec = args
     rep = tv_norm_report(Params(k, a), x, y, spec)
     return dict(k=k, a=a, x=x, y=y, tv=rep.value, quad_err=rep.quad_error,
-                trunc_bound=rep.truncation_bound, wall_ms=1e3 * rep.wall_time)
+                wall_ms=1e3 * rep.wall_time)
 
 
 def _cmd_tv_sweep(ns: dict) -> tuple[list[dict], int]:
@@ -169,7 +170,7 @@ def _cmd_translate(ns: dict) -> tuple[list[dict], int]:
         raise DomainError(f"unknown profile {profile!r} (gaussian or bump)")
     rep = translate_report(p, ns["y"], profiles[profile](width), ns["z"], _spec_from(ns))
     return [dict(k=p.k, a=p.a, y=ns["y"], z=ns["z"], profile=profile, width=width,
-                 re=rep.value.real, im=rep.value.imag, quad_error=rep.quad_error)], EXIT_OK
+                 re=rep.value.real, im=rep.value.imag, quad_err=rep.quad_error)], EXIT_OK
 
 
 def _cmd_selftest(ns: dict) -> tuple[list[dict] | None, int]:
@@ -206,6 +207,9 @@ def _axis_opts(n: str) -> tuple:
 
 
 _ASSERT_TOL = (("--assert-tol", dict(type=float, help="exit 3 when rel_residual exceeds it")),)
+_QUAD = tuple(("--" + f.name.replace("_", "-"),
+               dict(type=type(f.default), help=f"QuadratureSpec.{f.name} (default {f.default})"))
+              for f in _SPEC_FIELDS)
 
 # name: (help, required float options, run function, extra options)
 _COMMANDS = {
@@ -213,20 +217,22 @@ _COMMANDS = {
     "eval-density": ("evaluate the product density Delta(x, y, z)", ("k", "a", "x", "y", "z"),
                      _cmd_eval_density, ()),
     "verify-product": ("product-formula residual at one point", ("k", "a", "lam", "x", "y"),
-                       _cmd_verify_product, _ASSERT_TOL),
+                       _cmd_verify_product, _ASSERT_TOL + _QUAD),
     "tv-sweep": ("total-variation norms over an (x, y) grid", ("k", "a"), _cmd_tv_sweep,
                  _axis_opts("x") + _axis_opts("y")
                  + (("--jobs", dict(type=int, help="parallel workers, at most one per "
-                                                   "grid point and CPU (default 1)")),)),
+                                                   "grid point and CPU (default 1)")),) + _QUAD),
     "hankel-check": ("weighted Hankel identity residual", ("mu", "nu", "x", "y", "t"),
-                     _cmd_hankel_check, (("--eq", dict(type=int, choices=[1, 2])),) + _ASSERT_TOL),
+                     _cmd_hankel_check,
+                     (("--eq", dict(type=int, choices=[1, 2])),) + _ASSERT_TOL + _QUAD),
     "legendre-check": ("Legendre integral identity residual", ("mu", "nu"), _cmd_legendre_check,
-                       (("--identity", dict(choices=["P", "Q", "p", "q"])),) + _ASSERT_TOL),
+                       (("--identity", dict(choices=["P", "Q", "p", "q"])),) + _ASSERT_TOL + _QUAD),
     "translate": ("apply the generalized translation to a profile", ("k", "a", "y", "z"),
                   _cmd_translate, (("--profile", dict(choices=["gaussian", "bump"])),
-                                   ("--width", dict(type=float)))),
+                                   ("--width", dict(type=float))) + _QUAD),
     "selftest": ("run the acceptance suite", (), _cmd_selftest,
-                 (("--seed", dict(type=int, help="seed for randomized spot checks (default 0)")),)),
+                 (("--seed", dict(type=int, help="seed for randomized spot checks (default 0)")),)
+                 + _QUAD),
 }
 
 
@@ -245,9 +251,6 @@ def make_parser() -> argparse.ArgumentParser:
         acts.append(s.add_argument("--out", help="output file (default: stdout)"))
         acts.append(s.add_argument("--format", choices=["csv", "json"],
                                    help="output format (default csv)"))
-        acts += [s.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                                help=f"QuadratureSpec.{f.name} (default {f.default})")
-                 for f in _SPEC_FIELDS]
         # each option's action, which checks the config values as it does flags
         s.set_defaults(actions={a.dest: a for a in acts})
     return ap

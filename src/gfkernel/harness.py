@@ -80,7 +80,6 @@ def _report(lhs: complex, rhs: complex, qerr: float, t0: float) -> ResidualRepor
 class TvReport:
     value: float
     quad_error: float
-    truncation_bound: float
     wall_time: float
     break_evaluations: int   # _band_terms calls of the sign-break search
 
@@ -119,12 +118,6 @@ class Axis:
 @dataclass(frozen=True)
 class SweepGrid:
     axes: tuple[Axis, ...]
-
-    def axis(self, name: str) -> Axis:
-        for ax in self.axes:
-            if ax.name == name:
-                return ax
-        raise DomainError(f"sweep grid has no axis named {name!r}")
 
     def points(self) -> Iterator[dict[str, float]]:
         names = [ax.name for ax in self.axes]
@@ -290,8 +283,8 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     edge and is given that exponent; an uncut, unsplit compact band,
     (1 - t^2)^(mu - 1/2) times a smooth factor, takes the Gauss-Jacobi
     rules, every other piece tanh-sinh.  Returns the (band, gap,
-    near-outer, tail) values, 0.0 for an absent piece, the summed error
-    estimate and the tail's truncation bound.
+    near-outer, tail) values, 0.0 for an absent piece, and the summed error
+    estimate.
     """
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
     edge = mu - 0.5
@@ -348,7 +341,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         add(1, integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
 
     if not (g.has_tail and cut > g.Z2):
-        return pieces, qerr, 0.0
+        return pieces, qerr
     if cut < math.inf:
         # a rule across many decades of the power decay misses mass; only Z2
         # is a region edge, and (start - Z2) + dlo is Z - Z2
@@ -364,7 +357,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
             add(3, integrate_singular_band2(f_piece, start, stop, spec,
                                             edge_exponent=edge if start == g.Z2 else 0.0))
             start = stop
-        return pieces, qerr, 0.0
+        return pieces, qerr
 
     # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
     def f_near(u, dlo, dhi):
@@ -395,7 +388,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         # the z-line density tail decays like z^-3 for every valid (k, a)
         res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
     add(3, res)
-    return pieces, qerr, res.truncation_bound
+    return pieces, qerr
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +415,7 @@ def _product_rhs(p: Params, lam: float, x: float, y: float,
         return we, (m * (lam * z) * j_nu(c * Z) if odd else 0.0)
 
     odd = lam != 0.0
-    (b, gp, near, tail), qerr, _ = _gamma_integral(g, spec, weights, odd, c if odd else None)
+    (b, gp, near, tail), qerr = _gamma_integral(g, spec, weights, odd, c if odd else None)
     # the outer term carries the constant phase
     return 2.0 * (b + gp + g.e2a * (g.sxy * (near + tail))), qerr
 
@@ -458,6 +451,7 @@ def gamma_mass(p: Params, x: float, y: float,
 
 
 _BREAK_TOL = 1e-12   # a sign break is refined to a bracket of this width in t
+_SCAN = 32           # cells of the sign-break scan, equal in theta
 
 
 def _brent_zero(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -500,21 +494,22 @@ def _brent_zero(f, a: float, b: float, fa: float, fb: float) -> float:
             d = e = b - a
 
 
-def _band_sign_breaks(g: _DensityGeometry, scan: int = 32) -> tuple[list[float], int]:
+def _band_sign_breaks(g: _DensityGeometry) -> tuple[list[float], int]:
     """Interior zeros of the two signed band densities (real-phase case),
     and the number of _band_terms calls made to find them.
 
     When 2/a is an integer the density is real-valued and its modulus has
     kinks at sign changes, which slow the band rules; the band is split
-    there.  A scan brackets the zeros: it takes the midpoints of scan
+    there.  A scan brackets the zeros: it takes the midpoints of _SCAN
     cells equal in theta = arccos(t), narrow in t toward t = +-1 where the
     zeros crowd, and a point 2^-40 from each end (1 -+ t exact), so zeros
     beyond the outermost midpoints are seen.  An even scan puts no node on
     t = 0, where at mu = 0, nu = 2 both densities vanish.  Each bracket is
-    refined by Brent steps to _BREAK_TOL; a zero on a scan node is a break
-    itself, and breaks within 2 _BREAK_TOL of each other (a zero of both
-    densities) are one.  Two zeros inside one cell go unseen, and the
-    piece across them costs more nodes.
+    refined by Brent steps to _BREAK_TOL.  A zero on a scan node is a break
+    itself, and the cells beside it are bracketed from 2 _BREAK_TOL inside;
+    breaks within 2 _BREAK_TOL of each other (a zero of both densities)
+    are one.  Two zeros inside one cell go unseen, and the piece across
+    them costs more nodes.
     """
     calls = 0
 
@@ -528,15 +523,23 @@ def _band_sign_breaks(g: _DensityGeometry, scan: int = 32) -> tuple[list[float],
 
     found = []
     end = 2.0 ** -40
-    ts = ([-1.0 + end] + [-math.cos(math.pi * (i + 0.5) / scan) for i in range(scan)]
+    inside = 2.0 * _BREAK_TOL
+    ts = ([-1.0 + end] + [-math.cos(math.pi * (i + 0.5) / _SCAN) for i in range(_SCAN)]
           + [1.0 - end])
     vals = [s_pair(t) for t in ts]
     for comp in (0, 1):
         found += [t for t, v in zip(ts, vals) if v[comp] == 0.0]
         for i in range(len(ts) - 1):
+            a, b = ts[i], ts[i + 1]
             va, vb = vals[i][comp], vals[i + 1][comp]
+            if va == 0.0:
+                a += inside
+                va = s_pair(a)[comp]
+            if vb == 0.0:
+                b -= inside
+                vb = s_pair(b)[comp]
             if va * vb < 0.0:
-                found.append(_brent_zero(lambda t: s_pair(t)[comp], ts[i], ts[i + 1], va, vb))
+                found.append(_brent_zero(lambda t: s_pair(t)[comp], a, b, va, vb))
     breaks = []
     for t in sorted(found):
         if not breaks or t - breaks[-1] > 2.0 * _BREAK_TOL:
@@ -558,9 +561,9 @@ def tv_norm_report(p: Params, x: float, y: float,
     t0 = time.perf_counter()
     g = _DensityGeometry.of(p, x, y)
     breaks, n_break = _band_sign_breaks(g) if p.band_offset_integer else ((), 0)
-    (b, gp, near, tail), qerr, trunc = _gamma_integral(g, spec, lambda Z, z, e, o: (1.0, 1.0),
-                                                       modulus=True, breaks=breaks)
-    return TvReport(b + gp + near + tail, qerr, trunc, time.perf_counter() - t0, n_break)
+    (b, gp, near, tail), qerr = _gamma_integral(g, spec, lambda Z, z, e, o: (1.0, 1.0),
+                                                modulus=True, breaks=breaks)
+    return TvReport(b + gp + near + tail, qerr, time.perf_counter() - t0, n_break)
 
 
 def tv_norm(p: Params, x: float, y: float,
@@ -605,7 +608,7 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
     kfac = math.exp((2.0 * nu - mu) * math.log(2.0)
                     + 2.0 * math.lgamma(nu + 1.0) - math.lgamma(mu + 1.0))
     j_mu = _recent(functools.partial(core.normalized_bessel_j, mu))
-    (b, _, near, tail), qerr, _ = _gamma_integral(
+    (b, _, near, tail), qerr = _gamma_integral(
         g, spec, lambda Z, z, e, o: (j_mu(Z * t), 0.0), odd=False, osc=t)
     return _report(lhs, kfac * (b + near + tail), kfac * qerr, t0)
 
@@ -628,8 +631,8 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
     # argument; it is 1 to double precision where Gamma(mu) would overflow
     kfac = math.pow(2.0, mu) * (mu * math.gamma(mu) if abs(mu) > 1e-300 else 1.0)
     j_nu = _recent(functools.partial(core.normalized_bessel_j, nu))
-    (b, gp, _, _), qerr, _ = _gamma_integral(g, spec, lambda Z, z, e, o: (0.0, j_nu(Z * t)),
-                                             cut=g.Z2)
+    (b, gp, _, _), qerr = _gamma_integral(g, spec, lambda Z, z, e, o: (0.0, j_nu(Z * t)),
+                                          cut=g.Z2)
     return _report(lhs, kfac * (b + gp), kfac * qerr, t0)
 
 
@@ -793,8 +796,8 @@ def translate_report(p: Params, y: float, f: Profile, z: float,
         fm = f(-xi)
         return fp + fm, fp - fm
 
-    (b, gp, near, tail), qerr, _ = _gamma_integral(g, spec, weights,
-                                                   cut=math.pow(f.support, g.ha))
+    (b, gp, near, tail), qerr = _gamma_integral(g, spec, weights,
+                                                cut=math.pow(f.support, g.ha))
     # the tail's one term carries the sign sgn(yz)
     return TranslateReport(complex(b + gp + g.sxy * (near + tail)), qerr,
                            time.perf_counter() - t0)
@@ -806,10 +809,9 @@ def translate(p: Params, y: float, f: Profile, z: float,
     return translate_report(p, y, f, z, spec).value
 
 
-def lp_bound_probe(p: Params, p_exp: float, f: Profile, y_grid: SweepGrid,
-                   spec: QuadratureSpec = DEFAULT_SPEC,
-                   z_count: int = 64, z_halfwidth: float | None = None) -> float:
-    """max over the y grid of ||tau_y f||_p / ||f||_p in L^p(|x|^w dx).
+def lp_bound_probe(p: Params, p_exp: float, f: Profile, y_axis: Axis,
+                   spec: QuadratureSpec = DEFAULT_SPEC, z_count: int = 64) -> float:
+    """max over y_axis's values of ||tau_y f||_p / ||f||_p in L^p(|x|^w dx).
 
     Norms are midpoint-grid quadratures over a symmetric window that covers
     the support spread; p_exp is 1, 2, or math.inf.  The ratio at y = 0 is
@@ -817,9 +819,8 @@ def lp_bound_probe(p: Params, p_exp: float, f: Profile, y_grid: SweepGrid,
     """
     if p_exp not in (1.0, 2.0, math.inf) and p_exp not in (1, 2):
         raise DomainError("p_exp must be 1, 2, or math.inf")
-    ax = y_grid.axes[0] if len(y_grid.axes) == 1 else y_grid.axis("y")
-    ys = ax.values()
-    half = z_halfwidth if z_halfwidth is not None else 1.15 * (max(abs(v) for v in ys) + f.support)
+    ys = y_axis.values()
+    half = 1.15 * (max(abs(v) for v in ys) + f.support)
     dz = 2.0 * half / z_count
     zs = [-half + (j + 0.5) * dz for j in range(z_count)]
     weights = [math.pow(abs(zv), p.w) * dz for zv in zs]

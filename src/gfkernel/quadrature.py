@@ -51,24 +51,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget knobs shared by all engines: absolute and
-    relative tolerance, tanh-sinh refinement levels, and the zero cells and
-    Euler terms of the oscillatory engine.  Immutable and picklable, so
+    """Tolerances shared by all engines: absolute and relative tolerance,
+    and the tanh-sinh refinement levels.  Immutable and picklable, so
     tv-sweep hands it to its worker processes as it is."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_levels: int = 12
-    osc_max_zeros: int = 200
-    accel_terms: int = 12
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("quadrature tolerances must be positive")
         if self.max_levels < 4:
             raise DomainError("max_levels must be at least 4")
-        if self.osc_max_zeros < 8:
-            raise DomainError("osc_max_zeros must be at least 8")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -79,7 +74,6 @@ class IntegralResult:
     value: complex | float
     est_error: float
     evaluations: int
-    truncation_bound: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,7 @@ def integrate_power_tail(f: Callable[[float], complex], lo: float, decay_exponen
     The measured decay is checked against the promise before integrating;
     an integrand decaying slower than p + 1/2 is rejected.  The map u = 1/z
     carries the whole tail onto the singular-interval rule, so nothing is
-    truncated and truncation_bound is 0.
+    truncated.
     """
     if decay_exponent >= -1.0:
         raise DomainError(f"decay_exponent must be < -1, got {decay_exponent!r}")
@@ -385,7 +379,7 @@ def integrate_power_tail(f: Callable[[float], complex], lo: float, decay_exponen
         return val / u / u
 
     res = integrate_singular_band2(mapped, 0.0, 1.0 / lo, spec)
-    return IntegralResult(res.value, res.est_error, res.evaluations + 5, 0.0)
+    return IntegralResult(res.value, res.est_error, res.evaluations + 5)
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +403,15 @@ _GL_HALF = tuple((float.fromhex(x), float.fromhex(w)) for x, w in (
 _GL_X = tuple(-x for x, _ in reversed(_GL_HALF)) + tuple(x for x, _ in _GL_HALF)
 _GL_W = tuple(w for _, w in reversed(_GL_HALF)) + tuple(w for _, w in _GL_HALF)
 
+_OSC_MAX_ZEROS = 200   # zero cells of the oscillatory engine before it gives up
+_ACCEL_TERMS = 12      # partial sums in its Euler average
+
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _zero_ladder(backend, order: float, first: int) -> list[float]:
     """The positive zeros of J_order from the first-th on, as computed by
     the backend core, as far as _ladder_to has been asked for them: 64
-    ladders of at most osc_max_zeros (200) zeros, about 0.4 MiB."""
+    ladders of at most _OSC_MAX_ZEROS (200) zeros, about 0.4 MiB."""
     return []
 
 
@@ -483,10 +480,9 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
         raise DomainError("oscillatory frequency must be positive")
     if lo < 0.0:
         raise DomainError("oscillatory lower limit must be nonnegative")
-    nzeros = spec.osc_max_zeros
     # start the ladder a few zeros below lo*freq (McMahon: j_k ~ (k + order/2
     # - 1/4) pi), so that zeros below the first cell are neither computed
-    # nor counted against osc_max_zeros
+    # nor counted against _OSC_MAX_ZEROS
     k0 = max(1, int(lo * freq / math.pi - 0.5 * order + 0.25) - 3)
     while k0 > 1 and _ladder_to(order, k0, 1)[0] >= lo * freq:
         k0 = max(1, k0 - 8)
@@ -519,7 +515,7 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     idx = 0
     last_hi = lo
     first = True
-    while idx < nzeros:
+    while idx < _OSC_MAX_ZEROS:
         hi = _ladder_to(order, k0, idx + 1)[idx] / freq
         idx += 1
         if hi <= last_hi * (1.0 + 1e-12) + 1e-300:
@@ -530,7 +526,7 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
         first = False
         last_hi = hi
         sums.append(total)
-        kwin = min(spec.accel_terms, len(sums))
+        kwin = min(_ACCEL_TERMS, len(sums))
         est = _euler_average(sums[-kwin:])
         if prev_est is not None:
             diff = abs(est - prev_est)
@@ -545,5 +541,5 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
                 stable = 0
         prev_est = est
     raise ConvergenceError(
-        f"oscillatory acceleration failed to stabilize within {nzeros} zeros",
+        f"oscillatory acceleration failed to stabilize within {_OSC_MAX_ZEROS} zeros",
         partial=prev_est)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from gfkernel.cli import main
+from gfkernel.cli import main, make_parser
 
 
 def run_cli(args, capsys):
@@ -24,7 +24,7 @@ class TestEvalKernel:
                              "--lambda", "2", "--x", "3"], capsys)
         assert code == 0
         header, row = out.strip().splitlines()
-        assert header == "k,a,lambda,x,re,im,quad_error"
+        assert header == "k,a,lambda,x,re,im"
         vals = dict(zip(header.split(","), row.split(",")))
         assert abs(float(vals["re"]) - math.cos(6.0)) <= 1e-12
         assert abs(float(vals["im"]) + math.sin(6.0)) <= 1e-12
@@ -59,22 +59,22 @@ def test_non_finite_input_is_invalid(args, capsys):
 
 _SHAPES = [
     (["eval-kernel", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7"],
-     "k,a,lambda,x,re,im,quad_error"),
+     "k,a,lambda,x,re,im"),
     (["eval-density", "--k", "0.75", "--a", "1.3333333333333333", "--x", "1.0", "--y", "1.2",
       "--z", "0.9"],
-     "k,a,x,y,z,re,im,quad_error"),
+     "k,a,x,y,z,re,im"),
     (["verify-product", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7", "--y", "1.3"],
      "k,a,lambda,x,y,lhs_re,lhs_im,rhs_re,rhs_im,abs_res,rel_res,quad_err,wall_ms"),
     (["tv-sweep", "--k", "0.5", "--a", "2", "--x-min", "0.5", "--x-max", "2.0", "--x-count", "2",
       "--y-min", "0.5", "--y-count", "1", "--x-spacing", "linear"],
-     "k,a,x,y,tv,quad_err,trunc_bound,wall_ms"),
+     "k,a,x,y,tv,quad_err,wall_ms"),
     (["hankel-check", "--eq", "2", "--mu", "0.4", "--nu", "0.9", "--x", "0.8", "--y", "1.1",
       "--t", "1.3"],
      "eq,mu,nu,x,y,t,lhs_re,lhs_im,rhs_re,rhs_im,abs_res,rel_res,quad_err,wall_ms"),
     (["legendre-check", "--identity", "P", "--mu", "0.8", "--nu", "1.3"],
      "identity,mu,nu,lhs_re,lhs_im,rhs_re,rhs_im,abs_res,rel_res,quad_err,wall_ms"),
     (["translate", "--k", "0.5", "--a", "2", "--y", "1.0", "--z", "0.5", "--profile", "bump"],
-     "k,a,y,z,profile,width,re,im,quad_error"),
+     "k,a,y,z,profile,width,re,im,quad_err"),
 ]
 
 
@@ -193,9 +193,41 @@ class TestConfigFile:
 
     def test_config_keys_may_use_flag_spelling(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"k": 0.5, "a": 2.0, "lam": 0.0, "x": 1.0, "rel-tol": 1e-8}))
-        code, _ = run_cli(["eval-kernel", "--config", str(cfg)], capsys)
+        cfg.write_text(json.dumps({"identity": "P", "mu": 0.5, "nu": 0.5, "rel-tol": 1e-8}))
+        code, _ = run_cli(["legendre-check", "--config", str(cfg)], capsys)
         assert code == 0
+
+
+def _options(parser):
+    """{command: [option dests]} of the parser's subcommands, --help left out."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {name: [a.dest for a in sp._actions if a.dest != "help"]
+            for name, sp in sub.choices.items()}
+
+
+class TestQuadratureFlags:
+    def test_only_the_integrating_commands_take_them(self):
+        opts = _options(make_parser())
+        quad = {"abs_tol", "rel_tol", "max_levels"}
+        assert {name for name, dests in opts.items() if quad <= set(dests)} == {
+            "verify-product", "tv-sweep", "hankel-check", "legendre-check", "translate", "selftest"}
+        assert not any(quad & set(opts[name]) for name in ("eval-kernel", "eval-density"))
+        assert sum(len(dests) for dests in opts.values()) == 86
+
+    def test_eval_kernel_refuses_a_tolerance_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-kernel", "--k", "0.5", "--a", "2", "--lambda", "1", "--x", "1",
+                  "--abs-tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--abs-tol" in capsys.readouterr().err
+
+    def test_eval_density_refuses_a_tolerance_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 0.75, "a": 1.3333333333333333, "x": 1.0, "y": 1.2,
+                                   "z": 0.9, "rel_tol": 1e-8}))
+        assert main(["eval-density", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown config key 'rel_tol'" in err
 
 
 class TestSweepAndFormats:
@@ -206,7 +238,7 @@ class TestSweepAndFormats:
                              "--x-spacing", "linear", "--y-spacing", "linear"], capsys)
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "k,a,x,y,tv,quad_err,trunc_bound,wall_ms"
+        assert lines[0] == "k,a,x,y,tv,quad_err,wall_ms"
         assert len(lines) == 7
         coords = [tuple(map(float, ln.split(",")[2:4])) for ln in lines[1:]]
         assert coords == sorted(coords)
@@ -285,13 +317,13 @@ class TestOtherCommands:
         code, out = run_cli(["translate", "--k", "0.5", "--a", "2", "--y", "1.0",
                              "--z", "0.5", "--profile", "gaussian", "--width", "1"], capsys)
         assert code == 0
-        assert out.startswith("k,a,y,z,profile,width,re,im,quad_error")
+        assert out.startswith("k,a,y,z,profile,width,re,im,quad_err")
         # the summed error estimate of the plan's pieces, not a constant 0
         # (at a = 2 the Gauss-Jacobi rules may agree exactly)
         code, out = run_cli(["translate", "--k", "0.75", "--a", "1.3333333333333333",
                              "--y", "0.8", "--z", "-1.3"], capsys)
         header, row = out.strip().splitlines()
-        assert 0.0 < float(dict(zip(header.split(","), row.split(",")))["quad_error"]) < 1e-9
+        assert 0.0 < float(dict(zip(header.split(","), row.split(",")))["quad_err"]) < 1e-9
 
     def test_translate_at_small_a(self, capsys):
         # 2/a = 2.5: Xi^(2/a) underflows at the gap rule's outermost nodes

@@ -237,7 +237,6 @@ class TestTvNorm:
 
     def test_compact_case_has_no_truncation(self):
         rep = tv_norm_report(P_DUNKL, 1.0, 1.3, SPEC)
-        assert rep.truncation_bound == 0.0
         assert rep.value >= 1.0 - 1e-9
 
     def test_stabilizes_for_small_y(self):
@@ -246,8 +245,13 @@ class TestTvNorm:
         assert abs(vals[-1] - vals[-2]) <= 0.05 * vals[-2]
 
     def test_outer_part_vanishes_for_integer_offset(self):
-        rep = tv_norm_report(Params(1.0, 2.0 / 3.0), 1.1, 0.9, SPEC)
-        assert rep.truncation_bound == 0.0
+        # 2/a = 3: no gap, near-outer or tail piece is integrated
+        g = harness._DensityGeometry.of(Params(1.0, 2.0 / 3.0), 1.1, 0.9)
+        breaks, _ = harness._band_sign_breaks(g)
+        pieces, _ = harness._gamma_integral(g, SPEC, lambda Z, z, e, o: (1.0, 1.0),
+                                            modulus=True, breaks=breaks)
+        assert not g.has_tail and pieces[1:] == [0.0, 0.0, 0.0]
+        assert sum(pieces) == tv_norm(Params(1.0, 2.0 / 3.0), 1.1, 0.9, SPEC)
 
     def test_against_bruteforce_quadrature(self):
         # trapezoid over the compact band in Z = |z|^(a/2), stretched by a
@@ -307,6 +311,25 @@ class TestTvNorm:
         breaks, _ = harness._band_sign_breaks(g)
         assert min(abs(t - 0.99541698646302435) for t in breaks) <= 1e-9
 
+    def test_zero_on_a_scan_node_does_not_hide_the_next_break(self, monkeypatch):
+        # a stand-in band whose even + odd is (t - t0)(t - t1): t0 is a scan
+        # midpoint, where it reads exactly 0, and t1 lies halfway to the next
+        # midpoint, so neither cell next to t0 has ends of opposite sign
+        t0 = -math.cos(math.pi * 20.5 / 32)
+        t1 = 0.5 * (t0 - math.cos(math.pi * 21.5 / 32))
+        calls = []
+
+        def band_terms(g, Z, omt, opt, even=True, odd=True):
+            calls.append(None)
+            # omt is 1 - t as the search forms it, so the node t0 gives 0 exactly
+            return (omt - (1.0 - t0)) * (omt - (1.0 - t1)), 0.0
+
+        monkeypatch.setattr(harness, "_band_terms", band_terms)
+        g = harness._DensityGeometry.of(Params(0.5, 1.0), 0.7, 1.3)
+        breaks, n = harness._band_sign_breaks(g)
+        assert len(breaks) == 2 and breaks[0] == t0 and abs(breaks[1] - t1) <= 1e-12
+        assert n == len(calls)
+
     def test_break_evaluations_are_counted(self):
         # no sign split at the golden point (2/a = 3/2); the sign-break pin
         # point finds its breaks in at most 60 band evaluations
@@ -348,7 +371,7 @@ class TestTvNorm:
         # (0.05, 20); the reference scans 1023 cells (and the two end points)
         # and bisects each bracket to 1e-13
         def tv(g, breaks):
-            pieces, _, _ = harness._gamma_integral(
+            pieces, _ = harness._gamma_integral(
                 g, TV_SPEC, lambda Z, z, e, o: (1.0, 1.0), modulus=True, breaks=breaks)
             return sum(pieces)
 
@@ -839,22 +862,22 @@ class TestParity:
 class TestLpProbe:
     def test_ratio_one_at_origin_only_grid(self):
         f = gaussian_profile(1.0)
-        grid = SweepGrid((Axis("y", 0.0, 0.0, 1),))
-        assert lp_bound_probe(P_DUNKL, 2.0, f, grid, SPEC, z_count=16) == 1.0
+        ys = Axis("y", 0.0, 0.0, 1)
+        assert lp_bound_probe(P_DUNKL, 2.0, f, ys, SPEC, z_count=16) == 1.0
 
     @pytest.mark.parametrize("pexp", [1.0, 2.0, math.inf])
     def test_finite_ratios(self, pexp):
         f = gaussian_profile(1.0)
-        grid = SweepGrid((Axis("y", 0.1, 5.0, 3, "log"),))
+        ys = Axis("y", 0.1, 5.0, 3, "log")
         spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
-        r = lp_bound_probe(P_DUNKL, pexp, f, grid, spec, z_count=24)
+        r = lp_bound_probe(P_DUNKL, pexp, f, ys, spec, z_count=24)
         assert math.isfinite(r) and r > 0.0
 
     def test_rejects_other_exponents(self):
         f = gaussian_profile(1.0)
-        grid = SweepGrid((Axis("y", 0.1, 1.0, 2),))
+        ys = Axis("y", 0.1, 1.0, 2)
         with pytest.raises(DomainError):
-            lp_bound_probe(P_DUNKL, 3.0, f, grid, SPEC)
+            lp_bound_probe(P_DUNKL, 3.0, f, ys, SPEC)
 
 
 class TestMetamorphic:

@@ -1,5 +1,6 @@
 """Quadrature engines: examples, determinism, error paths."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -29,16 +30,15 @@ SPEC = QuadratureSpec()
 class TestSpecValidation:
     def test_defaults(self):
         s = QuadratureSpec()
-        assert s.abs_tol == 1e-10 and s.rel_tol == 1e-9
-        assert s.max_levels == 12 and s.osc_max_zeros == 200 and s.accel_terms == 12
+        assert [f.name for f in dataclasses.fields(s)] == ["abs_tol", "rel_tol", "max_levels"]
+        assert s.abs_tol == 1e-10 and s.rel_tol == 1e-9 and s.max_levels == 12
+        assert quadrature._OSC_MAX_ZEROS == 200 and quadrature._ACCEL_TERMS == 12
 
     def test_invariants(self):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_levels=3)
-        with pytest.raises(DomainError):
-            QuadratureSpec(osc_max_zeros=4)
 
 
 def _beta_arc(p):
@@ -209,7 +209,6 @@ class TestPowerTail:
     def test_inverse_square(self):
         r = integrate_power_tail(lambda t: t ** -2.0, 1.0, -2.0)
         assert_allclose(r.value, 1.0, rtol=1e-12)
-        assert r.truncation_bound == 0.0
 
     def test_inverse_cube(self):
         r = integrate_power_tail(lambda t: t ** -3.0, 2.0, -3.0)
@@ -286,9 +285,11 @@ class TestBesselOscillatory:
         assert abs(loose.value - tight.value) <= loose.est_error
 
     def test_failure_carries_partial(self):
-        spec = QuadratureSpec(osc_max_zeros=8, accel_terms=4)
+        # cos(t) J_0(t) ~ cos(t) cos(t - pi/4) / sqrt(t) keeps a part that
+        # neither decays nor alternates, so the 200-zero budget runs out
         with pytest.raises(ConvergenceError) as err:
-            integrate_bessel_oscillatory(lambda t: 1.0 / (1.0 + t * 1e-4), 0.0, 1.0, 0.0, spec)
+            integrate_bessel_oscillatory(math.cos, 0.0, 1.0, 0.0)
+        assert "within 200 zeros" in str(err.value)
         assert err.value.partial is not None
 
     def test_validation(self):

@@ -248,7 +248,7 @@ class TestHyp2f1:
             d = c - a - b
             if abs(d - round(d)) < 0.05 or abs(a - round(a)) < 1e-6 or abs(b - round(b)) < 1e-6:
                 continue
-            direct, _ = core.gauss_series(a, b, c, z, 4000)
+            direct, _ = core.gauss_series(a, b, c, z)
             routed, _ = core.hyp2f1(a, b, c, z)
             assert abs(direct - routed) <= 1e-10 * max(abs(routed), 1.0)
 
