@@ -368,6 +368,18 @@ static double gamma_ratio(double n1, double n2, double d1, double d2)
     return sign * exp(ln);
 }
 
+/* The checks that open 2F1(a, b; c; z), before any on z, as _corepy's
+   _Hyp2f1Plan makes them: finite parameters, and c off the poles.  Returns
+   -1.0 with the error set, else 0.0. */
+static double check_2f1(double a, double b, double c)
+{
+    if (!(isfinite(a) && isfinite(b) && isfinite(c)))
+        return fail(DomainError, "2F1 parameters must be finite (a=%r, b=%r, c=%r)", a, b, c);
+    if (is_nonpositive_integer(c))
+        return fail(PoleError, "2F1 parameter c=%r is a nonpositive integer", c);
+    return 0.0;
+}
+
 /* 2F1(a, b; c; z) for z in [0, 1): the value, and its error in *err.  With
    has_zc, zc is an accurately computed 1-z.  Terminating series are summed
    directly for any z, the Gauss series handles z <= 1/2 and the linear
@@ -379,8 +391,7 @@ static double hyp2f1(double a, double b, double c, double z, int has_zc, double 
     double nterms = -1.0, w, d, f1, e1, f2, e2, c1, g2, pw, c2;
     int i;
     *err = 0.0;
-    if (is_nonpositive_integer(c))
-        return fail(PoleError, "2F1 parameter c=%r is a nonpositive integer", c);
+    if (check_2f1(a, b, c)) return -1.0;
     if (z == 0.0) return 1.0;
     if (z < 0.0) {
         /* tolerate roundoff from complement arithmetic at region edges */
@@ -558,6 +569,8 @@ static double r_band_core(double mu, double nu, double xa, double ya, double za,
 {
     double err, f;
     int euler = is_nonpositive_integer(mu - nu);
+    if (!(isfinite(mu) && isfinite(nu)))
+        return fail(DomainError, "Macdonald orders must be finite (mu=%r, nu=%r)", mu, nu);
     if (euler)
         f = hyp2f1(mu - nu, mu + nu, mu + 0.5, 0.5 * omt, 1, 0.5 * opt, &err);
     else
@@ -575,6 +588,8 @@ static double r_outer_core(double mu, double nu, double xa, double ya, double za
                            double u, double um1)
 {
     double delta = nu - mu, sd, ln_u, z, zc, f, err, lgd = 0.0, sgd, coef;
+    if (!(isfinite(mu) && isfinite(nu)))
+        return fail(DomainError, "Macdonald orders must be finite (mu=%r, nu=%r)", mu, nu);
     if (fabs(delta - rint(delta)) <= 1e-12) return 0.0;
     sd = sinpi(mu - nu);
     ln_u = (delta + 1.0) * log(u);
@@ -621,74 +636,37 @@ static double r_gegenbauer_band(double mu, long n, double xa, double ya, double 
 
 /* ---- Python entry points ---- */
 
-/* TypeError "name() " + fmt, the name read from the text signature sig. */
-static int arg_error(const char *sig, const char *fmt, ...)
-{
-    char buf[200];
-    int k = snprintf(buf, sizeof buf, "%.*s() ", (int)(strchr(sig, '(') - sig), sig);
-    va_list ap;
-    va_start(ap, fmt);
-    vsnprintf(buf + k, sizeof buf - k, fmt, ap);
-    va_end(ap);
-    PyErr_SetString(PyExc_TypeError, buf);
-    return -1;
-}
-
-/* Unpack a call's arguments into the targets out[], by fmt, one character
-   per parameter of the entry whose docstring is the text signature sig
-   ("name(a, b=1)\n--..."): 'd' stores a double, 'l' a long, 'O' the object.
-   Parameters after '|' are optional; a missing one keeps the value its
-   target holds.  Keywords are matched against the parameter names in sig. */
+/* Unpack the positional arguments of name() into the targets out[], one
+   per character of fmt: 'd' stores a double, 'l' a long.  No keyword is
+   taken (hyp2f1 places its zc first). */
 static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-                 const char *sig, const char *fmt, void *const *out)
+                 const char *name, const char *fmt, void *const *out)
 {
-    PyObject *v[8] = {NULL}, *o;
-    Py_ssize_t i, k, len, klen;
-    const char *p, *key;
-    int opt = 0;
-    for (k = 0; kwnames != NULL && k < PyTuple_GET_SIZE(kwnames); k++) {
-        if ((key = PyUnicode_AsUTF8AndSize(PyTuple_GET_ITEM(kwnames, k), &klen)) == NULL)
+    Py_ssize_t i;
+    for (i = 0; fmt[i]; i++) {
+        if (i == nargs) {
+            PyErr_Format(PyExc_TypeError, "%s() missing required argument %zd", name, i + 1);
             return -1;
-        for (i = 0, p = strchr(sig, '(') + 1;; i++, p += 2) {  /* 2: skip ", " */
-            len = (Py_ssize_t)strcspn(p, ",=)");
-            if (len == klen && strncmp(p, key, klen) == 0) break;
-            p += strcspn(p, ",)");
-            if (*p == ')') {
-                i = -1;
-                break;
-            }
         }
-        if (i < 0 || i < nargs || v[i] != NULL)
-            return arg_error(sig, "got an unexpected or repeated argument '%s'", key);
-        v[i] = args[nargs + k];
+        if (fmt[i] == 'l') {
+            if ((*(long *)out[i] = PyLong_AsLong(args[i])) == -1 && PyErr_Occurred()) return -1;
+        } else if (PyFloat_CheckExact(args[i])) {
+            *(double *)out[i] = PyFloat_AS_DOUBLE(args[i]);
+        } else if ((*(double *)out[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred()) {
+            return -1;
+        }
     }
-    for (i = 0; *fmt; fmt++) {
-        if (*fmt == '|') {
-            opt = 1;
-            continue;
-        }
-        if ((o = i < nargs ? args[i] : v[i]) == NULL && !opt) {
-            arg_error(sig, "missing required argument %zd", i + 1);
-            break;
-        }
-        if (*fmt == 'd') {
-            double *x = out[i];
-            if (o != NULL && PyFloat_CheckExact(o))
-                *x = PyFloat_AS_DOUBLE(o);
-            else if (o != NULL && (*x = PyFloat_AsDouble(o)) == -1.0 && PyErr_Occurred())
-                break;
-        } else if (*fmt == 'l') {
-            long *x = out[i];
-            if (o != NULL && (*x = PyLong_AsLong(o)) == -1 && PyErr_Occurred()) break;
-        } else {
-            PyObject **x = out[i];
-            if (o != NULL) *x = o;
-        }
-        i++;
+    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames) > 0) {
+        PyErr_Format(PyExc_TypeError, "%s() got an unexpected or repeated argument '%U'",
+                     name, PyTuple_GET_ITEM(kwnames, 0));
+        return -1;
     }
-    if (*fmt == '\0' && nargs > i)
-        return arg_error(sig, "takes at most %zd arguments (%zd given)", i, nargs);
-    return *fmt ? -1 : 0;
+    if (nargs > i) {
+        PyErr_Format(PyExc_TypeError, "%s() takes at most %zd arguments (%zd given)", name, i,
+                     nargs);
+        return -1;
+    }
+    return 0;
 }
 
 static PyObject *value(double v)
@@ -708,7 +686,7 @@ static PyObject *pair(double v, double e)
 
 #define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n, PyObject *kw
 #define PARSE(name, fmt, ...) \
-    parse(args, n, kw, name##_doc, fmt, (void *const[]){__VA_ARGS__})
+    parse(args, n, kw, #name, fmt, (void *const[]){__VA_ARGS__})
 
 PyDoc_STRVAR(log_abs_gamma_doc, "log_abs_gamma(x)\n--\n\n");
 static PyObject *py_log_abs_gamma(ARGS)
@@ -795,7 +773,7 @@ PyDoc_STRVAR(gauss_series_doc, "gauss_series(a, b, c, z)\n--\n\n");
 static PyObject *py_gauss_series(ARGS)
 {
     double a, b, c, z, v, err = 0.0;
-    if (PARSE(gauss_series, "dddd", &a, &b, &c, &z)) return NULL;
+    if (PARSE(gauss_series, "dddd", &a, &b, &c, &z) || check_2f1(a, b, c)) return NULL;
     v = gauss_series(a, b, c, z, &err);
     return pair(v, err);
 }
@@ -804,11 +782,15 @@ PyDoc_STRVAR(hyp2f1_doc, "hyp2f1(a, b, c, z, zc=None)\n--\n\n");
 static PyObject *py_hyp2f1(ARGS)
 {
     double a, b, c, z, zc = 0.0, v, err = 0.0;
-    PyObject *zc_obj = Py_None;
-    if (PARSE(hyp2f1, "dddd|O", &a, &b, &c, &z, &zc_obj)) return NULL;
-    if (zc_obj != Py_None && (zc = PyFloat_AsDouble(zc_obj)) == -1.0 && PyErr_Occurred())
-        return NULL;
-    v = hyp2f1(a, b, c, z, zc_obj != Py_None, zc, &err);
+    /* zc, by position or keyword: a fifth double, or None for none */
+    if (n == 4 && kw != NULL && PyTuple_GET_SIZE(kw) == 1
+        && PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kw, 0), "zc") == 0) {
+        n = 5;
+        kw = NULL;
+    }
+    if (n == 5 && args[4] == Py_None) n = 4;
+    if (PARSE(hyp2f1, n < 5 ? "dddd" : "ddddd", &a, &b, &c, &z, &zc)) return NULL;
+    v = hyp2f1(a, b, c, z, n == 5, zc, &err);
     return pair(v, err);
 }
 

@@ -29,26 +29,26 @@ Numerical notes
   term.
 * Per-parameter plans.  ``hyp2f1``, ``r_band_core`` and ``r_outer_core``
   look up a plan that holds every decision and constant that does not
-  depend on z: the pole, terminating and degenerate checks, the Gauss
-  tables of the series and of the two connection series, the connection
-  gamma ratios, and the order-only factors of the two kernels.  A plan
-  builds each stage where the kernel first meets it and keeps it once it
-  succeeds, so an error is raised where it would be without plans, and on
-  every call.  The three share one flow (``_hyp2f1``) and one Gauss series
+  depend on z: the finite, pole, terminating and degenerate checks, the
+  Gauss tables of the series and of the two connection series, the
+  connection gamma ratios, and the order-only factors of the two kernels.
+  A plan builds each stage where the kernel first meets it and keeps it
+  once it succeeds, so an error is raised where it would be without plans,
+  and on every call.  The three share one flow (``_hyp2f1``) and one Gauss series
   loop (``_gauss``).
-* One memo idiom.  Tables and plans come from ``functools.lru_cache(N,
-  typed=True)`` constructors: ``_bessel_table(nu)`` 16, ``_gauss_table(a,
-  b, c)`` 64, ``_hyp2f1_plan(a, b, c)`` 64, ``_band_plan(mu, nu)`` and
-  ``_outer_plan(mu, nu)`` 16 each.  Keys are typed, so 1 and 1.0 do not
-  share an entry; +0.0 and -0.0 share one, which is harmless (nu + n and
+* One memo idiom.  Bessel tables and plans come from ``functools.lru_cache(N,
+  typed=True)`` constructors: ``_bessel_table(nu)`` 16, ``_hyp2f1_plan(a, b,
+  c)`` 64, ``_band_plan(mu, nu)`` and ``_outer_plan(mu, nu)`` 16 each; a 2F1
+  plan builds its own three Gauss tables.  Keys are typed, so 1 and 1.0 do
+  not share an entry; +0.0 and -0.0 share one, which is harmless (nu + n and
   a + n round a zero of either sign alike, and a zero gamma argument is a
   pole either way); a NaN key hits only for the same float object.  A
   constructor that raises keeps nothing.  The caches are thread safe, and
   a table's rows and a plan's stages are replaced whole, so threads share
-  them without a lock.  Plans keep their tables alive after the table memo
-  evicts them: at most 16 Bessel and 352 Gauss tables (64 in the memo and
-  three in each of up to 96 live 2F1 plans), 2.3 MiB at 160 rows each,
-  under the 2.5 MiB that ``tests/test_corepy_tables.py`` measures.
+  them without a lock.  Band and outer plans keep their 2F1 plans alive
+  after the memo evicts them: at most 16 Bessel and 288 Gauss tables (three
+  in each of up to 96 live 2F1 plans), 2.0 MiB at 160 rows each, under the
+  2.5 MiB that ``tests/test_corepy_tables.py`` measures.
 * Band and outer values of the triple-Bessel kernel are evaluated in fused
   form: the algebraic prefactors of the Legendre functions cancel against
   the sin/sinh powers analytically, so no (1-t^2) or (u^2-1) power is ever
@@ -174,10 +174,10 @@ _TABLE_ROWS = 160  # rows a table keeps at most
 
 
 class _Table:
-    """row(*params, i), i = 0, 1, ..., as the tuple ``rows``.  A row that
-    raises ends its chunk; the error reaches the caller only when the series
-    asks for that row, where it would raise without a table, and it is never
-    stored.  A table longer than _TABLE_ROWS is used but not kept."""
+    """row(*params, i), i = 0, 1, ..., as the tuple ``rows``.  No row raises
+    for float parameters that pass their kernel's checks (c off the poles
+    for the Gauss ratios).  A table longer than _TABLE_ROWS is used but not
+    kept."""
 
     __slots__ = ("row", "params", "rows")
 
@@ -188,14 +188,7 @@ class _Table:
 
     def grown(self, rows, n):
         """rows, a prefix of this table, extended to hold row n."""
-        new = list(rows)
-        try:
-            for i in range(len(new), n + _CHUNK):
-                new.append(self.row(*self.params, i))
-        except ArithmeticError:
-            if len(new) <= n:
-                raise
-        rows = tuple(new)
+        rows += tuple(self.row(*self.params, i) for i in range(len(rows), n + _CHUNK))
         if len(rows) <= _TABLE_ROWS:
             self.rows = rows
         return rows
@@ -388,7 +381,6 @@ def _gauss_ratio(a, b, c, n):
     return (a + n) * (b + n) / ((c + n) * (1.0 + n))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def _gauss_table(a, b, c):
     """The term ratios of the Gauss series of (a, b, c)."""
     return _Table(_gauss_ratio, a, b, c)
@@ -428,8 +420,9 @@ def _gauss(table, z):
 
 
 def gauss_series(a, b, c, z):
-    """Plain Gauss series with Kahan compensation; returns (value, err)."""
-    return _gauss(_gauss_table(a, b, c), z)
+    """Plain Gauss series with Kahan compensation, on its 2F1 plan's table;
+    returns (value, err)."""
+    return _gauss(_hyp2f1_plan(a, b, c).table, z)
 
 
 def _terminating_series(a, b, c, z, nterms):
@@ -478,7 +471,7 @@ def _gamma_ratio(num, den):
 class _Hyp2f1Plan:
     """The z-independent part of 2F1(a, b; c; z), in the order hyp2f1 takes it.
 
-    The pole check on c is the first thing hyp2f1 does, so it is made here.
+    The finite and pole checks are the first things hyp2f1 does, so they are made here.
     The later stages are built on the call that first reaches them and kept
     once they succeed: nterms (-1 for a series that does not terminate) after
     the range checks on z, the connection parameters on the first z > 1/2,
@@ -488,6 +481,8 @@ class _Hyp2f1Plan:
     __slots__ = ("abc", "table", "nterms", "conn", "ratios")
 
     def __init__(self, a, b, c):
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise DomainError(f"2F1 parameters must be finite (a={a!r}, b={b!r}, c={c!r})")
         if is_nonpositive_integer(c):
             raise PoleError(f"2F1 parameter c={c!r} is a nonpositive integer")
         self.abc = a, b, c
@@ -718,14 +713,16 @@ def gegenbauer(n, mu, t):
 
 
 class _BandPlan:
-    """The order-only part of r_band_core: its 2F1 plan, whether that is the
-    Euler form (nu-mu an integer n >= 0 by _OuterPlan.zero's test; see
-    "Integer offsets" above), mu-1, mu-1/2 and Gamma(mu+1/2), the last built
-    after the first call's powers."""
+    """The order-only part of r_band_core, once the orders are finite: its
+    2F1 plan, whether that is the Euler form (nu-mu an integer n >= 0 by
+    _OuterPlan.zero's test; see "Integer offsets" above), mu-1, mu-1/2 and
+    Gamma(mu+1/2), the last built after the first call's powers."""
 
     __slots__ = ("hyp", "euler", "mu1", "muh", "gm")
 
     def __init__(self, mu, nu):
+        if not (math.isfinite(mu) and math.isfinite(nu)):
+            raise DomainError(f"Macdonald orders must be finite (mu={mu!r}, nu={nu!r})")
         self.euler = is_nonpositive_integer(mu - nu)
         if self.euler:
             self.hyp = _hyp2f1_plan(mu - nu, mu + nu, mu + 0.5)
@@ -754,15 +751,17 @@ def r_band_core(mu, nu, xa, ya, za, omt, opt):
 
 
 class _OuterPlan:
-    """The order-only part of r_outer_core, in the order it is taken: whether
-    nu-mu is an integer (the value is then 0), sin((mu-nu) pi), delta+1,
-    mu-1 and (nu+1/2) log 2; the 2F1 plan after the first u that does not
-    underflow the value, and then (sign Gamma(delta+1), log|Gamma(delta+1)|
-    - log Gamma(nu+1))."""
+    """The order-only part of r_outer_core, in the order it is taken: that
+    the orders are finite, whether nu-mu is an integer (the value is then
+    0), sin((mu-nu) pi), delta+1, mu-1 and (nu+1/2) log 2; the 2F1 plan
+    after the first u that does not underflow the value, and then (sign
+    Gamma(delta+1), log|Gamma(delta+1)| - log Gamma(nu+1))."""
 
     __slots__ = ("zero", "delta", "sd", "dp1", "mu1", "l2", "abc", "hyp", "gammas")
 
     def __init__(self, mu, nu):
+        if not (math.isfinite(mu) and math.isfinite(nu)):
+            raise DomainError(f"Macdonald orders must be finite (mu={mu!r}, nu={nu!r})")
         delta = nu - mu
         self.zero = abs(delta - round(delta)) <= 1e-12
         if self.zero:

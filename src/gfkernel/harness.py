@@ -756,7 +756,6 @@ def bump_profile(radius: float = 1.0) -> Profile:
 class TranslateReport:
     value: complex
     quad_error: float
-    wall_time: float
 
 
 def translate_report(p: Params, y: float, f: Profile, z: float,
@@ -783,12 +782,11 @@ def translate_report(p: Params, y: float, f: Profile, z: float,
     from the rule exactly, so no edge power is formed from an underflowed
     difference, and the value is the limit of its neighbours'.
     """
-    t0 = time.perf_counter()
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
     require_finite(y=y, z=z)
     if y == 0.0 or z == 0.0:
-        return TranslateReport(complex(f(z if y == 0.0 else y)), 0.0, time.perf_counter() - t0)
+        return TranslateReport(complex(f(z if y == 0.0 else y)), 0.0)
     g = _DensityGeometry.of(p, y, z, middle=True)
 
     def weights(Xi, xi, even, odd):
@@ -799,8 +797,7 @@ def translate_report(p: Params, y: float, f: Profile, z: float,
     (b, gp, near, tail), qerr = _gamma_integral(g, spec, weights,
                                                 cut=math.pow(f.support, g.ha))
     # the tail's one term carries the sign sgn(yz)
-    return TranslateReport(complex(b + gp + g.sxy * (near + tail)), qerr,
-                           time.perf_counter() - t0)
+    return TranslateReport(complex(b + gp + g.sxy * (near + tail)), qerr)
 
 
 def translate(p: Params, y: float, f: Profile, z: float,
@@ -817,7 +814,7 @@ def lp_bound_probe(p: Params, p_exp: float, f: Profile, y_axis: Axis,
     the support spread; p_exp is 1, 2, or math.inf.  The ratio at y = 0 is
     exactly 1 (the translation is the identity there).
     """
-    if p_exp not in (1.0, 2.0, math.inf) and p_exp not in (1, 2):
+    if p_exp not in (1.0, 2.0, math.inf):
         raise DomainError("p_exp must be 1, 2, or math.inf")
     ys = y_axis.values()
     half = 1.15 * (max(abs(v) for v in ys) + f.support)
@@ -828,7 +825,7 @@ def lp_bound_probe(p: Params, p_exp: float, f: Profile, y_axis: Axis,
     def norm(vals) -> float:
         if p_exp == math.inf:
             return max(abs(v) for v in vals)
-        if p_exp in (1, 1.0):
+        if p_exp == 1.0:
             return sum(abs(v) * w for v, w in zip(vals, weights))
         return math.sqrt(sum(abs(v) ** 2 * w for v, w in zip(vals, weights)))
 

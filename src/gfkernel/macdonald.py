@@ -9,13 +9,13 @@ formulas cancel exactly, and the cancellation is hard-coded here.
 
 Points on a region boundary are errors, not limits: the value may diverge
 there for mu < 1/2, and the quadrature layers only ever evaluate interior
-nodes.
+nodes.  So are triples of extreme scale (see classify).
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from dataclasses import dataclass
 
 from ._backend import core
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 DEFAULT_BOUNDARY_EPS = 1e-13
-_CLAMP_TOL = 1e-12
 
 
 class Region(enum.Enum):
@@ -40,18 +39,12 @@ class Region(enum.Enum):
 
 @dataclass(frozen=True)
 class TripleGeometry:
-    """A positive triple with its region and angle value.
-
-    cos_theta solves x^2 + y^2 - z^2 = 2 x y cos(theta) on the band;
-    cosh_theta solves z^2 - x^2 - y^2 = 2 x y cosh(theta) outside.
-    """
+    """A positive triple with its region."""
 
     x: float
     y: float
     z: float
     region: Region
-    cos_theta: float | None = None
-    cosh_theta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,11 @@ class MacdonaldOrders:
 def classify(x: float, y: float, z: float) -> TripleGeometry:
     """Region of (x, y, z) with the strict inequalities of the kernel.
 
-    A triple within DEFAULT_BOUNDARY_EPS*(x+y) of z = |x-y| or z = x+y is Boundary,
-    as is one whose cos(theta) needs clamping by more than 1e-12.
+    A triple within DEFAULT_BOUNDARY_EPS*(x+y) of z = |x-y| or z = x+y is
+    Boundary.  Any other triple whose 2xy, or complement numerator (z -
+    |x-y|)(z + |x-y|) or (x+y-z)(x+y+z), leaves the normal double range
+    [2^-1022, 2^1024) in magnitude raises DomainError: the kernel forms its
+    angle from them (x = y = z = t must lie in about [1.5e-154, 7.7e153]).
     """
     if not (x > 0.0 and y > 0.0 and z > 0.0):
         raise DomainError(f"classify needs positive x, y, z, got ({x!r}, {y!r}, {z!r})")
@@ -80,21 +76,15 @@ def classify(x: float, y: float, z: float) -> TripleGeometry:
     tol = DEFAULT_BOUNDARY_EPS * s
     if abs(z - d) <= tol or abs(z - s) <= tol:
         return TripleGeometry(x, y, z, Region.BOUNDARY)
+    for v in (2.0 * x * y, (z - d) * (z + d), (s - z) * (s + z)):
+        if not sys.float_info.min <= abs(v) <= sys.float_info.max:
+            raise DomainError(f"triple ({x!r}, {y!r}, {z!r}) is outside the scale at which "
+                              "the kernel's angle can be formed")
     if z < d:
         return TripleGeometry(x, y, z, Region.INNER)
     if z > s:
-        ch = (z * z - x * x - y * y) / (2.0 * x * y)
-        if ch < 1.0:
-            if ch < 1.0 - _CLAMP_TOL:
-                return TripleGeometry(x, y, z, Region.BOUNDARY)
-            ch = 1.0
-        return TripleGeometry(x, y, z, Region.OUTER, cosh_theta=ch)
-    ct = (x * x + y * y - z * z) / (2.0 * x * y)
-    if abs(ct) > 1.0:
-        if abs(ct) > 1.0 + _CLAMP_TOL:
-            return TripleGeometry(x, y, z, Region.BOUNDARY)
-        ct = math.copysign(1.0, ct)
-    return TripleGeometry(x, y, z, Region.BAND, cos_theta=ct)
+        return TripleGeometry(x, y, z, Region.OUTER)
+    return TripleGeometry(x, y, z, Region.BAND)
 
 
 def r_kernel(orders: MacdonaldOrders, x: float, y: float, z: float) -> float:

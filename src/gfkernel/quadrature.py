@@ -209,7 +209,6 @@ def _tanh_sinh(f2, lo: float, hi: float, spec: QuadratureSpec) -> IntegralResult
     evals = 0
     running = 0.0  # sum of w*f over every node of all levels so far (no h)
     total = 0.0
-    prev_total = None
     for level in range(0, spec.max_levels + 1):
         h = 0.5 ** level
         new = 0.0
@@ -244,7 +243,7 @@ def _tanh_sinh(f2, lo: float, hi: float, spec: QuadratureSpec) -> IntegralResult
                 break
         running = running + new
         total = h * running
-        if level >= 3 and prev_total is not None:
+        if level >= 3:
             diff = abs(total - prev_total)
             tol = max(spec.abs_tol, spec.rel_tol * abs(total))
             if diff <= tol:
@@ -408,22 +407,24 @@ _ACCEL_TERMS = 12      # partial sums in its Euler average
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _zero_ladder(backend, order: float, first: int) -> list[float]:
-    """The positive zeros of J_order from the first-th on, as computed by
-    the backend core, as far as _ladder_to has been asked for them: 64
-    ladders of at most _OSC_MAX_ZEROS (200) zeros, about 0.4 MiB."""
+def _zero_ladder(backend, order: float) -> list[float]:
+    """The positive zeros of J_order from the first on, as computed by the
+    backend core, as far as _ladder_to has been asked for them: 64 ladders,
+    each reaching at most _OSC_MAX_ZEROS (200) zeros past the first one
+    beyond an oscillatory rule's lo*freq, about 0.4 MiB in all while that
+    zero is among the first few, as it is in every workload."""
     return []
 
 
-def _ladder_to(order: float, first: int, count: int) -> list[float]:
-    """The ladder of (order, first), grown to hold at least count zeros:
-    McMahon's guess, then two Newton steps, kept monotone.  A zero's value
-    depends only on its index and the one before it, so threads that grow
-    one ladder at once store equal values in each slot."""
-    zeros = _zero_ladder(core, order, first)
+def _ladder_to(order: float, count: int) -> list[float]:
+    """The ladder of order, grown to hold at least count zeros: McMahon's
+    guess, then two Newton steps, kept monotone.  A zero's value depends
+    only on its index and the one before it, so threads that grow one
+    ladder at once store equal values in each slot."""
+    zeros = _zero_ladder(core, order)
     mu4 = 4.0 * order * order
     for n in range(len(zeros), count):
-        beta = (first + n + 0.5 * order - 0.25) * math.pi
+        beta = (n + 1 + 0.5 * order - 0.25) * math.pi
         e = 8.0 * beta
         x = beta - (mu4 - 1.0) / e - 4.0 * (mu4 - 1.0) * (7.0 * mu4 - 31.0) / (3.0 * e ** 3)
         for _ in range(2):
@@ -443,8 +444,8 @@ def _ladder_to(order: float, first: int, count: int) -> list[float]:
 
 def bessel_zeros(order: float, count: int, first: int = 1) -> list[float]:
     """`count` positive zeros of J_order from the `first`-th on: McMahon +
-    Newton polish, from a table kept per (order, first)."""
-    return _ladder_to(order, first, count)[:count]
+    Newton polish, sliced from the one ladder kept per order."""
+    return _ladder_to(order, first - 1 + count)[first - 1:first - 1 + count]
 
 
 def _euler_average(sums):
@@ -480,12 +481,11 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
         raise DomainError("oscillatory frequency must be positive")
     if lo < 0.0:
         raise DomainError("oscillatory lower limit must be nonnegative")
-    # start the ladder a few zeros below lo*freq (McMahon: j_k ~ (k + order/2
-    # - 1/4) pi), so that zeros below the first cell are neither computed
-    # nor counted against _OSC_MAX_ZEROS
-    k0 = max(1, int(lo * freq / math.pi - 0.5 * order + 0.25) - 3)
-    while k0 > 1 and _ladder_to(order, k0, 1)[0] >= lo * freq:
-        k0 = max(1, k0 - 8)
+    # the cells start at the first zero past lo*freq, and _OSC_MAX_ZEROS
+    # counts them from there
+    k0 = 0
+    while _ladder_to(order, k0 + 1)[k0] < lo * freq:
+        k0 += 1
     evals = 0
 
     def cell(a, b):
@@ -512,18 +512,14 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     total = 0.0
     prev_est = None
     stable = 0
-    idx = 0
     last_hi = lo
-    first = True
-    while idx < _OSC_MAX_ZEROS:
-        hi = _ladder_to(order, k0, idx + 1)[idx] / freq
-        idx += 1
+    for k in range(k0, k0 + _OSC_MAX_ZEROS):
+        hi = _ladder_to(order, k + 1)[k] / freq
         if hi <= last_hi * (1.0 + 1e-12) + 1e-300:
             continue
         # first segment: adaptive (g may decay across many scales before the
         # first zero, e.g. at small frequencies); later cells: fixed rule
-        total = total + (head(last_hi, hi) if first else cell(last_hi, hi))
-        first = False
+        total = total + (head if last_hi == lo else cell)(last_hi, hi)
         last_hi = hi
         sums.append(total)
         kwin = min(_ACCEL_TERMS, len(sums))

@@ -15,14 +15,10 @@ from ._backend import core
 from .errors import DomainError, require_finite
 
 __all__ = [
-    "Order", "EvalResult", "LogGamma",
+    "EvalResult", "LogGamma",
     "log_gamma", "bessel_j", "normalized_bessel_j", "hyp2f1",
     "legendre_p", "legendre_q_phase_free", "gegenbauer",
 ]
-
-# Bessel/Legendre orders and degrees are plain finite reals; operations state
-# their own admissible ranges (Bessel order > -1, Macdonald orders > -1/2).
-Order = float
 
 
 class EvalResult(NamedTuple):

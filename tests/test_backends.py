@@ -23,7 +23,7 @@ import pytest
 
 from gfkernel import _corepy as py_core
 from gfkernel import backend_name
-from gfkernel.errors import ConvergenceError, GfkError, RangeOverflowError
+from gfkernel.errors import ConvergenceError, DomainError, GfkError, PoleError, RangeOverflowError
 from test_specfn import _SERIES_PINS, early_stop_points
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,6 +118,16 @@ def test_hyp2f1_zc_positional_or_keyword(c_core):
         c_core.hyp2f1(*args, zd=0.2)
 
 
+def test_other_compiled_entries_take_no_keyword(c_core):
+    assert c_core.bessel_j(0.5, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi) * math.sin(1.0))
+    with pytest.raises(TypeError, match="missing required argument 1"):
+        c_core.bessel_j(nu=0.5, x=1.0)
+    with pytest.raises(TypeError, match="'x'"):
+        c_core.bessel_j(0.5, 1.0, x=1.0)
+    with pytest.raises(TypeError, match="missing required argument 4"):
+        c_core.hyp2f1(1.375, 0.125, 0.875, zc=0.23)
+
+
 @pytest.mark.parametrize("name, args", [
     ("hyp2f1", (-1e15, 1.0, 2.0, 0.3)),
     ("legendre_p", (0.0, 1e15, 0.5)),
@@ -155,6 +165,16 @@ def test_compiled_series_early_stop_matches_the_pure_core(c_core):
     assert not changed, changed[:5]
 
 
+@pytest.mark.parametrize("z", [0.0, 0.1])
+@pytest.mark.parametrize("c", [0.0, -2.0, -2.0 + 1e-13])
+def test_gauss_series_at_a_pole_of_c_raises(core, c, z):
+    # as hyp2f1 does, before the series: at z = 0 it would end at its first
+    # term, and at c = -2 its ratio of term 3 would divide by zero
+    for _ in range(2):
+        with pytest.raises(PoleError, match="2F1 parameter c=.* is a nonpositive integer"):
+            core.gauss_series(1.5, 1.0, c, z)
+
+
 def _outcome(fn, *args):
     """fn(*args) as (value, None), or (None, (exception class, message))."""
     try:
@@ -167,6 +187,15 @@ def _outcome(fn, *args):
     ("hyp2f1", (300.3, 300.45, 0.7, 0.9), RangeOverflowError),
     ("hyp2f1", (-1e15, 1.0, 2.0, 0.3), ConvergenceError),
     ("legendre_p", (0.0, 1e15, 0.5), ConvergenceError),
+    # non-finite parameters and orders, refused before any other check
+    ("hyp2f1", (math.nan, 0.5, 1.5, 0.3), DomainError),
+    ("hyp2f1", (math.inf, 0.5, 1.5, 0.7), DomainError),
+    ("hyp2f1", (0.5, 0.25, math.nan, 0.0), DomainError),
+    ("gauss_series", (0.5, -math.inf, 1.5, 0.3), DomainError),
+    ("r_band_core", (math.inf, 1.1, 1.0, 1.2, 2.2, 1.0, 1.0), DomainError),
+    ("r_band_core", (0.6, math.nan, 1.0, 1.2, 0.9, 0.7, 1.3), DomainError),
+    ("r_outer_core", (math.nan, 1.1, 1.0, 1.2, 2.2, 1.5, 0.5), DomainError),
+    ("r_outer_core", (0.3, math.inf, 1.0, 1.2, 1e150, 1e300, 1e300), DomainError),
 ])
 def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
     with _deadline(5):

