@@ -1,12 +1,14 @@
 /* Compiled twin of gfkernel._corepy: the same scalar kernels, by the same
    algorithms, raising the same errors, as a CPython extension.
 
-   Each kernel follows its _corepy namesake operation for operation.  The
-   pure core's per-order tables and per-parameter plans hold values that
-   this file recomputes, by the same operations, on every call; here that
-   work is a few cycles.  Build with -ffp-contract=off: the double-double
-   Bessel series relies on exact IEEE multiply and add rounding, which fused
-   contraction breaks.
+   Each kernel follows its _corepy namesake operation for operation, but
+   for normalized_bessel_series: _corepy sums it exactly in integers, and
+   here a double-double loop returns the same double where it can certify
+   it and calls _corepy where it cannot.  The pure core's per-order tables
+   and per-parameter plans hold values that this file recomputes, by the
+   same operations, on every call; here that work is a few cycles.  Build
+   with -ffp-contract=off: the double-double loop's bound relies on exact
+   IEEE multiply and add rounding, which fused contraction breaks.
 
    A kernel that fails sets the Python exception (the gfkernel.errors class
    and the message _corepy raises) and returns -1.0.  -1.0 is also a valid
@@ -29,7 +31,6 @@
 #define LOG_MAX 709.0
 #define SPLITTER 134217729.0  /* 2^27 + 1, Dekker split constant */
 #define BESSEL_TERMS 600
-#define DD_SLACK 0x1p-90  /* _corepy._DD_SLACK */
 #define NMAX 4000  /* terms of the Gauss loop, and the cap of the terminating sums */
 
 static PyObject *ConvergenceError, *DegenerateParameterError, *DomainError,
@@ -162,17 +163,44 @@ static int rounds_alike(double sh, double sl, double bound)
     return bound < 0.5 * margin;
 }
 
-/* sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n) in double-double arithmetic, by
-   _corepy's sequence of operations, so both cores return the same double.
-   Returns as soon as the alternating tail cannot change fl(sum): once the
-   term ratio rho is below 1/2 the tail lies within rho |term| of the sum,
-   plus DD_SLACK |sum| for the rounding of the terms still to be added. */
+/* gfkernel._corepy.normalized_bessel_series, the exact fixed-point sum,
+   looked up on first use. */
+static PyObject *exact_series;
+
+static double exact_bessel_series(double nu, double x)
+{
+    PyObject *m, *r;
+    double v;
+    if (exact_series == NULL) {
+        if ((m = PyImport_ImportModule("gfkernel._corepy")) == NULL) return -1.0;
+        exact_series = PyObject_GetAttrString(m, "normalized_bessel_series");
+        Py_DECREF(m);
+        if (exact_series == NULL) return -1.0;
+    }
+    if ((r = PyObject_CallFunction(exact_series, "dd", nu, x)) == NULL) return -1.0;
+    v = PyFloat_AsDouble(r);
+    Py_DECREF(r);
+    return v;
+}
+
+/* sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n), correctly rounded: _corepy's
+   value.  A double-double loop returns fl(sum) where it can certify it:
+   once the term ratio rho is below 1/2 the tail lies within rho |term| of
+   the sum, and the loop's own rounding within n 2^-99 of the sum of the n
+   terms' magnitudes (each term is off by at most 2^-100.6 relative per
+   step taken, each addition by 2^-103.7 of the partial sum and term, and a
+   partial sum is at most that magnitude sum).  Where this bound cannot
+   certify the rounding (the sum cancels, or sits near a rounding boundary
+   or a zero of J), _corepy's exact sum is returned. */
 static double normalized_bessel_series(double nu, double x)
 {
     double half = 0.5 * x, t, hh, hl, qh, ql, qhh, qhl;
-    double th = 1.0, tl = 0.0, sh = 1.0, sl = 0.0;
-    double fn, ah, bb, al, dh, dl, ahh, ahl, vh, vl, p, uh, ul, pl, q1, q2, rh, rl, r, rho;
+    double th = 1.0, tl = 0.0, sh = 1.0, sl = 0.0, mag = 1.0;
+    double fn, ah, bb, al, dh, dl, ahh, ahl, vh, vl, p, uh, ul, pl, q1, q2, rh, rl, r, rho, err;
     int n;
+    if (!(nu > -1.0 && nu < INFINITY && isfinite(x)))
+        return fail(DomainError, "normalized Bessel series needs a finite order nu > -1 and "
+                    "a finite x (nu=%r, x=%r)", nu, x);
     /* q = -two_prod(half, half), the sign building in the alternation, and
        the split of qh that every two_prod(th, qh) below reuses */
     t = SPLITTER * half;
@@ -232,15 +260,17 @@ static double normalized_bessel_series(double nu, double x)
         rl += sl + tl;
         sh = rh + rl;
         sl = rl - (sh - rh);
-        if (fabs(th) <= 1e-35 * fabs(sh) + 1e-305) return sh + sl;
+        mag += fabs(th);
         if (fabs(th) <= 0x1p-52 * fabs(sh)) {
             rho = half * half / ((n + 1.0) * (nu + n + 1.0));
-            if (rho < 0.5 && rounds_alike(sh, sl, rho * fabs(th) + DD_SLACK * fabs(sh)))
-                return sh + sl;
+            err = n * 0x1p-99 * mag;
+            if (rho < 0.5) {
+                if (rounds_alike(sh, sl, rho * fabs(th) + err)) return sh + sl;
+                if (rho * fabs(th) <= err) break;  /* further terms cannot certify it */
+            }
         }
     }
-    return fail(ConvergenceError,
-                "normalized Bessel series did not converge (nu=%r, x=%r)", nu, x);
+    return exact_bessel_series(nu, x);
 }
 
 /* Hankel large-argument expansion, summed to its smallest term. */
@@ -486,6 +516,9 @@ static double legendre_p0_log(double nu, double w)
 static double legendre_p(double mu, double nu, double t)
 {
     double zf, w, f, err, lg = 0.0, sg, ln_pref, r;
+    if (!(isfinite(mu) && isfinite(nu)))
+        return fail(DomainError, "legendre_p order and degree must be finite (mu=%r, nu=%r)",
+                    mu, nu);
     if (!(-1.0 < t && t <= 1.0))
         return fail(DomainError, "legendre_p argument t=%r outside (-1, 1]", t);
     if (is_nonpositive_integer(1.0 - mu))
@@ -521,6 +554,9 @@ static double legendre_p(double mu, double nu, double t)
 static double legendre_q_phase_free(double mu, double nu, double t)
 {
     double tm1, tp1, z, zc, f, err, l1 = 0.0, s1, l2 = 0.0, s2, ln;
+    if (!(isfinite(mu) && isfinite(nu)))
+        return fail(DomainError, "legendre_q order and degree must be finite (mu=%r, nu=%r)",
+                    mu, nu);
     if (t <= 1.0) return fail(DomainError, "legendre_q argument t=%r must exceed 1", t);
     if (is_nonpositive_integer(nu + 1.5))
         return fail(PoleError,
@@ -623,6 +659,7 @@ static double r_gegenbauer_band(double mu, long n, double xa, double ya, double 
     double twoxy = 2.0 * xa * ya, d = xa - ya, s = xa + ya;
     double omt = (za - d) * (za + d) / twoxy, opt = (s - za) * (s + za) / twoxy;
     double ct = 1.0 - omt, ln_coef;
+    if (!isfinite(mu)) return fail(DomainError, "Gegenbauer band order must be finite (mu=%r)", mu);
     if (ct < -1.0)
         ct = -1.0;
     else if (ct > 1.0)

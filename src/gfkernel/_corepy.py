@@ -8,25 +8,29 @@ layer only guards against the failure modes that appear mid-computation
 
 Numerical notes
 ---------------
-* The normalized-Bessel power series is accumulated in double-double
-  arithmetic: the series alternates and loses up to ~11 digits to
-  cancellation near the series/asymptotic crossover, which plain (even
-  Kahan-compensated) double summation cannot recover.  Its error-free
-  transformations (Dekker's two_sum, two_prod, fast_two_sum) are written out
-  inline, and the bit pins in ``tests/test_specfn.py`` guard their operation
-  sequence.  ``_core.c`` repeats that sequence, so both cores return the
-  same doubles (``tests/test_backends.py`` holds it to the same pins).
+* The normalized-Bessel power series is summed exactly in integers.  nu
+  and x are dyadic rationals, so each term is one integer floor of the
+  exact term ratio times the last, summed in fixed point at p = 72 + 1.45|x|
+  fraction bits, with a bound E on the error of the sum (``_series_sum``).
+  The result is the int / int quotient S / 2^p, which Python rounds
+  correctly, once S - E and S + E round to the same double; p doubles
+  otherwise.  The series alternates and cancels by up to e^|x| below the
+  crossover max(25, 2 nu^2), which no fixed float precision holds.
+  ``_core.c`` keeps a double-double loop as its fast path, returns its
+  double only where a bound on that loop's own rounding certifies it, and
+  calls this function otherwise, so both cores return the same correctly
+  rounded double (``tests/test_backends.py`` holds them to the same pins).
 * Per-order tables.  Within one harness check the orders are fixed, so the
   series kernels read their order-only work from tables:
-  ``normalized_bessel_series`` the exact denominators n(nu+n) and their
-  Dekker splits, the Gauss series loop its term ratios
-  (a+n)(b+n)/((c+n)(1+n)).  An entry is the double the loop would compute,
+  ``normalized_bessel_series`` the integer denominators n (nu_num + n nu_den)
+  of its term ratios, the Gauss series loop its term ratios
+  (a+n)(b+n)/((c+n)(1+n)).  An entry is the value the loop would compute,
   by the same operations, so a kernel returns the same double or raises
   the same error whether its table is cold, warm or evicted.  A table
-  (``_Table``) is a tuple grown 32 rows at a time and replaced whole; it
-  keeps at most 160 rows, the longest the benchmark workloads use.  The
-  compiled twin keeps no tables: there the same work is a few cycles per
-  term.
+  (``_Table``) is a tuple grown to the next multiple of 32 rows and
+  replaced whole; it keeps at most 160 rows, the longest the benchmark
+  workloads use.  The compiled twin keeps no tables: there the same work
+  is a few cycles per term.
 * Per-parameter plans.  ``hyp2f1``, ``r_band_core`` and ``r_outer_core``
   look up a plan that holds every decision and constant that does not
   depend on z: the finite, pole, terminating and degenerate checks, the
@@ -47,7 +51,7 @@ Numerical notes
   a table's rows and a plan's stages are replaced whole, so threads share
   them without a lock.  Band and outer plans keep their 2F1 plans alive
   after the memo evicts them: at most 16 Bessel and 288 Gauss tables (three
-  in each of up to 96 live 2F1 plans), 2.0 MiB at 160 rows each, under the
+  in each of up to 96 live 2F1 plans), 1.6 MiB at 160 rows each, under the
   2.5 MiB that ``tests/test_corepy_tables.py`` measures.
 * Band and outer values of the triple-Bessel kernel are evaluated in fused
   form: the algebraic prefactors of the Legendre functions cancel against
@@ -83,7 +87,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (pi^3 / 2)^(1/2), the outer-branch normalization
 _SQRT_HALF_PI3 = math.sqrt(0.5 * math.pi ** 3)
 _LOG_MAX = 709.0
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
 _NMAX = 4000  # terms of the Gauss series loop, and the cap of the terminating sums
 
 # ---------------------------------------------------------------------------
@@ -187,8 +190,10 @@ class _Table:
         self.rows = ()
 
     def grown(self, rows, n):
-        """rows, a prefix of this table, extended to hold row n."""
-        rows += tuple(self.row(*self.params, i) for i in range(len(rows), n + _CHUNK))
+        """rows, a prefix of this table, extended to hold row n (to the next
+        multiple of _CHUNK past it)."""
+        end = (n // _CHUNK + 1) * _CHUNK
+        rows += tuple(self.row(*self.params, i) for i in range(len(rows), end))
         if len(rows) <= _TABLE_ROWS:
             self.rows = rows
         return rows
@@ -204,119 +209,85 @@ def bessel_crossover(nu):
     return max(25.0, 2.0 * nu * nu)
 
 
-def _bessel_row(nu, i):
-    """(dh, dl, vh, vl) of term n = i+1: the denominator d = n*(nu+n) exactly,
-    as two_sum(nu, n) then two_prod(ah, n), and the Dekker split of dh."""
-    fn = i + 1.0  # n <= 600 splits exactly into (n, 0.0): two_prod drops its zeros
-    ah = nu + fn
-    bb = ah - nu
-    al = (nu - (ah - bb)) + (fn - bb)
-    dh = ah * fn
-    t = _SPLITTER * ah
-    ahh = t - (t - ah)
-    ahl = ah - ahh
-    dl = (ahh * fn - dh) + ahl * fn
-    dl += al * fn
-    t = _SPLITTER * dh
-    vh = t - (t - dh)
-    return dh, dl, vh, dh - vh
-
-
-_BESSEL_TERMS = 600
-# Bound on the rounding that the double-double sum of normalized_bessel_series
-# gathers over the terms left once |term| <= 2^-52 |sum| and the term ratio is
-# below 1/2: at most 65 terms (each at most half the last) until the 1e-35
-# exit, each added with an error below 2^-103 |sum|.
-_DD_SLACK = 2.0 ** -90
-_EPS = 2.0 ** -52
+def _bessel_row(nu_num, nu_den, i):
+    """B[n] = n (nu_num + n nu_den) for term n = i+1: the denominator
+    n (nu + n) of the term ratio, times nu_den."""
+    n = i + 1
+    return n * (nu_num + n * nu_den)
 
 
 @functools.lru_cache(maxsize=16, typed=True)
 def _bessel_table(nu):
-    """The rows of normalized_bessel_series at order nu."""
-    return _Table(_bessel_row, nu)
+    """The rows B[n] of normalized_bessel_series at order nu."""
+    return _Table(_bessel_row, *nu.as_integer_ratio())
 
 
-def _rounds_alike(sh, sl, bound):
-    """Whether every real within bound of sh + sl rounds to the same double
-    as sh + sl; the halved margin absorbs the rounding of this test."""
-    r = sh + sl
-    e = sl - (r - sh)  # fast_two_sum: sh + sl = r + e exactly
-    up = 0.5 * (math.nextafter(r, math.inf) - r)
-    down = 0.5 * (r - math.nextafter(r, -math.inf))
-    return bound < 0.5 * min(up - e, down + e)
+_BESSEL_BITS = 1 << 13  # fraction bits past which the series is given up
+
+
+def _series_sum(nu, x, p):
+    """(S, E): the series of normalized_bessel_series summed in fixed point
+    with p fraction bits, S / 2^p within E / 2^p of the exact sum.
+
+    nu and x are dyadic rationals, so the term ratio -(x/2)^2 / (n (nu + n))
+    is a / (2^c B[n]) in integers, and each term is one floor of the exact
+    ratio times the last, off by less than one unit.  An error carried from
+    term k to term n grows by |t_n / t_k| <= max(1, |t_n|): the terms rise
+    from t_0 = 1 to the largest, at the last n with n (nu + n) <= (x/2)^2,
+    and fall after it.  So term n is off by less than n L units, L the
+    largest term, and the first term that floors to 0 lies past L, where the
+    tail alternates and falls and is within that term's error: n terms and
+    the tail are within (n+2)^2 L / 2.  E is twice that, which also covers a
+    top one off where two terms nearly tie.
+    """
+    table = _bessel_table(nu)
+    xn, xd = x.as_integer_ratio()
+    a = -xn * xn * table.params[1]
+    c = 2 * xd.bit_length()  # 2^c = 4 xd^2
+    top = int(0.5 * (math.sqrt(nu * nu + x * x) - nu))
+    rows = table.rows
+    if top >= len(rows):
+        rows = table.grown(rows, top)
+    t = s = 1 << p
+    for b in rows[:top]:
+        t = (t * a >> c) // b
+        s += t
+    big = abs(t)
+    n = top
+    while t:
+        if n == len(rows):
+            rows = table.grown(rows, n)
+        for b in rows[n:]:
+            t = (t * a >> c) // b
+            if not t:
+                break
+            s += t
+            n += 1
+    return s, (n + 2) ** 2 * ((big >> (p - 1)) + 1)
 
 
 def normalized_bessel_series(nu, x):
-    """sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n) in double-double arithmetic.
+    """sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n), correctly rounded.
 
-    Valid for any nu > -1; intended for x below the asymptotic crossover.
-    Returns fl(sum) as soon as the tail left cannot change it: once the term
-    ratio rho = (x/2)^2 / ((n+1)(nu+n+1)) is below 1/2 the tail alternates
-    and decreases, so it lies within rho |term| of the sum, plus _DD_SLACK
-    for the rounding of the terms still to be added.  The double returned
-    is the one the loop run to its 1e-35 exit returns.
+    Valid for any finite nu > -1 and finite x; intended for x below the
+    asymptotic crossover.  The sum runs in fixed point (_series_sum) at
+    p = 72 + 1.45 |x| fraction bits, which covers the e^|x| that the
+    alternating terms cancel; the result is fl(S / 2^p) once both ends of
+    the error bound round to the same double, and p doubles otherwise.
     """
-    splitter = _SPLITTER
-    # q = -two_prod(half, half), the sign building in the alternation, and
-    # the split of qh that every two_prod(th, qh) below reuses
-    half = 0.5 * x
-    t = splitter * half
-    hh = t - (t - half)
-    hl = half - hh
-    qh = half * half
-    ql = ((hh * hh - qh) + hh * hl + hl * hh) + hl * hl
-    qh, ql = -qh, -ql
-    t = splitter * qh
-    qhh = t - (t - qh)
-    qhl = qh - qhh
-    th, tl, sh, sl = 1.0, 0.0, 1.0, 0.0
-    table = _bessel_table(nu)
-    rows = table.rows
-    n = 0
-    while n < _BESSEL_TERMS:
-        if n == len(rows):
-            rows = table.grown(rows, n)
-        for dh, dl, vh, vl in rows[n:_BESSEL_TERMS]:
-            n += 1
-            p = th * qh  # term *= q: two_prod(th, qh), cross terms, fast_two_sum
-            t = splitter * th
-            uh = t - (t - th)
-            ul = th - uh
-            pl = ((uh * qhh - p) + uh * qhl + ul * qhh) + ul * qhl
-            pl += th * ql + tl * qh
-            th = p + pl
-            tl = pl - (th - p)
-            q1 = th / dh  # term /= d: r = term - q1*d, fast_two_sum(q1, r/dh)
-            p = q1 * dh
-            t = splitter * q1
-            uh = t - (t - q1)
-            ul = q1 - uh
-            pl = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl
-            pl += q1 * dl
-            rh = th + -p
-            bb = rh - th
-            rl = (th - (rh - bb)) + (-p - bb)
-            rl += tl + -pl
-            r = rh + rl
-            rl = rl - (r - rh)
-            q2 = (r + rl) / dh
-            th = q1 + q2
-            tl = q2 - (th - q1)
-            rh = sh + th  # sum += term: two_sum(sh, th), low parts, fast_two_sum
-            bb = rh - sh
-            rl = (sh - (rh - bb)) + (th - bb)
-            rl += sl + tl
-            sh = rh + rl
-            sl = rl - (sh - rh)
-            if abs(th) <= 1e-35 * abs(sh) + 1e-305:
-                return sh + sl
-            if abs(th) <= _EPS * abs(sh):
-                rho = half * half / ((n + 1.0) * (nu + n + 1.0))
-                if rho < 0.5 and _rounds_alike(sh, sl, rho * abs(th) + _DD_SLACK * abs(sh)):
-                    return sh + sl
-    raise ConvergenceError(
-        f"normalized Bessel series did not converge (nu={nu!r}, x={x!r})")
+    if not (-1.0 < nu < math.inf and math.isfinite(x)):
+        raise DomainError(f"normalized Bessel series needs a finite order nu > -1 and a "
+                          f"finite x (nu={nu!r}, x={x!r})")
+    p = 72 + int(min(1.45 * abs(x), _BESSEL_BITS))
+    while p <= _BESSEL_BITS:
+        s, e = _series_sum(nu, x, p)
+        one = 1 << p
+        lo = (s - e) / one  # int / int rounds correctly
+        if lo == (s + e) / one:
+            return lo
+        p *= 2
+    raise ConvergenceError(f"normalized Bessel series not rounded within {_BESSEL_BITS} "
+                           f"bits (nu={nu!r}, x={x!r})")
 
 
 def bessel_j_asymptotic(nu, x):
@@ -355,9 +326,9 @@ def bessel_j(nu, x):
             return 1.0
         return 0.0 if nu > 0.0 else math.inf
     if x <= bessel_crossover(nu):
+        s = normalized_bessel_series(nu, x)
         # (x/2)^nu / Gamma(nu+1) times the normalized series; Gamma(nu+1) > 0
-        pref = math.pow(0.5 * x, nu) * math.exp(-math.lgamma(nu + 1.0))
-        return pref * normalized_bessel_series(nu, x)
+        return math.pow(0.5 * x, nu) * math.exp(-math.lgamma(nu + 1.0)) * s
     return bessel_j_asymptotic(nu, x)
 
 
@@ -629,6 +600,8 @@ def _legendre_p0_log(nu, zf, w):
 
 def legendre_p(mu, nu, t):
     """Associated Legendre P^mu_nu(t) on the cut, t in (-1, 1]."""
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise DomainError(f"legendre_p order and degree must be finite (mu={mu!r}, nu={nu!r})")
     if not -1.0 < t <= 1.0:
         raise DomainError(f"legendre_p argument t={t!r} outside (-1, 1]")
     if is_nonpositive_integer(1.0 - mu):
@@ -664,6 +637,8 @@ def legendre_p(mu, nu, t):
 
 def legendre_q_phase_free(mu, nu, t):
     """e^(-mu pi i) Q^mu_nu(t) for t > 1: the real, phase-stripped value."""
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise DomainError(f"legendre_q order and degree must be finite (mu={mu!r}, nu={nu!r})")
     if t <= 1.0:
         raise DomainError(f"legendre_q argument t={t!r} must exceed 1")
     if is_nonpositive_integer(nu + 1.5):
@@ -831,6 +806,8 @@ def r_outer(mu, nu, xa, ya, za):
 
 def r_gegenbauer_band(mu, n, xa, ya, za):
     """Band value in the integer-offset case nu = mu + n, via C_n^mu."""
+    if not math.isfinite(mu):
+        raise DomainError(f"Gegenbauer band order must be finite (mu={mu!r})")
     twoxy = 2.0 * xa * ya
     d = xa - ya
     omt = (za - d) * (za + d) / twoxy

@@ -43,8 +43,8 @@ def log_gamma(x: float) -> LogGamma:
 def bessel_j(nu: float, x: float) -> float:
     """J_nu(x) for nu > -1 and x >= 0.
 
-    Power series (double-double accumulated) below the crossover
-    max(25, 2 nu^2), Hankel asymptotic expansion beyond it.
+    Power series (summed exactly and correctly rounded) below the
+    crossover max(25, 2 nu^2), Hankel asymptotic expansion beyond it.
     """
     require_finite(nu=nu, x=x)
     if not nu > -1.0:

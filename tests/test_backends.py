@@ -196,6 +196,25 @@ def _outcome(fn, *args):
     ("r_band_core", (0.6, math.nan, 1.0, 1.2, 0.9, 0.7, 1.3), DomainError),
     ("r_outer_core", (math.nan, 1.1, 1.0, 1.2, 2.2, 1.5, 0.5), DomainError),
     ("r_outer_core", (0.3, math.inf, 1.0, 1.2, 1e150, 1e300, 1e300), DomainError),
+    # orders at or below -1 and non-finite arguments of the Bessel series
+    ("normalized_bessel_series", (-1.0, 1.0), DomainError),
+    ("normalized_bessel_series", (-2.0, 1.0), DomainError),
+    ("normalized_bessel_series", (math.nan, 1.0), DomainError),
+    ("normalized_bessel_series", (math.inf, 1.0), DomainError),
+    ("normalized_bessel_series", (0.5, math.nan), DomainError),
+    ("normalized_bessel_series", (0.5, -math.inf), DomainError),
+    ("bessel_j", (-1.5, 2.0), DomainError),
+    ("bessel_j", (-2.0, 2.0), DomainError),
+    ("normalized_bessel_j", (-3.0, 2.0), DomainError),
+    # past the fixed-point cap: refused by the pure sum on both cores
+    ("normalized_bessel_series", (0.5, 1e6), ConvergenceError),
+    # NaN Legendre orders and degrees, and a NaN Gegenbauer band order
+    ("legendre_p", (math.nan, 0.5, 0.3), DomainError),
+    ("legendre_p", (math.nan, 0.5, 1.0), DomainError),
+    ("legendre_p", (0.0, math.nan, 0.3), DomainError),
+    ("legendre_q_phase_free", (0.2, math.nan, 1.3), DomainError),
+    ("legendre_q_phase_free", (math.nan, 0.5, 1.3), DomainError),
+    ("r_gegenbauer_band", (math.nan, 2, 1.0, 1.2, 1.5), DomainError),
 ])
 def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
     with _deadline(5):

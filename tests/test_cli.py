@@ -40,6 +40,20 @@ class TestEvalKernel:
         code, _ = run_cli(["eval-kernel", "--k", "1", "--a", "2", "--x", "5"], capsys)
         assert code == 2
 
+    def test_where_the_odd_series_cancels(self, capsys):
+        # orders 11 and 13 at 2 sqrt(lambda x) = 244.9: the order-13 series
+        # cancels from terms near 2^290 to -1.2e-19; m = -1/156 at a = 1
+        mpmath = pytest.importorskip("mpmath")
+        code, out = run_cli(["eval-kernel", "--k", "6", "--a", "1",
+                             "--lambda", "100", "--x", "150"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        got = float(dict(zip(header.split(","), row.split(",")))["re"])
+        with mpmath.workdps(40):
+            z = -(mpmath.mpf(2.0 * math.sqrt(15000.0)) / 2) ** 2
+            ref = mpmath.hyp0f1(12, z) - mpmath.mpf(15000) / 156 * mpmath.hyp0f1(14, z)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
 
 @pytest.mark.parametrize("args", [
     ["eval-kernel", "--k", "1", "--a", "1", "--lambda", "1", "--x", "nan"],

@@ -19,6 +19,7 @@ from gfkernel import _corepy
 from gfkernel.errors import (
     ConvergenceError,
     DegenerateParameterError,
+    DomainError,
     PoleError,
     RangeOverflowError,
 )
@@ -158,7 +159,7 @@ def _fill_with_long_tables():
     memo.  Every series reaches the row cap, and many run past it."""
     u = math.sqrt(2.0)  # z = 1/u^2 = 1/2
     for i in range(16):
-        nu = 7.0 + i / 8.0  # from 7 on, even the early stop runs past the cap
+        nu = 7.0 + i / 8.0  # from 7 on, the sum at the crossover reaches the cap
         _corepy.normalized_bessel_series(nu, _corepy.bessel_crossover(nu))
         mu = 0.3 + i / 64.0
         _corepy.r_band_core(mu, 140.37 + i / 64.0, 1.0, 1.2, 0.9, 1.0, 1.0)
@@ -196,7 +197,8 @@ def test_keys_are_typed_and_signed_zeros_share_a_table():
     assert _corepy.gauss_series(1, 2, 3, 0.25) == _corepy.gauss_series(1.0, 2.0, 3.0, 0.25)
     assert _corepy._hyp2f1_plan.cache_info().currsize == 2
     # +-0.0 compare equal and share a key; both give the same rows, since
-    # a + n and nu + n (n >= 0) round a zero of either sign to +0.0 or n
+    # a + n (n >= 0) rounds a zero of either sign to +0.0 or n, and a zero
+    # order of either sign has the integer ratio (0, 1)
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
         _clear_tables()
         v1 = _corepy.normalized_bessel_series(first, 3.7), _corepy.gauss_series(first, 1.5, 2.5, 0.4)
@@ -204,8 +206,8 @@ def test_keys_are_typed_and_signed_zeros_share_a_table():
         _clear_tables()
         v3 = _corepy.normalized_bessel_series(second, 3.7), _corepy.gauss_series(second, 1.5, 2.5, 0.4)
         assert _hex(v1) == _hex(v2) == _hex(v3)
-    assert _corepy._Table(_corepy._bessel_row, 0.0).grown((), 40) == \
-        _corepy._Table(_corepy._bessel_row, -0.0).grown((), 40)
+    assert _corepy._bessel_table.__wrapped__(0.0).grown((), 40) == \
+        _corepy._bessel_table.__wrapped__(-0.0).grown((), 40)
 
 
 @pytest.mark.parametrize("name, args, exc, message", [
@@ -213,9 +215,10 @@ def test_keys_are_typed_and_signed_zeros_share_a_table():
     ("gauss_series", (0.5, 0.5, 1.7, 0.9999), ConvergenceError,
      "2F1 series did not converge (a=0.5, b=0.5, c=1.7, z=0.9999)"),
     ("gauss_series", (10 ** 400, 1, 2, 0.3), OverflowError, "int too large to convert to float"),
-    ("normalized_bessel_series", (-2.0, 1.0), ZeroDivisionError, "float division by zero"),
-    ("normalized_bessel_series", (math.nan, 1.0), ConvergenceError,
-     "normalized Bessel series did not converge (nu=nan, x=1.0)"),
+    ("normalized_bessel_series", (-2.0, 1.0), DomainError,
+     "normalized Bessel series needs a finite order nu > -1 and a finite x (nu=-2.0, x=1.0)"),
+    ("normalized_bessel_series", (math.nan, 1.0), DomainError,
+     "normalized Bessel series needs a finite order nu > -1 and a finite x (nu=nan, x=1.0)"),
     ("hyp2f1", (0.5, 0.5, -1.0, 0.3), PoleError, "2F1 parameter c=-1.0 is a nonpositive integer"),
     ("hyp2f1", (0.5, 0.5, 1.0, 0.8), DegenerateParameterError,
      "2F1 connection formula degenerate: c-a-b=0.0 is (near) an integer"),

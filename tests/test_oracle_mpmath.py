@@ -1,4 +1,4 @@
-"""Independent high-precision oracle: mpmath at 40 digits.
+"""Independent high-precision oracle: mpmath at 40 digits, 60 for Bessel.
 
 Triple geometry: a seeded sweep of 300 triples, a fifth of them with c
 within 1e-10 relative of |a-b| and a fifth within it of a+b, checks the
@@ -7,9 +7,15 @@ to 1e-15 relative, from excesses computed in mpmath and rounded to double
 as the callers supply them.
 
 Bessel: a seeded sweep of the normalized Bessel function
-Gamma(nu+1) (x/2)^(-nu) J_nu(x) against ``mpmath.besselj``, over
-nu in (-1, 3.5] and x log-uniform on [1e-3, 25], the region the power series
-serves.  The tolerance is |err| <= 1e-14 |ref| + 1e-20.
+Gamma(nu+1) (x/2)^(-nu) J_nu(x) against ``mpmath.besselj`` at 60 digits, over
+nu in (-1, 12] and x log-uniform on [1e-3, 1e3], on both cores.  Each region
+has its own tolerance:
+
+* the power series, x <= bessel_crossover(nu) = max(25, 2 nu^2): the value
+  is mpmath's rounded once to double, exactly;
+* the Hankel expansion beyond it: |err| <= (2e-16 x + 5e-15) times the
+  envelope Gamma(nu+1) (x/2)^(-nu) sqrt(2 / (pi x)), the phase
+  x - (nu/2 + 1/4) pi being known to an ulp of x.
 
 Band kernel at integer offsets: ``r_band_core`` on both cores for
 nu - mu = n in {0, 1, 2, 3}, where its 2F1 is summed as the terminating
@@ -19,10 +25,6 @@ relative to max(|R|, P), P the value with the polynomial replaced by 1, so
 that a zero of R inside the band asks for no more than the rounding of its
 terms.  The tolerance is 1e-13.
 
-Known hole, not claimed here: at large order and argument (nu > 3.5,
-x > 25) the series is used up to x = 2 nu^2 and cancels beyond what
-double-double arithmetic can hold.  That region gets its own failing-first
-test with its fix.
 """
 
 import math
@@ -31,41 +33,45 @@ from types import SimpleNamespace
 
 import pytest
 
-from gfkernel import harness, specfn
+from gfkernel import _corepy, harness
 
 mpmath = pytest.importorskip("mpmath")
 
-_POINTS = 400
-_RTOL = 1e-14
-_ATOL = 1e-20
+_POINTS = 2000
 
 
 def _reference(nu, x):
-    with mpmath.workdps(40):
-        nu_m = mpmath.mpf(nu)
-        x_m = mpmath.mpf(x)
-        return float(mpmath.gamma(nu_m + 1) * (x_m / 2) ** (-nu_m) * mpmath.besselj(nu_m, x_m))
+    """(value, envelope) of the normalized Bessel function in 60 digits."""
+    with mpmath.workdps(60):
+        nu_m, x_m = mpmath.mpf(nu), mpmath.mpf(x)
+        pre = mpmath.gamma(nu_m + 1) * (x_m / 2) ** (-nu_m)
+        return pre * mpmath.besselj(nu_m, x_m), pre * mpmath.sqrt(2 / (mpmath.pi * x_m))
 
 
 def _sweep():
     rng = random.Random(20231)
-    lo, hi = math.log(1e-3), math.log(25.0)
-    pts = []
-    for _ in range(_POINTS):
-        nu = 3.5 - rng.random() * 4.5  # (-1, 3.5]
-        pts.append((nu, math.exp(rng.uniform(lo, hi))))
-    return pts
+    lo, hi = math.log(1e-3), math.log(1e3)
+    return [(12.0 - rng.random() * 13.0, math.exp(rng.uniform(lo, hi)))  # nu in (-1, 12]
+            for _ in range(_POINTS)]
 
 
-def test_normalized_bessel_j_against_mpmath():
+def test_normalized_bessel_j_against_mpmath(c_core):
+    counts = {"series": 0, "hankel": 0}
     bad = []
     for nu, x in _sweep():
-        ref = _reference(nu, x)
-        got = specfn.normalized_bessel_j(nu, x)
-        err = abs(got - ref)
-        if err > _RTOL * abs(ref) + _ATOL:
-            bad.append((nu, x, got, ref, err))
-    assert not bad, f"{len(bad)} of {_POINTS} points outside tolerance, e.g. {bad[:3]}"
+        ref, envelope = _reference(nu, x)
+        region = "series" if x <= _corepy.bessel_crossover(nu) else "hankel"
+        counts[region] += 1
+        for core in (_corepy, c_core):
+            got = core.normalized_bessel_j(nu, x)
+            if region == "series":
+                ok = got == float(ref)
+            else:
+                ok = abs(got - ref) <= (2e-16 * x + 5e-15) * envelope
+            if not ok:
+                bad.append((core.__name__, nu, x, got, float(ref)))
+    assert min(counts.values()) > _POINTS // 8, counts
+    assert not bad, f"{len(bad)} points outside tolerance, e.g. {bad[:3]}"
 
 
 _TRIPLES = 300

@@ -91,12 +91,10 @@ class TestNormalizedBessel:
         assert abs(nb - recon) <= 1e-12 * abs(nb)
 
 
-# Bit pins of the pure-Python double-double series: its inlined error-free
-# transformations must keep their IEEE operation sequence, and a reordering
-# shows up as a changed last bit at some of these points.  They cover nu in
-# (-1, 6] and x from 1e-3 up to the crossover, including the cancelling range
-# x ~ 15-25; they pin the series' bits, not its accuracy (that is
-# tests/test_oracle_mpmath.py's job).
+# Bit pins of the pure-Python series, each the exact sum rounded once
+# (test_series_returns_the_exact_sum_rounded_once checks them).  They cover
+# nu in (-1, 6] and x from 1e-3 up to the crossover, including the
+# cancelling range x ~ 15-25.
 _SERIES_PINS = [
     (-0.9, 0.001, "0x1.ffffac1d2a7c6p-1"),
     (-0.9, 0.7, "-0x1.43cb893cfb889p-3"),
@@ -116,6 +114,15 @@ _SERIES_PINS = [
     (6.0, 36.0, "0x1.33ab29813bf63p-20"),
 ]
 
+# Where the series cancels far below its largest term, next to a zero of
+# J: the exact sum rounded once, on both cores.  The last point is the odd
+# term of `eval-kernel --k 6 --a 1 --lambda 100 --x 150`.
+_CANCELLING_PINS = [
+    (0.375, 12.374426060366297, "0x1.04a09f281b098p-52"),
+    (8.412812664076785, 42.685656955835164, "-0x1.bd9e286d5fdd1p-26"),
+    (13.0, 244.94897427831782, "-0x1.12a594ed9ea8cp-63"),
+]
+
 
 @pytest.mark.parametrize("nu, x, expected", _SERIES_PINS)
 def test_pure_series_bit_pins(nu, x, expected):
@@ -123,60 +130,38 @@ def test_pure_series_bit_pins(nu, x, expected):
     assert _corepy.normalized_bessel_series(nu, x).hex() == expected
 
 
-def _unabridged_series(nu, x):
-    """normalized_bessel_series as it was before its early stop: the same
-    double-double operations, run to the 1e-35 exit."""
-    split = 134217729.0
-    half = 0.5 * x
-    t = split * half
-    hh = t - (t - half)
-    hl = half - hh
-    qh = half * half
-    ql = -(((hh * hh - qh) + hh * hl + hl * hh) + hl * hl)
-    qh = -qh
-    t = split * qh
-    qhh = t - (t - qh)
-    qhl = qh - qhh
-    th, tl, sh, sl = 1.0, 0.0, 1.0, 0.0
-    for n in range(1, 601):
-        ah = nu + n
-        bb = ah - nu
-        al = (nu - (ah - bb)) + (n - bb)
-        dh = ah * n
-        t = split * ah
-        ahh = t - (t - ah)
-        dl = (ahh * n - dh) + (ah - ahh) * n + al * n
-        t = split * dh
-        vh = t - (t - dh)
-        vl = dh - vh
-        p = th * qh
-        t = split * th
-        uh = t - (t - th)
-        ul = th - uh
-        pl = ((uh * qhh - p) + uh * qhl + ul * qhh) + ul * qhl + (th * ql + tl * qh)
-        th = p + pl
-        tl = pl - (th - p)
-        q1 = th / dh
-        p = q1 * dh
-        t = split * q1
-        uh = t - (t - q1)
-        ul = q1 - uh
-        pl = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl + q1 * dl
-        rh = th - p
-        bb = rh - th
-        rl = (th - (rh - bb)) + (-p - bb) + (tl - pl)
-        r = rh + rl
-        q2 = (r + (rl - (r - rh))) / dh
-        th = q1 + q2
-        tl = q2 - (th - q1)
-        rh = sh + th
-        bb = rh - sh
-        rl = (sh - (rh - bb)) + (th - bb) + (sl + tl)
-        sh = rh + rl
-        sl = rl - (sh - rh)
-        if abs(th) <= 1e-35 * abs(sh) + 1e-305:
-            return sh + sl
-    raise AssertionError("reference series did not converge")
+@pytest.mark.parametrize("nu, x, expected", _CANCELLING_PINS)
+def test_series_is_correctly_rounded_where_it_cancels(core, nu, x, expected):
+    assert core.normalized_bessel_series(nu, x).hex() == expected
+
+
+def _exact_sum(nu, x, done):
+    """(num, den, tail): the series summed as one exact rational num / den,
+    term by term until done(num, den, tail), where the rest of the series
+    lies within tail / den.  Past the term ratio 1/2 the tail alternates and
+    falls, so it is within the last term."""
+    nu_num, nu_den = nu.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    a, d = -xn * xn * nu_den, 4 * xd * xd  # ratio of term n to n-1: a / (d n (nu_num + n nu_den))
+    num = den = term = 1  # the last term is term / den
+    n = 0
+    while True:
+        n += 1
+        b = d * n * (nu_num + n * nu_den)
+        term *= a
+        num = num * b + term
+        den *= b
+        if 2 * abs(a) < b and done(num, den, abs(term)):
+            return num, den, abs(term)
+
+
+def _exact_series(nu, x):
+    """The series' exact sum rounded once: summed until both ends of its
+    tail round to the same double (int / int rounds correctly)."""
+    def rounded(num, den, tail):
+        return (tail << 64) < abs(num) and (num - tail) / den == (num + tail) / den
+    num, den, _ = _exact_sum(nu, x, rounded)
+    return num / den
 
 
 def early_stop_points():
@@ -190,10 +175,26 @@ def early_stop_points():
             yield nu, 1e-3 * math.exp(top * rng.random())
 
 
-def test_series_early_stop_returns_the_unabridged_double():
-    changed = [(nu, x) for nu, x in early_stop_points()
-               if _corepy.normalized_bessel_series(nu, x).hex() != _unabridged_series(nu, x).hex()]
-    assert not changed, changed[:5]
+def test_series_returns_the_exact_sum_rounded_once():
+    points = list(early_stop_points()) + [(nu, x) for nu, x, _ in _SERIES_PINS + _CANCELLING_PINS]
+    assert max(x for _, x in points) > 240.0
+    wrong = [(nu, x) for nu, x in points
+             if _corepy.normalized_bessel_series(nu, x) != _exact_series(nu, x)]
+    assert not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("bits", [16, None])
+def test_series_error_bound_contains_the_error(bits):
+    """At 16 fraction bits, where the floors of the terms show, and at the
+    working precision: |S - 2^p sum| <= E at seeded points up to x = 2 nu^2."""
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        nu = rng.uniform(-0.999, 12.0)
+        x = _corepy.bessel_crossover(nu) * rng.random() ** 2
+        p = bits or 72 + int(1.45 * x)
+        s, e = _corepy._series_sum(nu, x, p)
+        num, den, tail = _exact_sum(nu, x, lambda num, den, tail: (tail << (p + 8)) < den)
+        assert abs(s * den - (num << p)) + (tail << p) <= e * den, (nu, x, p)
 
 
 @pytest.mark.parametrize("fn, args", [
