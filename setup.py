@@ -1,10 +1,11 @@
 """Build script: compiles the optional C accelerator for the scalar kernels.
 
 The extension is an accelerator only.  It is compiled from the hand-written
-C99 file ``src/gfkernel/_core.c``, which mirrors the pure-Python core
-(gfkernel._corepy) operation for operation.  Without a C compiler the build
-falls through to the pure-Python core.  The two implementations expose
-identical functions and are selected at import time.
+C99 file ``src/gfkernel/_core.c``, which mirrors the hot kernels of the
+pure-Python core (gfkernel._corepy) operation for operation and takes the
+functions no density integrand calls from _corepy itself.  Without a C
+compiler the build falls through to the pure-Python core.  The two modules
+expose identical functions and are selected at import time.
 """
 
 import sys

@@ -1,14 +1,19 @@
-/* Compiled twin of gfkernel._corepy: the same scalar kernels, by the same
-   algorithms, raising the same errors, as a CPython extension.
+/* The hot scalar kernels of gfkernel._corepy, compiled: the functions that
+   the density integrands call per node (Bessel J, 2F1, the band and outer
+   kernels R) and the gamma helpers they use, by the same algorithms,
+   raising the same errors, as a CPython extension.  The functions that no
+   integrand calls (listed in shared[] below) are not compiled: the module
+   takes _corepy's own at import, so they return the pure core's doubles on
+   every build.
 
-   Each kernel follows its _corepy namesake operation for operation, but
-   for normalized_bessel_series: _corepy sums it exactly in integers, and
-   here a double-double loop returns the same double where it can certify
-   it and calls _corepy where it cannot.  The pure core's per-order tables
-   and per-parameter plans hold values that this file recomputes, by the
-   same operations, on every call; here that work is a few cycles.  Build
-   with -ffp-contract=off: the double-double loop's bound relies on exact
-   IEEE multiply and add rounding, which fused contraction breaks.
+   Each kernel here follows its _corepy namesake operation for operation,
+   but for normalized_bessel_series: _corepy sums it exactly in integers,
+   and here a double-double loop returns the same double where it can
+   certify it and calls _corepy where it cannot.  The pure core's per-order
+   tables and per-parameter plans hold values that this file recomputes, by
+   the same operations, on every call; here that work is a few cycles.
+   Build with -ffp-contract=off: the double-double loop's bound relies on
+   exact IEEE multiply and add rounding, which fused contraction breaks.
 
    A kernel that fails sets the Python exception (the gfkernel.errors class
    and the message _corepy raises) and returns -1.0.  -1.0 is also a valid
@@ -26,7 +31,6 @@
 #define SQRT_PI 0x1.c5bf891b4ef6ap+0        /* math.sqrt(math.pi) */
 #define SQRT_2PI 0x1.40d931ff62705p+1       /* math.sqrt(2.0 * math.pi) */
 #define SQRT_HALF_PI3 0x1.f7fccdff344acp+1  /* math.sqrt(0.5 * math.pi ** 3) */
-#define LOG_PI 0x1.250d048e7a1bdp+0         /* math.log(math.pi) */
 #define LOG_2 0x1.62e42fefa39efp-1          /* math.log(2.0) */
 #define LOG_MAX 709.0
 #define SPLITTER 134217729.0  /* 2^27 + 1, Dekker split constant */
@@ -89,59 +93,24 @@ static double gamma_sign(double x)
 }
 
 /* log|Gamma(x)| into *ln, and the sign of Gamma(x); pole error at
-   nonpositive integers. */
+   nonpositive integers, domain error at NaN and -inf. */
 static double log_abs_gamma(double x, double *ln)
 {
+    if (!(x > -INFINITY))
+        return fail(DomainError, "gamma argument x=%r must be finite or +inf", x);
     if (x <= 0.0 && x == floor(x)) return fail(PoleError, "gamma pole at x=%r", x);
     *ln = lgamma(x);
     return gamma_sign(x);
 }
 
-static double gammafn(double x)
-{
-    double ln, s = log_abs_gamma(x, &ln);
-    if (PyErr_Occurred()) return -1.0;
-    if (ln > LOG_MAX) return s * INFINITY;
-    return s * exp(ln);
-}
-
-static double rgamma(double x)
-{
-    double ln, s;
-    if (is_nonpositive_integer(x)) return 0.0;
-    s = log_abs_gamma(x, &ln);
-    if (ln < -LOG_MAX) return 0.0;
-    return s * exp(-ln);
-}
-
+/* sin(pi x), exact at integers; domain error at a non-finite x. */
 static double sinpi(double x)
 {
-    double r = rint(x), s = sin(PI * (x - r));
+    double r, s;
+    if (!isfinite(x)) return fail(DomainError, "sinpi argument x=%r must be finite", x);
+    r = rint(x);
+    s = sin(PI * (x - r));
     return fmod(r, 2.0) == 0.0 ? s : -s;
-}
-
-static double digamma(double x)
-{
-    double acc = 0.0, inv2, tail;
-    if (x <= 0.0) {
-        if (x == floor(x)) return fail(PoleError, "digamma pole at x=%r", x);
-        /* psi(x) = psi(1-x) - pi*cot(pi*x) */
-        return digamma(1.0 - x) - PI / tan(PI * x);
-    }
-    while (x < 10.0) {
-        acc -= 1.0 / x;
-        x += 1.0;
-    }
-    inv2 = 1.0 / (x * x);
-    /* Bernoulli tail B_2k/(2k x^2k), k = 1..7 */
-    tail = inv2 * (1.0 / 12.0
-                   - inv2 * (1.0 / 120.0
-                             - inv2 * (1.0 / 252.0
-                                       - inv2 * (1.0 / 240.0
-                                                 - inv2 * (1.0 / 132.0
-                                                           - inv2 * (691.0 / 32760.0
-                                                                     - inv2 / 12.0))))));
-    return acc + log(x) - 0.5 / x - tail;
 }
 
 /* ---- Bessel J and its normalized variant ---- */
@@ -164,20 +133,14 @@ static int rounds_alike(double sh, double sl, double bound)
 }
 
 /* gfkernel._corepy.normalized_bessel_series, the exact fixed-point sum,
-   looked up on first use. */
+   taken at import. */
 static PyObject *exact_series;
 
 static double exact_bessel_series(double nu, double x)
 {
-    PyObject *m, *r;
+    PyObject *r = PyObject_CallFunction(exact_series, "dd", nu, x);
     double v;
-    if (exact_series == NULL) {
-        if ((m = PyImport_ImportModule("gfkernel._corepy")) == NULL) return -1.0;
-        exact_series = PyObject_GetAttrString(m, "normalized_bessel_series");
-        Py_DECREF(m);
-        if (exact_series == NULL) return -1.0;
-    }
-    if ((r = PyObject_CallFunction(exact_series, "dd", nu, x)) == NULL) return -1.0;
+    if (r == NULL) return -1.0;
     v = PyFloat_AsDouble(r);
     Py_DECREF(r);
     return v;
@@ -463,138 +426,6 @@ static double hyp2f1(double a, double b, double c, double z, int has_zc, double 
     return c1 * f1 + c2 * f2;
 }
 
-/* ---- Legendre functions ---- */
-
-/* P_n(t) by the three-term recurrence; n past the cap is a ConvergenceError. */
-static double legendre_poly(double n, double t)
-{
-    double pm1 = 1.0, p = t, next;
-    long j;
-    if (n > NMAX)
-        return fail(ConvergenceError, "Legendre recurrence would take %d terms, past the "
-                    "cap of %d", n, (double)NMAX);
-    if (n == 0.0) return 1.0;
-    for (j = 1; j < (long)n; j++) {
-        next = ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0);
-        pm1 = p;
-        p = next;
-    }
-    return p;
-}
-
-/* Ordinary Legendre P_nu(t) for (1-t)/2 > 1/2, non-integer degree: the
-   degenerate (c = a+b) connection series with digamma terms, in the
-   accurately known complement w = (1+t)/2. */
-static double legendre_p0_log(double nu, double w)
-{
-    double a = nu + 1.0, b = -nu, la = 0.0, lb = 0.0, sa, sb, g, lnw;
-    double psi_n1, psi_an, psi_bn, coef = 1.0, s = 0.0, wn = 1.0, term;
-    int n;
-    sa = log_abs_gamma(a, &la);
-    sb = log_abs_gamma(b, &lb);
-    g = sa * sb * exp(-(la + lb));
-    lnw = log(w);
-    psi_n1 = digamma(1.0);
-    psi_an = digamma(a);
-    psi_bn = digamma(b);
-    for (n = 0; n < 400; n++) {
-        if (n > 0) {
-            coef *= (a + n - 1.0) * (b + n - 1.0) / ((double)n * n);
-            wn *= w;
-            psi_n1 += 1.0 / n;
-            psi_an += 1.0 / (a + n - 1.0);
-            psi_bn += 1.0 / (b + n - 1.0);
-        }
-        term = coef * wn * (2.0 * psi_n1 - psi_an - psi_bn - lnw);
-        s += term;
-        if (n > 3 && fabs(term) <= 1e-17 * fabs(s)) return g * s;
-    }
-    return fail(ConvergenceError, "Legendre log-series did not converge (nu=%r)", nu);
-}
-
-/* Associated Legendre P^mu_nu(t) on the cut, t in (-1, 1]. */
-static double legendre_p(double mu, double nu, double t)
-{
-    double zf, w, f, err, lg = 0.0, sg, ln_pref, r;
-    if (!(isfinite(mu) && isfinite(nu)))
-        return fail(DomainError, "legendre_p order and degree must be finite (mu=%r, nu=%r)",
-                    mu, nu);
-    if (!(-1.0 < t && t <= 1.0))
-        return fail(DomainError, "legendre_p argument t=%r outside (-1, 1]", t);
-    if (is_nonpositive_integer(1.0 - mu))
-        return fail(PoleError, "legendre_p order mu=%r makes 1-mu a nonpositive integer", mu);
-    if (nu < -0.5)
-        nu = -1.0 - nu;  /* degree reflection P^mu_nu = P^mu_{-1-nu} */
-    if (t == 1.0) {
-        if (mu == 0.0) return 1.0;
-        if (mu < 0.0) return 0.0;
-        return fail(RangeOverflowError, "legendre_p prefactor ((1+t)/(1-t))^(mu/2) "
-                    "diverges at t=1 for mu=%r>0", mu);
-    }
-    zf = 0.5 * (1.0 - t);
-    w = 0.5 * (1.0 + t);
-    if (fabs(mu) < 1e-13) {
-        r = rint(nu);
-        if (fabs(nu - r) < 1e-12 && r >= 0.0) return legendre_poly(r, t);
-        if (zf <= 0.5) return hyp2f1(nu + 1.0, -nu, 1.0, zf, 0, 0.0, &err);
-        return legendre_p0_log(nu, w);
-    }
-    f = hyp2f1(nu + 1.0, -nu, 1.0 - mu, zf, 1, w, &err);
-    if (PyErr_Occurred()) return -1.0;
-    sg = log_abs_gamma(1.0 - mu, &lg);
-    /* ((1+t)/(1-t))^(mu/2) = ((1+t)/2)^(mu/2) * ((1-t)/2)^(-mu/2) */
-    ln_pref = 0.5 * mu * (log(w) - log(zf)) - lg;
-    if (ln_pref > LOG_MAX)
-        return fail(RangeOverflowError,
-                    "legendre_p prefactor overflow: mu=%r, t=%r too close to 1", mu, t);
-    return sg * exp(ln_pref) * f;
-}
-
-/* e^(-mu pi i) Q^mu_nu(t) for t > 1: the real, phase-stripped value. */
-static double legendre_q_phase_free(double mu, double nu, double t)
-{
-    double tm1, tp1, z, zc, f, err, l1 = 0.0, s1, l2 = 0.0, s2, ln;
-    if (!(isfinite(mu) && isfinite(nu)))
-        return fail(DomainError, "legendre_q order and degree must be finite (mu=%r, nu=%r)",
-                    mu, nu);
-    if (t <= 1.0) return fail(DomainError, "legendre_q argument t=%r must exceed 1", t);
-    if (is_nonpositive_integer(nu + 1.5))
-        return fail(PoleError,
-                    "legendre_q degree nu=%r makes nu+3/2 a nonpositive integer", nu);
-    if (is_nonpositive_integer(mu + nu + 1.0))
-        return fail(PoleError, "legendre_q parameters: mu+nu+1=%r at a gamma pole",
-                    mu + nu + 1.0);
-    tm1 = t - 1.0;
-    tp1 = t + 1.0;
-    z = 1.0 / (t * t);
-    zc = tm1 * tp1 * z;
-    f = hyp2f1(0.5 * (mu + nu) + 1.0, 0.5 * (mu + nu + 1.0), nu + 1.5, z, 1, zc, &err);
-    if (PyErr_Occurred()) return -1.0;
-    s1 = log_abs_gamma(mu + nu + 1.0, &l1);
-    s2 = log_abs_gamma(nu + 1.5, &l2);
-    ln = (0.5 * LOG_PI + l1 - l2
-          + 0.5 * mu * (log(tm1) + log(tp1))
-          - (nu + 1.0) * LOG_2
-          - (mu + nu + 1.0) * log(t));
-    if (ln > LOG_MAX)
-        return fail(RangeOverflowError, "legendre_q prefactor overflow at mu=%r, t=%r", mu, t);
-    return s1 * s2 * exp(ln) * f;
-}
-
-/* Gegenbauer polynomial C_n^mu(t) by the three-term recurrence. */
-static double gegenbauer(long n, double mu, double t)
-{
-    double cm1 = 1.0, c = 2.0 * mu * t, next;
-    long j;
-    if (n == 0) return 1.0;
-    for (j = 2; j <= n; j++) {
-        next = (2.0 * t * (j + mu - 1.0) * c - (j + 2.0 * mu - 2.0) * cm1) / j;
-        cm1 = c;
-        c = next;
-    }
-    return c;
-}
-
 /* ---- Triple-Bessel (Macdonald) kernel branch values, fused forms (see _corepy) ---- */
 
 /* Band value of R_{mu,nu}(xa, ya, za) given omt = 1-cos(theta), opt = 1+cos(theta).
@@ -654,30 +485,13 @@ static double r_outer(double mu, double nu, double xa, double ya, double za)
     return r_outer_core(mu, nu, xa, ya, za, 1.0 + um1, um1);
 }
 
-static double r_gegenbauer_band(double mu, long n, double xa, double ya, double za)
-{
-    double twoxy = 2.0 * xa * ya, d = xa - ya, s = xa + ya;
-    double omt = (za - d) * (za + d) / twoxy, opt = (s - za) * (s + za) / twoxy;
-    double ct = 1.0 - omt, ln_coef;
-    if (!isfinite(mu)) return fail(DomainError, "Gegenbauer band order must be finite (mu=%r)", mu);
-    if (ct < -1.0)
-        ct = -1.0;
-    else if (ct > 1.0)
-        ct = 1.0;
-    ln_coef = ((0.5 - mu) * LOG_2 + lgamma(2.0 * mu) + lgamma(n + 1.0)
-               - lgamma(n + 2.0 * mu) - lgamma(mu + 0.5));
-    return (exp(ln_coef) * pow(xa * ya, mu - 1.0)
-            * pow(omt * opt, mu - 0.5) * gegenbauer(n, mu, ct)
-            / (SQRT_2PI * pow(za, mu)));
-}
-
 /* ---- Python entry points ---- */
 
-/* Unpack the positional arguments of name() into the targets out[], one
-   per character of fmt: 'd' stores a double, 'l' a long.  No keyword is
-   taken (hyp2f1 places its zc first). */
+/* Unpack the positional arguments of name() into the doubles out[], one
+   per character 'd' of fmt.  No keyword is taken (hyp2f1 places its zc
+   first). */
 static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-                 const char *name, const char *fmt, void *const *out)
+                 const char *name, const char *fmt, double *const *out)
 {
     Py_ssize_t i;
     for (i = 0; fmt[i]; i++) {
@@ -685,13 +499,10 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
             PyErr_Format(PyExc_TypeError, "%s() missing required argument %zd", name, i + 1);
             return -1;
         }
-        if (fmt[i] == 'l') {
-            if ((*(long *)out[i] = PyLong_AsLong(args[i])) == -1 && PyErr_Occurred()) return -1;
-        } else if (PyFloat_CheckExact(args[i])) {
-            *(double *)out[i] = PyFloat_AS_DOUBLE(args[i]);
-        } else if ((*(double *)out[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred()) {
+        if (PyFloat_CheckExact(args[i]))
+            *out[i] = PyFloat_AS_DOUBLE(args[i]);
+        else if ((*out[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
             return -1;
-        }
     }
     if (kwnames != NULL && PyTuple_GET_SIZE(kwnames) > 0) {
         PyErr_Format(PyExc_TypeError, "%s() got an unexpected or repeated argument '%U'",
@@ -723,7 +534,7 @@ static PyObject *pair(double v, double e)
 
 #define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n, PyObject *kw
 #define PARSE(name, fmt, ...) \
-    parse(args, n, kw, #name, fmt, (void *const[]){__VA_ARGS__})
+    parse(args, n, kw, #name, fmt, (double *const[]){__VA_ARGS__})
 
 PyDoc_STRVAR(log_abs_gamma_doc, "log_abs_gamma(x)\n--\n\n");
 static PyObject *py_log_abs_gamma(ARGS)
@@ -734,36 +545,12 @@ static PyObject *py_log_abs_gamma(ARGS)
     return pair(ln, s);
 }
 
-PyDoc_STRVAR(gammafn_doc, "gammafn(x)\n--\n\n");
-static PyObject *py_gammafn(ARGS)
-{
-    double x;
-    if (PARSE(gammafn, "d", &x)) return NULL;
-    return value(gammafn(x));
-}
-
-PyDoc_STRVAR(rgamma_doc, "rgamma(x)\n--\n\n");
-static PyObject *py_rgamma(ARGS)
-{
-    double x;
-    if (PARSE(rgamma, "d", &x)) return NULL;
-    return value(rgamma(x));
-}
-
 PyDoc_STRVAR(sinpi_doc, "sinpi(x)\n--\n\n");
 static PyObject *py_sinpi(ARGS)
 {
     double x;
     if (PARSE(sinpi, "d", &x)) return NULL;
     return value(sinpi(x));
-}
-
-PyDoc_STRVAR(digamma_doc, "digamma(x)\n--\n\n");
-static PyObject *py_digamma(ARGS)
-{
-    double x;
-    if (PARSE(digamma, "d", &x)) return NULL;
-    return value(digamma(x));
 }
 
 PyDoc_STRVAR(bessel_crossover_doc, "bessel_crossover(nu)\n--\n\n");
@@ -831,31 +618,6 @@ static PyObject *py_hyp2f1(ARGS)
     return pair(v, err);
 }
 
-PyDoc_STRVAR(legendre_p_doc, "legendre_p(mu, nu, t)\n--\n\n");
-static PyObject *py_legendre_p(ARGS)
-{
-    double mu, nu, t;
-    if (PARSE(legendre_p, "ddd", &mu, &nu, &t)) return NULL;
-    return value(legendre_p(mu, nu, t));
-}
-
-PyDoc_STRVAR(legendre_q_phase_free_doc, "legendre_q_phase_free(mu, nu, t)\n--\n\n");
-static PyObject *py_legendre_q_phase_free(ARGS)
-{
-    double mu, nu, t;
-    if (PARSE(legendre_q_phase_free, "ddd", &mu, &nu, &t)) return NULL;
-    return value(legendre_q_phase_free(mu, nu, t));
-}
-
-PyDoc_STRVAR(gegenbauer_doc, "gegenbauer(n, mu, t)\n--\n\n");
-static PyObject *py_gegenbauer(ARGS)
-{
-    long k;
-    double mu, t;
-    if (PARSE(gegenbauer, "ldd", &k, &mu, &t)) return NULL;
-    return value(gegenbauer(k, mu, t));
-}
-
 PyDoc_STRVAR(r_band_core_doc, "r_band_core(mu, nu, xa, ya, za, omt, opt)\n--\n\n");
 static PyObject *py_r_band_core(ARGS)
 {
@@ -888,24 +650,12 @@ static PyObject *py_r_outer(ARGS)
     return value(r_outer(mu, nu, xa, ya, za));
 }
 
-PyDoc_STRVAR(r_gegenbauer_band_doc, "r_gegenbauer_band(mu, n, xa, ya, za)\n--\n\n");
-static PyObject *py_r_gegenbauer_band(ARGS)
-{
-    long k;
-    double mu, xa, ya, za;
-    if (PARSE(r_gegenbauer_band, "dlddd", &mu, &k, &xa, &ya, &za)) return NULL;
-    return value(r_gegenbauer_band(mu, k, xa, ya, za));
-}
-
 #define ENTRY(name) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL | METH_KEYWORDS, name##_doc}
 
 static PyMethodDef methods[] = {
     ENTRY(log_abs_gamma),
-    ENTRY(gammafn),
-    ENTRY(rgamma),
     ENTRY(sinpi),
-    ENTRY(digamma),
     ENTRY(bessel_crossover),
     ENTRY(normalized_bessel_series),
     ENTRY(bessel_j_asymptotic),
@@ -913,34 +663,47 @@ static PyMethodDef methods[] = {
     ENTRY(normalized_bessel_j),
     ENTRY(gauss_series),
     ENTRY(hyp2f1),
-    ENTRY(legendre_p),
-    ENTRY(legendre_q_phase_free),
-    ENTRY(gegenbauer),
     ENTRY(r_band_core),
     ENTRY(r_outer_core),
     ENTRY(r_band),
     ENTRY(r_outer),
-    ENTRY(r_gegenbauer_band),
     {NULL, NULL, 0, NULL},
+};
+
+/* The functions that no density integrand calls.  They are not compiled:
+   the module takes _corepy's own at import. */
+static const char *const shared[] = {
+    "gammafn", "rgamma", "digamma", "legendre_p", "legendre_q_phase_free",
+    "gegenbauer", "r_gegenbauer_band",
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "gfkernel._core",
-    "Compiled twin of gfkernel._corepy: same functions, same algorithms, same errors.",
+    "The hot kernels of gfkernel._corepy compiled: same functions, same algorithms, "
+    "same errors; the cold ones are _corepy's own.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__core(void)
 {
-    PyObject *errors = PyImport_ImportModule("gfkernel.errors"), *m = NULL;
+    PyObject *errors = PyImport_ImportModule("gfkernel.errors"), *corepy = NULL, *m = NULL, *fn;
+    size_t i;
     if (errors == NULL) return NULL;
     if ((ConvergenceError = PyObject_GetAttrString(errors, "ConvergenceError")) != NULL
         && (DegenerateParameterError = PyObject_GetAttrString(
                 errors, "DegenerateParameterError")) != NULL
         && (DomainError = PyObject_GetAttrString(errors, "DomainError")) != NULL
         && (PoleError = PyObject_GetAttrString(errors, "PoleError")) != NULL
-        && (RangeOverflowError = PyObject_GetAttrString(errors, "RangeOverflowError")) != NULL)
+        && (RangeOverflowError = PyObject_GetAttrString(errors, "RangeOverflowError")) != NULL
+        && (corepy = PyImport_ImportModule("gfkernel._corepy")) != NULL
+        && (exact_series = PyObject_GetAttrString(corepy, "normalized_bessel_series")) != NULL)
         m = PyModule_Create(&module);
+    for (i = 0; m != NULL && i < sizeof shared / sizeof *shared; i++) {
+        fn = PyObject_GetAttrString(corepy, shared[i]);
+        if (fn == NULL || PyModule_AddObjectRef(m, shared[i], fn) < 0) Py_CLEAR(m);
+        Py_XDECREF(fn);
+    }
     Py_DECREF(errors);
+    Py_XDECREF(corepy);
     return m;
 }

@@ -1,10 +1,16 @@
 """Pure-Python scalar kernels: the reference implementation of the hot path.
 
 Everything here is a pure function of floats returning floats (or a
-(value, err) pair), so the compiled twin in ``_core.c`` can mirror it
-one-to-one.  Public argument validation lives in the wrapper modules; this
-layer only guards against the failure modes that appear mid-computation
-(poles, nonconvergence, degenerate connection formulas).
+(value, err) pair).  ``_core.c`` compiles the functions that the density
+integrands call per node (Bessel J, 2F1, the band and outer kernels) and
+the gamma helpers they use, one-to-one; the compiled module takes the
+others (the ``shared[]`` list of ``_core.c``: the Legendre and Gegenbauer
+functions, ``gammafn``, ``rgamma`` and ``digamma``) from here, so they are
+one source on every build.  Public argument validation
+lives in the wrapper modules; this layer only guards against the failure
+modes that appear mid-computation (poles, nonconvergence, degenerate
+connection formulas) and the non-finite arguments a gamma helper cannot
+take.
 
 Numerical notes
 ---------------
@@ -113,7 +119,10 @@ def gamma_sign(x):
 
 
 def log_abs_gamma(x):
-    """(log|Gamma(x)|, sign); pole error at nonpositive integers."""
+    """(log|Gamma(x)|, sign); pole error at nonpositive integers, domain
+    error at NaN and -inf."""
+    if not x > -math.inf:
+        raise DomainError(f"gamma argument x={x!r} must be finite or +inf")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x={x!r}")
     return math.lgamma(x), gamma_sign(x)
@@ -129,6 +138,8 @@ def gammafn(x):
 
 def rgamma(x):
     """1/Gamma(x); exactly 0.0 at (near-)nonpositive-integer arguments."""
+    if not x > -math.inf:
+        raise DomainError(f"gamma argument x={x!r} must be finite or +inf")
     if is_nonpositive_integer(x):
         return 0.0
     ln, s = log_abs_gamma(x)
@@ -139,6 +150,8 @@ def rgamma(x):
 
 def sinpi(x):
     """sin(pi*x), exact at integers."""
+    if not math.isfinite(x):
+        raise DomainError(f"sinpi argument x={x!r} must be finite")
     r = round(x)
     s = math.sin(math.pi * (x - r))
     return s if (r % 2 == 0) else -s
@@ -146,6 +159,8 @@ def sinpi(x):
 
 def digamma(x):
     """psi(x) by reflection + recurrence + asymptotic tail."""
+    if not x > -math.inf:
+        raise DomainError(f"digamma argument x={x!r} must be finite or +inf")
     if x <= 0.0:
         if x == math.floor(x):
             raise PoleError(f"digamma pole at x={x!r}")

@@ -442,12 +442,6 @@ def _ladder_to(order: float, count: int) -> list[float]:
     return zeros
 
 
-def bessel_zeros(order: float, count: int, first: int = 1) -> list[float]:
-    """`count` positive zeros of J_order from the `first`-th on: McMahon +
-    Newton polish, sliced from the one ladder kept per order."""
-    return _ladder_to(order, first - 1 + count)[first - 1:first - 1 + count]
-
-
 def _euler_average(sums):
     """Iterated pairwise averaging of a list of partial sums."""
     arr = list(sums)

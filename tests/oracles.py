@@ -61,7 +61,7 @@ def triple_bessel_oracle(mu: float, nu: float, x: float, y: float, z: float,
     residual beat (the integrand carries several incommensurate
     frequencies).  Good to roughly 1e-6 absolute at these parameters.
     """
-    from gfkernel.quadrature import bessel_zeros
+    from gfkernel.quadrature import _ladder_to
 
     def g(t):
         return (core.bessel_j(nu, x * t) * core.bessel_j(nu, y * t)
@@ -72,7 +72,7 @@ def triple_bessel_oracle(mu: float, nu: float, x: float, y: float, z: float,
         c1 = 0.5 * (b + a)
         return c0 * sum(w * g(c1 + c0 * xx) for xx, w in zip(_GL_X, _GL_W))
 
-    zeros = bessel_zeros(mu, max_cells)
+    zeros = _ladder_to(mu, max_cells)[:max_cells]
     sums = []
     total = 0.0
     last = 0.0

@@ -215,12 +215,30 @@ def _outcome(fn, *args):
     ("legendre_q_phase_free", (0.2, math.nan, 1.3), DomainError),
     ("legendre_q_phase_free", (math.nan, 0.5, 1.3), DomainError),
     ("r_gegenbauer_band", (math.nan, 2, 1.0, 1.2, 1.5), DomainError),
+    # NaN and -inf arguments of the gamma helpers, and a non-finite sinpi argument
+    ("log_abs_gamma", (math.nan,), DomainError),
+    ("log_abs_gamma", (-math.inf,), DomainError),
+    ("gammafn", (math.nan,), DomainError),
+    ("gammafn", (-math.inf,), DomainError),
+    ("rgamma", (math.nan,), DomainError),
+    ("rgamma", (-math.inf,), DomainError),
+    ("digamma", (math.nan,), DomainError),
+    ("digamma", (-math.inf,), DomainError),
+    ("sinpi", (math.nan,), DomainError),
+    ("sinpi", (math.inf,), DomainError),
+    ("sinpi", (-math.inf,), DomainError),
 ])
 def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
     with _deadline(5):
         expected = _outcome(getattr(py_core, name), *args)
     assert expected[1][0] is cls
     assert _outcome(getattr(c_core, name), *args) == expected
+
+
+def test_gamma_helpers_keep_their_values_at_plus_infinity(core):
+    assert core.log_abs_gamma(math.inf) == (math.inf, 1.0)
+    assert core.gammafn(math.inf) == core.digamma(math.inf) == math.inf
+    assert core.rgamma(math.inf) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +420,14 @@ def _compiled_entries():
         yield name, params.count(",") + 1 if params else 0
 
 
+def _shared_names():
+    """The names of _core.c's shared[] list: the functions the compiled
+    module takes from _corepy at import."""
+    src = CORE_C.read_text()
+    listed = re.search(r"char \*const shared\[\] = \{(.*?)\};", src, re.S).group(1)
+    return re.findall(r'"(\w+)"', listed)
+
+
 def _core_names_used():
     """Every core.<name> of the package's modules and the benchmark's kernel
     probes (perfbench/probe.py KERNEL_CASES)."""
@@ -417,7 +443,12 @@ def _core_names_used():
 
 def test_pure_core_mirrors_every_compiled_def():
     entries = dict(_compiled_entries())
-    assert len(entries) >= 20
+    shared = _shared_names()
+    assert len(entries) == 13 and len(set(shared)) == len(shared) == 7
+    assert not set(entries) & set(shared), sorted(set(entries) & set(shared))
+    for name in shared:
+        fn = getattr(py_core, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == py_core.__name__, name
     for name, count in entries.items():
         fn = getattr(py_core, name, None)
         assert callable(fn), f"_corepy has no {name}"
@@ -426,7 +457,15 @@ def test_pure_core_mirrors_every_compiled_def():
         assert len(positional) == count, f"{name}: {len(positional)} != {count}"
     used = _core_names_used()
     assert "hyp2f1" in used and "normalized_bessel_j" in used
-    assert used <= set(entries), f"missing from _core.c: {sorted(used - set(entries))}"
+    missing = used - set(entries) - set(shared)
+    assert not missing, f"missing from _core.c: {sorted(missing)}"
+
+
+def test_compiled_core_takes_the_shared_functions_from_the_pure_core(c_core):
+    for name in _shared_names():
+        assert getattr(c_core, name) is getattr(py_core, name), name
+    for name, _ in _compiled_entries():
+        assert inspect.isbuiltin(getattr(c_core, name)), name
 
 
 def test_backend_env_override():

@@ -15,7 +15,7 @@ from gfkernel._gauss_jacobi import gauss_jacobi_rule
 from gfkernel.errors import ConvergenceError, DomainError
 from gfkernel.quadrature import (
     QuadratureSpec,
-    bessel_zeros,
+    _ladder_to,
     integrate_bessel_oscillatory,
     integrate_gauss_jacobi,
     integrate_power_tail,
@@ -422,27 +422,33 @@ class TestGaussJacobi:
 class TestBesselZeros:
     @pytest.mark.parametrize("order", [0.0, 0.375, 1.875, 4.5])
     def test_zeros_are_zeros(self, order):
-        zs = bessel_zeros(order, 12)
+        zs = _ladder_to(order, 12)[:12]
         assert all(b > a for a, b in zip(zs, zs[1:]))
         for z in zs:
             assert abs(core.bessel_j(order, z)) < 1e-9
 
     @pytest.mark.parametrize("order", [-0.45, 0.0, 1.875])
     def test_ladder_from_a_later_zero(self, order):
-        assert bessel_zeros(order, 20, 37) == bessel_zeros(order, 56)[36:]
+        # zeros 37 to 56 are the same whether the ladder reaches them from
+        # its 37th zero or grows to them at once
+        quadrature._zero_ladder.cache_clear()
+        at_once = _ladder_to(order, 56)[36:56]
+        quadrature._zero_ladder.cache_clear()
+        _ladder_to(order, 37)
+        assert _ladder_to(order, 56)[36:56] == at_once
 
     def test_table_hands_out_copies_grown_as_far_as_asked(self):
         quadrature._zero_ladder.cache_clear()
-        zs = bessel_zeros(0.375, 5, 3)
+        zs = _ladder_to(0.375, 7)[2:7]
         assert len(quadrature._zero_ladder(core, 0.375)) == 7     # zeros 1 to 7
         want = list(zs)
         zs[0] = -1.0
-        zs.extend(want)                                    # as the oscillatory rule does
-        assert bessel_zeros(0.375, 5, 3) == want
-        longer = bessel_zeros(0.375, 9, 3)
+        zs.extend(want)                                    # a slice is a copy
+        assert _ladder_to(0.375, 7)[2:7] == want
+        longer = _ladder_to(0.375, 11)[2:11]
         assert longer[:5] == want and len(quadrature._zero_ladder(core, 0.375)) == 11
         quadrature._zero_ladder.cache_clear()
-        assert bessel_zeros(0.375, 9, 3) == longer         # cold, the same values
+        assert _ladder_to(0.375, 11)[2:11] == longer       # cold, the same values
 
     def test_oscillatory_rule_computes_the_zeros_its_cells_reach(self):
         quadrature._zero_ladder.cache_clear()
@@ -463,12 +469,13 @@ class TestBesselZeros:
 
     def test_threads_growing_one_ladder_store_each_zero_once(self):
         quadrature._zero_ladder.cache_clear()
-        want = bessel_zeros(1.875, 120, 4)
+        want = _ladder_to(1.875, 123)[3:123]
         quadrature._zero_ladder.cache_clear()
         results = []
 
         def worker(step):
-            results.extend(bessel_zeros(1.875, n, 4) == want[:n] for n in range(1, 121, step))
+            results.extend(_ladder_to(1.875, n + 3)[3:n + 3] == want[:n]
+                           for n in range(1, 121, step))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -490,6 +497,6 @@ class TestBesselZeros:
         assert proc.stdout.strip() == "0"
 
     def test_known_j0_zeros(self):
-        zs = bessel_zeros(0.0, 3)
+        zs = _ladder_to(0.0, 3)[:3]
         assert_allclose(zs, [2.404825557695773, 5.520078110286311, 8.653727912911013],
                         rtol=1e-9)
