@@ -753,7 +753,8 @@ class _OuterPlan:
         if not (math.isfinite(mu) and math.isfinite(nu)):
             raise DomainError(f"Macdonald orders must be finite (mu={mu!r}, nu={nu!r})")
         delta = nu - mu
-        self.zero = abs(delta - round(delta)) <= 1e-12
+        # an overflowed delta is no integer, and sinpi refuses mu - nu, as in _core.c
+        self.zero = math.isfinite(delta) and abs(delta - round(delta)) <= 1e-12
         if self.zero:
             return
         self.delta = delta

@@ -11,7 +11,7 @@
 * semi-infinite tails with a known power-law decay (1/z substitution onto
   the singular-interval rule, with a decay-fit guard),
 * semi-infinite Bessel-oscillatory integrals (partition at Bessel zeros,
-  Euler-accelerate the alternating partial sums).
+  extrapolate the partial integrals by Sidi's mW transformation).
 
 Each tanh-sinh level visits its nodes from the middle outwards and stops
 walking toward an end after two terms in a row that each add less than
@@ -403,7 +403,6 @@ _GL_X = tuple(-x for x, _ in reversed(_GL_HALF)) + tuple(x for x, _ in _GL_HALF)
 _GL_W = tuple(w for _, w in reversed(_GL_HALF)) + tuple(w for _, w in _GL_HALF)
 
 _OSC_MAX_ZEROS = 200   # zero cells of the oscillatory engine before it gives up
-_ACCEL_TERMS = 12      # partial sums in its Euler average
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -442,94 +441,93 @@ def _ladder_to(order: float, count: int) -> list[float]:
     return zeros
 
 
-def _euler_average(sums):
-    """Iterated pairwise averaging of a list of partial sums."""
-    arr = list(sums)
-    while len(arr) > 1:
-        arr = [0.5 * (arr[i] + arr[i + 1]) for i in range(len(arr) - 1)]
-    return arr[0]
+def _gauss_legendre(f, a: float, b: float):
+    """∫_a^b f by the 16-point Gauss-Legendre rule."""
+    c0, c1 = 0.5 * (b - a), 0.5 * (b + a)
+    return c0 * sum(w * f(c1 + c0 * x) for x, w in zip(_GL_X, _GL_W))
 
 
-def _recent(f):
-    """f of one argument with its last four values kept.  Tanh-sinh nodes
-    crowd an endpoint until the argument rounds onto the same double while
-    the node still moves, so a costly integrand is worth memoizing there;
-    the few entries keep the memory flat however many nodes a rule takes.
-    The walk stops most levels before those nodes: on the product
-    benchmark at seed 1 it cut the hits from 8,518 of 30,183 calls to
-    3,126 of 23,705."""
-    return functools.lru_cache(maxsize=4)(f)
+def _gauss_legendre_panels(f, a: float, b: float, spec: QuadratureSpec):
+    """∫_a^b f for f smooth on [a, b]: (value, error estimate, evaluations).
+    Panels are halved until their halves' sum is within max(abs_tol, rel_tol
+    |Q|) of their rule, Q the rule on [a, b]; the estimate sums those gaps,
+    and 2^-48 of each rule for its rounding and that of f."""
+    panels = [(a, b, _gauss_legendre(f, a, b), 0)]
+    tol, value, err, evals = max(spec.abs_tol, spec.rel_tol * abs(panels[0][2])), 0.0, 0.0, 16
+    while panels:       # depth first, left to right
+        a, b, q, depth = panels.pop()
+        m = 0.5 * (a + b)
+        left, right = _gauss_legendre(f, a, m), _gauss_legendre(f, m, b)
+        evals += 32
+        if abs(left + right - q) <= tol:
+            value, err = value + left + right, err + abs(left + right - q) + 2.0 ** -48 * abs(q)
+        elif depth == 50:
+            raise ConvergenceError(f"Gauss-Legendre panels did not converge at {a!r} in 50 "
+                                   "halvings", partial=value)
+        else:
+            panels += [(m, b, right, depth + 1), (a, m, left, depth + 1)]
+    return value, err, evals
 
 
 def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, freq: float,
                                  lo: float, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
     """∫_lo^∞ g(t) J_order(freq t) dt for smooth g of moderate variation.
 
-    Cells run between consecutive zeros of the oscillatory factor; each cell
-    uses a fixed Gauss-Legendre rule and the alternating partial sums are
-    Euler-accelerated.  Zeros come from the ladder table as the cells reach
-    them; evaluations counts the calls of g.  Failure to stabilize raises,
-    with the best partial value attached to the exception.
+    The head, lo to the first zero of J_order(freq t) past lo, goes to
+    _gauss_legendre_panels.  At lo = 0 its t^order end is smooth for an
+    integer order; others take more halvings, and below order 0 can get an
+    estimate short of the error.  Each cell past the head, between zeros x_l
+    and x_(l+1), takes one 16-point rule, and Sidi's W-algorithm
+    extrapolates the integrals F(x_l) with the cells as psi(x_l): the mW
+    transformation (Sidi, Math. Comp. 51, 1988; Lucas & Stone, J. Comput.
+    Appl. Math. 64, 1995).  Once two successive estimates in a row agree
+    within max(abs_tol, rel_tol |value|), the last is the value; twice the
+    larger difference, the head's estimate and 2^-48 of the value for
+    rounding are its error estimate.  evaluations counts the calls of g.
+
+    The transformation also settles on divergent integrals such as
+    ∫ t J_0(t) dt, so ConvergenceError refuses a value unless the cells
+    times x^(1/4) fall from the first to the last (Weber's ∫ J_1 = 1 has
+    cells falling like x^(-1/2)), and an integral with no agreement in
+    _OSC_MAX_ZEROS zeros, its partial value the integral up to the last
+    zero.  A cell that sums to exactly zero (g underflowed) ends the integral.
     """
-    if freq <= 0.0:
-        raise DomainError("oscillatory frequency must be positive")
-    if lo < 0.0:
-        raise DomainError("oscillatory lower limit must be nonnegative")
-    # the cells start at the first zero past lo*freq, and _OSC_MAX_ZEROS
-    # counts them from there
+    if not 0.0 < freq < math.inf:
+        raise DomainError(f"oscillatory frequency must be positive and finite, got {freq!r}")
+    if not 0.0 <= lo < math.inf:
+        raise DomainError(f"oscillatory lower limit must be nonnegative and finite, got {lo!r}")
+
+    def f(t):
+        return g(t) * core.bessel_j(order, freq * t)
+
+    # the head ends at the first zero past lo; _OSC_MAX_ZEROS counts from it
     k0 = 0
-    while _ladder_to(order, k0 + 1)[k0] < lo * freq:
+    while (last_hi := _ladder_to(order, k0 + 1)[k0] / freq) <= lo * (1.0 + 1e-12) + 1e-300:
         k0 += 1
-    evals = 0
-
-    def cell(a, b):
-        nonlocal evals
-        c0 = 0.5 * (b - a)
-        c1 = 0.5 * (b + a)
-        s = 0.0
-        for x, w in zip(_GL_X, _GL_W):
-            t = c1 + c0 * x
-            s += w * g(t) * core.bessel_j(order, freq * t)
-            evals += 1
-        return c0 * s
-
-    def head(a, b):
-        # the stretch up to the first zero can span many widths of g when
-        # the frequency is small; the adaptive rule handles the decay there
-        nonlocal evals
-        f = _recent(lambda t: g(t) * core.bessel_j(order, freq * t))
-        res = integrate_singular_band2(lambda t, dl, dh: f(t), a, b, spec)
-        evals += res.evaluations
-        return res.value
-
-    sums = []
-    total = 0.0
-    prev_est = None
-    stable = 0
-    last_hi = lo
-    for k in range(k0, k0 + _OSC_MAX_ZEROS):
+    total, head_err, evals = _gauss_legendre_panels(f, lo, last_hi, spec)
+    ts, ms, ns, mw, cells = [], [], [], [], []   # 1/x_l, W antidiagonal, mW, |psi| x_l^(1/4)
+    for k in range(k0 + 1, k0 + _OSC_MAX_ZEROS):
         hi = _ladder_to(order, k + 1)[k] / freq
-        if hi <= last_hi * (1.0 + 1e-12) + 1e-300:
-            continue
-        # first segment: adaptive (g may decay across many scales before the
-        # first zero, e.g. at small frequencies); later cells: fixed rule
-        total = total + (head if last_hi == lo else cell)(last_hi, hi)
-        last_hi = hi
-        sums.append(total)
-        kwin = min(_ACCEL_TERMS, len(sums))
-        est = _euler_average(sums[-kwin:])
-        if prev_est is not None:
-            diff = abs(est - prev_est)
-            tol = max(spec.abs_tol, spec.rel_tol * abs(est))
-            if diff <= tol:
-                stable += 1
-                if stable >= 2 and len(sums) >= 4:
-                    cell_mag = abs(sums[-1] - sums[-2])
-                    err = diff + cell_mag * 0.5 ** kwin
-                    return IntegralResult(est, err, evals)
-            else:
-                stable = 0
-        prev_est = est
-    raise ConvergenceError(
-        f"oscillatory acceleration failed to stabilize within {_OSC_MAX_ZEROS} zeros",
-        partial=prev_est)
+        psi = _gauss_legendre(f, last_hi, hi)
+        evals += 16
+        if psi == 0.0:
+            return IntegralResult(total, head_err, evals)
+        # W-algorithm: M_n^(l-n) = (M_(n-1)^(l-n+1) - M_(n-1)^(l-n)) / (1/x_l - 1/x_(l-n))
+        m, n, t = [total / psi], [1.0 / psi], 1.0 / last_hi
+        for i, ti in enumerate(reversed(ts)):
+            m.append((m[-1] - ms[i]) / (t - ti))
+            n.append((n[-1] - ns[i]) / (t - ti))
+        cells.append(abs(psi) * math.pow(last_hi, 0.25))
+        ts.append(t)
+        ms, ns, total, last_hi = m, n, total + psi, hi
+        mw.append(m[-1] / n[-1])
+        # two agreements in a row; an overflowed W table meets no tolerance
+        err = max(abs(mw[-1] - mw[-2]), abs(mw[-2] - mw[-3])) if ts[2:] else math.inf
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(mw[-1])) < math.inf:
+            if cells[-1] >= cells[0]:
+                raise ConvergenceError(
+                    f"integrate_bessel_oscillatory: the cells times x^(1/4) do not fall over "
+                    f"{len(ts)} zeros from {lo!r}: divergent or too slow", partial=mw[-1])
+            return IntegralResult(mw[-1], 2.0 * err + head_err + 2.0 ** -48 * abs(mw[-1]), evals)
+    raise ConvergenceError(f"integrate_bessel_oscillatory: the mW estimates failed to settle "
+                           f"within {_OSC_MAX_ZEROS} zeros", partial=total)

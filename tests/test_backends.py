@@ -227,6 +227,8 @@ def _outcome(fn, *args):
     ("sinpi", (math.nan,), DomainError),
     ("sinpi", (math.inf,), DomainError),
     ("sinpi", (-math.inf,), DomainError),
+    # finite orders whose difference overflows
+    ("r_outer_core", (1e308, -1e308, 1.0, 1.2, 2.5, 1.5, 0.5), DomainError),
 ])
 def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
     with _deadline(5):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gfkernel import Params, _corepy, delta_density, quadrature
+from gfkernel import Params, _corepy, delta_density, harness, quadrature
 from gfkernel._gauss_jacobi import gauss_jacobi_rule
 from gfkernel.errors import ConvergenceError, DomainError
 from gfkernel.quadrature import (
@@ -32,7 +33,7 @@ class TestSpecValidation:
         s = QuadratureSpec()
         assert [f.name for f in dataclasses.fields(s)] == ["abs_tol", "rel_tol", "max_levels"]
         assert s.abs_tol == 1e-10 and s.rel_tol == 1e-9 and s.max_levels == 12
-        assert quadrature._OSC_MAX_ZEROS == 200 and quadrature._ACCEL_TERMS == 12
+        assert quadrature._OSC_MAX_ZEROS == 200
 
     def test_invariants(self):
         with pytest.raises(DomainError):
@@ -292,9 +293,75 @@ class TestBesselOscillatory:
         assert "within 200 zeros" in str(err.value)
         assert err.value.partial is not None
 
+    @pytest.mark.parametrize("g", [lambda t: t, lambda t: math.sqrt(1.0 + t)],
+                             ids=["t", "sqrt(1+t)"])
+    def test_divergent_integral_is_refused(self, g):
+        # the cells of t J_0(t) grow like x^(1/2), those of sqrt(1+t) J_0(t)
+        # level off; the mW estimates settle on -1.5e-11 and 1.0656 all the same
+        with pytest.raises(ConvergenceError, match="integrate_bessel_oscillatory") as err:
+            integrate_bessel_oscillatory(g, 0.0, 1.0, 0.0)
+        assert err.value.partial is not None
+
+    def test_head_singularity_is_refused(self):
+        # int_0 J_0(t) / t diverges at 0: the head's panels never agree there
+        with pytest.raises(ConvergenceError, match="in 50 halvings"):
+            integrate_bessel_oscillatory(lambda t: 1.0 / t, 0.0, 1.0, 0.0)
+
+    def test_vanishing_integrand(self):
+        # a cell that sums to exactly zero ends the integral instead of
+        # dividing the W table by it
+        r = integrate_bessel_oscillatory(lambda t: 0.0, 0.5, 1.0, 3.0)
+        assert (r.value, r.est_error, r.evaluations) == (0.0, 0.0, 64)
+
+    def test_estimate_covers_the_error_of_closed_forms(self):
+        # seeded draws of the Laplace transform of J_nu, int e^(-pt) J_nu(ct) dt
+        # = c^-nu (s - p)^nu / s = (c / (s + p))^nu / s with s = hypot(p, c),
+        # and of Weber's int J_nu(ct) dt = 1/c, at three tolerances; the
+        # orders keep the head's end at t = 0 smooth or halving-resolved
+        specs = (SPEC, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12),
+                 QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6))
+        rng = random.Random(22)
+        for _ in range(40):
+            nu = rng.choice([0.0, 1.0, 2.0, rng.uniform(1.0, 5.0)])
+            c = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+            p = math.exp(rng.uniform(math.log(0.05), math.log(5.0))) if rng.random() < 0.7 else 0.0
+            s = math.hypot(p, c)
+            want = (c / (s + p)) ** nu / s
+            r = integrate_bessel_oscillatory(lambda t: math.exp(-p * t), nu, c, 0.0,
+                                             rng.choice(specs))
+            assert abs(r.value - want) <= r.est_error, (nu, c, p)
+
+    def test_estimate_covers_the_error_of_product_tails(self, monkeypatch):
+        # the tails of product_residual at three points, against the rule at
+        # 1e-15 absolute and 1e-14 relative tolerance
+        calls = []
+
+        def captured(g, order, freq, lo, spec):
+            r = integrate_bessel_oscillatory(g, order, freq, lo, spec)
+            calls.append((g, order, freq, lo, r))
+            return r
+
+        monkeypatch.setattr(harness, "integrate_bessel_oscillatory", captured)
+        for k, a, lam, x, y in [(0.75, 4.0 / 3.0, 0.7, 0.4, 1.2), (0.75, 4.0 / 3.0, 1.9, 1.2, 2.5),
+                                (0.3, 1.6, 0.9, 0.7, 1.5)]:
+            harness.product_residual(Params(k, a), lam, x, y, SPEC)
+        assert len(calls) == 3
+        deep_spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-14)
+        for g, order, freq, lo, r in calls:
+            deep = integrate_bessel_oscillatory(g, order, freq, lo, deep_spec)
+            assert deep.est_error <= 1e-2 * r.est_error
+            assert abs(r.value - deep.value) <= r.est_error, (order, freq, lo)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             integrate_bessel_oscillatory(lambda t: 1.0, 0.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("freq, lo", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                                          (1.0, math.nan), (1.0, -1.0)])
+    def test_non_finite_frequency_or_limit_is_refused(self, freq, lo):
+        # an infinite frequency or limit would grow the zero ladder forever
+        with pytest.raises(DomainError):
+            integrate_bessel_oscillatory(lambda t: 1.0, 0.0, freq, lo)
 
 
 def test_gauss_legendre_rule_is_numpys_bit_for_bit():
@@ -453,19 +520,27 @@ class TestBesselZeros:
     def test_oscillatory_rule_computes_the_zeros_its_cells_reach(self):
         quadrature._zero_ladder.cache_clear()
         integrate_bessel_oscillatory(lambda t: math.exp(-t), 0.0, 1.0, 0.0)
-        assert len(quadrature._zero_ladder(core, 0.0)) == 17    # its 17 cells
+        assert len(quadrature._zero_ladder(core, 0.0)) == 7    # its head and 6 cells
 
     def test_cells_start_at_the_first_zero_past_the_lower_limit(self, monkeypatch):
         # lo*freq = 41 lies between the 13th and 14th zeros of J_0; the
-        # ladder runs from the first zero, and the value, its estimate and
-        # the evaluations are those of a ladder started at the 10th (the
-        # bits of the pure-Python core, the reference)
+        # ladder runs from the first zero, and the head ends at the 14th.
+        # The value, its estimate and the evaluations are the bits of the
+        # pure-Python core, the reference; the value is at least as close to
+        # mpmath's as the Euler-averaged rule's -0x1.8a1f741c5480cp-15 was
+        # (1.3e-16 against 2.8e-12)
         monkeypatch.setattr(quadrature, "core", _corepy)
         quadrature._zero_ladder.cache_clear()
         r = integrate_bessel_oscillatory(lambda t: 1.0 / (1.0 + t * t), 0.0, 1.0, 41.0)
         assert (r.value.hex(), r.est_error.hex(), r.evaluations) == \
-            ("-0x1.8a1f741c5480cp-15", "0x1.47cf0cb7fe5d9p-25", 209)
+            ("-0x1.8a1f7292ec3b2p-15", "0x1.dd8fb4330afe5p-39", 144)
         assert quadrature._zero_ladder.cache_info().currsize == 1
+        assert len(quadrature._zero_ladder(_corepy, 0.0)) == 20
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            ref = mpmath.quadosc(lambda t: mpmath.besselj(0, t) / (1 + t * t), [41, mpmath.inf],
+                                 zeros=lambda n: mpmath.besseljzero(0, n + 13))
+        assert abs(r.value - ref) <= abs(float.fromhex("-0x1.8a1f741c5480cp-15") - ref)
 
     def test_threads_growing_one_ladder_store_each_zero_once(self):
         quadrature._zero_ladder.cache_clear()
