@@ -2,8 +2,9 @@
 
 The extension is an accelerator only.  It is compiled from the hand-written
 C99 file ``src/gfkernel/_core.c``, which mirrors the hot kernels of the
-pure-Python core (gfkernel._corepy) operation for operation and takes the
-functions no density integrand calls from _corepy itself.  Without a C
+pure-Python core (gfkernel._corepy) operation for operation, exports the
+seven that Python calls per quadrature node or probes, and takes every
+other function from _corepy itself.  Without a C
 compiler the build falls through to the pure-Python core.  The two modules
 expose identical functions and are selected at import time.
 """

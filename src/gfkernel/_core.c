@@ -1,10 +1,12 @@
-/* The hot scalar kernels of gfkernel._corepy, compiled: the functions that
-   the density integrands call per node (Bessel J, 2F1, the band and outer
-   kernels R) and the gamma helpers they use, by the same algorithms,
-   raising the same errors, as a CPython extension.  The functions that no
-   integrand calls (listed in shared[] below) are not compiled: the module
-   takes _corepy's own at import, so they return the pure core's doubles on
-   every build.
+/* The hot scalar kernels of gfkernel._corepy, compiled: the seven that
+   Python calls per quadrature node (Bessel J and its normalized form, 2F1,
+   the band and outer kernels R) or times as a kernel probe (r_band), by
+   the same algorithms, raising the same errors, as a CPython extension.
+   The helpers they call (the series and asymptotic Bessel sums, the Gauss
+   series, log_abs_gamma, sinpi) are compiled as static functions only.
+   The module takes every other name of _corepy (listed in shared[] below)
+   from _corepy at import, so those return the pure core's doubles on every
+   build.
 
    Each kernel here follows its _corepy namesake operation for operation,
    but for normalized_bessel_series: _corepy sums it exactly in integers,
@@ -361,22 +363,11 @@ static double gamma_ratio(double n1, double n2, double d1, double d2)
     return sign * exp(ln);
 }
 
-/* The checks that open 2F1(a, b; c; z), before any on z, as _corepy's
-   _Hyp2f1Plan makes them: finite parameters, and c off the poles.  Returns
-   -1.0 with the error set, else 0.0. */
-static double check_2f1(double a, double b, double c)
-{
-    if (!(isfinite(a) && isfinite(b) && isfinite(c)))
-        return fail(DomainError, "2F1 parameters must be finite (a=%r, b=%r, c=%r)", a, b, c);
-    if (is_nonpositive_integer(c))
-        return fail(PoleError, "2F1 parameter c=%r is a nonpositive integer", c);
-    return 0.0;
-}
-
 /* 2F1(a, b; c; z) for z in [0, 1): the value, and its error in *err.  With
    has_zc, zc is an accurately computed 1-z.  Terminating series are summed
    directly for any z, the Gauss series handles z <= 1/2 and the linear
-   connection formula z > 1/2, all in _corepy._hyp2f1's order of checks. */
+   connection formula z > 1/2, all in _corepy._hyp2f1's order of checks: the
+   parameter checks of its _Hyp2f1Plan come before any on z. */
 static double hyp2f1(double a, double b, double c, double z, int has_zc, double zc,
                      double *err)
 {
@@ -384,7 +375,10 @@ static double hyp2f1(double a, double b, double c, double z, int has_zc, double 
     double nterms = -1.0, w, d, f1, e1, f2, e2, c1, g2, pw, c2;
     int i;
     *err = 0.0;
-    if (check_2f1(a, b, c)) return -1.0;
+    if (!(isfinite(a) && isfinite(b) && isfinite(c)))
+        return fail(DomainError, "2F1 parameters must be finite (a=%r, b=%r, c=%r)", a, b, c);
+    if (is_nonpositive_integer(c))
+        return fail(PoleError, "2F1 parameter c=%r is a nonpositive integer", c);
     if (z == 0.0) return 1.0;
     if (z < 0.0) {
         /* tolerate roundoff from complement arithmetic at region edges */
@@ -522,60 +516,9 @@ static PyObject *value(double v)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(v);
 }
 
-static PyObject *pair(double v, double e)
-{
-    PyObject *a = NULL, *b = NULL, *t = NULL;
-    if (!PyErr_Occurred() && (a = PyFloat_FromDouble(v)) && (b = PyFloat_FromDouble(e)))
-        t = PyTuple_Pack(2, a, b);
-    Py_XDECREF(a);
-    Py_XDECREF(b);
-    return t;
-}
-
 #define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n, PyObject *kw
 #define PARSE(name, fmt, ...) \
     parse(args, n, kw, #name, fmt, (double *const[]){__VA_ARGS__})
-
-PyDoc_STRVAR(log_abs_gamma_doc, "log_abs_gamma(x)\n--\n\n");
-static PyObject *py_log_abs_gamma(ARGS)
-{
-    double x, ln = 0.0, s;
-    if (PARSE(log_abs_gamma, "d", &x)) return NULL;
-    s = log_abs_gamma(x, &ln);
-    return pair(ln, s);
-}
-
-PyDoc_STRVAR(sinpi_doc, "sinpi(x)\n--\n\n");
-static PyObject *py_sinpi(ARGS)
-{
-    double x;
-    if (PARSE(sinpi, "d", &x)) return NULL;
-    return value(sinpi(x));
-}
-
-PyDoc_STRVAR(bessel_crossover_doc, "bessel_crossover(nu)\n--\n\n");
-static PyObject *py_bessel_crossover(ARGS)
-{
-    double nu;
-    if (PARSE(bessel_crossover, "d", &nu)) return NULL;
-    return value(bessel_crossover(nu));
-}
-
-PyDoc_STRVAR(normalized_bessel_series_doc, "normalized_bessel_series(nu, x)\n--\n\n");
-static PyObject *py_normalized_bessel_series(ARGS)
-{
-    double nu, x;
-    if (PARSE(normalized_bessel_series, "dd", &nu, &x)) return NULL;
-    return value(normalized_bessel_series(nu, x));
-}
-
-PyDoc_STRVAR(bessel_j_asymptotic_doc, "bessel_j_asymptotic(nu, x)\n--\n\n");
-static PyObject *py_bessel_j_asymptotic(ARGS)
-{
-    double nu, x;
-    if (PARSE(bessel_j_asymptotic, "dd", &nu, &x)) return NULL;
-    return value(bessel_j_asymptotic(nu, x));
-}
 
 PyDoc_STRVAR(bessel_j_doc, "bessel_j(nu, x)\n--\n\n");
 static PyObject *py_bessel_j(ARGS)
@@ -593,15 +536,6 @@ static PyObject *py_normalized_bessel_j(ARGS)
     return value(normalized_bessel_j(nu, x));
 }
 
-PyDoc_STRVAR(gauss_series_doc, "gauss_series(a, b, c, z)\n--\n\n");
-static PyObject *py_gauss_series(ARGS)
-{
-    double a, b, c, z, v, err = 0.0;
-    if (PARSE(gauss_series, "dddd", &a, &b, &c, &z) || check_2f1(a, b, c)) return NULL;
-    v = gauss_series(a, b, c, z, &err);
-    return pair(v, err);
-}
-
 PyDoc_STRVAR(hyp2f1_doc, "hyp2f1(a, b, c, z, zc=None)\n--\n\n");
 static PyObject *py_hyp2f1(ARGS)
 {
@@ -615,7 +549,7 @@ static PyObject *py_hyp2f1(ARGS)
     if (n == 5 && args[4] == Py_None) n = 4;
     if (PARSE(hyp2f1, n < 5 ? "dddd" : "ddddd", &a, &b, &c, &z, &zc)) return NULL;
     v = hyp2f1(a, b, c, z, n == 5, zc, &err);
-    return pair(v, err);
+    return PyErr_Occurred() ? NULL : Py_BuildValue("(dd)", v, err);
 }
 
 PyDoc_STRVAR(r_band_core_doc, "r_band_core(mu, nu, xa, ya, za, omt, opt)\n--\n\n");
@@ -654,14 +588,8 @@ static PyObject *py_r_outer(ARGS)
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL | METH_KEYWORDS, name##_doc}
 
 static PyMethodDef methods[] = {
-    ENTRY(log_abs_gamma),
-    ENTRY(sinpi),
-    ENTRY(bessel_crossover),
-    ENTRY(normalized_bessel_series),
-    ENTRY(bessel_j_asymptotic),
     ENTRY(bessel_j),
     ENTRY(normalized_bessel_j),
-    ENTRY(gauss_series),
     ENTRY(hyp2f1),
     ENTRY(r_band_core),
     ENTRY(r_outer_core),
@@ -670,11 +598,13 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-/* The functions that no density integrand calls.  They are not compiled:
-   the module takes _corepy's own at import. */
+/* The functions that Python calls only where speed does not count: the
+   seven that no density integrand calls, and the six helpers above that
+   the kernels call in C.  The module takes _corepy's own at import. */
 static const char *const shared[] = {
     "gammafn", "rgamma", "digamma", "legendre_p", "legendre_q_phase_free",
-    "gegenbauer", "r_gegenbauer_band",
+    "gegenbauer", "r_gegenbauer_band", "log_abs_gamma", "sinpi", "bessel_crossover",
+    "normalized_bessel_series", "bessel_j_asymptotic", "gauss_series",
 };
 
 static struct PyModuleDef module = {

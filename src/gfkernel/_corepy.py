@@ -3,10 +3,11 @@
 Everything here is a pure function of floats returning floats (or a
 (value, err) pair).  ``_core.c`` compiles the functions that the density
 integrands call per node (Bessel J, 2F1, the band and outer kernels) and
-the gamma helpers they use, one-to-one; the compiled module takes the
-others (the ``shared[]`` list of ``_core.c``: the Legendre and Gegenbauer
-functions, ``gammafn``, ``rgamma`` and ``digamma``) from here, so they are
-one source on every build.  Public argument validation
+the helpers they use, one-to-one, and exports the seven kernels Python
+calls; the compiled module takes the other 13 (the ``shared[]`` list of
+``_core.c``: those helpers, the Legendre and Gegenbauer functions,
+``gammafn``, ``rgamma`` and ``digamma``) from here, so they are one source
+on every build.  Public argument validation
 lives in the wrapper modules; this layer only guards against the failure
 modes that appear mid-computation (poles, nonconvergence, degenerate
 connection formulas) and the non-finite arguments a gamma helper cannot

@@ -154,8 +154,6 @@ def _cmd_hankel_check(ns: dict) -> tuple[list[dict], int]:
 
 def _cmd_legendre_check(ns: dict) -> tuple[list[dict], int]:
     ident = ns.get("identity", "P").upper()
-    if ident not in ("P", "Q"):
-        raise DomainError("--identity must be P or Q")
     fn = legendre_p_integral_check if ident == "P" else legendre_q_integral_check
     rep = fn(ns["mu"], ns["nu"], _spec_from(ns))
     return _residual(dict(identity=ident, mu=ns["mu"], nu=ns["nu"]), rep, ns, 1e-6)
@@ -166,8 +164,6 @@ def _cmd_translate(ns: dict) -> tuple[list[dict], int]:
     profile = ns.get("profile", "gaussian")
     width = float(ns.get("width", 1.0))
     profiles = {"gaussian": gaussian_profile, "bump": bump_profile}
-    if profile not in profiles:
-        raise DomainError(f"unknown profile {profile!r} (gaussian or bump)")
     rep = translate_report(p, ns["y"], profiles[profile](width), ns["z"], _spec_from(ns))
     return [dict(k=p.k, a=p.a, y=ns["y"], z=ns["z"], profile=profile, width=width,
                  re=rep.value.real, im=rep.value.imag, quad_err=rep.quad_error)], EXIT_OK

@@ -189,11 +189,9 @@ class _DensityGeometry:
     def of(cls, p: Params, x: float, y: float, middle: bool = False) -> "_DensityGeometry":
         """Delta(x, y, .), or Delta(x, ., y) when middle: coef z^zexp =
         a 2^(mu-2) Gamma(mu+1) z^w / |xyz|^(k-1/2), with a tail unless 2/a
-        is an integer."""
+        is an integer.  Each caller has checked that x and y are finite and
+        nonzero."""
         p.require_macdonald()
-        require_finite(x=x, y=y)
-        if x == 0.0 or y == 0.0:
-            raise DomainError("density integrals need nonzero base points")
         return cls(p.mu_m, p.nu_m, p.a, x, y,
                    _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k),
                    p.w - p.k + 0.5, not p.band_offset_integer, _phase_e2a(p), middle)
@@ -449,6 +447,7 @@ def product_residual(p: Params, lam: float, x: float, y: float,
 def gamma_mass(p: Params, x: float, y: float,
                spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[complex, float]:
     """Total mass of the product measure; equals 1 at every valid point."""
+    require_finite(x=x, y=y)
     if x == 0.0 or y == 0.0:
         return 1.0 + 0.0j, 0.0
     return _product_rhs(p, 0.0, x, y, spec)
@@ -565,9 +564,13 @@ def tv_norm_report(p: Params, x: float, y: float,
     2/a the band is split at its sign breaks (_band_sign_breaks, whose
     _band_terms calls the report counts as break_evaluations, 0 at other
     a), and one the scan misses is a kink inside a piece, which costs nodes
-    but not accuracy.
+    but not accuracy.  At a zero base point the measure is the point mass
+    at the other one, of total variation 1.
     """
     t0 = time.perf_counter()
+    require_finite(x=x, y=y)
+    if x == 0.0 or y == 0.0:
+        return TvReport(1.0, 0.0, time.perf_counter() - t0, 0)
     g = _DensityGeometry.of(p, x, y)
     breaks, n_break = _band_sign_breaks(g) if p.band_offset_integer else ((), 0)
     (b, gp, near, tail), qerr = _gamma_integral(g, spec, lambda Z, z, e, o: (1.0, 1.0),

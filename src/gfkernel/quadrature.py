@@ -474,9 +474,10 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     """∫_lo^∞ g(t) J_order(freq t) dt for smooth g of moderate variation.
 
     The head, lo to the first zero of J_order(freq t) past lo, goes to
-    _gauss_legendre_panels.  At lo = 0 its t^order end is smooth for an
-    integer order; others take more halvings, and below order 0 can get an
-    estimate short of the error.  Each cell past the head, between zeros x_l
+    _gauss_legendre_panels, or at lo = 0 to integrate_singular_band2: there
+    J's t^order end, singular below order 0 and not smooth at a non-integer
+    order, would take the panels many halvings and an estimate short of the
+    error below order 0.  Each cell past the head, between zeros x_l
     and x_(l+1), takes one 16-point rule, and Sidi's W-algorithm
     extrapolates the integrals F(x_l) with the cells as psi(x_l): the mW
     transformation (Sidi, Math. Comp. 51, 1988; Lucas & Stone, J. Comput.
@@ -504,7 +505,12 @@ def integrate_bessel_oscillatory(g: Callable[[float], complex], order: float, fr
     k0 = 0
     while (last_hi := _ladder_to(order, k0 + 1)[k0] / freq) <= lo * (1.0 + 1e-12) + 1e-300:
         k0 += 1
-    total, head_err, evals = _gauss_legendre_panels(f, lo, last_hi, spec)
+    if lo == 0.0:
+        head = integrate_singular_band2(lambda t, dlo, dhi: f(t), lo, last_hi, spec,
+                                        min(order, 0.0))
+        total, head_err, evals = head.value, head.est_error, head.evaluations
+    else:
+        total, head_err, evals = _gauss_legendre_panels(f, lo, last_hi, spec)
     ts, ms, ns, mw, cells = [], [], [], [], []   # 1/x_l, W antidiagonal, mW, |psi| x_l^(1/4)
     for k in range(k0 + 1, k0 + _OSC_MAX_ZEROS):
         hi = _ladder_to(order, k + 1)[k] / freq

@@ -213,6 +213,24 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith("invalid input:") and repr(key) in err
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("legendre-check", "identity", "R"), ("translate", "profile", "circle")])
+    def test_a_value_outside_the_choices_exits_2(self, tmp_path, capsys, command, option, value):
+        # refused by the parser as a flag and by the config check from a
+        # file, before the command runs
+        required = {"legendre-check": {"mu": 0.5, "nu": 0.5},
+                    "translate": {"k": 0.5, "a": 2.0, "y": 1.0, "z": 0.5}}[command]
+        flags = [f for key, val in required.items() for f in (f"--{key}", str(val))]
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{option}", value] + flags)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(required, **{option: value})))
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid input:") and repr(option) in err
+
     def test_config_keys_may_use_flag_spelling(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"identity": "P", "mu": 0.5, "nu": 0.5, "rel-tol": 1e-8}))

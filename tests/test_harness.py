@@ -107,13 +107,27 @@ class TestProductResidual:
         # zero ladder must start there, not spend its budget below it
         assert product_residual(Params(1.0, 5.0), 20.0, 1.0, 1.2, SPEC).rel_residual <= 1e-5
 
-    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.inf)])
+    # the last three next to a zero base point, whose Dirac case needs a
+    # finite partner
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.inf), (0.0, math.nan),
+                                     (math.inf, 0.0), (0.0, -math.inf)])
     def test_non_finite_base_points_rejected(self, x, y):
         for check in (gamma_mass, tv_norm):
             with pytest.raises(DomainError, match="must be finite"):
                 check(P_FRAC, x, y, SPEC)
         with pytest.raises(DomainError, match="must be finite"):
+            product_residual(P_FRAC, 0.7, x, y, SPEC)
+        with pytest.raises(DomainError, match="must be finite"):
             translate(P_FRAC, x, gaussian_profile(1.0), y, SPEC)
+
+    @pytest.mark.parametrize("x,y", [(0.0, 1.3), (-0.8, 0.0), (0.0, 0.0)])
+    def test_dirac_cases_of_mass_and_total_variation(self, x, y):
+        # at a zero base point the product measure is the point mass at the
+        # other one: mass 1, total variation 1, exactly
+        assert gamma_mass(P_FRAC, x, y, SPEC) == (1.0 + 0.0j, 0.0)
+        rep = tv_norm_report(P_FRAC, x, y, SPEC)
+        assert (rep.value, rep.quad_error, rep.break_evaluations) == (1.0, 0.0, 0)
+        assert rep.wall_time >= 0.0
 
     def test_mass_on_grid(self):
         for p in (P_DUNKL, P_FRAC):

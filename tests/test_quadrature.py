@@ -303,8 +303,9 @@ class TestBesselOscillatory:
         assert err.value.partial is not None
 
     def test_head_singularity_is_refused(self):
-        # int_0 J_0(t) / t diverges at 0: the head's panels never agree there
-        with pytest.raises(ConvergenceError, match="in 50 halvings"):
+        # int_0 J_0(t) / t diverges at 0: the head's tanh-sinh levels never
+        # agree there
+        with pytest.raises(ConvergenceError, match="tanh-sinh rule did not converge"):
             integrate_bessel_oscillatory(lambda t: 1.0 / t, 0.0, 1.0, 0.0)
 
     def test_vanishing_integrand(self):
@@ -316,13 +317,18 @@ class TestBesselOscillatory:
     def test_estimate_covers_the_error_of_closed_forms(self):
         # seeded draws of the Laplace transform of J_nu, int e^(-pt) J_nu(ct) dt
         # = c^-nu (s - p)^nu / s = (c / (s + p))^nu / s with s = hypot(p, c),
-        # and of Weber's int J_nu(ct) dt = 1/c, at three tolerances; the
-        # orders keep the head's end at t = 0 smooth or halving-resolved
+        # and of Weber's int J_nu(ct) dt = 1/c, at three tolerances; 48 more
+        # at non-integer orders, 32 of them in (-1, 1), where the head's end
+        # at t = 0 is singular or not smooth.  Orders from about -0.9 down
+        # are left out: there two Newton steps leave the ladder's first zero
+        # off (J_-0.95 is 7e-5 at it), and the tail's error, up to 2.5e-11
+        # on Weber's integral, stands above its estimate at any tolerance.
         specs = (SPEC, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12),
                  QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6))
         rng = random.Random(22)
-        for _ in range(40):
-            nu = rng.choice([0.0, 1.0, 2.0, rng.uniform(1.0, 5.0)])
+        orders = [None] * 40 + [-0.45, -0.3, 0.375, 0.5, 1.5, 2.7] * 8
+        for nu in orders:
+            nu = rng.choice([0.0, 1.0, 2.0, rng.uniform(1.0, 5.0)]) if nu is None else nu
             c = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
             p = math.exp(rng.uniform(math.log(0.05), math.log(5.0))) if rng.random() < 0.7 else 0.0
             s = math.hypot(p, c)

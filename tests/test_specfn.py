@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 
+import mpmath
 import pytest
 from numpy.testing import assert_allclose
 
@@ -38,6 +40,27 @@ class TestLogGamma:
             specfn.log_gamma(-3.0)
 
 
+class TestGamma:
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 5.0, 10.3, 100.7, 170.2,
+                                   -0.5, -1.5, -2.3, -7.7, -20.2, -100.25])
+    def test_against_mpmath(self, x):
+        # exp of log|Gamma|: the rounding of a log of size L costs L ulps
+        with mpmath.workdps(30):
+            want = float(mpmath.gamma(mpmath.mpf(x)))
+        assert_allclose(specfn.gamma(x), want, rtol=2e-16 * max(1.0, abs(math.log(abs(want)))) + 1e-15)
+
+    @pytest.mark.parametrize("x, want", [(200.0, math.inf), (1e-320, math.inf),
+                                         (-1e-320, -math.inf)])
+    def test_overflow_saturates_with_its_sign(self, x, want):
+        with mpmath.workdps(30):
+            assert abs(mpmath.gamma(mpmath.mpf(x))) > sys.float_info.max
+        assert specfn.gamma(x) == want
+
+    def test_pole(self):
+        with pytest.raises(PoleError):
+            specfn.gamma(-3.0)
+
+
 class TestBesselJ:
     def test_at_zero(self):
         assert specfn.bessel_j(0.0, 0.0) == 1.0
@@ -61,11 +84,12 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [-0.4, 0.0, 0.5, 1.7, 4.5])
     def test_crossover_consistency(self, nu):
-        # series and asymptotic paths agree where the switch happens
-        xc = core.bessel_crossover(nu)
-        series = core.normalized_bessel_series(nu, xc)
-        asym = (math.exp(math.lgamma(nu + 1.0) - nu * math.log(0.5 * xc))
-                * core.bessel_j_asymptotic(nu, xc))
+        # series and asymptotic paths agree where the switch happens: the
+        # series up to the crossover, the asymptotic expansion one ulp past it
+        xc = _corepy.bessel_crossover(nu)
+        series = core.normalized_bessel_j(nu, xc)
+        asym = core.normalized_bessel_j(nu, math.nextafter(xc, math.inf))
+        assert series == _corepy.normalized_bessel_series(nu, xc)
         assert_allclose(series, asym, rtol=1e-12)
 
 
@@ -73,6 +97,16 @@ class TestNormalizedBessel:
     @pytest.mark.parametrize("nu", [-0.4, 0.0, 0.5, 1.7, 4.2])
     def test_unit_at_zero(self, nu):
         assert specfn.normalized_bessel_j(nu, 0.0) == 1.0
+
+    @pytest.mark.parametrize("nu", [-1.0, -1.5, -3.0])
+    def test_order_at_or_below_minus_one_refused(self, nu):
+        with pytest.raises(DomainError, match=f"order nu={nu!r} must exceed -1"):
+            specfn.normalized_bessel_j(nu, 1.0)
+
+    @pytest.mark.parametrize("x", [-1e-300, -0.5, -30.0])
+    def test_negative_argument_refused(self, x):
+        with pytest.raises(DomainError, match=f"argument x={x!r} must be nonnegative"):
+            specfn.normalized_bessel_j(0.5, x)
 
     def test_sinc_closed_form(self):
         assert_allclose(specfn.normalized_bessel_j(0.5, 2.0), 0.5 * math.sin(2.0), rtol=1e-14)
@@ -132,7 +166,8 @@ def test_pure_series_bit_pins(nu, x, expected):
 
 @pytest.mark.parametrize("nu, x, expected", _CANCELLING_PINS)
 def test_series_is_correctly_rounded_where_it_cancels(core, nu, x, expected):
-    assert core.normalized_bessel_series(nu, x).hex() == expected
+    # below the crossover normalized_bessel_j is the series
+    assert core.normalized_bessel_j(nu, x).hex() == expected
 
 
 def _exact_sum(nu, x, done):
@@ -249,7 +284,7 @@ class TestHyp2f1:
             d = c - a - b
             if abs(d - round(d)) < 0.05 or abs(a - round(a)) < 1e-6 or abs(b - round(b)) < 1e-6:
                 continue
-            direct, _ = core.gauss_series(a, b, c, z)
+            direct, _ = _corepy.gauss_series(a, b, c, z)
             routed, _ = core.hyp2f1(a, b, c, z)
             assert abs(direct - routed) <= 1e-10 * max(abs(routed), 1.0)
 
