@@ -8,11 +8,12 @@ an identical configuration produces byte-identical files.
 
 Each command is declared once, in ``_COMMANDS``: its help, its required
 float options, its run function and its own extra options.  The parser and
-the missing-option check read that table.  A run function returns its rows
-and its exit code; the keys of the first row, in order, are the output
-columns.  The quadrature flags (``--abs-tol``, ``--rel-tol``,
-``--max-levels``), their types and their defaults are the fields of
-``QuadratureSpec``; only the commands that integrate take them.
+the missing-option check read that table; a call builds the subparser of
+its own command alone.  A run function returns its rows and its exit
+code; the keys of the first row, in order, are the output columns.  The
+quadrature flags (``--abs-tol``, ``--rel-tol``, ``--max-levels``), their
+types and their defaults are the fields of ``QuadratureSpec``; only the
+commands that integrate take them.
 
 Exit codes: 0 all asserted tolerances met, 2 invalid input, 3 numerical
 failure (nonconvergence).
@@ -21,8 +22,6 @@ failure (nonconvergence).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
@@ -49,7 +48,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-_SPEC_FIELDS = dataclasses.fields(QuadratureSpec)
+_SPEC_DEFAULTS = QuadratureSpec._field_defaults
 
 
 def _fmt(v) -> str:
@@ -58,6 +57,8 @@ def _fmt(v) -> str:
 
 def _write_rows(rows: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         # json floats round-trip exactly (repr emits the shortest exact form)
         text = json.dumps(rows, indent=1) + "\n"
     else:
@@ -72,8 +73,7 @@ def _write_rows(rows: list[dict], out: str | None, fmt: str) -> None:
 
 
 def _spec_from(ns: dict) -> QuadratureSpec:
-    return QuadratureSpec(**{f.name: type(f.default)(ns[f.name])
-                             for f in _SPEC_FIELDS if f.name in ns})
+    return QuadratureSpec(**{n: type(d)(ns[n]) for n, d in _SPEC_DEFAULTS.items() if n in ns})
 
 
 def _density_params(ns: dict) -> Params:
@@ -203,9 +203,9 @@ def _axis_opts(n: str) -> tuple:
 
 
 _ASSERT_TOL = (("--assert-tol", dict(type=float, help="exit 3 when rel_residual exceeds it")),)
-_QUAD = tuple(("--" + f.name.replace("_", "-"),
-               dict(type=type(f.default), help=f"QuadratureSpec.{f.name} (default {f.default})"))
-              for f in _SPEC_FIELDS)
+_QUAD = tuple(("--" + n.replace("_", "-"),
+               dict(type=type(d), help=f"QuadratureSpec.{n} (default {d})"))
+              for n, d in _SPEC_DEFAULTS.items())
 
 # name: (help, required float options, run function, extra options)
 _COMMANDS = {
@@ -232,13 +232,15 @@ _COMMANDS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``commands`` (default: every one)."""
     ap = argparse.ArgumentParser(
         prog="gfkernel",
         description=("deformed Fourier kernel evaluation and product-formula "
                      f"verification (backend: {backend_name()})"))
     sp = ap.add_subparsers(dest="command", required=True)
-    for name, (help_, required, _run, extra) in _COMMANDS.items():
+    for name in commands:
+        help_, required, _run, extra = _COMMANDS[name]
         s = sp.add_parser(name, help=help_)
         acts = [s.add_argument("--lambda" if n == "lam" else f"--{n}", dest=n, type=float)
                 for n in required]
@@ -256,8 +258,13 @@ def _merge_config(ns: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config", "actions")}
     merged: dict = {}
     if ns.config:
+        import json
+
         with open(ns.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:      # not JSON, or not UTF-8 text
+                raise DomainError(str(exc)) from exc
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
         for key, val in cfg.items():
@@ -279,7 +286,15 @@ def _merge_config(ns: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command's call is parsed by its own subparser alone; help, no
+    # or an unknown command, and arguments it leaves over go to the full
+    # parser, whose usage and messages name every command
+    ns, rest = None, argv
+    if argv and argv[0] in _COMMANDS:
+        ns, rest = make_parser(argv[:1]).parse_known_args(argv)
+    if ns is None or rest:
+        ns = make_parser().parse_args(argv)
     _help, required, run, _extra = _COMMANDS[ns.command]
     try:
         merged = _merge_config(ns)
@@ -293,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except GfkError as exc:

@@ -24,7 +24,7 @@ as (cos, -sin) pairs and no polar decomposition ever happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._backend import core
 from .errors import DomainError, require_finite
@@ -33,30 +33,35 @@ from .macdonald import MacdonaldOrders, r_kernel
 __all__ = ["Params", "m_const", "b_kernel", "delta_density"]
 
 
-@dataclass(frozen=True)
-class Params:
-    """The (k, a) parameter pair with its derived orders and weight exponent."""
-
+class _Params(NamedTuple):
     k: float
     a: float
-    mu_m: float = field(init=False)
-    nu_m: float = field(init=False)
-    w: float = field(init=False)
+    mu_m: float
+    nu_m: float
+    w: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and math.isfinite(self.a)):
+
+class Params(_Params):
+    """The (k, a) parameter pair with its derived orders and weight exponent."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: float, a: float):
+        if not (math.isfinite(k) and math.isfinite(a)):
             raise DomainError("k and a must be finite")
-        if self.k < 0.0:
-            raise DomainError(f"multiplicity k={self.k!r} must be >= 0")
-        if self.a <= 0.0:
-            raise DomainError(f"deformation a={self.a!r} must be > 0")
-        object.__setattr__(self, "mu_m", (2.0 * self.k - 1.0) / self.a)
-        object.__setattr__(self, "nu_m", (2.0 * self.k + 1.0) / self.a)
-        object.__setattr__(self, "w", 2.0 * self.k + self.a - 2.0)
-        if not self.w > -1.0:
+        if k < 0.0:
+            raise DomainError(f"multiplicity k={k!r} must be >= 0")
+        if a <= 0.0:
+            raise DomainError(f"deformation a={a!r} must be > 0")
+        w = 2.0 * k + a - 2.0
+        if not w > -1.0:
             raise DomainError(
-                f"weight exponent w=2k+a-2={self.w!r} must exceed -1 "
+                f"weight exponent w=2k+a-2={w!r} must exceed -1 "
                 "(Bessel orders (2k+-1)/a must exceed -1)")
+        return super().__new__(cls, k, a, (2.0 * k - 1.0) / a, (2.0 * k + 1.0) / a, w)
+
+    def __getnewargs__(self):
+        return self.k, self.a
 
     @property
     def macdonald_admissible(self) -> bool:

@@ -29,8 +29,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from ._backend import core
 from .errors import DomainError, require_finite
@@ -67,8 +66,7 @@ def _recent(f):
     return functools.lru_cache(maxsize=4)(f)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     lhs: complex
     rhs: complex
     abs_residual: float
@@ -85,25 +83,28 @@ def _report(lhs: complex, rhs: complex, qerr: float, t0: float) -> ResidualRepor
                           time.perf_counter() - t0)
 
 
-@dataclass(frozen=True)
-class TvReport:
+class TvReport(NamedTuple):
     value: float
     quad_error: float
     wall_time: float
     break_evaluations: int   # _band_terms calls of the sign-break search
 
 
-@dataclass(frozen=True)
-class Axis:
-    """One sweep axis: name in {k, a, lambda, x, y}, inclusive range."""
-
+class _Axis(NamedTuple):
     name: str
     min: float
     max: float
     count: int
     spacing: str = "linear"
 
-    def __post_init__(self):
+
+class Axis(_Axis):
+    """One sweep axis: name in {k, a, lambda, x, y}, inclusive range."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.count < 1:
             raise DomainError("axis count must be >= 1")
         if self.count > 1 and not self.min < self.max:
@@ -112,6 +113,7 @@ class Axis:
             raise DomainError(f"axis spacing must be linear or log, got {self.spacing!r}")
         if self.spacing == "log" and self.min <= 0.0:
             raise DomainError("log spacing requires min > 0")
+        return self
 
     def values(self) -> list[float]:
         if self.count == 1:
@@ -124,8 +126,7 @@ class Axis:
         return [self.min + step * i for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     axes: tuple[Axis, ...]
 
     def points(self) -> Iterator[dict[str, float]]:
@@ -189,9 +190,8 @@ class _DensityGeometry:
     def of(cls, p: Params, x: float, y: float, middle: bool = False) -> "_DensityGeometry":
         """Delta(x, y, .), or Delta(x, ., y) when middle: coef z^zexp =
         a 2^(mu-2) Gamma(mu+1) z^w / |xyz|^(k-1/2), with a tail unless 2/a
-        is an integer.  Each caller has checked that x and y are finite and
-        nonzero."""
-        p.require_macdonald()
+        is an integer.  Each caller has checked that p is admissible
+        (Params.require_macdonald) and that x and y are finite and nonzero."""
         return cls(p.mu_m, p.nu_m, p.a, x, y,
                    _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k),
                    p.w - p.k + 0.5, not p.band_offset_integer, _phase_e2a(p), middle)
@@ -448,6 +448,7 @@ def gamma_mass(p: Params, x: float, y: float,
                spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[complex, float]:
     """Total mass of the product measure; equals 1 at every valid point."""
     require_finite(x=x, y=y)
+    p.require_macdonald()
     if x == 0.0 or y == 0.0:
         return 1.0 + 0.0j, 0.0
     return _product_rhs(p, 0.0, x, y, spec)
@@ -569,6 +570,7 @@ def tv_norm_report(p: Params, x: float, y: float,
     """
     t0 = time.perf_counter()
     require_finite(x=x, y=y)
+    p.require_macdonald()
     if x == 0.0 or y == 0.0:
         return TvReport(1.0, 0.0, time.perf_counter() - t0, 0)
     g = _DensityGeometry.of(p, x, y)
@@ -723,17 +725,25 @@ def legendre_q_integral_check(mu: float, nu: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Profile:
-    """A callable with a declared support halfwidth (zero outside it)."""
-
+class _Profile(NamedTuple):
     fn: Callable[[float], float]
     support: float
     name: str = "custom"
+    even: bool = False
 
-    def __post_init__(self):
+
+class Profile(_Profile):
+    """A callable with a declared support halfwidth (zero outside it).
+    even declares fn(-xi) = fn(xi) exactly: translate then forms no odd
+    part and skips the gap, which the odd part alone weights."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.support > 0.0 and math.isfinite(self.support)):
             raise DomainError("test function needs a positive finite support halfwidth")
+        return self
 
     def __call__(self, xi: float) -> float:
         return self.fn(xi) if abs(xi) <= self.support else 0.0
@@ -747,7 +757,7 @@ def gaussian_profile(width: float = 1.0) -> Profile:
     def fn(xi: float) -> float:
         return math.exp(-(xi / width) ** 2)
 
-    return Profile(fn, 9.0 * width, "gaussian")
+    return Profile(fn, 9.0 * width, "gaussian", even=True)
 
 
 def bump_profile(radius: float = 1.0) -> Profile:
@@ -761,11 +771,10 @@ def bump_profile(radius: float = 1.0) -> Profile:
             return 0.0
         return math.exp(1.0 - 1.0 / (1.0 - s))
 
-    return Profile(fn, radius, "bump")
+    return Profile(fn, radius, "bump", even=True)
 
 
-@dataclass(frozen=True)
-class TranslateReport:
+class TranslateReport(NamedTuple):
     value: complex
     quad_error: float
 
@@ -787,7 +796,8 @@ def translate_report(p: Params, y: float, f: Profile, z: float,
     The even terms are weighted by the profile's even part f(xi) + f(-xi),
     the odd terms (and the gap's) by its odd part f(xi) - f(-xi), the tail's
     by the even part.  At each node only the terms of a nonzero part are
-    evaluated, so an even profile never evaluates an odd term.
+    evaluated, so an even profile never evaluates an odd term; one that
+    declares itself even (Profile.even) skips the gap and f(-xi) as well.
 
     At |y|^(a/2) = |z|^(a/2) the band reaches Xi = 0, at t = 1.  There the
     kernel over (|y|^(a/2), |z|^(a/2), Xi) takes its angle complement 1 - t
@@ -797,16 +807,17 @@ def translate_report(p: Params, y: float, f: Profile, z: float,
     if not isinstance(f, Profile):
         raise DomainError("translate needs a Profile with declared support")
     require_finite(y=y, z=z)
+    p.require_macdonald()
     if y == 0.0 or z == 0.0:
         return TranslateReport(complex(f(z if y == 0.0 else y)), 0.0)
     g = _DensityGeometry.of(p, y, z, middle=True)
 
     def weights(Xi, xi, even, odd):
         fp = f(xi)
-        fm = f(-xi)
+        fm = fp if f.even else f(-xi)
         return fp + fm, fp - fm
 
-    (b, gp, near, tail), qerr = _gamma_integral(g, spec, weights,
+    (b, gp, near, tail), qerr = _gamma_integral(g, spec, weights, not f.even,
                                                 cut=math.pow(f.support, g.ha))
     # the tail's one term carries the sign sgn(yz)
     return TranslateReport(complex(b + gp + g.sxy * (near + tail)), qerr)

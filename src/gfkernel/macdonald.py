@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import core
 from .errors import BoundaryTripleError, DomainError
@@ -37,8 +37,7 @@ class Region(enum.Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class TripleGeometry:
+class TripleGeometry(NamedTuple):
     """A positive triple with its region."""
 
     x: float
@@ -47,17 +46,21 @@ class TripleGeometry:
     region: Region
 
 
-@dataclass(frozen=True)
-class MacdonaldOrders:
-    """Order pair of the kernel; both must exceed -1/2."""
-
+class _MacdonaldOrders(NamedTuple):
     mu: float
     nu: float
 
-    def __post_init__(self):
-        if not (self.mu > -0.5 and self.nu > -0.5):
+
+class MacdonaldOrders(_MacdonaldOrders):
+    """Order pair of the kernel; both must exceed -1/2."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu: float, nu: float):
+        if not (mu > -0.5 and nu > -0.5):
             raise DomainError(
-                f"Macdonald orders must exceed -1/2, got mu={self.mu!r}, nu={self.nu!r}")
+                f"Macdonald orders must exceed -1/2, got mu={mu!r}, nu={nu!r}")
+        return super().__new__(cls, mu, nu)
 
 
 def classify(x: float, y: float, z: float) -> TripleGeometry:

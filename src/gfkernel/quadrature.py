@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._backend import core
 from .errors import ConvergenceError, DomainError
@@ -49,28 +48,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances shared by all engines: absolute and relative tolerance,
-    and the tanh-sinh refinement levels.  Immutable and picklable, so
-    tv-sweep hands it to its worker processes as it is."""
-
+class _QuadratureSpec(NamedTuple):
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_levels: int = 12
 
-    def __post_init__(self):
+
+class QuadratureSpec(_QuadratureSpec):
+    """Tolerances shared by all engines: absolute and relative tolerance,
+    and the tanh-sinh refinement levels.  Immutable and picklable, so
+    tv-sweep hands it to its worker processes as it is."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("quadrature tolerances must be positive")
         if self.max_levels < 4:
             raise DomainError("max_levels must be at least 4")
+        return self
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: complex | float
     est_error: float
     evaluations: int

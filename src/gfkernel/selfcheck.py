@@ -8,8 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._backend import core
 from .errors import GfkError
@@ -52,8 +51,7 @@ TV_GOLDEN_MAX = 1.5340381033147308
 TV_GOLDEN_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: str
     description: str
     passed: bool

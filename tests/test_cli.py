@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from gfkernel import cli
 from gfkernel.cli import main, make_parser
 
 
@@ -173,6 +174,16 @@ class TestConfigFile:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[3]) == 5.0
 
+    @pytest.mark.parametrize("text, message", [(b'{"k": 0.5, "a": ', "Expecting value"),
+                                               (b'\xff\xfe{"k": 0.5}', "can't decode")],
+                             ids=["truncated", "not-utf8"])
+    def test_malformed_config_is_invalid_input(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(text)
+        assert main(["eval-kernel", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid input:") and message in err
+
     def test_bad_config(self, capsys):
         code = main(["eval-kernel", "--config", "/nonexistent.json"])
         assert code == 2
@@ -268,6 +279,38 @@ class TestQuadratureFlags:
         assert main(["eval-density", "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "unknown config key 'rel_tol'" in err
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code,) + capsys.readouterr()
+
+
+class TestParserBuild:
+    """A known command's call is parsed by its own subparser; every help
+    text and parser error is still the full parser's."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus", "--k", "1"], ["eval-kernel", "--help"], ["tv-sweep", "-h"],
+        ["eval-kernel", "--k", "one"], ["translate", "--profile", "box"],
+        ["eval-kernel", "--k", "1", "extra"], ["verify-product", "--seed", "3"],
+    ])
+    def test_messages_are_the_full_parsers(self, argv, capsys):
+        assert _exit(main, argv, capsys) == _exit(make_parser().parse_args, argv, capsys)
+
+    def test_a_known_command_builds_its_subparser_alone(self, monkeypatch, capsys):
+        built = []
+        full = cli.make_parser
+
+        def counted(commands=tuple(cli._COMMANDS)):
+            built.append(list(commands))
+            return full(commands)
+
+        monkeypatch.setattr(cli, "make_parser", counted)
+        code, _ = run_cli(["eval-kernel", "--k", "0", "--a", "2", "--lambda", "1", "--x", "1"],
+                          capsys)
+        assert code == 0 and built == [["eval-kernel"]]
 
 
 class TestSweepAndFormats:
@@ -398,10 +441,13 @@ class TestOtherCommands:
 
 
 def test_import_loads_only_what_every_command_needs():
-    # numpy is not a runtime dependency; the process pool and the acceptance
-    # suite are imported by the commands that use them
+    # numpy is not a runtime dependency; the process pool, the acceptance
+    # suite and json are imported by the commands and options that use them,
+    # and the records are named tuples, which need no dataclasses (nor the
+    # inspect it imports)
     code = ("import sys, gfkernel.cli; print(sorted(m for m in "
-            "('numpy', 'concurrent.futures', 'gfkernel.selfcheck') if m in sys.modules))")
+            "('numpy', 'concurrent.futures', 'gfkernel.selfcheck', 'dataclasses', 'inspect', "
+            "'json') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

@@ -129,6 +129,17 @@ class TestProductResidual:
         assert (rep.value, rep.quad_error, rep.break_evaluations) == (1.0, 0.0, 0)
         assert rep.wall_time >= 0.0
 
+    @pytest.mark.parametrize("x,y", [(0.0, 1.3), (-0.8, 0.0), (0.0, 0.0)])
+    def test_dirac_cases_require_admissibility(self, x, y):
+        # mu = -1/2 at (k, a) = (0, 2): refused at a zero base point as at
+        # every other one
+        p = Params(0.0, 2.0)
+        for check in (gamma_mass, tv_norm_report):
+            with pytest.raises(DomainError, match="must exceed -1/2"):
+                check(p, x, y, SPEC)
+        with pytest.raises(DomainError, match="must exceed -1/2"):
+            harness.translate_report(p, x, gaussian_profile(1.0), y, SPEC)
+
     def test_mass_on_grid(self):
         for p in (P_DUNKL, P_FRAC):
             for (x, y) in [(0.4, 0.4), (1.2, 2.5)]:
@@ -651,6 +662,19 @@ class TestTranslate:
         assert 0.0 < rep.quad_error <= 1e-9
         assert harness.translate_report(P_FRAC, 0.0, f, -1.4, SPEC).quad_error == 0.0
 
+    @pytest.mark.parametrize("p, f", [(P_FRAC, gaussian_profile(1.0)),
+                                      (P_FRAC, bump_profile(1.5)),
+                                      (P_DUNKL, gaussian_profile(0.7))])
+    def test_declared_even_profile_keeps_every_bit(self, p, f):
+        # a profile declared even skips the gap, whose odd weight is exactly 0
+        assert f.even
+        undeclared = Profile(f.fn, f.support, f.name)
+        for y, z in [(0.9, 1.4), (0.9, -1.4), (1.3, 0.4), (-0.5, 2.0)]:
+            got = harness.translate_report(p, y, f, z, SPEC)
+            want = harness.translate_report(p, y, undeclared, z, SPEC)
+            assert [v.hex() for v in (got.value.real, got.value.imag, got.quad_error)] == \
+                [v.hex() for v in (want.value.real, want.value.imag, want.quad_error)]
+
     def test_requires_declared_support(self):
         with pytest.raises(DomainError):
             translate(P_DUNKL, 1.0, lambda xi: 1.0, 0.5, SPEC)
@@ -851,11 +875,13 @@ class TestParity:
     def test_translate_evaluates_only_the_weighted_terms(self, piece_counts):
         even, odd = _even_and_odd_parts(self.SHIFTED)
         for f in (gaussian_profile(1.0), even):
-            (nb, b_band, b_outer), (_, g_band, g_outer), (nt, t_band, t_outer) = \
-                piece_counts(lambda: translate(P_FRAC, 0.9, f, 1.4, SPEC))
+            pieces = piece_counts(lambda: translate(P_FRAC, 0.9, f, 1.4, SPEC))
+            (nb, b_band, b_outer), (nt, t_band, t_outer) = pieces[0], pieces[-1]
             assert (b_band, b_outer) == (2 * nb, 0)
-            assert (g_band, g_outer) == (0, 0)            # the gap's term is odd
             assert (t_band, t_outer) == (0, nt)
+            # the gap's term is odd: a profile declared even skips the gap,
+            # an undeclared one walks it without a kernel call
+            assert [g[1:] for g in pieces[1:-1]] == ([] if f.even else [(0, 0)])
         (nb, b_band, _), (ng, _, g_outer), (_, _, t_outer) = \
             piece_counts(lambda: translate(P_FRAC, 0.9, odd, 1.4, SPEC))
         assert b_band == 2 * nb

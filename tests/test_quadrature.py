@@ -1,6 +1,5 @@
 """Quadrature engines: examples, determinism, error paths."""
 
-import dataclasses
 import math
 import random
 import subprocess
@@ -31,7 +30,7 @@ SPEC = QuadratureSpec()
 class TestSpecValidation:
     def test_defaults(self):
         s = QuadratureSpec()
-        assert [f.name for f in dataclasses.fields(s)] == ["abs_tol", "rel_tol", "max_levels"]
+        assert list(QuadratureSpec._fields) == ["abs_tol", "rel_tol", "max_levels"]
         assert s.abs_tol == 1e-10 and s.rel_tol == 1e-9 and s.max_levels == 12
         assert quadrature._OSC_MAX_ZEROS == 200
 
