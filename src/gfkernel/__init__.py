@@ -17,7 +17,7 @@ The scalar hot path has a compiled core with a pure-Python fallback; see
 
 from ._backend import backend_name
 from .genkernel import Params, b_kernel, delta_density, m_const
-from .macdonald import MacdonaldOrders, Region, TripleGeometry, classify, r_kernel, r_kernel_gegenbauer
+from .macdonald import MacdonaldOrders, Region, classify, r_kernel, r_kernel_gegenbauer
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "backend_name",
     "Params", "m_const", "b_kernel", "delta_density",
-    "MacdonaldOrders", "Region", "TripleGeometry", "classify",
+    "MacdonaldOrders", "Region", "classify",
     "r_kernel", "r_kernel_gegenbauer",
     "QuadratureSpec", "IntegralResult",
     "integrate_singular_band", "integrate_power_tail", "integrate_bessel_oscillatory",

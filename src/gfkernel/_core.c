@@ -85,15 +85,6 @@ static int is_nonpositive_integer(double x)
     return r <= 0.0 && fabs(x - r) <= 1e-12;
 }
 
-/* Sign of Gamma(x); raises on poles. */
-static double gamma_sign(double x)
-{
-    if (x > 0.0) return 1.0;
-    if (x == floor(x)) return fail(PoleError, "gamma pole at x=%r", x);
-    /* Gamma alternates sign between consecutive negative integers. */
-    return fmod(floor(-x), 2.0) == 1.0 ? 1.0 : -1.0;
-}
-
 /* log|Gamma(x)| into *ln, and the sign of Gamma(x); pole error at
    nonpositive integers, domain error at NaN and -inf. */
 static double log_abs_gamma(double x, double *ln)
@@ -102,7 +93,8 @@ static double log_abs_gamma(double x, double *ln)
         return fail(DomainError, "gamma argument x=%r must be finite or +inf", x);
     if (x <= 0.0 && x == floor(x)) return fail(PoleError, "gamma pole at x=%r", x);
     *ln = lgamma(x);
-    return gamma_sign(x);
+    /* Gamma alternates sign between consecutive negative integers. */
+    return x > 0.0 || fmod(floor(-x), 2.0) == 1.0 ? 1.0 : -1.0;
 }
 
 /* sin(pi x), exact at integers; domain error at a non-finite x. */

@@ -109,16 +109,6 @@ def is_nonpositive_integer(x):
     return r <= 0 and abs(x - r) <= 1e-12
 
 
-def gamma_sign(x):
-    """Sign of Gamma(x); raises on poles."""
-    if x > 0.0:
-        return 1.0
-    if x == math.floor(x):
-        raise PoleError(f"gamma pole at x={x!r}")
-    # Gamma alternates sign between consecutive negative integers.
-    return 1.0 if (math.floor(-x) % 2 == 1) else -1.0
-
-
 def log_abs_gamma(x):
     """(log|Gamma(x)|, sign); pole error at nonpositive integers, domain
     error at NaN and -inf."""
@@ -126,7 +116,8 @@ def log_abs_gamma(x):
         raise DomainError(f"gamma argument x={x!r} must be finite or +inf")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x={x!r}")
-    return math.lgamma(x), gamma_sign(x)
+    # Gamma alternates sign between consecutive negative integers.
+    return math.lgamma(x), 1.0 if x > 0.0 or math.floor(-x) % 2 == 1 else -1.0
 
 
 def gammafn(x):
@@ -566,21 +557,6 @@ def hyp2f1(a, b, c, z, zc=None):
 # ---------------------------------------------------------------------------
 
 
-def _legendre_poly(n, t):
-    """P_n(t) by the three-term recurrence; n past the term cap raises
-    ConvergenceError."""
-    if n > _NMAX:
-        raise ConvergenceError(
-            f"Legendre recurrence would take {n} terms, past the cap of {_NMAX}")
-    if n == 0:
-        return 1.0
-    pm1 = 1.0
-    p = t
-    for j in range(1, n):
-        pm1, p = p, ((2.0 * j + 1.0) * t * p - j * pm1) / (j + 1.0)
-    return p
-
-
 def _legendre_p0_log(nu, zf, w):
     """Ordinary Legendre P_nu(t) for zf = (1-t)/2 > 1/2, non-integer degree.
 
@@ -636,7 +612,10 @@ def legendre_p(mu, nu, t):
     if abs(mu) < 1e-13:
         r = round(nu)
         if abs(nu - r) < 1e-12 and r >= 0:
-            return _legendre_poly(int(r), t)
+            if r > _NMAX:
+                raise ConvergenceError(
+                    f"Legendre recurrence would take {r} terms, past the cap of {_NMAX}")
+            return gegenbauer(r, 0.5, t)  # P_n = C_n^(1/2)
         if zf <= 0.5:
             val, _ = hyp2f1(nu + 1.0, -nu, 1.0, zf)
             return val
@@ -803,14 +782,17 @@ def r_outer_core(mu, nu, xa, ya, za, u, um1):
             / (_SQRT_HALF_PI3 * math.pow(za, mu)))
 
 
-def r_band(mu, nu, xa, ya, za):
-    """Band value from a raw triple (|xa-ya| < za < xa+ya)."""
+def _band_complements(xa, ya, za):
+    """(1-cos(theta), 1+cos(theta)) of a raw band triple (|xa-ya| < za < xa+ya)."""
     twoxy = 2.0 * xa * ya
     d = xa - ya
-    omt = (za - d) * (za + d) / twoxy
     s = xa + ya
-    opt = (s - za) * (s + za) / twoxy
-    return r_band_core(mu, nu, xa, ya, za, omt, opt)
+    return (za - d) * (za + d) / twoxy, (s - za) * (s + za) / twoxy
+
+
+def r_band(mu, nu, xa, ya, za):
+    """Band value from a raw triple (|xa-ya| < za < xa+ya)."""
+    return r_band_core(mu, nu, xa, ya, za, *_band_complements(xa, ya, za))
 
 
 def r_outer(mu, nu, xa, ya, za):
@@ -825,11 +807,7 @@ def r_gegenbauer_band(mu, n, xa, ya, za):
     """Band value in the integer-offset case nu = mu + n, via C_n^mu."""
     if not math.isfinite(mu):
         raise DomainError(f"Gegenbauer band order must be finite (mu={mu!r})")
-    twoxy = 2.0 * xa * ya
-    d = xa - ya
-    omt = (za - d) * (za + d) / twoxy
-    s = xa + ya
-    opt = (s - za) * (s + za) / twoxy
+    omt, opt = _band_complements(xa, ya, za)
     ct = 1.0 - omt
     if ct < -1.0:
         ct = -1.0

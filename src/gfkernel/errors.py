@@ -46,3 +46,14 @@ def require_finite(**args: float) -> None:
     for name, v in args.items():
         if not math.isfinite(v):
             raise DomainError(f"{name}={v!r} must be finite")
+
+
+def finite_constant(name: str, f) -> float:
+    """f(), or RangeOverflowError naming the constant when it overflows."""
+    try:
+        v = f()
+    except OverflowError:
+        v = math.inf
+    if math.isinf(v):
+        raise RangeOverflowError(f"{name} overflows the double range")
+    return v

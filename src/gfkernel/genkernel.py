@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from ._backend import core
-from .errors import DomainError, require_finite
+from .errors import DomainError, finite_constant, require_finite
 from .macdonald import MacdonaldOrders, r_kernel
 
 __all__ = ["Params", "m_const", "b_kernel", "delta_density"]
@@ -122,7 +122,9 @@ def b_kernel(p: Params, lam: float, x: float) -> complex:
 
 def _delta_prefactor(p: Params) -> float:
     """a 2^(mu_m - 2) Gamma(mu_m + 1), the overall density constant."""
-    return p.a * math.pow(2.0, p.mu_m - 2.0) * math.exp(math.lgamma(p.mu_m + 1.0))
+    return finite_constant(
+        f"density constant a 2^(mu-2) Gamma(mu+1) at mu={p.mu_m!r}",
+        lambda: p.a * math.pow(2.0, p.mu_m - 2.0) * math.exp(math.lgamma(p.mu_m + 1.0)))
 
 
 def _phase_e2a(p: Params) -> complex:
@@ -144,6 +146,7 @@ def delta_density(p: Params, x: float, y: float, z: float) -> complex:
     if x == 0.0 or y == 0.0 or z == 0.0:
         raise DomainError("delta_density requires nonzero x, y, z "
                           "(degenerate base points carry Dirac measures)")
+    const = _delta_prefactor(p)  # before the kernels, so both cores raise its overflow
     even_orders = MacdonaldOrders(p.mu_m, p.mu_m)
     ha = 0.5 * p.a
     xa, ya, za = math.pow(abs(x), ha), math.pow(abs(y), ha), math.pow(abs(z), ha)
@@ -155,5 +158,4 @@ def delta_density(p: Params, x: float, y: float, z: float) -> complex:
     sxz = math.copysign(1.0, x) * math.copysign(1.0, z)
     syz = math.copysign(1.0, y) * math.copysign(1.0, z)
     total = (t1 + _phase_e2a(p) * (sxy * t2)) + complex(sxz * t3 + syz * t4)
-    scale = _delta_prefactor(p) * math.pow(abs(x * y * z), 0.5 - p.k)
-    return scale * total
+    return const * math.pow(abs(x * y * z), 0.5 - p.k) * total

@@ -32,7 +32,7 @@ import time
 from typing import Callable, Iterator, NamedTuple
 
 from ._backend import core
-from .errors import DomainError, require_finite
+from .errors import DomainError, finite_constant, require_finite
 from .genkernel import Params, _delta_prefactor, _phase_e2a, b_kernel, m_const
 from .quadrature import (
     DEFAULT_SPEC,
@@ -619,8 +619,10 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
     g = _hankel_geometry(mu, nu, x, y, t, mu + 1.0)
     lhs = (math.pow(x * y, nu) * math.pow(t, 2.0 * (nu - mu))
            * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(nu, y * t))
-    kfac = math.exp((2.0 * nu - mu) * math.log(2.0)
-                    + 2.0 * math.lgamma(nu + 1.0) - math.lgamma(mu + 1.0))
+    kfac = finite_constant(
+        f"constant 2^(2nu-mu) Gamma(nu+1)^2 / Gamma(mu+1) at mu={mu!r}, nu={nu!r}",
+        lambda: math.exp((2.0 * nu - mu) * math.log(2.0)
+                         + 2.0 * math.lgamma(nu + 1.0) - math.lgamma(mu + 1.0)))
     j_mu = _recent(functools.partial(core.normalized_bessel_j, mu))
     (b, _, near, tail), qerr = _gamma_integral(
         g, spec, lambda Z, z, e, o: (j_mu(Z * t), 0.0), odd=False, osc=t)
@@ -643,7 +645,9 @@ def hankel_identity_eq2(mu: float, nu: float, x: float, y: float, t: float,
            * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(mu, y * t))
     # Gamma(mu + 1) as mu Gamma(mu): math.gamma errs less at the smaller
     # argument; it is 1 to double precision where Gamma(mu) would overflow
-    kfac = math.pow(2.0, mu) * (mu * math.gamma(mu) if abs(mu) > 1e-300 else 1.0)
+    kfac = finite_constant(
+        f"constant 2^mu Gamma(mu+1) at mu={mu!r}",
+        lambda: math.pow(2.0, mu) * (mu * math.gamma(mu) if abs(mu) > 1e-300 else 1.0))
     j_nu = _recent(functools.partial(core.normalized_bessel_j, nu))
     (b, gp, _, _), qerr = _gamma_integral(g, spec, lambda Z, z, e, o: (0.0, j_nu(Z * t)),
                                           cut=g.Z2)
@@ -668,6 +672,11 @@ def legendre_p_integral_check(mu: float, nu: float,
     if not mu > -0.5:
         raise DomainError("legendre_p_integral_check needs mu > -1/2")
     rg = math.exp(-math.lgamma(mu + 0.5))
+    rhs = finite_constant(
+        f"closed form 2^(mu+1/2) Gamma(mu+1/2) / (Gamma(mu-nu+1) Gamma(mu+nu+1)) at "
+        f"mu={mu!r}, nu={nu!r}",
+        lambda: (math.pow(2.0, mu + 0.5) * math.exp(math.lgamma(mu + 0.5))
+                 * core.rgamma(mu - nu + 1.0) * core.rgamma(mu + nu + 1.0)))
 
     def f2(t, dlo, dhi):
         val, _ = core.hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * dhi, zc=0.5 * dlo)
@@ -675,8 +684,6 @@ def legendre_p_integral_check(mu: float, nu: float,
 
     # (1 - t)^(mu - 1/2) at t = 1
     res = integrate_singular_band2(f2, -1.0, 1.0, spec, edge_exponent=mu - 0.5)
-    rhs = (math.pow(2.0, mu + 0.5) * math.exp(math.lgamma(mu + 0.5))
-           * core.rgamma(mu - nu + 1.0) * core.rgamma(mu + nu + 1.0))
     return _report(res.value, rhs, res.est_error, t0)
 
 

@@ -22,7 +22,7 @@ from ._backend import core
 from .errors import BoundaryTripleError, DomainError
 
 __all__ = [
-    "Region", "TripleGeometry", "MacdonaldOrders",
+    "Region", "MacdonaldOrders",
     "classify", "r_kernel", "r_kernel_gegenbauer",
     "DEFAULT_BOUNDARY_EPS",
 ]
@@ -35,15 +35,6 @@ class Region(enum.Enum):
     BAND = "band"
     OUTER = "outer"
     BOUNDARY = "boundary"
-
-
-class TripleGeometry(NamedTuple):
-    """A positive triple with its region."""
-
-    x: float
-    y: float
-    z: float
-    region: Region
 
 
 class _MacdonaldOrders(NamedTuple):
@@ -63,7 +54,7 @@ class MacdonaldOrders(_MacdonaldOrders):
         return super().__new__(cls, mu, nu)
 
 
-def classify(x: float, y: float, z: float) -> TripleGeometry:
+def classify(x: float, y: float, z: float) -> Region:
     """Region of (x, y, z) with the strict inequalities of the kernel.
 
     A triple within DEFAULT_BOUNDARY_EPS*(x+y) of z = |x-y| or z = x+y is
@@ -78,29 +69,35 @@ def classify(x: float, y: float, z: float) -> TripleGeometry:
     d = abs(x - y)
     tol = DEFAULT_BOUNDARY_EPS * s
     if abs(z - d) <= tol or abs(z - s) <= tol:
-        return TripleGeometry(x, y, z, Region.BOUNDARY)
+        return Region.BOUNDARY
     for v in (2.0 * x * y, (z - d) * (z + d), (s - z) * (s + z)):
         if not sys.float_info.min <= abs(v) <= sys.float_info.max:
             raise DomainError(f"triple ({x!r}, {y!r}, {z!r}) is outside the scale at which "
                               "the kernel's angle can be formed")
     if z < d:
-        return TripleGeometry(x, y, z, Region.INNER)
+        return Region.INNER
     if z > s:
-        return TripleGeometry(x, y, z, Region.OUTER)
-    return TripleGeometry(x, y, z, Region.BAND)
+        return Region.OUTER
+    return Region.BAND
+
+
+def _interior_region(x: float, y: float, z: float) -> Region:
+    """classify's region, with BoundaryTripleError on a region boundary."""
+    region = classify(x, y, z)
+    if region is Region.BOUNDARY:
+        raise BoundaryTripleError(
+            f"triple ({x!r}, {y!r}, {z!r}) lies on a region boundary; "
+            "the kernel may diverge there")
+    return region
 
 
 def r_kernel(orders: MacdonaldOrders, x: float, y: float, z: float) -> float:
     """R_{mu,nu}(x, y, z): 0 inside, Legendre-P band value, Legendre-Q outer
     value (identically 0 when nu - mu is an integer)."""
-    geo = classify(x, y, z)
-    if geo.region is Region.BOUNDARY:
-        raise BoundaryTripleError(
-            f"triple ({x!r}, {y!r}, {z!r}) lies on a region boundary; "
-            "the kernel may diverge there")
-    if geo.region is Region.INNER:
+    region = _interior_region(x, y, z)
+    if region is Region.INNER:
         return 0.0
-    if geo.region is Region.OUTER:
+    if region is Region.OUTER:
         return core.r_outer(orders.mu, orders.nu, x, y, z)
     return core.r_band(orders.mu, orders.nu, x, y, z)
 
@@ -115,11 +112,6 @@ def r_kernel_gegenbauer(mu: float, n: int, x: float, y: float, z: float) -> floa
         raise DomainError(f"gegenbauer-case mu={mu!r} must exceed -1/2 and be nonzero")
     if n < 0 or n != int(n):
         raise DomainError(f"gegenbauer-case offset n={n!r} must be a nonnegative integer")
-    geo = classify(x, y, z)
-    if geo.region is Region.BOUNDARY:
-        raise BoundaryTripleError(
-            f"triple ({x!r}, {y!r}, {z!r}) lies on a region boundary; "
-            "the kernel may diverge there")
-    if geo.region is not Region.BAND:
+    if _interior_region(x, y, z) is not Region.BAND:
         return 0.0
     return core.r_gegenbauer_band(mu, int(n), x, y, z)

@@ -79,7 +79,11 @@ def legendre_p(mu: float, nu_deg: float, t: float) -> float:
     """Associated Legendre P^mu_nu(t) on the cut, -1 < t <= 1.
 
     At t = 1 the value is the limit: 1 for mu = 0, 0 for mu < 0; for mu > 0
-    the prefactor diverges and a range error is raised.
+    the prefactor diverges and a range error is raised.  At mu = 0, a
+    non-integer degree and t < 0 the logarithmic connection series cancels
+    as the degree grows: against mpmath over degrees -0.3 to 10.1 and t down
+    to -1 + 1e-6 the error is within 1e-11 max(1, |P|) (7.5e-12 at degree
+    10.1 and t = -0.05, 2e-15 up to degree 2).
     """
     require_finite(mu=mu, nu_deg=nu_deg, t=t)
     return core.legendre_p(mu, nu_deg, t)

@@ -4,6 +4,11 @@ The compiled core is ``src/gfkernel/_core.c``.  When no built
 ``gfkernel._core`` is importable, the ``c_core`` fixture compiles that file
 with the benchmark's flags (plus -Wall -Wextra -Werror) into a temporary
 directory, never into ``src/``, so the default backend stays as it is.
+
+A build (``setup.py build``) copies ``src/gfkernel/*.py`` next to the
+compiled core, and ``PYTHONPATH=<build lib>:src`` imports the whole package
+from there.  The session stops at its start when any module there differs
+from ``src/gfkernel/``, so no run tests an edit it does not import.
 """
 
 import importlib.util
@@ -16,7 +21,25 @@ import pytest
 
 from gfkernel import _corepy
 
-CORE_C = Path(__file__).resolve().parents[1] / "src" / "gfkernel" / "_core.c"
+SRC = Path(__file__).resolve().parents[1] / "src" / "gfkernel"
+CORE_C = SRC / "_core.c"
+
+
+def pytest_sessionstart(session):
+    """Stop when gfkernel is imported from a build whose modules are stale."""
+    pkg = Path(_corepy.__file__).resolve().parent
+    if pkg == SRC:
+        return
+
+    def content(path):
+        return path.read_bytes() if path.is_file() else None
+
+    names = {f.name for f in [*SRC.glob("*.py"), *pkg.glob("*.py")]}
+    stale = sorted(n for n in names if content(SRC / n) != content(pkg / n))
+    if stale:
+        pytest.exit(f"gfkernel is imported from {pkg}, whose modules differ from {SRC}: "
+                    f"{', '.join(stale)}; rebuild it (python setup.py build) before testing",
+                    returncode=pytest.ExitCode.USAGE_ERROR)
 
 
 @pytest.fixture(scope="session")

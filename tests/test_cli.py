@@ -132,6 +132,15 @@ class TestVerifyProduct:
         assert code == 2
         assert "mu=(2k-1)/a must exceed -1/2" in err
 
+    def test_overflowing_density_constant_is_invalid_input(self, capsys):
+        # mu = 172: Gamma(mu + 1) overflows, which used to escape as an untyped
+        # OverflowError (a traceback, exit 1)
+        code = main(["verify-product", "--k", "86.5", "--a", "1", "--lambda", "0.7",
+                     "--x", "0.8", "--y", "1.1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and "density constant" in err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gfkernel import Params, _corepy, b_kernel, genkernel, harness, macdonald, quadrature
-from gfkernel.errors import DegenerateParameterError, DomainError, GfkError
+from gfkernel.errors import DegenerateParameterError, DomainError, GfkError, RangeOverflowError
 from gfkernel.harness import (
     Axis,
     SweepGrid,
@@ -605,6 +605,34 @@ class TestLegendreIdentityChecks:
     def test_second_kind_convergence_gate(self):
         with pytest.raises(DomainError, match="tail exponent"):
             legendre_q_integral_check(1.2, 0.6, SPEC)
+
+
+P_LARGE = Params(86.5, 1.0)  # mu = 172, where Gamma(mu + 1) overflows
+
+
+class TestLargeOrders:
+    """A constant that overflows the double range is a typed error naming it."""
+
+    @pytest.mark.parametrize("call, constant", [
+        (lambda: product_residual(P_LARGE, 0.7, 0.8, 1.1), "density constant"),
+        (lambda: gamma_mass(P_LARGE, 0.8, 1.1), "density constant"),
+        (lambda: tv_norm(P_LARGE, 0.8, 1.1), "density constant"),
+        (lambda: translate(P_LARGE, 0.8, gaussian_profile(), 1.1), "density constant"),
+        (lambda: hankel_identity_eq1(200.0, 200.5, 0.8, 1.1, 0.7), r"2\^\(2nu-mu\)"),
+        (lambda: hankel_identity_eq2(200.0, 200.5, 0.8, 1.1, 0.7), r"2\^mu Gamma\(mu\+1\)"),
+        (lambda: legendre_p_integral_check(200.0, 0.5), "closed form"),
+    ], ids=["product", "mass", "tv", "translate", "hankel1", "hankel2", "legendre-p"])
+    def test_entry_points(self, call, constant):
+        with pytest.raises(RangeOverflowError, match=constant + ".* overflows the double range"):
+            call()
+
+    @pytest.mark.parametrize("z", [1.5, 5.0], ids=["band", "inner"])
+    def test_density_forms_its_constant_first_on_either_core(self, core, monkeypatch, z):
+        # the pure core's band kernel used to overflow in Gamma(mu + 1/2)
+        # first, while the compiled one returned and the constant overflowed
+        monkeypatch.setattr(macdonald, "core", core)
+        with pytest.raises(RangeOverflowError, match="density constant .* at mu=172.0"):
+            genkernel.delta_density(P_LARGE, 0.8, 1.1, z)
 
 
 class TestTranslate:

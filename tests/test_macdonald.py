@@ -15,17 +15,17 @@ HALF = MacdonaldOrders(0.5, 0.5)
 
 class TestClassify:
     def test_inner(self):
-        assert classify(3.0, 1.0, 1.5).region is Region.INNER
+        assert classify(3.0, 1.0, 1.5) is Region.INNER
 
     def test_band_equilateral(self):
-        assert classify(1.0, 1.0, 1.0).region is Region.BAND
+        assert classify(1.0, 1.0, 1.0) is Region.BAND
 
     def test_outer(self):
-        assert classify(1.0, 1.0, 3.0).region is Region.OUTER
+        assert classify(1.0, 1.0, 3.0) is Region.OUTER
 
     def test_boundary_bands(self):
-        assert classify(1.0, 1.0, 2.0).region is Region.BOUNDARY
-        assert classify(2.0, 1.0, 1.0 + 1e-15).region is Region.BOUNDARY
+        assert classify(1.0, 1.0, 2.0) is Region.BOUNDARY
+        assert classify(2.0, 1.0, 1.0 + 1e-15) is Region.BOUNDARY
 
     def test_positivity(self):
         with pytest.raises(DomainError):

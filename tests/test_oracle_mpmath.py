@@ -25,6 +25,16 @@ relative to max(|R|, P), P the value with the polynomial replaced by 1, so
 that a zero of R inside the band asks for no more than the rounding of its
 terms.  The tolerance is 1e-13.
 
+Legendre P at mu = 0, a non-integer degree and t < 0, where ``legendre_p``
+sums the logarithmic connection series: degrees -0.3 to 10.1 and t down to
+-1 + 1e-6, within 1e-11 of max(1, |P|), the accuracy ``specfn.legendre_p``
+states.  The series cancels as the degree grows (7.5e-12 at nu = 10.1,
+t = -0.05; 1.9e-11 relative at t = -0.1).
+
+Digamma at x < 0, by reflection: a seeded sweep of (-12, 0) and points
+1e-12..1e-1 from each integer, within 4 eps max(1, |x|) / d of max(1, |psi|),
+d the distance to the nearest integer.
+
 """
 
 import math
@@ -177,3 +187,43 @@ def test_band_kernel_at_integer_offsets_against_mpmath(core, mu, nu):
         if err > _BAND_RTOL:
             bad.append((args, err))
     assert not bad, f"{len(bad)} of {_BAND_POINTS} points outside tolerance, e.g. {bad[:3]}"
+
+
+# the degrees -0.3, -0.1, ..., 10.1 (none an integer), and t down to
+# -1 + 1e-6, with the two points where the log series cancels most named
+_LOG_DEGREES = [round(-0.3 + 0.2 * i, 10) for i in range(53)]
+_LOG_TS = [-1e-3, -0.05, -0.1, -0.2, -0.3, -0.5, -0.7, -0.9, -0.99, -0.9999, -1.0 + 1e-6]
+_LOG_TOL = 1e-11  # specfn.legendre_p's stated accuracy, relative to max(1, |P|)
+
+
+def test_legendre_log_series_against_mpmath():
+    assert 10.1 in _LOG_DEGREES and {-0.1, -0.5} <= set(_LOG_TS)
+    bad = []
+    with mpmath.workdps(40):
+        for nu in _LOG_DEGREES:
+            for t in _LOG_TS:
+                ref = mpmath.legenp(nu, 0, t)
+                err = float(abs(_corepy.legendre_p(0.0, nu, t) - ref) / max(1, abs(ref)))
+                if err > _LOG_TOL:
+                    bad.append((nu, t, err))
+    assert not bad, f"{len(bad)} points outside tolerance, e.g. {bad[:3]}"
+
+
+def test_digamma_reflection_against_mpmath():
+    # psi(x) = psi(1 - x) - pi cot(pi x) for x < 0: tan takes pi x rounded,
+    # so the error grows like eps |x| / d, d the distance to the nearest
+    # integer; measured within 4 eps max(1, |x|) / d of max(1, |psi|)
+    rng = random.Random(20261)
+    xs = [-rng.uniform(0.0, 12.0) for _ in range(1000)]
+    xs += [-k + s * 10.0 ** -e for k in range(12) for s in (1, -1) for e in (1, 4, 9, 12)]
+    bad = []
+    with mpmath.workdps(40):
+        for x in xs:
+            if x >= 0.0:
+                continue
+            ref = mpmath.digamma(x)
+            tol = 2.0 ** -50 * max(1.0, abs(x)) / abs(x - round(x))
+            err = float(abs(_corepy.digamma(x) - ref) / max(1, abs(ref)))
+            if err > tol:
+                bad.append((x, err, tol))
+    assert not bad, f"{len(bad)} points outside tolerance, e.g. {bad[:3]}"

@@ -84,6 +84,27 @@ class TestEdgeExponent:
         assert integrate_singular_band2(f, -1.0, 2.0, edge_exponent=self.P_SWITCH - 1e-9) != \
             integrate_singular_band2(f, -1.0, 2.0)
 
+    def test_failure_carries_the_halves_partial(self):
+        # A, 1 below the midpoint, converges on both halves (to 0 on the
+        # right); B, sin(200 x) above it, makes the right half fail and is 0
+        # on the left.  The failure of A + B carries A's left half plus B's
+        # partial right half, bit for bit.
+        spec = QuadratureSpec(max_levels=4)
+
+        def run(a, b):
+            def f2(x, dlo, dhi):
+                g = a if x < 0.5 else (b * math.sin(200.0 * x) if x > 0.5 else 0.0)
+                return g * (dlo * dhi) ** -0.99
+            return integrate_singular_band2(f2, 0.0, 1.0, spec, edge_exponent=-0.99)
+
+        left = run(1.0, 0.0).value
+        with pytest.raises(ConvergenceError) as right:
+            run(0.0, 1.0)
+        with pytest.raises(ConvergenceError, match="edge exponent -0.99") as both:
+            run(1.0, 1.0)
+        assert right.value.partial is not None and right.value.partial != 0.0
+        assert both.value.partial == left + right.value.partial
+
     @pytest.mark.parametrize("p", [-1.0, -2.0, math.nan])
     def test_exponent_must_exceed_minus_one(self, p):
         with pytest.raises(DomainError, match="edge_exponent"):

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from gfkernel import IntegralResult, MacdonaldOrders, Params, QuadratureSpec, TripleGeometry
+from gfkernel import IntegralResult, MacdonaldOrders, Params, QuadratureSpec
 from gfkernel.errors import DomainError
 from gfkernel.harness import (
     Axis,
@@ -17,13 +17,12 @@ from gfkernel.harness import (
     TvReport,
     gaussian_profile,
 )
-from gfkernel.macdonald import Region
 from gfkernel.selfcheck import CriterionResult
 
 AXIS = Axis("x", 0.1, 10.0, 9, "log")
 RECORDS = [
     QuadratureSpec(), IntegralResult(1.0, 0.0, 3), Params(0.75, 4.0 / 3.0),
-    MacdonaldOrders(0.125, 1.625), TripleGeometry(1.0, 1.2, 0.5, Region.BAND),
+    MacdonaldOrders(0.125, 1.625),
     AXIS, SweepGrid((AXIS, AXIS)), gaussian_profile(1.0),
     ResidualReport(1j, 1j, 0.0, 0.0, 0.0, 0.0), TvReport(1.0, 0.0, 0.0, 0),
     TranslateReport(1j, 0.0), CriterionResult("c01", "stub", True, "ok", 0.5),
