@@ -1,7 +1,7 @@
 /* The hot scalar kernels of gfkernel._corepy, compiled: the seven that
    Python calls per quadrature node (Bessel J and its normalized form, 2F1,
    the band and outer kernels R) or times as a kernel probe (r_band), by
-   the same algorithms, raising the same errors, as a CPython extension.
+   the same algorithms, as a CPython extension.
    The helpers they call (the series and asymptotic Bessel sums, the Gauss
    series, log_abs_gamma, sinpi) are compiled as static functions only.
    The module takes every other name of _corepy (listed in shared[] below)
@@ -17,16 +17,17 @@
    Build with -ffp-contract=off: the double-double loop's bound relies on
    exact IEEE multiply and add rounding, which fused contraction breaks.
 
-   A kernel that fails sets the Python exception (the gfkernel.errors class
-   and the message _corepy raises) and returns -1.0.  -1.0 is also a valid
-   value, so a caller tests PyErr_Occurred() after each call that can fail;
-   calls whose errors an earlier check excludes go untested.  fail() keeps
-   an exception already set, so the first error is the one reported. */
+   Every failure is the pure core's.  A kernel here that cannot give a
+   finite value returns NaN: it keeps each check that decides between a
+   value and a failure, and the NaN propagates through its callers (a
+   return that would hide it tests for it first).  Its entry point then
+   returns what the _corepy function of the same name gives for the same
+   arguments, its value or its error.  So this file holds no error class
+   and no message, and a finite value is the only outcome it decides. */
 
 #define PY_SSIZE_T_CLEAN
-#include <Python.h>  /* with stdio.h and string.h */
+#include <Python.h>
 #include <math.h>
-#include <stdarg.h>
 
 /* the doubles _corepy computes for these at import */
 #define PI 0x1.921fb54442d18p+1
@@ -38,40 +39,6 @@
 #define SPLITTER 134217729.0  /* 2^27 + 1, Dekker split constant */
 #define BESSEL_TERMS 600
 #define NMAX 4000  /* terms of the Gauss loop, and the cap of the terminating sums */
-
-static PyObject *ConvergenceError, *DegenerateParameterError, *DomainError,
-    *PoleError, *RangeOverflowError;
-
-/* Set exception cls with message fmt, where %r takes a double and writes its
-   repr, and %d takes an integer-valued double and writes it in full (as
-   Python prints the int).  Returns -1.0. */
-static double fail(PyObject *cls, const char *fmt, ...)
-{
-    char buf[1024], *s;
-    size_t k = 0, m;
-    va_list ap;
-    va_start(ap, fmt);
-    for (; *fmt && k < sizeof buf - 1; fmt++) {
-        if (*fmt != '%') {
-            buf[k++] = *fmt;
-            continue;
-        }
-        fmt++;
-        s = PyOS_double_to_string(va_arg(ap, double), *fmt == 'r' ? 'r' : 'f', 0,
-                                  *fmt == 'r' ? Py_DTSF_ADD_DOT_0 : 0, NULL);
-        if (s == NULL) break;
-        m = strlen(s);
-        if (m > sizeof buf - 1 - k) m = sizeof buf - 1 - k;
-        memcpy(buf + k, s, m);
-        k += m;
-        PyMem_Free(s);
-    }
-    va_end(ap);
-    buf[k] = '\0';
-    if (!PyErr_Occurred())
-        PyErr_SetString(cls, buf);
-    return -1.0;
-}
 
 /* ---- gamma-family helpers ---- */
 
@@ -85,25 +52,20 @@ static int is_nonpositive_integer(double x)
     return r <= 0.0 && fabs(x - r) <= 1e-12;
 }
 
-/* log|Gamma(x)| into *ln, and the sign of Gamma(x); pole error at
-   nonpositive integers, domain error at NaN and -inf. */
+/* log|Gamma(x)| into *ln, and the sign of Gamma(x); NaN at NaN, -inf and
+   the poles, the nonpositive integers. */
 static double log_abs_gamma(double x, double *ln)
 {
-    if (!(x > -INFINITY))
-        return fail(DomainError, "gamma argument x=%r must be finite or +inf", x);
-    if (x <= 0.0 && x == floor(x)) return fail(PoleError, "gamma pole at x=%r", x);
+    if (!(x > -INFINITY) || (x <= 0.0 && x == floor(x))) return NAN;
     *ln = lgamma(x);
     /* Gamma alternates sign between consecutive negative integers. */
     return x > 0.0 || fmod(floor(-x), 2.0) == 1.0 ? 1.0 : -1.0;
 }
 
-/* sin(pi x), exact at integers; domain error at a non-finite x. */
+/* sin(pi x), exact at integers; NaN at a non-finite x, where x - r is NaN. */
 static double sinpi(double x)
 {
-    double r, s;
-    if (!isfinite(x)) return fail(DomainError, "sinpi argument x=%r must be finite", x);
-    r = rint(x);
-    s = sin(PI * (x - r));
+    double r = rint(x), s = sin(PI * (x - r));
     return fmod(r, 2.0) == 0.0 ? s : -s;
 }
 
@@ -134,7 +96,7 @@ static double exact_bessel_series(double nu, double x)
 {
     PyObject *r = PyObject_CallFunction(exact_series, "dd", nu, x);
     double v;
-    if (r == NULL) return -1.0;
+    if (r == NULL) return NAN;  /* the entry's deferral raises its error again */
     v = PyFloat_AsDouble(r);
     Py_DECREF(r);
     return v;
@@ -155,9 +117,7 @@ static double normalized_bessel_series(double nu, double x)
     double th = 1.0, tl = 0.0, sh = 1.0, sl = 0.0, mag = 1.0;
     double fn, ah, bb, al, dh, dl, ahh, ahl, vh, vl, p, uh, ul, pl, q1, q2, rh, rl, r, rho, err;
     int n;
-    if (!(nu > -1.0 && nu < INFINITY && isfinite(x)))
-        return fail(DomainError, "normalized Bessel series needs a finite order nu > -1 and "
-                    "a finite x (nu=%r, x=%r)", nu, x);
+    if (!(nu > -1.0 && nu < INFINITY && isfinite(x))) return NAN;
     /* q = -two_prod(half, half), the sign building in the alternation, and
        the split of qh that every two_prod(th, qh) below reuses */
     t = SPLITTER * half;
@@ -308,8 +268,7 @@ static double gauss_series(double a, double b, double c, double z, double *err)
             return s;
         }
     }
-    return fail(ConvergenceError, "2F1 series did not converge (a=%r, b=%r, c=%r, z=%r)",
-                a, b, c, z);
+    return NAN;  /* not converged in NMAX terms */
 }
 
 static double terminating_series(double a, double b, double c, double z, long nterms,
@@ -328,31 +287,25 @@ static double terminating_series(double a, double b, double c, double z, long nt
     *err = 1e-16 * abssum;
     /* no digit is known when the rounding bound exceeds both the sum and the
        first term, 1 (an exact zero of a short polynomial stays a value) */
-    if (!(isfinite(s) && (*err < fabs(s) || *err < 1.0)))
-        return fail(ConvergenceError, "terminating 2F1 series lost every digit to "
-                    "cancellation (a=%r, b=%r, c=%r, z=%r)", a, b, c, z);
-    return s;
+    return isfinite(s) && (*err < fabs(s) || *err < 1.0) ? s : NAN;
 }
 
-/* Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)), 0.0 when a denominator poles. */
+/* Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)), 0.0 when a denominator poles;
+   NaN at a numerator pole, a failed log_abs_gamma before the denominator
+   pole, or an overflow. */
 static double gamma_ratio(double n1, double n2, double d1, double d2)
 {
     const double v[4] = {n1, n2, d1, d2};
     double ln = 0.0, sign = 1.0, l = 0.0, s;
     int i;
     for (i = 0; i < 4; i++) {
-        if (is_nonpositive_integer(v[i])) {
-            if (i < 2) return fail(PoleError, "gamma pole at %r in coefficient", v[i]);
-            return 0.0;
-        }
+        if (is_nonpositive_integer(v[i])) return i < 2 ? NAN : 0.0;
         s = log_abs_gamma(v[i], &l);
-        if (PyErr_Occurred()) return -1.0;
+        if (isnan(s)) return s;
         ln = i < 2 ? ln + l : ln - l;
         sign *= s;
     }
-    if (ln > LOG_MAX)
-        return fail(RangeOverflowError, "gamma ratio overflow in 2F1 connection formula");
-    return sign * exp(ln);
+    return ln > LOG_MAX ? NAN : sign * exp(ln);
 }
 
 /* 2F1(a, b; c; z) for z in [0, 1): the value, and its error in *err.  With
@@ -364,13 +317,10 @@ static double hyp2f1(double a, double b, double c, double z, int has_zc, double 
                      double *err)
 {
     const double par[2] = {a, b};
-    double nterms = -1.0, w, d, f1, e1, f2, e2, c1, g2, pw, c2;
+    double nterms = -1.0, w, d, f1, e1, f2, e2, c1, g2, c2;
     int i;
     *err = 0.0;
-    if (!(isfinite(a) && isfinite(b) && isfinite(c)))
-        return fail(DomainError, "2F1 parameters must be finite (a=%r, b=%r, c=%r)", a, b, c);
-    if (is_nonpositive_integer(c))
-        return fail(PoleError, "2F1 parameter c=%r is a nonpositive integer", c);
+    if (!(isfinite(a) && isfinite(b) && isfinite(c)) || is_nonpositive_integer(c)) return NAN;
     if (z == 0.0) return 1.0;
     if (z < 0.0) {
         /* tolerate roundoff from complement arithmetic at region edges */
@@ -378,36 +328,23 @@ static double hyp2f1(double a, double b, double c, double z, int has_zc, double 
             *err = 1e-12;
             return 1.0;
         }
-        return fail(DomainError, "2F1 argument z=%r outside [0, 1)", z);
+        return NAN;
     }
-    if (z >= 1.0 && !(has_zc && zc > 0.0))
-        return fail(DomainError, "2F1 argument z=%r outside [0, 1)", z);
+    if (z >= 1.0 && !(has_zc && zc > 0.0)) return NAN;
     for (i = 0; i < 2 && nterms < 0.0; i++)
         if (is_nonpositive_integer(par[i])) nterms = -rint(par[i]);
-    if (nterms > NMAX)
-        return fail(ConvergenceError, "terminating 2F1 series would take %d terms, past the "
-                    "cap of %d (a=%r, b=%r, c=%r)", nterms, (double)NMAX, a, b, c);
+    if (nterms > NMAX) return NAN;
     if (nterms >= 0.0) return terminating_series(a, b, c, z, (long)nterms, err);
     if (z <= 0.5) return gauss_series(a, b, c, z, err);
     w = has_zc ? zc : 1.0 - z;
     d = c - a - b;
-    if (fabs(d - rint(d)) < 1e-8)
-        return fail(DegenerateParameterError,
-                    "2F1 connection formula degenerate: c-a-b=%r is (near) an integer", d);
+    if (fabs(d - rint(d)) < 1e-8) return NAN;  /* degenerate connection formula */
     f1 = gauss_series(a, b, a + b - c + 1.0, w, &e1);
-    if (PyErr_Occurred()) return -1.0;
     f2 = gauss_series(c - a, c - b, d + 1.0, w, &e2);
-    if (PyErr_Occurred()) return -1.0;
     c1 = gamma_ratio(c, d, c - a, c - b);
-    if (PyErr_Occurred()) return -1.0;
     g2 = gamma_ratio(c, -d, a, b);
-    if (PyErr_Occurred()) return -1.0;
-    pw = pow(w, d);
-    /* where math.pow raises OverflowError */
-    if (isinf(pw) && isfinite(w) && w != 0.0 && isfinite(d))
-        return fail(RangeOverflowError, "(1-z)^(c-a-b) overflow in 2F1 connection formula "
-                    "(1-z=%r, c-a-b=%r)", w, d);
-    c2 = g2 * pw;
+    /* an overflowed (1-z)^(c-a-b) leaves the value infinite or NaN */
+    c2 = g2 * pow(w, d);
     *err = fabs(c1) * e1 + fabs(c2) * e2 + 2e-16 * (fabs(c1 * f1) + fabs(c2 * f2));
     return c1 * f1 + c2 * f2;
 }
@@ -422,13 +359,11 @@ static double r_band_core(double mu, double nu, double xa, double ya, double za,
 {
     double err, f;
     int euler = is_nonpositive_integer(mu - nu);
-    if (!(isfinite(mu) && isfinite(nu)))
-        return fail(DomainError, "Macdonald orders must be finite (mu=%r, nu=%r)", mu, nu);
+    /* a non-finite order gives the 2F1 a non-finite parameter, and f NaN */
     if (euler)
         f = hyp2f1(mu - nu, mu + nu, mu + 0.5, 0.5 * omt, 1, 0.5 * opt, &err);
     else
         f = hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * omt, 1, 0.5 * opt, &err);
-    if (PyErr_Occurred()) return -1.0;
     if (euler) f *= pow(0.5 * opt, mu - 0.5);
     return (pow(xa * ya, mu - 1.0) * pow(omt, mu - 0.5) * f
             / (SQRT_2PI * pow(za, mu) * exp(lgamma(mu + 0.5))));
@@ -441,17 +376,17 @@ static double r_outer_core(double mu, double nu, double xa, double ya, double za
                            double u, double um1)
 {
     double delta = nu - mu, sd, ln_u, z, zc, f, err, lgd = 0.0, sgd, coef;
-    if (!(isfinite(mu) && isfinite(nu)))
-        return fail(DomainError, "Macdonald orders must be finite (mu=%r, nu=%r)", mu, nu);
     if (fabs(delta - rint(delta)) <= 1e-12) return 0.0;
+    /* NaN for a non-finite order, or finite ones whose difference
+       overflows, before the underflow return below can hide it */
     sd = sinpi(mu - nu);
+    if (isnan(sd)) return sd;
     ln_u = (delta + 1.0) * log(u);
     if (ln_u > LOG_MAX)
         return 0.0;  /* value underflows: u^-(nu-mu+1) below double range */
     z = 1.0 / (u * u);
     zc = um1 * (u + 1.0) * z;
     f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, 1, zc, &err);
-    if (PyErr_Occurred()) return -1.0;
     sgd = log_abs_gamma(delta + 1.0, &lgd);
     coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * LOG_2);
     return (sd * pow(xa * ya, mu - 1.0) * SQRT_PI * coef * f
@@ -503,21 +438,42 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
     return 0;
 }
 
-static PyObject *value(double v)
+/* gfkernel._corepy, taken at import */
+static PyObject *corepy;
+
+/* What _corepy's name() returns for the entry's arguments: its value, or its
+   error.  An error the exact Bessel sum left pending is dropped, as that
+   call raises it again; an interrupt (no Exception) is kept. */
+static PyObject *defer(const char *name, PyObject *const *args, Py_ssize_t n, PyObject *kw)
 {
-    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(v);
+    PyObject *fn, *r;
+    if (PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_Exception)) return NULL;
+        PyErr_Clear();
+    }
+    if ((fn = PyObject_GetAttrString(corepy, name)) == NULL) return NULL;
+    r = PyObject_Vectorcall(fn, args, n, kw);
+    Py_DECREF(fn);
+    return r;
+}
+
+static PyObject *value(double v, const char *name, PyObject *const *args, Py_ssize_t n,
+                       PyObject *kw)
+{
+    return isfinite(v) ? PyFloat_FromDouble(v) : defer(name, args, n, kw);
 }
 
 #define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n, PyObject *kw
 #define PARSE(name, fmt, ...) \
     parse(args, n, kw, #name, fmt, (double *const[]){__VA_ARGS__})
+#define VALUE(name, v) value(v, #name, args, n, kw)
 
 PyDoc_STRVAR(bessel_j_doc, "bessel_j(nu, x)\n--\n\n");
 static PyObject *py_bessel_j(ARGS)
 {
     double nu, x;
     if (PARSE(bessel_j, "dd", &nu, &x)) return NULL;
-    return value(bessel_j(nu, x));
+    return VALUE(bessel_j, bessel_j(nu, x));
 }
 
 PyDoc_STRVAR(normalized_bessel_j_doc, "normalized_bessel_j(nu, x)\n--\n\n");
@@ -525,23 +481,28 @@ static PyObject *py_normalized_bessel_j(ARGS)
 {
     double nu, x;
     if (PARSE(normalized_bessel_j, "dd", &nu, &x)) return NULL;
-    return value(normalized_bessel_j(nu, x));
+    return VALUE(normalized_bessel_j, normalized_bessel_j(nu, x));
 }
 
 PyDoc_STRVAR(hyp2f1_doc, "hyp2f1(a, b, c, z, zc=None)\n--\n\n");
 static PyObject *py_hyp2f1(ARGS)
 {
     double a, b, c, z, zc = 0.0, v, err = 0.0;
+    Py_ssize_t m = n;
+    PyObject *k = kw;
     /* zc, by position or keyword: a fifth double, or None for none */
     if (n == 4 && kw != NULL && PyTuple_GET_SIZE(kw) == 1
         && PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kw, 0), "zc") == 0) {
-        n = 5;
-        kw = NULL;
+        m = 5;
+        k = NULL;
     }
-    if (n == 5 && args[4] == Py_None) n = 4;
-    if (PARSE(hyp2f1, n < 5 ? "dddd" : "ddddd", &a, &b, &c, &z, &zc)) return NULL;
-    v = hyp2f1(a, b, c, z, n == 5, zc, &err);
-    return PyErr_Occurred() ? NULL : Py_BuildValue("(dd)", v, err);
+    if (m == 5 && args[4] == Py_None) m = 4;
+    if (parse(args, m, k, "hyp2f1", m < 5 ? "dddd" : "ddddd",
+              (double *const[]){&a, &b, &c, &z, &zc}))
+        return NULL;
+    v = hyp2f1(a, b, c, z, m == 5, zc, &err);
+    if (!(isfinite(v) && isfinite(err))) return defer("hyp2f1", args, n, kw);
+    return Py_BuildValue("(dd)", v, err);
 }
 
 PyDoc_STRVAR(r_band_core_doc, "r_band_core(mu, nu, xa, ya, za, omt, opt)\n--\n\n");
@@ -549,7 +510,7 @@ static PyObject *py_r_band_core(ARGS)
 {
     double mu, nu, xa, ya, za, omt, opt;
     if (PARSE(r_band_core, "ddddddd", &mu, &nu, &xa, &ya, &za, &omt, &opt)) return NULL;
-    return value(r_band_core(mu, nu, xa, ya, za, omt, opt));
+    return VALUE(r_band_core, r_band_core(mu, nu, xa, ya, za, omt, opt));
 }
 
 PyDoc_STRVAR(r_outer_core_doc, "r_outer_core(mu, nu, xa, ya, za, u, um1)\n--\n\n");
@@ -557,7 +518,7 @@ static PyObject *py_r_outer_core(ARGS)
 {
     double mu, nu, xa, ya, za, u, um1;
     if (PARSE(r_outer_core, "ddddddd", &mu, &nu, &xa, &ya, &za, &u, &um1)) return NULL;
-    return value(r_outer_core(mu, nu, xa, ya, za, u, um1));
+    return VALUE(r_outer_core, r_outer_core(mu, nu, xa, ya, za, u, um1));
 }
 
 PyDoc_STRVAR(r_band_doc, "r_band(mu, nu, xa, ya, za)\n--\n\n");
@@ -565,7 +526,7 @@ static PyObject *py_r_band(ARGS)
 {
     double mu, nu, xa, ya, za;
     if (PARSE(r_band, "ddddd", &mu, &nu, &xa, &ya, &za)) return NULL;
-    return value(r_band(mu, nu, xa, ya, za));
+    return VALUE(r_band, r_band(mu, nu, xa, ya, za));
 }
 
 PyDoc_STRVAR(r_outer_doc, "r_outer(mu, nu, xa, ya, za)\n--\n\n");
@@ -573,7 +534,7 @@ static PyObject *py_r_outer(ARGS)
 {
     double mu, nu, xa, ya, za;
     if (PARSE(r_outer, "ddddd", &mu, &nu, &xa, &ya, &za)) return NULL;
-    return value(r_outer(mu, nu, xa, ya, za));
+    return VALUE(r_outer, r_outer(mu, nu, xa, ya, za));
 }
 
 #define ENTRY(name) \
@@ -601,23 +562,16 @@ static const char *const shared[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "gfkernel._core",
-    "The hot kernels of gfkernel._corepy compiled: same functions, same algorithms, "
-    "same errors; the cold ones are _corepy's own.",
+    "The hot kernels of gfkernel._corepy compiled: same functions, same algorithms; "
+    "their failures and the cold functions are _corepy's own.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__core(void)
 {
-    PyObject *errors = PyImport_ImportModule("gfkernel.errors"), *corepy = NULL, *m = NULL, *fn;
+    PyObject *m = NULL, *fn;
     size_t i;
-    if (errors == NULL) return NULL;
-    if ((ConvergenceError = PyObject_GetAttrString(errors, "ConvergenceError")) != NULL
-        && (DegenerateParameterError = PyObject_GetAttrString(
-                errors, "DegenerateParameterError")) != NULL
-        && (DomainError = PyObject_GetAttrString(errors, "DomainError")) != NULL
-        && (PoleError = PyObject_GetAttrString(errors, "PoleError")) != NULL
-        && (RangeOverflowError = PyObject_GetAttrString(errors, "RangeOverflowError")) != NULL
-        && (corepy = PyImport_ImportModule("gfkernel._corepy")) != NULL
+    if ((corepy = PyImport_ImportModule("gfkernel._corepy")) != NULL
         && (exact_series = PyObject_GetAttrString(corepy, "normalized_bessel_series")) != NULL)
         m = PyModule_Create(&module);
     for (i = 0; m != NULL && i < sizeof shared / sizeof *shared; i++) {
@@ -625,7 +579,5 @@ PyMODINIT_FUNC PyInit__core(void)
         if (fn == NULL || PyModule_AddObjectRef(m, shared[i], fn) < 0) Py_CLEAR(m);
         Py_XDECREF(fn);
     }
-    Py_DECREF(errors);
-    Py_XDECREF(corepy);
     return m;
 }

@@ -24,6 +24,7 @@ as (cos, -sin) pairs and no polar decomposition ever happens.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from ._backend import core
@@ -127,6 +128,17 @@ def _delta_prefactor(p: Params) -> float:
         lambda: p.a * math.pow(2.0, p.mu_m - 2.0) * math.exp(math.lgamma(p.mu_m + 1.0)))
 
 
+def _side_power(p: Params, *sides: float) -> float:
+    """|product of the sides|^(1/2-k); DomainError, unless k = 1/2, where
+    that product leaves the normal double range and the power would be 0,
+    inf or imprecise."""
+    v = abs(math.prod(sides))
+    if p.k != 0.5 and not sys.float_info.min <= v <= sys.float_info.max:
+        raise DomainError(f"the product of the sides {sides!r} leaves the normal double range, "
+                          f"where its power 1/2-k={0.5 - p.k!r} cannot be formed")
+    return math.pow(v, 0.5 - p.k)
+
+
 def _phase_e2a(p: Params) -> complex:
     ph = 2.0 * math.pi / p.a
     return complex(math.cos(ph), -math.sin(ph))
@@ -158,4 +170,4 @@ def delta_density(p: Params, x: float, y: float, z: float) -> complex:
     sxz = math.copysign(1.0, x) * math.copysign(1.0, z)
     syz = math.copysign(1.0, y) * math.copysign(1.0, z)
     total = (t1 + _phase_e2a(p) * (sxy * t2)) + complex(sxz * t3 + syz * t4)
-    return const * math.pow(abs(x * y * z), 0.5 - p.k) * total
+    return const * _side_power(p, x, y, z) * total

@@ -33,7 +33,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from ._backend import core
 from .errors import DomainError, finite_constant, require_finite
-from .genkernel import Params, _delta_prefactor, _phase_e2a, b_kernel, m_const
+from .genkernel import Params, _delta_prefactor, _phase_e2a, _side_power, b_kernel, m_const
+from .macdonald import _require_angle_scale
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -178,6 +179,9 @@ class _DensityGeometry:
         self.sxy = self.sx * self.sy
         self.Z1 = abs(self.X - self.Y)
         self.Z2 = self.X + self.Y
+        # the plan forms each angle over 2XY, and the outer side from Z2^2
+        _require_angle_scale("fixed sides", (self.X, self.Y), 2.0 * self.X * self.Y,
+                             self.Z2 * self.Z2)
         self.e2a = e2a
         self.two_over_a = 2.0 / a
         self.zexp = zexp
@@ -192,9 +196,10 @@ class _DensityGeometry:
         a 2^(mu-2) Gamma(mu+1) z^w / |xyz|^(k-1/2), with a tail unless 2/a
         is an integer.  Each caller has checked that p is admissible
         (Params.require_macdonald) and that x and y are finite and nonzero."""
-        return cls(p.mu_m, p.nu_m, p.a, x, y,
-                   _delta_prefactor(p) * math.pow(abs(x * y), 0.5 - p.k),
-                   p.w - p.k + 0.5, not p.band_offset_integer, _phase_e2a(p), middle)
+        g = cls(p.mu_m, p.nu_m, p.a, x, y, _delta_prefactor(p), p.w - p.k + 0.5,
+                not p.band_offset_integer, _phase_e2a(p), middle)
+        g.coef *= _side_power(p, x, y)  # after the fixed sides' scale check
+        return g
 
     def z_of(self, Z: float) -> float:
         return math.pow(Z, self.two_over_a)
@@ -617,8 +622,10 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
     """
     t0 = time.perf_counter()
     g = _hankel_geometry(mu, nu, x, y, t, mu + 1.0)
-    lhs = (math.pow(x * y, nu) * math.pow(t, 2.0 * (nu - mu))
-           * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(nu, y * t))
+    lhs = finite_constant(
+        f"left side (xy)^nu t^(2(nu-mu)) J~_nu(xt) J~_nu(yt) at mu={mu!r}, nu={nu!r}",
+        lambda: (math.pow(x * y, nu) * math.pow(t, 2.0 * (nu - mu))
+                 * core.normalized_bessel_j(nu, x * t) * core.normalized_bessel_j(nu, y * t)))
     kfac = finite_constant(
         f"constant 2^(2nu-mu) Gamma(nu+1)^2 / Gamma(mu+1) at mu={mu!r}, nu={nu!r}",
         lambda: math.exp((2.0 * nu - mu) * math.log(2.0)

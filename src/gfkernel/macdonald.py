@@ -54,6 +54,16 @@ class MacdonaldOrders(_MacdonaldOrders):
         return super().__new__(cls, mu, nu)
 
 
+def _require_angle_scale(what: str, sides: tuple, *values: float) -> None:
+    """DomainError naming what and its sides unless every value lies in the
+    normal double range [2^-1022, 2^1024) in magnitude: the kernel forms
+    its angle from them."""
+    for v in values:
+        if not sys.float_info.min <= abs(v) <= sys.float_info.max:
+            raise DomainError(f"{what} {sides!r} is outside the scale at which the kernel's "
+                              "angle can be formed")
+
+
 def classify(x: float, y: float, z: float) -> Region:
     """Region of (x, y, z) with the strict inequalities of the kernel.
 
@@ -70,10 +80,7 @@ def classify(x: float, y: float, z: float) -> Region:
     tol = DEFAULT_BOUNDARY_EPS * s
     if abs(z - d) <= tol or abs(z - s) <= tol:
         return Region.BOUNDARY
-    for v in (2.0 * x * y, (z - d) * (z + d), (s - z) * (s + z)):
-        if not sys.float_info.min <= abs(v) <= sys.float_info.max:
-            raise DomainError(f"triple ({x!r}, {y!r}, {z!r}) is outside the scale at which "
-                              "the kernel's angle can be formed")
+    _require_angle_scale("triple", (x, y, z), 2.0 * x * y, (z - d) * (z + d), (s - z) * (s + z))
     if z < d:
         return Region.INNER
     if z > s:

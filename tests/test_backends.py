@@ -104,6 +104,10 @@ def test_hyp2f1_zc_positional_or_keyword(c_core):
         c_core.hyp2f1(*args, 0.2, zc=0.2)
     with pytest.raises(TypeError, match="'zd'"):
         c_core.hyp2f1(*args, zd=0.2)
+    # a failure defers to the pure core with the arguments as they were given
+    for zc in (-0.5, None):
+        with pytest.raises(DomainError, match=r"z=1\.5 outside \[0, 1\)"):
+            c_core.hyp2f1(*args[:3], 1.5, zc=zc)
 
 
 def test_other_compiled_entries_take_no_keyword(c_core):
@@ -235,6 +239,13 @@ def _outcome(fn, *args):
     ("normalized_bessel_j", (800.0, 1e6), ConvergenceError),
     ("hyp2f1", (0.5, -math.inf, 1.5, 0.3), DomainError),
     ("r_outer_core", (-1e308, 1e308, 1.0, 1.2, 2.5, 1.5, 0.5), DomainError),
+    # a failed sinpi before the return of an underflowing value, which
+    # would hide it
+    ("r_outer_core", (-1e308, 1e308, 1.0, 1.2, 2.5, 1e300, 1e300), DomainError),
+    # NaN from the C library, where the pure core's math raises
+    ("bessel_j", (0.5, math.inf), ValueError),
+    ("normalized_bessel_j", (0.5, math.inf), ValueError),
+    ("r_outer", (1.5, 30.0, -2.5, 30.0, -1e300), ValueError),
 ])
 def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
     with _deadline(5):
@@ -389,6 +400,40 @@ def test_seeded_parity_sweep(c_core, libm_lgamma):
                 assert _hex(got) == _hex(want), (name, args)
             compared += 1
     assert compared + untyped == 5250 and compared >= 5000, untyped
+
+
+_EXTREMES = (0.0, 1e-310, -1e-310, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan,
+             -0.5, -1.0, -2.5)
+
+
+def _finite(v):
+    return all(map(math.isfinite, v)) if isinstance(v, tuple) else math.isfinite(v)
+
+
+def test_extreme_argument_sweep(c_core, libm_lgamma):
+    """2,100 seeded calls of the 7 compiled exports, each argument an extreme
+    (zero, subnormal, huge, infinite, NaN, negative) half the time.  A
+    compiled error or non-finite value is the pure core's outcome, and a
+    finite value the pure core's double.  A finite value where the pure
+    core raises is left only where that error is untyped (counted)."""
+    rng = random.Random(20261020)
+    untyped = 0
+    with _deadline(10):
+        for name, count in _compiled_entries():
+            for _ in range(300):
+                args = tuple(rng.choice(_EXTREMES) if rng.random() < 0.5
+                             else rng.uniform(-1.0, 4.0) for _ in range(count))
+                if name == "hyp2f1" and rng.random() < 0.4:
+                    args = args[:4]
+                want, want_err = _outcome(getattr(py_core, name), *args)
+                got, got_err = _outcome(getattr(c_core, name), *args)
+                if got_err is None and want_err is not None:
+                    assert _finite(got) and not issubclass(want_err[0], GfkError), (name, args)
+                    untyped += 1
+                else:
+                    assert got_err == want_err, (name, args)
+                    assert got_err or _hex(got) == _hex(want), (name, args)
+    assert untyped < 100, untyped
 
 
 # ---------------------------------------------------------------------------

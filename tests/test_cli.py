@@ -80,6 +80,21 @@ def test_density_at_extreme_scale_is_invalid(capsys):
     assert "outside the scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["hankel-check", "--mu", "0.4", "--nu", "0.9", "--x", "1e200", "--y", "1e200",
+      "--t", "0.7"], "outside the scale"),
+    (["hankel-check", "--mu", "200", "--nu", "200.5", "--x", "10", "--y", "10", "--t", "0.7"],
+     "overflows the double range"),
+    (["eval-density", "--k", "0.75", "--a", "2", "--x", "1e-110", "--y", "1.2e-110",
+      "--z", "1.1e-110"], "leaves the normal double range"),
+], ids=["hankel-scale", "hankel-lhs", "density-underflow"])
+def test_extreme_arguments_are_invalid_input(args, message, capsys):
+    # each used to print a traceback
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid input:") and message in err
+
+
 _SHAPES = [
     (["eval-kernel", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7"],
      "k,a,lambda,x,re,im"),

@@ -138,6 +138,17 @@ class TestDeltaDensity:
         with pytest.raises(DomainError):
             delta_density(Params(0.0, 2.0), 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("k, t", [(0.75, 1e-110), (0.25, 1e-110), (0.75, 1e110)])
+    def test_argument_product_outside_the_double_range_is_refused(self, k, t):
+        # |x y z| = 1.3e-330 underflows to 0, whose power 1/2 - k < 0 used to
+        # raise an untyped ValueError; at k < 1/2, and where |x y z|
+        # overflows, the density used to be 0
+        with pytest.raises(DomainError, match="product of the sides .* leaves the normal"):
+            delta_density(Params(k, 2.0), t, 1.2 * t, 1.1 * t)
+
+    def test_argument_product_at_k_one_half_is_not_refused(self):
+        assert delta_density(Params(0.5, 2.0), 1e-110, 1.2e-110, 1.1e-110) != 0.0
+
     @pytest.mark.parametrize("x,y,z", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
                                        (1.0, 1.0, -math.inf)])
     def test_non_finite_arguments_rejected(self, x, y, z):

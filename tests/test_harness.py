@@ -621,7 +621,10 @@ class TestLargeOrders:
         (lambda: hankel_identity_eq1(200.0, 200.5, 0.8, 1.1, 0.7), r"2\^\(2nu-mu\)"),
         (lambda: hankel_identity_eq2(200.0, 200.5, 0.8, 1.1, 0.7), r"2\^mu Gamma\(mu\+1\)"),
         (lambda: legendre_p_integral_check(200.0, 0.5), "closed form"),
-    ], ids=["product", "mass", "tv", "translate", "hankel1", "hankel2", "legendre-p"])
+        # (xy)^nu = 100^200.5 used to escape as an untyped OverflowError
+        (lambda: hankel_identity_eq1(200.0, 200.5, 10.0, 10.0, 0.7), r"left side \(xy\)\^nu"),
+    ], ids=["product", "mass", "tv", "translate", "hankel1", "hankel2", "legendre-p",
+            "hankel1-lhs"])
     def test_entry_points(self, call, constant):
         with pytest.raises(RangeOverflowError, match=constant + ".* overflows the double range"):
             call()
@@ -633,6 +636,41 @@ class TestLargeOrders:
         monkeypatch.setattr(macdonald, "core", core)
         with pytest.raises(RangeOverflowError, match="density constant .* at mu=172.0"):
             genkernel.delta_density(P_LARGE, 0.8, 1.1, z)
+
+
+P_SCALE = Params(0.75, 2.0)  # X = |x|, Y = |y|
+
+
+class TestExtremeScale:
+    """Fixed sides whose angle cannot be formed are refused by classify's rule."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s: gamma_mass(P_SCALE, s, 1.3 * s),
+        lambda s: product_residual(P_SCALE, 0.7, s, 1.3 * s),
+        lambda s: tv_norm(P_SCALE, s, 1.3 * s),
+        lambda s: translate(P_SCALE, s, gaussian_profile(), 1.3 * s),
+        lambda s: hankel_identity_eq1(0.4, 0.9, s, 1.3 * s, 0.7),
+        lambda s: hankel_identity_eq2(0.4, 0.9, s, 1.3 * s, 0.7),
+    ], ids=["mass", "product", "tv", "translate", "hankel1", "hankel2"])
+    @pytest.mark.parametrize("s", [1e-160, 1e-170, 1e154, 1e200])
+    def test_entry_points_refuse_the_fixed_sides(self, call, s):
+        # before the gate, gamma_mass returned 1.0000871505 with a quad_error
+        # of 2.3e-33 at 1e-160, raised ValueError at 1e-170 and
+        # ConvergenceError after 12 levels at 1e154
+        with pytest.raises(DomainError, match=r"fixed sides \(.*\) is outside the scale"):
+            call(s)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_mass_refuses_a_product_of_the_sides_outside_the_double_range(self, s):
+        # at a = 1/2 the sides X = |x|^(1/4) are in range, but |x y| is not:
+        # its power 1/2 - k used to raise ValueError or make the density 0
+        with pytest.raises(DomainError, match="product of the sides .* leaves the normal"):
+            gamma_mass(Params(0.75, 0.5), s, 1.3 * s)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e150])
+    def test_mass_keeps_its_value_inside_the_range(self, s):
+        mass, qerr = gamma_mass(P_SCALE, s, 1.3 * s)
+        assert abs(mass - 1.0) <= 1e-6 and qerr <= 1e-6
 
 
 class TestTranslate:
