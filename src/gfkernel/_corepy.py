@@ -251,7 +251,7 @@ def _series_sum(nu, x, p):
     xn, xd = x.as_integer_ratio()
     a = -xn * xn * table.params[1]
     c = 2 * xd.bit_length()  # 2^c = 4 xd^2
-    top = int(0.5 * (math.sqrt(nu * nu + x * x) - nu))
+    top = int(0.5 * (math.hypot(nu, x) - nu))
     rows = table.rows
     if top >= len(rows):
         rows = table.grown(rows, top)

@@ -5,14 +5,16 @@ Every density integral is one plan, _gamma_integral, over one triple
 side (product, mass, TV, the first Hankel identity) or its middle side
 (translate, the second Hankel identity).  The free side's line splits into
 the three triple-Bessel regions, each in the coordinate that makes its edge
-singularities algebraic and its complements exact:
+singularities algebraic and its complements exact, and the plan lists their
+finite pieces, which one loop integrates:
 
 * the band in t = cos(theta) of the fixed sides, whose three angles give
   the four permuted kernels (_band_terms),
 * the gap below it, with its one surviving term (_gap_term), in Z,
 * above it the one outer term: in u = cosh(theta) on (1, 2], then a tail by
   Bessel-zero partitioning with Sidi's mW transformation (oscillatory case)
-  or the power-tail rule (z^-3); a finite support ends it in pieces of Z.
+  or the power-tail rule (z^-3), one call after the loop; a finite support
+  ends it in pieces of Z.
 
 Each check is a weight callback on the plan.  The density's even terms are
 weighted by the even part of what it is integrated against, its odd terms
@@ -284,47 +286,43 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     of which the plan asks only for the ones it uses; a zero weight's terms
     are not evaluated, and odd False states that there is no odd weight
     (the gap is skipped).  A node's value is e + o of the weighted sums,
-    or |e + o| + |e - o| with modulus.  The band is integrated in t =
-    cos(theta) of the fixed sides, split at the interior points breaks and
-    cut at the free side cut; the gap (0, min(Z1, cut)) in Z; above the
-    band, a finite cut is reached in pieces of Z of at most a factor
-    _TAIL_SPAN, and otherwise the near-outer piece in u = cosh(theta) up to
-    _COSH_SPLIT is followed by a tail: with osc = c the outer weight is
-    J~_mu(c Z) and the tail is summed between Bessel zeros, with osc None it
-    is a z^-3 power tail.  Every piece grows like d^(mu - 1/2) at a region
-    edge and is given that exponent; an uncut, unsplit compact band,
-    (1 - t^2)^(mu - 1/2) times a smooth factor, takes the Gauss-Jacobi
-    rules, every other piece tanh-sinh.  Returns the (band, gap,
-    near-outer, tail) values, 0.0 for an absent piece, and the summed error
-    estimate.
+    or |e + o| + |e - o| with modulus.  One loop adds each finite piece,
+    (slot, jacobi, integrand, lo, hi, edge exponent), into its slot: the
+    band (0) in t = cos(theta) of the fixed sides, split at the interior
+    points breaks and cut at the free side cut; the gap (1), (0, min(Z1,
+    cut)) in Z; above the band, pieces (3) of Z of at most a factor
+    _TAIL_SPAN up to a finite cut, or else the near-outer piece (2) in u =
+    cosh(theta) up to _COSH_SPLIT and then a tail (3): with osc = c the
+    outer weight is J~_mu(c Z) and the tail is summed between Bessel zeros,
+    with osc None it is a z^-3 power tail.  Every piece grows like d^(mu -
+    1/2) at a region edge and is given that exponent; an uncut, unsplit
+    compact band, (1 - t^2)^(mu - 1/2) times a smooth factor, takes the
+    Gauss-Jacobi rules (jacobi), every other piece tanh-sinh.  Returns the
+    four slots' values, 0.0 for an absent piece, and the summed error.
     """
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
     edge = mu - 0.5
-    pieces = [0.0, 0.0, 0.0, 0.0]
-    qerr = 0.0
+    twoxy, z1sq = 2.0 * X * Y, g.Z1 * g.Z1
 
-    def add(i, res):
-        nonlocal qerr
-        pieces[i] += res.value
-        qerr += res.est_error
-
-    def one_term(w, t, z, jac):
-        # off the band: the one term t, its weight w, and the factors
+    def off_band(Z, z, odd_part, jac, kernel, *args):
+        # a node off the band: its one term kernel(*args), evaluated where its
+        # weight (odd if odd_part, else even) is nonzero, times common and jac
+        w = weights(Z, z, not odd_part, odd_part)[odd_part]
+        t = kernel(*args) if w != 0.0 else 0.0
         if t == 0.0:
             return 0.0
         v = w * t
         return (abs(v) + abs(v) if modulus else v) * g.common(z) * jac
 
+    plan = []
     # each band piece keeps its distances to t = -1 and t = 1 exact: a cut
     # at the free side cut starts the band at t_S = 1 - (cut^2 - Z1^2) / 2XY
     ends = [-1.0, *breaks, 1.0]
     opt_lo = 0.0
-    twoxy, z1sq = 2.0 * X * Y, g.Z1 * g.Z1
     if cut < g.Z2:
         ends[0] = 1.0 - (cut - g.Z1) * (cut + g.Z1) / twoxy
         opt_lo = (g.Z2 - cut) * (g.Z2 + cut) / twoxy
     compact = not (g.has_tail or breaks or cut < g.Z2)
-    band_rule = integrate_gauss_jacobi if compact else integrate_singular_band2
     for lo, hi in zip(ends, ends[1:]):
         if not lo < hi:
             continue
@@ -340,45 +338,47 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
             e, o = we * e, wo * o
             return (abs(e + o) + abs(e - o) if modulus else e + o) * g.common(z) * g.dz_dt(Z)
 
-        add(0, band_rule(f_band, lo, hi, spec, edge_exponent=edge))
+        plan.append((0, compact, f_band, lo, hi, edge))
 
     # inner gap (0, Z1), cut at cut; dhi + off is Z1 - Z, exact
     hi_gap = min(g.Z1, cut)
     if odd and g.has_tail and hi_gap > 0.0 and (Y > X or not g.single):
         def f_gap(Z, dlo, dhi, _off=g.Z1 - hi_gap):
-            z = g.z_of(Z)
-            w = weights(Z, z, False, True)[1]
-            return one_term(w, _gap_term(g, Z, dhi + _off), z, g.dz_dZ(Z)) if w else 0.0
+            return off_band(Z, g.z_of(Z), True, g.dz_dZ(Z), _gap_term, g, Z, dhi + _off)
 
-        add(1, integrate_singular_band2(f_gap, 0.0, hi_gap, spec, edge_exponent=edge))
+        plan.append((1, False, f_gap, 0.0, hi_gap, edge))
 
-    if not (g.has_tail and cut > g.Z2):
-        return pieces, qerr
-    if cut < math.inf:
+    outer = g.has_tail and cut > g.Z2
+    if outer and cut < math.inf:
         # a rule across many decades of the power decay misses mass; only Z2
         # is a region edge, and (start - Z2) + dlo is Z - Z2
         start = g.Z2
         while start < cut:
             def f_piece(Z, dlo, dhi, _off=start - g.Z2):
-                z = g.z_of(Z)
-                w = weights(Z, z, True, False)[0]
-                return (one_term(w, _r_outer(mu, nu, X, Y, Z, _off + dlo, X + Y + Z), z,
-                                 g.dz_dZ(Z)) if w else 0.0)
+                return off_band(Z, g.z_of(Z), False, g.dz_dZ(Z),
+                                _r_outer, mu, nu, X, Y, Z, _off + dlo, X + Y + Z)
 
             stop = min(_TAIL_SPAN * start, cut)
-            add(3, integrate_singular_band2(f_piece, start, stop, spec,
-                                            edge_exponent=edge if start == g.Z2 else 0.0))
+            plan.append((3, False, f_piece, start, stop, edge if start == g.Z2 else 0.0))
             start = stop
+    elif outer:
+        # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
+        def f_near(u, dlo, dhi):
+            Z = math.sqrt(g.Z2 * g.Z2 + twoxy * dlo)
+            return off_band(Z, g.z_of(Z), False, g.dz_dt(Z),
+                            core.r_outer_core, mu, nu, X, Y, Z, u, dlo)
+
+        plan.append((2, False, f_near, 1.0, _COSH_SPLIT, edge))
+
+    pieces, qerr = [0.0, 0.0, 0.0, 0.0], 0.0
+    for slot, jacobi, f, lo, hi, e in plan:
+        rule = integrate_gauss_jacobi if jacobi else integrate_singular_band2
+        res = rule(f, lo, hi, spec, edge_exponent=e)
+        pieces[slot] += res.value
+        qerr += res.est_error
+    if not outer or cut < math.inf:
         return pieces, qerr
 
-    # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
-    def f_near(u, dlo, dhi):
-        Z = math.sqrt(g.Z2 * g.Z2 + twoxy * dlo)
-        z = g.z_of(Z)
-        w = weights(Z, z, True, False)[0]
-        return one_term(w, core.r_outer_core(mu, nu, X, Y, Z, u, dlo), z, g.dz_dt(Z)) if w else 0.0
-
-    add(2, integrate_singular_band2(f_near, 1.0, _COSH_SPLIT, spec, edge_exponent=edge))
     z_split = math.sqrt(g.Z2 * g.Z2 + twoxy * (_COSH_SPLIT - 1.0))
     if osc is not None:
         gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
@@ -394,13 +394,12 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     else:
         def f_tail(z):
             Z = math.pow(z, g.ha)
-            w = weights(Z, z, True, False)[0]
-            return one_term(w, core.r_outer(mu, nu, X, Y, Z), z, 1.0) if w else 0.0
+            return off_band(Z, z, False, 1.0, core.r_outer, mu, nu, X, Y, Z)
 
         # the z-line density tail decays like z^-3 for every valid (k, a)
         res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
-    add(3, res)
-    return pieces, qerr
+    pieces[3] += res.value
+    return pieces, qerr + res.est_error
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,13 @@ def test_gamma_helpers_keep_their_values_at_plus_infinity(core):
     assert core.rgamma(math.inf) == 0.0
 
 
+def test_bessel_series_at_a_huge_order(core):
+    # the series' top term index comes from hypot(nu, x): nu^2 would
+    # overflow past |nu| = 1.3e154
+    assert core.normalized_bessel_j(1e300, 0.2) == 1.0
+    assert core.bessel_j(1e300, 0.2) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Seeded parity sweep over every compiled export
 # ---------------------------------------------------------------------------
@@ -433,7 +440,7 @@ def test_extreme_argument_sweep(c_core, libm_lgamma):
                 else:
                     assert got_err == want_err, (name, args)
                     assert got_err or _hex(got) == _hex(want), (name, args)
-    assert untyped < 100, untyped
+    assert untyped <= 18, untyped
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ reference as the old one (``_MOVED``), and says so in CHANGES.md.  The pins hold
 core, the reference, which the tests swap in whichever backend is selected.
 """
 
+import math
+
 import pytest
 
 from gfkernel import Params, _corepy, genkernel, harness, macdonald, quadrature
 from gfkernel.harness import (
+    Profile,
+    bump_profile,
     gamma_mass,
     gaussian_profile,
     hankel_identity_eq1,
@@ -63,6 +67,14 @@ _PINS = {
     # test_translate_pin_against_mpmath)
     "translate": (lambda: translate(P_GOLDEN, 0.8, gaussian_profile(1.0), -1.3, SPEC),
                   ("0x1.946b6992b8598p-4", "0x0.0p+0")),
+    # the support's cut lands inside the band, which starts at t_S
+    "translate_cut_band": (lambda: translate(P_GOLDEN, 0.8, bump_profile(1.5), -1.3, SPEC),
+                           ("0x1.4b01043cc0014p-4", "0x0.0p+0")),
+    # a profile that is not even: the odd weights, the gap and the cut pieces
+    "translate_uneven": (
+        lambda: translate(P_GOLDEN, 0.8, Profile(lambda xi: math.exp(-(xi - 0.3) ** 2), 9.0,
+                                                 "shifted"), -1.3, SPEC),
+        ("0x1.0f8176e66ba47p-4", "-0x1.580266e4809f7p-6")),
     "hankel_eq1_rhs": (lambda: hankel_identity_eq1(0.4, 0.9, 0.8, 1.1, 1.3, SPEC).rhs,
                        ("0x1.82603e47ba30fp-1", "0x0.0p+0")),
     # the band in t = cos(theta) of the (x, y) angle, and 2^mu mu Gamma(mu)
@@ -76,6 +88,9 @@ _PINS = {
     "product_rhs_edge_substituted": (
         lambda: product_residual(Params(0.1625, 1.5), 0.7, 0.9, 1.4, SPEC).rhs,
         ("-0x1.567a0ec4712f0p-2", "-0x1.9b4d5bbac0008p-3")),
+    # a negative base point: the sign factors of the band, gap and outer pieces
+    "product_rhs_negative_x": (lambda: product_residual(P_GOLDEN, 0.7, -0.4, 1.2, SPEC).rhs,
+                               ("0x1.17030c595165ep-1", "-0x1.0714ea01908a5p-3")),
     "legendre_q_rhs": (lambda: legendre_q_integral_check(0.25, 1.25, SPEC).rhs,
                        ("0x1.8ce17a36bd8ecp-1", "0x0.0p+0")),
 }
