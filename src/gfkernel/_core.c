@@ -376,18 +376,28 @@ static double r_outer_core(double mu, double nu, double xa, double ya, double za
                            double u, double um1)
 {
     double delta = nu - mu, sd, ln_u, z, zc, f, err, lgd = 0.0, sgd, coef;
-    if (fabs(delta - rint(delta)) <= 1e-12) return 0.0;
+    int reflect;
+    if (is_nonpositive_integer(mu - nu)) return 0.0;
     /* NaN for a non-finite order, or finite ones whose difference
        overflows, before the underflow return below can hide it */
     sd = sinpi(mu - nu);
     if (isnan(sd)) return sd;
+    /* at a negative integer nu - mu, sin((mu-nu) pi) Gamma(delta+1) is
+       pi/Gamma(mu-nu) by reflection */
+    reflect = fabs(delta - rint(delta)) <= 1e-12;
+    if (reflect) sd = PI;
     ln_u = (delta + 1.0) * log(u);
     if (ln_u > LOG_MAX)
         return 0.0;  /* value underflows: u^-(nu-mu+1) below double range */
     z = 1.0 / (u * u);
     zc = um1 * (u + 1.0) * z;
     f = hyp2f1(0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0, z, 1, zc, &err);
-    sgd = log_abs_gamma(delta + 1.0, &lgd);
+    if (reflect) {
+        sgd = log_abs_gamma(mu - nu, &lgd);
+        lgd = -lgd;
+    } else {
+        sgd = log_abs_gamma(delta + 1.0, &lgd);
+    }
     coef = sgd * exp(lgd - lgamma(nu + 1.0) - ln_u - (nu + 0.5) * LOG_2);
     return (sd * pow(xa * ya, mu - 1.0) * SQRT_PI * coef * f
             / (SQRT_HALF_PI3 * pow(za, mu)));

@@ -156,8 +156,8 @@ def digamma(x):
     if x <= 0.0:
         if x == math.floor(x):
             raise PoleError(f"digamma pole at x={x!r}")
-        # psi(x) = psi(1-x) - pi*cot(pi*x)
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
+        # psi(x) = psi(1-x) - pi*cot(pi*x), cot taken at the exact x - round(x)
+        return digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x
@@ -722,31 +722,42 @@ def r_band_core(mu, nu, xa, ya, za, omt, opt):
 
 class _OuterPlan:
     """The order-only part of r_outer_core, in the order it is taken: that
-    the orders are finite, whether nu-mu is an integer (the value is then
-    0), sin((mu-nu) pi), delta+1, mu-1 and (nu+1/2) log 2; the 2F1 plan
+    the orders are finite, whether nu-mu is an integer n >= 0 (the value is
+    then 0), sin((mu-nu) pi), delta+1, mu-1 and (nu+1/2) log 2; the 2F1 plan
     after the first u that does not underflow the value, and then (sign
-    Gamma(delta+1), log|Gamma(delta+1)| - log Gamma(nu+1))."""
+    Gamma(delta+1), log|Gamma(delta+1)| - log Gamma(nu+1)).  Within 1e-12 of
+    a negative integer nu-mu, where sin((mu-nu) pi) vanishes on a pole of
+    Gamma(delta+1), their product is taken by reflection as pi/Gamma(mu-nu):
+    sd is pi and the gamma terms are those of 1/Gamma(mu-nu)."""
 
-    __slots__ = ("zero", "delta", "sd", "dp1", "mu1", "l2", "abc", "hyp", "gammas")
+    __slots__ = ("zero", "delta", "reflect", "sd", "dp1", "mu1", "l2", "abc", "hyp",
+                 "gammas")
 
     def __init__(self, mu, nu):
         if not (math.isfinite(mu) and math.isfinite(nu)):
             raise DomainError(f"Macdonald orders must be finite (mu={mu!r}, nu={nu!r})")
         delta = nu - mu
         # an overflowed delta is no integer, and sinpi refuses mu - nu, as in _core.c
-        self.zero = math.isfinite(delta) and abs(delta - round(delta)) <= 1e-12
+        self.zero = math.isfinite(delta) and is_nonpositive_integer(mu - nu)
         if self.zero:
             return
         self.delta = delta
         self.sd = sinpi(mu - nu)
+        self.reflect = abs(delta - round(delta)) <= 1e-12
+        if self.reflect:
+            self.sd = math.pi
         self.dp1 = delta + 1.0
         self.mu1 = mu - 1.0
         self.l2 = (nu + 0.5) * math.log(2.0)
         self.abc = (0.5 * delta + 1.0, 0.5 * (delta + 1.0), nu + 1.0)
         self.hyp = self.gammas = None
 
-    def gamma_terms(self, nu):
-        lgd, sgd = log_abs_gamma(self.delta + 1.0)
+    def gamma_terms(self, mu, nu):
+        if self.reflect:
+            lgd, sgd = log_abs_gamma(mu - nu)
+            lgd = -lgd
+        else:
+            lgd, sgd = log_abs_gamma(self.delta + 1.0)
         return sgd, lgd - math.lgamma(nu + 1.0)
 
 
@@ -775,7 +786,7 @@ def r_outer_core(mu, nu, xa, ya, za, u, um1):
     f, _ = _hyp2f1(hyp, z, zc)
     gammas = plan.gammas
     if gammas is None:
-        gammas = plan.gammas = plan.gamma_terms(nu)
+        gammas = plan.gammas = plan.gamma_terms(mu, nu)
     sgd, lg = gammas
     coef = sgd * math.exp(lg - ln_u - plan.l2)
     return (plan.sd * math.pow(xa * ya, plan.mu1) * _SQRT_PI * coef * f

@@ -6,15 +6,15 @@ side (product, mass, TV, the first Hankel identity) or its middle side
 (translate, the second Hankel identity).  The free side's line splits into
 the three triple-Bessel regions, each in the coordinate that makes its edge
 singularities algebraic and its complements exact, and the plan lists their
-finite pieces, which one loop integrates:
+pieces, each with its engine, which one loop integrates:
 
 * the band in t = cos(theta) of the fixed sides, whose three angles give
   the four permuted kernels (_band_terms),
 * the gap below it, with its one surviving term (_gap_term), in Z,
-* above it the one outer term: in u = cosh(theta) on (1, 2], then a tail by
-  Bessel-zero partitioning with Sidi's mW transformation (oscillatory case)
-  or the power-tail rule (z^-3), one call after the loop; a finite support
-  ends it in pieces of Z.
+* above it the one outer term: in u = cosh(theta) on (1, 2], then the last
+  piece, a tail by Bessel-zero partitioning with Sidi's mW transformation
+  (oscillatory case) or the power-tail rule (z^-3); a finite support ends
+  it in pieces of Z.
 
 Each check is a weight callback on the plan.  The density's even terms are
 weighted by the even part of what it is integrated against, its odd terms
@@ -34,6 +34,7 @@ import time
 from typing import Callable, Iterator, NamedTuple
 
 from ._backend import core
+from ._corepy import is_nonpositive_integer
 from .errors import DomainError, finite_constant, require_finite
 from .genkernel import Params, _delta_prefactor, _phase_e2a, _side_power, b_kernel, m_const
 from .macdonald import _require_angle_scale
@@ -282,29 +283,29 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     """The pieces of ∫ w(z) Delta |z|^w dz over the free side z > 0, up to
     the free side Z = cut.
 
-    weights(Z, z, even, odd) returns the even and odd weights at a node,
-    of which the plan asks only for the ones it uses; a zero weight's terms
-    are not evaluated, and odd False states that there is no odd weight
-    (the gap is skipped).  A node's value is e + o of the weighted sums,
-    or |e + o| + |e - o| with modulus.  One loop adds each finite piece,
-    (slot, jacobi, integrand, lo, hi, edge exponent), into its slot: the
-    band (0) in t = cos(theta) of the fixed sides, split at the interior
-    points breaks and cut at the free side cut; the gap (1), (0, min(Z1,
-    cut)) in Z; above the band, pieces (3) of Z of at most a factor
+    weights(Z, z, even, odd) returns the even and odd weights at a node, of
+    which the plan asks only for the ones it uses; a zero weight's terms are
+    not evaluated, and odd False states that there is no odd weight (the gap
+    is skipped).  A node's value is e + o of the weighted sums, or |e + o| +
+    |e - o| with modulus.  The plan lists the pieces as (slot, engine,
+    integrand, *args), and one loop adds each engine(integrand, *args) into
+    its slot: the band (0) in t = cos(theta) of the fixed sides, split at the
+    interior points breaks and cut at the free side cut; the gap (1), (0,
+    min(Z1, cut)) in Z; above the band, pieces (3) of Z of at most a factor
     _TAIL_SPAN up to a finite cut, or else the near-outer piece (2) in u =
-    cosh(theta) up to _COSH_SPLIT and then a tail (3): with osc = c the
+    cosh(theta) up to _COSH_SPLIT and last the tail (3): with osc = c the
     outer weight is J~_mu(c Z) and the tail is summed between Bessel zeros,
-    with osc None it is a z^-3 power tail.  Every piece grows like d^(mu -
-    1/2) at a region edge and is given that exponent; an uncut, unsplit
-    compact band, (1 - t^2)^(mu - 1/2) times a smooth factor, takes the
-    Gauss-Jacobi rules (jacobi), every other piece tanh-sinh.  Returns the
+    with osc None it is a z^-3 power tail.  Every finite piece grows like
+    d^(mu - 1/2) at a region edge and is given that exponent; an uncut,
+    unsplit compact band, (1 - t^2)^(mu - 1/2) times a smooth factor, takes
+    the Gauss-Jacobi rules, every other finite piece tanh-sinh.  Returns the
     four slots' values, 0.0 for an absent piece, and the summed error.
     """
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
     edge = mu - 0.5
     twoxy, z1sq = 2.0 * X * Y, g.Z1 * g.Z1
 
-    def off_band(Z, z, odd_part, jac, kernel, *args):
+    def off_band(Z, z, odd_part, jac, kernel, *args, weights=weights):
         # a node off the band: its one term kernel(*args), evaluated where its
         # weight (odd if odd_part, else even) is nonzero, times common and jac
         w = weights(Z, z, not odd_part, odd_part)[odd_part]
@@ -323,6 +324,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         ends[0] = 1.0 - (cut - g.Z1) * (cut + g.Z1) / twoxy
         opt_lo = (g.Z2 - cut) * (g.Z2 + cut) / twoxy
     compact = not (g.has_tail or breaks or cut < g.Z2)
+    band_rule = integrate_gauss_jacobi if compact else integrate_singular_band2
     for lo, hi in zip(ends, ends[1:]):
         if not lo < hi:
             continue
@@ -338,7 +340,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
             e, o = we * e, wo * o
             return (abs(e + o) + abs(e - o) if modulus else e + o) * g.common(z) * g.dz_dt(Z)
 
-        plan.append((0, compact, f_band, lo, hi, edge))
+        plan.append((0, band_rule, f_band, lo, hi, spec, edge))
 
     # inner gap (0, Z1), cut at cut; dhi + off is Z1 - Z, exact
     hi_gap = min(g.Z1, cut)
@@ -346,7 +348,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
         def f_gap(Z, dlo, dhi, _off=g.Z1 - hi_gap):
             return off_band(Z, g.z_of(Z), True, g.dz_dZ(Z), _gap_term, g, Z, dhi + _off)
 
-        plan.append((1, False, f_gap, 0.0, hi_gap, edge))
+        plan.append((1, integrate_singular_band2, f_gap, 0.0, hi_gap, spec, edge))
 
     outer = g.has_tail and cut > g.Z2
     if outer and cut < math.inf:
@@ -359,7 +361,8 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
                                 _r_outer, mu, nu, X, Y, Z, _off + dlo, X + Y + Z)
 
             stop = min(_TAIL_SPAN * start, cut)
-            plan.append((3, False, f_piece, start, stop, edge if start == g.Z2 else 0.0))
+            plan.append((3, integrate_singular_band2, f_piece, start, stop, spec,
+                         edge if start == g.Z2 else 0.0))
             start = stop
     elif outer:
         # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
@@ -368,38 +371,31 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
             return off_band(Z, g.z_of(Z), False, g.dz_dt(Z),
                             core.r_outer_core, mu, nu, X, Y, Z, u, dlo)
 
-        plan.append((2, False, f_near, 1.0, _COSH_SPLIT, edge))
+        plan.append((2, integrate_singular_band2, f_near, 1.0, _COSH_SPLIT, spec, edge))
+        z_split = math.sqrt(g.Z2 * g.Z2 + twoxy * (_COSH_SPLIT - 1.0))
+        if osc is not None:
+            # the weight is J~_mu(osc Z) less the J_mu(osc Z) the engine applies
+            gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
+
+            def g_osc(Z, envelope=lambda Z, z, e, o: (gj * math.pow(Z, -mu), 0.0)):
+                return off_band(Z, g.z_of(Z), False, g.dz_dZ(Z), core.r_outer,
+                                mu, nu, X, Y, Z, weights=envelope)
+
+            plan.append((3, integrate_bessel_oscillatory, g_osc, mu, osc, z_split, spec))
+        else:
+            def f_tail(z):
+                Z = math.pow(z, g.ha)
+                return off_band(Z, z, False, 1.0, core.r_outer, mu, nu, X, Y, Z)
+
+            # the z-line density tail decays like z^-3 for every valid (k, a)
+            plan.append((3, integrate_power_tail, f_tail, g.z_of(z_split), -3.0, spec))
 
     pieces, qerr = [0.0, 0.0, 0.0, 0.0], 0.0
-    for slot, jacobi, f, lo, hi, e in plan:
-        rule = integrate_gauss_jacobi if jacobi else integrate_singular_band2
-        res = rule(f, lo, hi, spec, edge_exponent=e)
+    for slot, engine, f, *args in plan:
+        res = engine(f, *args)
         pieces[slot] += res.value
         qerr += res.est_error
-    if not outer or cut < math.inf:
-        return pieces, qerr
-
-    z_split = math.sqrt(g.Z2 * g.Z2 + twoxy * (_COSH_SPLIT - 1.0))
-    if osc is not None:
-        gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
-
-        def g_osc(Z):
-            t2 = core.r_outer(mu, nu, X, Y, Z)
-            if t2 == 0.0:
-                return 0.0
-            z = g.z_of(Z)
-            return gj * math.pow(Z, -mu) * t2 * g.common(z) * g.dz_dZ(Z)
-
-        res = integrate_bessel_oscillatory(g_osc, mu, osc, z_split, spec)
-    else:
-        def f_tail(z):
-            Z = math.pow(z, g.ha)
-            return off_band(Z, z, False, 1.0, core.r_outer, mu, nu, X, Y, Z)
-
-        # the z-line density tail decays like z^-3 for every valid (k, a)
-        res = integrate_power_tail(f_tail, g.z_of(z_split), -3.0, spec)
-    pieces[3] += res.value
-    return pieces, qerr + res.est_error
+    return pieces, qerr
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +595,14 @@ def _hankel_geometry(mu: float, nu: float, x: float, y: float, t: float, zexp: f
                      middle: bool = False) -> _DensityGeometry:
     """The checked arguments' plan at a = 2 (Z = z): X = x, Y = y,
     coefficient 1, z-exponent zexp and the one kernel R_{mu,nu}, with a tail
-    unless nu - mu is an integer."""
+    unless nu - mu is an integer n >= 0, where R_{mu,nu} vanishes off the
+    band."""
     require_finite(mu=mu, nu=nu, x=x, y=y, t=t)
     if not (mu > -0.5 and nu > -0.5):
         raise DomainError("orders must exceed -1/2")
     if not (x > 0.0 and y > 0.0 and t > 0.0):
         raise DomainError("x, y, t must be positive")
-    d = nu - mu
-    return _DensityGeometry(mu, nu, 2.0, x, y, 1.0, zexp, abs(d - round(d)) > 1e-12,
+    return _DensityGeometry(mu, nu, 2.0, x, y, 1.0, zexp, not is_nonpositive_integer(mu - nu),
                             middle=middle, single=True)
 
 
@@ -617,10 +613,17 @@ def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,
 
     The integral is the plan over the third side with z-exponent mu + 1,
     the one kernel R_{mu,nu}(x, y, Z), weight J~_mu(tZ), oscillatory
-    frequency t and no gap.
+    frequency t and no gap.  With a tail its integrand falls like
+    Z^(mu-2nu-3/2) times an oscillation, so orders with mu - 2nu - 3/2 >= 0
+    diverge and raise DomainError.  From about mu - 2nu - 3/2 = -1/4 up to
+    0 the integral converges, but too slowly for the oscillatory engine,
+    whose check that the cells fall raises ConvergenceError.
     """
     t0 = time.perf_counter()
     g = _hankel_geometry(mu, nu, x, y, t, mu + 1.0)
+    if g.has_tail and mu - 2.0 * nu - 1.5 >= 0.0:
+        raise DomainError(f"hankel_identity_eq1 tail exponent mu-2nu-3/2="
+                          f"{mu - 2.0 * nu - 1.5!r} is not < 0: the integral diverges")
     lhs = finite_constant(
         f"left side (xy)^nu t^(2(nu-mu)) J~_nu(xt) J~_nu(yt) at mu={mu!r}, nu={nu!r}",
         lambda: (math.pow(x * y, nu) * math.pow(t, 2.0 * (nu - mu))

@@ -100,7 +100,7 @@ def _interior_region(x: float, y: float, z: float) -> Region:
 
 def r_kernel(orders: MacdonaldOrders, x: float, y: float, z: float) -> float:
     """R_{mu,nu}(x, y, z): 0 inside, Legendre-P band value, Legendre-Q outer
-    value (identically 0 when nu - mu is an integer)."""
+    value (identically 0 when nu - mu is an integer n >= 0)."""
     region = _interior_region(x, y, z)
     if region is Region.INNER:
         return 0.0

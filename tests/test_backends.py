@@ -75,8 +75,10 @@ class TestBackendAgreement:
         # the compiled log_abs_gamma and sinpi, reached through the outer
         # kernel at sin((mu - nu) pi) and Gamma(nu - mu + 1) of either sign,
         # and through the gamma ratios of the 2F1 connection formula at
-        # negative arguments: the same doubles under one lgamma
-        for mu, nu in [(0.3, 0.8), (0.45, 1.6), (2.7, 0.3), (1.9, 0.45), (3.1, 0.2)]:
+        # negative arguments: the same doubles under one lgamma, also where
+        # nu - mu is within 1e-12 of a negative integer (reflection)
+        for mu, nu in [(0.3, 0.8), (0.45, 1.6), (2.7, 0.3), (1.9, 0.45), (3.1, 0.2),
+                       (1.0, 0.0), (1.5, 0.5 + 5e-13), (2.0, -5e-13), (0.7, -0.3)]:
             assert (py_core.r_outer(mu, nu, 1.0, 1.2, 2.6).hex()
                     == c_core.r_outer(mu, nu, 1.0, 1.2, 2.6).hex()), (mu, nu)
         for args in [(2.3, 0.4, 0.6, 0.8), (-1.7, 0.6, 0.3, 0.7), (3.4, -2.2, -0.5, 0.9)]:
@@ -256,6 +258,35 @@ def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
         assert getattr(c_core, name) is getattr(py_core, name)
     else:
         assert _outcome(getattr(c_core, name), *args) == expected
+
+
+def _outer_by_mpmath(mu, nu, x, y, z):
+    """R_{mu,nu}(x, y, z) off the band from its closed form at 40 digits,
+    with sin((mu-nu) pi) and Gamma(nu-mu+1) taken apart: an integer nu - mu
+    is moved by 1e-30 off the pole."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m, n, x, y, z = (mpmath.mpf(v) for v in (mu, nu, x, y, z))
+        if n - m == mpmath.nint(n - m):
+            n += mpmath.mpf("1e-30")
+        d = n - m
+        u = (z * z - x * x - y * y) / (2 * x * y)
+        return float(mpmath.sinpi(m - n) * (x * y) ** (m - 1) * mpmath.sqrt(mpmath.pi)
+                     * mpmath.gamma(d + 1) / mpmath.gamma(n + 1) * u ** (-(d + 1))
+                     * 2 ** (-(n + 0.5)) * mpmath.hyp2f1(d / 2 + 1, (d + 1) / 2, n + 1, u ** -2)
+                     / (mpmath.sqrt(mpmath.pi ** 3 / 2) * z ** m))
+
+
+@pytest.mark.parametrize("mu, nu", [(1.0, 0.0), (1.5, 0.5), (2.0, 0.0), (0.7, -0.3),
+                                    (3.25, 0.25)])
+def test_outer_kernel_at_a_negative_integer_offset(core, mu, nu):
+    # nu - mu = -n, or within 1e-12 of it: sin((mu-nu) pi) Gamma(nu-mu+1) is
+    # pi/Gamma(n), which vanishes at no n >= 1 (both cores returned 0.0 here;
+    # R_{1,0}(x, y, z) is 1/z)
+    for d in (0.0, 5e-13, -5e-13):
+        want = _outer_by_mpmath(mu, nu + d, 1.0, 1.2, 3.0)
+        got = core.r_outer(mu, nu + d, 1.0, 1.2, 3.0)
+        assert abs(got - want) <= 1e-13 * abs(want), (d, got, want)
 
 
 def test_gamma_helpers_keep_their_values_at_plus_infinity(core):

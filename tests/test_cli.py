@@ -87,9 +87,19 @@ def test_density_at_extreme_scale_is_invalid(capsys):
      "overflows the double range"),
     (["eval-density", "--k", "0.75", "--a", "2", "--x", "1e-110", "--y", "1.2e-110",
       "--z", "1.1e-110"], "leaves the normal double range"),
-], ids=["hankel-scale", "hankel-lhs", "density-underflow"])
+    # eq1 at mu - 2nu - 3/2 >= 0: these exited 3 after summing Bessel cells
+    (["hankel-check", "--eq", "1", "--mu", "1.7267050594247477", "--nu", "0.08508070769502696",
+      "--x", "1.0629240436775829", "--y", "1.9678641048770247", "--t", "1.1639124055790049"],
+     "the integral diverges"),
+    (["hankel-check", "--eq", "1", "--mu", "1.2181747381655468", "--nu", "-0.19528300369520288",
+      "--x", "0.8349056674763492", "--y", "1.5603674590168366", "--t", "0.9141797200167687"],
+     "the integral diverges"),
+    (["hankel-check", "--eq", "1", "--mu", "2.0", "--nu", "1e-6", "--x", "1.0", "--y", "1.2",
+      "--t", "0.9"], "the integral diverges"),
+], ids=["hankel-scale", "hankel-lhs", "density-underflow", "eq1-divergent-a", "eq1-divergent-b",
+        "eq1-divergent-c"])
 def test_extreme_arguments_are_invalid_input(args, message, capsys):
-    # each used to print a traceback
+    # the first three used to print a traceback
     assert main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("invalid input:") and message in err

@@ -539,6 +539,31 @@ class TestHankelIdentities:
             rhs = hankel_identity_eq2(mu, nu, x, y, t).rhs
             assert abs(rhs - lhs) <= 2e-15 * (1.0 + abs(lhs)), (x, y, t)
 
+    @pytest.mark.parametrize("mu,nu", [(1.0, 0.0), (1.5, 0.5), (2.0, 0.0), (0.7, -0.3),
+                                       (2.2, 0.2)])
+    def test_negative_integer_offsets_keep_the_gap_and_the_tail(self, mu, nu, core,
+                                                                 monkeypatch):
+        # nu - mu = -n: the outer kernel is no zero, so the plan keeps the
+        # gap and the outer pieces; both identities missed by up to 0.3
+        monkeypatch.setattr(harness, "core", core)
+        for x, y, t in HANKEL_POINTS:
+            if mu - 2.0 * nu - 1.5 < -0.25:
+                assert hankel_identity_eq1(mu, nu, x, y, t).rel_residual <= 1e-12
+            assert hankel_identity_eq2(mu, nu, x, y, t).rel_residual <= 1e-14
+
+    @pytest.mark.parametrize("args", [
+        (1.7267050594247477, 0.08508070769502696, 1.0629240436775829, 1.9678641048770247,
+         1.1639124055790049),
+        (1.2181747381655468, -0.19528300369520288, 0.8349056674763492, 1.5603674590168366,
+         0.9141797200167687),
+        (2.0, 1e-6, 1.0, 1.2, 0.9),
+    ])
+    def test_first_identity_refuses_divergent_orders(self, args):
+        # with a tail the integrand falls like Z^(mu - 2nu - 3/2): these
+        # raised ConvergenceError after summing Bessel cells
+        with pytest.raises(DomainError, match="mu-2nu-3/2=.* is not < 0"):
+            hankel_identity_eq1(*args)
+
     def test_small_t_limits(self):
         # nu > mu: both sides vanish like t^(2(nu-mu))
         r = hankel_identity_eq1(0.4, 0.9, 0.8, 1.1, 1e-3, SPEC)

@@ -90,6 +90,13 @@ class TestRKernel:
             orders = MacdonaldOrders(0.6, 0.6 + n)
             assert r_kernel(orders, 1.0, 1.0, 3.0) == 0.0
 
+    def test_outer_negative_integer_offset_is_the_limit(self):
+        # nu - mu = -1: R_{1,0} = 1/z off the band, where it used to be 0
+        got = r_kernel(MacdonaldOrders(1.0, 0.0), 1.0, 1.2, 3.0)
+        assert got == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert got == pytest.approx(r_kernel(MacdonaldOrders(1.0, 1e-11), 1.0, 1.2, 3.0),
+                                    rel=1e-10)
+
     def test_outer_sign_structure(self):
         # sign of the outer branch follows sin((mu-nu) pi)
         assert r_kernel(MacdonaldOrders(0.4, 0.9), 1.0, 1.1, 2.8) < 0.0
