@@ -1,9 +1,10 @@
 /* The hot scalar kernels of gfkernel._corepy, compiled: the seven that
    Python calls per quadrature node (Bessel J and its normalized form, 2F1,
-   the band and outer kernels R) or times as a kernel probe (r_band), by
-   the same algorithms, as a CPython extension.
-   The helpers they call (the series and asymptotic Bessel sums, the Gauss
-   series, log_abs_gamma, sinpi) are compiled as static functions only.
+   the band kernels of a node, the outer kernel R) or times as a kernel
+   probe (r_band), by the same algorithms, as a CPython extension.
+   The helpers they call (the band kernel r_band_core, the series and
+   asymptotic Bessel sums, the Gauss series, log_abs_gamma, sinpi) are
+   compiled as static functions only.
    The module takes every other name of _corepy (listed in shared[] below)
    from _corepy at import, so those return the pure core's doubles on every
    build.
@@ -369,6 +370,54 @@ static double r_band_core(double mu, double nu, double xa, double ya, double za,
             / (SQRT_2PI * pow(za, mu) * exp(lgamma(mu + 0.5))));
 }
 
+/* band_terms' mask (_corepy.BAND_*): its four kernels, and R_{mu,mu} at
+   (xa, za, ya) in place of (xa, ya, za) */
+#define BAND_MM 1
+#define BAND_XY 2
+#define BAND_XZ 4
+#define BAND_YZ 8
+#define BAND_MM_AT_XZ 16
+
+/* The band kernels of one density node into r[]: R_{mu,mu}, R(xa, ya, za),
+   R(xa, za, ya), R(ya, za, xa), R = R_{mu,nu}, each 0.0 unless mask asks
+   for it, in _corepy.band_terms' order and from its complements.  Returns
+   0 at the first kernel that is not finite. */
+static int band_terms(double mu, double nu, double xa, double ya, double za, double omt,
+                      double opt, long mask, double r[4])
+{
+    double twoxy = 2.0 * xa * ya, s = xa + ya + za, dm = fabs(xa - ya), ez, lo, ab2, o, p;
+    int mm_xz = (mask & BAND_MM) && (mask & BAND_MM_AT_XZ);
+    r[0] = r[1] = r[2] = r[3] = 0.0;
+    if (!mm_xz) {
+        if (mask & BAND_XY && !isfinite(r[1] = r_band_core(mu, nu, xa, ya, za, omt, opt)))
+            return 0;
+        if (mask & BAND_MM && !isfinite(r[0] = r_band_core(mu, mu, xa, ya, za, omt, opt)))
+            return 0;
+        if (!(mask & (BAND_XZ | BAND_YZ))) return 1;
+    }
+    ez = twoxy * opt / s;         /* xa + ya - za */
+    lo = twoxy * omt / (za + dm); /* za - |xa - ya| */
+    /* the excesses of xa and ya: the larger side's is lo, the smaller's dm + za */
+    if (mm_xz || mask & BAND_XZ) {
+        ab2 = 2.0 * xa * za;
+        o = (ya >= xa ? dm + za : lo) * ez / ab2;
+        p = (ya >= xa ? lo : dm + za) * s / ab2;
+        if (mm_xz && !isfinite(r[0] = r_band_core(mu, mu, xa, za, ya, o, p))) return 0;
+        if (mm_xz && mask & BAND_XY
+            && !isfinite(r[1] = r_band_core(mu, nu, xa, ya, za, omt, opt)))
+            return 0;
+        if (mask & BAND_XZ && !isfinite(r[2] = r_band_core(mu, nu, xa, za, ya, o, p)))
+            return 0;
+    }
+    if (mask & BAND_YZ) {
+        ab2 = 2.0 * ya * za;
+        o = (xa >= ya ? dm + za : lo) * ez / ab2;
+        p = (xa >= ya ? lo : dm + za) * s / ab2;
+        if (!isfinite(r[3] = r_band_core(mu, nu, ya, za, xa, o, p))) return 0;
+    }
+    return 1;
+}
+
 /* Outer value of R_{mu,nu}(xa, ya, za) given u = cosh(theta) and um1 = u-1.
    The sign factor sin((mu-nu) pi) is fixed against the defining
    triple-Bessel integral; see _corepy.r_outer_core. */
@@ -418,11 +467,11 @@ static double r_outer(double mu, double nu, double xa, double ya, double za)
 
 /* ---- Python entry points ---- */
 
-/* Unpack the positional arguments of name() into the doubles out[], one
-   per character 'd' of fmt.  No keyword is taken (hyp2f1 places its zc
-   first). */
+/* Unpack the positional arguments of name() into out[], one per character
+   of fmt: 'd' a double, 'l' a long (an int, not a float).  No keyword is
+   taken (hyp2f1 places its zc first). */
 static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-                 const char *name, const char *fmt, double *const *out)
+                 const char *name, const char *fmt, void *const *out)
 {
     Py_ssize_t i;
     for (i = 0; fmt[i]; i++) {
@@ -430,9 +479,13 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
             PyErr_Format(PyExc_TypeError, "%s() missing required argument %zd", name, i + 1);
             return -1;
         }
-        if (PyFloat_CheckExact(args[i]))
-            *out[i] = PyFloat_AS_DOUBLE(args[i]);
-        else if ((*out[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
+        if (fmt[i] == 'l') {
+            if ((*(long *)out[i] = PyLong_AsLong(args[i])) == -1 && PyErr_Occurred())
+                return -1;
+        }
+        else if (PyFloat_CheckExact(args[i]))
+            *(double *)out[i] = PyFloat_AS_DOUBLE(args[i]);
+        else if ((*(double *)out[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
             return -1;
     }
     if (kwnames != NULL && PyTuple_GET_SIZE(kwnames) > 0) {
@@ -475,7 +528,7 @@ static PyObject *value(double v, const char *name, PyObject *const *args, Py_ssi
 
 #define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n, PyObject *kw
 #define PARSE(name, fmt, ...) \
-    parse(args, n, kw, #name, fmt, (double *const[]){__VA_ARGS__})
+    parse(args, n, kw, #name, fmt, (void *const[]){__VA_ARGS__})
 #define VALUE(name, v) value(v, #name, args, n, kw)
 
 PyDoc_STRVAR(bessel_j_doc, "bessel_j(nu, x)\n--\n\n");
@@ -508,19 +561,22 @@ static PyObject *py_hyp2f1(ARGS)
     }
     if (m == 5 && args[4] == Py_None) m = 4;
     if (parse(args, m, k, "hyp2f1", m < 5 ? "dddd" : "ddddd",
-              (double *const[]){&a, &b, &c, &z, &zc}))
+              (void *const[]){&a, &b, &c, &z, &zc}))
         return NULL;
     v = hyp2f1(a, b, c, z, m == 5, zc, &err);
     if (!(isfinite(v) && isfinite(err))) return defer("hyp2f1", args, n, kw);
     return Py_BuildValue("(dd)", v, err);
 }
 
-PyDoc_STRVAR(r_band_core_doc, "r_band_core(mu, nu, xa, ya, za, omt, opt)\n--\n\n");
-static PyObject *py_r_band_core(ARGS)
+PyDoc_STRVAR(band_terms_doc, "band_terms(mu, nu, xa, ya, za, omt, opt, mask)\n--\n\n");
+static PyObject *py_band_terms(ARGS)
 {
-    double mu, nu, xa, ya, za, omt, opt;
-    if (PARSE(r_band_core, "ddddddd", &mu, &nu, &xa, &ya, &za, &omt, &opt)) return NULL;
-    return VALUE(r_band_core, r_band_core(mu, nu, xa, ya, za, omt, opt));
+    double mu, nu, xa, ya, za, omt, opt, r[4];
+    long mask;
+    if (PARSE(band_terms, "dddddddl", &mu, &nu, &xa, &ya, &za, &omt, &opt, &mask)) return NULL;
+    if (!band_terms(mu, nu, xa, ya, za, omt, opt, mask, r))
+        return defer("band_terms", args, n, kw);
+    return Py_BuildValue("(dddd)", r[0], r[1], r[2], r[3]);
 }
 
 PyDoc_STRVAR(r_outer_core_doc, "r_outer_core(mu, nu, xa, ya, za, u, um1)\n--\n\n");
@@ -554,7 +610,7 @@ static PyMethodDef methods[] = {
     ENTRY(bessel_j),
     ENTRY(normalized_bessel_j),
     ENTRY(hyp2f1),
-    ENTRY(r_band_core),
+    ENTRY(band_terms),
     ENTRY(r_outer_core),
     ENTRY(r_band),
     ENTRY(r_outer),
@@ -562,12 +618,13 @@ static PyMethodDef methods[] = {
 };
 
 /* The functions that Python calls only where speed does not count: the
-   seven that no density integrand calls, and the six helpers above that
-   the kernels call in C.  The module takes _corepy's own at import. */
+   seven that no density integrand calls, the six helpers above that the
+   kernels call in C, and r_band_core, whose values the density integrands
+   take through band_terms.  The module takes _corepy's own at import. */
 static const char *const shared[] = {
     "gammafn", "rgamma", "digamma", "legendre_p", "legendre_q_phase_free",
     "gegenbauer", "r_gegenbauer_band", "log_abs_gamma", "sinpi", "bessel_crossover",
-    "normalized_bessel_series", "bessel_j_asymptotic", "gauss_series",
+    "normalized_bessel_series", "bessel_j_asymptotic", "gauss_series", "r_band_core",
 };
 
 static struct PyModuleDef module = {

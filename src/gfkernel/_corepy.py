@@ -1,13 +1,11 @@
 """Pure-Python scalar kernels: the reference implementation of the hot path.
 
-Everything here is a pure function of floats returning floats (or a
-(value, err) pair).  ``_core.c`` compiles the functions that the density
-integrands call per node (Bessel J, 2F1, the band and outer kernels) and
+Everything here is a pure function of floats returning floats (or a tuple
+of them).  ``_core.c`` compiles the functions that the density integrands
+call per node (Bessel J, 2F1, a node's band kernels, the outer kernel) and
 the helpers they use, one-to-one, and exports the seven kernels Python
-calls; the compiled module takes the other 13 (the ``shared[]`` list of
-``_core.c``: those helpers, the Legendre and Gegenbauer functions,
-``gammafn``, ``rgamma`` and ``digamma``) from here, so they are one source
-on every build.  Public argument validation
+calls; the compiled module takes the other 14 (its ``shared[]`` list) from
+here, so they are one source on every build.  Public argument validation
 lives in the wrapper modules; this layer only guards against the failure
 modes that appear mid-computation (poles, nonconvergence, degenerate
 connection formulas) and the non-finite arguments a gamma helper cannot
@@ -15,67 +13,57 @@ take.
 
 Numerical notes
 ---------------
-* The normalized-Bessel power series is summed exactly in integers.  nu
-  and x are dyadic rationals, so each term is one integer floor of the
-  exact term ratio times the last, summed in fixed point at p = 72 + 1.45|x|
-  fraction bits, with a bound E on the error of the sum (``_series_sum``).
-  The result is the int / int quotient S / 2^p, which Python rounds
-  correctly, once S - E and S + E round to the same double; p doubles
-  otherwise.  The series alternates and cancels by up to e^|x| below the
+* The normalized-Bessel power series is summed exactly in integers: nu and
+  x are dyadic rationals, so each term is one integer floor of the exact
+  term ratio times the last, summed in fixed point at p = 72 + 1.45|x|
+  fraction bits with a bound E on the error (``_series_sum``).  The result
+  is S / 2^p, which Python rounds correctly, once S - E and S + E round
+  alike; p doubles otherwise.  The series cancels by up to e^|x| below the
   crossover max(25, 2 nu^2), which no fixed float precision holds.
-  ``_core.c`` keeps a double-double loop as its fast path, returns its
-  double only where a bound on that loop's own rounding certifies it, and
-  calls this function otherwise, so both cores return the same correctly
-  rounded double (``tests/test_backends.py`` holds them to the same pins).
-* Per-order tables.  Within one harness check the orders are fixed, so the
-  series kernels read their order-only work from tables:
-  ``normalized_bessel_series`` the integer denominators n (nu_num + n nu_den)
-  of its term ratios, the Gauss series loop its term ratios
-  (a+n)(b+n)/((c+n)(1+n)).  An entry is the value the loop would compute,
-  by the same operations, so a kernel returns the same double or raises
-  the same error whether its table is cold, warm or evicted.  A table
-  (``_Table``) is a tuple grown to the next multiple of 32 rows and
-  replaced whole; it keeps at most 160 rows, the longest the benchmark
-  workloads use.  The compiled twin keeps no tables: there the same work
-  is a few cycles per term.
+  ``_core.c`` returns its double-double loop's double only where a bound
+  on that loop's rounding certifies it, and calls this function otherwise.
+* Per-order tables (``_Table``): tuples grown 32 rows at a time, replaced
+  whole and kept up to 160 rows, the longest the benchmark workloads use.
+  ``normalized_bessel_series`` reads the integer denominators
+  n (nu_num + n nu_den) of its term ratios from them, the Gauss series and
+  the terminating sums their term ratios (a+n)(b+n)/((c+n)(1+n)).  An entry
+  is the value the loop would compute, by the same operations, so a kernel
+  returns the same double or raises the same error whether its table is
+  cold, warm or evicted.  The compiled twin keeps no tables.
 * Per-parameter plans.  ``hyp2f1``, ``r_band_core`` and ``r_outer_core``
   look up a plan that holds every decision and constant that does not
-  depend on z: the finite, pole, terminating and degenerate checks, the
-  Gauss tables of the series and of the two connection series, the
-  connection gamma ratios, and the order-only factors of the two kernels.
-  A plan builds each stage where the kernel first meets it and keeps it
-  once it succeeds, so an error is raised where it would be without plans,
-  and on every call.  The three share one flow (``_hyp2f1``) and one Gauss series
-  loop (``_gauss``).
-* One memo idiom.  Bessel tables and plans come from ``functools.lru_cache(N,
-  typed=True)`` constructors: ``_bessel_table(nu)`` 16, ``_hyp2f1_plan(a, b,
-  c)`` 64, ``_band_plan(mu, nu)`` and ``_outer_plan(mu, nu)`` 16 each; a 2F1
-  plan builds its own three Gauss tables.  Keys are typed, so 1 and 1.0 do
-  not share an entry; +0.0 and -0.0 share one, which is harmless (nu + n and
-  a + n round a zero of either sign alike, and a zero gamma argument is a
-  pole either way); a NaN key hits only for the same float object.  A
-  constructor that raises keeps nothing.  The caches are thread safe, and
-  a table's rows and a plan's stages are replaced whole, so threads share
-  them without a lock.  Band and outer plans keep their 2F1 plans alive
-  after the memo evicts them: at most 16 Bessel and 288 Gauss tables (three
-  in each of up to 96 live 2F1 plans), 1.6 MiB at 160 rows each, under the
-  2.5 MiB that ``tests/test_corepy_tables.py`` measures.
+  depend on z (the finite, pole, terminating and degenerate checks, the
+  Gauss tables, the connection gamma ratios, the kernels' order-only
+  factors), built where the kernel first meets each stage and kept once it
+  succeeds, so an error is raised where it would be without plans, and on
+  every call.  The three share one flow (``_hyp2f1``) and one Gauss loop.
+* One memo idiom: ``functools.lru_cache(N, typed=True)`` constructors,
+  ``_bessel_table(nu)`` 16, ``_hyp2f1_plan(a, b, c)`` 64, ``_band_plan``
+  and ``_outer_plan`` 16 each.  Typed keys keep 1 and 1.0 apart; +0.0 and
+  -0.0 share one, which is harmless (a zero rounds alike in nu + n and
+  a + n, and is a gamma pole either way); a NaN key hits only for the same
+  object.  A constructor that raises keeps nothing, and rows and stages are
+  replaced whole, so threads share them without a lock.  Band and outer
+  plans keep their 2F1 plans alive after eviction: at most 16 Bessel and
+  288 Gauss tables (three in each of up to 96 live 2F1 plans), 1.6 MiB at
+  160 rows each, under the 2.5 MiB that ``tests/test_corepy_tables.py``
+  measures.
 * Band and outer values of the triple-Bessel kernel are evaluated in fused
-  form: the algebraic prefactors of the Legendre functions cancel against
-  the sin/sinh powers analytically, so no (1-t^2) or (u^2-1) power is ever
-  formed near a region edge.  Callers supply the two endpoint complements
-  (1 -+ cos(theta), u - 1) which they can compute stably.
+  form: the Legendre prefactors cancel against the sin/sinh powers
+  analytically, so no (1-t^2) or (u^2-1) power is formed near a region
+  edge, from the complements (1 -+ cos(theta), u - 1) that callers compute
+  stably.  ``band_terms`` gives a density node its band kernels in one
+  call, the permuted angles' complements formed from exact excesses.
 * Integer offsets.  When nu-mu is an integer n >= 0 (the compact-support
   case 2/a = n, and the R_{mu,mu} term at every a), the band 2F1(nu+1/2,
   1/2-nu; mu+1/2; z) is taken in Euler's form (DLMF 15.8.1),
-  (1-z)^(mu-1/2) 2F1(-n, mu+nu; mu+1/2; z): a degree-n polynomial that
-  ``_terminating_series`` sums in n terms, times a power of the supplied
-  complement 1-z = opt/2.  The transformation is exact, and it replaces a
-  Gauss or connection sum of about 27 terms.  Where the direct parameters
-  terminate too (mu and nu half-integers), their polynomial has a zero of
-  order mu-1/2 at z = 1 that the sum reaches only by cancellation; the
-  Euler form carries it in the power of opt, exactly.  Every other offset
-  keeps its plan and its bits.
+  (1-z)^(mu-1/2) 2F1(-n, mu+nu; mu+1/2; z): a degree-n polynomial summed
+  in n terms (none at n = 0, where it is 1), times a power of the supplied
+  complement 1-z = opt/2.  It replaces a Gauss or connection sum of about
+  27 terms, and where the direct parameters terminate too (mu and nu
+  half-integers) it carries in that power, exactly, the zero of order
+  mu-1/2 at z = 1 that their polynomial reaches only by cancellation.
+  Every other offset keeps its plan and its bits.
 """
 
 import functools
@@ -367,10 +355,8 @@ def _gauss_table(a, b, c):
 def _gauss(table, z):
     """Gauss series of the parameters of a _gauss_table; returns (value, err)."""
     ratios = table.rows
-    term = 1.0
-    s = 1.0
+    term = s = abssum = 1.0
     comp = 0.0
-    abssum = 1.0
     n = 0
     while n < _NMAX:
         if n == len(ratios):
@@ -386,7 +372,7 @@ def _gauss(table, z):
             at = abs(term)
             abssum += at
             n += 1
-            if at <= 1e-17 * abs(s) and n > 4:
+            if n > 4 and at <= 1e-17 * abs(s):
                 if n == len(ratios):
                     ratios = table.grown(ratios, n)
                 rho = abs(ratios[n] * z)
@@ -403,13 +389,15 @@ def gauss_series(a, b, c, z):
     return _gauss(_hyp2f1_plan(a, b, c).table, z)
 
 
-def _terminating_series(a, b, c, z, nterms):
-    term = 1.0
-    s = 1.0
+def _terminating_series(plan, z, nterms):
+    """The Gauss series of a plan, in its nterms >= 1 terms; (value, err)."""
+    ratios = plan.table.rows
+    if nterms > len(ratios):
+        ratios = plan.table.grown(ratios, nterms - 1)
+    term = s = abssum = 1.0
     comp = 0.0
-    abssum = 1.0
-    for n in range(nterms):
-        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
+    for ratio in ratios[:nterms]:
+        term *= ratio * z
         y = term - comp
         t = s + y
         comp = (t - s) - y
@@ -419,6 +407,7 @@ def _terminating_series(a, b, c, z, nterms):
     # no digit is known when the rounding bound exceeds both the sum and the
     # first term, 1 (an exact zero of a short polynomial stays a value)
     if not (math.isfinite(s) and (err < abs(s) or err < 1.0)):
+        a, b, c = plan.abc
         raise ConvergenceError(
             f"terminating 2F1 series lost every digit to cancellation "
             f"(a={a!r}, b={b!r}, c={c!r}, z={z!r})")
@@ -513,7 +502,7 @@ def _hyp2f1(plan, z, zc):
     if n is None:
         n = plan.nterms = plan.terminating()
     if n >= 0:
-        return _terminating_series(*plan.abc, z, n)
+        return _terminating_series(plan, z, n) if n else (1.0, 1e-16)
     if z <= 0.5:
         return _gauss(plan.table, z)
     w = zc if zc is not None else 1.0 - z
@@ -718,6 +707,51 @@ def r_band_core(mu, nu, xa, ya, za, omt, opt):
     if gm is None:
         gm = plan.gm = math.exp(math.lgamma(mu + 0.5))
     return num / (den * gm)
+
+
+# band_terms' mask: its four kernels, and R_{mu,mu} at (xa, za, ya) in place
+# of (xa, ya, za)
+BAND_MM, BAND_XY, BAND_XZ, BAND_YZ, BAND_MM_AT_XZ = 1, 2, 4, 8, 16
+
+
+def band_terms(mu, nu, xa, ya, za, omt, opt, mask):
+    """A density node's band kernels (R_{mu,mu}, R(xa, ya, za), R(xa, za, ya),
+    R(ya, za, xa)), R = R_{mu,nu}, each 0.0 unless mask asks for it, taken by
+    r_band_core in the order R_{mu,mu}(xa, za, ya), R(xa, ya, za),
+    R_{mu,mu}(xa, ya, za), R(xa, za, ya), R(ya, za, xa) (the first to fail
+    raises); the complements of the angle between xa and ya are (omt, opt),
+    the other two angles' come from the triple's exact excesses."""
+    r = r_band_core
+    rm = rxy = rxz = ryz = 0.0
+    mm_xz = mask & BAND_MM and mask & BAND_MM_AT_XZ
+    if mask & BAND_XY and not mm_xz:
+        rxy = r(mu, nu, xa, ya, za, omt, opt)
+    if mask & BAND_MM and not mm_xz:
+        rm = r(mu, mu, xa, ya, za, omt, opt)
+    if not (mm_xz or mask & (BAND_XZ | BAND_YZ)):
+        return rm, rxy, rxz, ryz
+    twoxy, s, dm = 2.0 * xa * ya, xa + ya + za, abs(xa - ya)
+    ez = twoxy * opt / s                    # xa + ya - za
+    lo = twoxy * omt / (za + dm)            # za - |xa - ya|
+    # the angle between sides a and b has complements (ea eb, ec s) / 2ab by
+    # the excesses ea = b + c - a, eb = a + c - b, ec = a + b - c.  Of xa and
+    # ya the larger has excess lo, the smaller dm + za (at xa = ya each permuted
+    # kernel gives its own first side dm + za: the two round differently)
+    if mm_xz or mask & BAND_XZ:
+        ex, ey = (dm + za, lo) if ya >= xa else (lo, dm + za)
+        ab2 = 2.0 * xa * za
+        o, p = ex * ez / ab2, ey * s / ab2
+        if mm_xz:
+            rm = r(mu, mu, xa, za, ya, o, p)
+            if mask & BAND_XY:
+                rxy = r(mu, nu, xa, ya, za, omt, opt)
+        if mask & BAND_XZ:
+            rxz = r(mu, nu, xa, za, ya, o, p)
+    if mask & BAND_YZ:
+        ey, ex = (dm + za, lo) if xa >= ya else (lo, dm + za)
+        ab2 = 2.0 * ya * za
+        ryz = r(mu, nu, ya, za, xa, ey * ez / ab2, ex * s / ab2)
+    return rm, rxy, rxz, ryz
 
 
 class _OuterPlan:

@@ -9,7 +9,7 @@ singularities algebraic and its complements exact, and the plan lists their
 pieces, each with its engine, which one loop integrates:
 
 * the band in t = cos(theta) of the fixed sides, whose three angles give
-  the four permuted kernels (_band_terms),
+  the four permuted kernels, in one core call a node (_band_terms),
 * the gap below it, with its one surviving term (_gap_term), in Z,
 * above it the one outer term: in u = cosh(theta) on (1, 2], then the last
   piece, a tail by Bessel-zero partitioning with Sidi's mW transformation
@@ -34,7 +34,7 @@ import time
 from typing import Callable, Iterator, NamedTuple
 
 from ._backend import core
-from ._corepy import is_nonpositive_integer
+from ._corepy import BAND_MM, BAND_MM_AT_XZ, BAND_XY, BAND_XZ, BAND_YZ, is_nonpositive_integer
 from .errors import DomainError, finite_constant, require_finite
 from .genkernel import Params, _delta_prefactor, _phase_e2a, _side_power, b_kernel, m_const
 from .macdonald import _require_angle_scale
@@ -144,15 +144,6 @@ class SweepGrid(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _complements(a: float, b: float, ea: float, eb: float, ec: float,
-                 s: float) -> tuple[float, float]:
-    """(1 - cos(theta), 1 + cos(theta)) of the angle between sides a and b of
-    a band triple (a, b, c), from its exact excesses ea = b + c - a,
-    eb = a + c - b, ec = a + b - c and its perimeter s."""
-    ab2 = 2.0 * a * b
-    return ea * eb / ab2, ec * s / ab2
-
-
 def _r_outer(mu: float, nu: float, a: float, b: float, c: float,
              gap: float, s: float) -> float:
     """R_{mu,nu}(a, b, c) off the band (c > a + b), from the exact gap
@@ -190,8 +181,13 @@ class _DensityGeometry:
         self.zexp = zexp
         self.coef = coef
         self.has_tail = has_tail
-        self.middle = middle
         self.single = single
+        # band_terms' masks of no sum, the even, the odd and both; each sum's phase
+        even, odd = BAND_MM | BAND_XY | (BAND_MM_AT_XZ if middle else 0), BAND_XZ | BAND_YZ
+        if single:
+            even, odd = (0, BAND_XZ) if middle else (BAND_XY, 0)
+        self.masks = (0, even, odd, even | odd)
+        self.phases = (1, e2a) if middle else (e2a, 1)
 
     @classmethod
     def of(cls, p: Params, x: float, y: float, middle: bool = False) -> "_DensityGeometry":
@@ -221,50 +217,21 @@ class _DensityGeometry:
 def _band_terms(g: _DensityGeometry, Z: float, omt: float, opt: float,
                 even: bool = True, odd: bool = True):
     """The band's even and odd sums (0.0 where not asked for) at the
-    complements (omt, opt) of the angle between X and Y and free side Z.
-
-    The triple's three angles give the permuted kernels: R(X, Y, Z) from
-    (omt, opt), R(X, Z, Y) and R(Y, Z, X) from the exact excesses
-    (r_band_core takes its first two sides only as their product, so
-    R(Z, Y, X) is R(Y, Z, X)).  With R = R_{mu,nu} and Rm = R_{mu,mu}:
-    third side, even Rm(X,Y,Z) + e^(-2 i pi/a) sgn(xy) R(X,Y,Z) and odd
-    sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X); middle side, even Rm(X,Z,Y) +
-    sgn(xy) R(X,Y,Z) and odd e^(-2 i pi/a) sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X).
-    single keeps R(X,Y,Z) (even) or R(X,Z,Y) (odd, middle) alone.
-    """
-    X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
-    r = core.r_band_core
-    e = o = 0.0
-    if not g.middle:
-        if even:
-            e = r(mu, nu, X, Y, Z, omt, opt)
-            if not g.single:
-                e = r(mu, mu, X, Y, Z, omt, opt) + g.e2a * (g.sxy * e)
-        if g.single or not odd:
-            return e, o
-    twoxy = 2.0 * X * Y
-    s = X + Y + Z
-    ez = twoxy * opt / s                    # X + Y - Z
-    dm = abs(X - Y)
-    lo = twoxy * omt / (Z + dm)             # Z - |X - Y|
-    # excesses of X and Y: the larger side's is lo, the smaller's dm + Z; at
-    # X = Y, where the two round differently, each permuted term gives its
-    # own first side dm + Z
-    ex3, ey3 = (dm + Z, lo) if Y >= X else (lo, dm + Z)
-    c_xz = _complements(X, Z, ex3, ez, ey3, s)
-    if g.middle:
-        if even and not g.single:
-            e = r(mu, mu, X, Z, Y, *c_xz) + g.sxy * r(mu, nu, X, Y, Z, omt, opt)
-        if not odd:
-            return e, o
-        o = r(mu, nu, X, Z, Y, *c_xz)
-        if g.single:
-            return e, o
-        o = g.e2a * (g.sx * o)
-    else:
-        o = g.sx * r(mu, nu, X, Z, Y, *c_xz)
-    ey4, ex4 = (dm + Z, lo) if X >= Y else (lo, dm + Z)
-    return e, o + g.sy * r(mu, nu, Y, Z, X, *_complements(Y, Z, ey4, ez, ex4, s))
+    complements (omt, opt) of the angle between X and Y and free side Z,
+    from one core.band_terms call for the kernels they weight.  With
+    R = R_{mu,nu}, Rm = R_{mu,mu} and the phase e = e^(-2 i pi/a): third
+    side, even Rm(X,Y,Z) + e sgn(xy) R(X,Y,Z) and odd sgn(x) R(X,Z,Y) +
+    sgn(y) R(Y,Z,X); middle side, even Rm(X,Z,Y) + sgn(xy) R(X,Y,Z) and odd
+    e sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X).  single keeps R(X,Y,Z) (even) or
+    R(X,Z,Y) (odd, middle) alone."""
+    mask = g.masks[even + 2 * odd]
+    if not mask:
+        return 0.0, 0.0
+    rm, r, rxz, ryz = core.band_terms(g.mu, g.nu, g.X, g.Y, Z, omt, opt, mask)
+    if g.single:
+        return r, rxz
+    return (rm + g.phases[0] * (g.sxy * r) if even else 0.0,
+            g.phases[1] * (g.sx * rxz) + g.sy * ryz if odd else 0.0)
 
 
 def _gap_term(g: _DensityGeometry, Z: float, d: float):
@@ -272,8 +239,7 @@ def _gap_term(g: _DensityGeometry, Z: float, d: float):
     R(X, Z, Y) when Y > X, else R(Y, Z, X), with its odd-sum factor."""
     X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
     if Y > X:
-        t = g.sx * _r_outer(mu, nu, X, Z, Y, d, X + Y + Z)
-        return g.e2a * t if g.middle else t
+        return g.phases[1] * (g.sx * _r_outer(mu, nu, X, Z, Y, d, X + Y + Z))
     return g.sy * _r_outer(mu, nu, Y, Z, X, d, X + Y + Z)
 
 

@@ -248,6 +248,9 @@ def _outcome(fn, *args):
     ("bessel_j", (0.5, math.inf), ValueError),
     ("normalized_bessel_j", (0.5, math.inf), ValueError),
     ("r_outer", (1.5, 30.0, -2.5, 30.0, -1e300), ValueError),
+    # non-finite orders of a node's band kernels
+    ("band_terms", (math.inf, 1.1, 1.0, 1.2, 2.2, 1.0, 1.0, 31), DomainError),
+    ("band_terms", (0.6, math.nan, 1.0, 1.2, 0.9, 0.7, 1.3, 14), DomainError),
 ])
 def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
     with _deadline(5):
@@ -347,11 +350,11 @@ def _band_orders(rng):
     return _either(rng, 0.25, integer_offset, lambda: _orders(rng))
 
 
-def _r_band_core_args(rng):
+def _band_terms_args(rng):
     xa, ya, za = _band(rng)
     twoxy, d, s = 2.0 * xa * ya, xa - ya, xa + ya
     return _band_orders(rng) + (xa, ya, za, (za - d) * (za + d) / twoxy,
-                                (s - za) * (s + za) / twoxy)
+                                (s - za) * (s + za) / twoxy, rng.randrange(32))
 
 
 def _r_outer_core_args(rng):
@@ -370,7 +373,7 @@ _SAMPLERS = {
                                         _either(rng, 0.05, lambda: 0.0,
                                                 lambda: rng.uniform(0.0, 300.0))),
     "hyp2f1": _hyp2f1_args,
-    "r_band_core": _r_band_core_args,
+    "band_terms": _band_terms_args,
     "r_outer_core": _r_outer_core_args,
     "r_band": lambda rng: _band_orders(rng) + _band(rng),
     "r_outer": lambda rng: _orders(rng) + _outer(rng),
@@ -463,6 +466,8 @@ def test_extreme_argument_sweep(c_core, libm_lgamma):
                              else rng.uniform(-1.0, 4.0) for _ in range(count))
                 if name == "hyp2f1" and rng.random() < 0.4:
                     args = args[:4]
+                if name == "band_terms":  # the mask is an int
+                    args = args[:-1] + (rng.randrange(32),)
                 want, want_err = _outcome(getattr(py_core, name), *args)
                 got, got_err = _outcome(getattr(c_core, name), *args)
                 if got_err is None and want_err is not None:
@@ -472,6 +477,72 @@ def test_extreme_argument_sweep(c_core, libm_lgamma):
                     assert got_err == want_err, (name, args)
                     assert got_err or _hex(got) == _hex(want), (name, args)
     assert untyped <= 18, untyped
+
+
+# ---------------------------------------------------------------------------
+# The band entry against the kernels it gathers
+# ---------------------------------------------------------------------------
+
+
+def _band_by_kernels(mu, nu, xa, ya, za, omt, opt, mask):
+    """band_terms by one pure r_band_core call per kernel, in the order the
+    harness made them: the permuted angles' complements from the triple's
+    excesses, and R_{mu,mu} at (xa, za, ya) first or at (xa, ya, za) after
+    R(xa, ya, za)."""
+    twoxy, s, dm = 2.0 * xa * ya, xa + ya + za, abs(xa - ya)
+    ez, lo = twoxy * opt / s, twoxy * omt / (za + dm)
+    ex, ey = (dm + za, lo) if ya >= xa else (lo, dm + za)
+    c_xz = (ex * ez / (2.0 * xa * za), ey * s / (2.0 * xa * za))
+    ey, ex = (dm + za, lo) if xa >= ya else (lo, dm + za)
+    c_yz = (ey * ez / (2.0 * ya * za), ex * s / (2.0 * ya * za))
+    mm, at_xz = mask & py_core.BAND_MM, mask & py_core.BAND_MM_AT_XZ
+    calls = [(0, mu, (xa, za, ya) + c_xz)] if mm and at_xz else []
+    calls += [(1, nu, (xa, ya, za, omt, opt))] if mask & py_core.BAND_XY else []
+    calls += [(0, mu, (xa, ya, za, omt, opt))] if mm and not at_xz else []
+    calls += [(2, nu, (xa, za, ya) + c_xz)] if mask & py_core.BAND_XZ else []
+    calls += [(3, nu, (ya, za, xa) + c_yz)] if mask & py_core.BAND_YZ else []
+    out = [0.0] * 4
+    for slot, order, args in calls:
+        out[slot] = py_core.r_band_core(mu, order, *args)
+    return tuple(out)
+
+
+def _band_triples():
+    """(xa, ya, za, omt, opt): seeded band triples, then xa = ya, za within
+    1e-12 relative of |xa - ya| (omt -> 0) and of xa + ya (opt -> 0), and
+    an omt past its edge, which puts each angle's 2F1 argument outside
+    [0, 1) at its own z: the error names the first kernel to fail."""
+    rng = random.Random(20261021)
+    sides = [_band(rng) for _ in range(12)]
+    sides += [(1.3, 1.3, 0.4), (0.7, 0.7, 1e-8), (0.8, 1.9, 1.1 * (1.0 + 1e-12)),
+              (2.2, 0.6, 2.8 * (1.0 - 1e-12)), (1.0, 2.0, 1.5)]
+    out = []
+    for xa, ya, za in sides:
+        twoxy, d, s = 2.0 * xa * ya, xa - ya, xa + ya
+        out.append((xa, ya, za, (za - d) * (za + d) / twoxy, (s - za) * (s + za) / twoxy))
+    return out + [(1.0, 1.5, 0.5, -3e-12, 2.0 + 3e-12)]
+
+
+# a general pair, nu - mu = 0, 1 and 3 (the Euler form), at mu = 3/2 a pair
+# whose connection formula is degenerate (R raises on an obtuse angle, as the
+# one between 1.0 and 1.5 of the triple (1.0, 2.0, 1.5)), and a NaN nu, which
+# R refuses and R_{mu,mu} does not: the error tells which kernel came first
+_BAND_ORDERS = [(0.6, 1.1), (0.375, 0.375), (0.375, 1.375), (1.5, 4.5), (-0.3, 0.9),
+                (1.5, 0.7), (0.6, math.nan)]
+
+
+def test_band_terms_is_the_kernels_it_gathers(core, libm_lgamma):
+    # every mask, bit for bit, or the error the first failing kernel raises
+    raised = 0
+    for mu, nu in _BAND_ORDERS:
+        for triple in _band_triples():
+            for mask in range(32):
+                want = _outcome(_band_by_kernels, mu, nu, *triple, mask)
+                got = _outcome(core.band_terms, mu, nu, *triple, mask)
+                assert (got[1] or _hex(got[0])) == (want[1] or _hex(want[0])), \
+                    (mu, nu, triple, mask)
+                raised += want[1] is not None
+    assert raised > 0
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +585,7 @@ def _core_names_used():
 def test_pure_core_mirrors_every_compiled_def():
     entries = dict(_compiled_entries())
     shared = _shared_names()
-    assert len(entries) == 7 and len(set(shared)) == len(shared) == 13
+    assert len(entries) == 7 and len(set(shared)) == len(shared) == 14
     assert not set(entries) & set(shared), sorted(set(entries) & set(shared))
     for name in shared:
         fn = getattr(py_core, name, None)

@@ -907,28 +907,30 @@ def _even_and_odd_parts(f: Profile) -> tuple[Profile, Profile]:
 
 
 class _CountingCore:
-    """A scalar core whose r_band_core and r_outer_core calls are counted."""
+    """A scalar core that counts the band kernels its band_terms calls ask
+    for (one per kernel bit of the mask) and its r_outer_core calls."""
 
     def __init__(self, core):
         self._core = core
-        self.calls = {"r_band_core": 0, "r_outer_core": 0}
+        self.calls = {"band_kernels": 0, "r_outer_core": 0}
+
+    def band_terms(self, *args):
+        self.calls["band_kernels"] += bin(args[-1] & 15).count("1")
+        return self._core.band_terms(*args)
+
+    def r_outer_core(self, *args):
+        self.calls["r_outer_core"] += 1
+        return self._core.r_outer_core(*args)
 
     def __getattr__(self, name):
-        fn = getattr(self._core, name)
-        if name not in self.calls:
-            return fn
-
-        def counted(*args):
-            self.calls[name] += 1
-            return fn(*args)
-        return counted
+        return getattr(self._core, name)
 
 
 @pytest.fixture
 def piece_counts(monkeypatch):
     """Runs a harness call on the counting pure core; returns, per
-    integrate_singular_band2 piece in call order, (evaluations, r_band_core
-    calls, r_outer_core calls)."""
+    integrate_singular_band2 piece in call order, (evaluations, band
+    kernels, r_outer_core calls)."""
     def run(call):
         counting = _CountingCore(_corepy)
         monkeypatch.setattr(harness, "core", counting)
@@ -938,7 +940,7 @@ def piece_counts(monkeypatch):
             before = dict(counting.calls)
             res = rule(*args, **kwargs)
             pieces.append((res.evaluations,
-                           counting.calls["r_band_core"] - before["r_band_core"],
+                           counting.calls["band_kernels"] - before["band_kernels"],
                            counting.calls["r_outer_core"] - before["r_outer_core"]))
             return res
 

@@ -1,10 +1,11 @@
 """Independent high-precision oracle: mpmath at 40 digits, 60 for Bessel.
 
 Triple geometry: a seeded sweep of 300 triples, a fifth of them with c
-within 1e-10 relative of |a-b| and a fifth within it of a+b, checks the
-harness complements 1 -+ cos(theta) on the band and cosh(theta) - 1 off it
-to 1e-15 relative, from excesses computed in mpmath and rounded to double
-as the callers supply them.
+within 1e-10 relative of |a-b| and a fifth within it of a+b, checks to
+1e-15 relative the complements 1 -+ cos(theta) of the angles between a and
+c and between b and c, which ``band_terms`` forms from those of the angle
+between a and b, and cosh(theta) - 1 off the band from the gap, each input
+computed in mpmath and rounded to double as the callers supply it.
 
 Bessel: a seeded sweep of the normalized Bessel function
 Gamma(nu+1) (x/2)^(-nu) J_nu(x) against ``mpmath.besselj`` at 60 digits, over
@@ -115,24 +116,31 @@ def _rel(got, ref):
     return abs(got - ref) / abs(ref)
 
 
+def _complements_of(a, b, c):
+    """(1 - cos(theta), 1 + cos(theta)) of the angle between mpmath sides a
+    and b of the triple (a, b, c)."""
+    return (c * c - (a - b) ** 2) / (2 * a * b), ((a + b) ** 2 - c * c) / (2 * a * b)
+
+
 def test_triple_complements_against_mpmath(monkeypatch):
-    # the recorder returns the (u, u - 1) that _r_outer hands to the core
+    # the recorders return the complements that band_terms hands to
+    # r_band_core and the (u, u - 1) that _r_outer hands to the core
+    monkeypatch.setattr(_corepy, "r_band_core", lambda *args: args[5:])
     monkeypatch.setattr(harness, "core", SimpleNamespace(r_outer_core=lambda *args: args[5:]))
+    permuted = _corepy.BAND_XZ | _corepy.BAND_YZ
     bad = []
     with mpmath.workdps(40):
         for a, b, c in _triples():
             am, bm, cm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
-            s = float(am + bm + cm)
-            two_ab = 2 * am * bm
             if c < a + b:
-                ea, eb, ec = float(bm + cm - am), float(am + cm - bm), float(am + bm - cm)
-                omt, opt = harness._complements(a, b, ea, eb, ec, s)
-                ref_omt = (cm * cm - (am - bm) ** 2) / two_ab
-                ref_opt = ((am + bm) ** 2 - cm * cm) / two_ab
-                err = max(_rel(omt, ref_omt), _rel(opt, ref_opt))
+                omt, opt = (float(v) for v in _complements_of(am, bm, cm))
+                _, _, c_ac, c_bc = _corepy.band_terms(0.3, 0.8, a, b, c, omt, opt, permuted)
+                refs = _complements_of(am, cm, bm) + _complements_of(bm, cm, am)
+                err = max(_rel(got, ref) for got, ref in zip(c_ac + c_bc, refs))
             else:
-                u, um1 = harness._r_outer(0.3, 0.8, a, b, c, float(cm - am - bm), s)
-                ref_um1 = (cm * cm - (am + bm) ** 2) / two_ab
+                u, um1 = harness._r_outer(0.3, 0.8, a, b, c, float(cm - am - bm),
+                                          float(am + bm + cm))
+                ref_um1 = (cm * cm - (am + bm) ** 2) / (2 * am * bm)
                 err = max(_rel(um1, ref_um1), _rel(u, ref_um1 + 1))
             if err > _GEOM_RTOL:
                 bad.append((a, b, c, float(err)))
