@@ -4,27 +4,28 @@
    probe (r_band), by the same algorithms, as a CPython extension.
    The helpers they call (the band kernel r_band_core, the series and
    asymptotic Bessel sums, the Gauss series, log_abs_gamma, sinpi) are
-   compiled as static functions only.
-   The module takes every other name of _corepy (listed in shared[] below)
-   from _corepy at import, so those return the pure core's doubles on every
-   build.
+   compiled as static functions only.  The module takes every other name of
+   _corepy (listed in shared[] below) from _corepy at import, so those
+   return the pure core's doubles on every build.
 
    Each kernel here follows its _corepy namesake operation for operation,
-   but for normalized_bessel_series: _corepy sums it exactly in integers,
-   and here a double-double loop returns the same double where it can
-   certify it and calls _corepy where it cannot.  The pure core's per-order
-   tables and per-parameter plans hold values that this file recomputes, by
+   with two exceptions.  _corepy sums normalized_bessel_series exactly in
+   integers; here a double-double loop returns the same double where it can
+   certify it.  band_terms takes its kernels in plain order, each from the
+   same arguments: _corepy's order only picks which error is raised.  The
+   pure core's tables and plans hold values that this file recomputes, by
    the same operations, on every call; here that work is a few cycles.
    Build with -ffp-contract=off: the double-double loop's bound relies on
    exact IEEE multiply and add rounding, which fused contraction breaks.
 
-   Every failure is the pure core's.  A kernel here that cannot give a
-   finite value returns NaN: it keeps each check that decides between a
-   value and a failure, and the NaN propagates through its callers (a
-   return that would hide it tests for it first).  Its entry point then
-   returns what the _corepy function of the same name gives for the same
-   arguments, its value or its error.  So this file holds no error class
-   and no message, and a finite value is the only outcome it decides. */
+   This file decides one thing: whether an entry returns a finite double.
+   A kernel that cannot give one (a failure, or a Bessel sum the loop cannot
+   certify) returns NaN, which its callers propagate (a return that would
+   hide it tests for it first); so does an entry given another count of
+   arguments or one that does not convert.  The entry then returns what the
+   _corepy function of the same name gives for the same arguments, its value
+   or its error.  So this file holds no error class, no message, no argument
+   rule, no fallback call and no evaluation order of its own. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -89,20 +90,6 @@ static int rounds_alike(double sh, double sl, double bound)
     return bound < 0.5 * margin;
 }
 
-/* gfkernel._corepy.normalized_bessel_series, the exact fixed-point sum,
-   taken at import. */
-static PyObject *exact_series;
-
-static double exact_bessel_series(double nu, double x)
-{
-    PyObject *r = PyObject_CallFunction(exact_series, "dd", nu, x);
-    double v;
-    if (r == NULL) return NAN;  /* the entry's deferral raises its error again */
-    v = PyFloat_AsDouble(r);
-    Py_DECREF(r);
-    return v;
-}
-
 /* sum_n (-1)^n (x/2)^(2n) / (n! (nu+1)_n), correctly rounded: _corepy's
    value.  A double-double loop returns fl(sum) where it can certify it:
    once the term ratio rho is below 1/2 the tail lies within rho |term| of
@@ -111,7 +98,8 @@ static double exact_bessel_series(double nu, double x)
    step taken, each addition by 2^-103.7 of the partial sum and term, and a
    partial sum is at most that magnitude sum).  Where this bound cannot
    certify the rounding (the sum cancels, or sits near a rounding boundary
-   or a zero of J), _corepy's exact sum is returned. */
+   or a zero of J), NaN is returned, and the entry answers with _corepy,
+   which sums it exactly. */
 static double normalized_bessel_series(double nu, double x)
 {
     double half = 0.5 * x, t, hh, hl, qh, ql, qhh, qhl;
@@ -188,7 +176,7 @@ static double normalized_bessel_series(double nu, double x)
             }
         }
     }
-    return exact_bessel_series(nu, x);
+    return NAN;
 }
 
 /* Hankel large-argument expansion, summed to its smallest term. */
@@ -380,42 +368,30 @@ static double r_band_core(double mu, double nu, double xa, double ya, double za,
 
 /* The band kernels of one density node into r[]: R_{mu,mu}, R(xa, ya, za),
    R(xa, za, ya), R(ya, za, xa), R = R_{mu,nu}, each 0.0 unless mask asks
-   for it, in _corepy.band_terms' order and from its complements.  Returns
-   0 at the first kernel that is not finite. */
+   for it, from _corepy.band_terms' complements.  Returns 0 when a kernel is
+   not finite: the entry then defers, and _corepy raises in its own order. */
 static int band_terms(double mu, double nu, double xa, double ya, double za, double omt,
                       double opt, long mask, double r[4])
 {
-    double twoxy = 2.0 * xa * ya, s = xa + ya + za, dm = fabs(xa - ya), ez, lo, ab2, o, p;
-    int mm_xz = (mask & BAND_MM) && (mask & BAND_MM_AT_XZ);
-    r[0] = r[1] = r[2] = r[3] = 0.0;
-    if (!mm_xz) {
-        if (mask & BAND_XY && !isfinite(r[1] = r_band_core(mu, nu, xa, ya, za, omt, opt)))
-            return 0;
-        if (mask & BAND_MM && !isfinite(r[0] = r_band_core(mu, mu, xa, ya, za, omt, opt)))
-            return 0;
-        if (!(mask & (BAND_XZ | BAND_YZ))) return 1;
-    }
-    ez = twoxy * opt / s;         /* xa + ya - za */
-    lo = twoxy * omt / (za + dm); /* za - |xa - ya| */
+    double twoxy = 2.0 * xa * ya, s = xa + ya + za, dm = fabs(xa - ya);
+    double ez = twoxy * opt / s, lo = twoxy * omt / (za + dm);  /* xa + ya - za, za - |xa - ya| */
+    double xz[2] = {0.0, 0.0}, yz[2] = {0.0, 0.0};
     /* the excesses of xa and ya: the larger side's is lo, the smaller's dm + za */
-    if (mm_xz || mask & BAND_XZ) {
-        ab2 = 2.0 * xa * za;
-        o = (ya >= xa ? dm + za : lo) * ez / ab2;
-        p = (ya >= xa ? lo : dm + za) * s / ab2;
-        if (mm_xz && !isfinite(r[0] = r_band_core(mu, mu, xa, za, ya, o, p))) return 0;
-        if (mm_xz && mask & BAND_XY
-            && !isfinite(r[1] = r_band_core(mu, nu, xa, ya, za, omt, opt)))
-            return 0;
-        if (mask & BAND_XZ && !isfinite(r[2] = r_band_core(mu, nu, xa, za, ya, o, p)))
-            return 0;
+    if (mask & (BAND_XZ | BAND_MM_AT_XZ)) {
+        xz[0] = (ya >= xa ? dm + za : lo) * ez / (2.0 * xa * za);
+        xz[1] = (ya >= xa ? lo : dm + za) * s / (2.0 * xa * za);
     }
     if (mask & BAND_YZ) {
-        ab2 = 2.0 * ya * za;
-        o = (xa >= ya ? dm + za : lo) * ez / ab2;
-        p = (xa >= ya ? lo : dm + za) * s / ab2;
-        if (!isfinite(r[3] = r_band_core(mu, nu, ya, za, xa, o, p))) return 0;
+        yz[0] = (xa >= ya ? dm + za : lo) * ez / (2.0 * ya * za);
+        yz[1] = (xa >= ya ? lo : dm + za) * s / (2.0 * ya * za);
     }
-    return 1;
+    r[0] = !(mask & BAND_MM) ? 0.0
+           : mask & BAND_MM_AT_XZ ? r_band_core(mu, mu, xa, za, ya, xz[0], xz[1])
+           : r_band_core(mu, mu, xa, ya, za, omt, opt);
+    r[1] = mask & BAND_XY ? r_band_core(mu, nu, xa, ya, za, omt, opt) : 0.0;
+    r[2] = mask & BAND_XZ ? r_band_core(mu, nu, xa, za, ya, xz[0], xz[1]) : 0.0;
+    r[3] = mask & BAND_YZ ? r_band_core(mu, nu, ya, za, xa, yz[0], yz[1]) : 0.0;
+    return isfinite(r[0]) && isfinite(r[1]) && isfinite(r[2]) && isfinite(r[3]);
 }
 
 /* Outer value of R_{mu,nu}(xa, ya, za) given u = cosh(theta) and um1 = u-1.
@@ -467,18 +443,14 @@ static double r_outer(double mu, double nu, double xa, double ya, double za)
 
 /* ---- Python entry points ---- */
 
-/* Unpack the positional arguments of name() into out[], one per character
-   of fmt: 'd' a double, 'l' a long (an int, not a float).  No keyword is
-   taken (hyp2f1 places its zc first). */
-static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-                 const char *name, const char *fmt, void *const *out)
+/* Unpack exactly strlen(fmt) positional arguments into out[], one per
+   character of fmt: 'd' a double, 'l' a long (an int, not a float).  -1 for
+   any other count or an argument that does not convert: the entry defers. */
+static int parse(PyObject *const *args, Py_ssize_t nargs, const char *fmt, void *const *out)
 {
     Py_ssize_t i;
-    for (i = 0; fmt[i]; i++) {
-        if (i == nargs) {
-            PyErr_Format(PyExc_TypeError, "%s() missing required argument %zd", name, i + 1);
-            return -1;
-        }
+    if (nargs != (Py_ssize_t)strlen(fmt)) return -1;
+    for (i = 0; i < nargs; i++) {
         if (fmt[i] == 'l') {
             if ((*(long *)out[i] = PyLong_AsLong(args[i])) == -1 && PyErr_Occurred())
                 return -1;
@@ -488,16 +460,6 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
         else if ((*(double *)out[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
             return -1;
     }
-    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames) > 0) {
-        PyErr_Format(PyExc_TypeError, "%s() got an unexpected or repeated argument '%U'",
-                     name, PyTuple_GET_ITEM(kwnames, 0));
-        return -1;
-    }
-    if (nargs > i) {
-        PyErr_Format(PyExc_TypeError, "%s() takes at most %zd arguments (%zd given)", name, i,
-                     nargs);
-        return -1;
-    }
     return 0;
 }
 
@@ -505,9 +467,9 @@ static int parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
 static PyObject *corepy;
 
 /* What _corepy's name() returns for the entry's arguments: its value, or its
-   error.  An error the exact Bessel sum left pending is dropped, as that
-   call raises it again; an interrupt (no Exception) is kept. */
-static PyObject *defer(const char *name, PyObject *const *args, Py_ssize_t n, PyObject *kw)
+   error.  An error that converting an argument left pending is dropped, as
+   that call meets the argument again; an interrupt (no Exception) is kept. */
+static PyObject *defer(const char *name, PyObject *const *args, Py_ssize_t n)
 {
     PyObject *fn, *r;
     if (PyErr_Occurred()) {
@@ -515,96 +477,85 @@ static PyObject *defer(const char *name, PyObject *const *args, Py_ssize_t n, Py
         PyErr_Clear();
     }
     if ((fn = PyObject_GetAttrString(corepy, name)) == NULL) return NULL;
-    r = PyObject_Vectorcall(fn, args, n, kw);
+    r = PyObject_Vectorcall(fn, args, n, NULL);
     Py_DECREF(fn);
     return r;
 }
 
-static PyObject *value(double v, const char *name, PyObject *const *args, Py_ssize_t n,
-                       PyObject *kw)
+static PyObject *value(double v, const char *name, PyObject *const *args, Py_ssize_t n)
 {
-    return isfinite(v) ? PyFloat_FromDouble(v) : defer(name, args, n, kw);
+    return isfinite(v) ? PyFloat_FromDouble(v) : defer(name, args, n);
 }
 
-#define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n, PyObject *kw
-#define PARSE(name, fmt, ...) \
-    parse(args, n, kw, #name, fmt, (void *const[]){__VA_ARGS__})
-#define VALUE(name, v) value(v, #name, args, n, kw)
+#define ARGS PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n
+#define PARSE(fmt, ...) parse(args, n, fmt, (void *const[]){__VA_ARGS__})
+#define DEFER(name) defer(#name, args, n)
+#define VALUE(name, v) value(v, #name, args, n)
 
-PyDoc_STRVAR(bessel_j_doc, "bessel_j(nu, x)\n--\n\n");
+PyDoc_STRVAR(bessel_j_doc, "bessel_j(nu, x, /)\n--\n\n");
 static PyObject *py_bessel_j(ARGS)
 {
     double nu, x;
-    if (PARSE(bessel_j, "dd", &nu, &x)) return NULL;
+    if (PARSE("dd", &nu, &x)) return DEFER(bessel_j);
     return VALUE(bessel_j, bessel_j(nu, x));
 }
 
-PyDoc_STRVAR(normalized_bessel_j_doc, "normalized_bessel_j(nu, x)\n--\n\n");
+PyDoc_STRVAR(normalized_bessel_j_doc, "normalized_bessel_j(nu, x, /)\n--\n\n");
 static PyObject *py_normalized_bessel_j(ARGS)
 {
     double nu, x;
-    if (PARSE(normalized_bessel_j, "dd", &nu, &x)) return NULL;
+    if (PARSE("dd", &nu, &x)) return DEFER(normalized_bessel_j);
     return VALUE(normalized_bessel_j, normalized_bessel_j(nu, x));
 }
 
-PyDoc_STRVAR(hyp2f1_doc, "hyp2f1(a, b, c, z, zc=None)\n--\n\n");
+PyDoc_STRVAR(hyp2f1_doc, "hyp2f1(a, b, c, z, zc=None, /)\n--\n\n");
 static PyObject *py_hyp2f1(ARGS)
 {
     double a, b, c, z, zc = 0.0, v, err = 0.0;
-    Py_ssize_t m = n;
-    PyObject *k = kw;
-    /* zc, by position or keyword: a fifth double, or None for none */
-    if (n == 4 && kw != NULL && PyTuple_GET_SIZE(kw) == 1
-        && PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kw, 0), "zc") == 0) {
-        m = 5;
-        k = NULL;
-    }
-    if (m == 5 && args[4] == Py_None) m = 4;
-    if (parse(args, m, k, "hyp2f1", m < 5 ? "dddd" : "ddddd",
-              (void *const[]){&a, &b, &c, &z, &zc}))
-        return NULL;
-    v = hyp2f1(a, b, c, z, m == 5, zc, &err);
-    if (!(isfinite(v) && isfinite(err))) return defer("hyp2f1", args, n, kw);
+    Py_ssize_t m = n == 5 && args[4] == Py_None ? 4 : n;  /* a fifth None is no zc */
+    if (parse(args, m, m == 5 ? "ddddd" : "dddd", (void *const[]){&a, &b, &c, &z, &zc})
+        || !isfinite(v = hyp2f1(a, b, c, z, m == 5, zc, &err)) || !isfinite(err))
+        return DEFER(hyp2f1);
     return Py_BuildValue("(dd)", v, err);
 }
 
-PyDoc_STRVAR(band_terms_doc, "band_terms(mu, nu, xa, ya, za, omt, opt, mask)\n--\n\n");
+PyDoc_STRVAR(band_terms_doc, "band_terms(mu, nu, xa, ya, za, omt, opt, mask, /)\n--\n\n");
 static PyObject *py_band_terms(ARGS)
 {
     double mu, nu, xa, ya, za, omt, opt, r[4];
     long mask;
-    if (PARSE(band_terms, "dddddddl", &mu, &nu, &xa, &ya, &za, &omt, &opt, &mask)) return NULL;
-    if (!band_terms(mu, nu, xa, ya, za, omt, opt, mask, r))
-        return defer("band_terms", args, n, kw);
+    if (PARSE("dddddddl", &mu, &nu, &xa, &ya, &za, &omt, &opt, &mask)
+        || !band_terms(mu, nu, xa, ya, za, omt, opt, mask, r))
+        return DEFER(band_terms);
     return Py_BuildValue("(dddd)", r[0], r[1], r[2], r[3]);
 }
 
-PyDoc_STRVAR(r_outer_core_doc, "r_outer_core(mu, nu, xa, ya, za, u, um1)\n--\n\n");
+PyDoc_STRVAR(r_outer_core_doc, "r_outer_core(mu, nu, xa, ya, za, u, um1, /)\n--\n\n");
 static PyObject *py_r_outer_core(ARGS)
 {
     double mu, nu, xa, ya, za, u, um1;
-    if (PARSE(r_outer_core, "ddddddd", &mu, &nu, &xa, &ya, &za, &u, &um1)) return NULL;
+    if (PARSE("ddddddd", &mu, &nu, &xa, &ya, &za, &u, &um1)) return DEFER(r_outer_core);
     return VALUE(r_outer_core, r_outer_core(mu, nu, xa, ya, za, u, um1));
 }
 
-PyDoc_STRVAR(r_band_doc, "r_band(mu, nu, xa, ya, za)\n--\n\n");
+PyDoc_STRVAR(r_band_doc, "r_band(mu, nu, xa, ya, za, /)\n--\n\n");
 static PyObject *py_r_band(ARGS)
 {
     double mu, nu, xa, ya, za;
-    if (PARSE(r_band, "ddddd", &mu, &nu, &xa, &ya, &za)) return NULL;
+    if (PARSE("ddddd", &mu, &nu, &xa, &ya, &za)) return DEFER(r_band);
     return VALUE(r_band, r_band(mu, nu, xa, ya, za));
 }
 
-PyDoc_STRVAR(r_outer_doc, "r_outer(mu, nu, xa, ya, za)\n--\n\n");
+PyDoc_STRVAR(r_outer_doc, "r_outer(mu, nu, xa, ya, za, /)\n--\n\n");
 static PyObject *py_r_outer(ARGS)
 {
     double mu, nu, xa, ya, za;
-    if (PARSE(r_outer, "ddddd", &mu, &nu, &xa, &ya, &za)) return NULL;
+    if (PARSE("ddddd", &mu, &nu, &xa, &ya, &za)) return DEFER(r_outer);
     return VALUE(r_outer, r_outer(mu, nu, xa, ya, za));
 }
 
 #define ENTRY(name) \
-    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL | METH_KEYWORDS, name##_doc}
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, name##_doc}
 
 static PyMethodDef methods[] = {
     ENTRY(bessel_j),
@@ -619,8 +570,8 @@ static PyMethodDef methods[] = {
 
 /* The functions that Python calls only where speed does not count: the
    seven that no density integrand calls, the six helpers above that the
-   kernels call in C, and r_band_core, whose values the density integrands
-   take through band_terms.  The module takes _corepy's own at import. */
+   kernels call in C, and r_band_core, which band_terms calls in C.  The
+   module takes _corepy's own at import; no kernel here calls back to them. */
 static const char *const shared[] = {
     "gammafn", "rgamma", "digamma", "legendre_p", "legendre_q_phase_free",
     "gegenbauer", "r_gegenbauer_band", "log_abs_gamma", "sinpi", "bessel_crossover",
@@ -630,7 +581,7 @@ static const char *const shared[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "gfkernel._core",
     "The hot kernels of gfkernel._corepy compiled: same functions, same algorithms; "
-    "their failures and the cold functions are _corepy's own.",
+    "every outcome but a finite value, and the cold functions, are _corepy's own.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 
@@ -638,9 +589,7 @@ PyMODINIT_FUNC PyInit__core(void)
 {
     PyObject *m = NULL, *fn;
     size_t i;
-    if ((corepy = PyImport_ImportModule("gfkernel._corepy")) != NULL
-        && (exact_series = PyObject_GetAttrString(corepy, "normalized_bessel_series")) != NULL)
-        m = PyModule_Create(&module);
+    if ((corepy = PyImport_ImportModule("gfkernel._corepy")) != NULL) m = PyModule_Create(&module);
     for (i = 0; m != NULL && i < sizeof shared / sizeof *shared; i++) {
         fn = PyObject_GetAttrString(corepy, shared[i]);
         if (fn == NULL || PyModule_AddObjectRef(m, shared[i], fn) < 0) Py_CLEAR(m);

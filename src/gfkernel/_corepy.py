@@ -6,10 +6,9 @@ call per node (Bessel J, 2F1, a node's band kernels, the outer kernel) and
 the helpers they use, one-to-one, and exports the seven kernels Python
 calls; the compiled module takes the other 14 (its ``shared[]`` list) from
 here, so they are one source on every build.  Public argument validation
-lives in the wrapper modules; this layer only guards against the failure
-modes that appear mid-computation (poles, nonconvergence, degenerate
-connection formulas) and the non-finite arguments a gamma helper cannot
-take.
+lives in the wrapper modules; this layer guards only against the failures
+that appear mid-computation (poles, nonconvergence, degenerate connection
+formulas) and the non-finite arguments a gamma helper cannot take.
 
 Numerical notes
 ---------------
@@ -20,8 +19,8 @@ Numerical notes
   is S / 2^p, which Python rounds correctly, once S - E and S + E round
   alike; p doubles otherwise.  The series cancels by up to e^|x| below the
   crossover max(25, 2 nu^2), which no fixed float precision holds.
-  ``_core.c`` returns its double-double loop's double only where a bound
-  on that loop's rounding certifies it, and calls this function otherwise.
+  ``_core.c`` returns its double-double loop's double where a bound on
+  its rounding certifies it, and NaN otherwise, where its entry defers.
 * Per-order tables (``_Table``): tuples grown 32 rows at a time, replaced
   whole and kept up to 160 rows, the longest the benchmark workloads use.
   ``normalized_bessel_series`` reads the integer denominators
@@ -36,7 +35,8 @@ Numerical notes
   Gauss tables, the connection gamma ratios, the kernels' order-only
   factors), built where the kernel first meets each stage and kept once it
   succeeds, so an error is raised where it would be without plans, and on
-  every call.  The three share one flow (``_hyp2f1``) and one Gauss loop.
+  every call.  The three share one flow (``_hyp2f1``) and two Gauss loops,
+  ``_gauss`` and ``_terminating_series``.
 * One memo idiom: ``functools.lru_cache(N, typed=True)`` constructors,
   ``_bessel_table(nu)`` 16, ``_hyp2f1_plan(a, b, c)`` 64, ``_band_plan``
   and ``_outer_plan`` 16 each.  Typed keys keep 1 and 1.0 apart; +0.0 and

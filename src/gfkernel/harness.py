@@ -654,7 +654,7 @@ def legendre_p_integral_check(mu: float, nu: float,
                  * core.rgamma(mu - nu + 1.0) * core.rgamma(mu + nu + 1.0)))
 
     def f2(t, dlo, dhi):
-        val, _ = core.hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * dhi, zc=0.5 * dlo)
+        val, _ = core.hyp2f1(nu + 0.5, 0.5 - nu, mu + 0.5, 0.5 * dhi, 0.5 * dlo)
         return math.pow(dhi, mu - 0.5) * val * rg
 
     # (1 - t)^(mu - 1/2) at t = 1
@@ -686,7 +686,7 @@ def legendre_q_integral_check(mu: float, nu: float,
     def integrand(t, tm1):
         z = 1.0 / (t * t)
         zc = tm1 * (t + 1.0) * z
-        val, _ = core.hyp2f1(0.5 * d + 1.0, 0.5 * (d + 1.0), nu + 1.0, z, zc=zc)
+        val, _ = core.hyp2f1(0.5 * d + 1.0, 0.5 * (d + 1.0), nu + 1.0, z, zc)
         return cfac * math.pow(t, -(d + 1.0)) * val
 
     res_near = integrate_singular_band2(lambda t, dlo, dhi: integrand(t, dlo),
