@@ -13,7 +13,9 @@ its own command alone.  A run function returns its rows and its exit
 code; the keys of the first row, in order, are the output columns.  The
 quadrature flags (``--abs-tol``, ``--rel-tol``, ``--max-levels``), their
 types and their defaults are the fields of ``QuadratureSpec``; only the
-commands that integrate take them.
+commands that integrate take them.  ``harness`` and ``quadrature`` are
+imported by the commands and subparsers that use them, so ``eval-kernel``
+and ``eval-density`` load neither.
 
 Exit codes: 0 all asserted tolerances met, 2 invalid input, 3 numerical
 failure (nonconvergence).
@@ -29,26 +31,15 @@ import sys
 from ._backend import backend_name
 from .errors import ConvergenceError, DomainError, GfkError
 from .genkernel import Params, b_kernel, delta_density
-from .harness import (
-    Axis,
-    SweepGrid,
-    bump_profile,
-    gaussian_profile,
-    hankel_identity_eq1,
-    hankel_identity_eq2,
-    legendre_p_integral_check,
-    legendre_q_integral_check,
-    product_residual,
-    translate_report,
-    tv_norm_report,
-)
-from .quadrature import QuadratureSpec
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-_SPEC_DEFAULTS = QuadratureSpec._field_defaults
+# tv-sweep starts at most one worker per this many grid points: on a 2-CPU
+# host two workers beat one process only from about 25 points, where they
+# repay the pool's start, its import and each worker's cold plans
+POINTS_PER_WORKER = 16
 
 
 def _fmt(v) -> str:
@@ -73,7 +64,10 @@ def _write_rows(rows: list[dict], out: str | None, fmt: str) -> None:
 
 
 def _spec_from(ns: dict) -> QuadratureSpec:
-    return QuadratureSpec(**{n: type(d)(ns[n]) for n, d in _SPEC_DEFAULTS.items() if n in ns})
+    from .quadrature import QuadratureSpec
+
+    return QuadratureSpec(**{n: type(d)(ns[n]) for n, d in QuadratureSpec._field_defaults.items()
+                             if n in ns})
 
 
 def _density_params(ns: dict) -> Params:
@@ -108,6 +102,8 @@ def _cmd_eval_density(ns: dict) -> tuple[list[dict], int]:
 
 
 def _cmd_verify_product(ns: dict) -> tuple[list[dict], int]:
+    from .harness import product_residual
+
     p = _density_params(ns)
     rep = product_residual(p, ns["lam"], ns["x"], ns["y"], _spec_from(ns))
     return _residual(dict(k=p.k, a=p.a, **{"lambda": ns["lam"]}, x=ns["x"], y=ns["y"]),
@@ -115,6 +111,8 @@ def _cmd_verify_product(ns: dict) -> tuple[list[dict], int]:
 
 
 def _tv_point(args):
+    from .harness import tv_norm_report
+
     k, a, x, y, spec = args
     rep = tv_norm_report(Params(k, a), x, y, spec)
     return dict(k=k, a=a, x=x, y=y, tv=rep.value, quad_err=rep.quad_error,
@@ -122,6 +120,8 @@ def _tv_point(args):
 
 
 def _cmd_tv_sweep(ns: dict) -> tuple[list[dict], int]:
+    from .harness import Axis, SweepGrid
+
     p = _density_params(ns)
     grid = SweepGrid(tuple(Axis(n, float(ns.get(f"{n}_min", 0.1)),
                                 float(ns.get(f"{n}_max", 10.0)),
@@ -132,7 +132,7 @@ def _cmd_tv_sweep(ns: dict) -> tuple[list[dict], int]:
     jobs = int(ns.get("jobs", 1))
     if jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks) // POINTS_PER_WORKER, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -145,6 +145,8 @@ def _cmd_tv_sweep(ns: dict) -> tuple[list[dict], int]:
 
 
 def _cmd_hankel_check(ns: dict) -> tuple[list[dict], int]:
+    from .harness import hankel_identity_eq1, hankel_identity_eq2
+
     eq = int(ns.get("eq", 1))
     fn = hankel_identity_eq1 if eq == 1 else hankel_identity_eq2
     rep = fn(ns["mu"], ns["nu"], ns["x"], ns["y"], ns["t"], _spec_from(ns))
@@ -153,6 +155,8 @@ def _cmd_hankel_check(ns: dict) -> tuple[list[dict], int]:
 
 
 def _cmd_legendre_check(ns: dict) -> tuple[list[dict], int]:
+    from .harness import legendre_p_integral_check, legendre_q_integral_check
+
     ident = ns.get("identity", "P").upper()
     fn = legendre_p_integral_check if ident == "P" else legendre_q_integral_check
     rep = fn(ns["mu"], ns["nu"], _spec_from(ns))
@@ -160,6 +164,8 @@ def _cmd_legendre_check(ns: dict) -> tuple[list[dict], int]:
 
 
 def _cmd_translate(ns: dict) -> tuple[list[dict], int]:
+    from .harness import bump_profile, gaussian_profile, translate_report
+
     p = _density_params(ns)
     profile = ns.get("profile", "gaussian")
     width = float(ns.get("width", 1.0))
@@ -173,6 +179,7 @@ def _cmd_selftest(ns: dict) -> tuple[list[dict] | None, int]:
     import random
 
     from . import selfcheck
+    from .harness import product_residual
 
     results = selfcheck.run_all()
     rng = random.Random(int(ns.get("seed", 0)))
@@ -203,32 +210,30 @@ def _axis_opts(n: str) -> tuple:
 
 
 _ASSERT_TOL = (("--assert-tol", dict(type=float, help="exit 3 when rel_residual exceeds it")),)
-_QUAD = tuple(("--" + n.replace("_", "-"),
-               dict(type=type(d), help=f"QuadratureSpec.{n} (default {d})"))
-              for n, d in _SPEC_DEFAULTS.items())
 
-# name: (help, required float options, run function, extra options)
+# name: (help, required float options, run function, extra options, takes
+# the quadrature flags)
 _COMMANDS = {
-    "eval-kernel": ("evaluate B(lambda, x)", ("k", "a", "lam", "x"), _cmd_eval_kernel, ()),
+    "eval-kernel": ("evaluate B(lambda, x)", ("k", "a", "lam", "x"), _cmd_eval_kernel, (), False),
     "eval-density": ("evaluate the product density Delta(x, y, z)", ("k", "a", "x", "y", "z"),
-                     _cmd_eval_density, ()),
+                     _cmd_eval_density, (), False),
     "verify-product": ("product-formula residual at one point", ("k", "a", "lam", "x", "y"),
-                       _cmd_verify_product, _ASSERT_TOL + _QUAD),
+                       _cmd_verify_product, _ASSERT_TOL, True),
     "tv-sweep": ("total-variation norms over an (x, y) grid", ("k", "a"), _cmd_tv_sweep,
                  _axis_opts("x") + _axis_opts("y")
                  + (("--jobs", dict(type=int, help="parallel workers, at most one per "
-                                                   "grid point and CPU (default 1)")),) + _QUAD),
+                                                   "grid point and CPU (default 1)")),), True),
     "hankel-check": ("weighted Hankel identity residual", ("mu", "nu", "x", "y", "t"),
                      _cmd_hankel_check,
-                     (("--eq", dict(type=int, choices=[1, 2])),) + _ASSERT_TOL + _QUAD),
+                     (("--eq", dict(type=int, choices=[1, 2])),) + _ASSERT_TOL, True),
     "legendre-check": ("Legendre integral identity residual", ("mu", "nu"), _cmd_legendre_check,
-                       (("--identity", dict(choices=["P", "Q", "p", "q"])),) + _ASSERT_TOL + _QUAD),
+                       (("--identity", dict(choices=["P", "Q", "p", "q"])),) + _ASSERT_TOL, True),
     "translate": ("apply the generalized translation to a profile", ("k", "a", "y", "z"),
                   _cmd_translate, (("--profile", dict(choices=["gaussian", "bump"])),
-                                   ("--width", dict(type=float))) + _QUAD),
+                                   ("--width", dict(type=float))), True),
     "selftest": ("run the acceptance suite", (), _cmd_selftest,
-                 (("--seed", dict(type=int, help="seed for randomized spot checks (default 0)")),)
-                 + _QUAD),
+                 (("--seed", dict(type=int, help="seed for randomized spot checks (default 0)")),),
+                 True),
 }
 
 
@@ -240,11 +245,17 @@ def make_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
                      f"verification (backend: {backend_name()})"))
     sp = ap.add_subparsers(dest="command", required=True)
     for name in commands:
-        help_, required, _run, extra = _COMMANDS[name]
+        help_, required, _run, extra, quad = _COMMANDS[name]
         s = sp.add_parser(name, help=help_)
         acts = [s.add_argument("--lambda" if n == "lam" else f"--{n}", dest=n, type=float)
                 for n in required]
         acts += [s.add_argument(flag, **kwargs) for flag, kwargs in extra]
+        if quad:
+            from .quadrature import QuadratureSpec
+
+            acts += [s.add_argument("--" + n.replace("_", "-"), type=type(d),
+                                    help=f"QuadratureSpec.{n} (default {d})")
+                     for n, d in QuadratureSpec._field_defaults.items()]
         s.add_argument("--config", help="JSON file supplying options; explicit flags win")
         acts.append(s.add_argument("--out", help="output file (default: stdout)"))
         acts.append(s.add_argument("--format", choices=["csv", "json"],
@@ -295,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         ns, rest = make_parser(argv[:1]).parse_known_args(argv)
     if ns is None or rest:
         ns = make_parser().parse_args(argv)
-    _help, required, run, _extra = _COMMANDS[ns.command]
+    _help, required, run, *_ = _COMMANDS[ns.command]
     try:
         merged = _merge_config(ns)
         missing = [n for n in required if merged.get(n) is None]

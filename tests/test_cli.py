@@ -1,6 +1,8 @@
 """Command-line interface: schemas, exit codes, determinism, config files."""
 
+import ast
 import concurrent.futures
+import importlib
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import sys
 
 import pytest
 
+import gfkernel
 from gfkernel import cli
 from gfkernel.cli import main, make_parser
 
@@ -360,7 +363,9 @@ class TestSweepAndFormats:
         coords = [tuple(map(float, ln.split(",")[2:4])) for ln in lines[1:]]
         assert coords == sorted(coords)
 
-    def test_tv_sweep_parallel_matches_serial(self, capsys):
+    def test_tv_sweep_parallel_matches_serial(self, monkeypatch, capsys):
+        # one point per worker, so that this 4-point grid runs two real workers
+        monkeypatch.setattr(cli, "POINTS_PER_WORKER", 1)
         args = ["tv-sweep", "--k", "0.5", "--a", "2",
                 "--x-min", "0.5", "--x-max", "2.0", "--x-count", "2",
                 "--y-min", "0.5", "--y-max", "2.0", "--y-count", "2",
@@ -379,9 +384,11 @@ class TestSweepAndFormats:
         assert code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cpus, workers", [(8, [2]), (1, []), (None, [])])
-    def test_tv_sweep_pool_is_capped(self, cpus, workers, monkeypatch, capsys):
-        # at most one worker per grid point and CPU; one worker runs in this process
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of each pool tv-sweep asks for; the pool runs in
+        this process, and each point's row is a stub, as the cap alone is
+        under test."""
         asked = []
 
         class SerialPool:
@@ -398,12 +405,35 @@ class TestSweepAndFormats:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_tv_point", lambda t: dict(x=t[2], y=t[3], tv=1.0))
+        return asked
+
+    @staticmethod
+    def _sweep(points, capsys):
         code, out = run_cli(["tv-sweep", "--k", "0.5", "--a", "2", "--x-min", "0.5",
-                             "--x-max", "2.0", "--x-count", "2", "--y-min", "0.5",
+                             "--x-max", "2.0", "--x-count", str(points), "--y-min", "0.5",
                              "--y-count", "1", "--jobs", "64"], capsys)
-        assert code == 0 and len(out.splitlines()) == 3
-        assert asked == workers
+        assert code == 0 and len(out.splitlines()) == points + 1
+
+    @pytest.mark.parametrize("cpus, workers", [(8, [2]), (1, []), (None, [])])
+    def test_tv_sweep_pool_is_capped(self, cpus, workers, pool_sizes, monkeypatch, capsys):
+        # at most one worker per CPU; one worker runs in this process
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        self._sweep(2 * cli.POINTS_PER_WORKER, capsys)
+        assert pool_sizes == workers
+
+    @pytest.mark.parametrize("points, workers", [
+        (2, []), (cli.POINTS_PER_WORKER - 1, []), (2 * cli.POINTS_PER_WORKER - 1, []),
+        (2 * cli.POINTS_PER_WORKER + 1, [2]), (3 * cli.POINTS_PER_WORKER, [3]),
+        (9 * cli.POINTS_PER_WORKER, [8]),
+    ])
+    def test_tv_sweep_pool_needs_enough_points(self, points, workers, pool_sizes, monkeypatch,
+                                               capsys):
+        # at most one worker per POINTS_PER_WORKER grid points, even with
+        # --jobs 64 and 8 CPUs: a smaller grid runs in this process
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        self._sweep(points, capsys)
+        assert pool_sizes == workers
 
     def test_json_format(self, capsys):
         code, out = run_cli(["eval-kernel", "--k", "0.5", "--a", "2",
@@ -474,17 +504,84 @@ class TestOtherCommands:
         assert abs(values[0] - values[1]) <= 1e-9 * abs(values[0])
 
 
-def test_import_loads_only_what_every_command_needs():
-    # numpy is not a runtime dependency; the process pool, the acceptance
-    # suite and json are imported by the commands and options that use them,
-    # and the records are named tuples, which need no dataclasses (nor the
-    # inspect it imports)
-    code = ("import sys, gfkernel.cli; print(sorted(m for m in "
-            "('numpy', 'concurrent.futures', 'gfkernel.selfcheck', 'dataclasses', 'inspect', "
-            "'json') if m in sys.modules))")
+# numpy is not a runtime dependency; the process pool, the acceptance suite
+# and json are imported by the commands and options that use them, and the
+# records are named tuples, which need no dataclasses (nor the inspect it
+# imports)
+_NEVER_AT_START = ("numpy", "concurrent.futures", "gfkernel.selfcheck", "dataclasses",
+                   "inspect", "json")
+_CORE = {"gfkernel", "gfkernel._backend", "gfkernel._core", "gfkernel._corepy", "gfkernel.errors"}
+_KERNEL = _CORE | {"gfkernel.cli", "gfkernel.genkernel", "gfkernel.macdonald"}
+_INTEGRAL = _KERNEL | {"gfkernel.harness", "gfkernel.quadrature", "gfkernel._gauss_jacobi"}
+# one valid call of each command but selftest, and the gfkernel modules it
+# may load; tv-sweep's is the cli benchmark's, a 3x3 grid with --jobs 2,
+# which runs in its own process
+_COMMAND_LOADS = [
+    (["eval-kernel", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7"], _KERNEL),
+    (["eval-density", "--k", "0.75", "--a", "2", "--x", "1", "--y", "1.2", "--z", "1.1"],
+     _KERNEL),
+    (["verify-product", "--k", "0.5", "--a", "2", "--lambda", "1.1", "--x", "0.7", "--y", "1.3"],
+     _INTEGRAL),
+    (["tv-sweep", "--k", "0.75", "--a", "1.3333333333333333", "--x-min", "0.35", "--x-max", "2.8",
+      "--x-count", "3", "--y-min", "0.35", "--y-max", "2.8", "--y-count", "3", "--jobs", "2"],
+     _INTEGRAL),
+    (["hankel-check", "--eq", "1", "--mu", "0.4", "--nu", "0.9", "--x", "0.8", "--y", "1.1",
+      "--t", "1.3"], _INTEGRAL),
+    (["legendre-check", "--identity", "P", "--mu", "0.5", "--nu", "0.5"], _INTEGRAL),
+    (["translate", "--k", "0.75", "--a", "1.3333333333333333", "--y", "0.8", "--z", "-1.3"],
+     _INTEGRAL),
+]
+
+
+def _loaded_after(code: str) -> set:
+    """The gfkernel modules and the _NEVER_AT_START names in sys.modules
+    after code runs in a fresh interpreter."""
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             f"if m.startswith('gfkernel') or m in {_NEVER_AT_START!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_import_loads_only_what_every_command_needs():
+    assert _loaded_after("import gfkernel") <= _CORE
+    assert _loaded_after("import gfkernel.cli") <= _KERNEL
+    assert {args[0] for args, _ in _COMMAND_LOADS} == set(cli._COMMANDS) - {"selftest"}
+    for args, may_load in _COMMAND_LOADS:
+        loaded = _loaded_after(f"import os; from gfkernel import cli; "
+                               f"assert cli.main({args + ['--out', os.devnull]!r}) == 0")
+        assert loaded <= may_load, (args[0], sorted(loaded - may_load))
+
+
+class TestPackageSurface:
+    """``import gfkernel`` imports each public name's module on first use."""
+
+    HOMES = [("backend_name", "_backend"), ("Params", "genkernel"), ("m_const", "genkernel"),
+             ("b_kernel", "genkernel"), ("delta_density", "genkernel"),
+             ("MacdonaldOrders", "macdonald"), ("Region", "macdonald"),
+             ("classify", "macdonald"), ("r_kernel", "macdonald"),
+             ("r_kernel_gegenbauer", "macdonald"), ("QuadratureSpec", "quadrature"),
+             ("IntegralResult", "quadrature"), ("integrate_singular_band", "quadrature"),
+             ("integrate_power_tail", "quadrature"),
+             ("integrate_bessel_oscillatory", "quadrature")]
+
+    def test_all_lists_the_public_names_in_order(self):
+        assert gfkernel.__all__ == [name for name, _ in self.HOMES] + ["__version__"]
+
+    @pytest.mark.parametrize("name, home", HOMES)
+    def test_each_name_is_its_home_modules(self, name, home):
+        assert getattr(gfkernel, name) is getattr(importlib.import_module(f"gfkernel.{home}"),
+                                                   name)
+
+    def test_dir_and_star_import_give_every_name(self):
+        assert "__all__" in dir(gfkernel) and set(gfkernel.__all__) <= set(dir(gfkernel))
+        namespace = {}
+        exec("from gfkernel import *", namespace)
+        assert all(namespace[name] is getattr(gfkernel, name) for name in gfkernel.__all__)
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'gfkernel' has no attribute 'kernel'"):
+            gfkernel.kernel
 
 
 def test_selftest_reports_the_suite_and_spot_checks(monkeypatch, tmp_path, capsys):

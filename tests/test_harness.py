@@ -172,6 +172,29 @@ class TestProductResidual:
         assert before is None or r.rel_residual <= float.fromhex(before)
 
 
+class TestExactMoments:
+    """The product formula's λ term gives ∫ z dν_{x,y}(z) = x + y at every
+    a: an exact value for the density plan's odd part, which lives on the
+    band and the gap."""
+
+    @pytest.mark.parametrize("core", ["backend", "pure"])
+    @pytest.mark.parametrize("k, a, x, y", [
+        (0.75, 4.0 / 3.0, 0.7, 1.3), (0.75, 4.0 / 3.0, -0.7, 1.3), (1.0, 3.0, 0.4, 2.5),
+        (0.3, 1.5, 0.9, 1.7), (0.26, 1.0, 0.5, 3.0), (2.0, 0.8, 1.0, 1.0001),
+        (0.5, 2.0, 0.7, -1.3), (1.0, 2.0 / 3.0, 0.4, 1.2),
+    ])
+    def test_first_moment(self, request, core, k, a, x, y):
+        if core == "pure":
+            request.getfixturevalue("pure_core")
+        g = harness._DensityGeometry.of(Params(k, a), x, y)
+        # the odd weight z alone, folded onto z > 0 as in _product_rhs
+        (b, gp, near, tail), _ = harness._gamma_integral(
+            g, SPEC, lambda Z, z, e, o: (0.0, z if o else 0.0))
+        moment = 2.0 * (b + gp + g.e2a * (g.sxy * (near + tail)))
+        # quad_error is not asserted: it falls below this error at two points
+        assert abs(moment - (x + y)) <= 1e-13 * max(1.0, abs(x) + abs(y))
+
+
 class TestCompactBand:
     """With 2/a an integer the density lives on the band alone, which the
     Gauss-Jacobi rules of the weight (1 - t^2)^(mu - 1/2) integrate."""
