@@ -437,7 +437,9 @@ static double r_band(double mu, double nu, double xa, double ya, double za)
 
 static double r_outer(double mu, double nu, double xa, double ya, double za)
 {
-    double twoxy = 2.0 * xa * ya, s = xa + ya, um1 = (za - s) * (za + s) / twoxy;
+    double twoxy = 2.0 * xa * ya, s = xa + ya, um1;
+    if (twoxy == 0.0) return NAN;  /* refused by the pure core */
+    um1 = (za - s) * (za + s) / twoxy;
     return r_outer_core(mu, nu, xa, ya, za, 1.0 + um1, um1);
 }
 

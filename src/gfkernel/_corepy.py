@@ -369,10 +369,10 @@ def _gauss(table, z):
             t = s + y
             comp = (t - s) - y
             s = t
-            at = abs(term)
+            at = term if term > 0.0 else -term
             abssum += at
             n += 1
-            if n > 4 and at <= 1e-17 * abs(s):
+            if n > 4 and at <= 1e-17 * (s if s > 0.0 else -s):
                 if n == len(ratios):
                     ratios = table.grown(ratios, n)
                 rho = abs(ratios[n] * z)
@@ -843,6 +843,8 @@ def r_band(mu, nu, xa, ya, za):
 def r_outer(mu, nu, xa, ya, za):
     """Outer value from a raw triple (za > xa+ya)."""
     twoxy = 2.0 * xa * ya
+    if twoxy == 0.0:
+        raise DomainError(f"outer triple needs 2 xa ya != 0 (xa={xa!r}, ya={ya!r})")
     s = xa + ya
     um1 = (za - s) * (za + s) / twoxy
     return r_outer_core(mu, nu, xa, ya, za, 1.0 + um1, um1)

@@ -10,17 +10,18 @@ pieces, each with its engine, which one loop integrates:
 
 * the band in t = cos(theta) of the fixed sides, whose three angles give
   the four permuted kernels, in one core call a node (_band_terms),
-* the gap below it, with its one surviving term (_gap_term), in Z,
+* the gap below it, with its one surviving term, in Z,
 * above it the one outer term: in u = cosh(theta) on (1, 2], then the last
   piece, a tail by Bessel-zero partitioning with Sidi's mW transformation
   (oscillatory case) or the power-tail rule (z^-3); a finite support ends
   it in pieces of Z.
 
-Each check is a weight callback on the plan.  The density's even terms are
-weighted by the even part of what it is integrated against, its odd terms
-by the odd part; where that part is exactly zero (no odd weight on the
-gamma side; an even or odd profile, node by node, in translate) its terms
-are not evaluated, which changes no bit.
+Each check is a weight callback on the plan, and a node makes one weights
+call and one core call (on the band through the geometry's band_sums), on
+values the plan binds once.  The density's even terms are weighted by the
+even part of what it is integrated against, its odd terms by the odd part;
+where that part is exactly zero (no odd weight on the gamma side; an even or
+odd profile, node by node, in translate) its terms are not evaluated.
 
 All residual reports carry rel_residual = abs_residual / (1 + |lhs|).
 """
@@ -158,7 +159,8 @@ class _DensityGeometry:
     coef z^zexp.  Z is Delta's third side, or its middle one when middle
     (Delta(x, ., y)); single keeps only the kernel R_{mu,nu} that Delta
     weights by e^(-2 i pi/a) (the Hankel identities).  The outer terms
-    vanish identically unless has_tail."""
+    vanish identically unless has_tail.  band_sums is _band_terms, with the
+    core's band_terms bound when the geometry is built."""
 
     def __init__(self, mu: float, nu: float, a: float, x: float, y: float,
                  coef: float, zexp: float, has_tail: bool, e2a: complex = 1.0,
@@ -166,16 +168,15 @@ class _DensityGeometry:
         self.mu = mu
         self.nu = nu
         self.ha = 0.5 * a
-        self.X = math.pow(abs(x), self.ha)
-        self.Y = math.pow(abs(y), self.ha)
-        self.sx = math.copysign(1.0, x)
-        self.sy = math.copysign(1.0, y)
-        self.sxy = self.sx * self.sy
-        self.Z1 = abs(self.X - self.Y)
-        self.Z2 = self.X + self.Y
+        self.X = X = math.pow(abs(x), self.ha)
+        self.Y = Y = math.pow(abs(y), self.ha)
+        self.sx = sx = math.copysign(1.0, x)
+        self.sy = sy = math.copysign(1.0, y)
+        self.sxy = sxy = sx * sy
+        self.Z1 = abs(X - Y)
+        self.Z2 = X + Y
         # the plan forms each angle over 2XY, and the outer side from Z2^2
-        _require_angle_scale("fixed sides", (self.X, self.Y), 2.0 * self.X * self.Y,
-                             self.Z2 * self.Z2)
+        _require_angle_scale("fixed sides", (X, Y), 2.0 * X * Y, self.Z2 * self.Z2)
         self.e2a = e2a
         self.two_over_a = 2.0 / a
         self.zexp = zexp
@@ -183,11 +184,24 @@ class _DensityGeometry:
         self.has_tail = has_tail
         self.single = single
         # band_terms' masks of no sum, the even, the odd and both; each sum's phase
-        even, odd = BAND_MM | BAND_XY | (BAND_MM_AT_XZ if middle else 0), BAND_XZ | BAND_YZ
+        em, om = BAND_MM | BAND_XY | (BAND_MM_AT_XZ if middle else 0), BAND_XZ | BAND_YZ
         if single:
-            even, odd = (0, BAND_XZ) if middle else (BAND_XY, 0)
-        self.masks = (0, even, odd, even | odd)
-        self.phases = (1, e2a) if middle else (e2a, 1)
+            em, om = (0, BAND_XZ) if middle else (BAND_XY, 0)
+        masks = (0, em, om, em | om)
+        self.phases = ph_e, ph_o = (1, e2a) if middle else (e2a, 1)
+        band_terms = core.band_terms
+
+        def band_sums(Z, omt, opt, even=True, odd=True):
+            mask = masks[even + 2 * odd]
+            if not mask:
+                return 0.0, 0.0
+            rm, r, rxz, ryz = band_terms(mu, nu, X, Y, Z, omt, opt, mask)
+            if single:
+                return r, rxz
+            return (rm + ph_e * (sxy * r) if even else 0.0,
+                    ph_o * (sx * rxz) + sy * ryz if odd else 0.0)
+
+        self.band_sums = band_sums
 
     @classmethod
     def of(cls, p: Params, x: float, y: float, middle: bool = False) -> "_DensityGeometry":
@@ -200,19 +214,6 @@ class _DensityGeometry:
         g.coef *= _side_power(p, x, y)  # after the fixed sides' scale check
         return g
 
-    def z_of(self, Z: float) -> float:
-        return math.pow(Z, self.two_over_a)
-
-    def common(self, z: float) -> float:
-        return self.coef * math.pow(z, self.zexp)
-
-    def dz_dZ(self, Z: float) -> float:
-        return self.two_over_a * math.pow(Z, self.two_over_a - 1.0)
-
-    def dz_dt(self, Z: float) -> float:
-        """|dz/dt| for t = cos(theta) on the band or cosh(theta) outside it."""
-        return self.two_over_a * math.pow(Z, self.two_over_a - 2.0) * self.X * self.Y
-
 
 def _band_terms(g: _DensityGeometry, Z: float, omt: float, opt: float,
                 even: bool = True, odd: bool = True):
@@ -224,23 +225,7 @@ def _band_terms(g: _DensityGeometry, Z: float, omt: float, opt: float,
     sgn(y) R(Y,Z,X); middle side, even Rm(X,Z,Y) + sgn(xy) R(X,Y,Z) and odd
     e sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X).  single keeps R(X,Y,Z) (even) or
     R(X,Z,Y) (odd, middle) alone."""
-    mask = g.masks[even + 2 * odd]
-    if not mask:
-        return 0.0, 0.0
-    rm, r, rxz, ryz = core.band_terms(g.mu, g.nu, g.X, g.Y, Z, omt, opt, mask)
-    if g.single:
-        return r, rxz
-    return (rm + g.phases[0] * (g.sxy * r) if even else 0.0,
-            g.phases[1] * (g.sx * rxz) + g.sy * ryz if odd else 0.0)
-
-
-def _gap_term(g: _DensityGeometry, Z: float, d: float):
-    """The one term left below the band, Z < |X - Y|, at d = |X - Y| - Z:
-    R(X, Z, Y) when Y > X, else R(Y, Z, X), with its odd-sum factor."""
-    X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
-    if Y > X:
-        return g.phases[1] * (g.sx * _r_outer(mu, nu, X, Z, Y, d, X + Y + Z))
-    return g.sy * _r_outer(mu, nu, Y, Z, X, d, X + Y + Z)
+    return g.band_sums(Z, omt, opt, even, odd)
 
 
 def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: bool = True,
@@ -267,29 +252,23 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     the Gauss-Jacobi rules, every other finite piece tanh-sinh.  Returns the
     four slots' values, 0.0 for an absent piece, and the summed error.
     """
-    X, Y, mu, nu = g.X, g.Y, g.mu, g.nu
+    X, Y, Z1, Z2, mu, nu = g.X, g.Y, g.Z1, g.Z2, g.mu, g.nu
+    toa, ha, coef, zexp = g.two_over_a, g.ha, g.coef, g.zexp
+    toa1, toa2 = toa - 1.0, toa - 2.0       # the exponents of dz/dZ and dz/dt
+    sqrt, pow = math.sqrt, math.pow
+    band_sums, r_outer_core, r_outer = g.band_sums, core.r_outer_core, core.r_outer
     edge = mu - 0.5
-    twoxy, z1sq = 2.0 * X * Y, g.Z1 * g.Z1
-
-    def off_band(Z, z, odd_part, jac, kernel, *args, weights=weights):
-        # a node off the band: its one term kernel(*args), evaluated where its
-        # weight (odd if odd_part, else even) is nonzero, times common and jac
-        w = weights(Z, z, not odd_part, odd_part)[odd_part]
-        t = kernel(*args) if w != 0.0 else 0.0
-        if t == 0.0:
-            return 0.0
-        v = w * t
-        return (abs(v) + abs(v) if modulus else v) * g.common(z) * jac
+    twoxy, z1sq, z2sq = 2.0 * X * Y, Z1 * Z1, Z2 * Z2
 
     plan = []
     # each band piece keeps its distances to t = -1 and t = 1 exact: a cut
     # at the free side cut starts the band at t_S = 1 - (cut^2 - Z1^2) / 2XY
     ends = [-1.0, *breaks, 1.0]
     opt_lo = 0.0
-    if cut < g.Z2:
-        ends[0] = 1.0 - (cut - g.Z1) * (cut + g.Z1) / twoxy
-        opt_lo = (g.Z2 - cut) * (g.Z2 + cut) / twoxy
-    compact = not (g.has_tail or breaks or cut < g.Z2)
+    if cut < Z2:
+        ends[0] = 1.0 - (cut - Z1) * (cut + Z1) / twoxy
+        opt_lo = (Z2 - cut) * (Z2 + cut) / twoxy
+    compact = not (g.has_tail or breaks or cut < Z2)
     band_rule = integrate_gauss_jacobi if compact else integrate_singular_band2
     for lo, hi in zip(ends, ends[1:]):
         if not lo < hi:
@@ -297,64 +276,99 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
 
         def f_band(t, dlo, dhi, _ol=opt_lo if lo == ends[0] else lo + 1.0, _oh=1.0 - hi):
             omt, opt = dhi + _oh, dlo + _ol
-            Z = math.sqrt(z1sq + twoxy * omt)
-            z = g.z_of(Z)
+            Z = sqrt(z1sq + twoxy * omt)
+            z = pow(Z, toa)
             we, wo = weights(Z, z, True, odd)
             if we == 0.0 and wo == 0.0:
                 return 0.0
-            e, o = _band_terms(g, Z, omt, opt, we != 0.0, wo != 0.0)
+            e, o = band_sums(Z, omt, opt, we != 0.0, wo != 0.0)
             e, o = we * e, wo * o
-            return (abs(e + o) + abs(e - o) if modulus else e + o) * g.common(z) * g.dz_dt(Z)
+            return ((abs(e + o) + abs(e - o) if modulus else e + o) * (coef * pow(z, zexp))
+                    * (toa * pow(Z, toa2) * X * Y))
 
         plan.append((0, band_rule, f_band, lo, hi, spec, edge))
 
-    # inner gap (0, Z1), cut at cut; dhi + off is Z1 - Z, exact
-    hi_gap = min(g.Z1, cut)
+    # inner gap (0, Z1), cut at cut; dhi + off is Z1 - Z, exact.  Its one term:
+    # e sgn(x) R(X, Z, Y) when Y > X (e the odd sum's phase), else sgn(y) R(Y, Z, X)
+    hi_gap = min(Z1, cut)
     if odd and g.has_tail and hi_gap > 0.0 and (Y > X or not g.single):
-        def f_gap(Z, dlo, dhi, _off=g.Z1 - hi_gap):
-            return off_band(Z, g.z_of(Z), True, g.dz_dZ(Z), _gap_term, g, Z, dhi + _off)
+        off = Z1 - hi_gap
+        near_side, far_side, ph, sg = (X, Y, g.phases[1], g.sx) if Y > X else (Y, X, 1, g.sy)
+
+        def f_gap(Z, dlo, dhi):
+            z = pow(Z, toa)
+            w = weights(Z, z, False, True)[1]
+            t = w and ph * (sg * _r_outer(mu, nu, near_side, Z, far_side, dhi + off, Z2 + Z))
+            if t == 0.0:
+                return 0.0
+            v = w * t
+            return ((abs(v) + abs(v) if modulus else v) * (coef * pow(z, zexp))
+                    * (toa * pow(Z, toa1)))
 
         plan.append((1, integrate_singular_band2, f_gap, 0.0, hi_gap, spec, edge))
 
-    outer = g.has_tail and cut > g.Z2
+    outer = g.has_tail and cut > Z2
     if outer and cut < math.inf:
         # a rule across many decades of the power decay misses mass; only Z2
         # is a region edge, and (start - Z2) + dlo is Z - Z2
-        start = g.Z2
+        start = Z2
         while start < cut:
-            def f_piece(Z, dlo, dhi, _off=start - g.Z2):
-                return off_band(Z, g.z_of(Z), False, g.dz_dZ(Z),
-                                _r_outer, mu, nu, X, Y, Z, _off + dlo, X + Y + Z)
+            def f_piece(Z, dlo, dhi, _off=start - Z2):
+                z = pow(Z, toa)
+                w = weights(Z, z, True, False)[0]
+                t = w and _r_outer(mu, nu, X, Y, Z, _off + dlo, Z2 + Z)
+                if t == 0.0:
+                    return 0.0
+                v = w * t
+                return ((abs(v) + abs(v) if modulus else v) * (coef * pow(z, zexp))
+                        * (toa * pow(Z, toa1)))
 
             stop = min(_TAIL_SPAN * start, cut)
             plan.append((3, integrate_singular_band2, f_piece, start, stop, spec,
-                         edge if start == g.Z2 else 0.0))
+                         edge if start == Z2 else 0.0))
             start = stop
     elif outer:
         # outer (Z2, inf): one term, in u = cosh(theta) up to _COSH_SPLIT
         def f_near(u, dlo, dhi):
-            Z = math.sqrt(g.Z2 * g.Z2 + twoxy * dlo)
-            return off_band(Z, g.z_of(Z), False, g.dz_dt(Z),
-                            core.r_outer_core, mu, nu, X, Y, Z, u, dlo)
+            Z = sqrt(z2sq + twoxy * dlo)
+            z = pow(Z, toa)
+            w = weights(Z, z, True, False)[0]
+            t = w and r_outer_core(mu, nu, X, Y, Z, u, dlo)
+            if t == 0.0:
+                return 0.0
+            v = w * t
+            return ((abs(v) + abs(v) if modulus else v) * (coef * pow(z, zexp))
+                    * (toa * pow(Z, toa2) * X * Y))
 
         plan.append((2, integrate_singular_band2, f_near, 1.0, _COSH_SPLIT, spec, edge))
-        z_split = math.sqrt(g.Z2 * g.Z2 + twoxy * (_COSH_SPLIT - 1.0))
+        z_split = math.sqrt(z2sq + twoxy * (_COSH_SPLIT - 1.0))
         if osc is not None:
             # the weight is J~_mu(osc Z) less the J_mu(osc Z) the engine applies
             gj = math.exp(math.lgamma(mu + 1.0)) * math.pow(0.5 * osc, -mu)
 
-            def g_osc(Z, envelope=lambda Z, z, e, o: (gj * math.pow(Z, -mu), 0.0)):
-                return off_band(Z, g.z_of(Z), False, g.dz_dZ(Z), core.r_outer,
-                                mu, nu, X, Y, Z, weights=envelope)
+            def g_osc(Z):
+                z = pow(Z, toa)
+                w = gj * pow(Z, -mu)
+                t = w and r_outer(mu, nu, X, Y, Z)
+                if t == 0.0:
+                    return 0.0
+                v = w * t
+                return ((abs(v) + abs(v) if modulus else v) * (coef * pow(z, zexp))
+                        * (toa * pow(Z, toa1)))
 
             plan.append((3, integrate_bessel_oscillatory, g_osc, mu, osc, z_split, spec))
         else:
             def f_tail(z):
-                Z = math.pow(z, g.ha)
-                return off_band(Z, z, False, 1.0, core.r_outer, mu, nu, X, Y, Z)
+                Z = pow(z, ha)
+                w = weights(Z, z, True, False)[0]
+                t = w and r_outer(mu, nu, X, Y, Z)
+                if t == 0.0:
+                    return 0.0
+                v = w * t
+                return (abs(v) + abs(v) if modulus else v) * (coef * pow(z, zexp))
 
             # the z-line density tail decays like z^-3 for every valid (k, a)
-            plan.append((3, integrate_power_tail, f_tail, g.z_of(z_split), -3.0, spec))
+            plan.append((3, integrate_power_tail, f_tail, pow(z_split, toa), -3.0, spec))
 
     pieces, qerr = [0.0, 0.0, 0.0, 0.0], 0.0
     for slot, engine, f, *args in plan:
@@ -794,13 +808,18 @@ def translate_report(p: Params, y: float, f: Profile, z: float,
         return TranslateReport(complex(f(z if y == 0.0 else y)), 0.0)
     g = _DensityGeometry.of(p, y, z, middle=True)
 
-    def weights(Xi, xi, even, odd):
-        fp = f(xi)
-        fm = fp if f.even else f(-xi)
+    fn, support, even = f.fn, f.support, f.even
+
+    def weights(Xi, xi, e, o):
+        # f(xi) and f(-xi) as Profile.__call__ forms them, 0.0 off the support
+        if not abs(xi) <= support:
+            return 0.0, 0.0
+        fp = fn(xi)
+        fm = fp if even else fn(-xi)
         return fp + fm, fp - fm
 
-    (b, gp, near, tail), qerr = _gamma_integral(g, spec, weights, not f.even,
-                                                cut=math.pow(f.support, g.ha))
+    (b, gp, near, tail), qerr = _gamma_integral(g, spec, weights, not even,
+                                                cut=math.pow(support, g.ha))
     # the tail's one term carries the sign sgn(yz)
     return TranslateReport(complex(b + gp + g.sxy * (near + tail)), qerr)
 

@@ -278,6 +278,12 @@ def _outcome(fn, *args):
     # non-finite orders of a node's band kernels
     ("band_terms", (math.inf, 1.1, 1.0, 1.2, 2.2, 1.0, 1.0, 31), DomainError),
     ("band_terms", (0.6, math.nan, 1.0, 1.2, 0.9, 0.7, 1.3, 14), DomainError),
+    # a raw outer triple whose 2 xa ya is 0, at a zero side or by underflow,
+    # which r_outer refuses rather than divide by
+    ("r_outer", (0.3, 0.8, 0.0, 1.2, 2.5), DomainError),
+    ("r_outer", (0.3, 0.8, 1.0, -0.0, 2.5), DomainError),
+    ("r_outer", (0.3, 0.8, 1e-200, 1e-200, 2.5), DomainError),
+    ("r_outer", (math.nan, 0.8, 0.0, 1.2, 2.5), DomainError),
 ])
 def test_compiled_core_raises_the_pure_error(c_core, name, args, cls):
     with _deadline(5):
@@ -503,7 +509,7 @@ def test_extreme_argument_sweep(c_core, libm_lgamma):
                 else:
                     assert got_err == want_err, (name, args)
                     assert got_err or _hex(got) == _hex(want), (name, args)
-    assert untyped <= 13, untyped
+    assert untyped <= 6, untyped
 
 
 # ---------------------------------------------------------------------------

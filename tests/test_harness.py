@@ -1,5 +1,6 @@
 """Verification harness: residual reports, sweeps, translation."""
 
+import cmath
 import math
 import random
 
@@ -173,26 +174,62 @@ class TestProductResidual:
 
 
 class TestExactMoments:
-    """The product formula's λ term gives ∫ z dν_{x,y}(z) = x + y at every
-    a: an exact value for the density plan's odd part, which lives on the
-    band and the gap."""
+    """The product formula's λ and λ|λ|^a terms give exact odd moments of
+    the product measure at every a: ∫ z dν_{x,y}(z) = x + y and
+    ∫ z|z|^a dν_{x,y}(z) = x|x|^a + y|y|^a + ((ν+1)/(μ+1))(x|y|^a + y|x|^a);
+    the odd part of the measure lives on the band and the gap, so these check
+    the band and both gap branches (|x| < |y| and |x| > |y|).  For translate,
+    ∫ ξ dσ_{y,z}(ξ) = z + e^(-2iπ/a) y checks the middle side's odd part.
+    quad_error is not asserted: it falls below the true error at some points."""
+
+    @staticmethod
+    def _odd_moment(request, core, k, a, x, y, w):
+        if core == "pure":
+            request.getfixturevalue("pure_core")
+        g = harness._DensityGeometry.of(Params(k, a), x, y)
+        # the odd weight w(z) alone, folded onto z > 0 as in _product_rhs
+        (b, gp, near, tail), _ = harness._gamma_integral(
+            g, SPEC, lambda Z, z, e, o: (0.0, w(z) if o else 0.0))
+        return 2.0 * (b + gp + g.e2a * (g.sxy * (near + tail)))
 
     @pytest.mark.parametrize("core", ["backend", "pure"])
     @pytest.mark.parametrize("k, a, x, y", [
         (0.75, 4.0 / 3.0, 0.7, 1.3), (0.75, 4.0 / 3.0, -0.7, 1.3), (1.0, 3.0, 0.4, 2.5),
         (0.3, 1.5, 0.9, 1.7), (0.26, 1.0, 0.5, 3.0), (2.0, 0.8, 1.0, 1.0001),
         (0.5, 2.0, 0.7, -1.3), (1.0, 2.0 / 3.0, 0.4, 1.2),
+        # |x| > |y|: the gap's other branch
+        (0.75, 4.0 / 3.0, 1.3, 0.7), (1.0, 3.0, 2.5, 0.4), (0.3, 1.5, 1.7, -0.9),
+        (2.0, 0.8, 1.0001, 1.0),
     ])
     def test_first_moment(self, request, core, k, a, x, y):
+        moment = self._odd_moment(request, core, k, a, x, y, lambda z: z)
+        assert abs(moment - (x + y)) <= 1e-13 * max(1.0, abs(x) + abs(y))
+
+    @pytest.mark.parametrize("core", ["backend", "pure"])
+    @pytest.mark.parametrize("k, a, x, y", [
+        (0.75, 2.0 / 3.0, 0.7, 1.3), (0.75, 4.0 / 3.0, 0.7, 1.3), (0.75, 4.0 / 3.0, 1.3, -0.7),
+        (1.0, 3.0, 0.4, 2.5), (1.0, 3.0, 2.5, 0.4), (0.3, 1.5, 0.9, 1.7), (0.26, 1.0, 0.5, 3.0),
+        (2.0, 0.8, 1.0, 1.3), (1.0, 2.5, 0.6, 1.1),
+    ])
+    def test_z_abs_z_to_the_a_moment(self, request, core, k, a, x, y):
+        p = Params(k, a)
+        moment = self._odd_moment(request, core, k, a, x, y, lambda z: z * math.pow(z, a))
+        xa, ya = math.pow(abs(x), a), math.pow(abs(y), a)
+        want = x * xa + y * ya + (p.nu_m + 1.0) / (p.mu_m + 1.0) * (x * ya + y * xa)
+        assert abs(moment - want) <= 1e-13 * max(1.0, abs(x) + abs(y))
+
+    @pytest.mark.parametrize("core", ["backend", "pure"])
+    @pytest.mark.parametrize("a", [2.0, 1.0, 2.0 / 3.0, 4.0 / 3.0])
+    @pytest.mark.parametrize("y, z", [(0.8, -1.3), (1.3, 0.8)])
+    def test_translate_first_moment(self, request, core, a, y, z):
         if core == "pure":
             request.getfixturevalue("pure_core")
-        g = harness._DensityGeometry.of(Params(k, a), x, y)
-        # the odd weight z alone, folded onto z > 0 as in _product_rhs
-        (b, gp, near, tail), _ = harness._gamma_integral(
-            g, SPEC, lambda Z, z, e, o: (0.0, z if o else 0.0))
-        moment = 2.0 * (b + gp + g.e2a * (g.sxy * (near + tail)))
-        # quad_error is not asserted: it falls below this error at two points
-        assert abs(moment - (x + y)) <= 1e-13 * max(1.0, abs(x) + abs(y))
+        # the support covers the band, which ends at (|y|^(a/2) + |z|^(a/2))^(2/a);
+        # xi is odd, so the gap and the band carry it and the tail weighs 0
+        support = 2.0 * (abs(y) ** (0.5 * a) + abs(z) ** (0.5 * a)) ** (2.0 / a)
+        got = translate(Params(0.75, a), y, Profile(lambda xi: xi, support), z, SPEC)
+        want = z + cmath.exp(-2j * math.pi / a) * y
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(y) + abs(z))
 
 
 class TestCompactBand:

@@ -91,6 +91,20 @@ _PINS = {
     # a negative base point: the sign factors of the band, gap and outer pieces
     "product_rhs_negative_x": (lambda: product_residual(P_GOLDEN, 0.7, -0.4, 1.2, SPEC).rhs,
                                ("0x1.17030c595165ep-1", "-0x1.0714ea01908a5p-3")),
+    # |x| > |y|: the gap's one term is R(Y, Z, X), weighted by sgn(y)
+    "product_rhs_x_beyond_y": (lambda: product_residual(P_GOLDEN, 0.7, 1.2, 0.4, SPEC).rhs,
+                               ("0x1.d4fa7844265b5p-2", "-0x1.666ec4040c2e3p-3")),
+    # |y| > |z| on the middle side, with odd weights: the gap's R(Y, Z, X)
+    "translate_y_beyond_z": (
+        lambda: translate(P_GOLDEN, 1.3, Profile(lambda xi: math.exp(-(xi - 0.3) ** 2), 9.0,
+                                                 "shifted"), -0.8, SPEC),
+        ("0x1.113df05d8983fp-3", "0x1.79f3a0370e772p-5")),
+    # a support past _TAIL_SPAN times the band's end: two cut pieces, the
+    # second with edge exponent 0
+    "translate_two_tail_pieces": (
+        lambda: translate(P_GOLDEN, 0.8, Profile(lambda xi: 1.0 / (1.0 + xi * xi), 2e5,
+                                                 "lorentzian", even=True), -1.3, SPEC),
+        ("0x1.0a8e3054b3349p-2", "0x0.0p+0")),
     "legendre_q_rhs": (lambda: legendre_q_integral_check(0.25, 1.25, SPEC).rhs,
                        ("0x1.8ce17a36bd8ecp-1", "0x0.0p+0")),
 }
