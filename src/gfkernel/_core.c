@@ -9,12 +9,11 @@
    return the pure core's doubles on every build.
 
    Each kernel here follows its _corepy namesake operation for operation,
-   with two exceptions.  _corepy sums normalized_bessel_series exactly in
+   with one exception: _corepy sums normalized_bessel_series exactly in
    integers; here a double-double loop returns the same double where it can
-   certify it.  band_terms takes its kernels in plain order, each from the
-   same arguments: _corepy's order only picks which error is raised.  The
-   pure core's tables and plans hold values that this file recomputes, by
-   the same operations, on every call; here that work is a few cycles.
+   certify it.  The pure core's tables and plans hold values that this file
+   recomputes, by the same operations, on every call; here that work is a
+   few cycles.
    Build with -ffp-contract=off: the double-double loop's bound relies on
    exact IEEE multiply and add rounding, which fused contraction breaks.
 
@@ -368,8 +367,8 @@ static double r_band_core(double mu, double nu, double xa, double ya, double za,
 
 /* The band kernels of one density node into r[]: R_{mu,mu}, R(xa, ya, za),
    R(xa, za, ya), R(ya, za, xa), R = R_{mu,nu}, each 0.0 unless mask asks
-   for it, from _corepy.band_terms' complements.  Returns 0 when a kernel is
-   not finite: the entry then defers, and _corepy raises in its own order. */
+   for it, taken in that order from _corepy.band_terms' complements.
+   Returns 0 when a kernel is not finite: the entry then defers. */
 static int band_terms(double mu, double nu, double xa, double ya, double za, double omt,
                       double opt, long mask, double r[4])
 {
@@ -411,6 +410,7 @@ static double r_outer_core(double mu, double nu, double xa, double ya, double za
        pi/Gamma(mu-nu) by reflection */
     reflect = fabs(delta - rint(delta)) <= 1e-12;
     if (reflect) sd = PI;
+    if (!(um1 > 0.0)) return NAN;  /* refused by the pure core */
     ln_u = (delta + 1.0) * log(u);
     if (ln_u > LOG_MAX)
         return 0.0;  /* value underflows: u^-(nu-mu+1) below double range */

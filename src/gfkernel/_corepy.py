@@ -717,40 +717,37 @@ BAND_MM, BAND_XY, BAND_XZ, BAND_YZ, BAND_MM_AT_XZ = 1, 2, 4, 8, 16
 def band_terms(mu, nu, xa, ya, za, omt, opt, mask):
     """A density node's band kernels (R_{mu,mu}, R(xa, ya, za), R(xa, za, ya),
     R(ya, za, xa)), R = R_{mu,nu}, each 0.0 unless mask asks for it, taken by
-    r_band_core in the order R_{mu,mu}(xa, za, ya), R(xa, ya, za),
-    R_{mu,mu}(xa, ya, za), R(xa, za, ya), R(ya, za, xa) (the first to fail
-    raises); the complements of the angle between xa and ya are (omt, opt),
-    the other two angles' come from the triple's exact excesses."""
+    r_band_core in that order (the first to fail raises); R_{mu,mu} is taken
+    at (xa, za, ya) under BAND_MM_AT_XZ.  The complements of the angle
+    between xa and ya are (omt, opt), the other two angles' come from the
+    triple's exact excesses."""
     r = r_band_core
     rm = rxy = rxz = ryz = 0.0
     mm_xz = mask & BAND_MM and mask & BAND_MM_AT_XZ
-    if mask & BAND_XY and not mm_xz:
+    if mm_xz or mask & (BAND_XZ | BAND_YZ):
+        twoxy, s, dm = 2.0 * xa * ya, xa + ya + za, abs(xa - ya)
+        ez = twoxy * opt / s                    # xa + ya - za
+        lo = twoxy * omt / (za + dm)            # za - |xa - ya|
+        # the angle between sides a and b has complements (ea eb, ec s) / 2ab by
+        # the excesses ea = b + c - a, eb = a + c - b, ec = a + b - c.  Of xa and
+        # ya the larger has excess lo, the smaller dm + za (at xa = ya each permuted
+        # kernel gives its own first side dm + za: the two round differently)
+        if mm_xz or mask & BAND_XZ:
+            ex, ey = (dm + za, lo) if ya >= xa else (lo, dm + za)
+            ab2 = 2.0 * xa * za
+            xo, xp = ex * ez / ab2, ey * s / ab2
+        if mask & BAND_YZ:
+            ey, ex = (dm + za, lo) if xa >= ya else (lo, dm + za)
+            ab2 = 2.0 * ya * za
+            yo, yp = ey * ez / ab2, ex * s / ab2
+    if mask & BAND_MM:
+        rm = r(mu, mu, xa, za, ya, xo, xp) if mm_xz else r(mu, mu, xa, ya, za, omt, opt)
+    if mask & BAND_XY:
         rxy = r(mu, nu, xa, ya, za, omt, opt)
-    if mask & BAND_MM and not mm_xz:
-        rm = r(mu, mu, xa, ya, za, omt, opt)
-    if not (mm_xz or mask & (BAND_XZ | BAND_YZ)):
-        return rm, rxy, rxz, ryz
-    twoxy, s, dm = 2.0 * xa * ya, xa + ya + za, abs(xa - ya)
-    ez = twoxy * opt / s                    # xa + ya - za
-    lo = twoxy * omt / (za + dm)            # za - |xa - ya|
-    # the angle between sides a and b has complements (ea eb, ec s) / 2ab by
-    # the excesses ea = b + c - a, eb = a + c - b, ec = a + b - c.  Of xa and
-    # ya the larger has excess lo, the smaller dm + za (at xa = ya each permuted
-    # kernel gives its own first side dm + za: the two round differently)
-    if mm_xz or mask & BAND_XZ:
-        ex, ey = (dm + za, lo) if ya >= xa else (lo, dm + za)
-        ab2 = 2.0 * xa * za
-        o, p = ex * ez / ab2, ey * s / ab2
-        if mm_xz:
-            rm = r(mu, mu, xa, za, ya, o, p)
-            if mask & BAND_XY:
-                rxy = r(mu, nu, xa, ya, za, omt, opt)
-        if mask & BAND_XZ:
-            rxz = r(mu, nu, xa, za, ya, o, p)
+    if mask & BAND_XZ:
+        rxz = r(mu, nu, xa, za, ya, xo, xp)
     if mask & BAND_YZ:
-        ey, ex = (dm + za, lo) if xa >= ya else (lo, dm + za)
-        ab2 = 2.0 * ya * za
-        ryz = r(mu, nu, ya, za, xa, ey * ez / ab2, ex * s / ab2)
+        ryz = r(mu, nu, ya, za, xa, yo, yp)
     return rm, rxy, rxz, ryz
 
 
@@ -799,7 +796,8 @@ _outer_plan = functools.lru_cache(maxsize=16, typed=True)(_OuterPlan)
 
 
 def r_outer_core(mu, nu, xa, ya, za, u, um1):
-    """Outer value of R_{mu,nu}(xa, ya, za) given u = cosh(theta) and um1 = u-1.
+    """Outer value of R_{mu,nu}(xa, ya, za) given u = cosh(theta) and um1 = u-1;
+    an um1 that is not > 0, which no outer triple has, raises DomainError.
 
     The sign factor is sin((mu-nu) pi): fixed against direct evaluation of
     the defining triple-Bessel integral (the printed closed form carries the
@@ -809,6 +807,8 @@ def r_outer_core(mu, nu, xa, ya, za, u, um1):
     plan = _outer_plan(mu, nu)
     if plan.zero:
         return 0.0
+    if not um1 > 0.0:
+        raise DomainError(f"outer kernel needs u - 1 > 0 (um1={um1!r})")
     ln_u = plan.dp1 * math.log(u)
     if ln_u > _LOG_MAX:
         return 0.0  # value underflows: u^-(nu-mu+1) below double range

@@ -120,15 +120,14 @@ def _tv_point(args):
 
 
 def _cmd_tv_sweep(ns: dict) -> tuple[list[dict], int]:
-    from .harness import Axis, SweepGrid
+    from .harness import Axis
 
     p = _density_params(ns)
-    grid = SweepGrid(tuple(Axis(n, float(ns.get(f"{n}_min", 0.1)),
-                                float(ns.get(f"{n}_max", 10.0)),
-                                int(ns.get(f"{n}_count", 9)),
-                                ns.get(f"{n}_spacing", "log")) for n in ("x", "y")))
+    xs, ys = (Axis(n, float(ns.get(f"{n}_min", 0.1)), float(ns.get(f"{n}_max", 10.0)),
+                   int(ns.get(f"{n}_count", 9)), ns.get(f"{n}_spacing", "log")).values()
+              for n in ("x", "y"))
     spec = _spec_from(ns)
-    tasks = [(p.k, p.a, pt["x"], pt["y"], spec) for pt in grid.points()]
+    tasks = [(p.k, p.a, x, y, spec) for x in xs for y in ys]
     jobs = int(ns.get("jobs", 1))
     if jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {jobs}")

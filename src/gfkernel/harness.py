@@ -9,7 +9,8 @@ singularities algebraic and its complements exact, and the plan lists their
 pieces, each with its engine, which one loop integrates:
 
 * the band in t = cos(theta) of the fixed sides, whose three angles give
-  the four permuted kernels, in one core call a node (_band_terms),
+  the four permuted kernels, in one core call a node (the geometry's
+  band_sums),
 * the gap below it, with its one surviving term, in Z,
 * above it the one outer term: in u = cosh(theta) on (1, 2], then the last
   piece, a tail by Bessel-zero partitioning with Sidi's mW transformation
@@ -17,11 +18,12 @@ pieces, each with its engine, which one loop integrates:
   it in pieces of Z.
 
 Each check is a weight callback on the plan, and a node makes one weights
-call and one core call (on the band through the geometry's band_sums), on
-values the plan binds once.  The density's even terms are weighted by the
-even part of what it is integrated against, its odd terms by the odd part;
-where that part is exactly zero (no odd weight on the gamma side; an even or
-odd profile, node by node, in translate) its terms are not evaluated.
+call and one core call, on values the plan binds once (on the band,
+core.band_terms, which both cores follow operation for operation).  The
+density's even terms are weighted by the even part of what it is integrated
+against, its odd terms by the odd part; where that part is exactly zero (no
+odd weight on the gamma side; an even or odd profile, node by node, in
+translate) its terms are not evaluated.
 
 All residual reports carry rel_residual = abs_residual / (1 + |lhs|).
 """
@@ -29,10 +31,9 @@ All residual reports carry rel_residual = abs_residual / (1 + |lhs|).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from ._backend import core
 from ._corepy import BAND_MM, BAND_MM_AT_XZ, BAND_XY, BAND_XZ, BAND_YZ, is_nonpositive_integer
@@ -49,7 +50,7 @@ from .quadrature import (
 )
 
 __all__ = [
-    "ResidualReport", "Axis", "SweepGrid", "TvReport", "Profile",
+    "ResidualReport", "Axis", "TvReport", "Profile",
     "gaussian_profile", "bump_profile",
     "product_residual", "gamma_mass", "tv_norm", "tv_norm_report",
     "hankel_identity_eq1", "hankel_identity_eq2",
@@ -92,7 +93,7 @@ class TvReport(NamedTuple):
     value: float
     quad_error: float
     wall_time: float
-    break_evaluations: int   # _band_terms calls of the sign-break search
+    break_evaluations: int   # band_sums calls of the sign-break search
 
 
 class _Axis(NamedTuple):
@@ -131,15 +132,6 @@ class Axis(_Axis):
         return [self.min + step * i for i in range(n)]
 
 
-class SweepGrid(NamedTuple):
-    axes: tuple[Axis, ...]
-
-    def points(self) -> Iterator[dict[str, float]]:
-        names = [ax.name for ax in self.axes]
-        for combo in itertools.product(*(ax.values() for ax in self.axes)):
-            yield dict(zip(names, combo))
-
-
 # ---------------------------------------------------------------------------
 # triple geometry shared by the density integrals
 # ---------------------------------------------------------------------------
@@ -157,14 +149,24 @@ class _DensityGeometry:
     """The triple of a density integral: fixed sides X = |x|^(a/2) and
     Y = |y|^(a/2) with their signs, the free side Z and the shared factor
     coef z^zexp.  Z is Delta's third side, or its middle one when middle
-    (Delta(x, ., y)); single keeps only the kernel R_{mu,nu} that Delta
-    weights by e^(-2 i pi/a) (the Hankel identities).  The outer terms
-    vanish identically unless has_tail.  band_sums is _band_terms, with the
-    core's band_terms bound when the geometry is built."""
+    (Delta(x, ., y)).  The outer terms vanish identically unless has_tail.
+
+    band_sums(Z, omt, opt, even, odd) gives the band's even and odd sums
+    (0.0 where not asked for) at the complements (omt, opt) of the angle
+    between X and Y, from one core.band_terms call (bound when the geometry
+    is built) for the kernels they weight: kernels holds band_terms' masks
+    of the even and the odd sum.  With R = R_{mu,nu}, Rm = R_{mu,mu} and the
+    phase e = e^(-2 i pi/a), Delta's sums are, on the third side, even
+    Rm(X,Y,Z) + e sgn(xy) R(X,Y,Z) and odd sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X);
+    on the middle side, even Rm(X,Z,Y) + sgn(xy) R(X,Y,Z) and odd
+    e sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X).  The Hankel identities keep
+    R(X,Y,Z) (even) or R(X,Z,Y) (odd, middle) alone, at x, y > 0 and e = 1.
+    The gap's one term is the odd sum's R(X,Z,Y) or R(Y,Z,X), where that
+    mask holds it."""
 
     def __init__(self, mu: float, nu: float, a: float, x: float, y: float,
-                 coef: float, zexp: float, has_tail: bool, e2a: complex = 1.0,
-                 middle: bool = False, single: bool = False):
+                 coef: float, zexp: float, has_tail: bool, kernels: tuple[int, int],
+                 e2a: complex = 1.0, middle: bool = False):
         self.mu = mu
         self.nu = nu
         self.ha = 0.5 * a
@@ -182,22 +184,14 @@ class _DensityGeometry:
         self.zexp = zexp
         self.coef = coef
         self.has_tail = has_tail
-        self.single = single
         # band_terms' masks of no sum, the even, the odd and both; each sum's phase
-        em, om = BAND_MM | BAND_XY | (BAND_MM_AT_XZ if middle else 0), BAND_XZ | BAND_YZ
-        if single:
-            em, om = (0, BAND_XZ) if middle else (BAND_XY, 0)
+        self.kernels = em, om = kernels
         masks = (0, em, om, em | om)
         self.phases = ph_e, ph_o = (1, e2a) if middle else (e2a, 1)
         band_terms = core.band_terms
 
         def band_sums(Z, omt, opt, even=True, odd=True):
-            mask = masks[even + 2 * odd]
-            if not mask:
-                return 0.0, 0.0
-            rm, r, rxz, ryz = band_terms(mu, nu, X, Y, Z, omt, opt, mask)
-            if single:
-                return r, rxz
+            rm, r, rxz, ryz = band_terms(mu, nu, X, Y, Z, omt, opt, masks[even + 2 * odd])
             return (rm + ph_e * (sxy * r) if even else 0.0,
                     ph_o * (sx * rxz) + sy * ryz if odd else 0.0)
 
@@ -210,22 +204,11 @@ class _DensityGeometry:
         is an integer.  Each caller has checked that p is admissible
         (Params.require_macdonald) and that x and y are finite and nonzero."""
         g = cls(p.mu_m, p.nu_m, p.a, x, y, _delta_prefactor(p), p.w - p.k + 0.5,
-                not p.band_offset_integer, _phase_e2a(p), middle)
+                not p.band_offset_integer,
+                (BAND_MM | BAND_XY | (BAND_MM_AT_XZ if middle else 0), BAND_XZ | BAND_YZ),
+                _phase_e2a(p), middle)
         g.coef *= _side_power(p, x, y)  # after the fixed sides' scale check
         return g
-
-
-def _band_terms(g: _DensityGeometry, Z: float, omt: float, opt: float,
-                even: bool = True, odd: bool = True):
-    """The band's even and odd sums (0.0 where not asked for) at the
-    complements (omt, opt) of the angle between X and Y and free side Z,
-    from one core.band_terms call for the kernels they weight.  With
-    R = R_{mu,nu}, Rm = R_{mu,mu} and the phase e = e^(-2 i pi/a): third
-    side, even Rm(X,Y,Z) + e sgn(xy) R(X,Y,Z) and odd sgn(x) R(X,Z,Y) +
-    sgn(y) R(Y,Z,X); middle side, even Rm(X,Z,Y) + sgn(xy) R(X,Y,Z) and odd
-    e sgn(x) R(X,Z,Y) + sgn(y) R(Y,Z,X).  single keeps R(X,Y,Z) (even) or
-    R(X,Z,Y) (odd, middle) alone."""
-    return g.band_sums(Z, omt, opt, even, odd)
 
 
 def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: bool = True,
@@ -291,7 +274,7 @@ def _gamma_integral(g: _DensityGeometry, spec: QuadratureSpec, weights, odd: boo
     # inner gap (0, Z1), cut at cut; dhi + off is Z1 - Z, exact.  Its one term:
     # e sgn(x) R(X, Z, Y) when Y > X (e the odd sum's phase), else sgn(y) R(Y, Z, X)
     hi_gap = min(Z1, cut)
-    if odd and g.has_tail and hi_gap > 0.0 and (Y > X or not g.single):
+    if odd and g.has_tail and hi_gap > 0.0 and g.kernels[1] & (BAND_XZ if Y > X else BAND_YZ):
         off = Z1 - hi_gap
         near_side, far_side, ph, sg = (X, Y, g.phases[1], g.sx) if Y > X else (Y, X, 1, g.sy)
 
@@ -485,7 +468,7 @@ def _brent_zero(f, a: float, b: float, fa: float, fb: float) -> float:
 
 def _band_sign_breaks(g: _DensityGeometry) -> tuple[list[float], int]:
     """Interior zeros of the two signed band densities (real-phase case),
-    and the number of _band_terms calls made to find them.
+    and the number of band_sums calls made to find them.
 
     When 2/a is an integer the density is real-valued and its modulus has
     kinks at sign changes, which slow the band rules; the band is split
@@ -507,7 +490,7 @@ def _band_sign_breaks(g: _DensityGeometry) -> tuple[list[float], int]:
         calls += 1
         d_hi = 1.0 - t
         Z = math.sqrt(g.Z1 * g.Z1 + 2.0 * g.X * g.Y * d_hi)
-        even, odd = _band_terms(g, Z, d_hi, 1.0 + t)
+        even, odd = g.band_sums(Z, d_hi, 1.0 + t)
         return (even + odd).real, (even - odd).real
 
     found = []
@@ -543,7 +526,7 @@ def tv_norm_report(p: Params, x: float, y: float,
 
     One band weight, |even + odd| + |even - odd|, serves every a; at integer
     2/a the band is split at its sign breaks (_band_sign_breaks, whose
-    _band_terms calls the report counts as break_evaluations, 0 at other
+    band_sums calls the report counts as break_evaluations, 0 at other
     a), and one the scan misses is a kink inside a piece, which costs nodes
     but not accuracy.  At a zero base point the measure is the point mass
     at the other one, of total variation 1.
@@ -583,7 +566,7 @@ def _hankel_geometry(mu: float, nu: float, x: float, y: float, t: float, zexp: f
     if not (x > 0.0 and y > 0.0 and t > 0.0):
         raise DomainError("x, y, t must be positive")
     return _DensityGeometry(mu, nu, 2.0, x, y, 1.0, zexp, not is_nonpositive_integer(mu - nu),
-                            middle=middle, single=True)
+                            (0, BAND_XZ) if middle else (BAND_XY, 0), middle=middle)
 
 
 def hankel_identity_eq1(mu: float, nu: float, x: float, y: float, t: float,

@@ -75,6 +75,16 @@ def test_non_finite_input_is_invalid(args, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_numerical_failure_exits_3(capsys):
+    # four tanh-sinh levels cannot meet a tolerance of 1e-300
+    args = ["verify-product", "--k", "0.75", "--a", "1.3333333333333333", "--lambda", "0.7",
+            "--x", "0.4", "--y", "1.2", "--max-levels", "4", "--abs-tol", "1e-300",
+            "--rel-tol", "1e-300"]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure:")
+
+
 def test_density_at_extreme_scale_is_invalid(capsys):
     # |x|^(a/2) = 2.2e-167 for each side: 2xy leaves the normal double range
     args = ["eval-density", "--k", "0.75", "--a", "1.3333333333333333",
@@ -212,8 +222,9 @@ class TestConfigFile:
         assert float(row[3]) == 5.0
 
     @pytest.mark.parametrize("text, message", [(b'{"k": 0.5, "a": ', "Expecting value"),
-                                               (b'\xff\xfe{"k": 0.5}', "can't decode")],
-                             ids=["truncated", "not-utf8"])
+                                               (b'\xff\xfe{"k": 0.5}', "can't decode"),
+                                               (b'[1, 2]', "config file must hold a JSON object")],
+                             ids=["truncated", "not-utf8", "not-an-object"])
     def test_malformed_config_is_invalid_input(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "run.json"
         cfg.write_bytes(text)

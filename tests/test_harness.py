@@ -8,10 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gfkernel import Params, _corepy, b_kernel, genkernel, harness, macdonald, quadrature
-from gfkernel.errors import DegenerateParameterError, DomainError, GfkError, RangeOverflowError
+from gfkernel import _gauss_jacobi, specfn
+from gfkernel.errors import (
+    DegenerateParameterError,
+    DomainError,
+    GfkError,
+    PoleError,
+    RangeOverflowError,
+)
 from gfkernel.harness import (
     Axis,
-    SweepGrid,
     Profile,
     bump_profile,
     gamma_mass,
@@ -58,12 +64,6 @@ class TestAxisGrid:
             Axis("x", -1.0, 1.0, 5, "log")
         with pytest.raises(DomainError):
             Axis("x", 0.0, 1.0, 0)
-
-    def test_grid_points(self):
-        grid = SweepGrid((Axis("x", 0.0, 1.0, 2), Axis("y", 5.0, 6.0, 2)))
-        pts = list(grid.points())
-        assert pts == [dict(x=0.0, y=5.0), dict(x=0.0, y=6.0),
-                       dict(x=1.0, y=5.0), dict(x=1.0, y=6.0)]
 
 
 @pytest.fixture
@@ -183,13 +183,13 @@ class TestExactMoments:
     quad_error is not asserted: it falls below the true error at some points."""
 
     @staticmethod
-    def _odd_moment(request, core, k, a, x, y, w):
+    def _odd_moment(request, core, k, a, x, y, w, spec=SPEC):
         if core == "pure":
             request.getfixturevalue("pure_core")
         g = harness._DensityGeometry.of(Params(k, a), x, y)
         # the odd weight w(z) alone, folded onto z > 0 as in _product_rhs
         (b, gp, near, tail), _ = harness._gamma_integral(
-            g, SPEC, lambda Z, z, e, o: (0.0, w(z) if o else 0.0))
+            g, spec, lambda Z, z, e, o: (0.0, w(z) if o else 0.0))
         return 2.0 * (b + gp + g.e2a * (g.sxy * (near + tail)))
 
     @pytest.mark.parametrize("core", ["backend", "pure"])
@@ -204,6 +204,21 @@ class TestExactMoments:
     def test_first_moment(self, request, core, k, a, x, y):
         moment = self._odd_moment(request, core, k, a, x, y, lambda z: z)
         assert abs(moment - (x + y)) <= 1e-13 * max(1.0, abs(x) + abs(y))
+
+    @pytest.mark.parametrize("core", ["backend", "pure"])
+    def test_first_moment_over_seeded_draws(self, request, core):
+        # 60 draws of a in [0.6, 3], mu in [max(-0.49, -1/a), 3] (k >= 0), and
+        # x, y log-uniform in 10^+-3 with random signs, at tolerances 1e-14 and
+        # 1e-13, below the check's: the largest error was 1.2e-14 relative
+        rng = random.Random(20261022)
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+        for _ in range(60):
+            a = rng.uniform(0.6, 3.0)
+            mu = rng.uniform(max(-0.49, -1.0 / a), 3.0)
+            x, y = (rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+            k = 0.5 * (mu * a + 1.0)
+            moment = self._odd_moment(request, core, k, a, x, y, lambda z: z, spec)
+            assert abs(moment - (x + y)) <= 1e-12 * max(1.0, abs(x) + abs(y)), (k, a, x, y)
 
     @pytest.mark.parametrize("core", ["backend", "pure"])
     @pytest.mark.parametrize("k, a, x, y", [
@@ -397,7 +412,7 @@ class TestTvNorm:
         breaks, _ = harness._band_sign_breaks(g)
         assert min(abs(t - 0.99541698646302435) for t in breaks) <= 1e-9
 
-    def test_zero_on_a_scan_node_does_not_hide_the_next_break(self, monkeypatch):
+    def test_zero_on_a_scan_node_does_not_hide_the_next_break(self):
         # a stand-in band whose even + odd is (t - t0)(t - t1): t0 is a scan
         # midpoint, where it reads exactly 0, and t1 lies halfway to the next
         # midpoint, so neither cell next to t0 has ends of opposite sign
@@ -405,13 +420,13 @@ class TestTvNorm:
         t1 = 0.5 * (t0 - math.cos(math.pi * 21.5 / 32))
         calls = []
 
-        def band_terms(g, Z, omt, opt, even=True, odd=True):
+        def band_sums(Z, omt, opt, even=True, odd=True):
             calls.append(None)
             # omt is 1 - t as the search forms it, so the node t0 gives 0 exactly
             return (omt - (1.0 - t0)) * (omt - (1.0 - t1)), 0.0
 
-        monkeypatch.setattr(harness, "_band_terms", band_terms)
         g = harness._DensityGeometry.of(Params(0.5, 1.0), 0.7, 1.3)
+        g.band_sums = band_sums
         breaks, n = harness._band_sign_breaks(g)
         assert len(breaks) == 2 and breaks[0] == t0 and abs(breaks[1] - t1) <= 1e-12
         assert n == len(calls)
@@ -425,7 +440,7 @@ class TestTvNorm:
         assert 0 < pin.break_evaluations <= 60
 
     # five points of the benchmark's (0.5, 1) TV grid: the breaks there, and
-    # the _band_terms calls that a 129-midpoint scan with 60-step bisection
+    # the band_sums calls that a 129-midpoint scan with 60-step bisection
     # made to find them
     _GRID_SEARCH = {
         (0.1, 0.1): (1, 251),
@@ -435,19 +450,18 @@ class TestTvNorm:
         (10.000000000000005, 0.316227766016838): (2, 177),
     }
 
-    def test_sign_break_search_stays_within_a_quarter_of_bisection(self, monkeypatch):
+    def test_sign_break_search_stays_within_a_quarter_of_bisection(self):
         calls = []
-        band_terms = harness._band_terms
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return band_terms(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "_band_terms", counted)
         for (x, y), (n_breaks, _) in self._GRID_SEARCH.items():
+            g = harness._DensityGeometry.of(Params(0.5, 1.0), x, y)
+
+            def counted(*args, _band_sums=g.band_sums, **kwargs):
+                calls.append(None)
+                return _band_sums(*args, **kwargs)
+
+            g.band_sums = counted
             before = len(calls)
-            breaks, n = harness._band_sign_breaks(
-                harness._DensityGeometry.of(Params(0.5, 1.0), x, y))
+            breaks, n = harness._band_sign_breaks(g)
             assert len(breaks) == n_breaks, (x, y, breaks)
             assert n == len(calls) - before, (x, y)
         assert len(calls) <= sum(c for _, c in self._GRID_SEARCH.values()) / 4
@@ -518,7 +532,7 @@ def _dense_sign_breaks(g, scan: int = 1023) -> list[float]:
     to 1e-13; a zero on a scan node is kept as it is."""
     def s_pair(t):
         Z = math.sqrt(g.Z1 * g.Z1 + 2.0 * g.X * g.Y * (1.0 - t))
-        even, odd = harness._band_terms(g, Z, 1.0 - t, 1.0 + t)
+        even, odd = g.band_sums(Z, 1.0 - t, 1.0 + t)
         return (even + odd).real, (even - odd).real
 
     end = 2.0 ** -40
@@ -751,6 +765,16 @@ class TestExtremeScale:
         # its power 1/2 - k used to raise ValueError or make the density 0
         with pytest.raises(DomainError, match="product of the sides .* leaves the normal"):
             gamma_mass(Params(0.75, 0.5), s, 1.3 * s)
+
+    @pytest.mark.parametrize("p, y", [(Params(1.0, 3.0), 1e10), (Params(0.75, 4.0 / 3.0), 1e24)])
+    def test_mass_refuses_an_outer_triple_whose_u_minus_1_rounds_below_0(self, p, y, core,
+                                                                         monkeypatch):
+        # at |y/x| >> 1 the power tail's raw outer triple forms u - 1 =
+        # (Z - s)(Z + s) / 2XY below -1 by rounding; math.log(u) raised an
+        # untyped ValueError there
+        monkeypatch.setattr(harness, "core", core)
+        with pytest.raises(DomainError, match="u - 1 > 0"):
+            gamma_mass(p, 1.0, y)
 
     @pytest.mark.parametrize("s", [1e-150, 1e150])
     def test_mass_keeps_its_value_inside_the_range(self, s):
@@ -1118,3 +1142,41 @@ class TestMetamorphic:
                         v = translate(p, sy * y, f, sz * z, SPEC)
                         w = translate(p, sz * z, f, sy * y, SPEC)
                         assert abs(v - w) <= 1e-14 * max(1.0, abs(v)), (a, mu, f.name, y, z)
+
+
+# Refusals that no other test reaches, each the typed error of a public
+# entry or a core function (and rgamma's underflow to 0.0 past Gamma's range)
+_REFUSALS = [
+    (lambda: specfn.legendre_p(0.2, 0.5, 1.5), DomainError, r"outside \(-1, 1\]"),
+    (lambda: specfn.legendre_p(1.0, 0.5, 0.3), PoleError, "1-mu a nonpositive integer"),
+    (lambda: specfn.legendre_p(300.5, 0.5, 1.0 - 1e-10), RangeOverflowError, "too close to 1"),
+    (lambda: specfn.legendre_q_phase_free(0.2, -1.5, 2.0), PoleError, r"nu\+3/2"),
+    (lambda: specfn.legendre_q_phase_free(-0.5, -0.5, 2.0), PoleError, r"mu\+nu\+1=0\.0"),
+    (lambda: specfn.legendre_q_phase_free(200.0, 0.5, 3.0), RangeOverflowError, "overflow"),
+    (lambda: specfn.digamma(-3.0), PoleError, "digamma pole"),
+    (lambda: _corepy.rgamma(200.0), 0.0, None),
+    (lambda: macdonald.r_kernel_gegenbauer(0.5, 1.5, 1.0, 1.2, 1.5), DomainError,
+     "offset n=1.5"),
+    (lambda: quadrature.integrate_power_tail(lambda z: 1.0, 0.0, -3.0), DomainError,
+     "lower limit must be positive"),
+    (lambda: gaussian_profile(0.0), DomainError, "width must be positive"),
+    (lambda: bump_profile(-1.0), DomainError, "radius must be positive"),
+    (lambda: legendre_p_integral_check(-0.6, 0.5), DomainError, "needs mu > -1/2"),
+    (lambda: legendre_q_integral_check(-0.6, 0.5), DomainError, "needs mu > -1/2"),
+    (lambda: _gauss_jacobi.gauss_jacobi_rule(8, -1.0), DomainError, "exponent must be > -1"),
+    (lambda: lp_bound_probe(P_DUNKL, 2.0, Profile(lambda xi: 0.0, 1.0),
+                            Axis("y", 0.0, 1.0, 2)), DomainError, "zero on the probe window"),
+]
+
+
+@pytest.mark.parametrize("call, outcome, message", _REFUSALS, ids=[
+    "legendre_p-t", "legendre_p-pole", "legendre_p-overflow", "legendre_q-degree-pole",
+    "legendre_q-gamma-pole", "legendre_q-overflow", "digamma-pole", "rgamma-underflow",
+    "gegenbauer-offset", "power-tail-lo", "gaussian-width", "bump-radius", "legendre_p-check-mu",
+    "legendre_q-check-mu", "gauss-jacobi-alpha", "lp-probe-zero-profile"])
+def test_refusals_are_typed(call, outcome, message):
+    if isinstance(outcome, float):
+        assert call() == outcome
+    else:
+        with pytest.raises(outcome, match=message):
+            call()

@@ -12,7 +12,6 @@ from gfkernel.harness import (
     Axis,
     Profile,
     ResidualReport,
-    SweepGrid,
     TranslateReport,
     TvReport,
     gaussian_profile,
@@ -23,7 +22,7 @@ AXIS = Axis("x", 0.1, 10.0, 9, "log")
 RECORDS = [
     QuadratureSpec(), IntegralResult(1.0, 0.0, 3), Params(0.75, 4.0 / 3.0),
     MacdonaldOrders(0.125, 1.625),
-    AXIS, SweepGrid((AXIS, AXIS)), gaussian_profile(1.0),
+    AXIS, gaussian_profile(1.0),
     ResidualReport(1j, 1j, 0.0, 0.0, 0.0, 0.0), TvReport(1.0, 0.0, 0.0, 0),
     TranslateReport(1j, 0.0), CriterionResult("c01", "stub", True, "ok", 0.5),
 ]
